@@ -4,15 +4,19 @@ The objective being minimized is
 
     Phi(x, y) = J(x) + (1/n) * sum_i F_i(x, y) + R(y)
 
-with smooth components ``F_i`` (given through per-component partial
-gradients) and prox-capable, possibly non-smooth regularizers ``J`` and
-``R``.  Indicator constraints are encoded as regularizers taking the value
-``+inf`` outside the feasible set, so ``objective`` may legitimately return
-``inf``; a NaN objective is always an error.
+with smooth components ``F_i`` (given through batch-mean oracles) and
+prox-capable, possibly non-smooth regularizers ``J`` and ``R``.  Indicator
+constraints are encoded as regularizers taking the value ``+inf`` outside the
+feasible set, so ``objective`` may legitimately return ``inf``; a NaN
+objective is always an error.
+
+Oracle contract: ``grad_x(idx, x, y)`` is the mean of grad_x F_i over a sorted
+array ``idx`` of distinct indices, ``grad_y`` and ``value`` likewise, and a
+call costs ``len(idx)`` SFO.  Full gradients and the smooth value pass all n
+indices; per-component rows come from singleton batches.
 
 Problem objects are immutable after construction and safe to share between
-threads.  Component sums always run in fixed index order 0..n-1 so results
-are reproducible bit for bit.
+threads.  Oracles are deterministic, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-Vector = np.ndarray
-GradFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-ValueFn = Callable[[int, np.ndarray, np.ndarray], float]
+GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+ValueFn = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -41,19 +44,20 @@ def _identity_prox(_gamma: float, v: np.ndarray) -> np.ndarray:
 class BlockProblem:
     """Finite-sum two-block problem: n components, block dims (dim_x, dim_y).
 
-    ``component_grad_x(i, x, y)`` returns the partial gradient of F_i with
-    respect to x (length dim_x); ``component_grad_y`` the y-partial (length
-    dim_y).  ``prox_x(gamma, v)`` returns one element of the prox of J at v
-    with parameter gamma (single-valued by a documented tie-break when J is
-    non-convex), and likewise ``prox_y`` for R.
+    ``grad_x(idx, x, y)`` returns the mean x-partial (length dim_x) of the
+    F_i over the indices ``idx``, ``grad_y`` the mean y-partial (length
+    dim_y) and ``value`` the mean F_i; singleton batches give per-row data,
+    and a call costs ``len(idx)`` SFO.  ``prox_x(gamma, v)`` returns one
+    element of the prox of J at v with parameter gamma (single-valued by a
+    documented tie-break when J is non-convex), and likewise ``prox_y`` for R.
     """
 
     n: int
     dim_x: int
     dim_y: int
-    component_value: ValueFn
-    component_grad_x: GradFn
-    component_grad_y: GradFn
+    value: ValueFn
+    grad_x: GradFn
+    grad_y: GradFn
     reg_x_value: RegFn = _zero_reg
     reg_y_value: RegFn = _zero_reg
     prox_x: ProxFn = _identity_prox
@@ -102,12 +106,9 @@ def dist_sq(a: Iterate, b: Iterate) -> float:
 
 
 def smooth_value(problem: BlockProblem, z: Iterate) -> float:
-    """(1/n) sum_i F_i(x, y), accumulated in fixed index order."""
+    """(1/n) sum_i F_i(x, y): the value oracle over all n components."""
     check_dims(problem, z)
-    total = 0.0
-    for i in range(problem.n):
-        total += float(problem.component_value(i, z.x, z.y))
-    return total / problem.n
+    return float(problem.value(np.arange(problem.n), z.x, z.y))
 
 
 def objective(problem: BlockProblem, z: Iterate) -> float:
@@ -127,23 +128,20 @@ def objective(problem: BlockProblem, z: Iterate) -> float:
 
 def _mean_grad(problem: BlockProblem, z: Iterate, grad_fn: GradFn, dim: int) -> np.ndarray:
     check_dims(problem, z)
-    acc = np.zeros(dim)
-    for i in range(problem.n):
-        g = np.asarray(grad_fn(i, z.x, z.y), dtype=float)
-        if g.shape != (dim,):
-            raise ValueError(f"component gradient {i} has length {g.shape}, expected ({dim},)")
-        acc += g
-    return acc / problem.n
+    g = np.asarray(grad_fn(np.arange(problem.n), z.x, z.y), dtype=float)
+    if g.shape != (dim,):
+        raise ValueError(f"full gradient has shape {g.shape}, expected ({dim},)")
+    return g
 
 
 def full_grad_x(problem: BlockProblem, z: Iterate) -> np.ndarray:
-    """(1/n) sum_i grad_x F_i(x, y), deterministic summation order."""
-    return _mean_grad(problem, z, problem.component_grad_x, problem.dim_x)
+    """(1/n) sum_i grad_x F_i(x, y): the x-oracle over all n components."""
+    return _mean_grad(problem, z, problem.grad_x, problem.dim_x)
 
 
 def full_grad_y(problem: BlockProblem, z: Iterate) -> np.ndarray:
-    """(1/n) sum_i grad_y F_i(x, y), deterministic summation order."""
-    return _mean_grad(problem, z, problem.component_grad_y, problem.dim_y)
+    """(1/n) sum_i grad_y F_i(x, y): the y-oracle over all n components."""
+    return _mean_grad(problem, z, problem.grad_y, problem.dim_y)
 
 
 def prox_generic(prox: ProxFn, gamma: float, v: np.ndarray) -> np.ndarray:
@@ -155,7 +153,7 @@ def prox_generic(prox: ProxFn, gamma: float, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OracleCounter:
-    """Mutable tally of component partial-gradient evaluations.
+    """Mutable tally of component evaluations (``len(idx)`` per oracle call).
 
     Used for double-entry bookkeeping against the solver's reported SFO
     count: ``grad_x + grad_y`` must equal ``sfo_calls`` exactly when the
@@ -172,25 +170,17 @@ class OracleCounter:
 
 
 def with_oracle_counter(problem: BlockProblem) -> tuple[BlockProblem, OracleCounter]:
-    """Wrap a problem so every component oracle call increments a counter."""
+    """Wrap a problem so every oracle call adds its batch size to a counter."""
     counter = OracleCounter()
-    inner_gx, inner_gy, inner_val = (
-        problem.component_grad_x,
-        problem.component_grad_y,
-        problem.component_value,
-    )
 
-    def gx(i, x, y):
-        counter.grad_x += 1
-        return inner_gx(i, x, y)
+    def counted(name):
+        inner = getattr(problem, name)
 
-    def gy(i, x, y):
-        counter.grad_y += 1
-        return inner_gy(i, x, y)
+        def oracle(idx, x, y):
+            setattr(counter, name, getattr(counter, name) + len(idx))
+            return inner(idx, x, y)
 
-    def val(i, x, y):
-        counter.value += 1
-        return inner_val(i, x, y)
+        return oracle
 
-    counted = replace(problem, component_grad_x=gx, component_grad_y=gy, component_value=val)
-    return counted, counter
+    oracles = {name: counted(name) for name in ("grad_x", "grad_y", "value")}
+    return replace(problem, **oracles), counter

@@ -111,28 +111,20 @@ def fd_gradient_check(problem: BlockProblem, z: Iterate, h: float = 1e-6) -> flo
     and blocks is returned.
     """
     check_dims(problem, z)
+    all_idx = np.arange(problem.n)
     worst = 0.0
-    for i in range(problem.n):
-        for block, dim, grad_fn in (
-            ("x", problem.dim_x, problem.component_grad_x),
-            ("y", problem.dim_y, problem.component_grad_y),
-        ):
-            g = np.asarray(grad_fn(i, z.x, z.y), dtype=float)
-            fd = np.empty(dim)
-            for j in range(dim):
-                if block == "x":
-                    xp, xm = z.x.copy(), z.x.copy()
-                    xp[j] += h
-                    xm[j] -= h
-                    fp = problem.component_value(i, xp, z.y)
-                    fm = problem.component_value(i, xm, z.y)
-                else:
-                    yp, ym = z.y.copy(), z.y.copy()
-                    yp[j] += h
-                    ym[j] -= h
-                    fp = problem.component_value(i, z.x, yp)
-                    fm = problem.component_value(i, z.x, ym)
-                fd[j] = (fp - fm) / (2.0 * h)
+    for point, grads, value_at in (
+        (z.x, batch_grads_x(problem, all_idx, z.x, z.y), lambda one, v: problem.value(one, v, z.y)),
+        (z.y, batch_grads_y(problem, all_idx, z.x, z.y), lambda one, v: problem.value(one, z.x, v)),
+    ):
+        for i, g in enumerate(grads):
+            one = all_idx[i:i + 1]
+            fd = np.empty(len(point))
+            for j in range(len(point)):
+                plus, minus = point.copy(), point.copy()
+                plus[j] += h
+                minus[j] -= h
+                fd[j] = (value_at(one, plus) - value_at(one, minus)) / (2.0 * h)
             err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
             worst = max(worst, err)
     return worst

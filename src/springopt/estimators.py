@@ -8,7 +8,9 @@ single recursive estimate per block that is reset to the exact full gradient
 with probability 1/p each iteration.
 
 The x-block and y-block draw independent batches each iteration, but SARAH's
-refresh coin is a single shared event per iteration for both blocks.
+refresh coin is a single shared event per iteration for both blocks.  SGD
+and SARAH call the batch-mean oracle; SAGA's per-component table rows come
+from singleton batches (``batch_grads_*``).
 
 ``probe_upsilon_*`` compute the variance-tracking quantities (the sum of
 squared deviation norms and its unsquared companion) together with the
@@ -49,20 +51,21 @@ def sample_batch(sampler: BatchSampler) -> np.ndarray:
     return np.sort(idx)
 
 
-def batch_grads_x(problem: BlockProblem, batch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stack grad_x F_j(x, y) for j in batch, shape (b, dim_x)."""
-    out = np.empty((len(batch), problem.dim_x))
-    for row, j in enumerate(batch):
-        out[row] = problem.component_grad_x(int(j), x, y)
+def _stack_rows(grad_fn, batch, x, y, dim):
+    out = np.empty((len(batch), dim))
+    for row in range(len(batch)):
+        out[row] = grad_fn(batch[row:row + 1], x, y)
     return out
+
+
+def batch_grads_x(problem: BlockProblem, batch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stack grad_x F_j(x, y) for j in batch from singleton batches, shape (b, dim_x)."""
+    return _stack_rows(problem.grad_x, batch, x, y, problem.dim_x)
 
 
 def batch_grads_y(problem: BlockProblem, batch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stack grad_y F_j(x, y) for j in batch, shape (b, dim_y)."""
-    out = np.empty((len(batch), problem.dim_y))
-    for row, j in enumerate(batch):
-        out[row] = problem.component_grad_y(int(j), x, y)
-    return out
+    """Stack grad_y F_j(x, y) for j in batch from singleton batches, shape (b, dim_y)."""
+    return _stack_rows(problem.grad_y, batch, x, y, problem.dim_y)
 
 
 def sgd_estimate_x(problem: BlockProblem, batch: np.ndarray, z: Iterate) -> np.ndarray:
@@ -70,7 +73,7 @@ def sgd_estimate_x(problem: BlockProblem, batch: np.ndarray, z: Iterate) -> np.n
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     check_dims(problem, z)
-    return batch_grads_x(problem, batch, z.x, z.y).mean(axis=0)
+    return problem.grad_x(batch, z.x, z.y)
 
 
 def sgd_estimate_y(problem: BlockProblem, batch: np.ndarray, z: Iterate) -> np.ndarray:
@@ -78,7 +81,7 @@ def sgd_estimate_y(problem: BlockProblem, batch: np.ndarray, z: Iterate) -> np.n
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     check_dims(problem, z)
-    return batch_grads_y(problem, batch, z.x, z.y).mean(axis=0)
+    return problem.grad_y(batch, z.x, z.y)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +201,10 @@ def sarah_refresh_coin(state: SarahState, rng: np.random.Generator) -> bool:
     return bool(rng.random() < 1.0 / state.p)
 
 
-def _sarah_estimate(problem, batch, z_new, z_old, prev_est, refresh, full_fn, grads_fn):
+def _sarah_estimate(problem, batch, z_new, z_old, prev_est, refresh, full_fn, grad_fn):
     if refresh:
         return full_fn(problem, z_new)
-    diffs = grads_fn(problem, batch, z_new.x, z_new.y) - grads_fn(problem, batch, z_old.x, z_old.y)
-    return diffs.mean(axis=0) + prev_est
+    return (grad_fn(batch, z_new.x, z_new.y) - grad_fn(batch, z_old.x, z_old.y)) + prev_est
 
 
 def sarah_estimate_x(
@@ -222,7 +224,7 @@ def sarah_estimate_x(
     if refresh is None:
         refresh = sarah_refresh_coin(state, rng)
     est = _sarah_estimate(problem, batch, z_new, z_old, state.est_x, refresh,
-                          full_grad_x, batch_grads_x)
+                          full_grad_x, problem.grad_x)
     state.est_x = est
     return est
 
@@ -240,7 +242,7 @@ def sarah_estimate_y(
     if refresh is None:
         refresh = sarah_refresh_coin(state, rng)
     est = _sarah_estimate(problem, batch, z_new, z_old, state.est_y, refresh,
-                          full_grad_y, batch_grads_y)
+                          full_grad_y, problem.grad_y)
     state.est_y = est
     return est
 
@@ -310,17 +312,15 @@ def probe_upsilon_saga(
     _check_saga_state(problem, state)
     check_dims(problem, z)
     n = problem.n
-    ups = 0.0
-    gam = 0.0
-    for i in range(n):
-        dx = np.asarray(problem.component_grad_x(i, z.x, z.y), dtype=float) - state.table_x[i]
-        dy = np.asarray(problem.component_grad_y(i, z.x, z.y), dtype=float) - state.table_y[i]
-        ups += dx @ dx + 4.0 * (dy @ dy)
-        gam += math.sqrt(dx @ dx) + 2.0 * math.sqrt(dy @ dy)
+    all_idx = np.arange(n)
+    dx = batch_grads_x(problem, all_idx, z.x, z.y) - state.table_x
+    dy = batch_grads_y(problem, all_idx, z.x, z.y) - state.table_y
+    sq_x = np.einsum("ij,ij->i", dx, dx)
+    sq_y = np.einsum("ij,ij->i", dy, dy)
     v1, v2, vu, rho = estimator_constants("saga", n=n, b=b, L=L, M=M)
     return VarianceProbe(
-        upsilon=ups / (b * n),
-        gamma_sum=gam / math.sqrt(b * n),
+        upsilon=float((sq_x + 4.0 * sq_y).sum()) / (b * n),
+        gamma_sum=float((np.sqrt(sq_x) + 2.0 * np.sqrt(sq_y)).sum()) / math.sqrt(b * n),
         v1=v1,
         v2=v2,
         v_upsilon=vu,

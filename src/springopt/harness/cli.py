@@ -18,12 +18,11 @@ import numpy as np
 
 from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
+from ..lipschitz import ALGORITHMS
 from ..rng import stream_rng
 from ..solver import SolverConfig
 from . import io, svgplot
-from .runner import BENCH_ALGORITHMS, PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
-
-ALGO_CHOICES = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
+from .runner import PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
 
 
 def _parse_config_file(path: str) -> dict:
@@ -73,7 +72,7 @@ def _problem_parent() -> argparse.ArgumentParser:
 
 def _solver_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--algo", default="palm", choices=ALGO_CHOICES)
+    p.add_argument("--algo", default="palm", choices=ALGORITHMS)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--repeat", type=int, default=1)
     bench_p.add_argument("--parallelism", type=int, default=1)
     bench_p.add_argument("--deterministic-timing", action="store_true")
-    bench_p.add_argument("--algos", default=",".join(BENCH_ALGORITHMS),
+    bench_p.add_argument("--algos", default=",".join(ALGORITHMS),
                          help="comma-separated list; must include palm")
 
     grad_p = sub.add_parser("check-grad", parents=[_problem_parent()],

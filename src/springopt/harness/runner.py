@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core import BlockProblem
+from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
 from ..solver import DivergenceError, SolverConfig, Trace, TraceRow, run
 from . import datasets, io
@@ -152,10 +153,7 @@ def run_experiment(spec: RunSpec) -> dict:
     return summary
 
 
-BENCH_ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
-
-
-def bench(spec: RunSpec, algorithms: tuple[str, ...] = BENCH_ALGORITHMS) -> dict:
+def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
     """Compare algorithms on one problem against the PALM baseline.
 
     Every algorithm runs the same seeds from the same per-seed starting

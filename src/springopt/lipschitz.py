@@ -35,7 +35,6 @@ class PowerMethodConfig:
 
     iterations: int = 5
     rng: np.random.Generator | None = None
-    batch_size: int | None = None  # subsample size for stochastic estimates
 
     def __post_init__(self):
         if self.iterations < 1:

@@ -1,7 +1,7 @@
 """Benchmark problem adapters and their proximal operators.
 
 Three families, each exposed through the two-block ``BlockProblem`` surface
-with closed-form component gradients:
+with closed-form batch-mean gradients:
 
 * sparse nonnegative matrix factorization:
   min ||A - XY||_F^2  s.t.  X, Y >= 0 and every column of X has at most s
@@ -16,6 +16,8 @@ F_i = d * ||A_i - X Y_i||^2 so that the component mean equals the monolithic
 objective.  Blind deconvolution splits the residual grid into contiguous
 tiles; the smooth edge regularizer is carried by every component (divided by
 the component count through the mean), keeping each F_i differentiable.
+The oracles work on r columns or one tile window at a time, so a component
+costs about 1/n of a full gradient.
 
 Matrix blocks are flattened row-major into the solver's vector view.
 
@@ -119,21 +121,36 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     m, d = A.shape
     dim_x, dim_y = m * r, r * d
 
-    def value(i, xv, yv):
+    def residuals(idx, xv, yv):
+        # X @ Y[:, part] - A[:, part] over parts of r columns, so no temporary
+        # outgrows the m x r factor X; a run of columns is sliced, not copied.
         X, Y = xv.reshape(m, r), yv.reshape(r, d)
-        resid = X @ Y[:, i] - A[:, i]
-        return d * float(resid @ resid)
+        for start in range(0, len(idx), r):
+            part = idx[start:start + r]
+            if part[-1] - part[0] == len(part) - 1:
+                part = slice(part[0], part[-1] + 1)
+            cols = Y[:, part]
+            resid = X @ cols
+            resid -= A[:, part]
+            yield part, cols, resid
 
-    def grad_x(i, xv, yv):
-        X, Y = xv.reshape(m, r), yv.reshape(r, d)
-        resid = X @ Y[:, i] - A[:, i]
-        return (2.0 * d * np.outer(resid, Y[:, i])).ravel()
+    def value(idx, xv, yv):
+        total = sum(float(np.einsum("ij,ij->", resid, resid)) for _part, _cols, resid in residuals(idx, xv, yv))
+        return d * total / len(idx)
 
-    def grad_y(i, xv, yv):
-        X, Y = xv.reshape(m, r), yv.reshape(r, d)
-        resid = X @ Y[:, i] - A[:, i]
+    def grad_x(idx, xv, yv):
+        g = np.zeros((m, r))
+        for _part, cols, resid in residuals(idx, xv, yv):
+            g += resid @ cols.T
+        g *= 2.0 * d / len(idx)
+        return g.ravel()
+
+    def grad_y(idx, xv, yv):
+        X = xv.reshape(m, r)
         g = np.zeros((r, d))
-        g[:, i] = 2.0 * d * (X.T @ resid)
+        scale = 2.0 * d / len(idx)
+        for part, _cols, resid in residuals(idx, xv, yv):
+            g[:, part] = scale * (X.T @ resid)
         return g.ravel()
 
     def lip_x(xv, yv, batch, rng, iterations=5):
@@ -157,9 +174,9 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         n=d,
         dim_x=dim_x,
         dim_y=dim_y,
-        component_value=value,
-        component_grad_x=grad_x,
-        component_grad_y=grad_y,
+        value=value,
+        grad_x=grad_x,
+        grad_y=grad_y,
         reg_x_value=reg_x_value,
         reg_y_value=reg_y_value,
         prox_x=prox_x,
@@ -400,30 +417,37 @@ class BlindDeblurProblem:
             dh, dv = image_gradients(X)
             return lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
 
-        def value(i, xv, yv):
-            X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            resid = bid_forward(X, Y) - Z
-            tile = resid[tiles[i]]
-            return n * float((tile * tile).sum()) + reg_value(X)
+        def tile_residuals(idx, X, Y):
+            # Tile i's residual needs only its image window: the tile grown by the kernel.
+            for i in idx:
+                rs, cs = tiles[i]
+                window = (slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1))
+                yield window, bid_forward(X[window], Y) - Z[rs, cs]
 
-        def grad_x(i, xv, yv):
+        def value(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            resid = bid_forward(X, Y) - Z
-            masked = np.zeros_like(resid)
-            masked[tiles[i]] = resid[tiles[i]]
-            g = 2.0 * n * bid_adjoint_image(masked, Y)
+            total = sum(float((resid * resid).sum()) for _w, resid in tile_residuals(idx, X, Y))
+            return n * total / len(idx) + reg_value(X)
+
+        def grad_x(idx, xv, yv):
+            X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+            g = np.zeros((hx, wx))
+            for window, resid in tile_residuals(idx, X, Y):
+                g[window] += bid_adjoint_image(resid, Y)
+            g *= 2.0 * n / len(idx)
             dh, dv = image_gradients(X)
             g += lam * image_gradients_adjoint(
                 bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta)
             )
             return g.ravel()
 
-        def grad_y(i, xv, yv):
+        def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            resid = bid_forward(X, Y) - Z
-            masked = np.zeros_like(resid)
-            masked[tiles[i]] = resid[tiles[i]]
-            return (2.0 * n * bid_adjoint_kernel(masked, X)).ravel()
+            g = np.zeros((kh, kw))
+            for window, resid in tile_residuals(idx, X, Y):
+                g += bid_adjoint_kernel(resid, X[window])
+            g *= 2.0 * n / len(idx)
+            return g.ravel()
 
         def reg_x(xv):
             return 0.0 if np.all(xv >= 0) and np.all(xv <= 1) else float("inf")
@@ -479,9 +503,9 @@ class BlindDeblurProblem:
             n=n,
             dim_x=hx * wx,
             dim_y=kh * kw,
-            component_value=value,
-            component_grad_x=grad_x,
-            component_grad_y=grad_y,
+            value=value,
+            grad_x=grad_x,
+            grad_y=grad_y,
             reg_x_value=reg_x,
             reg_y_value=reg_y,
             prox_x=px,
@@ -533,18 +557,18 @@ def make_separable_quadratic(
     a_i = a + ea
     b_i = b + eb
 
-    def value(i, x, y):
-        dx = x - a_i[i]
-        dy = y - b_i[i]
-        return 0.5 * float(dx @ dx + dy @ dy)
+    def value(idx, x, y):
+        dx = x - a_i[idx]
+        dy = y - b_i[idx]
+        return 0.5 * float((dx * dx).sum() + (dy * dy).sum()) / len(idx)
 
     problem = BlockProblem(
         n=n,
         dim_x=dim_x,
         dim_y=dim_y,
-        component_value=value,
-        component_grad_x=lambda i, x, y: x - a_i[i],
-        component_grad_y=lambda i, x, y: y - b_i[i],
+        value=value,
+        grad_x=lambda idx, x, y: (x - a_i[idx]).mean(axis=0),
+        grad_y=lambda idx, x, y: (y - b_i[idx]).mean(axis=0),
         lipschitz_x=lambda x, y, batch, rng_, iterations=5: 1.0,
         lipschitz_y=lambda x, y, batch, rng_, iterations=5: 1.0,
     )
@@ -579,10 +603,9 @@ def make_random_quadratic(
         Ps[i] = Bx.T @ Bx / dim_x + 0.5 * np.eye(dim_x)
         Qs[i] = By.T @ By / dim_y + 0.5 * np.eye(dim_y)
 
-    def value(i, x, y):
-        return float(
-            0.5 * x @ Ps[i] @ x + 0.5 * y @ Qs[i] @ y + x @ Rs[i] @ y + ss[i] @ x + ts[i] @ y
-        )
+    def value(idx, x, y):
+        quad = 0.5 * (Ps[idx] @ x) @ x + 0.5 * (Qs[idx] @ y) @ y + (Rs[idx] @ y) @ x
+        return float(np.mean(quad + ss[idx] @ x + ts[idx] @ y))
 
     P_bar, Q_bar, R_bar = Ps.mean(axis=0), Qs.mean(axis=0), Rs.mean(axis=0)
     lip_x_exact = float(np.linalg.norm(P_bar, 2))
@@ -596,9 +619,9 @@ def make_random_quadratic(
         n=n,
         dim_x=dim_x,
         dim_y=dim_y,
-        component_value=value,
-        component_grad_x=lambda i, x, y: Ps[i] @ x + Rs[i] @ y + ss[i],
-        component_grad_y=lambda i, x, y: Qs[i] @ y + Rs[i].T @ x + ts[i],
+        value=value,
+        grad_x=lambda idx, x, y: (Ps[idx] @ x + Rs[idx] @ y + ss[idx]).mean(axis=0),
+        grad_y=lambda idx, x, y: (Qs[idx] @ y + x @ Rs[idx] + ts[idx]).mean(axis=0),
         lipschitz_x=lambda x, y, batch, rng_, iterations=5: lip_x_exact,
         lipschitz_y=lambda x, y, batch, rng_, iterations=5: lip_y_exact,
     )

@@ -196,7 +196,6 @@ def spring_step(
     """
     if gamma_x <= 0 or gamma_y <= 0:
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
-    sfo = 0
     batch_x = est.sample_batch(driver.sampler_x)
     kind = "sgd" if driver.warm else driver.kind
 
@@ -204,16 +203,16 @@ def spring_step(
         refresh = est.sarah_refresh_coin(driver.sarah, driver.coin_rng) or driver.sarah_needs_refresh
         z_old = driver.z_prev if driver.z_prev is not None else z
         gx = est.sarah_estimate_x(problem, batch_x, z, z_old, driver.sarah, refresh=refresh)
-        sfo += problem.n if refresh else len(batch_x)
+    elif driver.saga is None:
+        gx = est.sgd_estimate_x(problem, batch_x, z)
     else:
         fresh_x = est.batch_grads_x(problem, batch_x, z.x, z.y)
-        sfo += len(batch_x)
         if kind == "saga":
             gx = est.saga_combine(fresh_x, batch_x, driver.saga.table_x, driver.saga.mean_x)
         else:
             gx = fresh_x.mean(axis=0)
-        if driver.saga is not None:
-            est.saga_update_table_x(driver.saga, batch_x, fresh_x)
+        est.saga_update_table_x(driver.saga, batch_x, fresh_x)
+    sfo = problem.n if kind == "sarah" and refresh else len(batch_x)
 
     x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
     mid = _guarded_iterate(x_next, z.y, "spring x-update")
@@ -222,17 +221,17 @@ def spring_step(
     if kind == "sarah":
         z_old_y = Iterate(z.x, driver.z_prev.y) if driver.z_prev is not None else mid
         gy = est.sarah_estimate_y(problem, batch_y, mid, z_old_y, driver.sarah, refresh=refresh)
-        sfo += problem.n if refresh else len(batch_y)
         driver.sarah_needs_refresh = False
+    elif driver.saga is None:
+        gy = est.sgd_estimate_y(problem, batch_y, mid)
     else:
         fresh_y = est.batch_grads_y(problem, batch_y, mid.x, mid.y)
-        sfo += len(batch_y)
         if kind == "saga":
             gy = est.saga_combine(fresh_y, batch_y, driver.saga.table_y, driver.saga.mean_y)
         else:
             gy = fresh_y.mean(axis=0)
-        if driver.saga is not None:
-            est.saga_update_table_y(driver.saga, batch_y, fresh_y)
+        est.saga_update_table_y(driver.saga, batch_y, fresh_y)
+    sfo += problem.n if kind == "sarah" and refresh else len(batch_y)
 
     y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
     z_next = _guarded_iterate(x_next, y_next, "spring y-update")
@@ -243,17 +242,6 @@ def spring_step(
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
-
-
-def _lipschitz_pair(problem, z, batch, rng, iterations):
-    if problem.lipschitz_x is None or problem.lipschitz_y is None:
-        raise ValueError(
-            "the practical/theoretical step policies need the problem's Lipschitz hooks; "
-            "use step_policy='fixed' for problems without them"
-        )
-    lx = float(problem.lipschitz_x(z.x, z.y, batch, rng, iterations))
-    ly = float(problem.lipschitz_y(z.x, z.y, batch, rng, iterations))
-    return lx, ly
 
 
 # The stochastic-Lipschitz envelope forgets old draws with a half-life of
@@ -272,6 +260,9 @@ class _LipschitzEnvelope:
     step sizing uses a decaying running maximum of the draws: new draws lift
     it instantly, and it halves over ~2 epochs when the landscape genuinely
     flattens.  Full-batch draws (PALM, inertial PALM) bypass the envelope.
+
+    Every draw of a run goes through ``pair``, which charges ``sfo`` with the
+    power method's iterations + 1 operator applications per block.
     """
 
     def __init__(self, problem, z0, rng, iterations, decay):
@@ -281,17 +272,31 @@ class _LipschitzEnvelope:
         self.decay = decay
         self.env_x = 0.0
         self.env_y = 0.0
+        self.sfo = 0
         self._z0 = z0
 
+    def pair(self, z, batch):
+        """One (L_x, L_y) draw; an application on ``batch`` (None: all n) costs its size."""
+        problem, iters = self.problem, self.iterations
+        if problem.lipschitz_x is None or problem.lipschitz_y is None:
+            raise ValueError(
+                "the practical/theoretical step policies need the problem's Lipschitz hooks; "
+                "use step_policy='fixed' for problems without them"
+            )
+        self.sfo += 2 * (iters + 1) * (problem.n if batch is None else len(batch))
+        lx = float(problem.lipschitz_x(z.x, z.y, batch, self.rng, iters))
+        ly = float(problem.lipschitz_y(z.x, z.y, batch, self.rng, iters))
+        return lx, ly
+
     def estimate(self, z, batch):
-        lx, ly = _lipschitz_pair(self.problem, z, batch, self.rng, self.iterations)
+        lx, ly = self.pair(z, batch)
         if batch is None:
             return lx, ly
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
             # Degenerate from the start; anchor on the full-batch curvature.
-            fx, fy = _lipschitz_pair(self.problem, self._z0, None, self.rng, self.iterations)
+            fx, fy = self.pair(self._z0, None)
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y
@@ -311,13 +316,14 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     config.validate(n)
     algo = config.algorithm
     stochastic = algo.startswith("spring-")
+    kind = algo.split("-", 1)[1] if stochastic else None
     b = config.batch_size if stochastic else n
+    sarah_p = config.sarah_p if config.sarah_p is not None else float(n)
     streams = all_streams(config.seed)
     trace = Trace()
 
     driver = None
     if stochastic:
-        kind = algo.split("-", 1)[1]
         driver = EstimatorDriver(
             kind=kind,
             sampler_x=est.BatchSampler(n, b, streams["batch_x"]),
@@ -328,40 +334,31 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
         if kind == "saga":
             driver.saga = est.SagaState.zeros(n, problem.dim_x, problem.dim_y)
         elif kind == "sarah":
-            p = config.sarah_p if config.sarah_p is not None else float(n)
-            driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), p)
+            driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
 
     steps_per_epoch = 1 if not stochastic else math.ceil(n / b)
-    lip_iters = config.power_iterations
-    lip_rng = streams["power_init"]
     lip_batch_sampler = est.BatchSampler(n, b, streams["lip_batch"]) if stochastic else None
 
     phi0 = objective(problem, z0)
     divergence_cap = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
 
+    lip_decay = 0.5 ** (b / (_LIP_ENVELOPE_HALFLIFE_EPOCHS * n))
+    lip_guard = _LipschitzEnvelope(problem, z0, streams["power_init"], config.power_iterations, lip_decay)
+
     # Theoretical policy: constant steps from the variance-reduction bound.
     theo_steps = None
     if config.step_policy == "theoretical":
+        L = config.lipschitz_const
+        if L is None:
+            L = max(lip_guard.pair(z0, None))
         if algo in ("palm", "ipalm"):
-            L = config.lipschitz_const
-            if L is None:
-                lx, ly = _lipschitz_pair(problem, z0, None, lip_rng, lip_iters)
-                L = max(lx, ly)
             theo_steps = (1.0 / L, 1.0 / L)
         else:
-            L = config.lipschitz_const
-            if L is None:
-                lx, ly = _lipschitz_pair(problem, z0, None, lip_rng, lip_iters)
-                L = max(lx, ly)
-            kind = algo.split("-", 1)[1]
-            p = config.sarah_p if config.sarah_p is not None else float(n)
-            v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=p, L=L, M=L)
+            v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
             bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
             gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
             theo_steps = (gamma, gamma)
 
-    lip_decay = 0.5 ** (b / (_LIP_ENVELOPE_HALFLIFE_EPOCHS * n))
-    lip_guard = _LipschitzEnvelope(problem, z0, lip_rng, lip_iters, lip_decay)
     frozen_practical = None
     if config.step_policy == "practical" and not config.lipschitz_refresh:
         batch = est.sample_batch(lip_batch_sampler) if stochastic else None
@@ -370,7 +367,6 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     z = z0
     z_prev = z0
     sfo_calls = 0
-    lip_sfo = 0
     start = time.perf_counter()
     k = 0
     stop = False
@@ -384,7 +380,7 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             gnorm = float("nan")
         phi = objective(problem, z_now)
         wall = (time.perf_counter() - start) * 1e3
-        trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, lip_sfo))
+        trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, lip_guard.sfo))
         if phi > divergence_cap:
             raise DivergenceError(
                 f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",
@@ -413,7 +409,6 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
                     else:
                         batch = est.sample_batch(lip_batch_sampler) if stochastic else None
                         lx, ly = lip_guard.estimate(z, batch)
-                        lip_sfo += lip_iters * (len(batch) if batch is not None else n) * 2
                     gx_step, gy_step = practical_step_sizes(algo, lx, ly, k=k, b=b, n=n)
 
                 z_pre = z

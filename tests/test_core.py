@@ -70,9 +70,9 @@ def test_objective_reports_inf_outside_indicator():
 def test_objective_nan_is_numerical_failure():
     problem = BlockProblem(
         n=1, dim_x=1, dim_y=1,
-        component_value=lambda i, x, y: float("nan"),
-        component_grad_x=lambda i, x, y: np.zeros(1),
-        component_grad_y=lambda i, x, y: np.zeros(1),
+        value=lambda idx, x, y: float("nan"),
+        grad_x=lambda idx, x, y: np.zeros(1),
+        grad_y=lambda idx, x, y: np.zeros(1),
     )
     with pytest.raises(FloatingPointError):
         objective(problem, Iterate(np.zeros(1), np.zeros(1)))
@@ -82,18 +82,18 @@ def test_full_grad_single_component_equals_component():
     problem, info = make_random_quadratic(n=1, seed=2)
     z = Iterate(np.ones(4), -np.ones(4))
     np.testing.assert_array_equal(full_grad_x(problem, z),
-                                  problem.component_grad_x(0, z.x, z.y))
+                                  problem.grad_x(np.array([0]), z.x, z.y))
     np.testing.assert_array_equal(full_grad_y(problem, z),
-                                  problem.component_grad_y(0, z.x, z.y))
+                                  problem.grad_y(np.array([0]), z.x, z.y))
 
 
 def test_full_grad_identical_components():
     g = np.array([1.0, -2.0, 3.0])
     problem = BlockProblem(
         n=4, dim_x=3, dim_y=3,
-        component_value=lambda i, x, y: float(g @ x),
-        component_grad_x=lambda i, x, y: g.copy(),
-        component_grad_y=lambda i, x, y: 2 * g,
+        value=lambda idx, x, y: float(g @ x),
+        grad_x=lambda idx, x, y: g.copy(),
+        grad_y=lambda idx, x, y: 2 * g,
     )
     z = Iterate(np.zeros(3), np.zeros(3))
     np.testing.assert_allclose(full_grad_x(problem, z), g, rtol=1e-15)
@@ -119,7 +119,7 @@ def test_objective_summation_order(quad5, random_iterate):
     problem, _ = quad5
     z = random_iterate(problem, seed=1)
     forward = smooth_value(problem, z)
-    reverse = sum(problem.component_value(i, z.x, z.y) for i in reversed(range(problem.n))) / problem.n
+    reverse = sum(problem.value(np.array([i]), z.x, z.y) for i in reversed(range(problem.n))) / problem.n
     assert abs(forward - reverse) <= 1e-12 * max(1.0, abs(forward))
 
 

@@ -67,9 +67,9 @@ def test_gradmap_box_constraint_scalar_oracle():
     clip = lambda g, v: np.clip(v, 0.0, 1.0)
     problem = BlockProblem(
         n=1, dim_x=1, dim_y=1,
-        component_value=lambda i, x, y: 0.5 * float((x[0] - 3) ** 2 + (y[0] - 3) ** 2),
-        component_grad_x=lambda i, x, y: np.array([x[0] - 3.0]),
-        component_grad_y=lambda i, x, y: np.array([y[0] - 3.0]),
+        value=lambda idx, x, y: 0.5 * float((x[0] - 3) ** 2 + (y[0] - 3) ** 2),
+        grad_x=lambda idx, x, y: np.array([x[0] - 3.0]),
+        grad_y=lambda idx, x, y: np.array([y[0] - 3.0]),
         reg_x_value=lambda x: 0.0 if 0 <= x[0] <= 1 else float("inf"),
         reg_y_value=lambda y: 0.0 if 0 <= y[0] <= 1 else float("inf"),
         prox_x=clip,
@@ -173,9 +173,9 @@ def test_fd_check_linear_exact():
     g = np.array([1.0, -2.0])
     problem = BlockProblem(
         n=2, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: float(g @ x + 2 * g @ y),
-        component_grad_x=lambda i, x, y: g.copy(),
-        component_grad_y=lambda i, x, y: 2 * g,
+        value=lambda idx, x, y: float(g @ x + 2 * g @ y),
+        grad_x=lambda idx, x, y: g.copy(),
+        grad_y=lambda idx, x, y: 2 * g,
     )
     z = Iterate(np.ones(2), np.ones(2))
     assert fd_gradient_check(problem, z) <= 1e-10
@@ -190,9 +190,9 @@ def test_fd_check_quadratic(quad5, random_iterate):
 def test_fd_check_constant_zero():
     problem = BlockProblem(
         n=1, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: 4.2,
-        component_grad_x=lambda i, x, y: np.zeros(2),
-        component_grad_y=lambda i, x, y: np.zeros(2),
+        value=lambda idx, x, y: 4.2,
+        grad_x=lambda idx, x, y: np.zeros(2),
+        grad_y=lambda idx, x, y: np.zeros(2),
     )
     assert fd_gradient_check(problem, Iterate(np.ones(2), np.ones(2))) == 0.0
 
@@ -201,7 +201,7 @@ def test_fd_check_flags_wrong_gradient(quad5, random_iterate):
     problem, _ = quad5
     from dataclasses import replace
 
-    broken = replace(problem, component_grad_x=lambda i, x, y: problem.component_grad_x(i, x, y) * 1.1)
+    broken = replace(problem, grad_x=lambda idx, x, y: problem.grad_x(idx, x, y) * 1.1)
     z = random_iterate(problem, seed=6)
     assert fd_gradient_check(broken, z) > 1e-3
 

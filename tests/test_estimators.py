@@ -94,9 +94,9 @@ def test_sgd_identical_components():
 
     problem = BlockProblem(
         n=5, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: g.copy(),
-        component_grad_y=lambda i, x, y: g.copy(),
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: g.copy(),
+        grad_y=lambda idx, x, y: g.copy(),
     )
     z = Iterate(np.zeros(2), np.zeros(2))
     for batch in ([0], [1, 3], [0, 2, 4]):
@@ -316,9 +316,9 @@ def test_probe_saga_single_deviation_coefficients():
     g = np.array([1.0, 2.0])
     problem = BlockProblem(
         n=1, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: g.copy(),
-        component_grad_y=lambda i, x, y: g.copy(),
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: g.copy(),
+        grad_y=lambda idx, x, y: g.copy(),
     )
     z = Iterate(np.zeros(2), np.zeros(2))
     v = np.array([0.3, -0.4])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from springopt.problems import (
     bid_potential_deriv,
     image_gradients,
     image_gradients_adjoint,
+    make_random_quadratic,
+    make_separable_quadratic,
     nmf_component_grads,
     prox_l0_nonneg_columns,
     prox_l1,
@@ -165,6 +169,53 @@ def test_factorization_component_mean_equals_frobenius(rng):
         Y = z.y.reshape(3, 8)
         mono = float(((A - X @ Y) ** 2).sum())
         assert smooth_value(problem, z) == pytest.approx(mono, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_oracle_matches_component_reference(family):
+    # Batch sizes 1, r - 1, r + 1 and n hit the r-column block boundaries;
+    # the reference is the per-column nmf_component_grads, meaned.
+    rng = np.random.default_rng(21)
+    m, d, r = 7, 11, 4
+    A = rng.random((m, d))
+    if family == "nmf":
+        adapter = SparseNmfProblem(A=A, r=r, s=m)
+        X, Y = rng.random((m, r)), rng.random((r, d))
+    else:
+        adapter = SparsePcaProblem(A=A, r=r)
+        X, Y = rng.standard_normal((m, r)), rng.standard_normal((r, d))
+    problem = adapter.block_problem()
+    for b in (1, r - 1, r + 1, d):
+        idx = np.sort(rng.choice(d, size=b, replace=False))
+        grads = [nmf_component_grads(A, i, X, Y) for i in idx]
+        ref_x = np.mean([gx for gx, _gy in grads], axis=0)
+        ref_y = np.mean([gy for _gx, gy in grads], axis=0)
+        ref_value = np.mean([d * float(((A[:, i] - X @ Y[:, i]) ** 2).sum()) for i in idx])
+        np.testing.assert_allclose(problem.grad_x(idx, X.ravel(), Y.ravel()), ref_x.ravel(),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(problem.grad_y(idx, X.ravel(), Y.ravel()), ref_y.ravel(),
+                                   rtol=1e-12, atol=1e-12)
+        assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(ref_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("oracle", [full_grad_x, full_grad_y, smooth_value])
+def test_factorization_oracle_memory_stays_blocked(oracle):
+    # At 200 x 500 with r = 10 a full-width residual is 0.8 MB; the blocked
+    # oracle may hold at most four m x r temporaries besides its result.
+    rng = np.random.default_rng(22)
+    m, d, r = 200, 500, 10
+    adapter = SparseNmfProblem(A=rng.random((m, d)), r=r, s=m)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate(seed=0)
+    oracle(problem, z)
+    tracemalloc.start()
+    try:
+        out = oracle(problem, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = out.nbytes if isinstance(out, np.ndarray) else 0
+    assert peak <= returned + 4 * m * r * 8
 
 
 def test_pca_objective_includes_l1():
@@ -328,6 +379,77 @@ def test_bid_full_grads_match_component_mean(rng):
     gx, gy = bid_grads(X, Y, Z, lam=adapter.lam, theta=adapter.theta)
     np.testing.assert_allclose(full_grad_x(problem, z0), gx.ravel(), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(full_grad_y(problem, z0), gy.ravel(), rtol=1e-9, atol=1e-12)
+
+
+def _bid_masked_reference(adapter, idx, X, Y):
+    # The full-image formula: every tile is the whole residual masked to it.
+    Z, lam, theta = adapter.Z, adapter.lam, adapter.theta
+    tiles = bid_component_split(Z.shape, adapter.n_tiles)
+    n = len(tiles)
+    resid = bid_forward(X, Y) - Z
+    value, gx, gy = 0.0, np.zeros_like(X), np.zeros_like(Y)
+    for i in idx:
+        masked = np.zeros_like(resid)
+        masked[tiles[i]] = resid[tiles[i]]
+        value += n * float((masked * masked).sum())
+        gx += 2.0 * n * bid_adjoint_image(masked, Y)
+        gy += 2.0 * n * bid_adjoint_kernel(masked, X)
+    dh, dv = image_gradients(X)
+    reg = lam * float(np.log1p(theta * dh * dh).sum() + np.log1p(theta * dv * dv).sum())
+    reg_grad = lam * image_gradients_adjoint(bid_potential_deriv(dh, theta),
+                                             bid_potential_deriv(dv, theta))
+    b = len(idx)
+    return value / b + reg, gx / b + reg_grad, gy / b
+
+
+def test_bid_tile_windows_match_masked_full_image(rng):
+    # Uneven 6-tile split of an 11 x 13 grid with a non-square kernel.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    X = rng.random(adapter.image_shape)
+    Y = rng.random((3, 4)) / 12.0
+    for b in (1, 2, 3, 5, 6):
+        for _ in range(3):
+            idx = np.sort(rng.choice(6, size=b, replace=False))
+            value, gx, gy = _bid_masked_reference(adapter, idx, X, Y)
+            np.testing.assert_allclose(problem.grad_x(idx, X.ravel(), Y.ravel()), gx.ravel(),
+                                       rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(problem.grad_y(idx, X.ravel(), Y.ravel()), gy.ravel(),
+                                       rtol=1e-12, atol=1e-13)
+            assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic toys
+# ---------------------------------------------------------------------------
+
+
+def test_quadratic_oracles_match_component_mean(rng):
+    random_problem, info = make_random_quadratic(dim_x=3, dim_y=4, n=7, seed=5)
+    separable, sep = make_separable_quadratic(dim_x=3, dim_y=4, n=7, seed=6)
+    P, Q, R, s, t = info["P"], info["Q"], info["R"], info["s"], info["t"]
+    a_i, b_i = sep["a_i"], sep["b_i"]
+    components = {
+        "random": (random_problem, lambda i, x, y: (
+            0.5 * x @ P[i] @ x + 0.5 * y @ Q[i] @ y + x @ R[i] @ y + s[i] @ x + t[i] @ y,
+            P[i] @ x + R[i] @ y + s[i],
+            Q[i] @ y + R[i].T @ x + t[i],
+        )),
+        "separable": (separable, lambda i, x, y: (
+            0.5 * float((x - a_i[i]) @ (x - a_i[i]) + (y - b_i[i]) @ (y - b_i[i])),
+            x - a_i[i],
+            y - b_i[i],
+        )),
+    }
+    for problem, component in components.values():
+        x, y = rng.standard_normal(3), rng.standard_normal(4)
+        for b in (1, 3, 7):
+            idx = np.sort(rng.choice(7, size=b, replace=False))
+            values, gxs, gys = zip(*(component(i, x, y) for i in idx))
+            assert problem.value(idx, x, y) == pytest.approx(np.mean(values), rel=1e-12)
+            np.testing.assert_allclose(problem.grad_x(idx, x, y), np.mean(gxs, axis=0), rtol=1e-12)
+            np.testing.assert_allclose(problem.grad_y(idx, x, y), np.mean(gys, axis=0), rtol=1e-12)
 
 
 def test_prox_optimality_per_adapter():

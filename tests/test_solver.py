@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from springopt.core import BlockProblem, Iterate, objective, with_oracle_counter
 from springopt.estimators import BatchSampler, SagaState, SarahState
-from springopt.problems import make_separable_quadratic
+from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
+from springopt.lipschitz import ALGORITHMS, PowerMethodConfig, power_estimate_sq_norm
+from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
 from springopt.rng import all_streams
 from springopt.solver import (
     DivergenceError,
@@ -58,9 +61,9 @@ def test_step_fixed_point(quad5):
     # Zero gradients with no regularizers: z stays put.
     problem = BlockProblem(
         n=2, dim_x=3, dim_y=3,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: np.zeros(3),
-        component_grad_y=lambda i, x, y: np.zeros(3),
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: np.zeros(3),
+        grad_y=lambda idx, x, y: np.zeros(3),
     )
     z = Iterate(np.ones(3), 2 * np.ones(3))
     out = palm_step(problem, z, 1.0, 1.0)
@@ -87,9 +90,9 @@ def test_gauss_seidel_ordering_spy():
 
     problem = BlockProblem(
         n=2, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: x - a,
-        component_grad_y=lambda i, x, y: (seen_by_y.append(x.copy()), y - b)[1],
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: x - a,
+        grad_y=lambda idx, x, y: (seen_by_y.extend(x.copy() for _ in idx), y - b)[1],
     )
     z = Iterate(np.zeros(2), np.zeros(2))
     out = palm_step(problem, z, 0.5, 0.5)
@@ -319,9 +322,9 @@ def test_record_every_iteration(sep10):
 def test_practical_policy_requires_hooks():
     problem = BlockProblem(
         n=2, dim_x=2, dim_y=2,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: np.zeros(2),
-        component_grad_y=lambda i, x, y: np.zeros(2),
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: np.zeros(2),
+        grad_y=lambda idx, x, y: np.zeros(2),
     )
     z0 = Iterate(np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
@@ -340,10 +343,78 @@ def test_theoretical_policy_converges_on_toy(sep10):
 def test_non_finite_iterate_aborts():
     problem = BlockProblem(
         n=1, dim_x=1, dim_y=1,
-        component_value=lambda i, x, y: 0.0,
-        component_grad_x=lambda i, x, y: np.array([1e308]),
-        component_grad_y=lambda i, x, y: np.zeros(1),
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: np.array([1e308]),
+        grad_y=lambda idx, x, y: np.zeros(1),
     )
     z = Iterate(np.zeros(1), np.zeros(1))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         palm_step(problem, palm_step(problem, z, 10.0, 1.0), 10.0, 1.0)
+
+
+@pytest.mark.parametrize("policy", [
+    dict(algorithm="palm"),
+    dict(algorithm="spring-saga", batch_size=2),
+    dict(algorithm="spring-sgd", batch_size=3, lipschitz_refresh=False),
+    dict(algorithm="ipalm", step_policy="theoretical"),
+    dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"),
+], ids=["palm", "saga-anchor", "sgd-frozen", "ipalm-theoretical", "sarah-theoretical"])
+def test_lipschitz_sfo_counts_every_operator_application(policy):
+    # Independent count: the hooks run the power method on an operator that
+    # tallies the batch size (n for the full batch) at every application.
+    # The first subsampled draw is degenerate, so the stochastic envelope
+    # also anchors on a full-batch draw at z0.
+    problem, _ = make_separable_quadratic(n=8, seed=10)
+    applied = [0]
+
+    def hook(x, y, batch, rng, iterations=5):
+        size = problem.n if batch is None else len(batch)
+        scale = 1e-14 if batch is not None and applied[0] == 0 else 1.0
+
+        def apply(v):
+            applied[0] += size
+            return scale * v
+
+        return power_estimate_sq_norm(apply, len(x), PowerMethodConfig(iterations=iterations, rng=rng))
+
+    counted = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
+    z0 = Iterate(np.ones(4), np.ones(4))
+    res = run(counted, SolverConfig(epochs=3, seed=4, track_grad_map=False, **policy), z0)
+    assert applied[0] > 0
+    assert res.trace.rows[-1].lipschitz_sfo == applied[0]
+
+
+# Per-epoch (sfo_calls, objective) of fixed-seed runs, recorded before the
+# component callbacks were replaced by the batch-mean oracle.
+GOLDEN = {
+    ('toy-nmf', 'palm'): [(40, 13287.681979609308), (80, 1333.9145178109109), (120, 356.71549580579506)],
+    ('toy-nmf', 'ipalm'): [(40, 7965.783215716631), (80, 1812.0227569067652), (120, 416.2046930410671)],
+    ('toy-nmf', 'spring-sgd'): [(40, 644.0840510488446), (80, 526.1890147548143), (120, 438.5394605864325)],
+    ('toy-nmf', 'spring-saga'): [(40, 437.4621169938763), (80, 323.237259980523), (120, 294.72183711600485)],
+    ('toy-nmf', 'spring-sarah'): [(40, 590.0396314423954), (152, 522.0397670821708), (192, 472.853866850736)],
+    ('bid', 'palm'): [(8, 0.23137822157759735)],
+    ('bid', 'ipalm'): [(8, 0.23248460328976966)],
+    ('bid', 'spring-sgd'): [(8, 0.2209478725703468)],
+    ('bid', 'spring-saga'): [(8, 0.23613023430552696)],
+    ('bid', 'spring-sarah'): [(26, 0.22869028981930833)],
+}
+
+
+def _golden_case(name):
+    if name == "toy-nmf":
+        adapter = SparseNmfProblem(A=toy_nmf_matrix(), r=5, s=10)
+        return adapter.block_problem(), adapter.initial_iterate(0), dict(batch_size=2, epochs=3)
+    Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=3)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 3), n_tiles=4)
+    return adapter.block_problem(), adapter.initial_iterate(), dict(batch_size=1, epochs=1, warm_start=False)
+
+
+@pytest.mark.parametrize("name", ["toy-nmf", "bid"])
+def test_fixed_seed_runs_match_golden(name):
+    problem, z0, kw = _golden_case(name)
+    for algo in ALGORITHMS:
+        res = run(problem, SolverConfig(algorithm=algo, seed=7, **kw), z0)
+        expected = GOLDEN[(name, algo)]
+        assert [r.sfo_calls for r in res.trace.rows] == [sfo for sfo, _obj in expected]
+        for row, (_sfo, obj) in zip(res.trace.rows, expected):
+            assert abs(row.objective - obj) <= 1e-12 * abs(obj), (algo, row.objective, obj)
