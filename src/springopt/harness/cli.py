@@ -227,7 +227,9 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_estimate_lipschitz(args) -> int:
-    problem, init_fn = build_problem(_run_spec(args, SolverConfig(algorithm="palm")))
+    config = SolverConfig(algorithm="palm", batch_size=1 if args.batch is None else args.batch)
+    problem, init_fn = build_problem(_run_spec(args, config))
+    config.validate(problem.n)
     if problem.lipschitz_x is None:
         raise ValueError(f"problem {args.problem!r} does not expose Lipschitz hooks")
     z = init_fn(args.seed)

@@ -57,14 +57,22 @@ def power_estimate_sq_norm(
     config = config or PowerMethodConfig()
     rng = config.rng or np.random.default_rng()
     v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     for _ in range(config.iterations):
         w = np.asarray(apply(v), dtype=float)
-        nrm = float(np.linalg.norm(w))
+        nrm = _norm(w)
         if nrm == 0.0:
             return 0.0
         v = w / nrm
-    return float(np.linalg.norm(np.asarray(apply(v), dtype=float)))
+    return _norm(np.asarray(apply(v), dtype=float))
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) of a real array is sqrt(x.dot(x)) with x = v.ravel(order="K");
+    # the same steps without its dispatch overhead, so the result is bitwise equal.
+    # (The flattening matters: BLAS sums a strided vector in another order.)
+    flat = v.ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
 
 
 def _floored(lip: float) -> float:

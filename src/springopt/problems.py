@@ -412,17 +412,16 @@ class BlindDeblurProblem:
         hx, wx = self.image_shape
         tiles = bid_component_split(Z.shape, self.n_tiles)
         n = len(tiles)
+        # Tile i's residual needs only its image window: the tile grown by the kernel.
+        windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
 
         def reg_value(X):
             dh, dv = image_gradients(X)
             return lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
 
         def tile_residuals(idx, X, Y):
-            # Tile i's residual needs only its image window: the tile grown by the kernel.
             for i in idx:
-                rs, cs = tiles[i]
-                window = (slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1))
-                yield window, bid_forward(X[window], Y) - Z[rs, cs]
+                yield windows[i], bid_forward(X[windows[i]], Y) - Z[tiles[i]]
 
         def value(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
@@ -462,24 +461,23 @@ class BlindDeblurProblem:
         def py(_gamma, yv):
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
-        def masked_scale(batch):
-            if batch is None:
-                return None, 2.0
-            mask = np.zeros(Z.shape, dtype=bool)
-            for j in batch:
-                mask[tiles[int(j)]] = True
-            return mask, 2.0 * n / len(batch)
-
+        # The Lipschitz hooks power-iterate M_B^T M_B for the sampled tiles' residual map
+        # M_B.  A batch applies it window by window, like the oracles, so a draw costs
+        # about b/n of a full-batch draw; overlapping windows accumulate.  The full batch
+        # is one full-image correlation.
         def lip_x(xv, yv, batch, rng, iterations=5):
             Y = yv.reshape(kh, kw)
-            mask, scale = masked_scale(batch)
+            if batch is None:
+                def apply(v):
+                    return (2.0 * bid_adjoint_image(bid_forward(v.reshape(hx, wx), Y), Y)).ravel()
+            else:
+                sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
 
-            def apply(v):
-                V = v.reshape(hx, wx)
-                out = bid_forward(V, Y)
-                if mask is not None:
-                    out = np.where(mask, out, 0.0)
-                return (scale * bid_adjoint_image(out, Y)).ravel()
+                def apply(v):
+                    V, g = v.reshape(hx, wx), np.zeros((hx, wx))
+                    for window in sampled:
+                        g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
+                    return (scale * g).ravel()
 
             cfg = PowerMethodConfig(iterations=iterations, rng=rng)
             # Smooth-regularizer curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
@@ -487,14 +485,17 @@ class BlindDeblurProblem:
 
         def lip_y(xv, yv, batch, rng, iterations=5):
             X = xv.reshape(hx, wx)
-            mask, scale = masked_scale(batch)
+            if batch is None:
+                def apply(w):
+                    return (2.0 * bid_adjoint_kernel(bid_forward(X, w.reshape(kh, kw)), X)).ravel()
+            else:
+                sampled, scale = [X[windows[j]] for j in batch], 2.0 * n / len(batch)
 
-            def apply(w):
-                W = w.reshape(kh, kw)
-                out = bid_forward(X, W)
-                if mask is not None:
-                    out = np.where(mask, out, 0.0)
-                return (scale * bid_adjoint_kernel(out, X)).ravel()
+                def apply(w):
+                    W, g = w.reshape(kh, kw), np.zeros((kh, kw))
+                    for patch in sampled:
+                        g += bid_adjoint_kernel(bid_forward(patch, W), patch)
+                    return (scale * g).ravel()
 
             cfg = PowerMethodConfig(iterations=iterations, rng=rng)
             return power_estimate_sq_norm(apply, kh * kw, cfg)

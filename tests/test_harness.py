@@ -342,6 +342,15 @@ def test_cli_estimate_lipschitz():
     assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-nmf", "--batch", "2"]) == 0
 
 
+@pytest.mark.parametrize("batch", ["0", "-1", "999"])
+def test_cli_estimate_lipschitz_rejects_bad_batch(batch, capsys):
+    code = cli_dispatch(["estimate-lipschitz", "--problem", "toy-bid", "--batch", batch])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert f"batch size must satisfy 1 <= b <= n=16, got {batch}" in err
+
+
 def test_cli_config_file_defaults_and_overrides(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("algo = spring-sgd\nepochs = 2\nbatch = 2\nout = {}\n".format(tmp_path / "c1"))

@@ -51,6 +51,39 @@ def test_power_monotone_and_never_exceeds_truth(dim, seed):
     assert all(e <= truth + 1e-9 for e in estimates)
 
 
+def _power_estimate_reference(apply, dim, config):
+    # The loop as it was written with np.linalg.norm, kept verbatim as the reference.
+    rng = config.rng or np.random.default_rng()
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    for _ in range(config.iterations):
+        w = np.asarray(apply(v), dtype=float)
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            return 0.0
+        v = w / nrm
+    return float(np.linalg.norm(np.asarray(apply(v), dtype=float)))
+
+
+def test_power_norms_bitwise_equal_linalg_norm_loop():
+    rng = np.random.default_rng(99)
+    wide = rng.standard_normal((40, 300))
+    operators = {
+        "square": (_matrix_apply(rng.standard_normal((7, 7))), 7),
+        "wide": (_matrix_apply(wide), 300),
+        "gram": (lambda v: wide @ (wide.T @ v), 40),
+        "scalar": (lambda v: 3.0 * v, 1),
+        "strided": (lambda v: np.outer(wide.T @ (wide @ v), [1.0, -0.5])[:, 0], 300),
+        "zero": (lambda v: np.zeros_like(v), 9),
+    }
+    for name, (apply, dim) in operators.items():
+        for seed in range(6):
+            for iters in (1, 5, 30):
+                got = power_estimate_sq_norm(apply, dim, PowerMethodConfig(iters, np.random.default_rng(seed)))
+                want = _power_estimate_reference(apply, dim, PowerMethodConfig(iters, np.random.default_rng(seed)))
+                assert got == want, (name, seed, iters)
+
+
 def test_power_rejects_bad_config():
     with pytest.raises(ValueError):
         PowerMethodConfig(iterations=0)

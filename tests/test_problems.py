@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
 from springopt.problems import (
@@ -218,6 +219,28 @@ def test_factorization_oracle_memory_stays_blocked(oracle):
     assert peak <= returned + 4 * m * r * 8
 
 
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_lipschitz_hooks_match_eigvalsh(family):
+    # Exact references: 2 (d/b) Y_B Y_B^T and 2 (d/b) X^T X (full batch: 2 Y Y^T, 2 X^T X).
+    rng = np.random.default_rng(23)
+    m, d, r = 9, 14, 4
+    A = rng.random((m, d))
+    adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate(seed=2)
+    X, Y = z.x.reshape(m, r), z.y.reshape(r, d)
+    for b in (1, 2, r + 1, d, None):
+        batch = None if b is None else np.sort(rng.choice(d, size=b, replace=False))
+        scale = 2.0 if batch is None else 2.0 * d / b
+        cols = Y if batch is None else Y[:, batch]
+        exact_x = float(np.linalg.eigvalsh(scale * cols @ cols.T)[-1])
+        exact_y = float(np.linalg.eigvalsh(scale * X.T @ X)[-1])
+        for hook, exact in ((problem.lipschitz_x, exact_x), (problem.lipschitz_y, exact_y)):
+            assert hook(z.x, z.y, batch, np.random.default_rng(5), 100) == pytest.approx(exact, rel=1e-10)
+            # A Rayleigh-type estimate stays below the truth (up to rounding).
+            assert hook(z.x, z.y, batch, np.random.default_rng(5), 5) <= exact * (1 + 1e-13)
+
+
 def test_pca_objective_includes_l1():
     A = np.zeros((3, 4))
     adapter = SparsePcaProblem(A=A, r=2, lam1=0.5, lam2=0.25)
@@ -418,6 +441,84 @@ def test_bid_tile_windows_match_masked_full_image(rng):
             np.testing.assert_allclose(problem.grad_y(idx, X.ravel(), Y.ravel()), gy.ravel(),
                                        rtol=1e-12, atol=1e-13)
             assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(value, rel=1e-12)
+
+
+def _bid_masked_lipschitz_reference(adapter, batch, X, Y):
+    # The full-image form: correlate the whole image and mask the residual to the batch's tiles.
+    tiles = bid_component_split(adapter.Z.shape, adapter.n_tiles)
+    mask = np.zeros(adapter.Z.shape, dtype=bool)
+    for j in range(len(tiles)) if batch is None else batch:
+        mask[tiles[j]] = True
+    scale = 2.0 if batch is None else 2.0 * len(tiles) / len(batch)
+
+    def apply_x(v):
+        out = np.where(mask, bid_forward(v.reshape(X.shape), Y), 0.0)
+        return (scale * bid_adjoint_image(out, Y)).ravel()
+
+    def apply_y(w):
+        out = np.where(mask, bid_forward(X, w.reshape(Y.shape)), 0.0)
+        return (scale * bid_adjoint_kernel(out, X)).ravel()
+
+    return apply_x, apply_y
+
+
+def test_bid_lipschitz_hooks_match_masked_full_image(rng, monkeypatch):
+    # The uneven 6-tile grid above, whose tile windows overlap.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    X = rng.random(adapter.image_shape)
+    Y = rng.random((3, 4)) / 12.0
+    xv, yv = X.ravel(), Y.ravel()
+    hooks = (problem.lipschitz_x, problem.lipschitz_y)
+    offsets = (16.0 * adapter.lam * adapter.theta, 0.0)  # the x-hook adds the regularizer's curvature
+    batches = [np.sort(rng.choice(6, size=b, replace=False)) for b in (1, 2, 3, 5, 6)] + [None]
+    for batch in batches:
+        operators = []
+        with monkeypatch.context() as mp:
+            mp.setattr(problems_module, "power_estimate_sq_norm",
+                       lambda apply, dim, config: operators.append((apply, dim)) or 0.0)
+            for hook in hooks:
+                hook(xv, yv, batch, np.random.default_rng(0), 5)
+        references = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
+        for (apply, dim), reference, hook, offset in zip(operators, references, hooks, offsets):
+            for _ in range(3):
+                v = rng.standard_normal(dim)
+                want = reference(v)
+                np.testing.assert_allclose(apply(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            dense = np.column_stack([reference(e) for e in np.eye(dim)])
+            lam_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+            estimate = hook(xv, yv, batch, np.random.default_rng(8), 200) - offset
+            assert estimate <= lam_max * (1 + 1e-12), batch
+            assert estimate == pytest.approx(lam_max, rel=1e-8), batch
+
+
+def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
+    # Correlation work in the benchmark's form, 2 out_h out_w kh kw per bid_forward call
+    # (the adjoints correlate through bid_forward too).
+    Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate()
+    work = []
+
+    def counting_forward(X, Y):
+        out = bid_forward(X, Y)
+        work.append(2 * out.size * np.asarray(Y).size)
+        return out
+
+    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+
+    def draw_work(batch):
+        work.clear()
+        problem.lipschitz_x(z.x, z.y, batch, np.random.default_rng(0), 5)
+        problem.lipschitz_y(z.x, z.y, batch, np.random.default_rng(0), 5)
+        return sum(work)
+
+    full = draw_work(None)
+    assert full > 0
+    for j in range(16):
+        assert draw_work(np.array([j])) <= full / 4, j
 
 
 # ---------------------------------------------------------------------------

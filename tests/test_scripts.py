@@ -1,0 +1,44 @@
+"""Smoke runs of the example scripts at tiny settings."""
+
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+from springopt.harness import io
+from springopt.lipschitz import ALGORITHMS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _assert_plot(path, curves):
+    text = path.read_text()
+    assert ET.fromstring(text).tag.endswith("svg")
+    assert text.count("<polyline") == curves
+
+
+def test_toy_bench_script_writes_traces_and_plots(tmp_path):
+    _run_script("toy_bench.py", "--epochs", "2", "--out", str(tmp_path))
+    for algo in ALGORITHMS:
+        trace = io.read_trace_csv(tmp_path / f"trace_{algo}_seed0.csv")
+        assert trace.rows
+    assert (tmp_path / "bench_summary.csv").is_file()
+    for plot in ("objective_vs_epoch", "objective_vs_sfo", "gradmap_vs_epoch"):
+        _assert_plot(tmp_path / f"{plot}.svg", len(ALGORITHMS))
+
+
+def test_bid_demo_script_writes_trace_images_and_plot(tmp_path):
+    _run_script("bid_demo.py", "--size", "16", "--epochs", "1", "--out", str(tmp_path))
+    assert io.read_trace_csv(tmp_path / "trace.csv").rows[-1].epoch >= 1.0
+    for image in ("observed", "true", "recovered", "kernel"):
+        assert io.load_image(tmp_path / f"{image}.pgm").size > 0
+    _assert_plot(tmp_path / "objective.svg", 1)
