@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from springopt.core import objective
 from springopt.harness import io, svgplot
 from springopt.harness.datasets import toy_blurred_image
 from springopt.problems import BlindDeblurProblem
@@ -34,9 +35,10 @@ def main():
     problem = adapter.block_problem()
 
     cfg = SolverConfig(algorithm="spring-sarah", batch_size=1, epochs=args.epochs, seed=args.seed)
-    result = run(problem, cfg, adapter.initial_iterate())
+    z0 = adapter.initial_iterate()
+    result = run(problem, cfg, z0)
     trace = result.trace
-    print(f"objective: {trace.rows[0].objective:.6f} -> {trace.rows[-1].objective:.6f} "
+    print(f"objective: {objective(problem, z0):.6f} -> {trace.rows[-1].objective:.6f} "
           f"({len(trace.rows)} epochs, {trace.rows[-1].sfo_calls} SFO)")
 
     X = result.z.x.reshape(adapter.image_shape)

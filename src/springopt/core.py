@@ -13,7 +13,9 @@ objective is always an error.
 Oracle contract: ``grad_x(idx, x, y)`` is the mean of grad_x F_i over a sorted
 array ``idx`` of distinct indices, ``grad_y`` and ``value`` likewise, and a
 call costs ``len(idx)`` SFO.  Full gradients and the smooth value pass all n
-indices; per-component rows come from singleton batches.
+indices.  SAGA tables store one row per component: the problem's compact
+per-row data where it has a per-row oracle (see ``BlockProblem``), else the
+dense component gradient from a singleton batch.
 
 Problem objects are immutable after construction and safe to share between
 threads.  Oracles are deterministic, so results are reproducible bit for bit.
@@ -28,6 +30,8 @@ import numpy as np
 
 GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 ValueFn = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -50,6 +54,13 @@ class BlockProblem:
     and a call costs ``len(idx)`` SFO.  ``prox_x(gamma, v)`` returns one
     element of the prox of J at v with parameter gamma (single-valued by a
     documented tie-break when J is non-convex), and likewise ``prox_y`` for R.
+
+    The optional per-row oracle of a block comes as a triple: ``rows_x(idx,
+    x, y)`` returns an array (len(idx), row_dim_x) holding each component's
+    gradient data at (x, y), costing ``len(idx)`` SFO, and ``rows_mean_x(idx,
+    rows)`` returns the mean x-gradient (length dim_x) that the rows of the
+    components ``idx`` encode, at no oracle cost.  An all-zero row encodes a
+    zero gradient.  Likewise ``rows_y``/``rows_mean_y``/``row_dim_y``.
     """
 
     n: int
@@ -66,12 +77,25 @@ class BlockProblem:
     # Signature: (x, y, batch_or_None, rng) -> positive float.
     lipschitz_x: Callable | None = None
     lipschitz_y: Callable | None = None
+    # Optional per-row oracles for SAGA tables; without them a row is dense.
+    rows_x: RowsFn | None = None
+    rows_mean_x: RowsMeanFn | None = None
+    row_dim_x: int | None = None
+    rows_y: RowsFn | None = None
+    rows_mean_y: RowsMeanFn | None = None
+    row_dim_y: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError(f"block dims must be positive, got ({self.dim_x}, {self.dim_y})")
+        for block, triple in (("x", (self.rows_x, self.rows_mean_x, self.row_dim_x)),
+                              ("y", (self.rows_y, self.rows_mean_y, self.row_dim_y))):
+            if any(part is None for part in triple) != all(part is None for part in triple):
+                raise ValueError(f"rows_{block}, rows_mean_{block} and row_dim_{block} come together")
+            if triple[2] is not None and triple[2] < 1:
+                raise ValueError(f"row_dim_{block} must be positive, got {triple[2]}")
 
 
 @dataclass(frozen=True)
@@ -170,17 +194,24 @@ class OracleCounter:
 
 
 def with_oracle_counter(problem: BlockProblem) -> tuple[BlockProblem, OracleCounter]:
-    """Wrap a problem so every oracle call adds its batch size to a counter."""
+    """Wrap a problem so every oracle call adds its batch size to a counter.
+
+    Per-row calls (``rows_x``/``rows_y``) count as gradient evaluations of
+    their block.
+    """
     counter = OracleCounter()
 
-    def counted(name):
+    def counted(name, tally):
         inner = getattr(problem, name)
 
         def oracle(idx, x, y):
-            setattr(counter, name, getattr(counter, name) + len(idx))
+            setattr(counter, tally, getattr(counter, tally) + len(idx))
             return inner(idx, x, y)
 
         return oracle
 
-    oracles = {name: counted(name) for name in ("grad_x", "grad_y", "value")}
+    tallies = {"grad_x": "grad_x", "grad_y": "grad_y", "value": "value",
+               "rows_x": "grad_x", "rows_y": "grad_y"}
+    oracles = {name: counted(name, tally) for name, tally in tallies.items()
+               if getattr(problem, name) is not None}
     return replace(problem, **oracles), counter

@@ -23,7 +23,16 @@ from itertools import combinations
 import numpy as np
 
 from .core import BlockProblem, Iterate, check_dims, dist_sq, full_grad_x, full_grad_y, objective, prox_generic
-from .estimators import SagaState, SarahState, saga_combine, batch_grads_x, batch_grads_y
+from .estimators import (
+    SagaState,
+    SarahState,
+    batch_grads_x,
+    batch_grads_y,
+    expand_rows,
+    row_means,
+    saga_estimate_x,
+    saga_estimate_y,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,7 @@ def generalized_gradient_map(
     z_x_next: np.ndarray,
     gamma1: float,
     gamma2: float,
+    grads: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GradMapEval:
     """Evaluate the gradient map at z with parameters (gamma1, gamma2).
 
@@ -50,15 +60,16 @@ def generalized_gradient_map(
     g_y = (y - prox_{g2 R}(y - g2 grad_y F(x_next, y))) / g2
 
     where ``z_x_next`` is the post-x-update point the y-gradient is
-    evaluated at.
+    evaluated at.  ``grads``, when given, are those two full gradients
+    already computed by the caller, and are not evaluated again.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gradient-map parameters must be positive, got ({gamma1}, {gamma2})")
     check_dims(problem, z)
-    gx_full = full_grad_x(problem, z)
+    gx_full = full_grad_x(problem, z) if grads is None else grads[0]
     g_x = (z.x - prox_generic(problem.prox_x, gamma1, z.x - gamma1 * gx_full)) / gamma1
     z_shift = Iterate(np.asarray(z_x_next, dtype=float), z.y)
-    gy_full = full_grad_y(problem, z_shift)
+    gy_full = full_grad_y(problem, z_shift) if grads is None else grads[1]
     g_y = (z.y - prox_generic(problem.prox_y, gamma2, z.y - gamma2 * gy_full)) / gamma2
     return GradMapEval(
         g_x=g_x,
@@ -112,10 +123,13 @@ def fd_gradient_check(problem: BlockProblem, z: Iterate, h: float = 1e-6) -> flo
     """
     check_dims(problem, z)
     all_idx = np.arange(problem.n)
+    mean_fx, mean_fy = row_means(problem)
     worst = 0.0
     for point, grads, value_at in (
-        (z.x, batch_grads_x(problem, all_idx, z.x, z.y), lambda one, v: problem.value(one, v, z.y)),
-        (z.y, batch_grads_y(problem, all_idx, z.x, z.y), lambda one, v: problem.value(one, z.x, v)),
+        (z.x, expand_rows(mean_fx, all_idx, batch_grads_x(problem, all_idx, z.x, z.y)),
+         lambda one, v: problem.value(one, v, z.y)),
+        (z.y, expand_rows(mean_fy, all_idx, batch_grads_y(problem, all_idx, z.x, z.y)),
+         lambda one, v: problem.value(one, z.x, v)),
     ):
         for i, g in enumerate(grads):
             one = all_idx[i:i + 1]
@@ -180,30 +194,29 @@ def exhaustive_mse(
 
     kind 'sgd' and 'saga' measure the estimate at z against the full partial
     gradient at z; 'sarah' measures one recursive step from the estimates in
-    ``state`` (taken at ``z_old``) to ``z``.  The previous-estimate vectors
-    in a SarahState are not mutated.
+    ``state`` (taken at ``z_old``) to ``z``.  Each estimate is the one the
+    solver computes: batch-mean oracle calls for SGD and SARAH, the
+    problem's rows against the SagaState's tables for SAGA.  The
+    previous-estimate vectors in a SarahState are not mutated.
     """
     check_dims(problem, z)
     if block not in ("x", "y"):
         raise ValueError(f"block must be 'x' or 'y', got {block!r}")
-    grads = batch_grads_x if block == "x" else batch_grads_y
+    grad = problem.grad_x if block == "x" else problem.grad_y
+    saga = saga_estimate_x if block == "x" else saga_estimate_y
     full = full_grad_x(problem, z) if block == "x" else full_grad_y(problem, z)
     total = 0.0
     count = 0
     for batch in _all_batches(problem.n, b):
         if kind == "sgd":
-            est = grads(problem, batch, z.x, z.y).mean(axis=0)
+            est = grad(batch, z.x, z.y)
         elif kind == "saga":
-            fresh = grads(problem, batch, z.x, z.y)
-            table = state.table_x if block == "x" else state.table_y
-            mean = state.mean_x if block == "x" else state.mean_y
-            est = saga_combine(fresh, batch, table, mean)
+            est = saga(problem, batch, z, state)
         elif kind == "sarah":
             if z_old is None:
                 raise ValueError("SARAH MSE needs the previous iterate z_old")
             prev = state.est_x if block == "x" else state.est_y
-            diffs = grads(problem, batch, z.x, z.y) - grads(problem, batch, z_old.x, z_old.y)
-            est = diffs.mean(axis=0) + prev
+            est = grad(batch, z.x, z.y) - grad(batch, z_old.x, z_old.y) + prev
         else:
             raise ValueError(f"unknown estimator kind {kind!r}")
         err = est - full

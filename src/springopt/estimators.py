@@ -2,15 +2,20 @@
 
 All three estimate the block partial gradients of a finite-sum coupling term
 from a mini-batch drawn uniformly over all size-b subsets (without
-replacement).  SAGA keeps a table of n historical component gradients per
-block and corrects the mini-batch estimate by the table mean; SARAH keeps a
-single recursive estimate per block that is reset to the exact full gradient
-with probability 1/p each iteration.
+replacement).  SAGA keeps a table of n rows per block, each encoding one
+component's gradient at its last visit, and corrects the mini-batch estimate
+by the mean gradient the table encodes; SARAH keeps a single recursive
+estimate per block that is reset to the exact full gradient with probability
+1/p each iteration.
 
 The x-block and y-block draw independent batches each iteration, but SARAH's
 refresh coin is a single shared event per iteration for both blocks.  SGD
-and SARAH call the batch-mean oracle; SAGA's per-component table rows come
-from singleton batches (``batch_grads_*``).
+and SARAH call the batch-mean oracle.  SAGA rows come from
+``batch_grads_*``: the problem's compact per-row data where it has a per-row
+oracle (for an m x d factorization of rank r, m + r numbers per x-row and r
+per y-row instead of dense gradients of m r and r d), else dense component
+gradients from singleton batches.  A table is read only through the
+problem's ``rows_mean``, which decodes the mean gradient of a set of rows.
 
 ``probe_upsilon_*`` compute the variance-tracking quantities (the sum of
 squared deviation norms and its unsquared companion) together with the
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, check_dims, full_grad_x, full_grad_y
+from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_grad_x, full_grad_y
 
 # Rows updated between exact table-mean recomputations.  Incremental updates
 # drift by O(eps) per row; recomputing keeps the mean within 1e-10 relative.
@@ -51,6 +56,26 @@ def sample_batch(sampler: BatchSampler) -> np.ndarray:
     return np.sort(idx)
 
 
+def dense_rows_mean(_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Batch mean of dense gradient rows: the decoder without a per-row oracle."""
+    return rows.mean(axis=0)
+
+
+def row_dims(problem: BlockProblem) -> tuple[int, int]:
+    """Widths of a SAGA x-row and y-row (the block dims for dense rows)."""
+    return problem.row_dim_x or problem.dim_x, problem.row_dim_y or problem.dim_y
+
+
+def row_means(problem: BlockProblem) -> tuple[RowsMeanFn, RowsMeanFn]:
+    """The problem's (rows_mean_x, rows_mean_y), dense decoders where absent."""
+    return problem.rows_mean_x or dense_rows_mean, problem.rows_mean_y or dense_rows_mean
+
+
+def expand_rows(rows_mean: RowsMeanFn, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dense component gradients encoded by ``rows``, decoded one row at a time."""
+    return np.array([rows_mean(idx[j:j + 1], rows[j:j + 1]) for j in range(len(idx))])
+
+
 def _stack_rows(grad_fn, batch, x, y, dim):
     out = np.empty((len(batch), dim))
     for row in range(len(batch)):
@@ -59,12 +84,20 @@ def _stack_rows(grad_fn, batch, x, y, dim):
 
 
 def batch_grads_x(problem: BlockProblem, batch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stack grad_x F_j(x, y) for j in batch from singleton batches, shape (b, dim_x)."""
+    """SAGA x-rows of the components in batch at (x, y), shape (b, row_dims[0]).
+
+    The problem's ``rows_x`` where it has one, else grad_x F_j(x, y) stacked
+    from singleton batches.
+    """
+    if problem.rows_x is not None:
+        return problem.rows_x(batch, x, y)
     return _stack_rows(problem.grad_x, batch, x, y, problem.dim_x)
 
 
 def batch_grads_y(problem: BlockProblem, batch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stack grad_y F_j(x, y) for j in batch from singleton batches, shape (b, dim_y)."""
+    """SAGA y-rows of the components in batch at (x, y), shape (b, row_dims[1])."""
+    if problem.rows_y is not None:
+        return problem.rows_y(batch, x, y)
     return _stack_rows(problem.grad_y, batch, x, y, problem.dim_y)
 
 
@@ -91,22 +124,26 @@ def sgd_estimate_y(problem: BlockProblem, batch: np.ndarray, z: Iterate) -> np.n
 
 @dataclass
 class SagaState:
-    """Gradient history tables, one stored vector per component per block.
+    """Gradient history tables, one row per component per block.
 
-    ``mean_x``/``mean_y`` track the arithmetic mean of the table rows; they
-    are maintained incrementally and recomputed exactly every
+    A row encodes the component's gradient at its last visit in the
+    problem's row format, decoded by ``rows_mean_x(idx, rows)`` (dense rows
+    by default).  ``mean_x``/``mean_y`` track the mean gradient the tables
+    encode; they are maintained incrementally and recomputed exactly every
     ``_MEAN_RECOMPUTE_PERIOD`` row updates.
     """
 
-    table_x: np.ndarray  # (n, dim_x)
-    table_y: np.ndarray  # (n, dim_y)
-    mean_x: np.ndarray
-    mean_y: np.ndarray
+    table_x: np.ndarray  # (n, row width)
+    table_y: np.ndarray  # (n, row width)
+    mean_x: np.ndarray  # (dim_x,)
+    mean_y: np.ndarray  # (dim_y,)
     _updates: int = 0
+    rows_mean_x: RowsMeanFn = dense_rows_mean
+    rows_mean_y: RowsMeanFn = dense_rows_mean
 
     @classmethod
     def zeros(cls, n: int, dim_x: int, dim_y: int) -> "SagaState":
-        """Cold start with all-zero tables (testing mode)."""
+        """Cold start with all-zero dense tables (testing mode)."""
         return cls(
             table_x=np.zeros((n, dim_x)),
             table_y=np.zeros((n, dim_y)),
@@ -115,62 +152,95 @@ class SagaState:
         )
 
     @classmethod
-    def from_problem(cls, problem: BlockProblem, z: Iterate) -> "SagaState":
-        """Warm tables holding the component gradients at z."""
+    def from_problem(cls, problem: BlockProblem, z: Iterate | None = None) -> "SagaState":
+        """Tables in the problem's row format: zero rows without z, the rows at z with it.
+
+        An all-zero row encodes a zero gradient, so cold means start at zero.
+        """
+        n = problem.n
+        mean_fx, mean_fy = row_means(problem)
+        if z is None:
+            width_x, width_y = row_dims(problem)
+            return cls(table_x=np.zeros((n, width_x)), table_y=np.zeros((n, width_y)),
+                       mean_x=np.zeros(problem.dim_x), mean_y=np.zeros(problem.dim_y),
+                       rows_mean_x=mean_fx, rows_mean_y=mean_fy)
         check_dims(problem, z)
-        all_idx = np.arange(problem.n)
+        all_idx = np.arange(n)
         tx = batch_grads_x(problem, all_idx, z.x, z.y)
         ty = batch_grads_y(problem, all_idx, z.x, z.y)
-        return cls(table_x=tx, table_y=ty, mean_x=tx.mean(axis=0), mean_y=ty.mean(axis=0))
+        return cls(table_x=tx, table_y=ty, mean_x=mean_fx(all_idx, tx), mean_y=mean_fy(all_idx, ty),
+                   rows_mean_x=mean_fx, rows_mean_y=mean_fy)
 
 
 def _check_saga_state(problem: BlockProblem, state: SagaState) -> None:
-    if state is None or state.table_x.shape != (problem.n, problem.dim_x):
+    width_x, width_y = row_dims(problem)
+    if (state is None or state.table_x.shape != (problem.n, width_x)
+            or state.table_y.shape != (problem.n, width_y)
+            or (state.rows_mean_x, state.rows_mean_y) != row_means(problem)):
         raise ValueError("SAGA table not initialized for this problem")
 
 
-def saga_combine(fresh: np.ndarray, batch: np.ndarray, table: np.ndarray, table_mean: np.ndarray) -> np.ndarray:
-    """(1/b) sum_j (fresh_j - table_j) + table mean, without state mutation."""
-    return (fresh - table[batch]).mean(axis=0) + table_mean
+def saga_combine(
+    fresh: np.ndarray,
+    batch: np.ndarray,
+    table: np.ndarray,
+    table_mean: np.ndarray,
+    rows_mean: RowsMeanFn = dense_rows_mean,
+) -> np.ndarray:
+    """Batch mean of the fresh rows minus that of the stored rows, plus the
+    table mean, without state mutation."""
+    return rows_mean(batch, fresh) - rows_mean(batch, table[batch]) + table_mean
 
 
 def saga_estimate_x(problem: BlockProblem, batch: np.ndarray, z: Iterate, state: SagaState) -> np.ndarray:
     """SAGA x-estimate at z; reads the table, never mutates it."""
     _check_saga_state(problem, state)
     fresh = batch_grads_x(problem, batch, z.x, z.y)
-    return saga_combine(fresh, batch, state.table_x, state.mean_x)
+    return saga_combine(fresh, batch, state.table_x, state.mean_x, state.rows_mean_x)
 
 
 def saga_estimate_y(problem: BlockProblem, batch: np.ndarray, z: Iterate, state: SagaState) -> np.ndarray:
     """SAGA y-estimate at z (call with the post-x-update point)."""
     _check_saga_state(problem, state)
     fresh = batch_grads_y(problem, batch, z.x, z.y)
-    return saga_combine(fresh, batch, state.table_y, state.mean_y)
+    return saga_combine(fresh, batch, state.table_y, state.mean_y, state.rows_mean_y)
 
 
-def _update_table(table: np.ndarray, mean: np.ndarray, batch: np.ndarray, fresh: np.ndarray) -> None:
-    n = table.shape[0]
-    mean += (fresh - table[batch]).sum(axis=0) / n
+def _update_table(
+    table: np.ndarray, mean: np.ndarray, batch: np.ndarray, fresh: np.ndarray, rows_mean: RowsMeanFn
+) -> tuple[np.ndarray, np.ndarray]:
+    fresh_mean = rows_mean(batch, fresh)
+    delta = fresh_mean - rows_mean(batch, table[batch])
+    estimate = delta + mean  # saga_combine's value, from the same two decodes
+    mean += delta * len(batch) / table.shape[0]
     table[batch] = fresh
+    return estimate, fresh_mean
 
 
-def saga_update_table_x(state: SagaState, batch: np.ndarray, fresh: np.ndarray) -> None:
-    """Replace x-table rows in ``batch`` with ``fresh``; other rows untouched."""
-    _update_table(state.table_x, state.mean_x, batch, fresh)
+def saga_update_table_x(state: SagaState, batch: np.ndarray, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace x-table rows in ``batch`` with ``fresh``; other rows untouched.
+
+    Returns (SAGA estimate against the table as it was, batch mean of
+    ``fresh``), so a step decodes each batch once.
+    """
+    out = _update_table(state.table_x, state.mean_x, batch, fresh, state.rows_mean_x)
     _maybe_recompute(state)
+    return out
 
 
-def saga_update_table_y(state: SagaState, batch: np.ndarray, fresh: np.ndarray) -> None:
-    """Replace y-table rows in ``batch`` with ``fresh``; other rows untouched."""
-    _update_table(state.table_y, state.mean_y, batch, fresh)
+def saga_update_table_y(state: SagaState, batch: np.ndarray, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace y-table rows in ``batch`` with ``fresh``; returns as ``saga_update_table_x``."""
+    out = _update_table(state.table_y, state.mean_y, batch, fresh, state.rows_mean_y)
     _maybe_recompute(state)
+    return out
 
 
 def _maybe_recompute(state: SagaState) -> None:
     state._updates += 1
     if state._updates >= _MEAN_RECOMPUTE_PERIOD:
-        state.mean_x = state.table_x.mean(axis=0)
-        state.mean_y = state.table_y.mean(axis=0)
+        all_idx = np.arange(state.table_x.shape[0])
+        state.mean_x = state.rows_mean_x(all_idx, state.table_x)
+        state.mean_y = state.rows_mean_y(all_idx, state.table_y)
         state._updates = 0
 
 
@@ -306,15 +376,19 @@ def probe_upsilon_saga(
 ) -> VarianceProbe:
     """Deviation of the SAGA tables from the current component gradients.
 
-    upsilon = (1/(b n)) sum_i (||gx_i - table_x[i]||^2 + 4 ||gy_i - table_y[i]||^2)
+    upsilon = (1/(b n)) sum_i (||gx_i - tx_i||^2 + 4 ||gy_i - ty_i||^2), where tx_i
+    and ty_i are the gradients that table rows i encode,
     with the unsquared analog scaled by 1/sqrt(b n) and y-terms doubled.
     """
     _check_saga_state(problem, state)
     check_dims(problem, z)
     n = problem.n
     all_idx = np.arange(n)
-    dx = batch_grads_x(problem, all_idx, z.x, z.y) - state.table_x
-    dy = batch_grads_y(problem, all_idx, z.x, z.y) - state.table_y
+    # Rows are decoded one at a time: this is a test-scale diagnostic.
+    dx = (expand_rows(state.rows_mean_x, all_idx, batch_grads_x(problem, all_idx, z.x, z.y))
+          - expand_rows(state.rows_mean_x, all_idx, state.table_x))
+    dy = (expand_rows(state.rows_mean_y, all_idx, batch_grads_y(problem, all_idx, z.x, z.y))
+          - expand_rows(state.rows_mean_y, all_idx, state.table_y))
     sq_x = np.einsum("ij,ij->i", dx, dx)
     sq_y = np.einsum("ij,ij->i", dy, dy)
     v1, v2, vu, rho = estimator_constants("saga", n=n, b=b, L=L, M=M)

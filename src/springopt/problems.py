@@ -153,6 +153,40 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
             g[:, part] = scale * (X.T @ resid)
         return g.ravel()
 
+    # Per-row data for SAGA tables (the stored-scalar trick for linear models):
+    # component i's x-gradient is 2d outer(resid_i, Y_i), kept as the row
+    # (resid_i, Y_i) of m + r numbers, and its y-gradient is 2d X^T resid_i in
+    # column i, kept as the r numbers X^T resid_i.
+    def rows_x(idx, xv, yv):
+        rows = np.empty((len(idx), m + r))
+        start = 0
+        for _part, cols, resid in residuals(idx, xv, yv):
+            stop = start + resid.shape[1]
+            rows[start:stop, :m] = resid.T
+            rows[start:stop, m:] = cols.T
+            start = stop
+        return rows
+
+    def rows_mean_x(idx, rows):
+        g = rows[:, :m].T @ rows[:, m:]
+        g *= 2.0 * d / len(idx)
+        return g.ravel()
+
+    def rows_y(idx, xv, yv):
+        X = xv.reshape(m, r)
+        rows = np.empty((len(idx), r))
+        start = 0
+        for _part, _cols, resid in residuals(idx, xv, yv):
+            stop = start + resid.shape[1]
+            rows[start:stop] = (X.T @ resid).T
+            start = stop
+        return rows
+
+    def rows_mean_y(idx, rows):
+        g = np.zeros((r, d))
+        g[:, idx] = (2.0 * d / len(idx)) * rows.T
+        return g.ravel()
+
     def lip_x(xv, yv, batch, rng, iterations=5):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, so its
         # Lipschitz constant is estimated as 2 (d/b) ||Y_B||^2 by power
@@ -183,6 +217,12 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         prox_y=prox_y,
         lipschitz_x=lip_x,
         lipschitz_y=lip_y,
+        rows_x=rows_x,
+        rows_mean_x=rows_mean_x,
+        row_dim_x=m + r,
+        rows_y=rows_y,
+        rows_mean_y=rows_mean_y,
+        row_dim_y=r,
     )
 
 

@@ -130,12 +130,19 @@ def _guarded_iterate(x: np.ndarray, y: np.ndarray, context: str) -> Iterate:
     return Iterate(x, y)
 
 
+def _palm_sweep(problem, z, gamma_x, gamma_y):
+    """PALM step plus the full gradients it took, at z and at (x_next, y)."""
+    gx = full_grad_x(problem, z)
+    x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
+    mid = _guarded_iterate(x_next, z.y, "palm x-update")
+    gy = full_grad_y(problem, mid)
+    y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
+    return _guarded_iterate(x_next, y_next, "palm y-update"), (gx, gy)
+
+
 def palm_step(problem: BlockProblem, z: Iterate, gamma_x: float, gamma_y: float) -> Iterate:
     """One deterministic alternating prox-gradient sweep."""
-    x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * full_grad_x(problem, z))
-    mid = _guarded_iterate(x_next, z.y, "palm x-update")
-    y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * full_grad_y(problem, mid))
-    return _guarded_iterate(x_next, y_next, "palm y-update")
+    return _palm_sweep(problem, z, gamma_x, gamma_y)[0]
 
 
 def ipalm_step(
@@ -207,11 +214,8 @@ def spring_step(
         gx = est.sgd_estimate_x(problem, batch_x, z)
     else:
         fresh_x = est.batch_grads_x(problem, batch_x, z.x, z.y)
-        if kind == "saga":
-            gx = est.saga_combine(fresh_x, batch_x, driver.saga.table_x, driver.saga.mean_x)
-        else:
-            gx = fresh_x.mean(axis=0)
-        est.saga_update_table_x(driver.saga, batch_x, fresh_x)
+        saga_x, sgd_x = est.saga_update_table_x(driver.saga, batch_x, fresh_x)
+        gx = saga_x if kind == "saga" else sgd_x
     sfo = problem.n if kind == "sarah" and refresh else len(batch_x)
 
     x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
@@ -226,11 +230,8 @@ def spring_step(
         gy = est.sgd_estimate_y(problem, batch_y, mid)
     else:
         fresh_y = est.batch_grads_y(problem, batch_y, mid.x, mid.y)
-        if kind == "saga":
-            gy = est.saga_combine(fresh_y, batch_y, driver.saga.table_y, driver.saga.mean_y)
-        else:
-            gy = fresh_y.mean(axis=0)
-        est.saga_update_table_y(driver.saga, batch_y, fresh_y)
+        saga_y, sgd_y = est.saga_update_table_y(driver.saga, batch_y, fresh_y)
+        gy = saga_y if kind == "saga" else sgd_y
     sfo += problem.n if kind == "sarah" and refresh else len(batch_y)
 
     y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
@@ -332,7 +333,7 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             warm=config.warm_start and kind in ("saga", "sarah"),
         )
         if kind == "saga":
-            driver.saga = est.SagaState.zeros(n, problem.dim_x, problem.dim_y)
+            driver.saga = est.SagaState.from_problem(problem)
         elif kind == "sarah":
             driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
 
@@ -371,10 +372,11 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     k = 0
     stop = False
 
-    def append_row(z_now, z_pre_step, x_next, gx_step, gy_step):
+    def append_row(z_now, z_pre_step, x_next, gx_step, gy_step, step_grads):
         nonlocal stop
         if config.track_grad_map:
-            gmap = generalized_gradient_map(problem, z_pre_step, x_next, gx_step / 2.0, gy_step / 2.0)
+            gmap = generalized_gradient_map(problem, z_pre_step, x_next, gx_step / 2.0, gy_step / 2.0,
+                                            grads=step_grads)
             gnorm = gmap.norm_sq
         else:
             gnorm = float("nan")
@@ -412,8 +414,10 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
                     gx_step, gy_step = practical_step_sizes(algo, lx, ly, k=k, b=b, n=n)
 
                 z_pre = z
+                # A PALM step's gradients are the gradient map's: the trace reuses them.
+                step_grads = None
                 if algo == "palm":
-                    z = palm_step(problem, z, gx_step, gy_step)
+                    z, step_grads = _palm_sweep(problem, z, gx_step, gy_step)
                     sfo_calls += 2 * n
                 elif algo == "ipalm":
                     beta = ipalm_momentum(k)
@@ -424,11 +428,11 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
                     sfo_calls += used
                 z_prev = z_pre
                 if config.record_every_iteration:
-                    append_row(z, z_pre, z.x, gx_step, gy_step)
+                    append_row(z, z_pre, z.x, gx_step, gy_step, step_grads)
                     if stop:
                         break
             if not config.record_every_iteration:
-                append_row(z, z_pre, z.x, gx_step, gy_step)
+                append_row(z, z_pre, z.x, gx_step, gy_step, step_grads)
             if stop:
                 break
     except DivergenceError as exc:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +177,29 @@ def test_oracle_counter_counts_calls(quad5):
     objective(counted, z)
     assert counter.value == problem.n
     assert counter.total_grads == 2 * problem.n  # values do not count as grads
+
+
+def test_oracle_counter_counts_row_calls_as_gradients():
+    adapter = SparseNmfProblem(A=np.random.default_rng(0).random((4, 6)), r=2, s=4)
+    problem = adapter.block_problem()
+    counted, counter = with_oracle_counter(problem)
+    z = adapter.initial_iterate(seed=1)
+    counted.rows_x(np.array([0, 2, 5]), z.x, z.y)
+    counted.rows_y(np.array([1, 3]), z.x, z.y)
+    counted.rows_mean_x(np.array([0]), np.zeros((1, problem.row_dim_x)))  # decoding is free
+    assert (counter.grad_x, counter.grad_y, counter.value) == (3, 2, 0)
+
+
+def test_row_oracle_parts_come_together(quad5):
+    problem, _ = quad5
+
+    def rows(idx, x, y):
+        return np.zeros((len(idx), 2))
+
+    with pytest.raises(ValueError):
+        replace(problem, rows_x=rows)
+    with pytest.raises(ValueError):
+        replace(problem, rows_y=rows, rows_mean_y=lambda idx, r: np.zeros(4), row_dim_y=0)
 
 
 def test_dist_sq():

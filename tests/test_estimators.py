@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import springopt.estimators as estimators
 from springopt.core import Iterate, full_grad_x, full_grad_y
+from springopt.diagnostics import exhaustive_mse
 from springopt.estimators import (
     BatchSampler,
     SagaState,
@@ -13,8 +16,10 @@ from springopt.estimators import (
     batch_grads_x,
     batch_grads_y,
     estimator_constants,
+    expand_rows,
     probe_upsilon_saga,
     probe_upsilon_sarah,
+    saga_combine,
     saga_estimate_x,
     saga_estimate_y,
     saga_update_table_x,
@@ -25,7 +30,7 @@ from springopt.estimators import (
     sgd_estimate_x,
     sgd_estimate_y,
 )
-from springopt.problems import make_random_quadratic
+from springopt.problems import SparseNmfProblem, make_random_quadratic
 from springopt.rng import stream_rng
 
 
@@ -215,6 +220,133 @@ def test_saga_requires_initialized_tables(quad5, random_iterate):
     bad = SagaState.zeros(problem.n - 1, problem.dim_x, problem.dim_y)
     with pytest.raises(ValueError):
         saga_estimate_x(problem, np.array([0]), z, bad)
+
+
+# ---------------------------------------------------------------------------
+# Compact SAGA rows (factorization problems)
+# ---------------------------------------------------------------------------
+
+
+def _toy_nmf(seed=0, m=5, d=6, r=2):
+    rng = np.random.default_rng(seed)
+    return SparseNmfProblem(A=rng.random((m, d)), r=r, s=m)
+
+
+def _nmf_point(rng, m=5, d=6, r=2):
+    return Iterate(rng.random(m * r), rng.random(r * d))
+
+
+def _mixed_compact_state(problem, rng):
+    """Compact tables whose rows were written at different points."""
+    state = SagaState.from_problem(problem, _nmf_point(rng))
+    for _ in range(8):
+        z = _nmf_point(rng)
+        batch = np.sort(rng.choice(problem.n, size=2, replace=False))
+        saga_update_table_x(state, batch, batch_grads_x(problem, batch, z.x, z.y))
+        saga_update_table_y(state, batch, batch_grads_y(problem, batch, z.x, z.y))
+    return state
+
+
+def _expanded(problem, state):
+    """The dense-row problem and a dense SagaState encoding the same gradients."""
+    dense = replace(problem, rows_x=None, rows_mean_x=None, row_dim_x=None,
+                    rows_y=None, rows_mean_y=None, row_dim_y=None)
+    all_idx = np.arange(problem.n)
+    dense_state = SagaState(table_x=expand_rows(state.rows_mean_x, all_idx, state.table_x),
+                            table_y=expand_rows(state.rows_mean_y, all_idx, state.table_y),
+                            mean_x=state.mean_x.copy(), mean_y=state.mean_y.copy())
+    return dense, dense_state
+
+
+def test_nmf_saga_tables_are_compact():
+    adapter = _toy_nmf()
+    problem = adapter.block_problem()
+    state = SagaState.from_problem(problem)
+    assert state.table_x.shape == (problem.n, 5 + 2)
+    assert state.table_y.shape == (problem.n, 2)
+    assert not state.mean_x.any() and not state.mean_y.any()
+    with pytest.raises(ValueError):  # a dense table does not fit compact rows
+        saga_estimate_x(problem, np.array([0]), _nmf_point(np.random.default_rng(0)),
+                        SagaState.zeros(problem.n, problem.dim_x, problem.dim_y))
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_compact_saga_exhaustive_mse_matches_dense_table(block):
+    # n = 6, b = 2 as in acceptance c02: the compact table gives the same
+    # exhaustive MSE as the dense table of its decoded rows, and meets the
+    # (1/(b n)) sum_i ||grad F_i - table_i||^2 bound with no tolerance.
+    adapter = _toy_nmf()
+    problem = adapter.block_problem()
+    n, b = problem.n, 2
+    rng = np.random.default_rng(31)
+    all_idx = np.arange(n)
+    for _ in range(20):
+        state = _mixed_compact_state(problem, rng)
+        dense, dense_state = _expanded(problem, state)
+        z = _nmf_point(rng)
+        mse = exhaustive_mse(problem, "saga", b, z, state=state, block=block)
+        dense_mse = exhaustive_mse(dense, "saga", b, z, state=dense_state, block=block)
+        assert mse == pytest.approx(dense_mse, rel=1e-12)
+        grads = (batch_grads_x if block == "x" else batch_grads_y)(dense, all_idx, z.x, z.y)
+        table = dense_state.table_x if block == "x" else dense_state.table_y
+        assert mse <= float(((grads - table) ** 2).sum()) / (b * n)
+        probe, dense_probe = (probe_upsilon_saga(pr, st, z, b=b) for pr, st in
+                              ((problem, state), (dense, dense_state)))
+        assert probe.upsilon == pytest.approx(dense_probe.upsilon, rel=1e-12)
+        assert probe.gamma_sum == pytest.approx(dense_probe.gamma_sum, rel=1e-12)
+
+
+def test_compact_saga_mean_recompute_decodes_table(monkeypatch):
+    # Recomputing after every update, the tracked means are the table's decoded means.
+    monkeypatch.setattr(estimators, "_MEAN_RECOMPUTE_PERIOD", 1)
+    problem = _toy_nmf(seed=3).block_problem()
+    rng = np.random.default_rng(32)
+    state = SagaState.from_problem(problem)
+    all_idx = np.arange(problem.n)
+    for _ in range(50):
+        z = _nmf_point(rng)
+        batch = np.sort(rng.choice(problem.n, size=3, replace=False))
+        saga_update_table_x(state, batch, batch_grads_x(problem, batch, z.x, z.y))
+        saga_update_table_y(state, batch, batch_grads_y(problem, batch, z.x, z.y))
+        for mean, exact in ((state.mean_x, problem.rows_mean_x(all_idx, state.table_x)),
+                            (state.mean_y, problem.rows_mean_y(all_idx, state.table_y))):
+            assert np.linalg.norm(mean - exact) <= 1e-12 * (1 + np.linalg.norm(exact))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "nmf"])
+def test_saga_update_returns_combine_and_fresh_mean(family):
+    # One pair of decodes serves the SAGA estimate, the SGD estimate and the update.
+    rng = np.random.default_rng(34)
+    if family == "quadratic":
+        problem, _ = make_random_quadratic(dim_x=3, dim_y=2, n=6, seed=34)
+        state = SagaState.from_problem(problem, Iterate(rng.standard_normal(3), rng.standard_normal(2)))
+        z = Iterate(rng.standard_normal(3), rng.standard_normal(2))
+    else:
+        problem = _toy_nmf(seed=4).block_problem()
+        state = _mixed_compact_state(problem, rng)
+        z = _nmf_point(rng)
+    batch = np.array([1, 4])
+    for rows_fn, update, table, mean, rows_mean in (
+        (batch_grads_x, saga_update_table_x, state.table_x, state.mean_x, state.rows_mean_x),
+        (batch_grads_y, saga_update_table_y, state.table_y, state.mean_y, state.rows_mean_y),
+    ):
+        fresh = rows_fn(problem, batch, z.x, z.y)
+        expected = saga_combine(fresh, batch, table, mean, rows_mean)
+        estimate, fresh_mean = update(state, batch, fresh)
+        np.testing.assert_array_equal(estimate, expected)
+        np.testing.assert_array_equal(fresh_mean, rows_mean(batch, fresh))
+
+
+def test_nmf_saga_state_memory_scales_with_rows():
+    # 200 x 500 at r = 10: compact rows need n (m + r) + n r numbers (0.9 MB
+    # with the means); dense rows would need n (m r + r n) (28 MB).
+    rng = np.random.default_rng(33)
+    adapter = SparseNmfProblem(A=rng.random((200, 500)), r=10, s=200)
+    problem = adapter.block_problem()
+    for state in (SagaState.from_problem(problem, adapter.initial_iterate(seed=0)),
+                  SagaState.from_problem(problem)):
+        held = sum(a.nbytes for a in (state.table_x, state.table_y, state.mean_x, state.mean_y))
+        assert held <= 2e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
+from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -197,6 +199,45 @@ def test_factorization_oracle_matches_component_reference(family):
         np.testing.assert_allclose(problem.grad_y(idx, X.ravel(), Y.ravel()), ref_y.ravel(),
                                    rtol=1e-12, atol=1e-12)
         assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(ref_value, rel=1e-12)
+
+
+def _dense_rows(problem):
+    """The same problem without its per-row oracles: SAGA rows are dense gradients."""
+    return replace(problem, rows_x=None, rows_mean_x=None, row_dim_x=None,
+                   rows_y=None, rows_mean_y=None, row_dim_y=None)
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_rows_encode_oracle_gradients(family):
+    # The batch mean a set of compact rows decodes to is the batch-mean oracle;
+    # one decoded row is the component's dense gradient, which is both the
+    # dense-fallback SAGA row and the slow per-column reference.
+    rng = np.random.default_rng(24)
+    m, d, r = 7, 11, 4
+    A = rng.random((m, d))
+    if family == "nmf":
+        adapter = SparseNmfProblem(A=A, r=r, s=m)
+        X, Y = rng.random((m, r)), rng.random((r, d))
+    else:
+        adapter = SparsePcaProblem(A=A, r=r)
+        X, Y = rng.standard_normal((m, r)), rng.standard_normal((r, d))
+    problem = adapter.block_problem()
+    dense = _dense_rows(problem)
+    xv, yv = X.ravel(), Y.ravel()
+    assert row_dims(problem) == (m + r, r)
+    for b in (1, r - 1, r + 1, d):
+        idx = np.sort(rng.choice(d, size=b, replace=False))
+        for rows_fn, mean_fn, grad_fn, batch_grads, block in (
+            (problem.rows_x, problem.rows_mean_x, problem.grad_x, batch_grads_x, 0),
+            (problem.rows_y, problem.rows_mean_y, problem.grad_y, batch_grads_y, 1),
+        ):
+            rows = rows_fn(idx, xv, yv)
+            assert rows.shape == (b, row_dims(problem)[block])
+            np.testing.assert_allclose(mean_fn(idx, rows), grad_fn(idx, xv, yv), rtol=1e-12, atol=1e-12)
+            expanded = expand_rows(mean_fn, idx, rows)
+            np.testing.assert_allclose(expanded, batch_grads(dense, idx, xv, yv), rtol=1e-12, atol=1e-12)
+            reference = [nmf_component_grads(A, i, X, Y)[block].ravel() for i in idx]
+            np.testing.assert_allclose(expanded, reference, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("oracle", [full_grad_x, full_grad_y, smooth_value])

@@ -1,13 +1,19 @@
 """Smoke runs of the example scripts at tiny settings."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
+from springopt.core import objective
 from springopt.harness import io
+from springopt.harness.datasets import toy_blurred_image
 from springopt.lipschitz import ALGORITHMS
+from springopt.problems import BlindDeblurProblem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,6 +24,7 @@ def _run_script(name, *args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _assert_plot(path, curves):
@@ -37,7 +44,12 @@ def test_toy_bench_script_writes_traces_and_plots(tmp_path):
 
 
 def test_bid_demo_script_writes_trace_images_and_plot(tmp_path):
-    _run_script("bid_demo.py", "--size", "16", "--epochs", "1", "--out", str(tmp_path))
+    out = _run_script("bid_demo.py", "--size", "16", "--epochs", "1", "--out", str(tmp_path))
+    # The printed start is the objective at the initial iterate, not after epoch 1.
+    start = float(re.search(r"objective: (\S+) ->", out).group(1))
+    Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    assert start == pytest.approx(objective(adapter.block_problem(), adapter.initial_iterate()), abs=1e-6)
     assert io.read_trace_csv(tmp_path / "trace.csv").rows[-1].epoch >= 1.0
     for image in ("observed", "true", "recovered", "kernel"):
         assert io.load_image(tmp_path / f"{image}.pgm").size > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from springopt.core import BlockProblem, Iterate, objective, with_oracle_counter
+from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.lipschitz import ALGORITHMS, PowerMethodConfig, power_estimate_sq_norm
@@ -233,6 +234,36 @@ def test_sfo_double_entry_exact(sep10):
     refreshes = (sfo - 2 * b * steps) // (2 * n - 2 * b)
     recursive = steps - refreshes
     assert counter.total_grads == sfo + 2 * b * recursive
+
+
+def test_sfo_double_entry_compact_saga_rows():
+    # Toy NMF stores compact SAGA rows; the counter charges each rows_x/rows_y
+    # call len(idx) evaluations of its block, independently of the solver.
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(), r=5, s=10)
+    problem = adapter.block_problem()
+    for warm in (True, False):
+        counted, counter = with_oracle_counter(problem)
+        res = run(counted, SolverConfig(algorithm="spring-saga", batch_size=3, epochs=3, seed=4,
+                                        warm_start=warm, track_grad_map=False),
+                  adapter.initial_iterate(0))
+        assert res.estimator_state.table_x.shape[1] == problem.row_dim_x
+        assert res.trace.rows[-1].sfo_calls == counter.total_grads
+
+
+def test_palm_gradient_map_reuses_step_gradients(sep10):
+    # A PALM step takes its full gradients at the points the traced gradient
+    # map is evaluated at, so the trace adds no oracle calls, and its values
+    # equal a gradient map evaluated from scratch, bit for bit.
+    problem, _ = sep10
+    counted, counter = with_oracle_counter(problem)
+    z = Iterate(np.zeros(4), np.zeros(4))
+    res = run(counted, SolverConfig(algorithm="palm", epochs=4, step_policy="fixed",
+                                    fixed_steps=(0.5, 0.4), track_grad_map=True), z)
+    assert counter.total_grads == res.trace.rows[-1].sfo_calls
+    for row in res.trace.rows:
+        z_next = palm_step(problem, z, 0.5, 0.4)
+        assert row.grad_map_norm_sq == generalized_gradient_map(problem, z, z_next.x, 0.25, 0.2).norm_sq
+        z = z_next
 
 
 def test_estimator_coincidence_full_batch(sep10):
