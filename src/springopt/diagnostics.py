@@ -149,7 +149,9 @@ def bruteforce_prox_l0_nonneg(v: np.ndarray, s: int, gamma: float = 1.0) -> np.n
 
     Enumerates supports in lexicographic order and keeps the first strict
     minimizer of 0.5 ||p - v||^2, matching the lowest-index tie-break of the
-    fast prox.  ``gamma`` is irrelevant for an indicator; kept for signature
+    fast prox.  The cost is an exactly rounded sum (``math.fsum``), so
+    supports that swap equal entries tie exactly instead of by summation
+    order.  ``gamma`` is irrelevant for an indicator; kept for signature
     parity.  Test-scale only: dim <= 12.
     """
     del gamma
@@ -167,7 +169,7 @@ def bruteforce_prox_l0_nonneg(v: np.ndarray, s: int, gamma: float = 1.0) -> np.n
         idx = list(support)
         p[idx] = np.maximum(v[idx], 0.0)
         diff = p - v
-        cost = 0.5 * float(diff @ diff)
+        cost = 0.5 * math.fsum(diff * diff)
         if cost < best_cost:
             best_cost = cost
             best = p

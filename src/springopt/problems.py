@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import BlockProblem, Iterate
 from .lipschitz import PowerMethodConfig, power_estimate_sq_norm
@@ -67,10 +67,14 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
     clipped = np.maximum(v, 0.0)
     if s >= v.shape[0]:
         return clipped
-    out = np.zeros_like(clipped)
-    for col in range(v.shape[1]):
-        keep = np.argsort(-clipped[:, col], kind="stable")[:s]
-        out[keep, col] = clipped[keep, col]
+    # One stable sort down every column at once.  The negated entries go into
+    # the output buffer, which is then cleared and given back each column's
+    # s largest entries (the indexing put_along_axis does, minus its overhead).
+    out = np.negative(clipped)
+    keep = np.argsort(out, axis=0, kind="stable")[:s]
+    cols = np.arange(out.shape[1])
+    out.fill(0.0)
+    out[keep, cols] = clipped[keep, cols]
     return out
 
 
@@ -187,22 +191,26 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         g[:, idx] = (2.0 * d / len(idx)) * rows.T
         return g.ravel()
 
+    # Both hooks power-iterate on an r x r Gram matrix with the scale folded in,
+    # formed once per draw.
     def lip_x(xv, yv, batch, rng, iterations=5):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, so its
         # Lipschitz constant is estimated as 2 (d/b) ||Y_B||^2 by power
         # iteration (full batch: 2 ||Y||^2).
         Y = yv.reshape(r, d)
         cols = Y if batch is None else Y[:, np.asarray(batch, dtype=int)]
-        scale = 2.0 if batch is None else 2.0 * d / cols.shape[1]
+        gram = cols @ cols.T
+        gram *= 2.0 if batch is None else 2.0 * d / cols.shape[1]
         cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-        return scale * power_estimate_sq_norm(lambda v: cols @ (cols.T @ v), r, cfg)
+        return power_estimate_sq_norm(gram.dot, r, cfg)
 
     def lip_y(xv, yv, batch, rng, iterations=5):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
-        scale = 2.0 if batch is None else 2.0 * d / len(batch)
+        gram = X.T @ X
+        gram *= 2.0 if batch is None else 2.0 * d / len(batch)
         cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-        return scale * power_estimate_sq_norm(lambda v: X.T @ (X @ v), r, cfg)
+        return power_estimate_sq_norm(gram.dot, r, cfg)
 
     return BlockProblem(
         n=d,
@@ -319,6 +327,18 @@ class SparsePcaProblem:
 # ---------------------------------------------------------------------------
 
 
+def _window_view(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
+    """Read-only view of X's kernel-sized windows, shape (out_h, out_w, kh, kw).
+
+    The view ``sliding_window_view`` gives, built with one ``as_strided``
+    call and without its validation overhead.
+    """
+    (h, w), (kh, kw) = X.shape, kernel_shape
+    if kh > h or kw > w:
+        raise ValueError(f"kernel {tuple(kernel_shape)} larger than image {X.shape}")
+    return as_strided(X, shape=(h - kh + 1, w - kw + 1, kh, kw), strides=X.strides * 2, writeable=False)
+
+
 def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Valid-region 2D correlation of image X with kernel Y.
 
@@ -327,16 +347,25 @@ def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.shape[0] > X.shape[0] or Y.shape[1] > X.shape[1]:
-        raise ValueError(f"kernel {Y.shape} larger than image {X.shape}")
-    windows = sliding_window_view(X, Y.shape)
-    return np.einsum("pqab,ab->pq", windows, Y)
+    return np.einsum("pqab,ab->pq", _window_view(X, Y.shape), Y)
+
+
+def bid_patches(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
+    """Patch matrix P of the correlation with a kernel of ``kernel_shape``.
+
+    Row p * out_w + q holds the window X[p:p + kh, q:q + kw], so up to
+    rounding bid_forward(X, W).ravel() == P @ W.ravel() and
+    bid_adjoint_kernel(U, X).ravel() == P.T @ U.ravel().
+    """
+    kh, kw = kernel_shape
+    return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
 
 
 def bid_adjoint_image(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>."""
-    kh, kw = Y.shape
-    padded = np.pad(U, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
+    (h, w), (kh, kw) = np.shape(U), Y.shape
+    padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
+    padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = U
     return bid_forward(padded, Y[::-1, ::-1])
 
 
@@ -502,7 +531,7 @@ class BlindDeblurProblem:
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
         # The Lipschitz hooks power-iterate M_B^T M_B for the sampled tiles' residual map
-        # M_B.  A batch applies it window by window, like the oracles, so a draw costs
+        # M_B.  The x-hook applies it window by window, like the oracles, so a draw costs
         # about b/n of a full-batch draw; overlapping windows accumulate.  The full batch
         # is one full-image correlation.
         def lip_x(xv, yv, batch, rng, iterations=5):
@@ -523,22 +552,20 @@ class BlindDeblurProblem:
             # Smooth-regularizer curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
             return power_estimate_sq_norm(apply, hx * wx, cfg) + 16.0 * lam * theta
 
+        # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
+        # y-hook power-iterates on the kh*kw square Gram matrix (2n/b) sum_j P_j^T P_j,
+        # formed one window at a time.  The tiles partition the residual grid, so the
+        # full batch is all n tiles.
         def lip_y(xv, yv, batch, rng, iterations=5):
             X = xv.reshape(hx, wx)
-            if batch is None:
-                def apply(w):
-                    return (2.0 * bid_adjoint_kernel(bid_forward(X, w.reshape(kh, kw)), X)).ravel()
-            else:
-                sampled, scale = [X[windows[j]] for j in batch], 2.0 * n / len(batch)
-
-                def apply(w):
-                    W, g = w.reshape(kh, kw), np.zeros((kh, kw))
-                    for patch in sampled:
-                        g += bid_adjoint_kernel(bid_forward(patch, W), patch)
-                    return (scale * g).ravel()
-
+            sampled = range(n) if batch is None else batch
+            gram = np.zeros((kh * kw, kh * kw))
+            for j in sampled:
+                patches = bid_patches(X[windows[j]], (kh, kw))
+                gram += patches.T @ patches
+            gram *= 2.0 * n / len(sampled)
             cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-            return power_estimate_sq_norm(apply, kh * kw, cfg)
+            return power_estimate_sq_norm(gram.dot, kh * kw, cfg)
 
         return BlockProblem(
             n=n,

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
 from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
+from springopt.lipschitz import PowerMethodConfig, power_estimate_sq_norm
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -17,6 +19,7 @@ from springopt.problems import (
     bid_component_split,
     bid_forward,
     bid_grads,
+    bid_patches,
     bid_potential_deriv,
     image_gradients,
     image_gradients_adjoint,
@@ -78,6 +81,32 @@ def test_prox_l0_matches_bruteforce_batch(rng):
         v = np.round(rng.standard_normal(dim), 2)
         fast = prox_l0_nonneg_columns(v.reshape(-1, 1), s).ravel()
         np.testing.assert_array_equal(fast, bruteforce_prox_l0_nonneg(v, s))
+
+
+def _column_loop_prox_l0(v, s):
+    # The per-column loop the vectorized prox replaced, verbatim.
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    clipped = np.maximum(v, 0.0)
+    if s >= v.shape[0]:
+        return clipped
+    out = np.zeros_like(clipped)
+    for col in range(v.shape[1]):
+        keep = np.argsort(-clipped[:, col], kind="stable")[:s]
+        out[keep, col] = clipped[keep, col]
+    return out
+
+
+def test_prox_l0_matches_column_loop(rng):
+    # Rounded entries give ties (and zeros), which keep the lowest row index.
+    for m, r in ((1, 1), (7, 1), (7, 5), (40, 10)):
+        for _ in range(30):
+            v = np.round(rng.standard_normal((m, r)), 1)
+            for s in sorted({1, max(m - 1, 1), m}):
+                want = _column_loop_prox_l0(v, s)
+                got = prox_l0_nonneg_columns(v, s)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (m, r, s)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_project_box_l1_examples():
@@ -282,6 +311,43 @@ def test_factorization_lipschitz_hooks_match_eigvalsh(family):
             assert hook(z.x, z.y, batch, np.random.default_rng(5), 5) <= exact * (1 + 1e-13)
 
 
+def _recording_power_method(operators):
+    """The power method, recording each (operator, dimension) it is handed."""
+    def recorded(apply, dim, config):
+        operators.append((apply, dim))
+        return power_estimate_sq_norm(apply, dim, config)
+    return recorded
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_lipschitz_estimates_match_matrix_free_operators(family, monkeypatch):
+    # The hooks iterate on r x r Gram matrices with the scale folded in; the
+    # matrix-free operators cols (cols^T v) and X^T (X v), scaled afterwards,
+    # give the same 5-iteration estimates from the same v0 stream.
+    rng = np.random.default_rng(25)
+    m, d, r = 9, 14, 4
+    A = rng.random((m, d))
+    adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate(seed=2)
+    X, Y = z.x.reshape(m, r), z.y.reshape(r, d)
+    operators = []
+    monkeypatch.setattr(problems_module, "power_estimate_sq_norm", _recording_power_method(operators))
+    for b in (1, 2, r + 1, d, None):
+        batch = None if b is None else np.sort(rng.choice(d, size=b, replace=False))
+        scale = 2.0 if batch is None else 2.0 * d / b
+        cols = Y if batch is None else Y[:, batch]
+        references = (lambda v: cols @ (cols.T @ v), lambda v: X.T @ (X @ v))
+        for hook, reference in zip((problem.lipschitz_x, problem.lipschitz_y), references):
+            for seed in (0, 1, 2):
+                operators.clear()
+                got = hook(z.x, z.y, batch, np.random.default_rng(seed), 5)
+                cfg = PowerMethodConfig(iterations=5, rng=np.random.default_rng(seed))
+                want = scale * power_estimate_sq_norm(reference, r, cfg)
+                assert got == pytest.approx(want, rel=1e-12), (b, seed)
+                assert [dim for _apply, dim in operators] == [r]
+
+
 def test_pca_objective_includes_l1():
     A = np.zeros((3, 4))
     adapter = SparsePcaProblem(A=A, r=2, lam1=0.5, lam2=0.25)
@@ -344,6 +410,63 @@ def test_bid_adjoint_identities(rng):
     lhs = float((bid_forward(X, Y) * U).sum())
     assert lhs == pytest.approx(float((X * bid_adjoint_image(U, Y)).sum()), abs=1e-10)
     assert lhs == pytest.approx(float((Y * bid_adjoint_kernel(U, X)).sum()), abs=1e-10)
+
+
+def _swv_bid_forward(X, Y):
+    # The sliding_window_view / np.pad kernels the strided ones replaced, verbatim.
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape[0] > X.shape[0] or Y.shape[1] > X.shape[1]:
+        raise ValueError(f"kernel {Y.shape} larger than image {X.shape}")
+    windows = sliding_window_view(X, Y.shape)
+    return np.einsum("pqab,ab->pq", windows, Y)
+
+
+def _pad_bid_adjoint_image(U, Y):
+    kh, kw = Y.shape
+    padded = np.pad(U, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
+    return _swv_bid_forward(padded, Y[::-1, ::-1])
+
+
+def _swv_bid_adjoint_kernel(U, X):
+    return _swv_bid_forward(X, U)
+
+
+def test_bid_kernels_match_sliding_window_versions(rng):
+    big = rng.random((40, 37))
+    images = [
+        rng.random((12, 15)),             # contiguous
+        big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
+        big[::2, 1::3],                   # strided in both axes
+        np.asfortranarray(rng.random((9, 11))),
+    ]
+    for X in images:
+        h, w = X.shape
+        for kh, kw in ((3, 3), (2, 5), (4, 1), (1, 1), (h, w)):
+            Y = rng.random((kh, kw))
+            fwd = bid_forward(X, Y)
+            assert np.array_equal(fwd, _swv_bid_forward(X, Y)), (X.shape, Y.shape)
+            U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
+            for residual in (U, np.ascontiguousarray(U)):
+                assert np.array_equal(bid_adjoint_image(residual, Y), _pad_bid_adjoint_image(residual, Y))
+                assert np.array_equal(bid_adjoint_kernel(residual, X), _swv_bid_adjoint_kernel(residual, X))
+            patches = bid_patches(X, (kh, kw))
+            assert np.array_equal(patches, sliding_window_view(X, (kh, kw)).reshape(-1, kh * kw))
+            np.testing.assert_allclose(patches @ Y.ravel(), fwd.ravel(), rtol=1e-13)
+
+
+def test_bid_window_view_is_read_only(rng):
+    X = rng.random((6, 7))
+    view = problems_module._window_view(X, (2, 3))
+    assert view.shape == (5, 5, 2, 3)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0, 0, 0] = 1.0
+    for kernel in ((7, 1), (1, 8), (7, 8)):
+        with pytest.raises(ValueError):
+            bid_forward(X, np.ones(kernel))
+        with pytest.raises(ValueError):
+            bid_patches(X, kernel)
 
 
 def test_image_gradient_adjoint(rng):
@@ -534,6 +657,66 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng, monkeypatch):
             assert estimate == pytest.approx(lam_max, rel=1e-8), batch
 
 
+def _bid_window_operators(adapter, batch, X, Y):
+    # M_B^T M_B applied window by window with the sliding-window kernels (the full
+    # batch as one full-image correlation), the y-hook's former matrix-free operator.
+    kh, kw = adapter.kernel_shape
+    tiles = bid_component_split(adapter.Z.shape, adapter.n_tiles)
+    windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
+    if batch is None:
+        def apply_x(v):
+            return (2.0 * _pad_bid_adjoint_image(_swv_bid_forward(v.reshape(X.shape), Y), Y)).ravel()
+
+        def apply_y(w):
+            return (2.0 * _swv_bid_adjoint_kernel(_swv_bid_forward(X, w.reshape(kh, kw)), X)).ravel()
+
+        return apply_x, apply_y
+    scale = 2.0 * len(tiles) / len(batch)
+
+    def apply_x(v):
+        V, g = v.reshape(X.shape), np.zeros(X.shape)
+        for j in batch:
+            g[windows[j]] += _pad_bid_adjoint_image(_swv_bid_forward(V[windows[j]], Y), Y)
+        return (scale * g).ravel()
+
+    def apply_y(w):
+        W, g = w.reshape(kh, kw), np.zeros((kh, kw))
+        for j in batch:
+            patch = X[windows[j]]
+            g += _swv_bid_adjoint_kernel(_swv_bid_forward(patch, W), patch)
+        return (scale * g).ravel()
+
+    return apply_x, apply_y
+
+
+def test_bid_lipschitz_estimates_match_window_operators(rng, monkeypatch):
+    # The uneven, overlapping 6-tile grid above.  The y-hook iterates on the
+    # kh*kw Gram matrix of its windows' patch matrices, the x-hook on its
+    # window-wise operator; both match the window-wise operators' estimates.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    X = rng.random(adapter.image_shape)
+    Y = rng.random((3, 4)) / 12.0
+    xv, yv = X.ravel(), Y.ravel()
+    hooks = (problem.lipschitz_x, problem.lipschitz_y)
+    offsets = (16.0 * adapter.lam * adapter.theta, 0.0)  # the x-hook adds the regularizer's curvature
+    dims = (X.size, Y.size)
+    operators = []
+    monkeypatch.setattr(problems_module, "power_estimate_sq_norm", _recording_power_method(operators))
+    batches = [np.sort(rng.choice(6, size=b, replace=False)) for b in (1, 2, 3, 6)] + [None]
+    for batch in batches:
+        references = _bid_window_operators(adapter, batch, X, Y)
+        for hook, reference, offset, dim in zip(hooks, references, offsets, dims):
+            for seed in (0, 1, 2):
+                operators.clear()
+                got = hook(xv, yv, batch, np.random.default_rng(seed), 5)
+                cfg = PowerMethodConfig(iterations=5, rng=np.random.default_rng(seed))
+                want = power_estimate_sq_norm(reference, dim, cfg) + offset
+                assert got == pytest.approx(want, rel=1e-12), (batch, seed)
+                assert [d for _apply, d in operators] == [dim]
+
+
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     # Correlation work in the benchmark's form, 2 out_h out_w kh kw per bid_forward call
     # (the adjoints correlate through bid_forward too).
@@ -560,6 +743,44 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     assert full > 0
     for j in range(16):
         assert draw_work(np.array([j])) <= full / 4, j
+
+
+def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
+    # The y-draw builds its Gram matrix from the sampled tiles' windows, one
+    # patch matrix per window and no correlation: one window at b = 1, all n
+    # windows for the full batch.
+    Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate()
+    X = z.x.reshape(adapter.image_shape)
+    windows = [X[rs.start:rs.stop + 4, cs.start:cs.stop + 4] for rs, cs in bid_component_split(Z.shape, 16)]
+    patched, correlated = [], []
+
+    def counting_patches(image, kernel_shape):
+        patched.append(image)
+        return bid_patches(image, kernel_shape)
+
+    def counting_forward(image, kernel):
+        correlated.append(image)
+        return bid_forward(image, kernel)
+
+    monkeypatch.setattr(problems_module, "bid_patches", counting_patches)
+    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+
+    def y_draw(batch):
+        patched.clear()
+        correlated.clear()
+        problem.lipschitz_y(z.x, z.y, batch, np.random.default_rng(0), 5)
+        assert not correlated
+        return list(patched)
+
+    for j in range(16):
+        seen = y_draw(np.array([j]))
+        assert len(seen) == 1 and np.array_equal(seen[0], windows[j]), j
+    seen = y_draw(None)
+    assert len(seen) == 16
+    assert all(np.array_equal(got, want) for got, want in zip(seen, windows))
 
 
 # ---------------------------------------------------------------------------
