@@ -5,12 +5,20 @@
   and on the full 64 x 64 image;
 * each Lipschitz hook at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
   full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
-* the L0 prox on nmf-medium's 200 x 10 factor X.
+* the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
+  on bid-medium's 9 x 9 kernel;
+* one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
+  start) at nmf-medium shapes (b = 13) and bid-medium shapes (b = 1), with
+  one-over-L steps from full-batch draws at the start;
+* the fixed per-step costs: building an ``Iterate`` at nmf-medium's block
+  sizes (2000, 5000) and drawing one b = 13 batch of n = 500.
 """
 
 import numpy as np
 import pytest
 
+from springopt.core import Iterate
+from springopt.estimators import BatchSampler, SagaState, sample_batch
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.problems import (
     BlindDeblurProblem,
@@ -18,8 +26,11 @@ from springopt.problems import (
     bid_adjoint_image,
     bid_adjoint_kernel,
     bid_forward,
+    project_box_l1,
     prox_l0_nonneg_columns,
 )
+from springopt.rng import all_streams
+from springopt.solver import EstimatorDriver, spring_step
 
 pytestmark = pytest.mark.benchmark(max_time=0.25, warmup=True)
 
@@ -81,3 +92,35 @@ def test_bid_lipschitz_draw(benchmark, bid, block, b):
 def test_prox_l0(benchmark):
     V = np.random.default_rng(2).standard_normal((200, 10))
     benchmark(prox_l0_nonneg_columns, V, 40)
+
+
+def test_project_box_l1(benchmark):
+    V = np.random.default_rng(3).random((KERNEL, KERNEL))  # sums to ~40: the bisection runs
+    benchmark(project_box_l1, V)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "saga"])
+@pytest.mark.parametrize("workload", ["nmf", "bid"])
+def test_spring_step(benchmark, request, workload, kind):
+    problem, z = request.getfixturevalue(workload)
+    b = 13 if workload == "nmf" else 1
+    streams = all_streams(0)
+    driver = EstimatorDriver(kind=kind, sampler_x=BatchSampler(problem.n, b, streams["batch_x"]),
+                             sampler_y=BatchSampler(problem.n, b, streams["batch_y"]))
+    if kind == "saga":
+        driver.saga = SagaState.from_problem(problem)
+    rng = np.random.default_rng(0)
+    gamma_x = 1.0 / problem.lipschitz_x(z.x, z.y, None, rng, 5)
+    gamma_y = 1.0 / problem.lipschitz_y(z.x, z.y, None, rng, 5)
+    benchmark(spring_step, problem, z, driver, gamma_x, gamma_y)
+
+
+def test_iterate(benchmark):
+    rng = np.random.default_rng(4)
+    x, y = rng.random(2000), rng.random(5000)
+    benchmark(Iterate, x, y)
+
+
+def test_sample_batch(benchmark):
+    sampler = BatchSampler(500, 13, np.random.default_rng(5))
+    benchmark(sample_batch, sampler)

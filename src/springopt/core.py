@@ -98,9 +98,17 @@ class BlockProblem:
                 raise ValueError(f"row_dim_{block} must be positive, got {triple[2]}")
 
 
+class NonFiniteIterateError(ValueError):
+    """An ``Iterate`` was built from blocks holding NaN or infinite entries."""
+
+
 @dataclass(frozen=True)
 class Iterate:
-    """One block pair z = (x, y), stored as flat float64 vectors."""
+    """One block pair z = (x, y), stored as flat float64 vectors.
+
+    Construction validates both blocks once: a non-finite entry raises
+    ``NonFiniteIterateError`` (a ``ValueError``).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -110,8 +118,8 @@ class Iterate:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.ndim != 1 or self.y.ndim != 1:
             raise ValueError("iterate blocks must be flat vectors")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("iterate contains non-finite entries")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise NonFiniteIterateError("iterate contains non-finite entries")
 
 
 def check_dims(problem: BlockProblem, z: Iterate) -> None:

@@ -53,7 +53,8 @@ class BatchSampler:
 def sample_batch(sampler: BatchSampler) -> np.ndarray:
     """Draw one sorted b-subset of {0..n-1}, uniform over all such subsets."""
     idx = sampler.rng.choice(sampler.n, size=sampler.b, replace=False)
-    return np.sort(idx)
+    idx.sort()  # choice returns a fresh array: no copy needed
+    return idx
 
 
 def dense_rows_mean(_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -58,8 +58,8 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
     """Exact prox of the indicator of {columns >= 0 with at most s nonzeros}.
 
     Per column: clamp negatives to zero, keep the s largest remaining
-    entries and zero the rest.  Ties keep the lowest row index (stable
-    sort), which makes the prox a deterministic single-valued map.
+    entries and zero the rest.  Ties keep the lowest row index (as a stable
+    sort would), which makes the prox a deterministic single-valued map.
     """
     if s < 1:
         raise ValueError(f"sparsity level must be >= 1, got {s}")
@@ -67,15 +67,20 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
     clipped = np.maximum(v, 0.0)
     if s >= v.shape[0]:
         return clipped
-    # One stable sort down every column at once.  The negated entries go into
-    # the output buffer, which is then cleared and given back each column's
-    # s largest entries (the indexing put_along_axis does, minus its overhead).
-    out = np.negative(clipped)
-    keep = np.argsort(out, axis=0, kind="stable")[:s]
-    cols = np.arange(out.shape[1])
-    out.fill(0.0)
-    out[keep, cols] = clipped[keep, cols]
-    return out
+    # Each column's s-th largest entry, from one partition along the rows of a
+    # C-ordered (r, m) negated copy.  NaNs partition after every number.
+    kth = -np.partition(np.negative(clipped.T, order="C"), s - 1, axis=1)[:, s - 1]
+    keep = clipped >= kth
+    nan_kth = np.isnan(kth)
+    if np.count_nonzero(keep) != s * v.shape[1] or nan_kth.any():
+        # Some column ties at its threshold, or has fewer than s numbers (its
+        # threshold is NaN and its NaNs tie): keep what lies above the
+        # threshold, then tied entries lowest row first until s are kept.
+        nan = np.isnan(clipped)
+        above = (clipped > kth) | (nan_kth & ~nan)
+        tie = (clipped == kth) | (nan_kth & nan)
+        keep = above | (tie & (np.cumsum(tie, axis=0) <= s - np.count_nonzero(above, axis=0)))
+    return np.where(keep, clipped, 0.0)
 
 
 def project_box_l1(v: np.ndarray, bound: float = 1.0) -> np.ndarray:
@@ -90,9 +95,15 @@ def project_box_l1(v: np.ndarray, bound: float = 1.0) -> np.ndarray:
     if p.sum() <= bound:
         return p
     lo, hi = 0.0, float(v.max())
+    # The bisection clips into one buffer with the ufuncs np.clip wraps: the
+    # same values, without its per-call Python overhead.
+    buf = np.empty_like(v)
     while hi - lo > 1e-12:
         t = 0.5 * (lo + hi)
-        if np.clip(v - t, 0.0, 1.0).sum() > bound:
+        np.subtract(v, t, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.minimum(buf, 1.0, out=buf)
+        if buf.sum() > bound:
             lo = t
         else:
             hi = t

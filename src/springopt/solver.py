@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators as est
-from .core import BlockProblem, Iterate, full_grad_x, full_grad_y, objective, prox_generic
+from .core import BlockProblem, Iterate, NonFiniteIterateError, full_grad_x, full_grad_y, objective, prox_generic
 from .diagnostics import generalized_gradient_map
 from .lipschitz import (
     ALGORITHMS,
@@ -122,12 +122,15 @@ class RunResult(NamedTuple):
 
 
 def _guarded_iterate(x: np.ndarray, y: np.ndarray, context: str) -> Iterate:
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    """Build the iterate a half-step produced; ``Iterate``'s own finiteness
+    check is the only scan, and its failure is reported as divergence."""
+    try:
+        return Iterate(x, y)
+    except NonFiniteIterateError:
         raise DivergenceError(
             f"non-finite iterate after {context}",
             snapshot={"max_abs_x": float(np.max(np.abs(x))), "max_abs_y": float(np.max(np.abs(y)))},
-        )
-    return Iterate(x, y)
+        ) from None
 
 
 def _palm_sweep(problem, z, gamma_x, gamma_y):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from springopt.core import (
     BlockProblem,
     Iterate,
+    NonFiniteIterateError,
     dist_sq,
     full_grad_x,
     full_grad_y,
@@ -31,6 +32,18 @@ def test_iterate_rejects_non_finite():
     with pytest.raises(ValueError):
         Iterate(np.zeros(2), np.array([np.inf, 0.0]))
 
+
+
+def test_iterate_non_finite_error_is_a_value_error():
+    # The solver turns exactly this error into a DivergenceError; a public
+    # Iterate still raises a ValueError, and a shape error stays a plain one.
+    for x, y in ((np.array([np.nan]), np.zeros(1)), (np.zeros(1), np.array([-np.inf]))):
+        with pytest.raises(NonFiniteIterateError) as exc_info:
+            Iterate(x, y)
+        assert isinstance(exc_info.value, ValueError)
+    with pytest.raises(ValueError) as exc_info:
+        Iterate(np.full((1, 2), np.nan), np.zeros(1))
+    assert not isinstance(exc_info.value, NonFiniteIterateError)
 
 def test_objective_dimension_mismatch(sep10):
     problem, _ = sep10

@@ -80,6 +80,20 @@ def test_sampler_determinism():
         np.testing.assert_array_equal(sample_batch(a), sample_batch(b))
 
 
+@pytest.mark.parametrize("n, b", [(500, 13), (16, 1), (20, 20)])
+def test_sampler_stream_is_sorted_choice(n, b):
+    # The batch sequence of a seed is np.sort(choice(n, b, replace=False)),
+    # draw for draw, and each batch is a fresh array.
+    sampler = BatchSampler(n, b, stream_rng(42, "batch_x"))
+    ref = stream_rng(42, "batch_x")
+    prev = None
+    for _ in range(1000):
+        batch = sample_batch(sampler)
+        np.testing.assert_array_equal(batch, np.sort(ref.choice(n, b, replace=False)))
+        assert prev is None or not np.shares_memory(batch, prev)
+        prev = batch
+
+
 # ---------------------------------------------------------------------------
 # SGD
 # ---------------------------------------------------------------------------

@@ -109,6 +109,34 @@ def test_prox_l0_matches_column_loop(rng):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+
+def test_prox_l0_matches_column_loop_at_benchmark_shape(rng):
+    # nmf-medium's factor X: 200 x 10 with s = 40, plus the edge sparsities.
+    m, r = 200, 10
+    for trial in range(40):
+        v = rng.standard_normal((m, r))
+        # Fewer than s positive entries: the threshold is 0, and zeros
+        # (including -0.0 inputs, which clip to -0.0) tie lowest row first.
+        v[:, 0] = -np.abs(v[:, 0])
+        v[rng.choice(m, 10, replace=False), 0] *= -1.0
+        v[rng.choice(m, 30, replace=False), 0] = -0.0
+        v[rng.choice(m, 20, replace=False), 1] = 0.0
+        # Exact ties at a positive threshold: 30 entries at 2 and 25 at 1.
+        v[:, 2] = -1.0
+        v[rng.choice(m, 55, replace=False), 2] = np.repeat([2.0, 1.0], [30, 25])
+        # Rounded columns tie near their thresholds by chance.
+        v[:, 3:6] = np.round(v[:, 3:6], 1)
+        if trial % 4 == 0:
+            # NaNs order after every number, as in the column loop's sort.
+            v[rng.choice(m, 180, replace=False), 6] = np.nan
+            v[rng.choice(m, 5, replace=False), 7] = np.nan
+        for s in (1, 40, m - 1, m):
+            want = _column_loop_prox_l0(v, s)
+            got = prox_l0_nonneg_columns(v, s)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), (trial, s)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (trial, s)
+
 def test_project_box_l1_examples():
     inside = np.array([0.2, 0.3])
     np.testing.assert_array_equal(project_box_l1(inside), inside)
@@ -139,6 +167,43 @@ def test_project_box_l1_grid_oracle(rng):
         assert np.linalg.norm(p - best) <= 2e-2  # grid resolution
         assert ((p - v) ** 2).sum() <= ((best - v) ** 2).sum() + 1e-12
 
+
+
+def _bisection_project_box_l1(v, bound=1.0):
+    # The projection before its bisection ran on a preallocated buffer, verbatim.
+    v = np.asarray(v, dtype=float)
+    p = np.clip(v, 0.0, 1.0)
+    if p.sum() <= bound:
+        return p
+    lo, hi = 0.0, float(v.max())
+    while hi - lo > 1e-12:
+        t = 0.5 * (lo + hi)
+        if np.clip(v - t, 0.0, 1.0).sum() > bound:
+            lo = t
+        else:
+            hi = t
+    return np.clip(v - hi, 0.0, 1.0)
+
+
+def test_project_box_l1_matches_clip_bisection(rng):
+    # 9 x 9, the bid-medium kernel shape: rounded entries (ties), one entry
+    # above 1 + bound, and all-inside inputs (the early return), rounded too.
+    for i in range(20_000):
+        bound = (1.0, 0.5, 3.0)[i % 3]
+        kind = i % 4
+        if kind == 0:
+            v = np.round(rng.standard_normal((9, 9)) * 0.3, 1)
+        elif kind == 1:
+            v = rng.random((9, 9)) * 0.02
+            v[rng.integers(9), rng.integers(9)] = 1.0 + bound + rng.random()
+        else:
+            v = rng.random((9, 9)) * (bound / 81.0)
+            if kind == 3:
+                v = np.floor(v * 1e3) / 1e3
+        want = _bisection_project_box_l1(v, bound)
+        got = project_box_l1(v, bound)
+        assert np.array_equal(got, want), (i, bound)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (i, bound)
 
 # ---------------------------------------------------------------------------
 # Sparse NMF / PCA

@@ -383,6 +383,85 @@ def test_non_finite_iterate_aborts():
         palm_step(problem, palm_step(problem, z, 10.0, 1.0), 10.0, 1.0)
 
 
+def _blowup_problem(block, after):
+    """Quadratic toy (n=4) whose ``block`` prox returns an infinite entry from
+    its call number ``after + 1`` on; the other block's entries stay at most 1."""
+    calls = [0]
+
+    def shrink(_gamma, v):
+        return 0.5 * v
+
+    def blowup(_gamma, v):
+        calls[0] += 1
+        out = 0.5 * v
+        if calls[0] > after:
+            out[0] = np.inf
+        return out
+
+    return BlockProblem(
+        n=4, dim_x=2, dim_y=2,
+        value=lambda idx, x, y: float(x @ x + y @ y),
+        grad_x=lambda idx, x, y: 2.0 * x,
+        grad_y=lambda idx, x, y: 2.0 * y,
+        prox_x=blowup if block == "x" else shrink,
+        prox_y=blowup if block == "y" else shrink,
+    )
+
+
+def _stepper(algorithm, problem):
+    """One step of ``algorithm`` from a fixed start, as a thunk."""
+    z = Iterate(np.ones(2), -np.ones(2))
+    if algorithm == "palm":
+        return lambda: palm_step(problem, z, 0.1, 0.1)
+    if algorithm == "ipalm":
+        return lambda: ipalm_step(problem, z, z, 0.1, 0.1, 0.5)
+    kind = algorithm.split("-", 1)[1]
+    driver = replace(_sgd_driver(problem, 2), kind=kind)
+    if kind == "saga":
+        driver.saga = SagaState.from_problem(problem)
+    elif kind == "sarah":
+        driver.sarah = SarahState(np.zeros(2), np.zeros(2), float(problem.n))
+    return lambda: spring_step(problem, z, driver, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+@pytest.mark.parametrize("algorithm", ["palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah"])
+def test_non_finite_half_step_raises_divergence(algorithm, block):
+    step = _stepper(algorithm, _blowup_problem(block, after=0))
+    with pytest.raises(DivergenceError) as exc_info:
+        step()
+    exc = exc_info.value
+    assert str(exc) == f"non-finite iterate after {algorithm.split('-')[0]} {block}-update"
+    assert set(exc.snapshot) == {"max_abs_x", "max_abs_y"}
+    other = "y" if block == "x" else "x"
+    assert exc.snapshot[f"max_abs_{block}"] == np.inf
+    assert 0.0 < exc.snapshot[f"max_abs_{other}"] <= 1.0
+
+
+def test_misshapen_half_step_is_not_divergence():
+    # Only a non-finite iterate is divergence; a prox returning a matrix is a bug.
+    problem = replace(_blowup_problem("y", after=10), prox_x=lambda _gamma, v: v.reshape(1, -1))
+    with pytest.raises(ValueError, match="flat vectors"):
+        _stepper("palm", problem)()
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+@pytest.mark.parametrize("algorithm", ["palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah"])
+def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
+    # The prox blows up on the first half-step of the second epoch.
+    b = 2
+    steps_per_epoch = 1 if algorithm in ("palm", "ipalm") else 4 // b
+    problem = _blowup_problem(block, after=steps_per_epoch)
+    cfg = SolverConfig(algorithm=algorithm, batch_size=b, epochs=3, seed=0, step_policy="fixed",
+                       fixed_steps=(0.1, 0.1))
+    with pytest.raises(DivergenceError, match=f"non-finite iterate after .* {block}-update") as exc_info:
+        run(problem, cfg, Iterate(np.ones(2), -np.ones(2)))
+    exc = exc_info.value
+    assert exc.trace is not None and len(exc.trace.rows) == 1
+    assert exc.trace.rows[0].sfo_calls > 0
+    assert set(exc.snapshot) == {"max_abs_x", "max_abs_y"}
+
+
 @pytest.mark.parametrize("policy", [
     dict(algorithm="palm"),
     dict(algorithm="spring-saga", batch_size=2),
