@@ -11,7 +11,10 @@
   start) at nmf-medium shapes (b = 13) and bid-medium shapes (b = 1), with
   one-over-L steps from full-batch draws at the start;
 * the fixed per-step costs: building an ``Iterate`` at nmf-medium's block
-  sizes (2000, 5000) and drawing one b = 13 batch of n = 500.
+  sizes (2000, 5000) and drawing one b = 13 batch of n = 500;
+* one cold ``solver.run`` epoch (no warm start, practical steps, gradient
+  map traced) per algorithm at the toy-nmf-c11 shape (50 x 20, r = 5,
+  b = 1), where per-run and per-step overheads dominate.
 """
 
 import numpy as np
@@ -30,7 +33,7 @@ from springopt.problems import (
     prox_l0_nonneg_columns,
 )
 from springopt.rng import all_streams
-from springopt.solver import EstimatorDriver, spring_step
+from springopt.solver import EstimatorDriver, SolverConfig, run, spring_step
 
 pytestmark = pytest.mark.benchmark(max_time=0.25, warmup=True)
 
@@ -124,3 +127,11 @@ def test_iterate(benchmark):
 def test_sample_batch(benchmark):
     sampler = BatchSampler(500, 13, np.random.default_rng(5))
     benchmark(sample_batch, sampler)
+
+
+@pytest.mark.parametrize("algorithm", ["palm", "spring-sgd", "spring-saga", "spring-sarah"])
+def test_run_epoch(benchmark, algorithm):
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(seed=0, shape=(50, 20), rank=3), r=5, s=10)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate(0)
+    config = SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, seed=0, warm_start=False)
+    benchmark(run, problem, config, z0)

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import estimators as est
 from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS
 from ..rng import stream_rng
-from ..solver import SolverConfig
+from ..solver import STEP_POLICIES, SolverConfig
 from . import io, svgplot
 from .runner import PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
 
@@ -76,7 +77,7 @@ def _solver_parent() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", default="practical", choices=("practical", "theoretical", "fixed"))
+    p.add_argument("--steps", default="practical", choices=STEP_POLICIES)
     p.add_argument("--gamma-x", type=float, default=None, help="x step for --steps fixed")
     p.add_argument("--gamma-y", type=float, default=None, help="y step for --steps fixed")
     p.add_argument("--sarah-p", type=float, default=None)
@@ -238,8 +239,7 @@ def cmd_estimate_lipschitz(args) -> int:
     ly = problem.lipschitz_y(z.x, z.y, None, rng, args.iterations)
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
-        batch_rng = stream_rng(args.seed, "lip_batch")
-        batch = np.sort(batch_rng.choice(problem.n, size=args.batch, replace=False))
+        batch = est.sample_batch(est.BatchSampler(problem.n, args.batch, stream_rng(args.seed, "lip_batch")))
         sx = problem.lipschitz_x(z.x, z.y, batch, rng, args.iterations)
         sy = problem.lipschitz_y(z.x, z.y, batch, rng, args.iterations)
         print(f"stochastic estimates (b={args.batch}): L_x={sx:.6g} L_y={sy:.6g}")

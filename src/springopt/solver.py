@@ -15,6 +15,10 @@ estimators), so raw gradient evaluations exceed ``sfo_calls`` by 2b on such
 steps.  Per-epoch trace evaluations (objective and gradient map) and
 Lipschitz estimation are excluded; Lipschitz work is reported in its own
 trace column.
+
+``run`` builds one ``_StepSizes`` object per run (the step policy, the
+Lipschitz draws and their tally), then steps and records.  A recursive
+SARAH step takes its old points from ``EstimatorDriver.sarah_prev``.
 """
 
 from __future__ import annotations
@@ -174,10 +178,12 @@ def ipalm_step(
 class EstimatorDriver:
     """Mutable estimator context threaded through spring steps.
 
-    Owns the batch samplers, the SARAH coin stream, the estimator state and
-    the previous iterate SARAH's recursion needs.  ``warm`` switches the
-    estimates to plain SGD while still populating SAGA tables (the SARAH
-    recursion then restarts with a forced refresh once warm ends).
+    Owns the batch samplers, the SARAH coin stream and the estimator state.
+    ``warm`` switches the estimates to plain SGD while still populating SAGA
+    tables.  ``sarah_prev`` holds the previous SARAH step's two points, z and
+    its post-x-update point (x_{k+1}, y_k), the old points of the next step's
+    recursion; it is None before the first SARAH step and after every warm
+    step, and a SARAH step without it refreshes.
     """
 
     kind: str  # sgd | saga | sarah
@@ -186,9 +192,8 @@ class EstimatorDriver:
     coin_rng: np.random.Generator | None = None
     saga: est.SagaState | None = None
     sarah: est.SarahState | None = None
-    z_prev: Iterate | None = None
+    sarah_prev: tuple[Iterate, Iterate] | None = None
     warm: bool = False
-    sarah_needs_refresh: bool = True
 
 
 def spring_step(
@@ -202,7 +207,7 @@ def spring_step(
 
     Estimator state inside ``driver`` is advanced as a side effect (SAGA
     table rows refreshed with the evaluations already made for the
-    estimate; SARAH estimates and previous-iterate memory updated).
+    estimate; SARAH estimates and ``sarah_prev`` updated).
     """
     if gamma_x <= 0 or gamma_y <= 0:
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
@@ -210,8 +215,8 @@ def spring_step(
     kind = "sgd" if driver.warm else driver.kind
 
     if kind == "sarah":
-        refresh = est.sarah_refresh_coin(driver.sarah, driver.coin_rng) or driver.sarah_needs_refresh
-        z_old = driver.z_prev if driver.z_prev is not None else z
+        refresh = est.sarah_refresh_coin(driver.sarah, driver.coin_rng) or driver.sarah_prev is None
+        z_old, mid_old = (z, z) if refresh else driver.sarah_prev  # a refresh ignores them
         gx = est.sarah_estimate_x(problem, batch_x, z, z_old, driver.sarah, refresh=refresh)
     elif driver.saga is None:
         gx = est.sgd_estimate_x(problem, batch_x, z)
@@ -226,9 +231,7 @@ def spring_step(
 
     batch_y = est.sample_batch(driver.sampler_y)
     if kind == "sarah":
-        z_old_y = Iterate(z.x, driver.z_prev.y) if driver.z_prev is not None else mid
-        gy = est.sarah_estimate_y(problem, batch_y, mid, z_old_y, driver.sarah, refresh=refresh)
-        driver.sarah_needs_refresh = False
+        gy = est.sarah_estimate_y(problem, batch_y, mid, mid_old, driver.sarah, refresh=refresh)
     elif driver.saga is None:
         gy = est.sgd_estimate_y(problem, batch_y, mid)
     else:
@@ -239,7 +242,7 @@ def spring_step(
 
     y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
     z_next = _guarded_iterate(x_next, y_next, "spring y-update")
-    driver.z_prev = z
+    driver.sarah_prev = (z, mid) if kind == "sarah" else None
     return z_next, sfo
 
 
@@ -248,40 +251,62 @@ def spring_step(
 # ---------------------------------------------------------------------------
 
 
-# The stochastic-Lipschitz envelope forgets old draws with a half-life of
-# this many epochs.
-_LIP_ENVELOPE_HALFLIFE_EPOCHS = 2.0
+class _StepSizes:
+    """Run-scoped step sizes: ``steps(z, k)`` returns (gamma_x, gamma_y).
 
+    The policy is set up once: ``fixed`` returns the configured pair;
+    ``theoretical`` a constant pair from the variance-reduction bound (1/L
+    for PALM and inertial PALM), with L from ``lipschitz_const`` or a
+    full-batch draw at z0; ``practical`` applies ``practical_step_sizes`` to
+    a Lipschitz estimate made at every step, or once at z0 when
+    ``lipschitz_refresh`` is off.
 
-class _LipschitzEnvelope:
-    """Track the supremum of subsampled curvature draws per block.
-
-    The Lipschitz constant of a stochastic gradient must cover every batch
-    realization; a size-b power-method draw only samples one batch.  Using
-    each draw directly is unstable for small b (one weak dictionary column
-    in the Lipschitz batch yields a near-zero estimate and hence an enormous
-    step, while the gradient batch can realize much larger curvature), so
-    step sizing uses a decaying running maximum of the draws: new draws lift
-    it instantly, and it halves over ~2 epochs when the landscape genuinely
-    flattens.  Full-batch draws (PALM, inertial PALM) bypass the envelope.
-
-    Every draw of a run goes through ``pair``, which charges ``sfo`` with the
-    power method's iterations + 1 operator applications per block.
+    PALM and inertial PALM estimate with a full-batch draw.  A stochastic
+    run draws on a batch from the ``lip_batch`` stream, one of the many
+    realizations its constant must cover: one weak dictionary column in it
+    can give a near-zero draw and an enormous step while the gradient batch
+    realizes much larger curvature.  So its estimate is a running maximum of
+    the draws, decaying by half over ~2 epochs when the landscape flattens,
+    and anchored on a full-batch draw at z0 while degenerate.
     """
 
-    def __init__(self, problem, z0, rng, iterations, decay):
+    def __init__(self, problem, config, z0, streams, kind, b, sarah_p):
+        n = problem.n
         self.problem = problem
-        self.rng = rng
-        self.iterations = iterations
-        self.decay = decay
+        self.config = config
+        self.z0 = z0
+        self.b = b
+        self.rng = streams["power_init"]
+        self.sampler = est.BatchSampler(n, b, streams["lip_batch"]) if kind is not None else None
+        self.decay = 0.5 ** (b / (2.0 * n))  # a half-life of 2 epochs
         self.env_x = 0.0
         self.env_y = 0.0
         self.sfo = 0
-        self._z0 = z0
+        self.constant = config.fixed_steps if config.step_policy == "fixed" else None
+        self.frozen = None  # a Lipschitz estimate kept for the whole run
+        if config.step_policy == "theoretical":
+            L = config.lipschitz_const
+            if L is None:
+                L = max(self._draw(z0, None))
+            gamma = 1.0 / L
+            if kind is not None:
+                v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
+                bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
+                gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
+            self.constant = (gamma, gamma)
+        elif config.step_policy == "practical" and not config.lipschitz_refresh:
+            self.frozen = self._estimate(z0)
 
-    def pair(self, z, batch):
-        """One (L_x, L_y) draw; an application on ``batch`` (None: all n) costs its size."""
-        problem, iters = self.problem, self.iterations
+    def __call__(self, z, k):
+        if self.constant is not None:
+            return self.constant
+        lx, ly = self.frozen or self._estimate(z)
+        return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
+
+    def _draw(self, z, batch):
+        """One (L_x, L_y) draw, charged to ``sfo``: the power method's iterations + 1
+        operator applications per block, each costing the size of ``batch`` (None: all n)."""
+        problem, iters = self.problem, self.config.power_iterations
         if problem.lipschitz_x is None or problem.lipschitz_y is None:
             raise ValueError(
                 "the practical/theoretical step policies need the problem's Lipschitz hooks; "
@@ -292,15 +317,14 @@ class _LipschitzEnvelope:
         ly = float(problem.lipschitz_y(z.x, z.y, batch, self.rng, iters))
         return lx, ly
 
-    def estimate(self, z, batch):
-        lx, ly = self.pair(z, batch)
-        if batch is None:
-            return lx, ly
+    def _estimate(self, z):
+        if self.sampler is None:
+            return self._draw(z, None)
+        lx, ly = self._draw(z, est.sample_batch(self.sampler))
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
-            # Degenerate from the start; anchor on the full-batch curvature.
-            fx, fy = self.pair(self._z0, None)
+            fx, fy = self._draw(self.z0, None)
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y
@@ -309,134 +333,77 @@ class _LipschitzEnvelope:
 def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     """Execute ``epochs`` passes of the configured algorithm from z0.
 
-    Appends one trace row per epoch (or per iteration when
-    ``record_every_iteration``): SFO-normalized epoch, cumulative SFO count,
-    full objective, squared gradient-map norm evaluated with half the
-    current step sizes and the actual post-update x, wall time, and the
-    separately-counted Lipschitz-estimation work.  Exits early once the
-    gradient-map norm drops below ``grad_map_tolerance``.
+    An epoch is ceil(n/b) steps; PALM and inertial PALM take b = n.  Appends
+    one trace row per epoch (or per iteration when ``record_every_iteration``):
+    SFO-normalized epoch, cumulative SFO count, full objective, squared
+    gradient-map norm evaluated with half the current step sizes and the
+    actual post-update x, wall time, and the separately-counted
+    Lipschitz-estimation work.  Exits early once the gradient-map norm drops
+    below ``grad_map_tolerance``.
     """
     n = problem.n
     config.validate(n)
     algo = config.algorithm
-    stochastic = algo.startswith("spring-")
-    kind = algo.split("-", 1)[1] if stochastic else None
-    b = config.batch_size if stochastic else n
+    kind = algo.split("-", 1)[1] if algo.startswith("spring-") else None
+    b = config.batch_size if kind is not None else n
     sarah_p = config.sarah_p if config.sarah_p is not None else float(n)
+    steps_per_epoch = math.ceil(n / b)
     streams = all_streams(config.seed)
-    trace = Trace()
 
     driver = None
-    if stochastic:
+    if kind is not None:
         driver = EstimatorDriver(
             kind=kind,
             sampler_x=est.BatchSampler(n, b, streams["batch_x"]),
             sampler_y=est.BatchSampler(n, b, streams["batch_y"]),
             coin_rng=streams["sarah_coin"],
-            warm=config.warm_start and kind in ("saga", "sarah"),
         )
         if kind == "saga":
             driver.saga = est.SagaState.from_problem(problem)
         elif kind == "sarah":
             driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
-
-    steps_per_epoch = 1 if not stochastic else math.ceil(n / b)
-    lip_batch_sampler = est.BatchSampler(n, b, streams["lip_batch"]) if stochastic else None
+    # SAGA and SARAH step like SGD through a warm-start first epoch.
+    warm_steps = steps_per_epoch if config.warm_start and kind in ("saga", "sarah") else 0
+    steps = _StepSizes(problem, config, z0, streams, kind, b, sarah_p)
 
     phi0 = objective(problem, z0)
     divergence_cap = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
-
-    lip_decay = 0.5 ** (b / (_LIP_ENVELOPE_HALFLIFE_EPOCHS * n))
-    lip_guard = _LipschitzEnvelope(problem, z0, streams["power_init"], config.power_iterations, lip_decay)
-
-    # Theoretical policy: constant steps from the variance-reduction bound.
-    theo_steps = None
-    if config.step_policy == "theoretical":
-        L = config.lipschitz_const
-        if L is None:
-            L = max(lip_guard.pair(z0, None))
-        if algo in ("palm", "ipalm"):
-            theo_steps = (1.0 / L, 1.0 / L)
-        else:
-            v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
-            bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
-            gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
-            theo_steps = (gamma, gamma)
-
-    frozen_practical = None
-    if config.step_policy == "practical" and not config.lipschitz_refresh:
-        batch = est.sample_batch(lip_batch_sampler) if stochastic else None
-        frozen_practical = lip_guard.estimate(z0, batch)
-
+    trace = Trace()
     z = z0
     z_prev = z0
     sfo_calls = 0
     start = time.perf_counter()
-    k = 0
-    stop = False
-
-    def append_row(z_now, z_pre_step, x_next, gx_step, gy_step, step_grads):
-        nonlocal stop
-        if config.track_grad_map:
-            gmap = generalized_gradient_map(problem, z_pre_step, x_next, gx_step / 2.0, gy_step / 2.0,
-                                            grads=step_grads)
-            gnorm = gmap.norm_sq
-        else:
-            gnorm = float("nan")
-        phi = objective(problem, z_now)
-        wall = (time.perf_counter() - start) * 1e3
-        trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, lip_guard.sfo))
-        if phi > divergence_cap:
-            raise DivergenceError(
-                f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",
-                snapshot={"iteration": k, "objective": phi, "initial": phi0},
-                trace=trace,
-            )
-        if config.grad_map_tolerance is not None and gnorm <= config.grad_map_tolerance:
-            stop = True
-
     try:
-        for epoch in range(config.epochs):
-            if driver is not None:
-                driver.warm = config.warm_start and driver.kind in ("saga", "sarah") and epoch == 0
-                if driver.kind == "sarah" and config.warm_start and epoch == 1:
-                    driver.sarah_needs_refresh = True
-            for _ in range(steps_per_epoch):
-                k += 1
-                # Step sizes for this iteration.
-                if config.step_policy == "fixed":
-                    gx_step, gy_step = config.fixed_steps
-                elif config.step_policy == "theoretical":
-                    gx_step, gy_step = theo_steps
-                else:
-                    if frozen_practical is not None:
-                        lx, ly = frozen_practical
-                    else:
-                        batch = est.sample_batch(lip_batch_sampler) if stochastic else None
-                        lx, ly = lip_guard.estimate(z, batch)
-                    gx_step, gy_step = practical_step_sizes(algo, lx, ly, k=k, b=b, n=n)
+        for k in range(1, config.epochs * steps_per_epoch + 1):
+            gamma_x, gamma_y = steps(z, k)
+            # A PALM step's gradients are the gradient map's: the trace reuses them.
+            step_grads = None
+            used = 2 * n
+            if algo == "palm":
+                z_next, step_grads = _palm_sweep(problem, z, gamma_x, gamma_y)
+            elif algo == "ipalm":
+                z_next = ipalm_step(problem, z, z_prev, gamma_x, gamma_y, ipalm_momentum(k))
+            else:
+                driver.warm = k <= warm_steps
+                z_next, used = spring_step(problem, z, driver, gamma_x, gamma_y)
+            sfo_calls += used
+            z_prev, z = z, z_next
+            if not config.record_every_iteration and k % steps_per_epoch != 0:
+                continue
 
-                z_pre = z
-                # A PALM step's gradients are the gradient map's: the trace reuses them.
-                step_grads = None
-                if algo == "palm":
-                    z, step_grads = _palm_sweep(problem, z, gx_step, gy_step)
-                    sfo_calls += 2 * n
-                elif algo == "ipalm":
-                    beta = ipalm_momentum(k)
-                    z = ipalm_step(problem, z, z_prev, gx_step, gy_step, beta)
-                    sfo_calls += 2 * n
-                else:
-                    z, used = spring_step(problem, z, driver, gx_step, gy_step)
-                    sfo_calls += used
-                z_prev = z_pre
-                if config.record_every_iteration:
-                    append_row(z, z_pre, z.x, gx_step, gy_step, step_grads)
-                    if stop:
-                        break
-            if not config.record_every_iteration:
-                append_row(z, z_pre, z.x, gx_step, gy_step, step_grads)
-            if stop:
+            gnorm = float("nan")
+            if config.track_grad_map:
+                gnorm = generalized_gradient_map(problem, z_prev, z.x, gamma_x / 2.0, gamma_y / 2.0,
+                                                 grads=step_grads).norm_sq
+            phi = objective(problem, z)
+            wall = (time.perf_counter() - start) * 1e3
+            trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, steps.sfo))
+            if phi > divergence_cap:
+                raise DivergenceError(
+                    f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",
+                    snapshot={"iteration": k, "objective": phi, "initial": phi0},
+                )
+            if config.grad_map_tolerance is not None and gnorm <= config.grad_map_tolerance:
                 break
     except DivergenceError as exc:
         if exc.trace is None:
@@ -445,5 +412,5 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
 
     state = None
     if driver is not None:
-        state = driver.saga if driver.kind == "saga" else driver.sarah
+        state = driver.saga if kind == "saga" else driver.sarah
     return RunResult(z=z, trace=trace, estimator_state=state)

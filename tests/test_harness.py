@@ -338,8 +338,13 @@ def test_cli_check_grad(tmp_path):
     assert cli_dispatch(["check-grad", "--problem", "toy-nmf", "--points", "2"]) == 0
 
 
-def test_cli_estimate_lipschitz():
+def test_cli_estimate_lipschitz(capsys):
     assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-nmf", "--batch", "2"]) == 0
+    # Pinned: the subsampled draw takes its batch as the solver's lip_batch sampler does.
+    assert capsys.readouterr().out.splitlines() == [
+        "full-batch estimates: L_x=10.5273 L_y=5.55568",
+        "stochastic estimates (b=2): L_x=13.9267 L_y=54.7936",
+    ]
 
 
 @pytest.mark.parametrize("batch", ["0", "-1", "999"])

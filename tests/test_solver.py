@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from springopt import estimators as est_module
 from springopt.core import BlockProblem, Iterate, objective, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
@@ -350,6 +351,44 @@ def test_record_every_iteration(sep10):
     assert len(res.trace.rows) == 2 * math.ceil(problem.n / 2)
 
 
+def test_record_every_iteration_stops_on_the_step_meeting_tolerance():
+    # Identical components make every SGD step a full-gradient step, so the
+    # gradient map shrinks at every step and the tolerance is met mid-epoch.
+    problem, _ = make_separable_quadratic(n=8, seed=3, spread=0.0)
+    z0 = Iterate(np.ones(4), -np.ones(4))
+    cfg = dict(algorithm="spring-sgd", batch_size=2, epochs=3, step_policy="fixed",
+               fixed_steps=(0.5, 0.5), record_every_iteration=True)
+    full = run(problem, SolverConfig(**cfg), z0).trace.rows
+    gnorms = [r.grad_map_norm_sq for r in full]
+    assert all(a > b for a, b in zip(gnorms, gnorms[1:]))
+    stop = 6  # the second of the second epoch's 4 steps
+    rows = run(problem, SolverConfig(grad_map_tolerance=gnorms[stop - 1], **cfg), z0).trace.rows
+    assert len(rows) == stop and len(rows) % math.ceil(problem.n / 2) != 0
+    assert [r[:4] for r in rows] == [r[:4] for r in full[:stop]]
+
+
+def test_warm_sarah_refreshes_once_when_the_coin_never_fires(sep10, monkeypatch):
+    # p = 1e9: the coin never fires, so the one refresh is the forced one on
+    # the first SARAH step after the warm (SGD) epoch.
+    problem, _ = sep10
+    n, b = problem.n, 2
+    refreshes = []
+    original = est_module.sarah_estimate_x
+
+    def spy(*args, **kwargs):
+        refreshes.append(kwargs["refresh"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(est_module, "sarah_estimate_x", spy)
+    res = run(problem, SolverConfig(algorithm="spring-sarah", batch_size=b, sarah_p=1e9, epochs=3,
+                                    seed=1, step_policy="fixed", fixed_steps=(0.2, 0.2),
+                                    record_every_iteration=True), Iterate(np.ones(4), np.ones(4)))
+    steps = math.ceil(n / b)
+    charged = np.diff([0] + [r.sfo_calls for r in res.trace.rows]).tolist()
+    assert charged == [2 * b] * steps + [2 * n] + [2 * b] * (2 * steps - 1)
+    assert refreshes == [True] + [False] * (2 * steps - 1)
+
+
 def test_practical_policy_requires_hooks():
     problem = BlockProblem(
         n=2, dim_x=2, dim_y=2,
@@ -507,6 +546,57 @@ GOLDEN = {
     ('bid', 'spring-sgd'): [(8, 0.2209478725703468)],
     ('bid', 'spring-saga'): [(8, 0.23613023430552696)],
     ('bid', 'spring-sarah'): [(26, 0.22869028981930833)],
+    # Per row (sfo_calls, objective, lipschitz_sfo) of the policies and trace
+    # mode the cases above leave out (``POLICY_CASES``), recorded before the
+    # step sizes moved into one run-scoped object.  Runs that diverge within
+    # these epochs are left out: frozen ipalm and sarah, theoretical ipalm.
+    ('toy-nmf-theoretical', 'palm'): [(40, 3437.8946444604635, 240), (80, 92075.2001557474, 240),
+                                      (120, 2189.461936564895, 240)],
+    ('toy-nmf-theoretical', 'spring-saga'): [(40, 772.2091822925604, 240), (80, 759.4222524227501, 240),
+                                             (120, 747.1647056828683, 240)],
+    ('toy-nmf-theoretical', 'spring-sarah'): [(40, 566.1889848640319, 240), (152, 398.1490939346894, 240),
+                                              (192, 356.66061689087564, 240)],
+    ('toy-nmf-frozen', 'palm'): [(40, 13287.6819796093, 240), (80, 4923504.169612024, 240),
+                                 (120, 3599019.8082811036, 240)],
+    ('toy-nmf-frozen', 'spring-sgd'): [(40, 92791.5726023912, 24), (80, 6841.688450024456, 24),
+                                       (120, 13460007.32055614, 24)],
+    ('toy-nmf-frozen', 'spring-saga'): [(40, 614.736294354559, 24), (80, 17387.446512747487, 24),
+                                        (120, 59725878.48287757, 24)],
+    ('toy-nmf-fixed', 'palm'): [(40, 778.6383654606205, 0), (80, 773.0848265164703, 0),
+                                (120, 767.3867476567546, 0)],
+    ('toy-nmf-fixed', 'ipalm'): [(40, 778.6383654606205, 0), (80, 771.6987778933496, 0),
+                                 (120, 763.1150283309798, 0)],
+    ('toy-nmf-fixed', 'spring-sgd'): [(40, 722.2545976835663, 0), (80, 651.1818436628841, 0),
+                                      (120, 586.8248026083072, 0)],
+    ('toy-nmf-fixed', 'spring-saga'): [(40, 722.2545976835663, 0), (80, 642.9145186651488, 0),
+                                       (120, 569.0916022539008, 0)],
+    ('toy-nmf-fixed', 'spring-sarah'): [(40, 722.2545976835663, 0), (152, 651.3012765004395, 0),
+                                        (192, 577.0153993338024, 0)],
+    ('toy-nmf-every', 'palm'): [(40, 13287.6819796093, 240)],
+    ('toy-nmf-every', 'ipalm'): [(40, 7965.783215716625, 240)],
+    ('toy-nmf-every', 'spring-sgd'): [
+        (4, 764.9294881065063, 24), (8, 1067.4473075502724, 48), (12, 675.1922154169076, 72),
+        (16, 762.2314424326368, 96), (20, 3041.341867684023, 120), (24, 2157.290622846741, 144),
+        (28, 1221.6695560119592, 168), (32, 741.8161746241931, 192), (36, 671.5125763346889, 216),
+        (40, 644.0840510488447, 240)],
+    ('toy-nmf-every', 'spring-saga'): [
+        (4, 746.3627642636988, 24), (8, 670.9517202268325, 48), (12, 642.0510411057169, 72),
+        (16, 595.5538927447327, 96), (20, 500.075448025046, 120), (24, 474.96346898900504, 144),
+        (28, 467.8357838991319, 168), (32, 463.67258517523567, 192), (36, 445.9560963658035, 216),
+        (40, 443.57933744705645, 240)],
+    ('toy-nmf-every', 'spring-sarah'): [
+        (40, 606.1735044987311, 24), (80, 526.3380324704858, 48), (84, 481.54374142592513, 72),
+        (88, 445.863852669269, 96), (92, 419.2243659729212, 120), (96, 396.65819809712326, 144),
+        (100, 384.26049448693516, 168), (104, 373.7428489814375, 192), (108, 364.7979790178414, 216),
+        (112, 357.51532305570464, 240)],
+}
+
+# Toy-NMF settings (b=2, 3 epochs, seed 7 unless overridden) of the policy goldens.
+POLICY_CASES = {
+    "toy-nmf-theoretical": dict(step_policy="theoretical"),
+    "toy-nmf-frozen": dict(lipschitz_refresh=False),
+    "toy-nmf-fixed": dict(step_policy="fixed", fixed_steps=(1e-3, 1e-3)),
+    "toy-nmf-every": dict(epochs=1, warm_start=False, record_every_iteration=True),
 }
 
 
@@ -527,4 +617,17 @@ def test_fixed_seed_runs_match_golden(name):
         expected = GOLDEN[(name, algo)]
         assert [r.sfo_calls for r in res.trace.rows] == [sfo for sfo, _obj in expected]
         for row, (_sfo, obj) in zip(res.trace.rows, expected):
+            assert abs(row.objective - obj) <= 1e-12 * abs(obj), (algo, row.objective, obj)
+
+
+@pytest.mark.parametrize("name", POLICY_CASES)
+def test_fixed_seed_policy_runs_match_golden(name):
+    problem, z0, kw = _golden_case("toy-nmf")
+    algos = [algo for case, algo in GOLDEN if case == name]
+    assert algos
+    for algo in algos:
+        res = run(problem, SolverConfig(algorithm=algo, seed=7, **{**kw, **POLICY_CASES[name]}), z0)
+        expected = GOLDEN[(name, algo)]
+        assert [(r.sfo_calls, r.lipschitz_sfo) for r in res.trace.rows] == [(sfo, lip) for sfo, _, lip in expected]
+        for row, (_sfo, obj, _lip) in zip(res.trace.rows, expected):
             assert abs(row.objective - obj) <= 1e-12 * abs(obj), (algo, row.objective, obj)
