@@ -3,7 +3,8 @@
 * the blind-deconvolution kernels on a bid-medium tile window (a 14 x 14 tile
   of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image)
   and on the full 64 x 64 image;
-* each Lipschitz hook at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
+* each Lipschitz draw (the hook forming its operator plus the 5-iteration
+  estimate on it) at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
   full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
@@ -23,6 +24,7 @@ import pytest
 from springopt.core import Iterate
 from springopt.estimators import BatchSampler, SagaState, sample_batch
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
+from springopt.lipschitz import lipschitz_estimate
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -71,10 +73,13 @@ def test_bid_kernel(benchmark, kernel, shape):
     benchmark(fn, *args)
 
 
+def _estimate(hook, z, batch, rng):
+    return lipschitz_estimate(hook(z.x, z.y, batch), 5, rng)
+
+
 def _draw(benchmark, problem, z, block, batch):
     hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
-    rng = np.random.default_rng(0)
-    benchmark(hook, z.x, z.y, batch, rng, 5)
+    benchmark(_estimate, hook, z, batch, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
@@ -113,8 +118,8 @@ def test_spring_step(benchmark, request, workload, kind):
     if kind == "saga":
         driver.saga = SagaState.from_problem(problem)
     rng = np.random.default_rng(0)
-    gamma_x = 1.0 / problem.lipschitz_x(z.x, z.y, None, rng, 5)
-    gamma_y = 1.0 / problem.lipschitz_y(z.x, z.y, None, rng, 5)
+    gamma_x = 1.0 / _estimate(problem.lipschitz_x, z, None, rng)
+    gamma_y = 1.0 / _estimate(problem.lipschitz_y, z, None, rng)
     benchmark(spring_step, problem, z, driver, gamma_x, gamma_y)
 
 

@@ -9,6 +9,7 @@ gradient-map convergence diagnostics.
 
 from .core import (
     BlockProblem,
+    CurvatureOperator,
     Iterate,
     OracleCounter,
     full_grad_x,
@@ -34,9 +35,9 @@ from .estimators import (
     sgd_estimate_y,
 )
 from .lipschitz import (
-    PowerMethodConfig,
     closed_form_step_cap,
     ipalm_momentum,
+    lipschitz_estimate,
     power_estimate_sq_norm,
     practical_step_sizes,
     theoretical_step_bound,

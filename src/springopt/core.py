@@ -24,7 +24,7 @@ threads.  Oracles are deterministic, so results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,16 @@ RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
+
+
+class CurvatureOperator(NamedTuple):
+    """A block's curvature operator: the PSD action ``apply`` (v -> M^T(M v)) on
+    vectors of length ``dim``.  The block's Lipschitz estimate is the power
+    method's estimate of its norm plus ``shift``."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    dim: int
+    shift: float = 0.0
 
 
 def _zero_reg(_v: np.ndarray) -> float:
@@ -61,6 +71,10 @@ class BlockProblem:
     rows)`` returns the mean x-gradient (length dim_x) that the rows of the
     components ``idx`` encode, at no oracle cost.  An all-zero row encodes a
     zero gradient.  Likewise ``rows_y``/``rows_mean_y``/``row_dim_y``.
+
+    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
+    block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``
+    (None: all n); ``lipschitz.lipschitz_estimate`` runs the power method on it.
     """
 
     n: int
@@ -73,10 +87,8 @@ class BlockProblem:
     reg_y_value: RegFn = _zero_reg
     prox_x: ProxFn = _identity_prox
     prox_y: ProxFn = _identity_prox
-    # Optional adapter hooks, used by the step-size machinery when present.
-    # Signature: (x, y, batch_or_None, rng) -> positive float.
-    lipschitz_x: Callable | None = None
-    lipschitz_y: Callable | None = None
+    lipschitz_x: Callable[..., CurvatureOperator] | None = None
+    lipschitz_y: Callable[..., CurvatureOperator] | None = None
     # Optional per-row oracles for SAGA tables; without them a row is dense.
     rows_x: RowsFn | None = None
     rows_mean_x: RowsMeanFn | None = None

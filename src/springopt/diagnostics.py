@@ -66,10 +66,10 @@ def generalized_gradient_map(
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gradient-map parameters must be positive, got ({gamma1}, {gamma2})")
     check_dims(problem, z)
-    gx_full = full_grad_x(problem, z) if grads is None else grads[0]
+    if grads is None:
+        grads = (full_grad_x(problem, z), full_grad_y(problem, Iterate(z_x_next, z.y)))
+    gx_full, gy_full = grads
     g_x = (z.x - prox_generic(problem.prox_x, gamma1, z.x - gamma1 * gx_full)) / gamma1
-    z_shift = Iterate(np.asarray(z_x_next, dtype=float), z.y)
-    gy_full = full_grad_y(problem, z_shift) if grads is None else grads[1]
     g_y = (z.y - prox_generic(problem.prox_y, gamma2, z.y - gamma2 * gy_full)) / gamma2
     return GradMapEval(
         g_x=g_x,

@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_grad_x, full_grad_y
 
-# Rows updated between exact table-mean recomputations.  Incremental updates
-# drift by O(eps) per row; recomputing keeps the mean within 1e-10 relative.
+# Table-update calls (one per block per step, whatever the batch size) between exact
+# mean recomputations.  Each drifts the mean by O(eps); recomputing keeps it within 1e-10.
 _MEAN_RECOMPUTE_PERIOD = 4096
 
 
@@ -131,7 +131,7 @@ class SagaState:
     problem's row format, decoded by ``rows_mean_x(idx, rows)`` (dense rows
     by default).  ``mean_x``/``mean_y`` track the mean gradient the tables
     encode; they are maintained incrementally and recomputed exactly every
-    ``_MEAN_RECOMPUTE_PERIOD`` row updates.
+    ``_MEAN_RECOMPUTE_PERIOD`` table-update calls, counted over both blocks.
     """
 
     table_x: np.ndarray  # (n, row width)
@@ -284,16 +284,10 @@ def sarah_estimate_x(
     z_new: Iterate,
     z_old: Iterate,
     state: SarahState,
-    rng: np.random.Generator | None = None,
-    refresh: bool | None = None,
+    *,
+    refresh: bool,
 ) -> np.ndarray:
-    """SARAH x-estimate at z_new; updates ``state.est_x`` to the result.
-
-    ``refresh`` overrides the coin (the solver draws one shared coin per
-    iteration); when None it is drawn from ``rng``.
-    """
-    if refresh is None:
-        refresh = sarah_refresh_coin(state, rng)
+    """SARAH x-estimate at z_new; updates ``state.est_x`` to the result."""
     est = _sarah_estimate(problem, batch, z_new, z_old, state.est_x, refresh,
                           full_grad_x, problem.grad_x)
     state.est_x = est
@@ -306,12 +300,10 @@ def sarah_estimate_y(
     z_new: Iterate,
     z_old: Iterate,
     state: SarahState,
-    rng: np.random.Generator | None = None,
-    refresh: bool | None = None,
+    *,
+    refresh: bool,
 ) -> np.ndarray:
     """SARAH y-estimate at z_new = (post-x-update x, current y)."""
-    if refresh is None:
-        refresh = sarah_refresh_coin(state, rng)
     est = _sarah_estimate(problem, batch, z_new, z_old, state.est_y, refresh,
                           full_grad_y, problem.grad_y)
     state.est_y = est

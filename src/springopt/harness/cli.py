@@ -19,7 +19,7 @@ import numpy as np
 from .. import estimators as est
 from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
-from ..lipschitz import ALGORITHMS
+from ..lipschitz import ALGORITHMS, lipschitz_estimate
 from ..rng import stream_rng
 from ..solver import STEP_POLICIES, SolverConfig
 from . import io, svgplot
@@ -235,13 +235,12 @@ def cmd_estimate_lipschitz(args) -> int:
         raise ValueError(f"problem {args.problem!r} does not expose Lipschitz hooks")
     z = init_fn(args.seed)
     rng = stream_rng(args.seed, "power_init")
-    lx = problem.lipschitz_x(z.x, z.y, None, rng, args.iterations)
-    ly = problem.lipschitz_y(z.x, z.y, None, rng, args.iterations)
+    hooks = (problem.lipschitz_x, problem.lipschitz_y)
+    lx, ly = (lipschitz_estimate(hook(z.x, z.y, None), args.iterations, rng) for hook in hooks)
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
         batch = est.sample_batch(est.BatchSampler(problem.n, args.batch, stream_rng(args.seed, "lip_batch")))
-        sx = problem.lipschitz_x(z.x, z.y, batch, rng, args.iterations)
-        sy = problem.lipschitz_y(z.x, z.y, batch, rng, args.iterations)
+        sx, sy = (lipschitz_estimate(hook(z.x, z.y, batch), args.iterations, rng) for hook in hooks)
         print(f"stochastic estimates (b={args.batch}): L_x={sx:.6g} L_y={sy:.6g}")
     return 0
 

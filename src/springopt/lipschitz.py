@@ -11,17 +11,19 @@ Block step sizes come from one of three sources:
 The power method estimates the largest squared singular value of an operator
 M through the symmetric action v -> M^T(M v).  It is a Rayleigh-type
 estimate: monotonically non-decreasing in the iteration count and never
-above the true value, so no safety factor is applied on top of it.
+above the true value, so no safety factor is applied on top of it.  It runs in
+one place, ``lipschitz_estimate``, on the operator a problem's hook returns.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .core import CurvatureOperator
 
 ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 
@@ -29,42 +31,36 @@ ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 EPS_LIPSCHITZ = 1e-12
 
 
-@dataclass
-class PowerMethodConfig:
-    """Power-method controls: iteration count and the v0 stream."""
-
-    iterations: int = 5
-    rng: np.random.Generator | None = None
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"power method needs at least one iteration, got {self.iterations}")
-
-
 def power_estimate_sq_norm(
     apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    config: PowerMethodConfig | None = None,
+    iterations: int,
+    rng: np.random.Generator,
 ) -> float:
     """Estimate ||M||^2 from the PSD action v -> M^T(M v).
 
-    Runs ``config.iterations`` normalized iterations from a random unit
-    vector and returns the norm of one more application.  Returns 0 when the
-    operator annihilates the sampled direction.
+    Runs ``iterations`` normalized iterations from a random unit vector
+    drawn from ``rng`` and returns the norm of one more application.
+    Returns 0 when the operator annihilates the sampled direction.
     """
+    if iterations < 1:
+        raise ValueError(f"power method needs at least one iteration, got {iterations}")
     if dim < 1:
         raise ValueError(f"operator dimension must be >= 1, got {dim}")
-    config = config or PowerMethodConfig()
-    rng = config.rng or np.random.default_rng()
     v = rng.standard_normal(dim)
     v /= _norm(v)
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         w = np.asarray(apply(v), dtype=float)
         nrm = _norm(w)
         if nrm == 0.0:
             return 0.0
         v = w / nrm
     return _norm(np.asarray(apply(v), dtype=float))
+
+
+def lipschitz_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Generator) -> float:
+    """Lipschitz estimate of a hook's operator: the power method's estimate plus ``op.shift``."""
+    return power_estimate_sq_norm(op.apply, op.dim, iterations, rng) + op.shift
 
 
 def _norm(v: np.ndarray) -> float:

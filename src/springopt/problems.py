@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BlockProblem, Iterate
-from .lipschitz import PowerMethodConfig, power_estimate_sq_norm
+from .core import BlockProblem, CurvatureOperator, Iterate
 
 # ---------------------------------------------------------------------------
 # Proximal operators
@@ -202,26 +201,23 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         g[:, idx] = (2.0 * d / len(idx)) * rows.T
         return g.ravel()
 
-    # Both hooks power-iterate on an r x r Gram matrix with the scale folded in,
-    # formed once per draw.
-    def lip_x(xv, yv, batch, rng, iterations=5):
-        # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, so its
-        # Lipschitz constant is estimated as 2 (d/b) ||Y_B||^2 by power
-        # iteration (full batch: 2 ||Y||^2).
+    # Both hooks return an r x r Gram matrix with the scale folded in, formed
+    # once per draw.
+    def lip_x(xv, yv, batch):
+        # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
+        # 2 (d/b) ||Y_B||^2 (full batch: 2 ||Y||^2).
         Y = yv.reshape(r, d)
         cols = Y if batch is None else Y[:, np.asarray(batch, dtype=int)]
         gram = cols @ cols.T
         gram *= 2.0 if batch is None else 2.0 * d / cols.shape[1]
-        cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-        return power_estimate_sq_norm(gram.dot, r, cfg)
+        return CurvatureOperator(gram.dot, r)
 
-    def lip_y(xv, yv, batch, rng, iterations=5):
+    def lip_y(xv, yv, batch):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
         gram = X.T @ X
         gram *= 2.0 if batch is None else 2.0 * d / len(batch)
-        cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-        return power_estimate_sq_norm(gram.dot, r, cfg)
+        return CurvatureOperator(gram.dot, r)
 
     return BlockProblem(
         n=d,
@@ -541,11 +537,11 @@ class BlindDeblurProblem:
         def py(_gamma, yv):
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
-        # The Lipschitz hooks power-iterate M_B^T M_B for the sampled tiles' residual map
-        # M_B.  The x-hook applies it window by window, like the oracles, so a draw costs
+        # The Lipschitz hooks return M_B^T M_B for the sampled tiles' residual map M_B.
+        # The x-hook applies it window by window, like the oracles, so a draw costs
         # about b/n of a full-batch draw; overlapping windows accumulate.  The full batch
         # is one full-image correlation.
-        def lip_x(xv, yv, batch, rng, iterations=5):
+        def lip_x(xv, yv, batch):
             Y = yv.reshape(kh, kw)
             if batch is None:
                 def apply(v):
@@ -559,15 +555,14 @@ class BlindDeblurProblem:
                         g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
                     return (scale * g).ravel()
 
-            cfg = PowerMethodConfig(iterations=iterations, rng=rng)
             # Smooth-regularizer curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
-            return power_estimate_sq_norm(apply, hx * wx, cfg) + 16.0 * lam * theta
+            return CurvatureOperator(apply, hx * wx, 16.0 * lam * theta)
 
         # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
-        # y-hook power-iterates on the kh*kw square Gram matrix (2n/b) sum_j P_j^T P_j,
-        # formed one window at a time.  The tiles partition the residual grid, so the
-        # full batch is all n tiles.
-        def lip_y(xv, yv, batch, rng, iterations=5):
+        # y-hook returns the kh*kw square Gram matrix (2n/b) sum_j P_j^T P_j, formed
+        # one window at a time.  The tiles partition the residual grid, so the full
+        # batch is all n tiles.
+        def lip_y(xv, yv, batch):
             X = xv.reshape(hx, wx)
             sampled = range(n) if batch is None else batch
             gram = np.zeros((kh * kw, kh * kw))
@@ -575,8 +570,7 @@ class BlindDeblurProblem:
                 patches = bid_patches(X[windows[j]], (kh, kw))
                 gram += patches.T @ patches
             gram *= 2.0 * n / len(sampled)
-            cfg = PowerMethodConfig(iterations=iterations, rng=rng)
-            return power_estimate_sq_norm(gram.dot, kh * kw, cfg)
+            return CurvatureOperator(gram.dot, kh * kw)
 
         return BlockProblem(
             n=n,
@@ -608,7 +602,9 @@ class BlindDeblurProblem:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic toys (testing and calibration)
+# Quadratic toys (testing and calibration).  Their Lipschitz hooks return the
+# 1 x 1 operator [[L]]; the power method returns L from it exactly, since
+# sqrt(L * L) == L in binary64.
 # ---------------------------------------------------------------------------
 
 
@@ -648,8 +644,8 @@ def make_separable_quadratic(
         value=value,
         grad_x=lambda idx, x, y: (x - a_i[idx]).mean(axis=0),
         grad_y=lambda idx, x, y: (y - b_i[idx]).mean(axis=0),
-        lipschitz_x=lambda x, y, batch, rng_, iterations=5: 1.0,
-        lipschitz_y=lambda x, y, batch, rng_, iterations=5: 1.0,
+        lipschitz_x=lambda x, y, batch: CurvatureOperator(np.array([[1.0]]).dot, 1),
+        lipschitz_y=lambda x, y, batch: CurvatureOperator(np.array([[1.0]]).dot, 1),
     )
     phi_star = 0.5 * float((ea * ea).sum() + (eb * eb).sum()) / n
     info = {"a": a, "b": b, "phi_star": phi_star, "a_i": a_i, "b_i": b_i, "L": 1.0}
@@ -701,8 +697,8 @@ def make_random_quadratic(
         value=value,
         grad_x=lambda idx, x, y: (Ps[idx] @ x + Rs[idx] @ y + ss[idx]).mean(axis=0),
         grad_y=lambda idx, x, y: (Qs[idx] @ y + x @ Rs[idx] + ts[idx]).mean(axis=0),
-        lipschitz_x=lambda x, y, batch, rng_, iterations=5: lip_x_exact,
-        lipschitz_y=lambda x, y, batch, rng_, iterations=5: lip_y_exact,
+        lipschitz_x=lambda x, y, batch: CurvatureOperator(np.array([[lip_x_exact]]).dot, 1),
+        lipschitz_y=lambda x, y, batch: CurvatureOperator(np.array([[lip_y_exact]]).dot, 1),
     )
     info = {
         "P": Ps, "Q": Qs, "R": Rs, "s": ss, "t": ts,

@@ -37,6 +37,7 @@ from .lipschitz import (
     ALGORITHMS,
     EPS_LIPSCHITZ,
     ipalm_momentum,
+    lipschitz_estimate,
     practical_step_sizes,
     theoretical_step_bound,
 )
@@ -304,8 +305,8 @@ class _StepSizes:
         return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
 
     def _draw(self, z, batch):
-        """One (L_x, L_y) draw, charged to ``sfo``: the power method's iterations + 1
-        operator applications per block, each costing the size of ``batch`` (None: all n)."""
+        """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: iterations + 1
+        applications per block, each costing the size of ``batch`` (None: all n)."""
         problem, iters = self.problem, self.config.power_iterations
         if problem.lipschitz_x is None or problem.lipschitz_y is None:
             raise ValueError(
@@ -313,8 +314,8 @@ class _StepSizes:
                 "use step_policy='fixed' for problems without them"
             )
         self.sfo += 2 * (iters + 1) * (problem.n if batch is None else len(batch))
-        lx = float(problem.lipschitz_x(z.x, z.y, batch, self.rng, iters))
-        ly = float(problem.lipschitz_y(z.x, z.y, batch, self.rng, iters))
+        lx = lipschitz_estimate(problem.lipschitz_x(z.x, z.y, batch), iters, self.rng)
+        ly = lipschitz_estimate(problem.lipschitz_y(z.x, z.y, batch), iters, self.rng)
         return lx, ly
 
     def _estimate(self, z):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from springopt.core import CurvatureOperator
 from springopt.lipschitz import (
-    PowerMethodConfig,
     closed_form_step_cap,
     ipalm_momentum,
+    lipschitz_estimate,
     power_estimate_sq_norm,
     practical_step_sizes,
     theoretical_step_bound,
@@ -21,18 +22,17 @@ def _matrix_apply(M):
 def test_power_diagonal_oracle():
     # Exact eigendecomposition oracle: ||diag(3,1)||^2 = 9.
     M = np.diag([3.0, 1.0])
-    cfg = PowerMethodConfig(iterations=50, rng=np.random.default_rng(0))
-    assert power_estimate_sq_norm(_matrix_apply(M), 2, cfg) == pytest.approx(9.0, abs=1e-6)
+    estimate = power_estimate_sq_norm(_matrix_apply(M), 2, 50, np.random.default_rng(0))
+    assert estimate == pytest.approx(9.0, abs=1e-6)
 
 
 def test_power_identity_exact():
-    cfg = PowerMethodConfig(iterations=3, rng=np.random.default_rng(1))
-    assert power_estimate_sq_norm(_matrix_apply(np.eye(4)), 4, cfg) == pytest.approx(1.0, abs=1e-12)
+    estimate = power_estimate_sq_norm(_matrix_apply(np.eye(4)), 4, 3, np.random.default_rng(1))
+    assert estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_zero_operator():
-    cfg = PowerMethodConfig(iterations=5, rng=np.random.default_rng(2))
-    assert power_estimate_sq_norm(_matrix_apply(np.zeros((3, 3))), 3, cfg) == 0.0
+    assert power_estimate_sq_norm(_matrix_apply(np.zeros((3, 3))), 3, 5, np.random.default_rng(2)) == 0.0
 
 
 @settings(max_examples=25)
@@ -43,20 +43,18 @@ def test_power_monotone_and_never_exceeds_truth(dim, seed):
     truth = float(np.linalg.norm(M, 2) ** 2)
     estimates = []
     for iters in (1, 2, 4, 8, 16):
-        cfg = PowerMethodConfig(iterations=iters, rng=np.random.default_rng(seed + 1))
-        estimates.append(power_estimate_sq_norm(_matrix_apply(M), dim, cfg))
+        estimates.append(power_estimate_sq_norm(_matrix_apply(M), dim, iters, np.random.default_rng(seed + 1)))
     # Same v0 stream per call, so the Rayleigh estimate grows with iterations.
     for a, b in zip(estimates, estimates[1:]):
         assert b >= a - 1e-9
     assert all(e <= truth + 1e-9 for e in estimates)
 
 
-def _power_estimate_reference(apply, dim, config):
+def _power_estimate_reference(apply, dim, iterations, rng):
     # The loop as it was written with np.linalg.norm, kept verbatim as the reference.
-    rng = config.rng or np.random.default_rng()
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         w = np.asarray(apply(v), dtype=float)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
@@ -79,16 +77,24 @@ def test_power_norms_bitwise_equal_linalg_norm_loop():
     for name, (apply, dim) in operators.items():
         for seed in range(6):
             for iters in (1, 5, 30):
-                got = power_estimate_sq_norm(apply, dim, PowerMethodConfig(iters, np.random.default_rng(seed)))
-                want = _power_estimate_reference(apply, dim, PowerMethodConfig(iters, np.random.default_rng(seed)))
+                got = power_estimate_sq_norm(apply, dim, iters, np.random.default_rng(seed))
+                want = _power_estimate_reference(apply, dim, iters, np.random.default_rng(seed))
                 assert got == want, (name, seed, iters)
 
 
 def test_power_rejects_bad_config():
     with pytest.raises(ValueError):
-        PowerMethodConfig(iterations=0)
+        power_estimate_sq_norm(lambda v: v, 3, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        power_estimate_sq_norm(lambda v: v, 0)
+        power_estimate_sq_norm(lambda v: v, 0, 5, np.random.default_rng(0))
+
+
+@settings(max_examples=50)
+@given(lip=st.floats(1e-100, 1e100), seed=st.integers(0, 10_000), iters=st.integers(1, 30))
+def test_scalar_operator_estimate_is_exact(lip, seed, iters):
+    # The quadratic toys' 1 x 1 operator [[L]]: sqrt(L * L) == L in binary64.
+    op = CurvatureOperator(np.array([[lip]]).dot, 1)
+    assert lipschitz_estimate(op, iters, np.random.default_rng(seed)) == lip
 
 
 def test_practical_steps_sgd_decay():

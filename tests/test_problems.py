@@ -9,7 +9,8 @@ import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
 from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
-from springopt.lipschitz import PowerMethodConfig, power_estimate_sq_norm
+from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
+from springopt.lipschitz import lipschitz_estimate, power_estimate_sq_norm
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -371,21 +372,14 @@ def test_factorization_lipschitz_hooks_match_eigvalsh(family):
         exact_x = float(np.linalg.eigvalsh(scale * cols @ cols.T)[-1])
         exact_y = float(np.linalg.eigvalsh(scale * X.T @ X)[-1])
         for hook, exact in ((problem.lipschitz_x, exact_x), (problem.lipschitz_y, exact_y)):
-            assert hook(z.x, z.y, batch, np.random.default_rng(5), 100) == pytest.approx(exact, rel=1e-10)
+            op = hook(z.x, z.y, batch)
+            assert lipschitz_estimate(op, 100, np.random.default_rng(5)) == pytest.approx(exact, rel=1e-10)
             # A Rayleigh-type estimate stays below the truth (up to rounding).
-            assert hook(z.x, z.y, batch, np.random.default_rng(5), 5) <= exact * (1 + 1e-13)
-
-
-def _recording_power_method(operators):
-    """The power method, recording each (operator, dimension) it is handed."""
-    def recorded(apply, dim, config):
-        operators.append((apply, dim))
-        return power_estimate_sq_norm(apply, dim, config)
-    return recorded
+            assert lipschitz_estimate(op, 5, np.random.default_rng(5)) <= exact * (1 + 1e-13)
 
 
 @pytest.mark.parametrize("family", ["nmf", "pca"])
-def test_factorization_lipschitz_estimates_match_matrix_free_operators(family, monkeypatch):
+def test_factorization_lipschitz_estimates_match_matrix_free_operators(family):
     # The hooks iterate on r x r Gram matrices with the scale folded in; the
     # matrix-free operators cols (cols^T v) and X^T (X v), scaled afterwards,
     # give the same 5-iteration estimates from the same v0 stream.
@@ -396,8 +390,6 @@ def test_factorization_lipschitz_estimates_match_matrix_free_operators(family, m
     problem = adapter.block_problem()
     z = adapter.initial_iterate(seed=2)
     X, Y = z.x.reshape(m, r), z.y.reshape(r, d)
-    operators = []
-    monkeypatch.setattr(problems_module, "power_estimate_sq_norm", _recording_power_method(operators))
     for b in (1, 2, r + 1, d, None):
         batch = None if b is None else np.sort(rng.choice(d, size=b, replace=False))
         scale = 2.0 if batch is None else 2.0 * d / b
@@ -405,12 +397,11 @@ def test_factorization_lipschitz_estimates_match_matrix_free_operators(family, m
         references = (lambda v: cols @ (cols.T @ v), lambda v: X.T @ (X @ v))
         for hook, reference in zip((problem.lipschitz_x, problem.lipschitz_y), references):
             for seed in (0, 1, 2):
-                operators.clear()
-                got = hook(z.x, z.y, batch, np.random.default_rng(seed), 5)
-                cfg = PowerMethodConfig(iterations=5, rng=np.random.default_rng(seed))
-                want = scale * power_estimate_sq_norm(reference, r, cfg)
+                op = hook(z.x, z.y, batch)
+                got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
+                want = scale * power_estimate_sq_norm(reference, r, 5, np.random.default_rng(seed))
                 assert got == pytest.approx(want, rel=1e-12), (b, seed)
-                assert [dim for _apply, dim in operators] == [r]
+                assert op.dim == r
 
 
 def test_pca_objective_includes_l1():
@@ -691,7 +682,7 @@ def _bid_masked_lipschitz_reference(adapter, batch, X, Y):
     return apply_x, apply_y
 
 
-def test_bid_lipschitz_hooks_match_masked_full_image(rng, monkeypatch):
+def test_bid_lipschitz_hooks_match_masked_full_image(rng):
     # The uneven 6-tile grid above, whose tile windows overlap.
     Z = rng.random((11, 13))
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
@@ -703,21 +694,17 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng, monkeypatch):
     offsets = (16.0 * adapter.lam * adapter.theta, 0.0)  # the x-hook adds the regularizer's curvature
     batches = [np.sort(rng.choice(6, size=b, replace=False)) for b in (1, 2, 3, 5, 6)] + [None]
     for batch in batches:
-        operators = []
-        with monkeypatch.context() as mp:
-            mp.setattr(problems_module, "power_estimate_sq_norm",
-                       lambda apply, dim, config: operators.append((apply, dim)) or 0.0)
-            for hook in hooks:
-                hook(xv, yv, batch, np.random.default_rng(0), 5)
         references = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
-        for (apply, dim), reference, hook, offset in zip(operators, references, hooks, offsets):
+        for hook, reference, offset in zip(hooks, references, offsets):
+            op = hook(xv, yv, batch)
+            assert op.shift == offset
             for _ in range(3):
-                v = rng.standard_normal(dim)
+                v = rng.standard_normal(op.dim)
                 want = reference(v)
-                np.testing.assert_allclose(apply(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-            dense = np.column_stack([reference(e) for e in np.eye(dim)])
+                np.testing.assert_allclose(op.apply(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            dense = np.column_stack([reference(e) for e in np.eye(op.dim)])
             lam_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
-            estimate = hook(xv, yv, batch, np.random.default_rng(8), 200) - offset
+            estimate = lipschitz_estimate(op, 200, np.random.default_rng(8)) - offset
             assert estimate <= lam_max * (1 + 1e-12), batch
             assert estimate == pytest.approx(lam_max, rel=1e-8), batch
 
@@ -754,7 +741,7 @@ def _bid_window_operators(adapter, batch, X, Y):
     return apply_x, apply_y
 
 
-def test_bid_lipschitz_estimates_match_window_operators(rng, monkeypatch):
+def test_bid_lipschitz_estimates_match_window_operators(rng):
     # The uneven, overlapping 6-tile grid above.  The y-hook iterates on the
     # kh*kw Gram matrix of its windows' patch matrices, the x-hook on its
     # window-wise operator; both match the window-wise operators' estimates.
@@ -767,19 +754,16 @@ def test_bid_lipschitz_estimates_match_window_operators(rng, monkeypatch):
     hooks = (problem.lipschitz_x, problem.lipschitz_y)
     offsets = (16.0 * adapter.lam * adapter.theta, 0.0)  # the x-hook adds the regularizer's curvature
     dims = (X.size, Y.size)
-    operators = []
-    monkeypatch.setattr(problems_module, "power_estimate_sq_norm", _recording_power_method(operators))
     batches = [np.sort(rng.choice(6, size=b, replace=False)) for b in (1, 2, 3, 6)] + [None]
     for batch in batches:
         references = _bid_window_operators(adapter, batch, X, Y)
         for hook, reference, offset, dim in zip(hooks, references, offsets, dims):
             for seed in (0, 1, 2):
-                operators.clear()
-                got = hook(xv, yv, batch, np.random.default_rng(seed), 5)
-                cfg = PowerMethodConfig(iterations=5, rng=np.random.default_rng(seed))
-                want = power_estimate_sq_norm(reference, dim, cfg) + offset
+                op = hook(xv, yv, batch)
+                got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
+                want = power_estimate_sq_norm(reference, dim, 5, np.random.default_rng(seed)) + offset
                 assert got == pytest.approx(want, rel=1e-12), (batch, seed)
-                assert [d for _apply, d in operators] == [dim]
+                assert op.dim == dim
 
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
@@ -800,8 +784,8 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
 
     def draw_work(batch):
         work.clear()
-        problem.lipschitz_x(z.x, z.y, batch, np.random.default_rng(0), 5)
-        problem.lipschitz_y(z.x, z.y, batch, np.random.default_rng(0), 5)
+        for hook in (problem.lipschitz_x, problem.lipschitz_y):
+            lipschitz_estimate(hook(z.x, z.y, batch), 5, np.random.default_rng(0))
         return sum(work)
 
     full = draw_work(None)
@@ -836,7 +820,7 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     def y_draw(batch):
         patched.clear()
         correlated.clear()
-        problem.lipschitz_y(z.x, z.y, batch, np.random.default_rng(0), 5)
+        lipschitz_estimate(problem.lipschitz_y(z.x, z.y, batch), 5, np.random.default_rng(0))
         assert not correlated
         return list(patched)
 
@@ -922,3 +906,91 @@ def test_bid_feasibility_indicators():
     bad_image = z0.x.copy()
     bad_image[0] = 1.5
     assert objective(problem, Iterate(bad_image, z0.y)) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz draws, pinned bitwise
+# ---------------------------------------------------------------------------
+
+# Each adapter's draw, lipschitz_estimate of its hook's operator, over batches
+# (full, 1, 2, 3 components) x power-method seeds x iteration counts, in that
+# nesting.  Recorded when each hook still ran the power method itself.
+DRAW_GRID = [(batch, seed, iterations) for batch in (None, (1,), (0, 3), (1, 2, 5))
+             for seed in (0, 1) for iterations in (1, 5, 30)]
+PINNED_DRAWS = {
+    ('nmf', 'x'): [
+        8.811399019522566, 9.302549073591269, 9.3025490802467, 8.730926929605168, 9.302549071453099,
+        9.3025490802467, 4.913417114955097, 4.913417114955097, 4.913417114955097, 4.913417114955097,
+        4.913417114955097, 4.913417114955097, 7.199946262124535, 9.53636451626915, 9.536364523287345,
+        9.453883455154394, 9.536364523125094, 9.536364523287347, 10.048823352840389, 10.208286700218578,
+        10.208286700282418, 10.090676524911462, 10.208286700244004, 10.208286700282418,
+    ],
+    ('nmf', 'y'): [
+        2.7143137653473346, 3.2030294532236656, 5.280930718014737, 4.274125550703749, 5.263640382495582,
+        5.28093071809301, 54.28627530694668, 64.06058906447336, 105.61861436029474, 85.48251101407497,
+        105.27280764991167, 105.6186143618602, 27.14313765347334, 32.03029453223668, 52.80930718014737,
+        42.741255507037486, 52.636403824955835, 52.8093071809301, 18.09542510231556, 21.353529688157778,
+        35.20620478676492, 28.494170338024993, 35.09093588330389, 35.20620478728673,
+    ],
+    ('pca', 'x'): [
+        7.011330421054748, 8.258894222314183, 11.126788174152743, 10.56663169480894, 11.11237622801175,
+        11.126788175094767, 36.72455463836492, 36.72455463836492, 36.724554638364935, 36.72455463836492,
+        36.72455463836492, 36.724554638364935, 49.40364016878938, 49.40704904087823, 49.40704904851361,
+        46.68586823023362, 49.40704237875842, 49.40704904851361, 11.303601658431765, 18.188418105128726,
+        18.80327644463901, 17.516267833654116, 18.793636676042762, 18.80327644463911,
+    ],
+    ('pca', 'y'): [
+        16.41559845202967, 23.30549434819713, 23.39849097137608, 16.831369056568324, 21.327507600447102,
+        23.398490708086065, 328.31196904059345, 466.10988696394253, 467.9698194275216, 336.6273811313665,
+        426.550152008942, 467.96981416172133, 164.15598452029673, 233.05494348197126, 233.9849097137608,
+        168.31369056568326, 213.275076004471, 233.98490708086067, 109.43732301353114, 155.36996232131418,
+        155.98993980917388, 112.20912704378881, 142.18338400298066, 155.98993805390714,
+    ],
+    ('bid', 'x'): [
+        9.187581822847482, 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644,
+        9.646894481889209, 15.689089207912751, 15.812124078271108, 15.812124130287492, 15.301408122979694,
+        15.812123927895207, 15.81212413028749, 11.111914365666873, 11.90606155285925, 11.906062065143747,
+        11.831609081097856, 11.906062039103647, 11.906062065143747, 12.722269617664999, 12.871074257352436,
+        12.871171533966553, 10.927336018021489, 12.86049714021646, 12.871171533966555,
+    ],
+    ('bid', 'y'): [
+        312.7113058259872, 313.70815084050275, 313.7081508405044, 310.16629507766805, 313.70815084049906,
+        313.70815084050446, 85.48343173223901, 85.48523968837314, 85.48523968837314, 85.48172354755481,
+        85.48523968837314, 85.48523968837314, 209.46306308389865, 209.5070681101507, 209.5070681101507,
+        208.80075422761252, 209.5070681101507, 209.5070681101507, 126.64117104915728, 126.65835299378945,
+        126.65835299378945, 126.27504694254635, 126.65835299378944, 126.65835299378944,
+    ],
+}
+
+
+def _pinned_draw_problem(name):
+    if name == "bid":
+        Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=5)
+        adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+        return adapter.block_problem(), adapter.initial_iterate()
+    A = toy_nmf_matrix(seed=0)
+    adapter = SparseNmfProblem(A=A, r=5, s=10) if name == "nmf" else SparsePcaProblem(A=A, r=5)
+    return adapter.block_problem(), adapter.initial_iterate(seed=7)
+
+
+def _grid_draws(hook, z):
+    return [lipschitz_estimate(hook(z.x, z.y, None if batch is None else np.array(batch)), iterations,
+                               np.random.default_rng(seed))
+            for batch, seed, iterations in DRAW_GRID]
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+@pytest.mark.parametrize("name", ["nmf", "pca", "bid"])
+def test_lipschitz_draws_match_pinned_values(name, block):
+    problem, z = _pinned_draw_problem(name)
+    hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
+    assert _grid_draws(hook, z) == PINNED_DRAWS[name, block]
+
+
+def test_quadratic_lipschitz_draws_are_their_constants():
+    separable, _ = make_separable_quadratic(n=8, seed=3)
+    coupled, info = make_random_quadratic(n=8, seed=3)
+    z = Iterate(np.ones(4), -np.ones(4))
+    for problem, lip_x, lip_y in ((separable, 1.0, 1.0), (coupled, info["lip_x"], info["lip_y"])):
+        assert _grid_draws(problem.lipschitz_x, z) == [lip_x] * len(DRAW_GRID)
+        assert _grid_draws(problem.lipschitz_y, z) == [lip_y] * len(DRAW_GRID)

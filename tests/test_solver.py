@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from springopt import estimators as est_module
-from springopt.core import BlockProblem, Iterate, objective, with_oracle_counter
+from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import ALGORITHMS, PowerMethodConfig, power_estimate_sq_norm
+from springopt.lipschitz import ALGORITHMS
 from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
 from springopt.rng import all_streams
 from springopt.solver import (
@@ -509,14 +509,14 @@ def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
     dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"),
 ], ids=["palm", "saga-anchor", "sgd-frozen", "ipalm-theoretical", "sarah-theoretical"])
 def test_lipschitz_sfo_counts_every_operator_application(policy):
-    # Independent count: the hooks run the power method on an operator that
-    # tallies the batch size (n for the full batch) at every application.
+    # Independent count: the hooks return an operator that tallies the
+    # batch size (n for the full batch) at every application.
     # The first subsampled draw is degenerate, so the stochastic envelope
     # also anchors on a full-batch draw at z0.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch, rng, iterations=5):
+    def hook(x, y, batch):
         size = problem.n if batch is None else len(batch)
         scale = 1e-14 if batch is not None and applied[0] == 0 else 1.0
 
@@ -524,7 +524,7 @@ def test_lipschitz_sfo_counts_every_operator_application(policy):
             applied[0] += size
             return scale * v
 
-        return power_estimate_sq_norm(apply, len(x), PowerMethodConfig(iterations=iterations, rng=rng))
+        return CurvatureOperator(apply, len(x))
 
     counted = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
     z0 = Iterate(np.ones(4), np.ones(4))
