@@ -3,6 +3,9 @@
 * the blind-deconvolution kernels on a bid-medium tile window (a 14 x 14 tile
   of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image)
   and on the full 64 x 64 image;
+* the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
+  ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
+  shapes (b = 13 and the full batch);
 * each Lipschitz draw (the hook forming its operator plus the 5-iteration
   estimate on it) at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
   full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
@@ -50,6 +53,12 @@ def nmf():
 
 
 @pytest.fixture(scope="module")
+def toy_nmf():
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(seed=0, shape=(50, 20), rank=3), r=5, s=10)
+    return adapter.block_problem(), adapter.initial_iterate(0)
+
+
+@pytest.fixture(scope="module")
 def bid():
     Z, _image, _kernel = toy_blurred_image(seed=0, size=64, kernel=KERNEL)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(KERNEL, KERNEL), n_tiles=16)
@@ -71,6 +80,18 @@ def test_bid_kernel(benchmark, kernel, shape):
     }
     fn, *args = calls[kernel]
     benchmark(fn, *args)
+
+
+NMF_BATCHES = {"toy-b1": ("toy_nmf", 1), "medium-b13": ("nmf", 13), "medium-full": ("nmf", None)}
+
+
+@pytest.mark.parametrize("batch", NMF_BATCHES)
+@pytest.mark.parametrize("oracle", ["grad_x", "grad_y", "rows_x", "rows_y", "value"])
+def test_nmf_oracle(benchmark, request, oracle, batch):
+    fixture, b = NMF_BATCHES[batch]
+    problem, z = request.getfixturevalue(fixture)
+    idx = np.arange(problem.n) if b is None else np.sort(np.random.default_rng(1).choice(problem.n, b, replace=False))
+    benchmark(getattr(problem, oracle), idx, z.x, z.y)
 
 
 def _estimate(hook, z, batch, rng):

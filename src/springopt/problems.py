@@ -16,7 +16,8 @@ F_i = d * ||A_i - X Y_i||^2 so that the component mean equals the monolithic
 objective.  Blind deconvolution splits the residual grid into contiguous
 tiles; the smooth edge regularizer is carried by every component (divided by
 the component count through the mean), keeping each F_i differentiable.
-The oracles work on r columns or one tile window at a time, so a component
+The factorization gradients are formed from the batch's columns in Gram form,
+and the deconvolution oracles work one tile window at a time, so a component
 costs about 1/n of a full gradient.
 
 Matrix blocks are flattened row-major into the solver's vector view.
@@ -135,36 +136,56 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     m, d = A.shape
     dim_x, dim_y = m * r, r * d
 
-    def residuals(idx, xv, yv):
-        # X @ Y[:, part] - A[:, part] over parts of r columns, so no temporary
-        # outgrows the m x r factor X; a run of columns is sliced, not copied.
+    def batch_columns(idx, yv):
+        # Y_B and A_B.  The full batch (all d indices, sorted) uses Y and A in
+        # place; a smaller one gathers its columns.
+        Y = yv.reshape(r, d)
+        if len(idx) == d:
+            return Y, A
+        return Y.take(idx, axis=1), A.take(idx, axis=1)
+
+    def value(idx, xv, yv):
+        # X @ Y[:, part] - A[:, part] over parts of r columns, never the
+        # expanded Gram form, which cancels catastrophically near a fit.  No
+        # temporary outgrows the m x r factor X; a run of columns is sliced,
+        # not copied.
         X, Y = xv.reshape(m, r), yv.reshape(r, d)
+        total = 0.0
         for start in range(0, len(idx), r):
             part = idx[start:start + r]
             if part[-1] - part[0] == len(part) - 1:
                 part = slice(part[0], part[-1] + 1)
-            cols = Y[:, part]
-            resid = X @ cols
+            resid = X @ Y[:, part]
             resid -= A[:, part]
-            yield part, cols, resid
-
-    def value(idx, xv, yv):
-        total = sum(float(np.einsum("ij,ij->", resid, resid)) for _part, _cols, resid in residuals(idx, xv, yv))
+            total += float(np.einsum("ij,ij->", resid, resid))
         return d * total / len(idx)
 
+    # The gradients in Gram form, a few BLAS calls per batch:
+    # grad_x = (2d/b) (X (Y_B Y_B^T) - A_B Y_B^T), and grad_y in the columns B
+    # is (2d/b) ((X^T X) Y_B - X^T A_B).  Temporaries are at most m x b or m x r.
     def grad_x(idx, xv, yv):
-        g = np.zeros((m, r))
-        for _part, cols, resid in residuals(idx, xv, yv):
-            g += resid @ cols.T
+        X = xv.reshape(m, r)
+        cols, a = batch_columns(idx, yv)
+        g = X @ (cols @ cols.T)
+        g -= a @ cols.T
         g *= 2.0 * d / len(idx)
         return g.ravel()
 
-    def grad_y(idx, xv, yv):
+    def grad_y_columns(idx, xv, yv):
+        # (X^T X) Y_B - X^T A_B, unscaled: component i's y-gradient is 2d times column i.
         X = xv.reshape(m, r)
+        cols, a = batch_columns(idx, yv)
+        g = (X.T @ X) @ cols
+        g -= X.T @ a
+        return g
+
+    def grad_y(idx, xv, yv):
+        scaled = grad_y_columns(idx, xv, yv)
+        scaled *= 2.0 * d / len(idx)
+        if len(idx) == d:
+            return scaled.ravel()
         g = np.zeros((r, d))
-        scale = 2.0 * d / len(idx)
-        for part, _cols, resid in residuals(idx, xv, yv):
-            g[:, part] = scale * (X.T @ resid)
+        g[:, idx] = scaled
         return g.ravel()
 
     # Per-row data for SAGA tables (the stored-scalar trick for linear models):
@@ -172,13 +193,13 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     # (resid_i, Y_i) of m + r numbers, and its y-gradient is 2d X^T resid_i in
     # column i, kept as the r numbers X^T resid_i.
     def rows_x(idx, xv, yv):
+        X = xv.reshape(m, r)
+        cols, a = batch_columns(idx, yv)
         rows = np.empty((len(idx), m + r))
-        start = 0
-        for _part, cols, resid in residuals(idx, xv, yv):
-            stop = start + resid.shape[1]
-            rows[start:stop, :m] = resid.T
-            rows[start:stop, m:] = cols.T
-            start = stop
+        resid = rows[:, :m]
+        np.matmul(cols.T, X.T, out=resid)
+        resid -= a.T
+        rows[:, m:] = cols.T
         return rows
 
     def rows_mean_x(idx, rows):
@@ -187,14 +208,8 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         return g.ravel()
 
     def rows_y(idx, xv, yv):
-        X = xv.reshape(m, r)
-        rows = np.empty((len(idx), r))
-        start = 0
-        for _part, _cols, resid in residuals(idx, xv, yv):
-            stop = start + resid.shape[1]
-            rows[start:stop] = (X.T @ resid).T
-            start = stop
-        return rows
+        # grad_y's columns, unscaled, so rows_mean_y decodes them to grad_y bit for bit.
+        return grad_y_columns(idx, xv, yv).T
 
     def rows_mean_y(idx, rows):
         g = np.zeros((r, d))

@@ -31,7 +31,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators as est
-from .core import BlockProblem, Iterate, NonFiniteIterateError, full_grad_x, full_grad_y, objective, prox_generic
+from .core import (
+    BlockProblem,
+    CurvatureOperator,
+    Iterate,
+    NonFiniteIterateError,
+    check_dims,
+    full_grad_x,
+    full_grad_y,
+    objective,
+    prox_generic,
+)
 from .diagnostics import generalized_gradient_map
 from .lipschitz import (
     ALGORITHMS,
@@ -41,7 +51,7 @@ from .lipschitz import (
     practical_step_sizes,
     theoretical_step_bound,
 )
-from .rng import all_streams
+from .rng import stream_rng
 
 STEP_POLICIES = ("practical", "theoretical", "fixed")
 
@@ -271,14 +281,14 @@ class _StepSizes:
     and anchored on a full-batch draw at z0 while degenerate.
     """
 
-    def __init__(self, problem, config, z0, streams, kind, b, sarah_p):
+    def __init__(self, problem, config, z0, kind, b, sarah_p):
         n = problem.n
         self.problem = problem
         self.config = config
         self.z0 = z0
         self.b = b
-        self.rng = streams["power_init"]
-        self.sampler = est.BatchSampler(n, b, streams["lip_batch"]) if kind is not None else None
+        self.rng = stream_rng(config.seed, "power_init")
+        self.sampler = est.BatchSampler(n, b, stream_rng(config.seed, "lip_batch")) if kind is not None else None
         self.decay = 0.5 ** (b / (2.0 * n))  # a half-life of 2 epochs
         self.env_x = 0.0
         self.env_y = 0.0
@@ -305,17 +315,17 @@ class _StepSizes:
         return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
 
     def _draw(self, z, batch):
-        """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: iterations + 1
-        applications per block, each costing the size of ``batch`` (None: all n)."""
+        """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: each operator
+        application the power method makes costs the size of ``batch`` (None: all n)."""
         problem, iters = self.problem, self.config.power_iterations
         if problem.lipschitz_x is None or problem.lipschitz_y is None:
             raise ValueError(
                 "the practical/theoretical step policies need the problem's Lipschitz hooks; "
                 "use step_policy='fixed' for problems without them"
             )
-        self.sfo += 2 * (iters + 1) * (problem.n if batch is None else len(batch))
-        lx = lipschitz_estimate(problem.lipschitz_x(z.x, z.y, batch), iters, self.rng)
-        ly = lipschitz_estimate(problem.lipschitz_y(z.x, z.y, batch), iters, self.rng)
+        lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), iters, self.rng)
+        ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), iters, self.rng)
+        self.sfo += (applied_x + applied_y) * (problem.n if batch is None else len(batch))
         return lx, ly
 
     def _estimate(self, z):
@@ -329,6 +339,19 @@ class _StepSizes:
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y
+
+
+def _counted_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Generator) -> tuple[float, int]:
+    """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
+    iterations + 1 when the operator annihilates the power method's direction."""
+    applied = 0
+
+    def apply(v):
+        nonlocal applied
+        applied += 1
+        return op.apply(v)
+
+    return lipschitz_estimate(op._replace(apply=apply), iterations, rng), applied
 
 
 def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
@@ -349,26 +372,28 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     b = config.batch_size if kind is not None else n
     sarah_p = config.sarah_p if config.sarah_p is not None else float(n)
     steps_per_epoch = math.ceil(n / b)
-    streams = all_streams(config.seed)
+    check_dims(problem, z0)
 
+    # Each named stream is built only where it is drawn from; they are independent.
     driver = None
     if kind is not None:
         driver = EstimatorDriver(
             kind=kind,
-            sampler_x=est.BatchSampler(n, b, streams["batch_x"]),
-            sampler_y=est.BatchSampler(n, b, streams["batch_y"]),
-            coin_rng=streams["sarah_coin"],
+            sampler_x=est.BatchSampler(n, b, stream_rng(config.seed, "batch_x")),
+            sampler_y=est.BatchSampler(n, b, stream_rng(config.seed, "batch_y")),
         )
         if kind == "saga":
             driver.saga = est.SagaState.from_problem(problem)
         elif kind == "sarah":
+            driver.coin_rng = stream_rng(config.seed, "sarah_coin")
             driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
     # SAGA and SARAH step like SGD through a warm-start first epoch.
     warm_steps = steps_per_epoch if config.warm_start and kind in ("saga", "sarah") else 0
-    steps = _StepSizes(problem, config, z0, streams, kind, b, sarah_p)
+    steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
 
-    phi0 = objective(problem, z0)
-    divergence_cap = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
+    # The divergence cap DIVERGENCE_FACTOR * max(1, |phi(z0)|) is never below
+    # DIVERGENCE_FACTOR, so phi(z0) is evaluated only once an objective passes that.
+    phi0 = None
     trace = Trace()
     z = z0
     z_prev = z0
@@ -399,11 +424,14 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             phi = objective(problem, z)
             wall = (time.perf_counter() - start) * 1e3
             trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, steps.sfo))
-            if phi > divergence_cap:
-                raise DivergenceError(
-                    f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",
-                    snapshot={"iteration": k, "objective": phi, "initial": phi0},
-                )
+            if phi > DIVERGENCE_FACTOR:
+                if phi0 is None:
+                    phi0 = objective(problem, z0)
+                if phi > DIVERGENCE_FACTOR * max(1.0, abs(phi0)):
+                    raise DivergenceError(
+                        f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",
+                        snapshot={"iteration": k, "objective": phi, "initial": phi0},
+                    )
             if config.grad_map_tolerance is not None and gnorm <= config.grad_map_tolerance:
                 break
     except DivergenceError as exc:

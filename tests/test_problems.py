@@ -335,6 +335,56 @@ def test_factorization_rows_encode_oracle_gradients(family):
             np.testing.assert_allclose(expanded, reference, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_gram_gradients_stay_accurate_near_a_fit(family):
+    # The gradients are formed in Gram form, X (Y_B Y_B^T) - A_B Y_B^T and
+    # (X^T X) Y_B - X^T A_B, whose two terms cancel at a fit; the per-column
+    # reference forms the residual first.  Their gap must stay within
+    # c * eps * (||X|| ||Y_B Y_B^T|| + ||A_B|| ||Y_B||) for grad_x and
+    # c * eps * (||X^T X|| ||Y_B|| + ||X|| ||A_B||) for grad_y (Frobenius norms,
+    # times the batch scale 2d/b) with c = 4.  Rounding in a k-term product is
+    # at most k * eps in the worst case and about sqrt(k) * eps in practice;
+    # the largest gap measured here is 0.6 of the c = 1 bound.
+    rng = np.random.default_rng(25)
+    m, d, r = 30, 40, 5
+    eps = np.finfo(float).eps
+    X_fit = rng.random((m, r)) if family == "nmf" else rng.standard_normal((m, r))
+    Y = rng.random((r, d)) if family == "nmf" else rng.standard_normal((r, d))
+    A = X_fit @ Y
+    adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+    problem = adapter.block_problem()
+    for X in (X_fit, X_fit + 1e-6 * rng.standard_normal((m, r))):  # at the fit and beside it
+        for b in (1, r - 1, r + 1, d):
+            idx = np.sort(rng.choice(d, size=b, replace=False))
+            grads = [nmf_component_grads(A, i, X, Y) for i in idx]
+            ref_x = np.mean([gx for gx, _gy in grads], axis=0)
+            ref_y = np.mean([gy for _gx, gy in grads], axis=0)
+            YB, AB = Y[:, idx], A[:, idx]
+            bound = 4.0 * eps * 2.0 * d / b
+            bound_x = bound * (np.linalg.norm(X) * np.linalg.norm(YB @ YB.T) + np.linalg.norm(AB) * np.linalg.norm(YB))
+            bound_y = bound * (np.linalg.norm(X.T @ X) * np.linalg.norm(YB) + np.linalg.norm(X) * np.linalg.norm(AB))
+            gap_x = np.linalg.norm(problem.grad_x(idx, X.ravel(), Y.ravel()) - ref_x.ravel())
+            gap_y = np.linalg.norm(problem.grad_y(idx, X.ravel(), Y.ravel()) - ref_y.ravel())
+            assert gap_x <= bound_x, (b, gap_x, bound_x)
+            assert gap_y <= bound_y, (b, gap_y, bound_y)
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_y_rows_decode_to_grad_y_bitwise(family):
+    # rows_y holds grad_y's columns unscaled, and rows_mean_y scales them the
+    # way grad_y does, so SAGA's fresh estimate is the oracle's bit for bit.
+    rng = np.random.default_rng(26)
+    m, d, r = 7, 11, 4
+    A = rng.random((m, d))
+    adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+    problem = adapter.block_problem()
+    z = adapter.initial_iterate(seed=3)
+    for b in (1, r - 1, r + 1, d):
+        idx = np.sort(rng.choice(d, size=b, replace=False))
+        decoded = problem.rows_mean_y(idx, problem.rows_y(idx, z.x, z.y))
+        assert np.array_equal(decoded, problem.grad_y(idx, z.x, z.y))
+
+
 @pytest.mark.parametrize("oracle", [full_grad_x, full_grad_y, smooth_value])
 def test_factorization_oracle_memory_stays_blocked(oracle):
     # At 200 x 500 with r = 10 a full-width residual is 0.8 MB; the blocked

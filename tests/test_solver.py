@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from springopt import estimators as est_module
+from springopt import solver as solver_module
 from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.lipschitz import ALGORITHMS
 from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
-from springopt.rng import all_streams
+from springopt.rng import all_streams, stream_rng
 from springopt.solver import (
     DivergenceError,
     EstimatorDriver,
@@ -531,6 +532,88 @@ def test_lipschitz_sfo_counts_every_operator_application(policy):
     res = run(counted, SolverConfig(epochs=3, seed=4, track_grad_map=False, **policy), z0)
     assert applied[0] > 0
     assert res.trace.rows[-1].lipschitz_sfo == applied[0]
+
+
+def test_lipschitz_sfo_charges_only_the_applications_made():
+    # An operator that annihilates every direction stops the power method after
+    # one application per block: one PALM epoch (n = 8) is charged 2 x 8, not
+    # the 2 x (5 + 1) x 8 of a full-length draw.
+    # The run starts at the minimizer, so the floored estimate's huge step stays put.
+    problem, info = make_separable_quadratic(n=8, seed=10)
+    applied = [0]
+
+    def hook(x, y, batch):
+        def apply(v):
+            applied[0] += problem.n
+            return np.zeros_like(v)
+
+        return CurvatureOperator(apply, len(x))
+
+    zero = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
+    with pytest.warns(RuntimeWarning, match="at or below floor"):
+        res = run(zero, SolverConfig(algorithm="palm", epochs=1, track_grad_map=False),
+                  Iterate(info["a"], info["b"]))
+    assert applied[0] == 16
+    assert res.trace.rows[-1].lipschitz_sfo == 16
+
+
+@pytest.mark.parametrize("algorithm, purposes", [
+    ("palm", {"power_init"}),
+    ("ipalm", {"power_init"}),
+    ("spring-sgd", {"batch_x", "batch_y", "power_init", "lip_batch"}),
+    ("spring-saga", {"batch_x", "batch_y", "power_init", "lip_batch"}),
+    ("spring-sarah", {"batch_x", "batch_y", "power_init", "lip_batch", "sarah_coin"}),
+])
+def test_run_builds_only_the_streams_it_draws_from(sep10, monkeypatch, algorithm, purposes):
+    requested = []
+
+    def spy(seed, purpose):
+        requested.append(purpose)
+        return stream_rng(seed, purpose)
+
+    monkeypatch.setattr(solver_module, "stream_rng", spy)
+    problem, _ = sep10
+    run(problem, SolverConfig(algorithm=algorithm, batch_size=2, epochs=2, seed=3), Iterate(np.ones(4), np.ones(4)))
+    assert sorted(requested) == sorted(purposes)
+
+
+def _objective_spy(monkeypatch):
+    """Record the iterate of every ``objective`` call the solver makes."""
+    seen = []
+
+    def spy(problem, z):
+        seen.append(z)
+        return objective(problem, z)
+
+    monkeypatch.setattr(solver_module, "objective", spy)
+    return seen
+
+
+def test_run_without_divergence_never_evaluates_z0(sep10, monkeypatch):
+    seen = _objective_spy(monkeypatch)
+    problem, _ = sep10
+    z0 = Iterate(np.ones(4), np.ones(4))
+    res = run(problem, SolverConfig(algorithm="spring-saga", batch_size=2, epochs=3, seed=1), z0)
+    assert len(seen) == len(res.trace.rows)
+    assert all(z is not z0 for z in seen)
+
+
+def test_divergence_reports_the_objective_at_z0(sep10, monkeypatch):
+    seen = _objective_spy(monkeypatch)
+    problem, _ = sep10
+    z0 = Iterate(np.ones(4), np.ones(4))
+    with pytest.raises(DivergenceError) as exc_info:
+        run(problem, SolverConfig(algorithm="palm", epochs=200, step_policy="fixed", fixed_steps=(4.0, 4.0)), z0)
+    assert exc_info.value.snapshot["initial"] == objective(problem, z0)
+    assert sum(z is z0 for z in seen) == 1
+
+
+def test_misshapen_z0_raises_before_any_oracle_call(sep10):
+    problem, _ = sep10
+    counted, counter = with_oracle_counter(problem)
+    with pytest.raises(ValueError, match="do not match problem"):
+        run(counted, SolverConfig(algorithm="spring-sgd", batch_size=2, seed=0), Iterate(np.ones(3), np.ones(4)))
+    assert counter.total_grads == 0 and counter.value == 0
 
 
 # Per-epoch (sfo_calls, objective) of fixed-seed runs, recorded before the
