@@ -37,7 +37,7 @@ from springopt.problems import (
     project_box_l1,
     prox_l0_nonneg_columns,
 )
-from springopt.rng import all_streams
+from springopt.rng import stream_rng
 from springopt.solver import EstimatorDriver, SolverConfig, run, spring_step
 
 pytestmark = pytest.mark.benchmark(max_time=0.25, warmup=True)
@@ -107,7 +107,7 @@ def _draw(benchmark, problem, z, block, batch):
 @pytest.mark.parametrize("b", [13, None], ids=["b13", "full"])
 def test_nmf_lipschitz_draw(benchmark, nmf, block, b):
     problem, z = nmf
-    batch = None if b is None else np.sort(np.random.default_rng(1).choice(problem.n, size=b, replace=False))
+    batch = np.arange(problem.n) if b is None else np.sort(np.random.default_rng(1).choice(problem.n, size=b, replace=False))
     _draw(benchmark, problem, z, block, batch)
 
 
@@ -115,7 +115,7 @@ def test_nmf_lipschitz_draw(benchmark, nmf, block, b):
 @pytest.mark.parametrize("b", [1, None], ids=["b1", "full"])
 def test_bid_lipschitz_draw(benchmark, bid, block, b):
     problem, z = bid
-    _draw(benchmark, problem, z, block, None if b is None else np.array([5]))
+    _draw(benchmark, problem, z, block, np.arange(problem.n) if b is None else np.array([5]))
 
 
 def test_prox_l0(benchmark):
@@ -133,14 +133,13 @@ def test_project_box_l1(benchmark):
 def test_spring_step(benchmark, request, workload, kind):
     problem, z = request.getfixturevalue(workload)
     b = 13 if workload == "nmf" else 1
-    streams = all_streams(0)
-    driver = EstimatorDriver(kind=kind, sampler_x=BatchSampler(problem.n, b, streams["batch_x"]),
-                             sampler_y=BatchSampler(problem.n, b, streams["batch_y"]))
+    driver = EstimatorDriver(kind=kind, sampler_x=BatchSampler(problem.n, b, stream_rng(0, "batch_x")),
+                             sampler_y=BatchSampler(problem.n, b, stream_rng(0, "batch_y")))
     if kind == "saga":
         driver.saga = SagaState.from_problem(problem)
     rng = np.random.default_rng(0)
-    gamma_x = 1.0 / _estimate(problem.lipschitz_x, z, None, rng)
-    gamma_y = 1.0 / _estimate(problem.lipschitz_y, z, None, rng)
+    gamma_x = 1.0 / _estimate(problem.lipschitz_x, z, np.arange(problem.n), rng)
+    gamma_y = 1.0 / _estimate(problem.lipschitz_y, z, np.arange(problem.n), rng)
     benchmark(spring_step, problem, z, driver, gamma_x, gamma_y)
 
 

@@ -8,7 +8,7 @@ Writes per-algorithm trace CSVs, a bench summary, and objective plots
 import argparse
 from pathlib import Path
 
-from springopt.harness import io, svgplot
+from springopt.harness import svgplot
 from springopt.harness.runner import RunSpec, bench
 from springopt.solver import SolverConfig
 
@@ -36,8 +36,7 @@ def main():
               f"sfo={row['sfo_calls']}{extra}")
 
     out = Path(args.out)
-    traces = [(p.stem.replace("trace_", ""), io.read_trace_csv(p))
-              for p in sorted(out.glob(f"trace_*_seed{args.seed}.csv"))]
+    traces = sorted((f"{row['algorithm']}_seed{row['seed']}", row["trace"]) for row in result["rows"])
     svgplot.emit_plot(traces, out / "objective_vs_epoch.svg", mode="objective", xaxis="epoch")
     svgplot.emit_plot(traces, out / "objective_vs_sfo.svg", mode="objective", xaxis="sfo")
     svgplot.emit_plot(traces, out / "gradmap_vs_epoch.svg", mode="gradmap", xaxis="epoch")

@@ -64,6 +64,7 @@ from .problems import (
     prox_nonneg,
 )
 from .solver import (
+    ConfigError,
     DivergenceError,
     EstimatorDriver,
     RunResult,

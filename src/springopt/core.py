@@ -73,8 +73,9 @@ class BlockProblem:
     zero gradient.  Likewise ``rows_y``/``rows_mean_y``/``row_dim_y``.
 
     The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
-    block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``
-    (None: all n); ``lipschitz.lipschitz_estimate`` runs the power method on it.
+    block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``,
+    the full batch being ``np.arange(n)`` as for the oracles;
+    ``lipschitz.lipschitz_estimate`` runs the power method on it.
     """
 
     n: int

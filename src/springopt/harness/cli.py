@@ -5,7 +5,8 @@ comparison against the PALM baseline), ``check-grad``, ``estimate-lipschitz``
 and ``plot``.  A flat ``key=value`` config file (``--config``) supplies
 defaults; explicit flags override it.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (including ``run``
+and ``bench`` solver flags that ``SolverConfig.validate`` rejects).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS, lipschitz_estimate
 from ..rng import stream_rng
-from ..solver import STEP_POLICIES, SolverConfig
+from ..solver import STEP_POLICIES, ConfigError, SolverConfig
 from . import io, svgplot
 from .runner import PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
 
@@ -133,11 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args) -> SolverConfig:
-    fixed = None
-    if args.steps == "fixed":
-        if args.gamma_x is None or args.gamma_y is None:
-            raise ValueError("--steps fixed needs --gamma-x and --gamma-y")
-        fixed = (args.gamma_x, args.gamma_y)
+    # Without both steps the validator rejects --steps fixed.
+    fixed = None if None in (args.gamma_x, args.gamma_y) else (args.gamma_x, args.gamma_y)
     return SolverConfig(
         algorithm=args.algo,
         batch_size=args.batch,
@@ -228,7 +226,7 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_estimate_lipschitz(args) -> int:
-    config = SolverConfig(algorithm="palm", batch_size=1 if args.batch is None else args.batch)
+    config = SolverConfig(algorithm="palm", batch_size=args.batch if args.batch is not None else 1)
     problem, init_fn = build_problem(_run_spec(args, config))
     config.validate(problem.n)
     if problem.lipschitz_x is None:
@@ -236,7 +234,7 @@ def cmd_estimate_lipschitz(args) -> int:
     z = init_fn(args.seed)
     rng = stream_rng(args.seed, "power_init")
     hooks = (problem.lipschitz_x, problem.lipschitz_y)
-    lx, ly = (lipschitz_estimate(hook(z.x, z.y, None), args.iterations, rng) for hook in hooks)
+    lx, ly = (lipschitz_estimate(hook(z.x, z.y, np.arange(problem.n)), args.iterations, rng) for hook in hooks)
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
         batch = est.sample_batch(est.BatchSampler(problem.n, args.batch, stream_rng(args.seed, "lip_batch")))
@@ -281,7 +279,8 @@ def cli_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # runtime failure contract: exit code 1
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # ... except for run's and bench's solver flags, which the validator checks.
+        return 2 if isinstance(exc, ConfigError) and args.command in ("run", "bench") else 1
 
 
 def main() -> None:

@@ -105,7 +105,8 @@ def run_experiment(spec: RunSpec) -> dict:
     """Run the seed sweep, write one trace CSV per run plus a summary.
 
     Divergence in one run is recorded in the summary and the sweep
-    continues.  Returns {algorithm, runs: [{seed, status, ...}]}.
+    continues.  Returns {algorithm, runs: [{seed, status, trace, ...}]}, each
+    ``trace`` being the one written to the run's CSV.
     """
     spec.validate()
     out = Path(spec.out_dir)
@@ -135,6 +136,7 @@ def run_experiment(spec: RunSpec) -> dict:
                 "seed": seed,
                 "status": status,
                 "trace_path": str(path),
+                "trace": trace,
                 "final_objective": final_obj,
                 "min_grad_map_norm_sq": min(gnorms) if gnorms else math.nan,
                 "sfo_calls": trace.rows[-1].sfo_calls if trace.rows else 0,
@@ -159,7 +161,7 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
     Every algorithm runs the same seeds from the same per-seed starting
     points.  For each stochastic method the summary reports the first traced
     epoch at which its objective reaches PALM's final objective for that
-    seed (inf when never reached).
+    seed (inf when never reached).  Each row carries its run's ``trace``.
     """
     if "palm" not in algorithms:
         raise ValueError("bench needs the palm baseline in the algorithm list")
@@ -179,8 +181,7 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
             target = palm_final.get(r["seed"], math.nan)
             epochs_to_target = math.inf
             if algo != "palm" and r["status"] == "ok":
-                trace = io.read_trace_csv(r["trace_path"])
-                for row in trace.rows:
+                for row in r["trace"].rows:
                     if row.objective <= target:
                         epochs_to_target = row.epoch
                         break
@@ -192,6 +193,7 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
                     "final_objective": r["final_objective"],
                     "sfo_calls": r["sfo_calls"],
                     "epochs_to_palm_objective": 0.0 if algo == "palm" else epochs_to_target,
+                    "trace": r["trace"],
                 }
             )
 

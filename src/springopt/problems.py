@@ -136,13 +136,10 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     m, d = A.shape
     dim_x, dim_y = m * r, r * d
 
-    def batch_columns(idx, yv):
-        # Y_B and A_B.  The full batch (all d indices, sorted) uses Y and A in
+    def columns(idx, M):
+        # M_B, for M = Y or A.  The full batch (all d indices, sorted) uses M in
         # place; a smaller one gathers its columns.
-        Y = yv.reshape(r, d)
-        if len(idx) == d:
-            return Y, A
-        return Y.take(idx, axis=1), A.take(idx, axis=1)
+        return M if len(idx) == d else M.take(idx, axis=1)
 
     def value(idx, xv, yv):
         # X @ Y[:, part] - A[:, part] over parts of r columns, never the
@@ -162,30 +159,14 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
 
     # The gradients in Gram form, a few BLAS calls per batch:
     # grad_x = (2d/b) (X (Y_B Y_B^T) - A_B Y_B^T), and grad_y in the columns B
-    # is (2d/b) ((X^T X) Y_B - X^T A_B).  Temporaries are at most m x b or m x r.
+    # is (2d/b) ((X^T X) Y_B - X^T A_B), decoded from its per-row data below.
+    # Temporaries are at most m x b or m x r.
     def grad_x(idx, xv, yv):
         X = xv.reshape(m, r)
-        cols, a = batch_columns(idx, yv)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
         g = X @ (cols @ cols.T)
         g -= a @ cols.T
         g *= 2.0 * d / len(idx)
-        return g.ravel()
-
-    def grad_y_columns(idx, xv, yv):
-        # (X^T X) Y_B - X^T A_B, unscaled: component i's y-gradient is 2d times column i.
-        X = xv.reshape(m, r)
-        cols, a = batch_columns(idx, yv)
-        g = (X.T @ X) @ cols
-        g -= X.T @ a
-        return g
-
-    def grad_y(idx, xv, yv):
-        scaled = grad_y_columns(idx, xv, yv)
-        scaled *= 2.0 * d / len(idx)
-        if len(idx) == d:
-            return scaled.ravel()
-        g = np.zeros((r, d))
-        g[:, idx] = scaled
         return g.ravel()
 
     # Per-row data for SAGA tables (the stored-scalar trick for linear models):
@@ -194,7 +175,7 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     # column i, kept as the r numbers X^T resid_i.
     def rows_x(idx, xv, yv):
         X = xv.reshape(m, r)
-        cols, a = batch_columns(idx, yv)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
         rows = np.empty((len(idx), m + r))
         resid = rows[:, :m]
         np.matmul(cols.T, X.T, out=resid)
@@ -208,30 +189,41 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         return g.ravel()
 
     def rows_y(idx, xv, yv):
-        # grad_y's columns, unscaled, so rows_mean_y decodes them to grad_y bit for bit.
-        return grad_y_columns(idx, xv, yv).T
+        # The columns of (X^T X) Y_B - X^T A_B, unscaled: component i's y-gradient
+        # is 2d times its row, placed in column i.
+        X = xv.reshape(m, r)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        g = (X.T @ X) @ cols
+        g -= X.T @ a
+        return g.T
 
     def rows_mean_y(idx, rows):
+        scaled = (2.0 * d / len(idx)) * rows.T
+        if len(idx) == d:
+            return scaled.ravel()
         g = np.zeros((r, d))
-        g[:, idx] = (2.0 * d / len(idx)) * rows.T
+        g[:, idx] = scaled
         return g.ravel()
+
+    def grad_y(idx, xv, yv):
+        # The rows' decoding, so a SAGA table's fresh mean is the oracle's bit for bit.
+        return rows_mean_y(idx, rows_y(idx, xv, yv))
 
     # Both hooks return an r x r Gram matrix with the scale folded in, formed
     # once per draw.
     def lip_x(xv, yv, batch):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
-        # 2 (d/b) ||Y_B||^2 (full batch: 2 ||Y||^2).
-        Y = yv.reshape(r, d)
-        cols = Y if batch is None else Y[:, np.asarray(batch, dtype=int)]
+        # 2 (d/b) ||Y_B||^2.
+        cols = columns(batch, yv.reshape(r, d))
         gram = cols @ cols.T
-        gram *= 2.0 if batch is None else 2.0 * d / cols.shape[1]
+        gram *= 2.0 * d / len(batch)
         return CurvatureOperator(gram.dot, r)
 
     def lip_y(xv, yv, batch):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
         gram = X.T @ X
-        gram *= 2.0 if batch is None else 2.0 * d / len(batch)
+        gram *= 2.0 * d / len(batch)
         return CurvatureOperator(gram.dot, r)
 
     return BlockProblem(
@@ -555,10 +547,10 @@ class BlindDeblurProblem:
         # The Lipschitz hooks return M_B^T M_B for the sampled tiles' residual map M_B.
         # The x-hook applies it window by window, like the oracles, so a draw costs
         # about b/n of a full-batch draw; overlapping windows accumulate.  The full batch
-        # is one full-image correlation.
+        # (all n tiles) is one full-image correlation.
         def lip_x(xv, yv, batch):
             Y = yv.reshape(kh, kw)
-            if batch is None:
+            if len(batch) == n:
                 def apply(v):
                     return (2.0 * bid_adjoint_image(bid_forward(v.reshape(hx, wx), Y), Y)).ravel()
             else:
@@ -579,12 +571,11 @@ class BlindDeblurProblem:
         # batch is all n tiles.
         def lip_y(xv, yv, batch):
             X = xv.reshape(hx, wx)
-            sampled = range(n) if batch is None else batch
             gram = np.zeros((kh * kw, kh * kw))
-            for j in sampled:
+            for j in batch:
                 patches = bid_patches(X[windows[j]], (kh, kw))
                 gram += patches.T @ patches
-            gram *= 2.0 * n / len(sampled)
+            gram *= 2.0 * n / len(batch)
             return CurvatureOperator(gram.dot, kh * kw)
 
         return BlockProblem(

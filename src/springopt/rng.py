@@ -29,8 +29,3 @@ def stream_rng(seed: int, purpose: str) -> np.random.Generator:
         raise ValueError(f"unknown RNG purpose {purpose!r}; known: {sorted(STREAMS)}")
     ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(idx,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def all_streams(seed: int) -> dict[str, np.random.Generator]:
-    """All named streams for one run, keyed by purpose."""
-    return {name: stream_rng(seed, name) for name in STREAMS}

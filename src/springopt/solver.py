@@ -72,6 +72,10 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+class ConfigError(ValueError):
+    """A ``SolverConfig`` that ``SolverConfig.validate`` rejects."""
+
+
 @dataclass
 class SolverConfig:
     """Everything a run needs besides the problem and the starting point."""
@@ -92,20 +96,28 @@ class SolverConfig:
     record_every_iteration: bool = False
 
     def validate(self, n: int) -> None:
+        """Raise ``ConfigError`` unless this configuration can run on n components."""
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.step_policy not in STEP_POLICIES:
-            raise ValueError(f"unknown step policy {self.step_policy!r}")
+            raise ConfigError(f"unknown step policy {self.step_policy!r}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.batch_size <= n:
-            raise ValueError(f"batch size must satisfy 1 <= b <= n={n}, got {self.batch_size}")
+            raise ConfigError(f"batch size must satisfy 1 <= b <= n={n}, got {self.batch_size}")
         if self.sarah_p is not None and self.sarah_p < 1:
-            raise ValueError(f"SARAH period must satisfy p >= 1, got {self.sarah_p}")
-        if self.step_policy == "fixed" and self.fixed_steps is None:
-            raise ValueError("fixed step policy needs fixed_steps=(gamma_x, gamma_y)")
+            raise ConfigError(f"SARAH period must satisfy p >= 1, got {self.sarah_p}")
+        fixed = self.fixed_steps
+        if self.step_policy == "fixed" and not (fixed and all(0 < g < math.inf for g in fixed)):
+            raise ConfigError(f"fixed steps must be a positive finite (gamma_x, gamma_y), got {fixed}")
         if self.step_policy == "theoretical" and self.algorithm == "spring-sgd":
-            raise ValueError("the theoretical step policy applies to variance-reduced estimators only")
+            raise ConfigError("the theoretical step policy applies to variance-reduced estimators only")
+        if self.lipschitz_const is not None and not 0 < self.lipschitz_const < math.inf:
+            raise ConfigError(f"lipschitz_const must be finite and positive, got {self.lipschitz_const}")
+        if self.power_iterations < 1:
+            raise ConfigError(f"power iterations must be >= 1, got {self.power_iterations}")
+        if self.grad_map_tolerance is not None and not self.track_grad_map:
+            raise ConfigError("grad_map_tolerance needs track_grad_map=True")
 
 
 class TraceRow(NamedTuple):
@@ -148,19 +160,28 @@ def _guarded_iterate(x: np.ndarray, y: np.ndarray, context: str) -> Iterate:
         ) from None
 
 
-def _palm_sweep(problem, z, gamma_x, gamma_y):
-    """PALM step plus the full gradients it took, at z and at (x_next, y)."""
-    gx = full_grad_x(problem, z)
-    x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
-    mid = _guarded_iterate(x_next, z.y, "palm x-update")
-    gy = full_grad_y(problem, mid)
-    y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
-    return _guarded_iterate(x_next, y_next, "palm y-update"), (gx, gy)
+def _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, name):
+    """Deterministic alternating prox-gradient sweep plus the full gradients it took.
+
+    Each block extrapolates by beta * (current - previous) before its update,
+    unless beta = 0 (PALM): then the gradients are at z and at (x_next, y).
+    ``name`` labels the divergence messages.
+    """
+    x_bar, y_bar, at = z.x, z.y, z
+    if beta != 0:
+        x_bar = z.x + beta * (z.x - z_prev.x)
+        y_bar = z.y + beta * (z.y - z_prev.y)
+        at = Iterate(x_bar, z.y)
+    gx = full_grad_x(problem, at)
+    x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
+    gy = full_grad_y(problem, _guarded_iterate(x_next, y_bar, f"{name} x-update"))
+    y_next = prox_generic(problem.prox_y, gamma_y, y_bar - gamma_y * gy)
+    return _guarded_iterate(x_next, y_next, f"{name} y-update"), (gx, gy)
 
 
 def palm_step(problem: BlockProblem, z: Iterate, gamma_x: float, gamma_y: float) -> Iterate:
     """One deterministic alternating prox-gradient sweep."""
-    return _palm_sweep(problem, z, gamma_x, gamma_y)[0]
+    return _sweep(problem, z, z, gamma_x, gamma_y, 0.0, "palm")[0]
 
 
 def ipalm_step(
@@ -171,18 +192,8 @@ def ipalm_step(
     gamma_y: float,
     beta: float,
 ) -> Iterate:
-    """PALM step from inertially extrapolated points.
-
-    Each block extrapolates by beta * (current - previous) before its
-    prox-gradient update; the y-gradient sees the already-updated x.
-    """
-    x_bar = z.x + beta * (z.x - z_prev.x)
-    gx = full_grad_x(problem, Iterate(x_bar, z.y))
-    x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
-    y_bar = z.y + beta * (z.y - z_prev.y)
-    gy = full_grad_y(problem, _guarded_iterate(x_next, y_bar, "ipalm x-update"))
-    y_next = prox_generic(problem.prox_y, gamma_y, y_bar - gamma_y * gy)
-    return _guarded_iterate(x_next, y_next, "ipalm y-update")
+    """PALM step from the inertially extrapolated points z + beta * (z - z_prev)."""
+    return _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, "ipalm")[0]
 
 
 @dataclass
@@ -207,6 +218,28 @@ class EstimatorDriver:
     warm: bool = False
 
 
+def _spring_estimate(problem, driver, kind, refresh, block, point, point_old):
+    """One block's gradient estimate at ``point`` and its SFO charge.
+
+    Draws the block's batch and estimates with ``kind``; a SARAH estimate
+    recurses from ``point_old``.  The estimator functions are looked up on
+    ``estimators`` at every call, so a patched one is seen.
+    """
+    on_x = block == "x"
+    batch = est.sample_batch(driver.sampler_x if on_x else driver.sampler_y)
+    if kind == "sarah":
+        sarah_estimate = est.sarah_estimate_x if on_x else est.sarah_estimate_y
+        g = sarah_estimate(problem, batch, point, point_old, driver.sarah, refresh=refresh)
+        return g, problem.n if refresh else len(batch)
+    if driver.saga is None:
+        sgd_estimate = est.sgd_estimate_x if on_x else est.sgd_estimate_y
+        return sgd_estimate(problem, batch, point), len(batch)
+    fresh = (est.batch_grads_x if on_x else est.batch_grads_y)(problem, batch, point.x, point.y)
+    update_table = est.saga_update_table_x if on_x else est.saga_update_table_y
+    saga, sgd = update_table(driver.saga, batch, fresh)
+    return (saga if kind == "saga" else sgd), len(batch)
+
+
 def spring_step(
     problem: BlockProblem,
     z: Iterate,
@@ -222,39 +255,21 @@ def spring_step(
     """
     if gamma_x <= 0 or gamma_y <= 0:
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
-    batch_x = est.sample_batch(driver.sampler_x)
     kind = "sgd" if driver.warm else driver.kind
-
+    refresh, z_old, mid_old = False, None, None
     if kind == "sarah":
         refresh = est.sarah_refresh_coin(driver.sarah, driver.coin_rng) or driver.sarah_prev is None
         z_old, mid_old = (z, z) if refresh else driver.sarah_prev  # a refresh ignores them
-        gx = est.sarah_estimate_x(problem, batch_x, z, z_old, driver.sarah, refresh=refresh)
-    elif driver.saga is None:
-        gx = est.sgd_estimate_x(problem, batch_x, z)
-    else:
-        fresh_x = est.batch_grads_x(problem, batch_x, z.x, z.y)
-        saga_x, sgd_x = est.saga_update_table_x(driver.saga, batch_x, fresh_x)
-        gx = saga_x if kind == "saga" else sgd_x
-    sfo = problem.n if kind == "sarah" and refresh else len(batch_x)
 
+    gx, sfo_x = _spring_estimate(problem, driver, kind, refresh, "x", z, z_old)
     x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
     mid = _guarded_iterate(x_next, z.y, "spring x-update")
 
-    batch_y = est.sample_batch(driver.sampler_y)
-    if kind == "sarah":
-        gy = est.sarah_estimate_y(problem, batch_y, mid, mid_old, driver.sarah, refresh=refresh)
-    elif driver.saga is None:
-        gy = est.sgd_estimate_y(problem, batch_y, mid)
-    else:
-        fresh_y = est.batch_grads_y(problem, batch_y, mid.x, mid.y)
-        saga_y, sgd_y = est.saga_update_table_y(driver.saga, batch_y, fresh_y)
-        gy = saga_y if kind == "saga" else sgd_y
-    sfo += problem.n if kind == "sarah" and refresh else len(batch_y)
-
+    gy, sfo_y = _spring_estimate(problem, driver, kind, refresh, "y", mid, mid_old)
     y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
     z_next = _guarded_iterate(x_next, y_next, "spring y-update")
     driver.sarah_prev = (z, mid) if kind == "sarah" else None
-    return z_next, sfo
+    return z_next, sfo_x + sfo_y
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +313,7 @@ class _StepSizes:
         if config.step_policy == "theoretical":
             L = config.lipschitz_const
             if L is None:
-                L = max(self._draw(z0, None))
+                L = max(self._draw(z0, np.arange(n)))
             gamma = 1.0 / L
             if kind is not None:
                 v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
@@ -316,7 +331,7 @@ class _StepSizes:
 
     def _draw(self, z, batch):
         """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: each operator
-        application the power method makes costs the size of ``batch`` (None: all n)."""
+        application the power method makes costs ``len(batch)``."""
         problem, iters = self.problem, self.config.power_iterations
         if problem.lipschitz_x is None or problem.lipschitz_y is None:
             raise ValueError(
@@ -325,17 +340,17 @@ class _StepSizes:
             )
         lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), iters, self.rng)
         ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), iters, self.rng)
-        self.sfo += (applied_x + applied_y) * (problem.n if batch is None else len(batch))
+        self.sfo += (applied_x + applied_y) * len(batch)
         return lx, ly
 
     def _estimate(self, z):
         if self.sampler is None:
-            return self._draw(z, None)
+            return self._draw(z, np.arange(self.problem.n))
         lx, ly = self._draw(z, est.sample_batch(self.sampler))
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
-            fx, fy = self._draw(self.z0, None)
+            fx, fy = self._draw(self.z0, np.arange(self.problem.n))
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y
@@ -402,16 +417,16 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     try:
         for k in range(1, config.epochs * steps_per_epoch + 1):
             gamma_x, gamma_y = steps(z, k)
-            # A PALM step's gradients are the gradient map's: the trace reuses them.
-            step_grads = None
-            used = 2 * n
-            if algo == "palm":
-                z_next, step_grads = _palm_sweep(problem, z, gamma_x, gamma_y)
-            elif algo == "ipalm":
-                z_next = ipalm_step(problem, z, z_prev, gamma_x, gamma_y, ipalm_momentum(k))
+            if kind is None:
+                beta = ipalm_momentum(k) if algo == "ipalm" else 0.0
+                z_next, grads = _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, algo)
+                # Without momentum the step's gradients are the gradient map's: the trace reuses them.
+                step_grads = None if beta else grads
+                used = 2 * n
             else:
                 driver.warm = k <= warm_steps
                 z_next, used = spring_step(problem, z, driver, gamma_x, gamma_y)
+                step_grads = None
             sfo_calls += used
             z_prev, z = z, z_next
             if not config.record_every_iteration and k % steps_per_epoch != 0:

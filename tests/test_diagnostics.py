@@ -29,7 +29,7 @@ from springopt.estimators import (
 )
 from springopt.core import dist_sq
 from springopt.problems import make_random_quadratic, make_separable_quadratic, prox_l0_nonneg_columns
-from springopt.rng import all_streams
+from springopt.rng import stream_rng
 
 
 def test_gradmap_unregularized_returns_gradients(quad5, random_iterate):
@@ -129,9 +129,8 @@ def test_lyapunov_trend_saga_epoch_averages():
         problem, info = make_separable_quadratic(dim_x=dim, dim_y=dim, n=n, seed=seed, spread=1.0)
         v1, _v2, vu, rho = estimator_constants("saga", n=n, b=b, L=1.0, M=1.0)
         gamma = 0.9 * math.sqrt(2.0) / (5.0 * (math.sqrt(v1 + vu / rho) + 1.0))
-        streams = all_streams(seed)
-        sx = BatchSampler(n, b, streams["batch_x"])
-        sy = BatchSampler(n, b, streams["batch_y"])
+        sx = BatchSampler(n, b, stream_rng(seed, "batch_x"))
+        sy = BatchSampler(n, b, stream_rng(seed, "batch_y"))
         rng0 = np.random.default_rng(seed)
         z = Iterate(rng0.standard_normal(dim), rng0.standard_normal(dim))
         z_prev = z

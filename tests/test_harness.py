@@ -319,6 +319,24 @@ def test_cli_unknown_flag_exits_2():
     assert cli_dispatch(["run", "--no-such-flag"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--batch", "0"], "batch size must satisfy 1 <= b <= n=20, got 0"),
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--steps", "fixed"], "fixed steps must be a positive finite (gamma_x, gamma_y), got None"),
+    (["--steps", "fixed", "--gamma-x", "0.1"], "fixed steps must be a positive finite (gamma_x, gamma_y), got None"),
+    (["--power-iters", "0"], "power iterations must be >= 1, got 0"),
+    (["--steps", "theoretical", "--lipschitz-const", "0"], "lipschitz_const must be finite and positive, got 0.0"),
+])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):
+    # A solver flag the validator rejects is a usage error, reported in the validator's words.
+    code = cli_dispatch([command, "--problem", "toy-nmf", "--out", str(tmp_path / "o"), *flags])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_runtime_failure_exits_1(tmp_path):
     code = cli_dispatch(["run", "--problem", "nmf", "--data", str(tmp_path / "missing.csv"),
                          "--algo", "palm", "--out", str(tmp_path / "o")])

@@ -422,7 +422,7 @@ def test_factorization_lipschitz_hooks_match_eigvalsh(family):
         exact_x = float(np.linalg.eigvalsh(scale * cols @ cols.T)[-1])
         exact_y = float(np.linalg.eigvalsh(scale * X.T @ X)[-1])
         for hook, exact in ((problem.lipschitz_x, exact_x), (problem.lipschitz_y, exact_y)):
-            op = hook(z.x, z.y, batch)
+            op = hook(z.x, z.y, np.arange(d) if batch is None else batch)
             assert lipschitz_estimate(op, 100, np.random.default_rng(5)) == pytest.approx(exact, rel=1e-10)
             # A Rayleigh-type estimate stays below the truth (up to rounding).
             assert lipschitz_estimate(op, 5, np.random.default_rng(5)) <= exact * (1 + 1e-13)
@@ -447,7 +447,7 @@ def test_factorization_lipschitz_estimates_match_matrix_free_operators(family):
         references = (lambda v: cols @ (cols.T @ v), lambda v: X.T @ (X @ v))
         for hook, reference in zip((problem.lipschitz_x, problem.lipschitz_y), references):
             for seed in (0, 1, 2):
-                op = hook(z.x, z.y, batch)
+                op = hook(z.x, z.y, np.arange(d) if batch is None else batch)
                 got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
                 want = scale * power_estimate_sq_norm(reference, r, 5, np.random.default_rng(seed))
                 assert got == pytest.approx(want, rel=1e-12), (b, seed)
@@ -746,7 +746,7 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
     for batch in batches:
         references = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
         for hook, reference, offset in zip(hooks, references, offsets):
-            op = hook(xv, yv, batch)
+            op = hook(xv, yv, np.arange(6) if batch is None else batch)
             assert op.shift == offset
             for _ in range(3):
                 v = rng.standard_normal(op.dim)
@@ -809,7 +809,7 @@ def test_bid_lipschitz_estimates_match_window_operators(rng):
         references = _bid_window_operators(adapter, batch, X, Y)
         for hook, reference, offset, dim in zip(hooks, references, offsets, dims):
             for seed in (0, 1, 2):
-                op = hook(xv, yv, batch)
+                op = hook(xv, yv, np.arange(6) if batch is None else batch)
                 got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
                 want = power_estimate_sq_norm(reference, dim, 5, np.random.default_rng(seed)) + offset
                 assert got == pytest.approx(want, rel=1e-12), (batch, seed)
@@ -838,7 +838,7 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
             lipschitz_estimate(hook(z.x, z.y, batch), 5, np.random.default_rng(0))
         return sum(work)
 
-    full = draw_work(None)
+    full = draw_work(np.arange(16))
     assert full > 0
     for j in range(16):
         assert draw_work(np.array([j])) <= full / 4, j
@@ -877,7 +877,7 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     for j in range(16):
         seen = y_draw(np.array([j]))
         assert len(seen) == 1 and np.array_equal(seen[0], windows[j]), j
-    seen = y_draw(None)
+    seen = y_draw(np.arange(16))
     assert len(seen) == 16
     assert all(np.array_equal(got, want) for got, want in zip(seen, windows))
 
@@ -1023,8 +1023,8 @@ def _pinned_draw_problem(name):
     return adapter.block_problem(), adapter.initial_iterate(seed=7)
 
 
-def _grid_draws(hook, z):
-    return [lipschitz_estimate(hook(z.x, z.y, None if batch is None else np.array(batch)), iterations,
+def _grid_draws(hook, z, n):
+    return [lipschitz_estimate(hook(z.x, z.y, np.arange(n) if batch is None else np.array(batch)), iterations,
                                np.random.default_rng(seed))
             for batch, seed, iterations in DRAW_GRID]
 
@@ -1034,7 +1034,7 @@ def _grid_draws(hook, z):
 def test_lipschitz_draws_match_pinned_values(name, block):
     problem, z = _pinned_draw_problem(name)
     hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
-    assert _grid_draws(hook, z) == PINNED_DRAWS[name, block]
+    assert _grid_draws(hook, z, problem.n) == PINNED_DRAWS[name, block]
 
 
 def test_quadratic_lipschitz_draws_are_their_constants():
@@ -1042,5 +1042,5 @@ def test_quadratic_lipschitz_draws_are_their_constants():
     coupled, info = make_random_quadratic(n=8, seed=3)
     z = Iterate(np.ones(4), -np.ones(4))
     for problem, lip_x, lip_y in ((separable, 1.0, 1.0), (coupled, info["lip_x"], info["lip_y"])):
-        assert _grid_draws(problem.lipschitz_x, z) == [lip_x] * len(DRAW_GRID)
-        assert _grid_draws(problem.lipschitz_y, z) == [lip_y] * len(DRAW_GRID)
+        assert _grid_draws(problem.lipschitz_x, z, problem.n) == [lip_x] * len(DRAW_GRID)
+        assert _grid_draws(problem.lipschitz_y, z, problem.n) == [lip_y] * len(DRAW_GRID)

@@ -10,10 +10,11 @@ from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, 
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import ALGORITHMS
+from springopt.lipschitz import ALGORITHMS, ipalm_momentum
 from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
-from springopt.rng import all_streams, stream_rng
+from springopt.rng import stream_rng
 from springopt.solver import (
+    ConfigError,
     DivergenceError,
     EstimatorDriver,
     SolverConfig,
@@ -25,12 +26,11 @@ from springopt.solver import (
 
 
 def _sgd_driver(problem, b, seed=0):
-    streams = all_streams(seed)
     return EstimatorDriver(
         kind="sgd",
-        sampler_x=BatchSampler(problem.n, b, streams["batch_x"]),
-        sampler_y=BatchSampler(problem.n, b, streams["batch_y"]),
-        coin_rng=streams["sarah_coin"],
+        sampler_x=BatchSampler(problem.n, b, stream_rng(seed, "batch_x")),
+        sampler_y=BatchSampler(problem.n, b, stream_rng(seed, "batch_y")),
+        coin_rng=stream_rng(seed, "sarah_coin"),
     )
 
 
@@ -178,6 +178,16 @@ def test_run_validates_config(sep10):
         run(problem, SolverConfig(algorithm="spring-sgd", step_policy="theoretical"), z0)
     with pytest.raises(ValueError):
         run(problem, SolverConfig(algorithm="spring-sarah", sarah_p=0.5), z0)
+    # Each of these failed late (at set-up, the first prox or the first draw) or
+    # passed silently (a tolerance without the map it reads).
+    fixed = dict(step_policy="fixed")
+    for bad in (dict(lipschitz_const=0.0), dict(lipschitz_const=-1.0), dict(lipschitz_const=math.nan),
+                dict(lipschitz_const=math.inf), dict(step_policy="theoretical", lipschitz_const=0.0),
+                dict(fixed, fixed_steps=(0.0, 0.5)), dict(fixed, fixed_steps=(0.5, -1.0)),
+                dict(fixed, fixed_steps=(math.nan, 0.5)), dict(fixed, fixed_steps=(0.5, math.inf)),
+                dict(power_iterations=0), dict(grad_map_tolerance=1e-3, track_grad_map=False)):
+        with pytest.raises(ConfigError):
+            run(problem, SolverConfig(algorithm="palm", **bad), z0)
 
 
 def test_run_epoch_and_sfo_accounting(sep10):
@@ -253,19 +263,26 @@ def test_sfo_double_entry_compact_saga_rows():
 
 
 def test_palm_gradient_map_reuses_step_gradients(sep10):
-    # A PALM step takes its full gradients at the points the traced gradient
-    # map is evaluated at, so the trace adds no oracle calls, and its values
-    # equal a gradient map evaluated from scratch, bit for bit.
+    # A step without momentum (every PALM step, and iPALM's first) takes its
+    # full gradients at the points the traced gradient map is evaluated at, so
+    # its row adds no oracle calls; every other iPALM row adds 2n.  Every row
+    # equals a gradient map evaluated from scratch, bit for bit.
     problem, _ = sep10
-    counted, counter = with_oracle_counter(problem)
-    z = Iterate(np.zeros(4), np.zeros(4))
-    res = run(counted, SolverConfig(algorithm="palm", epochs=4, step_policy="fixed",
-                                    fixed_steps=(0.5, 0.4), track_grad_map=True), z)
-    assert counter.total_grads == res.trace.rows[-1].sfo_calls
-    for row in res.trace.rows:
-        z_next = palm_step(problem, z, 0.5, 0.4)
-        assert row.grad_map_norm_sq == generalized_gradient_map(problem, z, z_next.x, 0.25, 0.2).norm_sq
-        z = z_next
+    for algo in ("palm", "ipalm"):
+        counted, counter = with_oracle_counter(problem)
+        z = z_prev = Iterate(np.zeros(4), np.zeros(4))
+        res = run(counted, SolverConfig(algorithm=algo, epochs=4, step_policy="fixed",
+                                        fixed_steps=(0.5, 0.4), track_grad_map=True), z)
+        rows = res.trace.rows
+        extra = 0 if algo == "palm" else 2 * problem.n * (len(rows) - 1)
+        assert counter.total_grads == rows[-1].sfo_calls + extra
+        for k, row in enumerate(rows, start=1):
+            if algo == "palm":
+                z_next = palm_step(problem, z, 0.5, 0.4)
+            else:
+                z_next = ipalm_step(problem, z, z_prev, 0.5, 0.4, ipalm_momentum(k))
+            assert row.grad_map_norm_sq == generalized_gradient_map(problem, z, z_next.x, 0.25, 0.2).norm_sq
+            z_prev, z = z, z_next
 
 
 def test_estimator_coincidence_full_batch(sep10):
@@ -518,8 +535,8 @@ def test_lipschitz_sfo_counts_every_operator_application(policy):
     applied = [0]
 
     def hook(x, y, batch):
-        size = problem.n if batch is None else len(batch)
-        scale = 1e-14 if batch is not None and applied[0] == 0 else 1.0
+        size = len(batch)
+        scale = 1e-14 if size < problem.n and applied[0] == 0 else 1.0
 
         def apply(v):
             applied[0] += size
