@@ -5,8 +5,11 @@ comparison against the PALM baseline), ``check-grad``, ``estimate-lipschitz``
 and ``plot``.  A flat ``key=value`` config file (``--config``) supplies
 defaults; explicit flags override it.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error (including ``run``
-and ``bench`` solver flags that ``SolverConfig.validate`` rejects).
+``estimate-lipschitz`` makes the solver's own Lipschitz draws (the
+``power_init`` and ``lip_batch`` streams) at the initial point.
+
+Exit codes: 0 success, 1 runtime failure, 2 usage error (including any
+subcommand's solver settings that ``SolverConfig.validate`` rejects).
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import numpy as np
 from .. import estimators as est
 from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
-from ..lipschitz import ALGORITHMS, lipschitz_estimate
-from ..rng import stream_rng
-from ..solver import STEP_POLICIES, ConfigError, SolverConfig
+from ..lipschitz import ALGORITHMS
+from ..solver import STEP_POLICIES, ConfigError, SolverConfig, _StepSizes
 from . import io, svgplot
 from .runner import PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
 
@@ -85,12 +87,12 @@ def _solver_parent() -> argparse.ArgumentParser:
     p.add_argument("--warm-start", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--tol", type=float, default=None, help="gradient-map early-exit tolerance")
     p.add_argument("--lipschitz-const", type=float, default=None)
-    p.add_argument("--no-lipschitz-refresh", action="store_true")
     p.add_argument("--power-iters", type=int, default=5)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="springopt",
                                      description="stochastic proximal alternating minimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -99,14 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run one algorithm over a seed sweep")
     run_p.add_argument("--out", default="out")
     run_p.add_argument("--repeat", type=int, default=1)
-    run_p.add_argument("--parallelism", type=int, default=1)
     run_p.add_argument("--deterministic-timing", action="store_true")
 
     bench_p = sub.add_parser("bench", parents=[_problem_parent(), _solver_parent()],
                              help="compare algorithms against the PALM baseline")
     bench_p.add_argument("--out", default="out")
     bench_p.add_argument("--repeat", type=int, default=1)
-    bench_p.add_argument("--parallelism", type=int, default=1)
     bench_p.add_argument("--deterministic-timing", action="store_true")
     bench_p.add_argument("--algos", default=",".join(ALGORITHMS),
                          help="comma-separated list; must include palm")
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--x", dest="xaxis", default="epoch", choices=("epoch", "sfo"))
     plot_p.add_argument("--out", default="plot.svg")
 
-    return parser
+    return parser, sub.choices
 
 
 def _solver_config(args) -> SolverConfig:
@@ -146,7 +146,6 @@ def _solver_config(args) -> SolverConfig:
         fixed_steps=fixed,
         warm_start=args.warm_start,
         grad_map_tolerance=args.tol,
-        lipschitz_refresh=not args.no_lipschitz_refresh,
         lipschitz_const=args.lipschitz_const,
         power_iterations=args.power_iters,
     )
@@ -174,7 +173,6 @@ def _run_spec(args, config: SolverConfig) -> RunSpec:
         data_path=args.data,
         image_path=args.image,
         deterministic_timing=getattr(args, "deterministic_timing", False),
-        parallelism=getattr(args, "parallelism", 1),
     )
 
 
@@ -226,19 +224,17 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_estimate_lipschitz(args) -> int:
-    config = SolverConfig(algorithm="palm", batch_size=args.batch if args.batch is not None else 1)
+    b = args.batch if args.batch is not None else 1
+    config = SolverConfig(algorithm="palm", seed=args.seed, batch_size=b, power_iterations=args.iterations)
     problem, init_fn = build_problem(_run_spec(args, config))
     config.validate(problem.n)
-    if problem.lipschitz_x is None:
-        raise ValueError(f"problem {args.problem!r} does not expose Lipschitz hooks")
     z = init_fn(args.seed)
-    rng = stream_rng(args.seed, "power_init")
-    hooks = (problem.lipschitz_x, problem.lipschitz_y)
-    lx, ly = (lipschitz_estimate(hook(z.x, z.y, np.arange(problem.n)), args.iterations, rng) for hook in hooks)
+    # The practical policy draws nothing at set-up; the "sgd" kind gives the draws a lip_batch sampler.
+    steps = _StepSizes(problem, config, z, "sgd", b, None)
+    lx, ly = steps.draw(z, np.arange(problem.n))
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
-        batch = est.sample_batch(est.BatchSampler(problem.n, args.batch, stream_rng(args.seed, "lip_batch")))
-        sx, sy = (lipschitz_estimate(hook(z.x, z.y, batch), args.iterations, rng) for hook in hooks)
+        sx, sy = steps.draw(z, est.sample_batch(steps.sampler))
         print(f"stochastic estimates (b={args.batch}): L_x={sx:.6g} L_y={sy:.6g}")
     return 0
 
@@ -261,26 +257,25 @@ _COMMANDS = {
 
 def cli_dispatch(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code (0/1/2)."""
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            defaults = _parse_config_file(cfg_path)
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in action._actions}
-                action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # The file's keys become the subcommand's defaults; explicit flags still win.
+            defaults = _parse_config_file(args.config)
+            subparsers[args.command].set_defaults(**{k: v for k, v in defaults.items() if k in vars(args)})
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (IndexError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except Exception as exc:  # runtime failure contract: exit code 1
+    except Exception as exc:  # runtime failure contract: exit code 1 ...
         print(f"error: {exc}", file=sys.stderr)
-        # ... except for run's and bench's solver flags, which the validator checks.
-        return 2 if isinstance(exc, ConfigError) and args.command in ("run", "bench") else 1
+        # ... except for solver settings, which the validator checks.
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..core import BlockProblem
 from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
 from ..solver import DivergenceError, SolverConfig, Trace, TraceRow, run
@@ -33,7 +31,6 @@ class RunSpec:
     data_path: str | None = None
     image_path: str | None = None
     deterministic_timing: bool = False
-    parallelism: int = 1
 
     def validate(self) -> None:
         if self.problem not in PROBLEM_KINDS:
@@ -91,16 +88,6 @@ def _strip_timing(trace: Trace) -> Trace:
     return Trace(rows=rows, grad_map_mode=trace.grad_map_mode)
 
 
-def _single_run(problem: BlockProblem, init_fn, config: SolverConfig, seed: int):
-    cfg = replace(config, seed=seed)
-    z0 = init_fn(seed)
-    try:
-        result = run(problem, cfg, z0)
-        return seed, "ok", result.trace
-    except DivergenceError as exc:
-        return seed, "diverged", exc.trace or Trace()
-
-
 def run_experiment(spec: RunSpec) -> dict:
     """Run the seed sweep, write one trace CSV per run plus a summary.
 
@@ -112,19 +99,12 @@ def run_experiment(spec: RunSpec) -> dict:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, init_fn = build_problem(spec)
-    seeds = [spec.config.seed + i for i in range(spec.repeat)]
-
-    def job(seed):
-        return _single_run(problem, init_fn, spec.config, seed)
-
-    if spec.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            results = list(pool.map(job, seeds))
-    else:
-        results = [job(s) for s in seeds]
-
     runs = []
-    for seed, status, trace in sorted(results, key=lambda r: r[0]):
+    for seed in range(spec.config.seed, spec.config.seed + spec.repeat):
+        try:
+            status, trace = "ok", run(problem, replace(spec.config, seed=seed), init_fn(seed)).trace
+        except DivergenceError as exc:
+            status, trace = "diverged", exc.trace or Trace()
         if spec.deterministic_timing:
             trace = _strip_timing(trace)
         path = out / f"trace_{spec.config.algorithm}_seed{seed}.csv"

@@ -89,7 +89,6 @@ class SolverConfig:
     fixed_steps: tuple[float, float] | None = None
     warm_start: bool = True
     grad_map_tolerance: float | None = None
-    lipschitz_refresh: bool = True
     lipschitz_const: float | None = None  # used by the theoretical policy
     power_iterations: int = 5
     track_grad_map: bool = True
@@ -118,6 +117,10 @@ class SolverConfig:
             raise ConfigError(f"power iterations must be >= 1, got {self.power_iterations}")
         if self.grad_map_tolerance is not None and not self.track_grad_map:
             raise ConfigError("grad_map_tolerance needs track_grad_map=True")
+        if fixed is not None and self.step_policy != "fixed":
+            raise ConfigError(f"fixed_steps needs step_policy='fixed', got {self.step_policy!r}")
+        if self.lipschitz_const is not None and self.step_policy != "theoretical":
+            raise ConfigError(f"lipschitz_const needs step_policy='theoretical', got {self.step_policy!r}")
 
 
 class TraceRow(NamedTuple):
@@ -253,7 +256,7 @@ def spring_step(
     table rows refreshed with the evaluations already made for the
     estimate; SARAH estimates and ``sarah_prev`` updated).
     """
-    if gamma_x <= 0 or gamma_y <= 0:
+    if not (gamma_x > 0 and gamma_y > 0):
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
     kind = "sgd" if driver.warm else driver.kind
     refresh, z_old, mid_old = False, None, None
@@ -284,8 +287,7 @@ class _StepSizes:
     ``theoretical`` a constant pair from the variance-reduction bound (1/L
     for PALM and inertial PALM), with L from ``lipschitz_const`` or a
     full-batch draw at z0; ``practical`` applies ``practical_step_sizes`` to
-    a Lipschitz estimate made at every step, or once at z0 when
-    ``lipschitz_refresh`` is off.
+    a Lipschitz estimate made at the current iterate at every step.
 
     PALM and inertial PALM estimate with a full-batch draw.  A stochastic
     run draws on a batch from the ``lip_batch`` stream, one of the many
@@ -309,27 +311,24 @@ class _StepSizes:
         self.env_y = 0.0
         self.sfo = 0
         self.constant = config.fixed_steps if config.step_policy == "fixed" else None
-        self.frozen = None  # a Lipschitz estimate kept for the whole run
         if config.step_policy == "theoretical":
             L = config.lipschitz_const
             if L is None:
-                L = max(self._draw(z0, np.arange(n)))
+                L = max(self.draw(z0, np.arange(n)))
             gamma = 1.0 / L
             if kind is not None:
                 v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
                 bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
                 gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
             self.constant = (gamma, gamma)
-        elif config.step_policy == "practical" and not config.lipschitz_refresh:
-            self.frozen = self._estimate(z0)
 
     def __call__(self, z, k):
         if self.constant is not None:
             return self.constant
-        lx, ly = self.frozen or self._estimate(z)
+        lx, ly = self._estimate(z)
         return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
 
-    def _draw(self, z, batch):
+    def draw(self, z, batch):
         """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: each operator
         application the power method makes costs ``len(batch)``."""
         problem, iters = self.problem, self.config.power_iterations
@@ -345,12 +344,12 @@ class _StepSizes:
 
     def _estimate(self, z):
         if self.sampler is None:
-            return self._draw(z, np.arange(self.problem.n))
-        lx, ly = self._draw(z, est.sample_batch(self.sampler))
+            return self.draw(z, np.arange(self.problem.n))
+        lx, ly = self.draw(z, est.sample_batch(self.sampler))
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
-            fx, fy = self._draw(self.z0, np.arange(self.problem.n))
+            fx, fy = self.draw(self.z0, np.arange(self.problem.n))
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y

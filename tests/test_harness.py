@@ -229,19 +229,6 @@ def test_run_experiment_seed_sweep(tmp_path):
         assert Path(spec.out_dir, f"trace_spring-sgd_seed{seed}.csv").exists()
 
 
-def test_run_experiment_parallel_matches_serial(tmp_path):
-    serial = _toy_spec(tmp_path, algo="spring-saga", repeat=2)
-    run_experiment(serial)
-    serial_bytes = [Path(serial.out_dir, f"trace_spring-saga_seed{s}.csv").read_bytes()
-                    for s in range(2)]
-    par_dir = tmp_path / "par"
-    parallel = RunSpec(problem="toy-nmf", config=serial.config, out_dir=str(par_dir),
-                       repeat=2, deterministic_timing=True, parallelism=2)
-    run_experiment(parallel)
-    par_bytes = [Path(par_dir, f"trace_spring-saga_seed{s}.csv").read_bytes() for s in range(2)]
-    assert serial_bytes == par_bytes
-
-
 def test_sarah_refresh_rate_binomial(tmp_path):
     # Over 100 epochs with p = n, full refreshes per epoch are
     # Binomial(n/b steps, 1/n); check the observed count within 3 sigma.
@@ -316,7 +303,9 @@ def test_cli_unknown_subcommand_exits_2():
 
 
 def test_cli_unknown_flag_exits_2():
-    assert cli_dispatch(["run", "--no-such-flag"]) == 2
+    # Removed flags are usage errors, not silently run under new defaults.
+    for argv in (["run", "--no-such-flag"], ["run", "--no-lipschitz-refresh"], ["bench", "--parallelism", "2"]):
+        assert cli_dispatch(argv) == 2, argv
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -326,6 +315,7 @@ def test_cli_unknown_flag_exits_2():
     (["--steps", "fixed", "--gamma-x", "0.1"], "fixed steps must be a positive finite (gamma_x, gamma_y), got None"),
     (["--power-iters", "0"], "power iterations must be >= 1, got 0"),
     (["--steps", "theoretical", "--lipschitz-const", "0"], "lipschitz_const must be finite and positive, got 0.0"),
+    (["--gamma-x", "0.1", "--gamma-y", "0.1"], "fixed_steps needs step_policy='fixed', got 'practical'"),
 ])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):
@@ -365,13 +355,19 @@ def test_cli_estimate_lipschitz(capsys):
     ]
 
 
-@pytest.mark.parametrize("batch", ["0", "-1", "999"])
-def test_cli_estimate_lipschitz_rejects_bad_batch(batch, capsys):
-    code = cli_dispatch(["estimate-lipschitz", "--problem", "toy-bid", "--batch", batch])
+@pytest.mark.parametrize("flags, message", [
+    (["--batch", "0"], "batch size must satisfy 1 <= b <= n=16, got 0"),
+    (["--batch", "-1"], "batch size must satisfy 1 <= b <= n=16, got -1"),
+    (["--batch", "999"], "batch size must satisfy 1 <= b <= n=16, got 999"),
+    (["--iterations", "0"], "power iterations must be >= 1, got 0"),
+], ids=["0", "-1", "999", "iterations-0"])
+def test_cli_estimate_lipschitz_rejects_bad_batch(flags, message, capsys):
+    # A setting the solver's validator rejects is a usage error here too.
+    code = cli_dispatch(["estimate-lipschitz", "--problem", "toy-bid", *flags])
     out, err = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert f"batch size must satisfy 1 <= b <= n=16, got {batch}" in err
+    assert message in err
 
 
 def test_cli_config_file_defaults_and_overrides(tmp_path):
@@ -383,6 +379,10 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
     assert cli_dispatch(["run", "--config", str(cfg), "--algo", "palm",
                          "--out", str(tmp_path / "c2"), "--deterministic-timing"]) == 0
     assert Path(tmp_path, "c2", "trace_palm_seed0.csv").exists()
+    # The --config=PATH form reads the file too.
+    cfg.write_text("algo = spring-sgd\nepochs = 2\nbatch = 2\nout = {}\n".format(tmp_path / "c3"))
+    assert cli_dispatch(["run", f"--config={cfg}", "--deterministic-timing"]) == 0
+    assert Path(tmp_path, "c3", "trace_spring-sgd_seed0.csv").exists()
 
 
 def test_cli_bench_writes_files(tmp_path):

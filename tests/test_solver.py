@@ -85,6 +85,25 @@ def test_spring_step_separable_half_step_oracle():
     np.testing.assert_allclose(out.y, 0.5 * info["b"], rtol=1e-14)
 
 
+@pytest.mark.parametrize("gammas", [(math.nan, 0.1), (0.1, math.nan)])
+def test_spring_step_rejects_nan_step_before_any_draw(gammas):
+    # A NaN step fails the positivity check before a batch is drawn or a SAGA row refreshed.
+    problem, _ = make_separable_quadratic(n=8, seed=10)
+    saga = SagaState.from_problem(problem, Iterate(np.zeros(4), np.zeros(4)))
+    driver = replace(_sgd_driver(problem, 2), kind="saga", saga=saga)
+
+    def tables():
+        return [saga.table_x.tobytes(), saga.table_y.tobytes(), saga.mean_x.tobytes(), saga.mean_y.tobytes()]
+
+    before = tables()
+    with pytest.raises(ValueError, match="step sizes must be positive"):
+        spring_step(problem, Iterate(np.ones(4), -np.ones(4)), driver, *gammas)
+    assert tables() == before
+    fresh = _sgd_driver(problem, 2)
+    for sampler, fresh_sampler in ((driver.sampler_x, fresh.sampler_x), (driver.sampler_y, fresh.sampler_y)):
+        np.testing.assert_array_equal(est_module.sample_batch(sampler), est_module.sample_batch(fresh_sampler))
+
+
 def test_gauss_seidel_ordering_spy():
     # The y-gradient must see the freshly updated x block.
     seen_by_y = []
@@ -185,7 +204,10 @@ def test_run_validates_config(sep10):
                 dict(lipschitz_const=math.inf), dict(step_policy="theoretical", lipschitz_const=0.0),
                 dict(fixed, fixed_steps=(0.0, 0.5)), dict(fixed, fixed_steps=(0.5, -1.0)),
                 dict(fixed, fixed_steps=(math.nan, 0.5)), dict(fixed, fixed_steps=(0.5, math.inf)),
-                dict(power_iterations=0), dict(grad_map_tolerance=1e-3, track_grad_map=False)):
+                dict(power_iterations=0), dict(grad_map_tolerance=1e-3, track_grad_map=False),
+                # Settings the chosen policy would ignore.
+                dict(fixed_steps=(0.5, 0.5)), dict(step_policy="theoretical", fixed_steps=(0.5, 0.5)),
+                dict(lipschitz_const=1.0), dict(fixed, fixed_steps=(0.5, 0.5), lipschitz_const=1.0)):
         with pytest.raises(ConfigError):
             run(problem, SolverConfig(algorithm="palm", **bad), z0)
 
@@ -522,10 +544,9 @@ def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
 @pytest.mark.parametrize("policy", [
     dict(algorithm="palm"),
     dict(algorithm="spring-saga", batch_size=2),
-    dict(algorithm="spring-sgd", batch_size=3, lipschitz_refresh=False),
     dict(algorithm="ipalm", step_policy="theoretical"),
     dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"),
-], ids=["palm", "saga-anchor", "sgd-frozen", "ipalm-theoretical", "sarah-theoretical"])
+], ids=["palm", "saga-anchor", "ipalm-theoretical", "sarah-theoretical"])
 def test_lipschitz_sfo_counts_every_operator_application(policy):
     # Independent count: the hooks return an operator that tallies the
     # batch size (n for the full batch) at every application.
@@ -649,19 +670,13 @@ GOLDEN = {
     # Per row (sfo_calls, objective, lipschitz_sfo) of the policies and trace
     # mode the cases above leave out (``POLICY_CASES``), recorded before the
     # step sizes moved into one run-scoped object.  Runs that diverge within
-    # these epochs are left out: frozen ipalm and sarah, theoretical ipalm.
+    # these epochs are left out: theoretical ipalm.
     ('toy-nmf-theoretical', 'palm'): [(40, 3437.8946444604635, 240), (80, 92075.2001557474, 240),
                                       (120, 2189.461936564895, 240)],
     ('toy-nmf-theoretical', 'spring-saga'): [(40, 772.2091822925604, 240), (80, 759.4222524227501, 240),
                                              (120, 747.1647056828683, 240)],
     ('toy-nmf-theoretical', 'spring-sarah'): [(40, 566.1889848640319, 240), (152, 398.1490939346894, 240),
                                               (192, 356.66061689087564, 240)],
-    ('toy-nmf-frozen', 'palm'): [(40, 13287.6819796093, 240), (80, 4923504.169612024, 240),
-                                 (120, 3599019.8082811036, 240)],
-    ('toy-nmf-frozen', 'spring-sgd'): [(40, 92791.5726023912, 24), (80, 6841.688450024456, 24),
-                                       (120, 13460007.32055614, 24)],
-    ('toy-nmf-frozen', 'spring-saga'): [(40, 614.736294354559, 24), (80, 17387.446512747487, 24),
-                                        (120, 59725878.48287757, 24)],
     ('toy-nmf-fixed', 'palm'): [(40, 778.6383654606205, 0), (80, 773.0848265164703, 0),
                                 (120, 767.3867476567546, 0)],
     ('toy-nmf-fixed', 'ipalm'): [(40, 778.6383654606205, 0), (80, 771.6987778933496, 0),
@@ -694,7 +709,6 @@ GOLDEN = {
 # Toy-NMF settings (b=2, 3 epochs, seed 7 unless overridden) of the policy goldens.
 POLICY_CASES = {
     "toy-nmf-theoretical": dict(step_policy="theoretical"),
-    "toy-nmf-frozen": dict(lipschitz_refresh=False),
     "toy-nmf-fixed": dict(step_policy="fixed", fixed_steps=(1e-3, 1e-3)),
     "toy-nmf-every": dict(epochs=1, warm_start=False, record_every_iteration=True),
 }
