@@ -1,8 +1,10 @@
 """Per-layer timings at the benchmark's shapes.
 
 * the blind-deconvolution kernels on a bid-medium tile window (a 14 x 14 tile
-  of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image)
-  and on the full 64 x 64 image;
+  of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image),
+  on the full 64 x 64 image, and on a 256 x 256 image, the size of a
+  large deconvolution benchmark, where ``bid_forward`` runs several column
+  blocks;
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
@@ -43,7 +45,7 @@ from springopt.solver import EstimatorDriver, SolverConfig, run, spring_step
 pytestmark = pytest.mark.benchmark(max_time=0.25, warmup=True)
 
 KERNEL = 9
-IMAGE_SHAPES = {"tile": (22, 22), "full": (64, 64)}
+IMAGE_SHAPES = {"tile": (22, 22), "full": (64, 64), "large": (256, 256)}
 
 
 @pytest.fixture(scope="module")

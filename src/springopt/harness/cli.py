@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one algorithm, seed sweep), ``bench`` (multi-algorithm
 comparison against the PALM baseline), ``check-grad``, ``estimate-lipschitz``
 and ``plot``.  A flat ``key=value`` config file (``--config``) supplies
-defaults; explicit flags override it.
+defaults; explicit flags override it, and a key that names none of the
+subcommand's flags is a usage error.
 
 ``estimate-lipschitz`` makes the solver's own Lipschitz draws (the
 ``power_init`` and ``lip_batch`` streams) at the initial point.
@@ -134,8 +135,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _solver_config(args) -> SolverConfig:
-    # Without both steps the validator rejects --steps fixed.
-    fixed = None if None in (args.gamma_x, args.gamma_y) else (args.gamma_x, args.gamma_y)
+    # Without both steps the validator rejects --steps fixed; any other policy rejects a lone step here.
+    gammas = (args.gamma_x, args.gamma_y)
+    fixed = None if None in gammas else gammas
+    if fixed is None and gammas != (None, None) and args.steps != "fixed":
+        raise ConfigError(f"--gamma-x and --gamma-y need each other and --steps fixed, got --steps {args.steps}")
     return SolverConfig(
         algorithm=args.algo,
         batch_size=args.batch,
@@ -263,7 +267,10 @@ def cli_dispatch(argv: list[str]) -> int:
         if getattr(args, "config", None) is not None:
             # The file's keys become the subcommand's defaults; explicit flags still win.
             defaults = _parse_config_file(args.config)
-            subparsers[args.command].set_defaults(**{k: v for k, v in defaults.items() if k in vars(args)})
+            unknown = sorted(set(defaults) - (set(vars(args)) - {"command", "config"}))
+            if unknown:
+                raise ValueError(f"{args.config}: unknown keys for {args.command}: {', '.join(unknown)}")
+            subparsers[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

@@ -341,16 +341,44 @@ class SparsePcaProblem:
 # ---------------------------------------------------------------------------
 
 
+def _output_shape(image_shape: tuple[int, int], kernel_shape: tuple[int, int]) -> tuple[int, int]:
+    """Shape of the valid correlation of an image with a kernel."""
+    (h, w), (kh, kw) = image_shape, kernel_shape
+    if kh > h or kw > w:
+        raise ValueError(f"kernel {tuple(kernel_shape)} larger than image {tuple(image_shape)}")
+    return h - kh + 1, w - kw + 1
+
+
 def _window_view(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
     """Read-only view of X's kernel-sized windows, shape (out_h, out_w, kh, kw).
 
     The view ``sliding_window_view`` gives, built with one ``as_strided``
     call and without its validation overhead.
     """
-    (h, w), (kh, kw) = X.shape, kernel_shape
-    if kh > h or kw > w:
-        raise ValueError(f"kernel {tuple(kernel_shape)} larger than image {X.shape}")
-    return as_strided(X, shape=(h - kh + 1, w - kw + 1, kh, kw), strides=X.strides * 2, writeable=False)
+    shape = _output_shape(X.shape, kernel_shape) + tuple(kernel_shape)
+    return as_strided(X, shape=shape, strides=X.strides * 2, writeable=False)
+
+
+# Output columns per matrix product in ``bid_forward``.  Every tile-window
+# correlation of the bundled benchmarks fits in one block.
+_COLUMN_BLOCK = 32
+
+
+def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
+    """Banded Toeplitz factor T of the correlation with Y over ``ncols`` output columns.
+
+    T has shape (kh * (ncols + kw - 1), ncols) with
+    T[a * (ncols + kw - 1) + j + b, j] = Y[a, b] and zeros elsewhere.  In
+    T's flat layout these entries sit at fixed strides in a, b and j, so one
+    strided view writes them all.
+    """
+    kh, kw = Y.shape
+    width = ncols + kw - 1
+    toeplitz = np.zeros((kh * width, ncols))
+    step = toeplitz.itemsize
+    strides = (width * ncols * step, ncols * step, (ncols + 1) * step)
+    np.ndarray((kh, kw, ncols), buffer=toeplitz, strides=strides)[...] = Y[:, :, None]
+    return toeplitz
 
 
 def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -358,10 +386,31 @@ def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     out[p, q] = sum_{a, b} X[p + a, q + b] Y[a, b], output shape
     (h - kh + 1, w - kw + 1).
+
+    One matrix product per block of at most ``_COLUMN_BLOCK`` output
+    columns: out[:, block] = S @ T.  Row p of S is the rows X[p:p + kh],
+    restricted to the block's ncols + kw - 1 input columns and laid end to
+    end; T is ``_toeplitz(Y, ncols)``.  T's size does not grow with the
+    image width, and S holds at most min(kh, out_h) copies of the block's
+    input columns, so the temporaries stay within a few copies of X.  The
+    products sum in another order than the direct sum over (a, b), so
+    results agree with it to rounding, and exactly on small-integer-valued
+    inputs.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return np.einsum("pqab,ab->pq", _window_view(X, Y.shape), Y)
+    oh, ow = _output_shape(X.shape, Y.shape)
+    kh, kw = Y.shape
+    out = np.empty((oh, ow))
+    for start in range(0, ow, _COLUMN_BLOCK):
+        ncols = min(_COLUMN_BLOCK, ow - start)
+        if start == 0 or ncols < _COLUMN_BLOCK:  # the last block may be narrower
+            toeplitz = _toeplitz(Y, ncols)
+        cols = X[:, start:start + ncols + kw - 1]
+        stacked = as_strided(cols, shape=(oh, kh, cols.shape[1]), strides=(cols.strides[0], *cols.strides),
+                             writeable=False)
+        out[:, start:start + ncols] = stacked.reshape(oh, -1) @ toeplitz
+    return out
 
 
 def bid_patches(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
@@ -546,21 +595,18 @@ class BlindDeblurProblem:
 
         # The Lipschitz hooks return M_B^T M_B for the sampled tiles' residual map M_B.
         # The x-hook applies it window by window, like the oracles, so a draw costs
-        # about b/n of a full-batch draw; overlapping windows accumulate.  The full batch
-        # (all n tiles) is one full-image correlation.
+        # about b/n of a full-batch draw and no correlation is larger than a padded
+        # tile window; overlapping windows accumulate.  The tiles partition the
+        # residual grid, so the full batch is all n tiles.
         def lip_x(xv, yv, batch):
             Y = yv.reshape(kh, kw)
-            if len(batch) == n:
-                def apply(v):
-                    return (2.0 * bid_adjoint_image(bid_forward(v.reshape(hx, wx), Y), Y)).ravel()
-            else:
-                sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
+            sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
 
-                def apply(v):
-                    V, g = v.reshape(hx, wx), np.zeros((hx, wx))
-                    for window in sampled:
-                        g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
-                    return (scale * g).ravel()
+            def apply(v):
+                V, g = v.reshape(hx, wx), np.zeros((hx, wx))
+                for window in sampled:
+                    g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
+                return (scale * g).ravel()
 
             # Smooth-regularizer curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
             return CurvatureOperator(apply, hx * wx, 16.0 * lam * theta)

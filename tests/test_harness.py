@@ -316,6 +316,9 @@ def test_cli_unknown_flag_exits_2():
     (["--power-iters", "0"], "power iterations must be >= 1, got 0"),
     (["--steps", "theoretical", "--lipschitz-const", "0"], "lipschitz_const must be finite and positive, got 0.0"),
     (["--gamma-x", "0.1", "--gamma-y", "0.1"], "fixed_steps needs step_policy='fixed', got 'practical'"),
+    (["--gamma-x", "0.1"], "--gamma-x and --gamma-y need each other and --steps fixed, got --steps practical"),
+    (["--steps", "theoretical", "--gamma-y", "0.1"],
+     "--gamma-x and --gamma-y need each other and --steps fixed, got --steps theoretical"),
 ])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):
@@ -370,7 +373,7 @@ def test_cli_estimate_lipschitz_rejects_bad_batch(flags, message, capsys):
     assert message in err
 
 
-def test_cli_config_file_defaults_and_overrides(tmp_path):
+def test_cli_config_file_defaults_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("algo = spring-sgd\nepochs = 2\nbatch = 2\nout = {}\n".format(tmp_path / "c1"))
     assert cli_dispatch(["run", "--config", str(cfg), "--deterministic-timing"]) == 0
@@ -383,6 +386,18 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
     cfg.write_text("algo = spring-sgd\nepochs = 2\nbatch = 2\nout = {}\n".format(tmp_path / "c3"))
     assert cli_dispatch(["run", f"--config={cfg}", "--deterministic-timing"]) == 0
     assert Path(tmp_path, "c3", "trace_spring-sgd_seed0.csv").exists()
+    # A misspelt or removed key is a usage error naming the keys, not a run under the defaults.
+    capsys.readouterr()
+    cfg.write_text("algo = spring-sgd\nepoch = 2\nparallelism = 2\nout = {}\n".format(tmp_path / "c4"))
+    assert cli_dispatch(["run", "--config", str(cfg), "--deterministic-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cfg}: unknown keys for run: epoch, parallelism\n"
+    assert not Path(tmp_path, "c4").exists()
+    # Keys of another subcommand are unknown too: check-grad has no --epochs.
+    cfg.write_text("points = 1\nepochs = 2\n")
+    assert cli_dispatch(["check-grad", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown keys for check-grad: epochs\n"
 
 
 def test_cli_bench_writes_files(tmp_path):

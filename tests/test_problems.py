@@ -32,6 +32,7 @@ from springopt.problems import (
     prox_nonneg,
     project_box_l1,
 )
+from springopt.solver import SolverConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +520,8 @@ def test_bid_adjoint_identities(rng):
 
 
 def _swv_bid_forward(X, Y):
-    # The sliding_window_view / np.pad kernels the strided ones replaced, verbatim.
+    # The sliding_window_view / np.pad kernels, verbatim, that a strided-view einsum
+    # and then the Toeplitz products replaced.
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.shape[0] > X.shape[0] or Y.shape[1] > X.shape[1]:
@@ -539,26 +541,59 @@ def _swv_bid_adjoint_kernel(U, X):
 
 
 def test_bid_kernels_match_sliding_window_versions(rng):
-    big = rng.random((40, 37))
-    images = [
-        rng.random((12, 15)),             # contiguous
-        big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
-        big[::2, 1::3],                   # strided in both axes
-        np.asfortranarray(rng.random((9, 11))),
-    ]
-    for X in images:
-        h, w = X.shape
-        for kh, kw in ((3, 3), (2, 5), (4, 1), (1, 1), (h, w)):
-            Y = rng.random((kh, kw))
-            fwd = bid_forward(X, Y)
-            assert np.array_equal(fwd, _swv_bid_forward(X, Y)), (X.shape, Y.shape)
-            U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
-            for residual in (U, np.ascontiguousarray(U)):
-                assert np.array_equal(bid_adjoint_image(residual, Y), _pad_bid_adjoint_image(residual, Y))
-                assert np.array_equal(bid_adjoint_kernel(residual, X), _swv_bid_adjoint_kernel(residual, X))
-            patches = bid_patches(X, (kh, kw))
-            assert np.array_equal(patches, sliding_window_view(X, (kh, kw)).reshape(-1, kh * kw))
-            np.testing.assert_allclose(patches @ Y.ravel(), fwd.ravel(), rtol=1e-13)
+    # The Toeplitz-product kernels sum in another order than the einsum they
+    # replaced: exact on small integers, where every order is exact, and equal
+    # to rounding on random floats.
+    for exact in (True, False):
+        def draw(shape):
+            return rng.integers(0, 8, size=shape).astype(float) if exact else rng.random(shape)
+
+        def check(result, ref):
+            if exact:
+                assert np.array_equal(result, ref)
+            else:
+                np.testing.assert_allclose(result, ref, rtol=1e-13, atol=1e-14 * np.abs(ref).max())
+
+        big = draw((40, 80))
+        images = [
+            draw((12, 15)),                   # contiguous
+            big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
+            big[::2, 1::3],                   # strided in both axes
+            np.asfortranarray(draw((9, 11))),
+            draw((7, 2 * problems_module._COLUMN_BLOCK + 7)),  # two full column blocks and a narrower one
+        ]
+        for X in images:
+            h, w = X.shape
+            for kh, kw in ((3, 3), (2, 5), (4, 1), (1, 1), (h, w)):
+                Y = draw((kh, kw))
+                fwd = bid_forward(X, Y)
+                check(fwd, _swv_bid_forward(X, Y))
+                U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
+                for residual in (U, np.ascontiguousarray(U)):
+                    check(bid_adjoint_image(residual, Y), _pad_bid_adjoint_image(residual, Y))
+                    check(bid_adjoint_kernel(residual, X), _swv_bid_adjoint_kernel(residual, X))
+                patches = bid_patches(X, (kh, kw))
+                assert np.array_equal(patches, sliding_window_view(X, (kh, kw)).reshape(-1, kh * kw))
+                np.testing.assert_allclose(patches @ Y.ravel(), fwd.ravel(), rtol=1e-13)
+
+
+@pytest.mark.parametrize("correlation", ["forward", "adjoint_image"])
+def test_bid_forward_memory_stays_blocked(correlation):
+    # A 256 x 256 image and a 9 x 9 kernel: the column blocks keep the
+    # Toeplitz factor and the stacked rows within four copies of the image
+    # (2.6 MB).  One Toeplitz product over all output columns peaks at 5.6 MB.
+    rng = np.random.default_rng(24)
+    X, Y, U = rng.random((256, 256)), rng.random((9, 9)), rng.random((248, 248))
+    call = (lambda: bid_forward(X, Y)) if correlation == "forward" else (lambda: bid_adjoint_image(U, Y))
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == ((248, 248) if correlation == "forward" else X.shape)
+    assert peak <= out.nbytes + 4 * X.nbytes
 
 
 def test_bid_window_view_is_read_only(rng):
@@ -882,6 +917,29 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     assert all(np.array_equal(got, want) for got, want in zip(seen, windows))
 
 
+@pytest.mark.parametrize("algorithm", ["palm", "spring-sgd"])
+def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
+    # Every oracle, Lipschitz draw, objective and gradient map of a run goes
+    # through the tile windows, the full batch included: no correlation input
+    # is larger than a tile window padded for the image adjoint.
+    Z, _, _ = toy_blurred_image(seed=0, size=32, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    pad = 2 * (5 - 1)  # the image adjoint pads a tile's residual by the kernel on both sides
+    largest = np.max([(rs.stop - rs.start + pad, cs.stop - cs.start + pad)
+                      for rs, cs in bid_component_split(Z.shape, 16)], axis=0)
+    shapes = []
+
+    def recording_forward(X, Y):
+        shapes.extend((np.shape(X), np.shape(Y)))
+        return bid_forward(X, Y)
+
+    monkeypatch.setattr(problems_module, "bid_forward", recording_forward)
+    run(problem, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
+    assert shapes
+    assert all(h <= largest[0] and w <= largest[1] for h, w in shapes), max(shapes)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic toys
 # ---------------------------------------------------------------------------
@@ -964,7 +1022,9 @@ def test_bid_feasibility_indicators():
 
 # Each adapter's draw, lipschitz_estimate of its hook's operator, over batches
 # (full, 1, 2, 3 components) x power-method seeds x iteration counts, in that
-# nesting.  Recorded when each hook still ran the power method itself.
+# nesting.  Recorded when each hook still ran the power method itself; the
+# 'bid' rows re-recorded when the correlations became Toeplitz products and the
+# full-batch x-draw went window by window (largest relative change 1.9e-16).
 DRAW_GRID = [(batch, seed, iterations) for batch in (None, (1,), (0, 3), (1, 2, 5))
              for seed in (0, 1) for iterations in (1, 5, 30)]
 PINNED_DRAWS = {
@@ -997,18 +1057,18 @@ PINNED_DRAWS = {
         155.98993980917388, 112.20912704378881, 142.18338400298066, 155.98993805390714,
     ],
     ('bid', 'x'): [
-        9.187581822847482, 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644,
-        9.646894481889209, 15.689089207912751, 15.812124078271108, 15.812124130287492, 15.301408122979694,
+        9.187581822847484, 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644,
+        9.646894481889209, 15.689089207912751, 15.812124078271108, 15.81212413028749, 15.301408122979696,
         15.812123927895207, 15.81212413028749, 11.111914365666873, 11.90606155285925, 11.906062065143747,
-        11.831609081097856, 11.906062039103647, 11.906062065143747, 12.722269617664999, 12.871074257352436,
-        12.871171533966553, 10.927336018021489, 12.86049714021646, 12.871171533966555,
+        11.831609081097856, 11.906062039103647, 11.906062065143747, 12.722269617664999, 12.871074257352438,
+        12.871171533966553, 10.92733601802149, 12.86049714021646, 12.871171533966555,
     ],
     ('bid', 'y'): [
-        312.7113058259872, 313.70815084050275, 313.7081508405044, 310.16629507766805, 313.70815084049906,
-        313.70815084050446, 85.48343173223901, 85.48523968837314, 85.48523968837314, 85.48172354755481,
-        85.48523968837314, 85.48523968837314, 209.46306308389865, 209.5070681101507, 209.5070681101507,
-        208.80075422761252, 209.5070681101507, 209.5070681101507, 126.64117104915728, 126.65835299378945,
-        126.65835299378945, 126.27504694254635, 126.65835299378944, 126.65835299378944,
+        312.71130582598715, 313.70815084050275, 313.7081508405044, 310.16629507766805, 313.708150840499,
+        313.7081508405044, 85.48343173223901, 85.48523968837314, 85.48523968837314, 85.48172354755482,
+        85.48523968837314, 85.48523968837314, 209.46306308389862, 209.5070681101507, 209.5070681101507,
+        208.8007542276125, 209.5070681101507, 209.5070681101507, 126.64117104915728, 126.65835299378944,
+        126.65835299378944, 126.27504694254634, 126.65835299378944, 126.65835299378942,
     ],
 }
 
