@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from springopt.harness import svgplot
-from springopt.harness.runner import RunSpec, bench
+from springopt.harness.runner import ProblemSpec, RunSpec, bench
 from springopt.solver import SolverConfig
 
 
@@ -22,11 +22,10 @@ def main():
     args = ap.parse_args()
 
     spec = RunSpec(
-        problem="toy-nmf",
+        problem=ProblemSpec("toy-nmf", rank=5, sparsity=10),
         config=SolverConfig(algorithm="palm", batch_size=args.batch, epochs=args.epochs,
                             seed=args.seed),
         out_dir=args.out,
-        problem_params={"rank": 5, "sparsity": 10},
     )
     result = bench(spec)
     for row in result["rows"]:

@@ -263,8 +263,8 @@ class SarahState:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"SARAH refresh period must satisfy p >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"SARAH refresh period must satisfy 1 <= p < inf, got {self.p}")
 
 
 def sarah_refresh_coin(state: SarahState, rng: np.random.Generator) -> bool:

@@ -2,9 +2,11 @@
 
 Subcommands: ``run`` (one algorithm, seed sweep), ``bench`` (multi-algorithm
 comparison against the PALM baseline), ``check-grad``, ``estimate-lipschitz``
-and ``plot``.  A flat ``key=value`` config file (``--config``) supplies
-defaults; explicit flags override it, and a key that names none of the
-subcommand's flags is a usage error.
+and ``plot``.  The problem parameter flags are generated from
+``runner.ProblemSpec``'s fields.  A flat ``key=value`` config file
+(``--config``) supplies defaults, each converted by its flag's type; explicit
+flags override it, and a key that names none of the subcommand's flags is a
+usage error.
 
 ``estimate-lipschitz`` makes the solver's own Lipschitz draws (the
 ``power_init`` and ``lip_batch`` streams) at the initial point.
@@ -16,7 +18,9 @@ subcommand's solver settings that ``SolverConfig.validate`` rejects).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +31,23 @@ from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS
 from ..solver import STEP_POLICIES, ConfigError, SolverConfig, _StepSizes
 from . import io, svgplot
-from .runner import PROBLEM_KINDS, RunSpec, bench, build_problem, run_experiment
+from .runner import PROBLEM_KINDS, ProblemSpec, RunSpec, bench, run_experiment
+
+# ProblemSpec's parameters (every field but the kind and the two paths) with
+# their types: each becomes a flag of the same name and default.
+_PARAM_TYPES = {
+    f.name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for f, hint in zip(dataclasses.fields(ProblemSpec), typing.get_type_hints(ProblemSpec).values())
+    if f.name not in ("kind", "data_path", "image_path")
+}
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment; keys use flag names."""
+    """Flat key=value file; '#' starts a comment; keys use flag names.
+
+    Values other than booleans stay strings, so argparse converts each with
+    its flag's type, as it does a value given on the command line.
+    """
     values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -47,13 +63,7 @@ def _parse_config_file(path: str) -> dict:
         elif low in ("false", "no", "off"):
             values[key] = False
         else:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                try:
-                    values[key] = float(raw)
-                except ValueError:
-                    values[key] = raw
+            values[key] = raw
     return values
 
 
@@ -62,15 +72,10 @@ def _problem_parent() -> argparse.ArgumentParser:
     p.add_argument("--problem", default="toy-nmf", choices=PROBLEM_KINDS)
     p.add_argument("--data", dest="data", default=None, help="matrix file (CSV or SPMX) for nmf/pca")
     p.add_argument("--image", dest="image", default=None, help="blurred PGM image for bid")
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--sparsity", type=int, default=None, help="nonzeros per dictionary column")
-    p.add_argument("--lam1", type=float, default=0.1)
-    p.add_argument("--lam2", type=float, default=0.1)
-    p.add_argument("--lam", type=float, default=5e-4)
-    p.add_argument("--theta", type=float, default=1e3)
-    p.add_argument("--tiles", type=int, default=16)
-    p.add_argument("--kernel-size", type=int, default=5)
-    p.add_argument("--data-seed", type=int, default=0)
+    for f in dataclasses.fields(ProblemSpec):
+        if f.name in _PARAM_TYPES:
+            p.add_argument("--" + f.name.replace("_", "-"), type=_PARAM_TYPES[f.name], default=f.default,
+                           help=f.metadata.get("help"))
     p.add_argument("--config", default=None, help="key=value defaults file")
     return p
 
@@ -155,33 +160,16 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _problem_spec(args) -> ProblemSpec:
+    return ProblemSpec(args.problem, args.data, args.image, **{name: getattr(args, name) for name in _PARAM_TYPES})
+
+
 def _run_spec(args, config: SolverConfig) -> RunSpec:
-    params = {
-        "rank": args.rank,
-        "lam1": args.lam1,
-        "lam2": args.lam2,
-        "lam": args.lam,
-        "theta": args.theta,
-        "tiles": args.tiles,
-        "kernel_size": args.kernel_size,
-        "data_seed": args.data_seed,
-    }
-    if args.sparsity is not None:
-        params["sparsity"] = args.sparsity
-    return RunSpec(
-        problem=args.problem,
-        config=config,
-        out_dir=getattr(args, "out", "out"),
-        repeat=getattr(args, "repeat", 1),
-        problem_params=params,
-        data_path=args.data,
-        image_path=args.image,
-        deterministic_timing=getattr(args, "deterministic_timing", False),
-    )
+    return RunSpec(_problem_spec(args), config, args.out, args.repeat, args.deterministic_timing)
 
 
 def _feasible_points(args, count: int):
-    problem, init_fn = build_problem(_run_spec(args, SolverConfig(algorithm="palm")))
+    problem, init_fn = _problem_spec(args).build()
     rng = np.random.default_rng(args.seed)
     for i in range(count):
         z = init_fn(args.seed + i)
@@ -230,7 +218,7 @@ def cmd_check_grad(args) -> int:
 def cmd_estimate_lipschitz(args) -> int:
     b = args.batch if args.batch is not None else 1
     config = SolverConfig(algorithm="palm", seed=args.seed, batch_size=b, power_iterations=args.iterations)
-    problem, init_fn = build_problem(_run_spec(args, config))
+    problem, init_fn = _problem_spec(args).build()
     config.validate(problem.n)
     z = init_fn(args.seed)
     # The practical policy draws nothing at set-up; the "sgd" kind gives the draws a lip_batch sampler.

@@ -4,14 +4,18 @@ Matrices travel either as plain CSV (one row per line, comma-separated
 decimals) or as SPMX: the magic bytes ``SPMX``, two little-endian uint32
 (rows, cols), then row-major little-endian float64 payload.  Images are PGM,
 binary P5 or ASCII P2, 8-bit with maxval 255, scaled to [0, 1] on load.
-Trace CSVs are written with 17 significant digits so float64 values
-round-trip exactly.
+Every CSV the harness writes (traces and run summaries) goes through
+``write_csv``: one header line, then one line per row, floats printed with
+17 significant digits so float64 values round-trip exactly.  A trace CSV's
+columns are ``TraceRow``'s fields, in order, and its reader converts each cell
+with that field's type.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,8 @@ import numpy as np
 from ..solver import Trace, TraceRow
 
 SPMX_MAGIC = b"SPMX"
-TRACE_HEADER = "epoch,sfo_calls,objective,grad_map_norm_sq,wall_ms,lipschitz_sfo"
+TRACE_HEADER = ",".join(TraceRow._fields)
+_TRACE_TYPES = tuple(typing.get_type_hints(TraceRow).values())
 
 
 class FormatError(ValueError):
@@ -176,30 +181,32 @@ def save_image_pgm(path: str | Path, image: np.ndarray, binary: bool = True) -> 
 
 
 # ---------------------------------------------------------------------------
-# Trace CSVs
+# Trace and summary CSVs
 # ---------------------------------------------------------------------------
 
 
-def write_trace_csv(path: str | Path, trace: Trace) -> None:
+def write_csv(path: str | Path, header, rows, comment: str | None = None) -> None:
+    """Write ``rows`` under the column names ``header``: floats with 17
+    significant digits, everything else with ``str``; ``comment`` becomes a
+    leading ``# comment`` line."""
     with open(path, "w") as fh:
-        fh.write(f"# grad_map_mode={trace.grad_map_mode}\n")
-        fh.write(TRACE_HEADER + "\n")
-        for row in trace.rows:
-            fh.write(
-                f"{format(row.epoch, '.17g')},{row.sfo_calls},{format(row.objective, '.17g')},"
-                f"{format(row.grad_map_norm_sq, '.17g')},{format(row.wall_ms, '.17g')},"
-                f"{row.lipschitz_sfo}\n"
-            )
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_trace_csv(path: str | Path, trace: Trace) -> None:
+    # The solver's gradient map is always taken in Gauss-Seidel order.
+    write_csv(path, TraceRow._fields, trace.rows, comment="grad_map_mode=gauss-seidel")
 
 
 def read_trace_csv(path: str | Path) -> Trace:
+    """Read a trace CSV; leading ``#`` comment lines are skipped."""
     lines = Path(path).read_text().splitlines()
-    mode = "gauss-seidel"
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
-        comment = lines[idx][1:].strip()
-        if comment.startswith("grad_map_mode="):
-            mode = comment.split("=", 1)[1]
         idx += 1
     if idx >= len(lines) or lines[idx] != TRACE_HEADER:
         raise FormatError(f"{path}: missing trace header {TRACE_HEADER!r}")
@@ -208,19 +215,10 @@ def read_trace_csv(path: str | Path) -> Trace:
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != 6:
-            raise FormatError(f"{path}: line {lineno}: expected 6 columns, got {len(cells)}")
+        if len(cells) != len(_TRACE_TYPES):
+            raise FormatError(f"{path}: line {lineno}: expected {len(_TRACE_TYPES)} columns, got {len(cells)}")
         try:
-            rows.append(
-                TraceRow(
-                    epoch=float(cells[0]),
-                    sfo_calls=int(cells[1]),
-                    objective=float(cells[2]),
-                    grad_map_norm_sq=float(cells[3]),
-                    wall_ms=float(cells[4]),
-                    lipschitz_sfo=int(cells[5]),
-                )
-            )
+            rows.append(TraceRow(*(typ(cell) for typ, cell in zip(_TRACE_TYPES, cells))))
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    return Trace(rows=rows, grad_map_mode=mode)
+    return Trace(rows=rows)

@@ -1,4 +1,10 @@
-"""Experiment orchestration: build problems, sweep seeds, persist traces."""
+"""Experiment orchestration: specify and build problems, sweep seeds, persist traces.
+
+A ``ProblemSpec`` names one problem and its parameters (the CLI's problem
+flags are generated from its fields); ``RunSpec`` adds the solver
+configuration and the seed sweep.  ``run_experiment`` sweeps one algorithm;
+``bench`` builds the problem once and sweeps every algorithm on it.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +14,68 @@ from pathlib import Path
 
 from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
-from ..solver import DivergenceError, SolverConfig, Trace, TraceRow, run
+from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, run
 from . import datasets, io
 
 PROBLEM_KINDS = ("toy-nmf", "toy-pca", "toy-bid", "nmf", "pca", "bid")
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """One problem: its kind, its input file and its parameters.
+
+    ``data_path`` is the matrix for ``nmf``/``pca`` and ``image_path`` the
+    blurred image for ``bid``; the ``toy-*`` kinds generate their data from
+    ``data_seed``.  Each kind reads only its own parameters.
+    """
+
+    kind: str = "toy-nmf"
+    data_path: str | None = None
+    image_path: str | None = None
+    rank: int = 5
+    sparsity: int | None = field(default=None, metadata={"help": "nonzeros per dictionary column"})
+    lam1: float = SparsePcaProblem.lam1
+    lam2: float = SparsePcaProblem.lam2
+    lam: float = BlindDeblurProblem.lam
+    theta: float = BlindDeblurProblem.theta
+    tiles: int = BlindDeblurProblem.n_tiles
+    kernel_size: int = 5
+    data_seed: int = 0
+
+    def validate(self) -> None:
+        if self.kind not in PROBLEM_KINDS:
+            raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
+        if self.kind in ("nmf", "pca"):
+            if self.data_path is None:
+                raise ValueError(f"problem {self.kind!r} needs a data matrix path")
+            if not Path(self.data_path).exists():
+                raise FileNotFoundError(f"data matrix not found: {self.data_path}")
+        if self.kind == "bid":
+            if self.image_path is None:
+                raise ValueError("problem 'bid' needs a blurred-image path")
+            if not Path(self.image_path).exists():
+                raise FileNotFoundError(f"image not found: {self.image_path}")
+
+    def build(self):
+        """Validate, then instantiate; returns (BlockProblem, init_fn(seed) -> Iterate)."""
+        self.validate()
+        if self.kind in ("toy-nmf", "nmf", "toy-pca", "pca"):
+            A = datasets.toy_nmf_matrix(seed=self.data_seed) if self.kind.startswith("toy") \
+                else io.load_matrix(self.data_path)
+            if self.kind.endswith("nmf"):
+                sparsity = max(1, A.shape[0] // 5) if self.sparsity is None else self.sparsity
+                adapter = SparseNmfProblem(A=A, r=self.rank, s=sparsity)
+            else:
+                adapter = SparsePcaProblem(A=A, r=self.rank, lam1=self.lam1, lam2=self.lam2)
+            return adapter.block_problem(), adapter.initial_iterate
+
+        if self.kind == "toy-bid":
+            Z, _xt, _yt = datasets.toy_blurred_image(seed=self.data_seed, kernel=self.kernel_size)
+        else:
+            Z = io.load_image(self.image_path)
+        adapter = BlindDeblurProblem(Z=Z, kernel_shape=(self.kernel_size, self.kernel_size),
+                                     lam=self.lam, theta=self.theta, n_tiles=self.tiles)
+        return adapter.block_problem(), lambda seed: adapter.initial_iterate()
 
 
 @dataclass
@@ -23,69 +87,16 @@ class RunSpec:
     random initialization shared across algorithms.
     """
 
-    problem: str
+    problem: ProblemSpec
     config: SolverConfig
     out_dir: str
     repeat: int = 1
-    problem_params: dict = field(default_factory=dict)
-    data_path: str | None = None
-    image_path: str | None = None
     deterministic_timing: bool = False
 
     def validate(self) -> None:
-        if self.problem not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.problem!r}; expected one of {PROBLEM_KINDS}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
-        if self.problem == "nmf" or self.problem == "pca":
-            if self.data_path is None:
-                raise ValueError(f"problem {self.problem!r} needs a data matrix path")
-            if not Path(self.data_path).exists():
-                raise FileNotFoundError(f"data matrix not found: {self.data_path}")
-        if self.problem == "bid":
-            if self.image_path is None:
-                raise ValueError("problem 'bid' needs a blurred-image path")
-            if not Path(self.image_path).exists():
-                raise FileNotFoundError(f"image not found: {self.image_path}")
-
-
-def build_problem(spec: RunSpec):
-    """Instantiate the problem; returns (BlockProblem, init_fn(seed) -> Iterate)."""
-    p = spec.problem_params
-
-    if spec.problem in ("toy-nmf", "nmf", "toy-pca", "pca"):
-        if spec.problem.startswith("toy"):
-            A = datasets.toy_nmf_matrix(seed=p.get("data_seed", 0))
-        else:
-            A = io.load_matrix(spec.data_path)
-        rank = int(p.get("rank", 5))
-        if spec.problem.endswith("nmf"):
-            adapter = SparseNmfProblem(A=A, r=rank, s=int(p.get("sparsity", max(1, A.shape[0] // 5))))
-        else:
-            adapter = SparsePcaProblem(
-                A=A, r=rank, lam1=float(p.get("lam1", 0.1)), lam2=float(p.get("lam2", 0.1))
-            )
-        return adapter.block_problem(), adapter.initial_iterate
-
-    ksize = int(p.get("kernel_size", 5))
-    if spec.problem == "toy-bid":
-        Z, _xt, _yt = datasets.toy_blurred_image(seed=p.get("data_seed", 0), kernel=ksize)
-    else:
-        Z = io.load_image(spec.image_path)
-    adapter = BlindDeblurProblem(
-        Z=Z,
-        kernel_shape=(ksize, ksize),
-        lam=float(p.get("lam", 5e-4)),
-        theta=float(p.get("theta", 1e3)),
-        n_tiles=int(p.get("tiles", 16)),
-    )
-    return adapter.block_problem(), lambda seed: adapter.initial_iterate()
-
-
-def _strip_timing(trace: Trace) -> Trace:
-    rows = [TraceRow(r.epoch, r.sfo_calls, r.objective, r.grad_map_norm_sq, 0.0, r.lipschitz_sfo)
-            for r in trace.rows]
-    return Trace(rows=rows, grad_map_mode=trace.grad_map_mode)
+        self.problem.validate()
 
 
 def run_experiment(spec: RunSpec) -> dict:
@@ -96,9 +107,14 @@ def run_experiment(spec: RunSpec) -> dict:
     ``trace`` being the one written to the run's CSV.
     """
     spec.validate()
+    return _sweep(spec, *spec.problem.build())
+
+
+def _sweep(spec: RunSpec, problem, init_fn) -> dict:
+    """``run_experiment`` on an already built problem."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, init_fn = build_problem(spec)
+    algo = spec.config.algorithm
     runs = []
     for seed in range(spec.config.seed, spec.config.seed + spec.repeat):
         try:
@@ -106,10 +122,9 @@ def run_experiment(spec: RunSpec) -> dict:
         except DivergenceError as exc:
             status, trace = "diverged", exc.trace or Trace()
         if spec.deterministic_timing:
-            trace = _strip_timing(trace)
-        path = out / f"trace_{spec.config.algorithm}_seed{seed}.csv"
+            trace = Trace(rows=[row._replace(wall_ms=0.0) for row in trace.rows])
+        path = out / f"trace_{algo}_seed{seed}.csv"
         io.write_trace_csv(path, trace)
-        final_obj = trace.rows[-1].objective if trace.rows else math.nan
         gnorms = [r.grad_map_norm_sq for r in trace.rows if not math.isnan(r.grad_map_norm_sq)]
         runs.append(
             {
@@ -117,42 +132,37 @@ def run_experiment(spec: RunSpec) -> dict:
                 "status": status,
                 "trace_path": str(path),
                 "trace": trace,
-                "final_objective": final_obj,
+                "final_objective": trace.rows[-1].objective if trace.rows else math.nan,
                 "min_grad_map_norm_sq": min(gnorms) if gnorms else math.nan,
                 "sfo_calls": trace.rows[-1].sfo_calls if trace.rows else 0,
             }
         )
 
-    summary = {"algorithm": spec.config.algorithm, "problem": spec.problem, "runs": runs}
-    with open(out / f"summary_{spec.config.algorithm}.csv", "w") as fh:
-        fh.write("algorithm,seed,status,final_objective,min_grad_map_norm_sq,sfo_calls\n")
-        for r in runs:
-            fh.write(
-                f"{spec.config.algorithm},{r['seed']},{r['status']},"
-                f"{format(r['final_objective'], '.17g')},"
-                f"{format(r['min_grad_map_norm_sq'], '.17g')},{r['sfo_calls']}\n"
-            )
-    return summary
+    columns = ("seed", "status", "final_objective", "min_grad_map_norm_sq", "sfo_calls")
+    io.write_csv(out / f"summary_{algo}.csv", ("algorithm", *columns),
+                 [(algo, *(r[c] for c in columns)) for r in runs])
+    return {"algorithm": algo, "problem": spec.problem.kind, "runs": runs}
 
 
 def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
     """Compare algorithms on one problem against the PALM baseline.
 
-    Every algorithm runs the same seeds from the same per-seed starting
-    points.  For each stochastic method the summary reports the first traced
-    epoch at which its objective reaches PALM's final objective for that
-    seed (inf when never reached).  Each row carries its run's ``trace``.
+    The problem is built once, and every algorithm runs the same seeds from
+    the same per-seed starting points.  For each stochastic method the
+    summary reports the first traced epoch at which its objective reaches
+    PALM's final objective for that seed (inf when never reached).  Each row
+    carries its run's ``trace``.  An algorithm list without ``palm`` or with
+    an unknown name raises ``ConfigError`` before anything runs or is written.
     """
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ConfigError(f"unknown algorithm(s) {', '.join(map(repr, unknown))}; expected names from {ALGORITHMS}")
     if "palm" not in algorithms:
-        raise ValueError("bench needs the palm baseline in the algorithm list")
+        raise ConfigError(f"bench needs the palm baseline in the algorithm list, got {list(algorithms)}")
     spec.validate()
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    per_algo: dict[str, dict] = {}
-    for algo in algorithms:
-        sub = replace(spec, config=replace(spec.config, algorithm=algo))
-        per_algo[algo] = run_experiment(sub)
+    problem, init_fn = spec.problem.build()
+    per_algo = {algo: _sweep(replace(spec, config=replace(spec.config, algorithm=algo)), problem, init_fn)
+                for algo in algorithms}
 
     palm_final = {r["seed"]: r["final_objective"] for r in per_algo["palm"]["runs"]}
     rows = []
@@ -177,12 +187,6 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
                 }
             )
 
-    with open(out / "bench_summary.csv", "w") as fh:
-        fh.write("algorithm,seed,status,final_objective,sfo_calls,epochs_to_palm_objective\n")
-        for r in rows:
-            fh.write(
-                f"{r['algorithm']},{r['seed']},{r['status']},"
-                f"{format(r['final_objective'], '.17g')},{r['sfo_calls']},"
-                f"{format(r['epochs_to_palm_objective'], '.17g')}\n"
-            )
-    return {"problem": spec.problem, "rows": rows, "palm_final": palm_final}
+    columns = ("algorithm", "seed", "status", "final_objective", "sfo_calls", "epochs_to_palm_objective")
+    io.write_csv(Path(spec.out_dir) / "bench_summary.csv", columns, [[r[c] for c in columns] for r in rows])
+    return {"problem": spec.problem.kind, "rows": rows, "palm_final": palm_final}

@@ -104,8 +104,8 @@ class SolverConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.batch_size <= n:
             raise ConfigError(f"batch size must satisfy 1 <= b <= n={n}, got {self.batch_size}")
-        if self.sarah_p is not None and self.sarah_p < 1:
-            raise ConfigError(f"SARAH period must satisfy p >= 1, got {self.sarah_p}")
+        if self.sarah_p is not None and not 1 <= self.sarah_p < math.inf:
+            raise ConfigError(f"SARAH period must satisfy 1 <= p < inf, got {self.sarah_p}")
         fixed = self.fixed_steps
         if self.step_policy == "fixed" and not (fixed and all(0 < g < math.inf for g in fixed)):
             raise ConfigError(f"fixed steps must be a positive finite (gamma_x, gamma_y), got {fixed}")
@@ -115,6 +115,8 @@ class SolverConfig:
             raise ConfigError(f"lipschitz_const must be finite and positive, got {self.lipschitz_const}")
         if self.power_iterations < 1:
             raise ConfigError(f"power iterations must be >= 1, got {self.power_iterations}")
+        if self.grad_map_tolerance is not None and not 0 <= self.grad_map_tolerance < math.inf:
+            raise ConfigError(f"grad_map_tolerance must satisfy 0 <= tol < inf, got {self.grad_map_tolerance}")
         if self.grad_map_tolerance is not None and not self.track_grad_map:
             raise ConfigError("grad_map_tolerance needs track_grad_map=True")
         if fixed is not None and self.step_policy != "fixed":
@@ -137,7 +139,6 @@ class Trace:
     """Per-epoch record of a run.  ``epoch`` is SFO-normalized: sfo/(2n)."""
 
     rows: list[TraceRow] = field(default_factory=list)
-    grad_map_mode: str = "gauss-seidel"
 
 
 class RunResult(NamedTuple):

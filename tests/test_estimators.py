@@ -391,6 +391,13 @@ def test_sarah_rejects_p_below_one():
         SarahState(np.zeros(2), np.zeros(2), p=0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sarah_rejects_non_finite_p(p):
+    # With p = NaN the refresh coin never comes up: SARAH would never refresh.
+    with pytest.raises(ValueError):
+        SarahState(np.zeros(2), np.zeros(2), p=p)
+
+
 def test_sarah_exhaustive_recursive_mse_bound(quad6, random_iterate):
     # One recursive step from an exact estimate: exhaustive MSE over all
     # C(6,2) batches is bounded by (1/(b n)) sum_i ||grad F_i(new) - grad F_i(old)||^2.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from springopt.harness import datasets, io, svgplot
-from springopt.harness.cli import cli_dispatch
-from springopt.harness.runner import RunSpec, bench, build_problem, run_experiment
-from springopt.solver import SolverConfig, Trace, TraceRow
+from springopt.harness import datasets, io, runner, svgplot
+from springopt.harness.cli import build_parser, cli_dispatch
+from springopt.harness.runner import ProblemSpec, RunSpec, bench, run_experiment
+from springopt.problems import BlindDeblurProblem, SparsePcaProblem
+from springopt.solver import DivergenceError, RunResult, SolverConfig, Trace, TraceRow
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def _sample_trace():
         TraceRow(0.5, 10, 1.2345678901234567, 9.876e-12, 17.25, 40),
         TraceRow(1.0, 20, 0.3333333333333333, float(np.pi) * 1e-8, 34.5, 80),
     ]
-    return Trace(rows=rows, grad_map_mode="gauss-seidel")
+    return Trace(rows=rows)
 
 
 def test_trace_csv_round_trip_exact(tmp_path):
@@ -137,8 +139,23 @@ def test_trace_csv_round_trip_exact(tmp_path):
     path = tmp_path / "t.csv"
     io.write_trace_csv(path, trace)
     back = io.read_trace_csv(path)
-    assert back.grad_map_mode == trace.grad_map_mode
     assert back.rows == trace.rows  # exact float64 round trip
+
+
+def test_trace_csv_bytes_pinned(tmp_path):
+    # An int epoch prints as an int; NaN as "nan"; floats with 17 significant digits.
+    trace = Trace(rows=[TraceRow(1, 20, 0.1, math.nan, 2.5, 40), TraceRow(2.5, 50, 1 / 3, 1e-20, 0.0, 80)])
+    path = tmp_path / "t.csv"
+    io.write_trace_csv(path, trace)
+    assert path.read_bytes() == (
+        b"# grad_map_mode=gauss-seidel\n"
+        b"epoch,sfo_calls,objective,grad_map_norm_sq,wall_ms,lipschitz_sfo\n"
+        b"1,20,0.10000000000000001,nan,2.5,40\n"
+        b"2.5,50,0.33333333333333331,9.9999999999999995e-21,0,80\n"
+    )
+    back = io.read_trace_csv(path).rows
+    assert math.isnan(back[0].grad_map_norm_sq)
+    assert back[1] == trace.rows[1]
 
 
 def test_trace_csv_header_enforced(tmp_path):
@@ -201,7 +218,7 @@ def test_svg_rejects_unknown_mode(tmp_path):
 def _toy_spec(tmp_path, algo="palm", **kw):
     cfg = SolverConfig(algorithm=algo, batch_size=kw.pop("batch_size", 2),
                        epochs=kw.pop("epochs", 3), seed=kw.pop("seed", 0))
-    return RunSpec(problem="toy-nmf", config=cfg, out_dir=str(tmp_path / "out"),
+    return RunSpec(problem=ProblemSpec("toy-nmf"), config=cfg, out_dir=str(tmp_path / "out"),
                    deterministic_timing=True, **kw)
 
 
@@ -217,7 +234,7 @@ def test_run_experiment_repeat_same_seed_identical_csv(tmp_path):
 def test_run_experiment_palm_sfo_exact(tmp_path):
     spec = _toy_spec(tmp_path, epochs=5)
     summary = run_experiment(spec)
-    problem, _ = build_problem(spec)
+    problem, _ = spec.problem.build()
     assert summary["runs"][0]["sfo_calls"] == 2 * problem.n * 5
 
 
@@ -236,7 +253,7 @@ def test_sarah_refresh_rate_binomial(tmp_path):
     spec.config.warm_start = False
     spec.config.track_grad_map = False
     summary = run_experiment(spec)
-    problem, _ = build_problem(spec)
+    problem, _ = spec.problem.build()
     n = problem.n
     steps = 100 * n  # n/b = n steps per epoch
     sfo = summary["runs"][0]["sfo_calls"]
@@ -249,7 +266,7 @@ def test_sarah_refresh_rate_binomial(tmp_path):
 
 def test_run_experiment_records_divergence_and_continues(tmp_path):
     cfg = SolverConfig(algorithm="palm", epochs=40, step_policy="fixed", fixed_steps=(50.0, 50.0))
-    spec = RunSpec(problem="toy-nmf", config=cfg, out_dir=str(tmp_path / "div"),
+    spec = RunSpec(problem=ProblemSpec("toy-nmf"), config=cfg, out_dir=str(tmp_path / "div"),
                    repeat=2, deterministic_timing=True)
     summary = run_experiment(spec)
     assert [r["status"] for r in summary["runs"]] == ["diverged", "diverged"]
@@ -275,14 +292,83 @@ def test_bench_toy_nmf_under_60_seconds(tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
+_FAKE_ROWS = [TraceRow(1.0, 40, 2.5, math.nan, 0.0, 8), TraceRow(2.0, 80, 1 / 3, 0.1, 0.0, 16)]
+
+
+def _fake_run(problem, config, z0):
+    # Seed 0 converges (stochastic methods to a quarter of PALM's objective);
+    # seed 1 diverges with a partial trace, seed 2 without one.
+    if config.seed == 1:
+        raise DivergenceError("blown up", trace=Trace(rows=_FAKE_ROWS[:1]))
+    if config.seed == 2:
+        raise DivergenceError("blown up")
+    rows = _FAKE_ROWS if config.algorithm == "palm" else [r._replace(objective=r.objective / 4) for r in _FAKE_ROWS]
+    return RunResult(z0, Trace(rows=list(rows)), None)
+
+
+def test_summary_csvs_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "run", _fake_run)
+    spec = _toy_spec(tmp_path, repeat=3)
+    run_experiment(spec)
+    assert Path(spec.out_dir, "summary_palm.csv").read_bytes() == (
+        b"algorithm,seed,status,final_objective,min_grad_map_norm_sq,sfo_calls\n"
+        b"palm,0,ok,0.33333333333333331,0.10000000000000001,80\n"
+        b"palm,1,diverged,2.5,nan,40\n"
+        b"palm,2,diverged,nan,nan,0\n"
+    )
+    bench(spec, algorithms=("palm", "spring-sgd"))
+    assert Path(spec.out_dir, "bench_summary.csv").read_bytes() == (
+        b"algorithm,seed,status,final_objective,sfo_calls,epochs_to_palm_objective\n"
+        b"palm,0,ok,0.33333333333333331,80,0\n"
+        b"palm,1,diverged,2.5,40,0\n"
+        b"palm,2,diverged,nan,0,0\n"
+        b"spring-sgd,0,ok,0.083333333333333329,80,2\n"
+        b"spring-sgd,1,diverged,2.5,40,inf\n"
+        b"spring-sgd,2,diverged,nan,0,inf\n"
+    )
+
+
+def test_bench_builds_problem_once(tmp_path, monkeypatch):
+    # Every algorithm runs on one built problem, so the data file is read once.
+    data = tmp_path / "a.csv"
+    io.save_matrix_csv(data, datasets.toy_nmf_matrix(seed=1, shape=(12, 8)))
+    calls = []
+    load = io.load_matrix
+    monkeypatch.setattr(runner.io, "load_matrix", lambda path: calls.append(path) or load(path))
+    spec = RunSpec(problem=ProblemSpec("nmf", data_path=str(data), rank=3),
+                   config=SolverConfig(algorithm="palm", batch_size=2), out_dir=str(tmp_path / "out"))
+    result = bench(spec)
+    assert {row["algorithm"] for row in result["rows"]} == {"palm", "ipalm", "spring-sgd", "spring-saga",
+                                                             "spring-sarah"}
+    assert calls == [str(data)]
+
+
+def test_problem_spec_rejects_unknown_parameter():
+    with pytest.raises(TypeError):
+        ProblemSpec(sparsty=3)
+
+
+def test_problem_spec_defaults_match_adapters_and_cli():
+    spec = ProblemSpec()
+    assert (spec.lam1, spec.lam2) == (SparsePcaProblem.lam1, SparsePcaProblem.lam2)
+    assert (spec.lam, spec.theta, spec.tiles) == (BlindDeblurProblem.lam, BlindDeblurProblem.theta,
+                                                  BlindDeblurProblem.n_tiles)
+    assert dataclasses.astuple(spec) == ("toy-nmf", None, None, 5, None, 0.1, 0.1, 5e-4, 1e3, 16, 5, 0)
+    run_p = build_parser()[1]["run"]
+    flag = {"kind": "problem", "data_path": "data", "image_path": "image"}
+    for f in dataclasses.fields(ProblemSpec):
+        assert run_p.get_default(flag.get(f.name, f.name)) == getattr(spec, f.name), f.name
+
+
 def test_run_spec_validation(tmp_path):
     with pytest.raises(ValueError):
-        RunSpec(problem="bogus", config=SolverConfig(algorithm="palm"), out_dir=".").validate()
+        RunSpec(problem=ProblemSpec("bogus"), config=SolverConfig(algorithm="palm"), out_dir=".").validate()
     with pytest.raises(ValueError):
-        RunSpec(problem="toy-nmf", config=SolverConfig(algorithm="palm"), out_dir=".", repeat=0).validate()
+        RunSpec(problem=ProblemSpec("toy-nmf"), config=SolverConfig(algorithm="palm"), out_dir=".",
+                repeat=0).validate()
     with pytest.raises(FileNotFoundError):
-        RunSpec(problem="nmf", config=SolverConfig(algorithm="palm"), out_dir=".",
-                data_path=str(tmp_path / "missing.csv")).validate()
+        RunSpec(problem=ProblemSpec("nmf", data_path=str(tmp_path / "missing.csv")),
+                config=SolverConfig(algorithm="palm"), out_dir=".").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +405,11 @@ def test_cli_unknown_flag_exits_2():
     (["--gamma-x", "0.1"], "--gamma-x and --gamma-y need each other and --steps fixed, got --steps practical"),
     (["--steps", "theoretical", "--gamma-y", "0.1"],
      "--gamma-x and --gamma-y need each other and --steps fixed, got --steps theoretical"),
+    (["--algo", "spring-sarah", "--sarah-p", "nan"], "SARAH period must satisfy 1 <= p < inf, got nan"),
+    (["--algo", "spring-sarah", "--sarah-p", "nan", "--steps", "theoretical", "--lipschitz-const", "1"],
+     "SARAH period must satisfy 1 <= p < inf, got nan"),
+    (["--tol", "nan"], "grad_map_tolerance must satisfy 0 <= tol < inf, got nan"),
+    (["--tol", "-1"], "grad_map_tolerance must satisfy 0 <= tol < inf, got -1.0"),
 ])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):
@@ -334,6 +425,15 @@ def test_cli_runtime_failure_exits_1(tmp_path):
     code = cli_dispatch(["run", "--problem", "nmf", "--data", str(tmp_path / "missing.csv"),
                          "--algo", "palm", "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-grad", "--problem", "nmf"], "problem 'nmf' needs a data matrix path"),
+    (["estimate-lipschitz", "--problem", "bid"], "problem 'bid' needs a blurred-image path"),
+], ids=["check-grad-nmf", "estimate-lipschitz-bid"])
+def test_cli_missing_input_path_exits_1(argv, message, capsys):
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_plot_from_traces(tmp_path):
@@ -407,3 +507,36 @@ def test_cli_bench_writes_files(tmp_path):
                          "--algos", "palm,spring-sgd"])
     assert code == 0
     assert Path(out, "bench_summary.csv").exists()
+
+
+@pytest.mark.parametrize("algos, message", [
+    ("", "bench needs the palm baseline in the algorithm list, got []"),
+    ("spring-sgd", "bench needs the palm baseline in the algorithm list, got ['spring-sgd']"),
+    ("palm,bogus", "unknown algorithm(s) 'bogus'; expected names from "
+                   "('palm', 'ipalm', 'spring-sgd', 'spring-saga', 'spring-sarah')"),
+], ids=["empty", "no-palm", "unknown"])
+def test_cli_bench_rejects_bad_algos_before_any_run(tmp_path, capsys, algos, message):
+    out = tmp_path / "bench"
+    code = cli_dispatch(["bench", "--problem", "toy-nmf", "--epochs", "1", "--out", str(out), "--algos", algos])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_cli_config_file_values_take_flag_types(tmp_path, monkeypatch, capsys):
+    # A config-file value is converted by its flag's type, as on the command line.
+    seen = []
+    monkeypatch.setattr("springopt.harness.cli.run_experiment",
+                        lambda spec: seen.append(spec) or {"algorithm": "palm", "runs": []})
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = toy-pca\nrank = 3\nlam1 = 1\nsarah-p = 4\nout = 7\n")
+    assert cli_dispatch(["run", "--config", str(cfg)]) == 0
+    spec = seen[0]
+    assert spec.problem == ProblemSpec("toy-pca", rank=3, lam1=1.0)
+    assert type(spec.problem.lam1) is float and type(spec.config.sarah_p) is float and spec.out_dir == "7"
+    # A value the flag's type rejects is a usage error.
+    cfg.write_text("epochs = two\n")
+    capsys.readouterr()
+    assert cli_dispatch(["run", "--config", str(cfg)]) == 2
+    assert "argument --epochs: invalid int value: 'two'" in capsys.readouterr().err
+    assert len(seen) == 1

@@ -205,6 +205,8 @@ def test_run_validates_config(sep10):
                 dict(fixed, fixed_steps=(0.0, 0.5)), dict(fixed, fixed_steps=(0.5, -1.0)),
                 dict(fixed, fixed_steps=(math.nan, 0.5)), dict(fixed, fixed_steps=(0.5, math.inf)),
                 dict(power_iterations=0), dict(grad_map_tolerance=1e-3, track_grad_map=False),
+                dict(sarah_p=math.nan), dict(sarah_p=math.inf), dict(grad_map_tolerance=math.nan),
+                dict(grad_map_tolerance=-1.0), dict(grad_map_tolerance=math.inf),
                 # Settings the chosen policy would ignore.
                 dict(fixed_steps=(0.5, 0.5)), dict(step_policy="theoretical", fixed_steps=(0.5, 0.5)),
                 dict(lipschitz_const=1.0), dict(fixed, fixed_steps=(0.5, 0.5), lipschitz_const=1.0)):
