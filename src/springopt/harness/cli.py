@@ -12,7 +12,9 @@ usage error.
 ``power_init`` and ``lip_batch`` streams) at the initial point.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including any
-subcommand's solver settings that ``SolverConfig.validate`` rejects).
+subcommand's solver settings that ``SolverConfig.validate`` rejects, and
+``--repeat`` below 1); ``run`` and ``bench`` check their settings before
+they create ``--out``, so a usage error writes nothing.
 """
 
 from __future__ import annotations

@@ -45,10 +45,7 @@ def save_matrix_spmx(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g", delimiter=",")
 
 
 def _load_spmx(raw: bytes, path) -> np.ndarray:

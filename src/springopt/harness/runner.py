@@ -95,7 +95,7 @@ class RunSpec:
 
     def validate(self) -> None:
         if self.repeat < 1:
-            raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+            raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
         self.problem.validate()
 
 
@@ -104,10 +104,13 @@ def run_experiment(spec: RunSpec) -> dict:
 
     Divergence in one run is recorded in the summary and the sweep
     continues.  Returns {algorithm, runs: [{seed, status, trace, ...}]}, each
-    ``trace`` being the one written to the run's CSV.
+    ``trace`` being the one written to the run's CSV.  A configuration the
+    solver rejects raises ``ConfigError`` before anything is written.
     """
     spec.validate()
-    return _sweep(spec, *spec.problem.build())
+    problem, init_fn = spec.problem.build()
+    spec.config.validate(problem.n)
+    return _sweep(spec, problem, init_fn)
 
 
 def _sweep(spec: RunSpec, problem, init_fn) -> dict:
@@ -152,7 +155,8 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
     summary reports the first traced epoch at which its objective reaches
     PALM's final objective for that seed (inf when never reached).  Each row
     carries its run's ``trace``.  An algorithm list without ``palm`` or with
-    an unknown name raises ``ConfigError`` before anything runs or is written.
+    an unknown name, or a configuration the solver rejects for any listed
+    algorithm, raises ``ConfigError`` before anything runs or is written.
     """
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
@@ -161,8 +165,10 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
         raise ConfigError(f"bench needs the palm baseline in the algorithm list, got {list(algorithms)}")
     spec.validate()
     problem, init_fn = spec.problem.build()
-    per_algo = {algo: _sweep(replace(spec, config=replace(spec.config, algorithm=algo)), problem, init_fn)
-                for algo in algorithms}
+    specs = {algo: replace(spec, config=replace(spec.config, algorithm=algo)) for algo in algorithms}
+    for algo_spec in specs.values():
+        algo_spec.config.validate(problem.n)
+    per_algo = {algo: _sweep(algo_spec, problem, init_fn) for algo, algo_spec in specs.items()}
 
     palm_final = {r["seed"]: r["final_objective"] for r in per_algo["palm"]["runs"]}
     rows = []

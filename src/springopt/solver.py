@@ -1,12 +1,16 @@
 """Iteration engines: deterministic PALM, inertial PALM, and their
 stochastic counterparts (SGD / SAGA / SARAH estimators).
 
-One step updates the blocks in strict Gauss-Seidel order: the x-block moves
-first using a gradient (estimate) at (x_k, y_k), then the y-block moves
-using a gradient (estimate) at (x_{k+1}, y_k).
+All five algorithms take one alternating step, ``_step``; it differs only
+in its ``EstimatorDriver``.  PALM and inertial PALM use the exact gradient,
+the estimator kind ``full``, and inertial PALM extrapolates first.  One step
+updates the blocks in strict Gauss-Seidel order: the x-block moves first
+using a gradient (estimate) at (x_k, y_k), then the y-block moves using a
+gradient (estimate) at (x_{k+1}, y_k).
 
-Cost accounting: ``sfo_calls`` counts stochastic first-order oracle queries:
-2n per PALM step; 2b per SGD or SAGA step (the SAGA table refresh reuses the
+Cost accounting: ``sfo_calls`` counts stochastic first-order oracle queries,
+charged by each block's estimate: n per block for ``full`` (2n per PALM
+step); 2b per SGD or SAGA step (the SAGA table refresh reuses the
 estimate's evaluations); for SARAH, 2n on a refresh and 2b on a recursive
 step.  A recursive SARAH query for component j is charged once per block
 even though it evaluates the component's partial gradient at both the new
@@ -17,8 +21,9 @@ Lipschitz estimation are excluded; Lipschitz work is reported in its own
 trace column.
 
 ``run`` builds one ``_StepSizes`` object per run (the step policy, the
-Lipschitz draws and their tally), then steps and records.  A recursive
-SARAH step takes its old points from ``EstimatorDriver.sarah_prev``.
+Lipschitz draws and their tally) and one ``EstimatorDriver``, then steps
+and records.  A recursive SARAH step takes its old points from
+``EstimatorDriver.sarah_prev``.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ class DivergenceError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A ``SolverConfig`` that ``SolverConfig.validate`` rejects."""
+    """A usage error: a ``SolverConfig`` that ``SolverConfig.validate`` rejects, or a
+    harness setting such as a ``RunSpec.repeat`` below 1 or ``bench``'s algorithm list."""
 
 
 @dataclass
@@ -164,57 +170,23 @@ def _guarded_iterate(x: np.ndarray, y: np.ndarray, context: str) -> Iterate:
         ) from None
 
 
-def _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, name):
-    """Deterministic alternating prox-gradient sweep plus the full gradients it took.
-
-    Each block extrapolates by beta * (current - previous) before its update,
-    unless beta = 0 (PALM): then the gradients are at z and at (x_next, y).
-    ``name`` labels the divergence messages.
-    """
-    x_bar, y_bar, at = z.x, z.y, z
-    if beta != 0:
-        x_bar = z.x + beta * (z.x - z_prev.x)
-        y_bar = z.y + beta * (z.y - z_prev.y)
-        at = Iterate(x_bar, z.y)
-    gx = full_grad_x(problem, at)
-    x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
-    gy = full_grad_y(problem, _guarded_iterate(x_next, y_bar, f"{name} x-update"))
-    y_next = prox_generic(problem.prox_y, gamma_y, y_bar - gamma_y * gy)
-    return _guarded_iterate(x_next, y_next, f"{name} y-update"), (gx, gy)
-
-
-def palm_step(problem: BlockProblem, z: Iterate, gamma_x: float, gamma_y: float) -> Iterate:
-    """One deterministic alternating prox-gradient sweep."""
-    return _sweep(problem, z, z, gamma_x, gamma_y, 0.0, "palm")[0]
-
-
-def ipalm_step(
-    problem: BlockProblem,
-    z: Iterate,
-    z_prev: Iterate,
-    gamma_x: float,
-    gamma_y: float,
-    beta: float,
-) -> Iterate:
-    """PALM step from the inertially extrapolated points z + beta * (z - z_prev)."""
-    return _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, "ipalm")[0]
-
-
 @dataclass
 class EstimatorDriver:
-    """Mutable estimator context threaded through spring steps.
+    """Mutable estimator context threaded through the steps.
 
-    Owns the batch samplers, the SARAH coin stream and the estimator state.
-    ``warm`` switches the estimates to plain SGD while still populating SAGA
-    tables.  ``sarah_prev`` holds the previous SARAH step's two points, z and
-    its post-x-update point (x_{k+1}, y_k), the old points of the next step's
-    recursion; it is None before the first SARAH step and after every warm
-    step, and a SARAH step without it refreshes.
+    ``kind`` picks each block's gradient estimate: ``full`` is the exact
+    gradient (PALM and inertial PALM), the others are SPRING's estimators.
+    Owns the batch samplers (None for ``full``), the SARAH coin stream and
+    the estimator state.  ``warm`` switches the estimates to plain SGD while
+    still populating SAGA tables.  ``sarah_prev`` holds the previous SARAH
+    step's two points, z and its post-x-update point (x_{k+1}, y_k), the old
+    points of the next step's recursion; it is None before the first SARAH
+    step and after every warm step, and a SARAH step without it refreshes.
     """
 
-    kind: str  # sgd | saga | sarah
-    sampler_x: est.BatchSampler
-    sampler_y: est.BatchSampler
+    kind: str  # full | sgd | saga | sarah
+    sampler_x: est.BatchSampler | None = None
+    sampler_y: est.BatchSampler | None = None
     coin_rng: np.random.Generator | None = None
     saga: est.SagaState | None = None
     sarah: est.SarahState | None = None
@@ -222,14 +194,17 @@ class EstimatorDriver:
     warm: bool = False
 
 
-def _spring_estimate(problem, driver, kind, refresh, block, point, point_old):
+def _estimate(problem, driver, kind, refresh, block, point, point_old):
     """One block's gradient estimate at ``point`` and its SFO charge.
 
-    Draws the block's batch and estimates with ``kind``; a SARAH estimate
-    recurses from ``point_old``.  The estimator functions are looked up on
+    ``full`` takes the exact gradient, charged n.  Otherwise draws the
+    block's batch and estimates with ``kind``; a SARAH estimate recurses
+    from ``point_old``.  The estimator functions are looked up on
     ``estimators`` at every call, so a patched one is seen.
     """
     on_x = block == "x"
+    if kind == "full":
+        return (full_grad_x if on_x else full_grad_y)(problem, point), problem.n
     batch = est.sample_batch(driver.sampler_x if on_x else driver.sampler_y)
     if kind == "sarah":
         sarah_estimate = est.sarah_estimate_x if on_x else est.sarah_estimate_y
@@ -244,18 +219,15 @@ def _spring_estimate(problem, driver, kind, refresh, block, point, point_old):
     return (saga if kind == "saga" else sgd), len(batch)
 
 
-def spring_step(
-    problem: BlockProblem,
-    z: Iterate,
-    driver: EstimatorDriver,
-    gamma_x: float,
-    gamma_y: float,
-) -> tuple[Iterate, int]:
-    """One stochastic alternating step; returns (z_next, sfo_used).
+def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
+    """One alternating prox-gradient step; returns (z_next, sfo_used, (gx, gy)).
 
+    Each block extrapolates by beta * (current - previous) before its update,
+    unless beta = 0: then the estimates are at z and at (x_next, y).
     Estimator state inside ``driver`` is advanced as a side effect (SAGA
     table rows refreshed with the evaluations already made for the
-    estimate; SARAH estimates and ``sarah_prev`` updated).
+    estimate; SARAH estimates and ``sarah_prev`` updated).  ``name`` labels
+    the divergence messages.
     """
     if not (gamma_x > 0 and gamma_y > 0):
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
@@ -265,15 +237,48 @@ def spring_step(
         refresh = est.sarah_refresh_coin(driver.sarah, driver.coin_rng) or driver.sarah_prev is None
         z_old, mid_old = (z, z) if refresh else driver.sarah_prev  # a refresh ignores them
 
-    gx, sfo_x = _spring_estimate(problem, driver, kind, refresh, "x", z, z_old)
-    x_next = prox_generic(problem.prox_x, gamma_x, z.x - gamma_x * gx)
-    mid = _guarded_iterate(x_next, z.y, "spring x-update")
+    x_bar, y_bar, at = z.x, z.y, z
+    if beta != 0:
+        x_bar = z.x + beta * (z.x - z_prev.x)
+        y_bar = z.y + beta * (z.y - z_prev.y)
+        at = Iterate(x_bar, z.y)
+    gx, sfo_x = _estimate(problem, driver, kind, refresh, "x", at, z_old)
+    x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
+    mid = _guarded_iterate(x_next, y_bar, f"{name} x-update")
 
-    gy, sfo_y = _spring_estimate(problem, driver, kind, refresh, "y", mid, mid_old)
-    y_next = prox_generic(problem.prox_y, gamma_y, z.y - gamma_y * gy)
-    z_next = _guarded_iterate(x_next, y_next, "spring y-update")
+    gy, sfo_y = _estimate(problem, driver, kind, refresh, "y", mid, mid_old)
+    y_next = prox_generic(problem.prox_y, gamma_y, y_bar - gamma_y * gy)
+    z_next = _guarded_iterate(x_next, y_next, f"{name} y-update")
     driver.sarah_prev = (z, mid) if kind == "sarah" else None
-    return z_next, sfo_x + sfo_y
+    return z_next, sfo_x + sfo_y, (gx, gy)
+
+
+def palm_step(problem: BlockProblem, z: Iterate, gamma_x: float, gamma_y: float) -> Iterate:
+    """One deterministic alternating prox-gradient step."""
+    return _step(problem, z, z, EstimatorDriver("full"), gamma_x, gamma_y, 0.0, "palm")[0]
+
+
+def ipalm_step(
+    problem: BlockProblem,
+    z: Iterate,
+    z_prev: Iterate,
+    gamma_x: float,
+    gamma_y: float,
+    beta: float,
+) -> Iterate:
+    """PALM step from the inertially extrapolated points z + beta * (z - z_prev)."""
+    return _step(problem, z, z_prev, EstimatorDriver("full"), gamma_x, gamma_y, beta, "ipalm")[0]
+
+
+def spring_step(
+    problem: BlockProblem,
+    z: Iterate,
+    driver: EstimatorDriver,
+    gamma_x: float,
+    gamma_y: float,
+) -> tuple[Iterate, int]:
+    """One alternating step with ``driver``'s estimator, advancing its state; returns (z_next, sfo_used)."""
+    return _step(problem, z, z, driver, gamma_x, gamma_y, 0.0, "spring")[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,7 @@ class _StepSizes:
         self.z0 = z0
         self.b = b
         self.rng = stream_rng(config.seed, "power_init")
-        self.sampler = est.BatchSampler(n, b, stream_rng(config.seed, "lip_batch")) if kind is not None else None
+        self.sampler = est.BatchSampler(n, b, stream_rng(config.seed, "lip_batch")) if kind != "full" else None
         self.decay = 0.5 ** (b / (2.0 * n))  # a half-life of 2 epochs
         self.env_x = 0.0
         self.env_y = 0.0
@@ -317,7 +322,7 @@ class _StepSizes:
             if L is None:
                 L = max(self.draw(z0, np.arange(n)))
             gamma = 1.0 / L
-            if kind is not None:
+            if kind != "full":
                 v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
                 bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
                 gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
@@ -383,25 +388,23 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     n = problem.n
     config.validate(n)
     algo = config.algorithm
-    kind = algo.split("-", 1)[1] if algo.startswith("spring-") else None
-    b = config.batch_size if kind is not None else n
+    name, _, kind = algo.partition("-")
+    kind = kind or "full"
+    b = config.batch_size if kind != "full" else n
     sarah_p = config.sarah_p if config.sarah_p is not None else float(n)
     steps_per_epoch = math.ceil(n / b)
     check_dims(problem, z0)
 
     # Each named stream is built only where it is drawn from; they are independent.
-    driver = None
-    if kind is not None:
-        driver = EstimatorDriver(
-            kind=kind,
-            sampler_x=est.BatchSampler(n, b, stream_rng(config.seed, "batch_x")),
-            sampler_y=est.BatchSampler(n, b, stream_rng(config.seed, "batch_y")),
-        )
-        if kind == "saga":
-            driver.saga = est.SagaState.from_problem(problem)
-        elif kind == "sarah":
-            driver.coin_rng = stream_rng(config.seed, "sarah_coin")
-            driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
+    driver = EstimatorDriver(kind)
+    if kind != "full":
+        driver.sampler_x = est.BatchSampler(n, b, stream_rng(config.seed, "batch_x"))
+        driver.sampler_y = est.BatchSampler(n, b, stream_rng(config.seed, "batch_y"))
+    if kind == "saga":
+        driver.saga = est.SagaState.from_problem(problem)
+    elif kind == "sarah":
+        driver.coin_rng = stream_rng(config.seed, "sarah_coin")
+        driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
     # SAGA and SARAH step like SGD through a warm-start first epoch.
     warm_steps = steps_per_epoch if config.warm_start and kind in ("saga", "sarah") else 0
     steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
@@ -417,16 +420,11 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     try:
         for k in range(1, config.epochs * steps_per_epoch + 1):
             gamma_x, gamma_y = steps(z, k)
-            if kind is None:
-                beta = ipalm_momentum(k) if algo == "ipalm" else 0.0
-                z_next, grads = _sweep(problem, z, z_prev, gamma_x, gamma_y, beta, algo)
-                # Without momentum the step's gradients are the gradient map's: the trace reuses them.
-                step_grads = None if beta else grads
-                used = 2 * n
-            else:
-                driver.warm = k <= warm_steps
-                z_next, used = spring_step(problem, z, driver, gamma_x, gamma_y)
-                step_grads = None
+            driver.warm = k <= warm_steps
+            beta = ipalm_momentum(k) if algo == "ipalm" else 0.0
+            z_next, used, grads = _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name)
+            # The trace reuses exact gradients taken without momentum (the map's); others are freed now.
+            grads = grads if kind == "full" and not beta else None
             sfo_calls += used
             z_prev, z = z, z_next
             if not config.record_every_iteration and k % steps_per_epoch != 0:
@@ -435,7 +433,7 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             gnorm = float("nan")
             if config.track_grad_map:
                 gnorm = generalized_gradient_map(problem, z_prev, z.x, gamma_x / 2.0, gamma_y / 2.0,
-                                                 grads=step_grads).norm_sq
+                                                 grads=grads).norm_sq
             phi = objective(problem, z)
             wall = (time.perf_counter() - start) * 1e3
             trace.rows.append(TraceRow(sfo_calls / (2.0 * n), sfo_calls, phi, gnorm, wall, steps.sfo))
@@ -454,7 +452,4 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             exc.trace = trace
         raise
 
-    state = None
-    if driver is not None:
-        state = driver.saga if kind == "saga" else driver.sarah
-    return RunResult(z=z, trace=trace, estimator_state=state)
+    return RunResult(z=z, trace=trace, estimator_state=driver.saga if kind == "saga" else driver.sarah)

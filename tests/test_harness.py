@@ -11,7 +11,7 @@ from springopt.harness import datasets, io, runner, svgplot
 from springopt.harness.cli import build_parser, cli_dispatch
 from springopt.harness.runner import ProblemSpec, RunSpec, bench, run_experiment
 from springopt.problems import BlindDeblurProblem, SparsePcaProblem
-from springopt.solver import DivergenceError, RunResult, SolverConfig, Trace, TraceRow
+from springopt.solver import ConfigError, DivergenceError, RunResult, SolverConfig, Trace, TraceRow
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,18 @@ def test_csv_round_trip_17_digits(tmp_path):
     path = tmp_path / "rt.csv"
     io.save_matrix_csv(path, m)
     np.testing.assert_array_equal(io.load_matrix(path), m)
+
+
+def test_csv_matrix_bytes_pinned(tmp_path):
+    # Signed zero, the smallest subnormal, non-finite cells and 17 significant digits, byte for byte.
+    m = np.array([[-0.0, 5e-324, 1 / 3], [1e300, np.inf, -np.inf], [np.nan, 1.0, -2.5e-7]])
+    path = tmp_path / "edge.csv"
+    io.save_matrix_csv(path, m)
+    assert path.read_bytes() == (b"-0,4.9406564584124654e-324,0.33333333333333331\n"
+                                 b"1.0000000000000001e+300,inf,-inf\n"
+                                 b"nan,1,-2.4999999999999999e-07\n")
+    io.save_matrix_csv(path, [1.5, 2])
+    assert path.read_bytes() == b"1.5,2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +375,7 @@ def test_problem_spec_defaults_match_adapters_and_cli():
 def test_run_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         RunSpec(problem=ProblemSpec("bogus"), config=SolverConfig(algorithm="palm"), out_dir=".").validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="repeat must be >= 1, got 0"):
         RunSpec(problem=ProblemSpec("toy-nmf"), config=SolverConfig(algorithm="palm"), out_dir=".",
                 repeat=0).validate()
     with pytest.raises(FileNotFoundError):
@@ -410,15 +422,29 @@ def test_cli_unknown_flag_exits_2():
      "SARAH period must satisfy 1 <= p < inf, got nan"),
     (["--tol", "nan"], "grad_map_tolerance must satisfy 0 <= tol < inf, got nan"),
     (["--tol", "-1"], "grad_map_tolerance must satisfy 0 <= tol < inf, got -1.0"),
+    (["--repeat", "0"], "repeat must be >= 1, got 0"),
 ])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):
-    # A solver flag the validator rejects is a usage error, reported in the validator's words.
+    # A solver flag the validator rejects is a usage error, reported in the validator's words,
+    # and nothing is written.
     code = cli_dispatch([command, "--problem", "toy-nmf", "--out", str(tmp_path / "o"), *flags])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_bench_rejects_a_later_algorithm_before_writing(tmp_path, capsys):
+    # PALM and iPALM accept the theoretical policy and SGD does not: bench checks every
+    # algorithm's configuration before its first run.
+    code = cli_dispatch(["bench", "--problem", "toy-nmf", "--steps", "theoretical", "--epochs", "1",
+                         "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: the theoretical step policy applies to variance-reduced "
+                                       "estimators only\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_runtime_failure_exits_1(tmp_path):

@@ -60,6 +60,17 @@ def test_spring_full_batch_matches_palm(sep10):
     assert sfo == 2 * problem.n
 
 
+def test_spring_step_with_exact_estimator_is_palm_step(quad5, random_iterate):
+    # PALM is SPRING with the exact estimator: the same step, bit for bit, charged n per block.
+    problem, _ = quad5
+    z = random_iterate(problem, seed=44)
+    z_spring, sfo = spring_step(problem, z, EstimatorDriver("full"), 0.3, 0.4)
+    z_palm = palm_step(problem, z, 0.3, 0.4)
+    np.testing.assert_array_equal(z_spring.x, z_palm.x)
+    np.testing.assert_array_equal(z_spring.y, z_palm.y)
+    assert sfo == 2 * problem.n
+
+
 def test_step_fixed_point(quad5):
     # Zero gradients with no regularizers: z stays put.
     problem = BlockProblem(
@@ -245,15 +256,15 @@ def test_run_trace_determinism(sep10):
 
 def test_sfo_double_entry_exact(sep10):
     # The reported SFO count must match an independent counter inside the
-    # problem adapter (diagnostic evaluations disabled).  SGD, SAGA and PALM
-    # charge every gradient evaluation; a recursive SARAH visit evaluates
+    # problem adapter (diagnostic evaluations disabled).  SGD, SAGA, PALM and
+    # inertial PALM charge every gradient evaluation; a recursive SARAH visit evaluates
     # two points per charged query, so raw calls exceed SFO by 2b per
     # recursive step.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     z0 = Iterate(np.zeros(4), np.zeros(4))
     b, epochs = 2, 5
     steps = epochs * math.ceil(problem.n / b)
-    for algo in ("palm", "spring-sgd", "spring-saga"):
+    for algo in ("palm", "ipalm", "spring-sgd", "spring-saga"):
         counted, counter = with_oracle_counter(problem)
         res = run(counted, SolverConfig(algorithm=algo, batch_size=b, epochs=epochs, seed=3,
                                         step_policy="fixed", fixed_steps=(0.2, 0.2),
