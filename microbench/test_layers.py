@@ -8,9 +8,10 @@
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
-* each Lipschitz draw (the hook forming its operator plus the 5-iteration
-  estimate on it) at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
-  full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
+* each Lipschitz draw (the hook forming its operator plus the solver's
+  ``POWER_ITERATIONS``-iteration estimate on it) at nmf-medium shapes
+  (200 x 500, r = 10; b = 13 and the full batch) and bid-medium shapes
+  (16 tiles; b = 1 and the full batch);
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
 * one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
@@ -29,7 +30,7 @@ import pytest
 from springopt.core import Iterate
 from springopt.estimators import BatchSampler, SagaState, sample_batch
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import lipschitz_estimate
+from springopt.lipschitz import POWER_ITERATIONS, lipschitz_estimate
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -97,7 +98,7 @@ def test_nmf_oracle(benchmark, request, oracle, batch):
 
 
 def _estimate(hook, z, batch, rng):
-    return lipschitz_estimate(hook(z.x, z.y, batch), 5, rng)
+    return lipschitz_estimate(hook(z.x, z.y, batch), POWER_ITERATIONS, rng)
 
 
 def _draw(benchmark, problem, z, block, batch):

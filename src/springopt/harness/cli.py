@@ -95,7 +95,6 @@ def _solver_parent() -> argparse.ArgumentParser:
     p.add_argument("--warm-start", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--tol", type=float, default=None, help="gradient-map early-exit tolerance")
     p.add_argument("--lipschitz-const", type=float, default=None)
-    p.add_argument("--power-iters", type=int, default=5)
     return p
 
 
@@ -129,7 +128,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     lip_p = sub.add_parser("estimate-lipschitz", parents=[_problem_parent()],
                            help="power-method Lipschitz estimates at the initial point")
     lip_p.add_argument("--batch", type=int, default=None, help="subsample size for stochastic estimates")
-    lip_p.add_argument("--iterations", type=int, default=5)
     lip_p.add_argument("--seed", type=int, default=0)
 
     plot_p = sub.add_parser("plot", help="render trace CSVs as an SVG")
@@ -158,7 +156,6 @@ def _solver_config(args) -> SolverConfig:
         warm_start=args.warm_start,
         grad_map_tolerance=args.tol,
         lipschitz_const=args.lipschitz_const,
-        power_iterations=args.power_iters,
     )
 
 
@@ -219,11 +216,10 @@ def cmd_check_grad(args) -> int:
 
 def cmd_estimate_lipschitz(args) -> int:
     b = args.batch if args.batch is not None else 1
-    config = SolverConfig(algorithm="palm", seed=args.seed, batch_size=b, power_iterations=args.iterations)
+    config = SolverConfig(algorithm="spring-sgd", seed=args.seed, batch_size=b)
     problem, init_fn = _problem_spec(args).build()
     config.validate(problem.n)
     z = init_fn(args.seed)
-    # The practical policy draws nothing at set-up; the "sgd" kind gives the draws a lip_batch sampler.
     steps = _StepSizes(problem, config, z, "sgd", b, None)
     lx, ly = steps.draw(z, np.arange(problem.n))
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")

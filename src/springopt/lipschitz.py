@@ -30,6 +30,9 @@ ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 # Floor applied to Lipschitz estimates before inversion.
 EPS_LIPSCHITZ = 1e-12
 
+# The solver's draw rule: power-method iterations per Lipschitz draw.
+POWER_ITERATIONS = 5
+
 
 def power_estimate_sq_norm(
     apply: Callable[[np.ndarray], np.ndarray],

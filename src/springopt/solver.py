@@ -51,6 +51,7 @@ from .diagnostics import generalized_gradient_map
 from .lipschitz import (
     ALGORITHMS,
     EPS_LIPSCHITZ,
+    POWER_ITERATIONS,
     ipalm_momentum,
     lipschitz_estimate,
     practical_step_sizes,
@@ -96,7 +97,6 @@ class SolverConfig:
     warm_start: bool = True
     grad_map_tolerance: float | None = None
     lipschitz_const: float | None = None  # used by the theoretical policy
-    power_iterations: int = 5
     track_grad_map: bool = True
     record_every_iteration: bool = False
 
@@ -119,8 +119,6 @@ class SolverConfig:
             raise ConfigError("the theoretical step policy applies to variance-reduced estimators only")
         if self.lipschitz_const is not None and not 0 < self.lipschitz_const < math.inf:
             raise ConfigError(f"lipschitz_const must be finite and positive, got {self.lipschitz_const}")
-        if self.power_iterations < 1:
-            raise ConfigError(f"power iterations must be >= 1, got {self.power_iterations}")
         if self.grad_map_tolerance is not None and not 0 <= self.grad_map_tolerance < math.inf:
             raise ConfigError(f"grad_map_tolerance must satisfy 0 <= tol < inf, got {self.grad_map_tolerance}")
         if self.grad_map_tolerance is not None and not self.track_grad_map:
@@ -337,14 +335,14 @@ class _StepSizes:
     def draw(self, z, batch):
         """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: each operator
         application the power method makes costs ``len(batch)``."""
-        problem, iters = self.problem, self.config.power_iterations
+        problem = self.problem
         if problem.lipschitz_x is None or problem.lipschitz_y is None:
             raise ValueError(
                 "the practical/theoretical step policies need the problem's Lipschitz hooks; "
                 "use step_policy='fixed' for problems without them"
             )
-        lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), iters, self.rng)
-        ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), iters, self.rng)
+        lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), self.rng)
+        ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), self.rng)
         self.sfo += (applied_x + applied_y) * len(batch)
         return lx, ly
 
@@ -361,9 +359,9 @@ class _StepSizes:
         return self.env_x, self.env_y
 
 
-def _counted_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Generator) -> tuple[float, int]:
+def _counted_estimate(op: CurvatureOperator, rng: np.random.Generator) -> tuple[float, int]:
     """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
-    iterations + 1 when the operator annihilates the power method's direction."""
+    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction."""
     applied = 0
 
     def apply(v):
@@ -371,9 +369,11 @@ def _counted_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Gen
         applied += 1
         return op.apply(v)
 
-    return lipschitz_estimate(op._replace(apply=apply), iterations, rng), applied
+    return lipschitz_estimate(op._replace(apply=apply), POWER_ITERATIONS, rng), applied
 
 
+# run's guards report a diverging run as such; NumPy's overflow warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     """Execute ``epochs`` passes of the configured algorithm from z0.
 

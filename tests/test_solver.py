@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, 
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import ALGORITHMS, ipalm_momentum
+from springopt.harness.runner import ProblemSpec
+from springopt.lipschitz import ALGORITHMS, POWER_ITERATIONS, ipalm_momentum
 from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
 from springopt.rng import stream_rng
 from springopt.solver import (
@@ -215,7 +217,7 @@ def test_run_validates_config(sep10):
                 dict(lipschitz_const=math.inf), dict(step_policy="theoretical", lipschitz_const=0.0),
                 dict(fixed, fixed_steps=(0.0, 0.5)), dict(fixed, fixed_steps=(0.5, -1.0)),
                 dict(fixed, fixed_steps=(math.nan, 0.5)), dict(fixed, fixed_steps=(0.5, math.inf)),
-                dict(power_iterations=0), dict(grad_map_tolerance=1e-3, track_grad_map=False),
+                dict(grad_map_tolerance=1e-3, track_grad_map=False),
                 dict(sarah_p=math.nan), dict(sarah_p=math.inf), dict(grad_map_tolerance=math.nan),
                 dict(grad_map_tolerance=-1.0), dict(grad_map_tolerance=math.inf),
                 # Settings the chosen policy would ignore.
@@ -223,6 +225,9 @@ def test_run_validates_config(sep10):
                 dict(lipschitz_const=1.0), dict(fixed, fixed_steps=(0.5, 0.5), lipschitz_const=1.0)):
         with pytest.raises(ConfigError):
             run(problem, SolverConfig(algorithm="palm", **bad), z0)
+    # The power method's length is the library's draw rule, not a setting.
+    with pytest.raises(TypeError):
+        SolverConfig(algorithm="palm", power_iterations=5)
 
 
 def test_run_epoch_and_sfo_accounting(sep10):
@@ -475,6 +480,17 @@ def test_non_finite_iterate_aborts():
         palm_step(problem, palm_step(problem, z, 10.0, 1.0), 10.0, 1.0)
 
 
+def test_diverging_run_raises_without_numpy_warnings():
+    # Its gradient overflows before the iterate guard reports the divergence.
+    problem, init_fn = ProblemSpec("toy-pca").build()
+    config = SolverConfig(algorithm="spring-sgd", batch_size=3, epochs=4, step_policy="fixed",
+                          fixed_steps=(0.01, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            run(problem, config, init_fn(0))
+
+
 def _blowup_problem(block, after):
     """Quadratic toy (n=4) whose ``block`` prox returns an infinite entry from
     its call number ``after + 1`` on; the other block's entries stay at most 1."""
@@ -606,6 +622,14 @@ def test_lipschitz_sfo_charges_only_the_applications_made():
                   Iterate(info["a"], info["b"]))
     assert applied[0] == 16
     assert res.trace.rows[-1].lipschitz_sfo == 16
+
+
+def test_lipschitz_sfo_charges_the_draw_rule():
+    # One PALM epoch is one full-batch draw per block, each POWER_ITERATIONS + 1 applications.
+    problem, _ = make_separable_quadratic(n=8, seed=10)
+    res = run(problem, SolverConfig(algorithm="palm", epochs=1, track_grad_map=False),
+              Iterate(np.ones(4), np.ones(4)))
+    assert res.trace.rows[-1].lipschitz_sfo == 2 * (POWER_ITERATIONS + 1) * problem.n
 
 
 @pytest.mark.parametrize("algorithm, purposes", [
