@@ -127,7 +127,7 @@ def test_prox_l0(benchmark):
 
 
 def test_project_box_l1(benchmark):
-    V = np.random.default_rng(3).random((KERNEL, KERNEL))  # sums to ~40: the bisection runs
+    V = np.random.default_rng(3).random((KERNEL, KERNEL))  # sums to ~40: the sum constraint is active
     benchmark(project_box_l1, V)
 
 

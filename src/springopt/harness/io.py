@@ -13,6 +13,7 @@ with that field's type.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import typing
@@ -66,26 +67,24 @@ def _load_spmx(raw: bytes, path) -> np.ndarray:
 
 
 def _load_csv_matrix(text: str, path) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
+    lines = [(lineno, line.split(",")) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    width = len(lines[0][1]) if lines else 0
+    if lines and all(len(cells) == width for _, cells in lines):
+        with contextlib.suppress(ValueError):
+            matrix = np.array([cells for _, cells in lines], dtype=float)
+            if np.isfinite(matrix).all():
+                return matrix
+    # Empty or faulty: redo NumPy's float() parse line by line to report the first fault.
+    for lineno, cells in lines:
         try:
             values = [float(c) for c in cells]
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        if len(values) != width:
             raise FormatError(f"{path}: line {lineno}: ragged row ({len(values)} cells, expected {width})")
         if not all(math.isfinite(v) for v in values):
             raise FormatError(f"{path}: line {lineno}: non-finite entry")
-        rows.append(values)
-    if not rows:
-        raise FormatError(f"{path}: no matrix rows found")
-    return np.asarray(rows, dtype=float)
+    raise FormatError(f"{path}: no matrix rows found")
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

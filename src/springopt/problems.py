@@ -83,33 +83,32 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
     return np.where(keep, clipped, 0.0)
 
 
-def project_box_l1(v: np.ndarray, bound: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {0 <= p <= 1, sum(p) <= bound}.
+def project_box_l1(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {0 <= p <= 1, sum(p) <= 1}, in closed form.
 
-    Clip to the box; if the sum constraint is inactive we are done,
-    otherwise bisect on the shift t solving sum clip(v - t, 0, 1) = bound
-    to within 1e-12 in t.
+    The clipped v if it sums to at most 1.  Otherwise the active sum implies
+    p <= 1, so p = max(v - t, 0), the simplex projection: t comes from one
+    sort of v shifted by its maximum (Duchi et al., ICML 2008) and is raised
+    until p.sum() <= 1 holds exactly.  A NaN or infinite entry in this case
+    gives an all-NaN output, without a warning.
     """
     v = np.asarray(v, dtype=float)
     p = np.clip(v, 0.0, 1.0)
-    if p.sum() <= bound:
+    if p.sum() <= 1.0:
         return p
-    lo, hi = 0.0, float(v.max())
-    # The bisection clips into one buffer with the ufuncs np.clip wraps: the
-    # same values, without its per-call Python overhead.
-    buf = np.empty_like(v)
-    while hi - lo > 1e-12:
-        t = 0.5 * (lo + hi)
-        np.subtract(v, t, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        np.minimum(buf, 1.0, out=buf)
-        if buf.sum() > bound:
-            lo = t
-        else:
-            hi = t
-    # The upper bracket end keeps sum <= bound exactly (bisection invariant),
-    # so the output is feasible in floating point, not just up to tolerance.
-    return np.clip(v - hi, 0.0, 1.0)
+    if not np.isfinite(v).all():
+        return np.full(v.shape, np.nan)
+    w = v.ravel() - v.max()
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.flatnonzero(u * np.arange(1, u.size + 1) > css)[-1] + 1
+    t = css[k - 1] / k
+    p = np.maximum(w - t, 0.0)
+    while (excess := p.sum() - 1.0) > 0.0:
+        # Rounding left the sum above 1: shift by the mean excess, and by an ulp at least so each pass progresses.
+        t += max(excess / np.count_nonzero(p), np.spacing(abs(t)))
+        p = np.maximum(w - t, 0.0)
+    return p.reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

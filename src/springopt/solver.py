@@ -316,9 +316,10 @@ class _StepSizes:
         self.sfo = 0
         self.constant = config.fixed_steps if config.step_policy == "fixed" else None
         if config.step_policy == "theoretical":
-            L = config.lipschitz_const
-            if L is None:
-                L = max(self.draw(z0, np.arange(n)))
+            L = config.lipschitz_const or max(self.draw(z0, np.arange(n)))
+            if not L > 0:
+                raise ValueError(f"the full-batch Lipschitz draw at z0 is {L}, not positive; "
+                                 "the theoretical step policy then needs a positive lipschitz_const")
             gamma = 1.0 / L
             if kind != "full":
                 v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -45,6 +49,31 @@ def test_csv_matrix_errors(tmp_path):
     inf.write_text("1,inf\n")
     with pytest.raises(io.FormatError, match="non-finite"):
         io.load_matrix(inf)
+
+
+def test_csv_matrix_parses_cells_like_float(tmp_path):
+    # Signed zero, the smallest subnormal, 17 significant digits and padded cells, bit for bit.
+    cells = [["-0", "5e-324", "0.33333333333333331"],
+             [" 1.0000000000000001e+300", "\t-2.4999999999999999e-07 ", " 7 "]]
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join(",".join(row) for row in cells) + "\n")
+    got = io.load_matrix(path)
+    want = np.array([[float(c) for c in row] for row in cells])
+    assert got.dtype == np.float64 and got.shape == (2, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1,x\n3\n", 1, "could not convert"),
+    ("1,inf\n3\n", 1, "non-finite"),
+    ("1,2\n3\n4,x\n", 2, "ragged"),
+    ("1,2\n\n3,nan\n4,x\n", 3, "non-finite"),
+], ids=["bad-then-ragged", "inf-then-ragged", "ragged-then-bad", "blank-line-counted"])
+def test_csv_matrix_reports_the_first_faulty_line(tmp_path, text, line, message):
+    path = tmp_path / "faults.csv"
+    path.write_text(text)
+    with pytest.raises(io.FormatError, match=f"line {line}: {message}"):
+        io.load_matrix(path)
 
 
 def test_spmx_errors(tmp_path):
@@ -394,6 +423,21 @@ def test_cli_run_success(tmp_path):
                          "--out", out, "--deterministic-timing"])
     assert code == 0
     assert Path(out, "trace_palm_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("gamma_y", ["100", "1e300"])
+def test_cli_bid_run_with_huge_kernel_steps_finishes(tmp_path, gamma_y):
+    # A huge kernel step puts the projection's threshold far above 2^13; the run
+    # must finish (ok or diverged) rather than hang, and warn about nothing.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "springopt.harness.cli", "run", "--problem", "toy-bid", "--algo", "palm",
+         "--steps", "fixed", "--gamma-x", "0.01", "--gamma-y", gamma_y, "--epochs", "3",
+         "--out", str(tmp_path / "cli")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert re.search(r"status=(ok|diverged)", done.stdout), done.stdout
 
 
 def test_cli_unknown_subcommand_exits_2():

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from springopt.problems import (
     project_box_l1,
 )
 from springopt.solver import SolverConfig, run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +178,9 @@ def test_project_box_l1_grid_oracle(rng):
 
 
 def _bisection_project_box_l1(v, bound=1.0):
-    # The projection before its bisection ran on a preallocated buffer, verbatim.
+    # The projection before its closed form, verbatim: a bisection on the
+    # threshold down to a 1e-12 bracket.  Slow, and it never ends once the
+    # threshold passes 2^13, but accurate to 1e-12 below that.
     v = np.asarray(v, dtype=float)
     p = np.clip(v, 0.0, 1.0)
     if p.sum() <= bound:
@@ -187,25 +195,68 @@ def _bisection_project_box_l1(v, bound=1.0):
     return np.clip(v - hi, 0.0, 1.0)
 
 
-def test_project_box_l1_matches_clip_bisection(rng):
+def test_project_box_l1_matches_bisection_oracle(rng):
     # 9 x 9, the bid-medium kernel shape: rounded entries (ties), one entry
-    # above 1 + bound, and all-inside inputs (the early return), rounded too.
+    # above 2 (the projection is a vertex), and all-inside inputs (the early
+    # return), rounded too.
+    Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=3)
+    reg_y = BlindDeblurProblem(Z=Z, kernel_shape=(9, 9), n_tiles=4).block_problem().reg_y_value
     for i in range(20_000):
-        bound = (1.0, 0.5, 3.0)[i % 3]
         kind = i % 4
         if kind == 0:
             v = np.round(rng.standard_normal((9, 9)) * 0.3, 1)
         elif kind == 1:
             v = rng.random((9, 9)) * 0.02
-            v[rng.integers(9), rng.integers(9)] = 1.0 + bound + rng.random()
+            v[rng.integers(9), rng.integers(9)] = 2.0 + rng.random()
         else:
-            v = rng.random((9, 9)) * (bound / 81.0)
+            v = rng.random((9, 9)) * (1.0 / 81.0)
             if kind == 3:
                 v = np.floor(v * 1e3) / 1e3
-        want = _bisection_project_box_l1(v, bound)
-        got = project_box_l1(v, bound)
-        assert np.array_equal(got, want), (i, bound)
-        assert np.array_equal(np.signbit(got), np.signbit(want)), (i, bound)
+        want = _bisection_project_box_l1(v)
+        got = project_box_l1(v)
+        assert got.shape == v.shape
+        # Exactly feasible, summed the way the kernel block's regularizer sums it.
+        assert np.all(got >= 0.0) and np.all(got <= 1.0), i
+        assert got.sum() <= 1.0 and got.ravel().sum() <= 1.0, i
+        assert reg_y(got.ravel()) == 0.0, i
+        if np.clip(v, 0.0, 1.0).sum() <= 1.0:
+            assert np.array_equal(got, np.clip(v, 0.0, 1.0)), i
+            assert np.array_equal(np.signbit(got), np.signbit(np.clip(v, 0.0, 1.0))), i
+        # ||got - v||^2 - ||want - v||^2, as sum (got - want)(got + want - 2v):
+        # the difference of the two sums of squares, without their rounding.
+        assert float(((got - want) * (got + want - 2.0 * v)).sum()) <= 1e-15, i
+        assert np.max(np.abs(got - want)) <= 1e-12, i
+
+
+_TERMINATION_SCRIPT = """
+import warnings
+import numpy as np
+from springopt.problems import project_box_l1
+
+warnings.simplefilter("error")
+for c in (9000.0, 2.0 ** 20):
+    p = project_box_l1(c + np.array([0.5, 0.25, 0.0]))
+    assert np.max(np.abs(p - [7 / 12, 1 / 3, 1 / 12])) <= 1e-12, (c, p)
+    assert p.sum() <= 1.0
+p = project_box_l1(np.array([1e300, 1e300, 0.0]))
+assert np.array_equal(p, [0.5, 0.5, 0.0]), p
+for bad in ([np.inf, 0.5, 0.25], [np.nan, 0.5, 0.25], [-np.inf, 2.0, 2.0]):
+    p = project_box_l1(np.array(bad))
+    assert p.shape == (3,) and not np.all(np.isfinite(p)), (bad, p)
+print("ok")
+"""
+
+
+def test_project_box_l1_terminates_on_large_and_infinite_entries():
+    # A subprocess with a timeout, so a projection that loops fails the test
+    # instead of hanging the suite.  Thresholds above 2^13 leave neighbouring
+    # doubles more than 1e-12 apart; any warning is an error in the script.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _TERMINATION_SCRIPT], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n" and done.stderr == ""
+
 
 # ---------------------------------------------------------------------------
 # Sparse NMF / PCA
