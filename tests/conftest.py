@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -52,3 +57,11 @@ def random_iterate(rng):
                        scale * gen.standard_normal(problem.dim_y))
 
     return make
+
+
+@pytest.fixture
+def run_python():
+    """Run ``python ARGS`` with this checkout's src/ importable; a hang fails after 60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return lambda *args: subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)

@@ -1,9 +1,6 @@
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -426,16 +423,12 @@ def test_cli_run_success(tmp_path):
 
 
 @pytest.mark.parametrize("gamma_y", ["100", "1e300"])
-def test_cli_bid_run_with_huge_kernel_steps_finishes(tmp_path, gamma_y):
+def test_cli_bid_run_with_huge_kernel_steps_finishes(tmp_path, run_python, gamma_y):
     # A huge kernel step puts the projection's threshold far above 2^13; the run
     # must finish (ok or diverged) rather than hang, and warn about nothing.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "springopt.harness.cli", "run", "--problem", "toy-bid", "--algo", "palm",
-         "--steps", "fixed", "--gamma-x", "0.01", "--gamma-y", gamma_y, "--epochs", "3",
-         "--out", str(tmp_path / "cli")],
-        capture_output=True, text=True, timeout=60, env=env)
+    done = run_python("-m", "springopt.harness.cli", "run", "--problem", "toy-bid", "--algo", "palm",
+                      "--steps", "fixed", "--gamma-x", "0.01", "--gamma-y", gamma_y, "--epochs", "3",
+                      "--out", str(tmp_path / "cli"))
     assert done.returncode == 0 and done.stderr == "", done.stderr
     assert re.search(r"status=(ok|diverged)", done.stdout), done.stdout
 

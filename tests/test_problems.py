@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +33,6 @@ from springopt.problems import (
     project_box_l1,
 )
 from springopt.solver import SolverConfig, run
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +241,11 @@ print("ok")
 """
 
 
-def test_project_box_l1_terminates_on_large_and_infinite_entries():
+def test_project_box_l1_terminates_on_large_and_infinite_entries(run_python):
     # A subprocess with a timeout, so a projection that loops fails the test
     # instead of hanging the suite.  Thresholds above 2^13 leave neighbouring
     # doubles more than 1e-12 apart; any warning is an error in the script.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _TERMINATION_SCRIPT], capture_output=True, text=True,
-                          timeout=60, env=env)
+    done = run_python("-c", _TERMINATION_SCRIPT)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n" and done.stderr == ""
 
