@@ -16,9 +16,12 @@ F_i = d * ||A_i - X Y_i||^2 so that the component mean equals the monolithic
 objective.  Blind deconvolution splits the residual grid into contiguous
 tiles; the smooth edge regularizer is carried by every component (divided by
 the component count through the mean), keeping each F_i differentiable.
-The factorization gradients are formed from the batch's columns in Gram form,
-and the deconvolution oracles work one tile window at a time, so a component
-costs about 1/n of a full gradient.
+The factorization data is stored component-major, as A^T: a batch gathers
+its rows (only a long batch's A_B Y_B^T, such as a full batch of 500, rounds
+apart from row-major A's, in the last bits), the gradients are in Gram form,
+and the objective sweeps 2r components at a time, the widest parts whose
+buffer fits 4 m r temporaries.  The deconvolution oracles work one tile
+window at a time, so a component costs about 1/n of a full gradient.
 
 Matrix blocks are flattened row-major into the solver's vector view.
 
@@ -86,18 +89,18 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
 def project_box_l1(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {0 <= p <= 1, sum(p) <= 1}, in closed form.
 
-    The clipped v if it sums to at most 1.  Otherwise the active sum implies
-    p <= 1, so p = max(v - t, 0), the simplex projection: t comes from one
-    sort of v shifted by its maximum (Duchi et al., ICML 2008) and is raised
-    until p.sum() <= 1 holds exactly.  A NaN or infinite entry in this case
-    gives an all-NaN output, without a warning.
+    A NaN or infinite entry gives an all-NaN output, without a warning, so an
+    overflowed step is divergence.  Otherwise the clipped v if it sums to at
+    most 1; else the active sum implies p <= 1, so p = max(v - t, 0), the
+    simplex projection: t comes from one sort of v shifted by its maximum
+    (Duchi et al., ICML 2008) and is raised until p.sum() <= 1 holds exactly.
     """
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        return np.full(v.shape, np.nan)
     p = np.clip(v, 0.0, 1.0)
     if p.sum() <= 1.0:
         return p
-    if not np.isfinite(v).all():
-        return np.full(v.shape, np.nan)
     w = v.ravel() - v.max()
     u = np.sort(w)[::-1]
     css = np.cumsum(u) - 1.0
@@ -134,26 +137,26 @@ def nmf_component_grads(A: np.ndarray, i: int, X: np.ndarray, Y: np.ndarray) -> 
 def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y):
     m, d = A.shape
     dim_x, dim_y = m * r, r * d
+    A_T = np.ascontiguousarray(A.T)
 
-    def columns(idx, M):
-        # M_B, for M = Y or A.  The full batch (all d indices, sorted) uses M in
-        # place; a smaller one gathers its columns.
-        return M if len(idx) == d else M.take(idx, axis=1)
+    def gather(idx, M, axis):
+        # Y_B (axis 1 of Y) or A_B^T (axis 0 of A^T).  The full batch (all d
+        # indices, sorted) uses M in place; a smaller one gathers.
+        return M if len(idx) == d else M.take(idx, axis=axis)
 
     def value(idx, xv, yv):
-        # X @ Y[:, part] - A[:, part] over parts of r columns, never the
-        # expanded Gram form, which cancels catastrophically near a fit.  No
-        # temporary outgrows the m x r factor X; a run of columns is sliced,
-        # not copied.
-        X, Y = xv.reshape(m, r), yv.reshape(r, d)
-        total = 0.0
-        for start in range(0, len(idx), r):
-            part = idx[start:start + r]
+        # (X Y_part)^T - A^T[part], never the expanded Gram form, which cancels
+        # catastrophically near a fit.  A run of components is sliced, not copied.
+        X_T, Y_T = np.ascontiguousarray(xv.reshape(m, r).T), yv.reshape(r, d).T
+        buf, total = np.empty((min(2 * r, len(idx)), m)), 0.0
+        for start in range(0, len(idx), 2 * r):
+            part = idx[start:start + 2 * r]
+            resid = buf[:len(part)]
             if part[-1] - part[0] == len(part) - 1:
                 part = slice(part[0], part[-1] + 1)
-            resid = X @ Y[:, part]
-            resid -= A[:, part]
-            total += float(np.einsum("ij,ij->", resid, resid))
+            np.matmul(Y_T[part], X_T, out=resid)
+            resid -= A_T[part]
+            total += float(np.vdot(resid, resid))
         return d * total / len(idx)
 
     # The gradients in Gram form, a few BLAS calls per batch:
@@ -162,9 +165,9 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     # Temporaries are at most m x b or m x r.
     def grad_x(idx, xv, yv):
         X = xv.reshape(m, r)
-        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        cols, a_T = gather(idx, yv.reshape(r, d), 1), gather(idx, A_T, 0)
         g = X @ (cols @ cols.T)
-        g -= a @ cols.T
+        g -= a_T.T @ cols.T
         g *= 2.0 * d / len(idx)
         return g.ravel()
 
@@ -174,11 +177,11 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     # column i, kept as the r numbers X^T resid_i.
     def rows_x(idx, xv, yv):
         X = xv.reshape(m, r)
-        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        cols, a_T = gather(idx, yv.reshape(r, d), 1), gather(idx, A_T, 0)
         rows = np.empty((len(idx), m + r))
         resid = rows[:, :m]
         np.matmul(cols.T, X.T, out=resid)
-        resid -= a.T
+        resid -= a_T
         rows[:, m:] = cols.T
         return rows
 
@@ -191,9 +194,9 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         # The columns of (X^T X) Y_B - X^T A_B, unscaled: component i's y-gradient
         # is 2d times its row, placed in column i.
         X = xv.reshape(m, r)
-        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        cols, a_T = gather(idx, yv.reshape(r, d), 1), gather(idx, A_T, 0)
         g = (X.T @ X) @ cols
-        g -= X.T @ a
+        g -= X.T @ a_T.T
         return g.T
 
     def rows_mean_y(idx, rows):
@@ -213,17 +216,13 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     def lip_x(xv, yv, batch):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
         # 2 (d/b) ||Y_B||^2.
-        cols = columns(batch, yv.reshape(r, d))
-        gram = cols @ cols.T
-        gram *= 2.0 * d / len(batch)
-        return CurvatureOperator(gram.dot, r)
+        cols = gather(batch, yv.reshape(r, d), 1)
+        return CurvatureOperator(((2.0 * d / len(batch)) * (cols @ cols.T)).dot, r)
 
     def lip_y(xv, yv, batch):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
-        gram = X.T @ X
-        gram *= 2.0 * d / len(batch)
-        return CurvatureOperator(gram.dot, r)
+        return CurvatureOperator(((2.0 * d / len(batch)) * (X.T @ X)).dot, r)
 
     return BlockProblem(
         n=d,
@@ -587,7 +586,8 @@ class BlindDeblurProblem:
             return 0.0 if feasible else float("inf")
 
         def px(_gamma, xv):
-            return np.clip(xv, 0.0, 1.0)
+            # Like the kernel projection, a non-finite entry gives an all-NaN image.
+            return np.clip(xv, 0.0, 1.0) if np.isfinite(xv).all() else np.full(xv.shape, np.nan)
 
         def py(_gamma, yv):
             return project_box_l1(yv.reshape(kh, kw)).ravel()

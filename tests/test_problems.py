@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from springopt.problems import (
     prox_nonneg,
     project_box_l1,
 )
-from springopt.solver import SolverConfig, run
+from springopt.solver import DivergenceError, SolverConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,16 @@ def test_project_box_l1_terminates_on_large_and_infinite_entries(run_python):
     assert done.stdout == "ok\n" and done.stderr == ""
 
 
+@pytest.mark.parametrize("v", [[np.inf, -1.0, 0.0], [-np.inf, 0.5], [np.inf, np.inf], [np.nan, 0.1],
+                               [[0.0, np.inf], [-1.0, 0.0]]])
+def test_project_box_l1_reports_non_finite_entries_as_nan(v):
+    # Clipping would put an overflowed kernel step back in the box whenever its
+    # clipped sum stays <= 1 ([inf, -1, 0] -> [1, 0, 0]); all-NaN is divergence.
+    v = np.array(v)
+    out = project_box_l1(v)
+    assert out.shape == v.shape and np.isnan(out).all()
+
+
 # ---------------------------------------------------------------------------
 # Sparse NMF / PCA
 # ---------------------------------------------------------------------------
@@ -427,6 +438,100 @@ def test_factorization_y_rows_decode_to_grad_y_bitwise(family):
         idx = np.sort(rng.choice(d, size=b, replace=False))
         decoded = problem.rows_mean_y(idx, problem.rows_y(idx, z.x, z.y))
         assert np.array_equal(decoded, problem.grad_y(idx, z.x, z.y))
+
+
+def _row_major_oracles(A, r):
+    """The factorization oracles with A kept in its (m, d) row-major layout,
+    gathering a batch's columns of A, as they were before A^T was stored."""
+    m, d = A.shape
+
+    def columns(idx, M):
+        return M if len(idx) == d else M.take(idx, axis=1)
+
+    def grad_x(idx, xv, yv):
+        X = xv.reshape(m, r)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        g = X @ (cols @ cols.T)
+        g -= a @ cols.T
+        g *= 2.0 * d / len(idx)
+        return g.ravel()
+
+    def rows_x(idx, xv, yv):
+        X = xv.reshape(m, r)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        rows = np.empty((len(idx), m + r))
+        resid = rows[:, :m]
+        np.matmul(cols.T, X.T, out=resid)
+        resid -= a.T
+        rows[:, m:] = cols.T
+        return rows
+
+    def rows_y(idx, xv, yv):
+        X = xv.reshape(m, r)
+        cols, a = columns(idx, yv.reshape(r, d)), columns(idx, A)
+        g = (X.T @ X) @ cols
+        g -= X.T @ a
+        return g.T
+
+    def rows_mean_y(idx, rows):
+        scaled = (2.0 * d / len(idx)) * rows.T
+        if len(idx) == d:
+            return scaled.ravel()
+        g = np.zeros((r, d))
+        g[:, idx] = scaled
+        return g.ravel()
+
+    def grad_y(idx, xv, yv):
+        return rows_mean_y(idx, rows_y(idx, xv, yv))
+
+    return {"grad_x": grad_x, "grad_y": grad_y, "rows_x": rows_x, "rows_y": rows_y}
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_oracles_match_row_major_reference(family):
+    # Every product keeps its operands' shapes and summation length, so a
+    # sampled batch gives the row-major oracles' bits.  The full batch (500
+    # terms) may block the sum differently inside BLAS: a rounding-level gap.
+    rng = np.random.default_rng(27)
+    m, d, r = 200, 500, 10
+    A = rng.random((m, d))
+    adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+    problem = adapter.block_problem()
+    reference = _row_major_oracles(A, r)
+    z = adapter.initial_iterate(seed=4)
+    for b in (1, 2, r + 1, 13, 50, d):
+        idx = np.sort(rng.choice(d, size=b, replace=False))
+        for name, oracle in reference.items():
+            got, want = getattr(problem, name)(idx, z.x, z.y), oracle(idx, z.x, z.y)
+            assert got.shape == want.shape
+            if b < d:
+                assert np.array_equal(got, want), (name, b)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_factorization_value_matches_fsum_reference(family):
+    # value sweeps 2r = 8 components at a time; these batch lengths leave a
+    # ragged last part, and each mixes contiguous runs (sliced) with gathered
+    # parts.  Beside a fit the residual's own rounding bounds the agreement
+    # (1e-12 relative); the expanded Gram form errs by 6e-8 to 2e-4 there.
+    rng = np.random.default_rng(28)
+    m, d, r = 30, 97, 4
+    X_fit = rng.random((m, r)) if family == "nmf" else rng.standard_normal((m, r))
+    Y = rng.random((r, d)) if family == "nmf" else rng.standard_normal((r, d))
+    noisy = X_fit @ Y + 0.1 * rng.standard_normal((m, d))
+    batches = [np.arange(d), np.arange(3, 12), np.sort(rng.choice(d, size=13, replace=False)),
+               np.concatenate([np.arange(0, 8), np.arange(20, 27), [40, 45, 91]]),
+               np.concatenate([[2, 5], np.arange(10, 30), [70]])]
+    for A, X, rel in ((noisy, X_fit, 1e-13), (X_fit @ Y, X_fit + 1e-6 * rng.standard_normal((m, r)), 1e-10)):
+        adapter = SparseNmfProblem(A=A, r=r, s=m) if family == "nmf" else SparsePcaProblem(A=A, r=r)
+        problem = adapter.block_problem()
+        for idx in batches:
+            assert len(idx) % (2 * r) != 0
+            resid = A[:, idx] - X @ Y[:, idx]
+            want = d * math.fsum((resid * resid).ravel()) / len(idx)
+            assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(want, rel=rel), len(idx)
 
 
 @pytest.mark.parametrize("oracle", [full_grad_x, full_grad_y, smooth_value])
@@ -1057,6 +1162,28 @@ def test_bid_feasibility_indicators():
     bad_image = z0.x.copy()
     bad_image[0] = 1.5
     assert objective(problem, Iterate(bad_image, z0.y)) == np.inf
+
+
+def test_bid_image_prox_reports_non_finite_entries_as_nan(rng):
+    problem = BlindDeblurProblem(Z=rng.random((6, 6)), kernel_shape=(3, 3), n_tiles=4).block_problem()
+    v = 2.0 * rng.standard_normal(problem.dim_x)
+    assert np.array_equal(problem.prox_x(1.0, v), np.clip(v, 0.0, 1.0))  # finite: the clip, bit for bit
+    for bad in (np.inf, -np.inf, np.nan):
+        w = v.copy()
+        w[5] = bad
+        assert np.isnan(problem.prox_x(1.0, w)).all()
+
+
+def test_bid_run_with_an_overflowing_image_step_diverges():
+    # At b = 1 the image gradient is n times the mean's, so a 1e308 step
+    # overflows; clipping the infinities into [0, 1] used to hide that and
+    # report a finite objective.
+    Z, _, _ = _toy_blur(seed=0, size=16, kernel=3)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 3), n_tiles=4)
+    cfg = SolverConfig(algorithm="spring-sgd", batch_size=1, epochs=2, seed=0, step_policy="fixed",
+                       fixed_steps=(1e308, 0.01))
+    with pytest.raises(DivergenceError, match="non-finite iterate after spring x-update"):
+        run(adapter.block_problem(), cfg, adapter.initial_iterate())
 
 
 # ---------------------------------------------------------------------------
