@@ -8,14 +8,13 @@ import numpy as np
 from ..problems import bid_forward
 
 
-def toy_nmf_matrix(seed: int = 0, shape: tuple[int, int] = (50, 20), rank: int = 3,
-                   noise: float = 0.05) -> np.ndarray:
-    """Nonnegative low-rank matrix plus clipped Gaussian noise."""
+def toy_nmf_matrix(seed: int = 0, shape: tuple[int, int] = (50, 20), rank: int = 3) -> np.ndarray:
+    """Nonnegative low-rank matrix plus clipped Gaussian noise (sigma 0.05)."""
     rng = np.random.default_rng(seed)
     m, d = shape
     U = rng.random((m, rank))
     V = rng.random((rank, d))
-    A = U @ V + noise * rng.standard_normal((m, d))
+    A = U @ V + 0.05 * rng.standard_normal((m, d))
     return np.maximum(A, 0.0)
 
 
@@ -34,12 +33,10 @@ def toy_image(seed: int = 0, size: int = 32) -> np.ndarray:
     return (img - lo) / (hi - lo)
 
 
-def toy_blurred_image(
-    seed: int = 0, size: int = 32, kernel: int = 5, noise: float = 5e-3
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(blurred observation Z, true image, true box kernel)."""
+def toy_blurred_image(seed: int = 0, size: int = 32, kernel: int = 5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(blurred observation Z, true image, true box kernel); Z carries Gaussian noise (sigma 5e-3)."""
     rng = np.random.default_rng(seed + 1)
     x_true = toy_image(seed, size)
     y_true = np.full((kernel, kernel), 1.0 / (kernel * kernel))
-    z = bid_forward(x_true, y_true) + noise * rng.standard_normal((size - kernel + 1,) * 2)
+    z = bid_forward(x_true, y_true) + 5e-3 * rng.standard_normal((size - kernel + 1,) * 2)
     return np.clip(z, 0.0, 1.0), x_true, y_true

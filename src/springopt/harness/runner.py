@@ -104,8 +104,9 @@ def run_experiment(spec: RunSpec) -> dict:
 
     Divergence in one run is recorded in the summary and the sweep
     continues.  Returns {algorithm, runs: [{seed, status, trace, ...}]}, each
-    ``trace`` being the one written to the run's CSV.  A configuration the
-    solver rejects raises ``ConfigError`` before anything is written.
+    ``trace`` being the one written to ``trace_{algorithm}_seed{seed}.csv``.
+    A configuration the solver rejects raises ``ConfigError`` before anything
+    is written.
     """
     spec.validate()
     problem, init_fn = spec.problem.build()
@@ -126,14 +127,12 @@ def _sweep(spec: RunSpec, problem, init_fn) -> dict:
             status, trace = "diverged", exc.trace or Trace()
         if spec.deterministic_timing:
             trace = Trace(rows=[row._replace(wall_ms=0.0) for row in trace.rows])
-        path = out / f"trace_{algo}_seed{seed}.csv"
-        io.write_trace_csv(path, trace)
+        io.write_trace_csv(out / f"trace_{algo}_seed{seed}.csv", trace)
         gnorms = [r.grad_map_norm_sq for r in trace.rows if not math.isnan(r.grad_map_norm_sq)]
         runs.append(
             {
                 "seed": seed,
                 "status": status,
-                "trace_path": str(path),
                 "trace": trace,
                 "final_objective": trace.rows[-1].objective if trace.rows else math.nan,
                 "min_grad_map_norm_sq": min(gnorms) if gnorms else math.nan,
@@ -151,12 +150,14 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
     """Compare algorithms on one problem against the PALM baseline.
 
     The problem is built once, and every algorithm runs the same seeds from
-    the same per-seed starting points.  For each stochastic method the
-    summary reports the first traced epoch at which its objective reaches
-    PALM's final objective for that seed (inf when never reached).  Each row
-    carries its run's ``trace``.  An algorithm list without ``palm`` or with
-    an unknown name, or a configuration the solver rejects for any listed
-    algorithm, raises ``ConfigError`` before anything runs or is written.
+    the same per-seed starting points.  For each other method the summary
+    reports the first traced epoch at which its objective reaches PALM's
+    final objective for that seed (inf when never reached), and PALM's own
+    row reports 0.  A seed whose PALM run diverged has no target: every row
+    of that seed, PALM's included, reports nan.  An algorithm list without
+    ``palm`` or with an unknown name, or a configuration the solver rejects
+    for any listed algorithm, raises ``ConfigError`` before anything runs or
+    is written.
     """
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
@@ -170,17 +171,21 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
         algo_spec.config.validate(problem.n)
     per_algo = {algo: _sweep(algo_spec, problem, init_fn) for algo, algo_spec in specs.items()}
 
-    palm_final = {r["seed"]: r["final_objective"] for r in per_algo["palm"]["runs"]}
+    # A diverged PALM run's last objective is the blow-up that tripped the cap, not a target.
+    targets = {r["seed"]: r["final_objective"] if r["status"] == "ok" else math.nan
+               for r in per_algo["palm"]["runs"]}
     rows = []
     for algo in algorithms:
         for r in per_algo[algo]["runs"]:
-            target = palm_final.get(r["seed"], math.nan)
-            epochs_to_target = math.inf
-            if algo != "palm" and r["status"] == "ok":
-                for row in r["trace"].rows:
-                    if row.objective <= target:
-                        epochs_to_target = row.epoch
-                        break
+            target = targets[r["seed"]]
+            if math.isnan(target):
+                epochs_to_target = math.nan
+            elif algo == "palm":
+                epochs_to_target = 0.0
+            elif r["status"] != "ok":
+                epochs_to_target = math.inf
+            else:
+                epochs_to_target = next((row.epoch for row in r["trace"].rows if row.objective <= target), math.inf)
             rows.append(
                 {
                     "algorithm": algo,
@@ -188,11 +193,10 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
                     "status": r["status"],
                     "final_objective": r["final_objective"],
                     "sfo_calls": r["sfo_calls"],
-                    "epochs_to_palm_objective": 0.0 if algo == "palm" else epochs_to_target,
-                    "trace": r["trace"],
+                    "epochs_to_palm_objective": epochs_to_target,
                 }
             )
 
     columns = ("algorithm", "seed", "status", "final_objective", "sfo_calls", "epochs_to_palm_objective")
     io.write_csv(Path(spec.out_dir) / "bench_summary.csv", columns, [[r[c] for c in columns] for r in rows])
-    return {"problem": spec.problem.kind, "rows": rows, "palm_final": palm_final}
+    return {"problem": spec.problem.kind, "rows": rows}

@@ -140,10 +140,9 @@ def emit_plot(
     out_path: str | Path,
     mode: str = "objective",
     xaxis: str = "epoch",
-    title: str | None = None,
 ) -> None:
-    """Write a log-scale comparison plot of the given traces."""
+    """Write a log-scale comparison plot of the given traces, titled by its y-axis label."""
     series = series_from_traces(traces, mode, xaxis)
     label = "objective" if mode == "objective" else "squared gradient-map norm"
-    svg = render_svg(series, title or label, xaxis, label)
+    svg = render_svg(series, label, xaxis, label)
     Path(out_path).write_text(svg)

@@ -703,24 +703,19 @@ def make_separable_quadratic(
     return problem, info
 
 
-def make_random_quadratic(
-    dim_x: int = 4,
-    dim_y: int = 4,
-    n: int = 5,
-    seed: int = 0,
-    coupling: float = 0.3,
-) -> tuple[BlockProblem, dict]:
+def make_random_quadratic(dim_x: int = 4, dim_y: int = 4, n: int = 5, seed: int = 0) -> tuple[BlockProblem, dict]:
     """Coupled quadratic components with known curvature.
 
-    F_i = 0.5 x'P_i x + 0.5 y'Q_i y + coupling * x'R_i y + s_i'x + t_i'y with
-    P_i, Q_i positive definite.  Info carries the mean matrices, the exact
-    block Lipschitz constants of the mean gradient, and the worst
-    per-component full-Hessian norm (a valid joint Lipschitz constant).
+    F_i = 0.5 x'P_i x + 0.5 y'Q_i y + x'R_i y + s_i'x + t_i'y with P_i, Q_i
+    positive definite and R_i Gaussian with standard deviation 0.3.  Info
+    carries the mean matrices, the exact block Lipschitz constants of the
+    mean gradient, and the worst per-component full-Hessian norm (a valid
+    joint Lipschitz constant).
     """
     rng = np.random.default_rng(seed)
     Ps = np.empty((n, dim_x, dim_x))
     Qs = np.empty((n, dim_y, dim_y))
-    Rs = rng.standard_normal((n, dim_x, dim_y)) * coupling
+    Rs = rng.standard_normal((n, dim_x, dim_y)) * 0.3
     ss = rng.standard_normal((n, dim_x))
     ts = rng.standard_normal((n, dim_y))
     for i in range(n):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from springopt.harness import datasets, io, runner, svgplot
 from springopt.harness.cli import build_parser, cli_dispatch
 from springopt.harness.runner import ProblemSpec, RunSpec, bench, run_experiment
+from springopt.lipschitz import ALGORITHMS
 from springopt.problems import BlindDeblurProblem, SparsePcaProblem
 from springopt.solver import ConfigError, DivergenceError, RunResult, SolverConfig, Trace, TraceRow
 
@@ -358,11 +359,11 @@ def test_summary_csvs_bytes_pinned(tmp_path, monkeypatch):
     assert Path(spec.out_dir, "bench_summary.csv").read_bytes() == (
         b"algorithm,seed,status,final_objective,sfo_calls,epochs_to_palm_objective\n"
         b"palm,0,ok,0.33333333333333331,80,0\n"
-        b"palm,1,diverged,2.5,40,0\n"
-        b"palm,2,diverged,nan,0,0\n"
+        b"palm,1,diverged,2.5,40,nan\n"
+        b"palm,2,diverged,nan,0,nan\n"
         b"spring-sgd,0,ok,0.083333333333333329,80,2\n"
-        b"spring-sgd,1,diverged,2.5,40,inf\n"
-        b"spring-sgd,2,diverged,nan,0,inf\n"
+        b"spring-sgd,1,diverged,2.5,40,nan\n"
+        b"spring-sgd,2,diverged,nan,0,nan\n"
     )
 
 
@@ -508,6 +509,16 @@ def test_cli_plot_from_traces(tmp_path):
     svg = str(tmp_path / "plot.svg")
     assert cli_dispatch(["plot", f"{out}/trace_palm_seed0.csv", "--out", svg]) == 0
     assert Path(svg).exists()
+    # The five-algorithm comparison plots: one polyline per algorithm in each view.
+    out = tmp_path / "cmp"
+    assert cli_dispatch(["bench", "--problem", "toy-nmf", "--epochs", "2", "--out", str(out)]) == 0
+    traces = sorted(str(p) for p in out.glob("trace_*_seed0.csv"))
+    for mode, xaxis in (("objective", "epoch"), ("objective", "sfo"), ("gradmap", "epoch")):
+        svg = tmp_path / f"{mode}_vs_{xaxis}.svg"
+        assert cli_dispatch(["plot", *traces, "--mode", mode, "--x", xaxis, "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert ET.fromstring(text).tag.endswith("svg")
+        assert text.count("<polyline") == len(ALGORITHMS)
 
 
 def test_cli_check_grad(tmp_path):
@@ -570,12 +581,27 @@ def test_cli_config_file_defaults_and_overrides(tmp_path, capsys):
 
 
 def test_cli_bench_writes_files(tmp_path):
-    out = str(tmp_path / "bench")
-    code = cli_dispatch(["bench", "--problem", "toy-nmf", "--epochs", "2", "--batch", "2",
-                         "--out", out, "--deterministic-timing",
-                         "--algos", "palm,spring-sgd"])
-    assert code == 0
-    assert Path(out, "bench_summary.csv").exists()
+    for algos in (("palm", "spring-sgd"), ALGORITHMS):
+        out = tmp_path / "-".join(algos)
+        code = cli_dispatch(["bench", "--problem", "toy-nmf", "--epochs", "2", "--batch", "2",
+                             "--out", str(out), "--deterministic-timing", "--algos", ",".join(algos)])
+        assert code == 0
+        assert (out / "bench_summary.csv").exists()
+        for algo in algos:
+            assert io.read_trace_csv(out / f"trace_{algo}_seed0.csv").rows
+
+
+def test_cli_bench_diverged_palm_baseline_is_no_target(tmp_path, capsys):
+    # Theoretical PALM on toy PCA blows up; its last objective must not become the target.
+    out = tmp_path / "bench"
+    assert cli_dispatch(["bench", "--problem", "toy-pca", "--steps", "theoretical", "--algos", "palm,spring-saga",
+                         "--epochs", "3", "--batch", "3", "--seed", "0", "--deterministic-timing",
+                         "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.match(r"palm +seed=0 status=diverged ", lines[0])
+    assert re.match(r"spring-saga +seed=0 status=ok .* epochs_to_palm=nan$", lines[1])
+    rows = (out / "bench_summary.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in rows] == ["epochs_to_palm_objective", "nan", "nan"]
 
 
 @pytest.mark.parametrize("algos, message", [

@@ -12,7 +12,6 @@ import pytest
 from springopt.core import objective
 from springopt.harness import io
 from springopt.harness.datasets import toy_blurred_image
-from springopt.lipschitz import ALGORITHMS
 from springopt.problems import BlindDeblurProblem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,16 +30,6 @@ def _assert_plot(path, curves):
     text = path.read_text()
     assert ET.fromstring(text).tag.endswith("svg")
     assert text.count("<polyline") == curves
-
-
-def test_toy_bench_script_writes_traces_and_plots(tmp_path):
-    _run_script("toy_bench.py", "--epochs", "2", "--out", str(tmp_path))
-    for algo in ALGORITHMS:
-        trace = io.read_trace_csv(tmp_path / f"trace_{algo}_seed0.csv")
-        assert trace.rows
-    assert (tmp_path / "bench_summary.csv").is_file()
-    for plot in ("objective_vs_epoch", "objective_vs_sfo", "gradmap_vs_epoch"):
-        _assert_plot(tmp_path / f"{plot}.svg", len(ALGORITHMS))
 
 
 def test_bid_demo_script_writes_trace_images_and_plot(tmp_path):
