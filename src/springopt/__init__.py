@@ -37,6 +37,7 @@ from .estimators import (
 from .lipschitz import (
     closed_form_step_cap,
     ipalm_momentum,
+    lipschitz_draw,
     lipschitz_estimate,
     power_estimate_sq_norm,
     practical_step_sizes,

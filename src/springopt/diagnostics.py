@@ -42,8 +42,6 @@ class GradMapEval:
     g_x: np.ndarray
     g_y: np.ndarray
     norm_sq: float
-    gamma1: float
-    gamma2: float
 
 
 def generalized_gradient_map(
@@ -71,13 +69,7 @@ def generalized_gradient_map(
     gx_full, gy_full = grads
     g_x = (z.x - prox_generic(problem.prox_x, gamma1, z.x - gamma1 * gx_full)) / gamma1
     g_y = (z.y - prox_generic(problem.prox_y, gamma2, z.y - gamma2 * gy_full)) / gamma2
-    return GradMapEval(
-        g_x=g_x,
-        g_y=g_y,
-        norm_sq=float(g_x @ g_x + g_y @ g_y),
-        gamma1=gamma1,
-        gamma2=gamma2,
-    )
+    return GradMapEval(g_x=g_x, g_y=g_y, norm_sq=float(g_x @ g_x + g_y @ g_y))
 
 
 def is_eps_critical(eval: GradMapEval, eps: float) -> bool:
@@ -144,17 +136,15 @@ def fd_gradient_check(problem: BlockProblem, z: Iterate, h: float = 1e-6) -> flo
     return worst
 
 
-def bruteforce_prox_l0_nonneg(v: np.ndarray, s: int, gamma: float = 1.0) -> np.ndarray:
+def bruteforce_prox_l0_nonneg(v: np.ndarray, s: int) -> np.ndarray:
     """Exact projection onto {p >= 0, ||p||_0 <= s} by support enumeration.
 
     Enumerates supports in lexicographic order and keeps the first strict
     minimizer of 0.5 ||p - v||^2, matching the lowest-index tie-break of the
     fast prox.  The cost is an exactly rounded sum (``math.fsum``), so
     supports that swap equal entries tie exactly instead of by summation
-    order.  ``gamma`` is irrelevant for an indicator; kept for signature
-    parity.  Test-scale only: dim <= 12.
+    order.  Test-scale only: dim <= 12.
     """
-    del gamma
     v = np.asarray(v, dtype=float)
     d = v.shape[0]
     if d > 12:

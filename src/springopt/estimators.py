@@ -17,10 +17,10 @@ per y-row instead of dense gradients of m r and r d), else dense component
 gradients from singleton batches.  A table is read only through the
 problem's ``rows_mean``, which decodes the mean gradient of a set of rows.
 
-``probe_upsilon_*`` compute the variance-tracking quantities (the sum of
-squared deviation norms and its unsquared companion) together with the
-variance-reduction constants of each estimator; they are diagnostics and
-never influence the iteration.
+``probe_upsilon_*`` compute the variance-tracking quantity Upsilon (a sum of
+squared deviation norms) and its unsquared companion only; the
+variance-reduction constants are ``estimator_constants``'.  The probes are
+diagnostics and never influence the iteration.
 """
 
 from __future__ import annotations
@@ -317,20 +317,14 @@ def sarah_estimate_y(
 
 @dataclass(frozen=True)
 class VarianceProbe:
-    """Snapshot of the variance-tracking quantities and estimator constants.
+    """Snapshot of the variance-tracking quantities.
 
     ``upsilon`` is a sum of s squared deviation norms (s = 2n for SAGA, 2
-    for SARAH); ``gamma_sum`` the matching sum of plain norms.  The constants
-    (v1, v2, v_upsilon, rho) are the estimator's variance-reduction
-    parameters.
+    for SARAH); ``gamma_sum`` the matching sum of plain norms.
     """
 
     upsilon: float
     gamma_sum: float
-    v1: float
-    v2: float
-    v_upsilon: float
-    rho: float
     s: int
 
 
@@ -364,8 +358,6 @@ def probe_upsilon_saga(
     state: SagaState,
     z: Iterate,
     b: int,
-    L: float = 1.0,
-    M: float = 1.0,
 ) -> VarianceProbe:
     """Deviation of the SAGA tables from the current component gradients.
 
@@ -384,14 +376,9 @@ def probe_upsilon_saga(
           - expand_rows(state.rows_mean_y, all_idx, state.table_y))
     sq_x = np.einsum("ij,ij->i", dx, dx)
     sq_y = np.einsum("ij,ij->i", dy, dy)
-    v1, v2, vu, rho = estimator_constants("saga", n=n, b=b, L=L, M=M)
     return VarianceProbe(
         upsilon=float((sq_x + 4.0 * sq_y).sum()) / (b * n),
         gamma_sum=float((np.sqrt(sq_x) + 2.0 * np.sqrt(sq_y)).sum()) / math.sqrt(b * n),
-        v1=v1,
-        v2=v2,
-        v_upsilon=vu,
-        rho=rho,
         s=2 * n,
     )
 
@@ -400,18 +387,12 @@ def probe_upsilon_sarah(
     state: SarahState,
     grad_x_full: np.ndarray,
     grad_y_full: np.ndarray,
-    L: float = 1.0,
 ) -> VarianceProbe:
     """Deviation of the SARAH estimates from the supplied full gradients."""
     dx = state.est_x - np.asarray(grad_x_full, dtype=float)
     dy = state.est_y - np.asarray(grad_y_full, dtype=float)
-    v1, v2, vu, rho = estimator_constants("sarah", p=state.p, L=L)
     return VarianceProbe(
         upsilon=float(dx @ dx + dy @ dy),
         gamma_sum=float(np.linalg.norm(dx) + np.linalg.norm(dy)),
-        v1=v1,
-        v2=v2,
-        v_upsilon=vu,
-        rho=rho,
         s=2,
     )

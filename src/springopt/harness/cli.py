@@ -8,8 +8,10 @@ and ``plot``.  The problem parameter flags are generated from
 flags override it, and a key that names none of the subcommand's flags is a
 usage error.
 
-``estimate-lipschitz`` makes the solver's own Lipschitz draws (the
-``power_init`` and ``lip_batch`` streams) at the initial point.
+``estimate-lipschitz`` makes the solver's own Lipschitz draws at the initial
+point, each from a fresh ``power_init`` stream: the full-batch draw is PALM's
+first, and the ``--batch`` draw, on a batch from the ``lip_batch`` stream, is
+a SPRING run's first.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including any
 subcommand's solver settings that ``SolverConfig.validate`` rejects, and
@@ -30,8 +32,9 @@ import numpy as np
 from .. import estimators as est
 from ..core import Iterate, prox_generic
 from ..diagnostics import fd_gradient_check
-from ..lipschitz import ALGORITHMS
-from ..solver import STEP_POLICIES, ConfigError, SolverConfig, _StepSizes
+from ..lipschitz import ALGORITHMS, lipschitz_draw
+from ..rng import stream_rng
+from ..solver import STEP_POLICIES, ConfigError, SolverConfig
 from . import io, svgplot
 from .runner import PROBLEM_KINDS, ProblemSpec, RunSpec, bench, run_experiment
 
@@ -216,15 +219,14 @@ def cmd_check_grad(args) -> int:
 
 def cmd_estimate_lipschitz(args) -> int:
     b = args.batch if args.batch is not None else 1
-    config = SolverConfig(algorithm="spring-sgd", seed=args.seed, batch_size=b)
     problem, init_fn = _problem_spec(args).build()
-    config.validate(problem.n)
+    SolverConfig(algorithm="spring-sgd", seed=args.seed, batch_size=b).validate(problem.n)
     z = init_fn(args.seed)
-    steps = _StepSizes(problem, config, z, "sgd", b, None)
-    lx, ly = steps.draw(z, np.arange(problem.n))
+    lx, ly, _ = lipschitz_draw(problem, z, np.arange(problem.n), stream_rng(args.seed, "power_init"))
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
-        sx, sy = steps.draw(z, est.sample_batch(steps.sampler))
+        batch = est.sample_batch(est.BatchSampler(problem.n, b, stream_rng(args.seed, "lip_batch")))
+        sx, sy, _ = lipschitz_draw(problem, z, batch, stream_rng(args.seed, "power_init"))
         print(f"stochastic estimates (b={args.batch}): L_x={sx:.6g} L_y={sy:.6g}")
     return 0
 

@@ -2,8 +2,9 @@
 
 Matrices travel either as plain CSV (one row per line, comma-separated
 decimals) or as SPMX: the magic bytes ``SPMX``, two little-endian uint32
-(rows, cols), then row-major little-endian float64 payload.  Images are PGM,
-binary P5 or ASCII P2, 8-bit with maxval 255, scaled to [0, 1] on load.
+(rows, cols), then row-major little-endian float64 payload.  Images are
+8-bit PGM with maxval 255, written as binary P5 and read as P5 or ASCII P2,
+scaled to [0, 1] on load.
 Every CSV the harness writes (traces and run summaries) goes through
 ``write_csv``: one header line, then one line per row, floats printed with
 17 significant digits so float64 values round-trip exactly.  A trace CSV's
@@ -160,20 +161,14 @@ def load_image(path: str | Path) -> np.ndarray:
     return pixels.reshape(height, width).astype(float) / 255.0
 
 
-def save_image_pgm(path: str | Path, image: np.ndarray, binary: bool = True) -> None:
-    """Write a [0, 1] matrix as an 8-bit PGM (P5 when binary, else P2)."""
+def save_image_pgm(path: str | Path, image: np.ndarray) -> None:
+    """Write a [0, 1] matrix as an 8-bit binary PGM (P5)."""
     img = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
     pixels = np.rint(img * 255.0).astype(np.uint8)
     h, w = pixels.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(pixels.tobytes(order="C"))
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"P2\n{w} {h}\n255\n")
-            for row in pixels:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(pixels.tobytes(order="C"))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _sweep(spec: RunSpec, problem, init_fn) -> dict:
     columns = ("seed", "status", "final_objective", "min_grad_map_norm_sq", "sfo_calls")
     io.write_csv(out / f"summary_{algo}.csv", ("algorithm", *columns),
                  [(algo, *(r[c] for c in columns)) for r in runs])
-    return {"algorithm": algo, "problem": spec.problem.kind, "runs": runs}
+    return {"algorithm": algo, "runs": runs}
 
 
 def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
@@ -199,4 +199,4 @@ def bench(spec: RunSpec, algorithms: tuple[str, ...] = ALGORITHMS) -> dict:
 
     columns = ("algorithm", "seed", "status", "final_objective", "sfo_calls", "epochs_to_palm_objective")
     io.write_csv(Path(spec.out_dir) / "bench_summary.csv", columns, [[r[c] for c in columns] for r in rows])
-    return {"problem": spec.problem.kind, "rows": rows}
+    return {"rows": rows}

@@ -40,8 +40,8 @@ def series_from_traces(traces: list[tuple[str, Trace]], mode: str, xaxis: str):
     return out
 
 
-def render_svg(series, title: str, xlabel: str, ylabel: str) -> str:
-    """Render labelled (xs, ys) series as a log-y SVG line plot.
+def render_svg(series, xlabel: str, ylabel: str) -> str:
+    """Render labelled (xs, ys) series as a log-y SVG line plot, titled by ``ylabel``.
 
     Non-finite samples (e.g. the gradient-map column of a run that did not
     track it) are dropped from their polyline.
@@ -84,7 +84,7 @@ def render_svg(series, title: str, xlabel: str, ylabel: str) -> str:
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-family="monospace" '
-        f'font-size="15">{escape(title)}</text>',
+        f'font-size="15">{escape(ylabel)}</text>',
         f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">{escape(xlabel)}</text>',
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" font-family="monospace" '
@@ -144,5 +144,5 @@ def emit_plot(
     """Write a log-scale comparison plot of the given traces, titled by its y-axis label."""
     series = series_from_traces(traces, mode, xaxis)
     label = "objective" if mode == "objective" else "squared gradient-map norm"
-    svg = render_svg(series, label, xaxis, label)
+    svg = render_svg(series, xaxis, label)
     Path(out_path).write_text(svg)

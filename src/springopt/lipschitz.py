@@ -13,6 +13,8 @@ M through the symmetric action v -> M^T(M v).  It is a Rayleigh-type
 estimate: monotonically non-decreasing in the iteration count and never
 above the true value, so no safety factor is applied on top of it.  It runs in
 one place, ``lipschitz_estimate``, on the operator a problem's hook returns.
+``lipschitz_draw`` is the solver's draw: both blocks' estimates on one batch
+and their charge in stochastic first-order oracle calls (SFO).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CurvatureOperator
+from .core import BlockProblem, CurvatureOperator, Iterate
 
 ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 
@@ -64,6 +66,34 @@ def power_estimate_sq_norm(
 def lipschitz_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Generator) -> float:
     """Lipschitz estimate of a hook's operator: the power method's estimate plus ``op.shift``."""
     return power_estimate_sq_norm(op.apply, op.dim, iterations, rng) + op.shift
+
+
+def lipschitz_draw(
+    problem: BlockProblem, z: Iterate, batch: np.ndarray, rng: np.random.Generator
+) -> tuple[float, float, int]:
+    """One (L_x, L_y) draw from the hooks' operators on ``batch`` at z, POWER_ITERATIONS
+    iterations each from ``rng``, and its SFO charge: ``len(batch)`` per operator application."""
+    if problem.lipschitz_x is None or problem.lipschitz_y is None:
+        raise ValueError(
+            "the practical/theoretical step policies need the problem's Lipschitz hooks; "
+            "use step_policy='fixed' for problems without them"
+        )
+    lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), rng)
+    ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), rng)
+    return lx, ly, (applied_x + applied_y) * len(batch)
+
+
+def _counted_estimate(op: CurvatureOperator, rng: np.random.Generator) -> tuple[float, int]:
+    """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
+    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction."""
+    applied = 0
+
+    def apply(v):
+        nonlocal applied
+        applied += 1
+        return op.apply(v)
+
+    return lipschitz_estimate(op._replace(apply=apply), POWER_ITERATIONS, rng), applied
 
 
 def _norm(v: np.ndarray) -> float:

@@ -38,7 +38,6 @@ import numpy as np
 from . import estimators as est
 from .core import (
     BlockProblem,
-    CurvatureOperator,
     Iterate,
     NonFiniteIterateError,
     check_dims,
@@ -51,9 +50,8 @@ from .diagnostics import generalized_gradient_map
 from .lipschitz import (
     ALGORITHMS,
     EPS_LIPSCHITZ,
-    POWER_ITERATIONS,
     ipalm_momentum,
-    lipschitz_estimate,
+    lipschitz_draw,
     practical_step_sizes,
     theoretical_step_bound,
 )
@@ -334,17 +332,9 @@ class _StepSizes:
         return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
 
     def draw(self, z, batch):
-        """One (L_x, L_y) draw from the hooks' operators, charged to ``sfo``: each operator
-        application the power method makes costs ``len(batch)``."""
-        problem = self.problem
-        if problem.lipschitz_x is None or problem.lipschitz_y is None:
-            raise ValueError(
-                "the practical/theoretical step policies need the problem's Lipschitz hooks; "
-                "use step_policy='fixed' for problems without them"
-            )
-        lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), self.rng)
-        ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), self.rng)
-        self.sfo += (applied_x + applied_y) * len(batch)
+        """``lipschitz_draw`` from the run's ``power_init`` stream, its charge added to ``sfo``."""
+        lx, ly, charge = lipschitz_draw(self.problem, z, batch, self.rng)
+        self.sfo += charge
         return lx, ly
 
     def _estimate(self, z):
@@ -358,19 +348,6 @@ class _StepSizes:
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y
-
-
-def _counted_estimate(op: CurvatureOperator, rng: np.random.Generator) -> tuple[float, int]:
-    """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
-    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction."""
-    applied = 0
-
-    def apply(v):
-        nonlocal applied
-        applied += 1
-        return op.apply(v)
-
-    return lipschitz_estimate(op._replace(apply=apply), POWER_ITERATIONS, rng), applied
 
 
 # run's guards report a diverging run as such; NumPy's overflow warnings would only repeat it.

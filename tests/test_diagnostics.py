@@ -95,7 +95,7 @@ def test_gradmap_rejects_bad_gammas(quad5, random_iterate):
 def test_is_eps_critical_boundary():
     from springopt.diagnostics import GradMapEval
 
-    make = lambda ns: GradMapEval(np.zeros(1), np.zeros(1), ns, 1.0, 1.0)
+    make = lambda ns: GradMapEval(np.zeros(1), np.zeros(1), ns)
     assert is_eps_critical(make(0.0), 0.0)
     assert is_eps_critical(make(4.0), 2.0)
     assert not is_eps_critical(make(4.0000001), 2.0)
@@ -139,7 +139,7 @@ def test_lyapunov_trend_saga_epoch_averages():
         for _epoch in range(50):
             vals = []
             for _ in range(n // b):
-                probe = probe_upsilon_saga(problem, state, z, b=b, L=1.0, M=1.0)
+                probe = probe_upsilon_saga(problem, state, z, b=b)
                 vals.append(
                     objective(problem, z)
                     + probe.upsilon / (2 * rho * math.sqrt(2 * (v1 + vu / rho)))

@@ -456,7 +456,7 @@ def test_probe_saga_zero_when_tables_current(quad5, random_iterate):
     problem, _ = quad5
     z = random_iterate(problem, seed=22)
     state = SagaState.from_problem(problem, z)
-    probe = probe_upsilon_saga(problem, state, z, b=2, L=1.0, M=1.0)
+    probe = probe_upsilon_saga(problem, state, z, b=2)
     assert probe.upsilon == pytest.approx(0.0, abs=1e-20)
     assert probe.gamma_sum == pytest.approx(0.0, abs=1e-12)
     assert probe.s == 2 * problem.n
@@ -477,7 +477,7 @@ def test_probe_saga_single_deviation_coefficients():
     v = np.array([0.3, -0.4])
     state = SagaState(table_x=(g - v)[None, :].copy(), table_y=(g - v)[None, :].copy(),
                       mean_x=g - v, mean_y=g - v)
-    probe = probe_upsilon_saga(problem, state, z, b=1, L=1.0, M=1.0)
+    probe = probe_upsilon_saga(problem, state, z, b=1)
     assert probe.upsilon == pytest.approx(5.0 * float(v @ v), rel=1e-12)
     # Unsquared companion carries 1 + 2 coefficients.
     assert probe.gamma_sum == pytest.approx(3.0 * math.sqrt(float(v @ v)), rel=1e-12)
@@ -507,16 +507,17 @@ def test_probe_sarah_values(quad5, random_iterate):
     z = random_iterate(problem, seed=24)
     gx, gy = full_grad_x(problem, z), full_grad_y(problem, z)
     state = SarahState(gx.copy(), gy.copy(), p=5.0)
-    probe = probe_upsilon_sarah(state, gx, gy, L=2.0)
+    probe = probe_upsilon_sarah(state, gx, gy)
     assert probe.upsilon == 0.0
     assert probe.s == 2
-    assert probe.rho == pytest.approx(0.2)
-    assert probe.v1 == pytest.approx(8.0)
+    v1, _v2, _vu, rho = estimator_constants("sarah", p=state.p, L=2.0)
+    assert rho == pytest.approx(0.2)
+    assert v1 == pytest.approx(8.0)
 
     e = np.zeros(4)
     e[0] = 1.0
     state = SarahState(gx + e, gy.copy(), p=5.0)
-    probe = probe_upsilon_sarah(state, gx, gy, L=2.0)
+    probe = probe_upsilon_sarah(state, gx, gy)
     assert probe.upsilon == pytest.approx(1.0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from springopt import solver
 from springopt.harness import datasets, io, runner, svgplot
 from springopt.harness.cli import build_parser, cli_dispatch
 from springopt.harness.runner import ProblemSpec, RunSpec, bench, run_experiment
@@ -139,8 +141,9 @@ def test_pgm_p5_p2_cross_format(tmp_path):
     img = datasets.toy_image(seed=1, size=9)
     p5 = tmp_path / "img5.pgm"
     p2 = tmp_path / "img2.pgm"
-    io.save_image_pgm(p5, img, binary=True)
-    io.save_image_pgm(p2, img, binary=False)
+    io.save_image_pgm(p5, img)
+    samples = np.rint(img * 255.0).astype(int)
+    p2.write_text("P2\n9 9\n255\n" + "\n".join(" ".join(map(str, row)) for row in samples) + "\n")
     np.testing.assert_array_equal(io.load_image(p5), io.load_image(p2))
 
 
@@ -225,6 +228,19 @@ def test_svg_byte_identical(tmp_path):
     svgplot.emit_plot([("x", trace)], a, mode="objective", xaxis="sfo")
     svgplot.emit_plot([("x", trace)], b, mode="objective", xaxis="sfo")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("mode, xaxis, digest", [
+    ("objective", "epoch", "e803499e3b923236aed4ed662fcf49fcc53524c69a2c0969dbbebad2b4da598f"),
+    ("objective", "sfo", "c969a55fb98b6128a05b623ee5486152f5bbbc2b6402f9cabf2d248af7d14132"),
+    ("gradmap", "epoch", "7b8e1b8293c793dbefd0b9b49745b9639ed6bb106992f86d826ac6739ec5c215"),
+])
+def test_svg_bytes_pinned(tmp_path, mode, xaxis, digest):
+    # The three (mode, x-axis) pairs of the README's bench recipe, on one two-row trace.
+    trace = Trace(rows=[TraceRow(1.0, 2, 10.0, 1.0, 0.0, 0), TraceRow(2.0, 4, 5.0, 0.5, 0.0, 0)])
+    out = tmp_path / "p.svg"
+    svgplot.emit_plot([("demo", trace)], out, mode=mode, xaxis=xaxis)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_svg_monotone_data_monotone_pixels(tmp_path):
@@ -530,8 +546,27 @@ def test_cli_estimate_lipschitz(capsys):
     # Pinned: the subsampled draw takes its batch as the solver's lip_batch sampler does.
     assert capsys.readouterr().out.splitlines() == [
         "full-batch estimates: L_x=10.5273 L_y=5.55568",
-        "stochastic estimates (b=2): L_x=13.9267 L_y=54.7936",
+        "stochastic estimates (b=2): L_x=13.9267 L_y=55.5568",
     ]
+
+
+def test_cli_estimate_lipschitz_prints_the_solvers_first_draws(monkeypatch, capsys):
+    # PALM and spring-sgd (b = 2, seed 0) both step 1/L at k = 1, so 1/gamma of each
+    # run's first step is its first Lipschitz draw: the full-batch and the sampled line.
+    problem, init_fn = ProblemSpec("toy-nmf").build()
+    first = {}
+    real_step = solver._step
+
+    def spy(*args):
+        first.setdefault(algo, args[4:6])
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "_step", spy)
+    for algo in ("palm", "spring-sgd"):
+        solver.run(problem, SolverConfig(algorithm=algo, batch_size=2, seed=0), init_fn(0))
+    assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-nmf", "--batch", "2"]) == 0
+    drawn = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert drawn == [f"L_x={1.0 / gx:.6g} L_y={1.0 / gy:.6g}" for gx, gy in first.values()]
 
 
 @pytest.mark.parametrize("flags, message", [
