@@ -8,10 +8,10 @@ point, which the caller must supply (pass x itself for a symmetric
 standalone check).
 
 Everything in the second half of the module exists to check the fast paths
-against slow, independent computations: finite differences for gradients,
-support enumeration for the sparse prox, exhaustive batch enumeration for
-estimator mean-squared errors.  These run only at test scale (n <= 8,
-dim <= 12).
+against slow, independent computations: finite differences of the
+batch-mean gradient oracles, support enumeration for the sparse prox,
+exhaustive batch enumeration for estimator mean-squared errors.  These run
+only at test scale (n <= 8, dim <= 12).
 """
 
 from __future__ import annotations
@@ -23,16 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import BlockProblem, Iterate, check_dims, dist_sq, full_grad_x, full_grad_y, objective, prox_generic
-from .estimators import (
-    SagaState,
-    SarahState,
-    batch_grads_x,
-    batch_grads_y,
-    expand_rows,
-    row_means,
-    saga_estimate_x,
-    saga_estimate_y,
-)
+from .estimators import SagaState, SarahState, saga_estimate_x, saga_estimate_y
 
 
 @dataclass(frozen=True)
@@ -107,30 +98,28 @@ def lyapunov_psi(
 
 
 def fd_gradient_check(problem: BlockProblem, z: Iterate, h: float = 1e-6) -> float:
-    """Worst relative error between analytic and central-difference gradients.
+    """Worst relative error between the oracles and central-difference gradients.
 
-    For each component, each coordinate of each block is perturbed by +-h and
-    the error is ||fd - grad|| / (1 + ||grad||); the maximum over components
-    and blocks is returned.
+    For each component i, ``grad_x`` and ``grad_y`` on the singleton batch
+    [i] are compared with central differences of ``value`` on the same batch,
+    each coordinate of each block perturbed by +-h; the error is
+    ||fd - grad|| / (1 + ||grad||), and the maximum over components and
+    blocks is returned.
     """
     check_dims(problem, z)
-    all_idx = np.arange(problem.n)
-    mean_fx, mean_fy = row_means(problem)
     worst = 0.0
-    for point, grads, value_at in (
-        (z.x, expand_rows(mean_fx, all_idx, batch_grads_x(problem, all_idx, z.x, z.y)),
-         lambda one, v: problem.value(one, v, z.y)),
-        (z.y, expand_rows(mean_fy, all_idx, batch_grads_y(problem, all_idx, z.x, z.y)),
-         lambda one, v: problem.value(one, z.x, v)),
-    ):
-        for i, g in enumerate(grads):
-            one = all_idx[i:i + 1]
+    for i in range(problem.n):
+        one = np.array([i])
+        for point, g, value_at in (
+            (z.x, problem.grad_x(one, z.x, z.y), lambda v: problem.value(one, v, z.y)),
+            (z.y, problem.grad_y(one, z.x, z.y), lambda v: problem.value(one, z.x, v)),
+        ):
             fd = np.empty(len(point))
             for j in range(len(point)):
                 plus, minus = point.copy(), point.copy()
                 plus[j] += h
                 minus[j] -= h
-                fd[j] = (value_at(one, plus) - value_at(one, minus)) / (2.0 * h)
+                fd[j] = (value_at(plus) - value_at(minus)) / (2.0 * h)
             err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
             worst = max(worst, err)
     return worst

@@ -6,8 +6,11 @@ and ``plot``.  The problem parameter flags are generated from
 ``runner.ProblemSpec``'s fields.  A flat ``key=value`` config file
 (``--config``) supplies defaults, each converted by its flag's type; explicit
 flags override it, and a key that names none of the subcommand's flags is a
-usage error.
+usage error.  No flag is abbreviated, and ``--algo`` is ``run``'s alone:
+``bench`` takes its algorithms from ``--algos``.
 
+``check-grad`` finite-differences the batch-mean oracles ``grad_x`` and
+``grad_y`` on each singleton batch at feasible points near the initial one.
 ``estimate-lipschitz`` makes the solver's own Lipschitz draws at the initial
 point, each from a fresh ``power_init`` stream: the full-batch draw is PALM's
 first, and the ``--batch`` draw, on a batch from the ``lip_batch`` stream, is
@@ -87,7 +90,6 @@ def _problem_parent() -> argparse.ArgumentParser:
 
 def _solver_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--algo", default="palm", choices=ALGORITHMS)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -103,17 +105,18 @@ def _solver_parent() -> argparse.ArgumentParser:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(prog="springopt",
+    parser = argparse.ArgumentParser(prog="springopt", allow_abbrev=False,
                                      description="stochastic proximal alternating minimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[_problem_parent(), _solver_parent()],
+    run_p = sub.add_parser("run", parents=[_problem_parent(), _solver_parent()], allow_abbrev=False,
                            help="run one algorithm over a seed sweep")
+    run_p.add_argument("--algo", default="palm", choices=ALGORITHMS)
     run_p.add_argument("--out", default="out")
     run_p.add_argument("--repeat", type=int, default=1)
     run_p.add_argument("--deterministic-timing", action="store_true")
 
-    bench_p = sub.add_parser("bench", parents=[_problem_parent(), _solver_parent()],
+    bench_p = sub.add_parser("bench", parents=[_problem_parent(), _solver_parent()], allow_abbrev=False,
                              help="compare algorithms against the PALM baseline")
     bench_p.add_argument("--out", default="out")
     bench_p.add_argument("--repeat", type=int, default=1)
@@ -121,19 +124,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bench_p.add_argument("--algos", default=",".join(ALGORITHMS),
                          help="comma-separated list; must include palm")
 
-    grad_p = sub.add_parser("check-grad", parents=[_problem_parent()],
-                            help="finite-difference check of the component gradients")
+    grad_p = sub.add_parser("check-grad", parents=[_problem_parent()], allow_abbrev=False,
+                            help="finite-difference check of the component gradient oracles")
     grad_p.add_argument("--points", type=int, default=10)
     grad_p.add_argument("--h", type=float, default=1e-6)
     grad_p.add_argument("--grad-tol", type=float, default=1e-5)
     grad_p.add_argument("--seed", type=int, default=0)
 
-    lip_p = sub.add_parser("estimate-lipschitz", parents=[_problem_parent()],
+    lip_p = sub.add_parser("estimate-lipschitz", parents=[_problem_parent()], allow_abbrev=False,
                            help="power-method Lipschitz estimates at the initial point")
     lip_p.add_argument("--batch", type=int, default=None, help="subsample size for stochastic estimates")
     lip_p.add_argument("--seed", type=int, default=0)
 
-    plot_p = sub.add_parser("plot", help="render trace CSVs as an SVG")
+    plot_p = sub.add_parser("plot", allow_abbrev=False, help="render trace CSVs as an SVG")
     plot_p.add_argument("traces", nargs="+")
     plot_p.add_argument("--mode", default="objective", choices=("objective", "gradmap"))
     plot_p.add_argument("--x", dest="xaxis", default="epoch", choices=("epoch", "sfo"))
@@ -142,14 +145,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, algorithm: str) -> SolverConfig:
     # Without both steps the validator rejects --steps fixed; any other policy rejects a lone step here.
     gammas = (args.gamma_x, args.gamma_y)
     fixed = None if None in gammas else gammas
     if fixed is None and gammas != (None, None) and args.steps != "fixed":
         raise ConfigError(f"--gamma-x and --gamma-y need each other and --steps fixed, got --steps {args.steps}")
     return SolverConfig(
-        algorithm=args.algo,
+        algorithm=algorithm,
         batch_size=args.batch,
         sarah_p=args.sarah_p,
         epochs=args.epochs,
@@ -181,7 +184,7 @@ def _feasible_points(args, count: int):
 
 
 def cmd_run(args) -> int:
-    summary = run_experiment(_run_spec(args, _solver_config(args)))
+    summary = run_experiment(_run_spec(args, _solver_config(args, args.algo)))
     for r in summary["runs"]:
         print(
             f"{summary['algorithm']} seed={r['seed']} status={r['status']} "
@@ -193,7 +196,8 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-    result = bench(_run_spec(args, _solver_config(args)), algorithms=algos)
+    # bench replaces the algorithm with each listed one in turn.
+    result = bench(_run_spec(args, _solver_config(args, "palm")), algorithms=algos)
     for row in result["rows"]:
         extra = ""
         if row["algorithm"] != "palm":

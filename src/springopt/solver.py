@@ -222,8 +222,9 @@ def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
     unless beta = 0: then the estimates are at z and at (x_next, y).
     Estimator state inside ``driver`` is advanced as a side effect (SAGA
     table rows refreshed with the evaluations already made for the
-    estimate; SARAH estimates and ``sarah_prev`` updated).  ``name`` labels
-    the divergence messages.
+    estimate; SARAH estimates and ``sarah_prev`` updated).  Every point
+    built here, the extrapolated one included, goes through
+    ``_guarded_iterate``; ``name`` labels its divergence messages.
     """
     if not (gamma_x > 0 and gamma_y > 0):
         raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
@@ -237,7 +238,7 @@ def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
     if beta != 0:
         x_bar = z.x + beta * (z.x - z_prev.x)
         y_bar = z.y + beta * (z.y - z_prev.y)
-        at = Iterate(x_bar, z.y)
+        at = _guarded_iterate(x_bar, z.y, f"{name} extrapolation")
     gx, sfo_x = _estimate(problem, driver, kind, refresh, "x", at, z_old)
     x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
     mid = _guarded_iterate(x_next, y_bar, f"{name} x-update")
@@ -297,14 +298,14 @@ class _StepSizes:
     can give a near-zero draw and an enormous step while the gradient batch
     realizes much larger curvature.  So its estimate is a running maximum of
     the draws, decaying by half over ~2 epochs when the landscape flattens,
-    and anchored on a full-batch draw at z0 while degenerate.
+    and anchored on a full-batch draw at the current iterate while
+    degenerate.
     """
 
     def __init__(self, problem, config, z0, kind, b, sarah_p):
         n = problem.n
         self.problem = problem
         self.config = config
-        self.z0 = z0
         self.b = b
         self.rng = stream_rng(config.seed, "power_init")
         self.sampler = est.BatchSampler(n, b, stream_rng(config.seed, "lip_batch")) if kind != "full" else None
@@ -344,7 +345,7 @@ class _StepSizes:
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
-            fx, fy = self.draw(self.z0, np.arange(self.problem.n))
+            fx, fy = self.draw(z, np.arange(self.problem.n))
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y

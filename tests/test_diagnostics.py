@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,13 @@ from springopt.estimators import (
     sample_batch,
 )
 from springopt.core import dist_sq
-from springopt.problems import make_random_quadratic, make_separable_quadratic, prox_l0_nonneg_columns
+from springopt.problems import (
+    SparseNmfProblem,
+    SparsePcaProblem,
+    make_random_quadratic,
+    make_separable_quadratic,
+    prox_l0_nonneg_columns,
+)
 from springopt.rng import stream_rng
 
 
@@ -198,10 +205,24 @@ def test_fd_check_constant_zero():
 
 def test_fd_check_flags_wrong_gradient(quad5, random_iterate):
     problem, _ = quad5
-    from dataclasses import replace
-
     broken = replace(problem, grad_x=lambda idx, x, y: problem.grad_x(idx, x, y) * 1.1)
     z = random_iterate(problem, seed=6)
+    assert fd_gradient_check(broken, z) > 1e-3
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+@pytest.mark.parametrize("family", ["nmf", "pca"])
+def test_fd_check_reads_the_oracles_not_the_saga_rows(family, block):
+    # The factorization problems' SAGA rows still encode the true gradients; a 1% error in
+    # the oracle the solvers step with must show.
+    A = np.random.default_rng(505).random((10, 8))
+    adapter = (SparseNmfProblem(A=A, r=3, s=4) if family == "nmf"
+               else SparsePcaProblem(A=A, r=3, lam1=0.1, lam2=0.1))
+    problem = adapter.block_problem()
+    grad = getattr(problem, f"grad_{block}")
+    broken = replace(problem, **{f"grad_{block}": lambda idx, x, y: 1.01 * grad(idx, x, y)})
+    z = adapter.initial_iterate(0)
+    assert fd_gradient_check(problem, z) <= 1e-5
     assert fd_gradient_check(broken, z) > 1e-3
 
 

@@ -455,10 +455,12 @@ def test_cli_unknown_subcommand_exits_2():
 
 
 def test_cli_unknown_flag_exits_2():
-    # Removed flags are usage errors, not silently run under new defaults.
+    # Removed flags are usage errors, not silently run under new defaults. bench takes its
+    # algorithms from --algos alone, and no flag is abbreviated: neither --algo nor --det
+    # stands for the one it is a prefix of.
     for argv in (["run", "--no-such-flag"], ["run", "--no-lipschitz-refresh"], ["bench", "--parallelism", "2"],
                  ["run", "--power-iters", "5"], ["bench", "--power-iters", "5"],
-                 ["estimate-lipschitz", "--iterations", "5"]):
+                 ["estimate-lipschitz", "--iterations", "5"], ["bench", "--algo", "palm"], ["run", "--det"]):
         assert cli_dispatch(argv) == 2, argv
 
 
@@ -473,8 +475,8 @@ def test_cli_unknown_flag_exits_2():
     (["--gamma-x", "0.1"], "--gamma-x and --gamma-y need each other and --steps fixed, got --steps practical"),
     (["--steps", "theoretical", "--gamma-y", "0.1"],
      "--gamma-x and --gamma-y need each other and --steps fixed, got --steps theoretical"),
-    (["--algo", "spring-sarah", "--sarah-p", "nan"], "SARAH period must satisfy 1 <= p < inf, got nan"),
-    (["--algo", "spring-sarah", "--sarah-p", "nan", "--steps", "theoretical", "--lipschitz-const", "1"],
+    (["--sarah-p", "nan"], "SARAH period must satisfy 1 <= p < inf, got nan"),
+    (["--sarah-p", "nan", "--steps", "theoretical", "--lipschitz-const", "1"],
      "SARAH period must satisfy 1 <= p < inf, got nan"),
     (["--tol", "nan"], "grad_map_tolerance must satisfy 0 <= tol < inf, got nan"),
     (["--tol", "-1"], "grad_map_tolerance must satisfy 0 <= tol < inf, got -1.0"),
@@ -613,6 +615,10 @@ def test_cli_config_file_defaults_and_overrides(tmp_path, capsys):
     cfg.write_text("points = 1\nepochs = 2\n")
     assert cli_dispatch(["check-grad", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: unknown keys for check-grad: epochs\n"
+    # bench has no --algo, so a bench config may not set one.
+    cfg.write_text("algo = palm\n")
+    assert cli_dispatch(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown keys for bench: algo\n"
 
 
 def test_cli_bench_writes_files(tmp_path):

@@ -505,6 +505,25 @@ def test_diverging_run_raises_without_numpy_warnings():
             run(problem, config, init_fn(0))
 
 
+def test_ipalm_overflowing_extrapolation_is_divergence():
+    # Step 2 extrapolates x_1 + (1/4)(x_1 - x_0) with x_1 = 1e308 and x_0 = -1e308: the
+    # difference overflows, and the extrapolated point is guarded like the half-steps.
+    problem = BlockProblem(
+        n=2, dim_x=1, dim_y=1,
+        value=lambda idx, x, y: 0.0,
+        grad_x=lambda idx, x, y: np.zeros(1),
+        grad_y=lambda idx, x, y: np.zeros(1),
+        prox_x=lambda _gamma, v: np.full(1, 1e308),
+    )
+    config = SolverConfig(algorithm="ipalm", epochs=3, step_policy="fixed", fixed_steps=(1.0, 1.0))
+    with pytest.raises(DivergenceError) as exc_info:
+        run(problem, config, Iterate(np.full(1, -1e308), np.zeros(1)))
+    exc = exc_info.value
+    assert str(exc) == "non-finite iterate after ipalm extrapolation"
+    assert exc.snapshot == {"max_abs_x": np.inf, "max_abs_y": 0.0}
+    assert exc.trace is not None and len(exc.trace.rows) == 1
+
+
 def _blowup_problem(block, after):
     """Quadratic toy (n=4) whose ``block`` prox returns an infinite entry from
     its call number ``after + 1`` on; the other block's entries stay at most 1."""
@@ -613,6 +632,34 @@ def test_lipschitz_sfo_counts_every_operator_application(policy):
     res = run(counted, SolverConfig(epochs=3, seed=4, track_grad_map=False, **policy), z0)
     assert applied[0] > 0
     assert res.trace.rows[-1].lipschitz_sfo == applied[0]
+
+
+def test_envelope_anchor_draws_at_the_current_iterate():
+    # Every sampled draw is degenerate, and the full-batch draw is degenerate at z0 only.
+    # The first step's anchor draws at z0 and is floored; the second step's draws at z_1.
+    problem, _ = make_separable_quadratic(dim_x=1, dim_y=1, n=2, seed=3)
+    z0 = Iterate(np.zeros(1), np.zeros(1))
+    anchored_at, proxed = [], []
+
+    def hook(x, y, batch):
+        full = len(batch) == problem.n
+        if full:
+            anchored_at.append(np.concatenate([x, y]))
+        scale = 1.0 if full and (x.any() or y.any()) else 0.0
+        return CurvatureOperator(lambda v: scale * v, 1)
+
+    def box(_gamma, v):
+        proxed.append(np.clip(v, -1.0, 1.0))
+        return proxed[-1]
+
+    problem = replace(problem, lipschitz_x=hook, lipschitz_y=hook, prox_x=box, prox_y=box)
+    config = SolverConfig(algorithm="spring-sgd", epochs=1, track_grad_map=False)
+    with pytest.warns(RuntimeWarning, match="at or below floor") as floored:
+        run(problem, config, z0)
+    assert len(floored) == 2  # the first step's two blocks; the second step is not floored
+    z1 = np.concatenate(proxed[:2])
+    assert z1.any()
+    np.testing.assert_array_equal(anchored_at, [np.zeros(2)] * 2 + [z1] * 2)
 
 
 def test_lipschitz_sfo_charges_only_the_applications_made():
