@@ -8,6 +8,9 @@
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
+* the blind-deconvolution SAGA x-row oracle (``rows_x``, and ``rows_mean_x``
+  decoding its rows) at bid-medium shapes (16 tiles; b = 1 and the full
+  batch);
 * each Lipschitz draw (the hook forming its operator plus the solver's
   ``POWER_ITERATIONS``-iteration estimate on it) at nmf-medium shapes
   (200 x 500, r = 10; b = 13 and the full batch) and bid-medium shapes
@@ -95,6 +98,17 @@ def test_nmf_oracle(benchmark, request, oracle, batch):
     problem, z = request.getfixturevalue(fixture)
     idx = np.arange(problem.n) if b is None else np.sort(np.random.default_rng(1).choice(problem.n, b, replace=False))
     benchmark(getattr(problem, oracle), idx, z.x, z.y)
+
+
+@pytest.mark.parametrize("b", [1, None], ids=["b1", "full"])
+@pytest.mark.parametrize("oracle", ["rows_x", "rows_mean_x"])
+def test_bid_row_oracle(benchmark, bid, oracle, b):
+    problem, z = bid
+    idx = np.arange(problem.n) if b is None else np.array([5])
+    if oracle == "rows_x":
+        benchmark(problem.rows_x, idx, z.x, z.y)
+    else:
+        benchmark(problem.rows_mean_x, idx, problem.rows_x(idx, z.x, z.y))
 
 
 def _estimate(hook, z, batch, rng):

@@ -2,9 +2,10 @@
 
 The objective being minimized is
 
-    Phi(x, y) = J(x) + (1/n) * sum_i F_i(x, y) + R(y)
+    Phi(x, y) = J(x) + G(x) + (1/n) * sum_i F_i(x, y) + R(y)
 
-with smooth components ``F_i`` (given through batch-mean oracles) and
+with smooth components ``F_i`` (given through batch-mean oracles), an
+optional deterministic smooth x-term ``G`` (``BlockProblem.smooth_x``) and
 prox-capable, possibly non-smooth regularizers ``J`` and ``R``.  Indicator
 constraints are encoded as regularizers taking the value ``+inf`` outside the
 feasible set, so ``objective`` may legitimately return ``inf``; a NaN
@@ -13,9 +14,10 @@ objective is always an error.
 Oracle contract: ``grad_x(idx, x, y)`` is the mean of grad_x F_i over a sorted
 array ``idx`` of distinct indices, ``grad_y`` and ``value`` likewise, and a
 call costs ``len(idx)`` SFO.  Full gradients and the smooth value pass all n
-indices.  SAGA tables store one row per component: the problem's compact
-per-row data where it has a per-row oracle (see ``BlockProblem``), else the
-dense component gradient from a singleton batch.
+indices and add G's exact value or x-gradient, which costs no SFO.  SAGA
+tables store one row per component: the problem's compact per-row data where
+it has a per-row oracle (see ``BlockProblem``), else the dense component
+gradient from a singleton batch.
 
 Problem objects are immutable after construction and safe to share between
 threads.  Oracles are deterministic, so results are reproducible bit for bit.
@@ -34,6 +36,14 @@ RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
+
+
+class SmoothTerm(NamedTuple):
+    """A deterministic smooth term of one block: ``value(v)`` and ``grad(v)``
+    at the block vector v."""
+
+    value: Callable[[np.ndarray], float]
+    grad: Callable[[np.ndarray], np.ndarray]
 
 
 class CurvatureOperator(NamedTuple):
@@ -72,6 +82,14 @@ class BlockProblem:
     components ``idx`` encode, at no oracle cost.  An all-zero row encodes a
     zero gradient.  Likewise ``rows_y``/``rows_mean_y``/``row_dim_y``.
 
+    The optional ``smooth_x`` is a deterministic smooth term G(x) outside the
+    finite sum, a ``SmoothTerm``.  ``value``, ``grad_x`` and the x-rows hold
+    the components alone; ``smooth_value`` and ``full_grad_x`` add G, and
+    the solver adds G's exact gradient to every stochastic x-estimate,
+    uncharged, so it needs no variance reduction.  G's gradient is added in
+    place to the arrays ``grad_x`` and ``rows_mean_x`` return, so these must
+    be fresh.  G's curvature belongs in the x-hook's ``shift``.
+
     The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
     block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``,
     the full batch being ``np.arange(n)`` as for the oracles;
@@ -97,6 +115,7 @@ class BlockProblem:
     rows_y: RowsFn | None = None
     rows_mean_y: RowsMeanFn | None = None
     row_dim_y: int | None = None
+    smooth_x: SmoothTerm | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -151,13 +170,17 @@ def dist_sq(a: Iterate, b: Iterate) -> float:
 
 
 def smooth_value(problem: BlockProblem, z: Iterate) -> float:
-    """(1/n) sum_i F_i(x, y): the value oracle over all n components."""
+    """G(x) + (1/n) sum_i F_i(x, y): the value oracle over all n components,
+    plus the smooth x-term where there is one."""
     check_dims(problem, z)
-    return float(problem.value(np.arange(problem.n), z.x, z.y))
+    val = float(problem.value(np.arange(problem.n), z.x, z.y))
+    if problem.smooth_x is not None:
+        val += float(problem.smooth_x.value(z.x))
+    return val
 
 
 def objective(problem: BlockProblem, z: Iterate) -> float:
-    """Full objective J(x) + (1/n) sum F_i + R(y); +inf outside indicators."""
+    """Full objective J(x) + G(x) + (1/n) sum F_i + R(y); +inf outside indicators."""
     check_dims(problem, z)
     jx = float(problem.reg_x_value(z.x))
     ry = float(problem.reg_y_value(z.y))
@@ -180,8 +203,12 @@ def _mean_grad(problem: BlockProblem, z: Iterate, grad_fn: GradFn, dim: int) -> 
 
 
 def full_grad_x(problem: BlockProblem, z: Iterate) -> np.ndarray:
-    """(1/n) sum_i grad_x F_i(x, y): the x-oracle over all n components."""
-    return _mean_grad(problem, z, problem.grad_x, problem.dim_x)
+    """grad G(x) + (1/n) sum_i grad_x F_i(x, y): the x-oracle over all n
+    components, plus the smooth x-term's gradient where there is one."""
+    g = _mean_grad(problem, z, problem.grad_x, problem.dim_x)
+    if problem.smooth_x is not None:
+        g += problem.smooth_x.grad(z.x)
+    return g
 
 
 def full_grad_y(problem: BlockProblem, z: Iterate) -> np.ndarray:

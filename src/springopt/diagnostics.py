@@ -9,9 +9,9 @@ standalone check).
 
 Everything in the second half of the module exists to check the fast paths
 against slow, independent computations: finite differences of the
-batch-mean gradient oracles, support enumeration for the sparse prox,
-exhaustive batch enumeration for estimator mean-squared errors.  These run
-only at test scale (n <= 8, dim <= 12).
+batch-mean gradient oracles and of the smooth x-term, support enumeration
+for the sparse prox, exhaustive batch enumeration for estimator
+mean-squared errors.  These run only at test scale (n <= 8, dim <= 12).
 """
 
 from __future__ import annotations
@@ -102,26 +102,29 @@ def fd_gradient_check(problem: BlockProblem, z: Iterate, h: float = 1e-6) -> flo
 
     For each component i, ``grad_x`` and ``grad_y`` on the singleton batch
     [i] are compared with central differences of ``value`` on the same batch,
-    each coordinate of each block perturbed by +-h; the error is
-    ||fd - grad|| / (1 + ||grad||), and the maximum over components and
-    blocks is returned.
+    and the gradient of the problem's ``smooth_x`` term, if any, with central
+    differences of its value; each coordinate is perturbed by +-h.  The error
+    is ||fd - grad|| / (1 + ||grad||), and the maximum over components,
+    blocks and the term is returned.
     """
     check_dims(problem, z)
-    worst = 0.0
+    checks = []
     for i in range(problem.n):
         one = np.array([i])
-        for point, g, value_at in (
-            (z.x, problem.grad_x(one, z.x, z.y), lambda v: problem.value(one, v, z.y)),
-            (z.y, problem.grad_y(one, z.x, z.y), lambda v: problem.value(one, z.x, v)),
-        ):
-            fd = np.empty(len(point))
-            for j in range(len(point)):
-                plus, minus = point.copy(), point.copy()
-                plus[j] += h
-                minus[j] -= h
-                fd[j] = (value_at(plus) - value_at(minus)) / (2.0 * h)
-            err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
-            worst = max(worst, err)
+        checks.append((z.x, problem.grad_x(one, z.x, z.y), lambda v, one=one: problem.value(one, v, z.y)))
+        checks.append((z.y, problem.grad_y(one, z.x, z.y), lambda v, one=one: problem.value(one, z.x, v)))
+    if problem.smooth_x is not None:
+        checks.append((z.x, problem.smooth_x.grad(z.x), problem.smooth_x.value))
+    worst = 0.0
+    for point, g, value_at in checks:
+        fd = np.empty(len(point))
+        for j in range(len(point)):
+            plus, minus = point.copy(), point.copy()
+            plus[j] += h
+            minus[j] -= h
+            fd[j] = (value_at(plus) - value_at(minus)) / (2.0 * h)
+        err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
+        worst = max(worst, err)
     return worst
 
 
@@ -176,9 +179,11 @@ def exhaustive_mse(
     kind 'sgd' and 'saga' measure the estimate at z against the full partial
     gradient at z; 'sarah' measures one recursive step from the estimates in
     ``state`` (taken at ``z_old``) to ``z``.  Each estimate is the one the
-    solver computes: batch-mean oracle calls for SGD and SARAH, the
-    problem's rows against the SagaState's tables for SAGA.  The
-    previous-estimate vectors in a SarahState are not mutated.
+    solver steps with: batch-mean oracle calls for SGD and SARAH, the
+    problem's rows against the SagaState's tables for SAGA, plus on the
+    x-block the exact gradient at z of the problem's ``smooth_x`` term, as
+    ``full_grad_x`` has it.  The previous-estimate vectors in a SarahState
+    are not mutated.
     """
     check_dims(problem, z)
     if block not in ("x", "y"):
@@ -186,6 +191,7 @@ def exhaustive_mse(
     grad = problem.grad_x if block == "x" else problem.grad_y
     saga = saga_estimate_x if block == "x" else saga_estimate_y
     full = full_grad_x(problem, z) if block == "x" else full_grad_y(problem, z)
+    term = problem.smooth_x.grad(z.x) if block == "x" and problem.smooth_x is not None else 0.0
     total = 0.0
     count = 0
     for batch in _all_batches(problem.n, b):
@@ -200,7 +206,7 @@ def exhaustive_mse(
             est = grad(batch, z.x, z.y) - grad(batch, z_old.x, z_old.y) + prev
         else:
             raise ValueError(f"unknown estimator kind {kind!r}")
-        err = est - full
+        err = est + term - full
         total += float(err @ err)
         count += 1
     return total / count

@@ -6,7 +6,9 @@ replacement).  SAGA keeps a table of n rows per block, each encoding one
 component's gradient at its last visit, and corrects the mini-batch estimate
 by the mean gradient the table encodes; SARAH keeps a single recursive
 estimate per block that is reset to the exact full gradient with probability
-1/p each iteration.
+1/p each iteration.  Every estimate here is of the finite sum alone: a
+problem's deterministic ``smooth_x`` term needs no variance reduction, and
+the solver adds its exact gradient to the x-estimate.
 
 The x-block and y-block draw independent batches each iteration, but SARAH's
 refresh coin is a single shared event per iteration for both blocks.  SGD
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_grad_x, full_grad_y
+from .core import BlockProblem, Iterate, RowsMeanFn, check_dims
 
 # Table-update calls (one per block per step, whatever the batch size) between exact
 # mean recomputations.  Each drifts the mean by O(eps); recomputing keeps it within 1e-10.
@@ -254,8 +256,10 @@ def _maybe_recompute(state: SagaState) -> None:
 class SarahState:
     """Recursive gradient estimates for both blocks, refresh period p >= 1.
 
-    Immediately after a refresh event the estimates equal the exact full
-    partial gradients at their evaluation points.
+    The estimates are of the finite sum alone, without the problem's
+    ``smooth_x`` term.  Immediately after a refresh event they equal the
+    full-batch oracles ``grad_x``/``grad_y`` on all n components at their
+    evaluation points.
     """
 
     est_x: np.ndarray
@@ -272,9 +276,9 @@ def sarah_refresh_coin(state: SarahState, rng: np.random.Generator) -> bool:
     return bool(rng.random() < 1.0 / state.p)
 
 
-def _sarah_estimate(problem, batch, z_new, z_old, prev_est, refresh, full_fn, grad_fn):
+def _sarah_estimate(problem, batch, z_new, z_old, prev_est, refresh, grad_fn):
     if refresh:
-        return full_fn(problem, z_new)
+        return grad_fn(np.arange(problem.n), z_new.x, z_new.y)
     return (grad_fn(batch, z_new.x, z_new.y) - grad_fn(batch, z_old.x, z_old.y)) + prev_est
 
 
@@ -288,8 +292,7 @@ def sarah_estimate_x(
     refresh: bool,
 ) -> np.ndarray:
     """SARAH x-estimate at z_new; updates ``state.est_x`` to the result."""
-    est = _sarah_estimate(problem, batch, z_new, z_old, state.est_x, refresh,
-                          full_grad_x, problem.grad_x)
+    est = _sarah_estimate(problem, batch, z_new, z_old, state.est_x, refresh, problem.grad_x)
     state.est_x = est
     return est
 
@@ -304,8 +307,7 @@ def sarah_estimate_y(
     refresh: bool,
 ) -> np.ndarray:
     """SARAH y-estimate at z_new = (post-x-update x, current y)."""
-    est = _sarah_estimate(problem, batch, z_new, z_old, state.est_y, refresh,
-                          full_grad_y, problem.grad_y)
+    est = _sarah_estimate(problem, batch, z_new, z_old, state.est_y, refresh, problem.grad_y)
     state.est_y = est
     return est
 
@@ -388,7 +390,12 @@ def probe_upsilon_sarah(
     grad_x_full: np.ndarray,
     grad_y_full: np.ndarray,
 ) -> VarianceProbe:
-    """Deviation of the SARAH estimates from the supplied full gradients."""
+    """Deviation of the SARAH estimates from the supplied full gradients.
+
+    ``SarahState`` holds estimates of the finite sum alone, so compare them
+    with ``problem.grad_x``/``grad_y`` on all n components; ``full_grad_x``
+    also holds the gradient of a problem's ``smooth_x`` term.
+    """
     dx = state.est_x - np.asarray(grad_x_full, dtype=float)
     dy = state.est_y - np.asarray(grad_y_full, dtype=float)
     return VarianceProbe(

@@ -127,6 +127,12 @@ def practical_step_sizes(
 
     palm: 1/L;  ipalm: 0.9/L;  spring-sgd: 1/(sqrt(ceil(k b / n)) L) with the
     epoch counter k >= 1;  spring-saga: 1/(3L);  spring-sarah: 1/(2L).
+
+    These are heuristics, not the analysis' steps.  The PALM step is exactly
+    1/L for the estimate L it is given, and the power method estimates from
+    below, so the step can exceed one over the block's true Lipschitz
+    modulus; the descent lemma of PALM (Bolte, Sabach, Teboulle 2014) needs
+    the step strictly below it.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -14,8 +14,8 @@ with closed-form batch-mean gradients:
 The factorization problems split the finite sum over the d columns of A with
 F_i = d * ||A_i - X Y_i||^2 so that the component mean equals the monolithic
 objective.  Blind deconvolution splits the residual grid into contiguous
-tiles; the smooth edge regularizer is carried by every component (divided by
-the component count through the mean), keeping each F_i differentiable.
+tiles; the smooth edge regularizer is deterministic, so it stays outside the
+finite sum as the problem's ``smooth_x`` term.
 The factorization data is stored component-major, as A^T: a batch gathers
 its rows (only a long batch's A_B Y_B^T, such as a full batch of 500, rounds
 apart from row-major A's, in the last bits), the gradients are in Gram form,
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BlockProblem, CurvatureOperator, Iterate
+from .core import BlockProblem, CurvatureOperator, Iterate, SmoothTerm
 
 # ---------------------------------------------------------------------------
 # Proximal operators
@@ -513,8 +513,11 @@ class BlindDeblurProblem:
 
     Z has shape (h, w); the image variable has shape (h + kh - 1, w + kw - 1)
     so the valid correlation matches Z exactly.  The residual grid is split
-    into ``n_tiles`` components; the smooth edge regularizer rides along in
-    every component.
+    into ``n_tiles`` components, each the data term of one tile; the smooth
+    edge regularizer is the deterministic ``smooth_x`` term, outside the
+    finite sum, and its curvature is the x-hook's ``shift``.  A SAGA x-row
+    is the tile's residual, zero-padded to the largest tile, followed by the
+    kernel at the visit: max tile area + kh * kw numbers.
     """
 
     Z: np.ndarray
@@ -545,30 +548,57 @@ class BlindDeblurProblem:
         # Tile i's residual needs only its image window: the tile grown by the kernel.
         windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
 
-        def reg_value(X):
-            dh, dv = image_gradients(X)
+        def reg_value(xv):
+            dh, dv = image_gradients(xv.reshape(hx, wx))
             return lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
+
+        def reg_grad(xv):
+            dh, dv = image_gradients(xv.reshape(hx, wx))
+            g = image_gradients_adjoint(bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta))
+            return (lam * g).ravel()
 
         def tile_residuals(idx, X, Y):
             for i in idx:
                 yield windows[i], bid_forward(X[windows[i]], Y) - Z[tiles[i]]
 
+        def scatter_adjoints(parts, scale):
+            # scale * the sum of the image adjoints of (window, residual, kernel) parts,
+            # each added into its window.
+            g = np.zeros((hx, wx))
+            for window, resid, Y in parts:
+                g[window] += bid_adjoint_image(resid, Y)
+            g *= scale
+            return g.ravel()
+
         def value(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             total = sum(float((resid * resid).sum()) for _w, resid in tile_residuals(idx, X, Y))
-            return n * total / len(idx) + reg_value(X)
+            return n * total / len(idx)
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            g = np.zeros((hx, wx))
-            for window, resid in tile_residuals(idx, X, Y):
-                g[window] += bid_adjoint_image(resid, Y)
-            g *= 2.0 * n / len(idx)
-            dh, dv = image_gradients(X)
-            g += lam * image_gradients_adjoint(
-                bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta)
-            )
-            return g.ravel()
+            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y))
+            return scatter_adjoints(parts, 2.0 * n / len(idx))
+
+        # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
+        # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
+        # row holds a tile and a kernel instead of the image.
+        tile_shapes = [(rs.stop - rs.start, cs.stop - cs.start) for rs, cs in tiles]
+        areas = [th * tw for th, tw in tile_shapes]
+        width = max(areas)
+
+        def rows_x(idx, xv, yv):
+            X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+            rows = np.zeros((len(idx), width + kh * kw))
+            for row, (_window, resid) in zip(rows, tile_residuals(idx, X, Y)):
+                row[:resid.size] = resid.ravel()
+            rows[:, width:] = yv
+            return rows
+
+        def rows_mean_x(idx, rows):
+            parts = ((windows[i], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
+                     for i, row in zip(idx, rows))
+            return scatter_adjoints(parts, 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
@@ -607,7 +637,7 @@ class BlindDeblurProblem:
                     g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
                 return (scale * g).ravel()
 
-            # Smooth-regularizer curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
+            # The smooth_x term's curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
             return CurvatureOperator(apply, hx * wx, 16.0 * lam * theta)
 
         # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
@@ -636,6 +666,10 @@ class BlindDeblurProblem:
             prox_y=py,
             lipschitz_x=lip_x,
             lipschitz_y=lip_y,
+            rows_x=rows_x,
+            rows_mean_x=rows_mean_x,
+            row_dim_x=width + kh * kw,
+            smooth_x=SmoothTerm(reg_value, reg_grad),
         )
 
     def initial_iterate(self) -> Iterate:

@@ -194,25 +194,33 @@ def _estimate(problem, driver, kind, refresh, block, point, point_old):
     """One block's gradient estimate at ``point`` and its SFO charge.
 
     ``full`` takes the exact gradient, charged n.  Otherwise draws the
-    block's batch and estimates with ``kind``; a SARAH estimate recurses
-    from ``point_old``.  The estimator functions are looked up on
+    block's batch and estimates the finite sum with ``kind``; a SARAH
+    estimate recurses from ``point_old``.  This is the one place the
+    problem's deterministic ``smooth_x`` term joins a stochastic x-estimate,
+    with its exact gradient at ``point`` and no SFO charge (``full_grad_x``
+    adds it itself).  The estimator functions are looked up on
     ``estimators`` at every call, so a patched one is seen.
     """
     on_x = block == "x"
     if kind == "full":
         return (full_grad_x if on_x else full_grad_y)(problem, point), problem.n
     batch = est.sample_batch(driver.sampler_x if on_x else driver.sampler_y)
+    term = problem.smooth_x if on_x else None
     if kind == "sarah":
         sarah_estimate = est.sarah_estimate_x if on_x else est.sarah_estimate_y
         g = sarah_estimate(problem, batch, point, point_old, driver.sarah, refresh=refresh)
-        return g, problem.n if refresh else len(batch)
+        # The state keeps the recursion of the finite sum alone, so the term goes on a copy.
+        return (g if term is None else g + term.grad(point.x)), problem.n if refresh else len(batch)
     if driver.saga is None:
-        sgd_estimate = est.sgd_estimate_x if on_x else est.sgd_estimate_y
-        return sgd_estimate(problem, batch, point), len(batch)
-    fresh = (est.batch_grads_x if on_x else est.batch_grads_y)(problem, batch, point.x, point.y)
-    update_table = est.saga_update_table_x if on_x else est.saga_update_table_y
-    saga, sgd = update_table(driver.saga, batch, fresh)
-    return (saga if kind == "saga" else sgd), len(batch)
+        g = (est.sgd_estimate_x if on_x else est.sgd_estimate_y)(problem, batch, point)
+    else:
+        fresh = (est.batch_grads_x if on_x else est.batch_grads_y)(problem, batch, point.x, point.y)
+        update_table = est.saga_update_table_x if on_x else est.saga_update_table_y
+        # (SAGA estimate, fresh batch mean): the one not stepped with is freed at once.
+        g = update_table(driver.saga, batch, fresh)[0 if kind == "saga" else 1]
+    if term is not None:
+        g += term.grad(point.x)
+    return g, len(batch)
 
 
 def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):

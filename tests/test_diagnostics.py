@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springopt.core import BlockProblem, Iterate, full_grad_x, full_grad_y, objective
+from springopt.core import BlockProblem, Iterate, SmoothTerm, full_grad_x, full_grad_y, objective
 from springopt.diagnostics import (
     bruteforce_prox_l0_nonneg,
     exhaustive_mse,
@@ -30,12 +30,14 @@ from springopt.estimators import (
 )
 from springopt.core import dist_sq
 from springopt.problems import (
+    BlindDeblurProblem,
     SparseNmfProblem,
     SparsePcaProblem,
     make_random_quadratic,
     make_separable_quadratic,
     prox_l0_nonneg_columns,
 )
+from springopt.harness.datasets import toy_blurred_image
 from springopt.rng import stream_rng
 
 
@@ -226,6 +228,23 @@ def test_fd_check_reads_the_oracles_not_the_saga_rows(family, block):
     assert fd_gradient_check(broken, z) > 1e-3
 
 
+def _bid_toy(lam=5e-4):
+    Z, _, _ = toy_blurred_image(seed=5, size=16, kernel=3)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 3), lam=lam, n_tiles=4)
+    return adapter, adapter.block_problem()
+
+
+def test_fd_check_covers_the_smooth_x_term():
+    # The edge regularizer lives outside the components' oracles; a 1% error in
+    # its gradient must show.
+    adapter, problem = _bid_toy()
+    term = problem.smooth_x
+    broken = replace(problem, smooth_x=SmoothTerm(term.value, lambda v: 1.01 * term.grad(v)))
+    z = adapter.initial_iterate()
+    assert fd_gradient_check(problem, z, h=1e-6) <= 1e-5
+    assert fd_gradient_check(broken, z, h=1e-6) > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # Brute-force prox oracle
 # ---------------------------------------------------------------------------
@@ -291,6 +310,28 @@ def test_exhaustive_mse_sarah_needs_z_old(quad6, random_iterate):
     state = SarahState(np.zeros(3), np.zeros(3), p=2.0)
     with pytest.raises(ValueError):
         exhaustive_mse(problem, "sarah", 2, z, state=state)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_bid_saga_mse_does_not_carry_the_edge_regularizer(b):
+    # The regularizer is deterministic and held in no table row, so SAGA's error
+    # against the full gradient is the same for lam and 100 lam, also when every
+    # row was visited at another point; with rows taken at z it is zero.
+    errors = []
+    for lam in (5e-4, 5e-2):
+        adapter, problem = _bid_toy(lam)
+        assert problem.n == 4
+        z = adapter.initial_iterate()
+        rng = np.random.default_rng(41)
+        state = SagaState.from_problem(problem)
+        for i in range(problem.n):
+            visit = np.clip(z.x + 0.05 * rng.standard_normal(z.x.shape), 0.0, 1.0)
+            saga_update_table_x(state, np.array([i]), batch_grads_x(problem, np.array([i]), visit, z.y))
+        errors.append(exhaustive_mse(problem, "saga", b, z, state=state))
+        current = SagaState.from_problem(problem, z)
+        assert exhaustive_mse(problem, "saga", b, z, state=current) <= 1e-28
+    assert errors[0] > 1e-6
+    assert errors[0] == pytest.approx(errors[1], rel=1e-12)
 
 
 def test_exhaustive_mse_rejects_large_n():

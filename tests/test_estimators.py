@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -30,8 +31,10 @@ from springopt.estimators import (
     sgd_estimate_x,
     sgd_estimate_y,
 )
-from springopt.problems import SparseNmfProblem, make_random_quadratic
+from springopt.harness.datasets import toy_blurred_image
+from springopt.problems import BlindDeblurProblem, SparseNmfProblem, bid_component_split, make_random_quadratic
 from springopt.rng import stream_rng
+from springopt.solver import SolverConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,26 @@ def test_nmf_saga_state_memory_scales_with_rows():
                   SagaState.from_problem(problem)):
         held = sum(a.nbytes for a in (state.table_x, state.table_y, state.mean_x, state.mean_y))
         assert held <= 2e6
+
+
+def test_bid_saga_table_holds_tiles_and_kernels():
+    # bid-medium's shape: a 64 x 64 image, 9 x 9 kernel, 16 tiles, b = 1.  An x-row
+    # is a tile's residual and a kernel, so the tables take O(image + n (tile +
+    # kernel)) memory; dense image rows alone would take 0.52 MB.
+    Z, _, _ = toy_blurred_image(seed=0, size=64, kernel=9)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(9, 9), n_tiles=16)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    largest = max((rs.stop - rs.start) * (cs.stop - cs.start) for rs, cs in bid_component_split(Z.shape, 16))
+    assert SagaState.from_problem(problem).table_x.shape == (16, largest + 9 * 9)
+    config = SolverConfig(algorithm="spring-saga", batch_size=1, epochs=1, seed=1, warm_start=False)
+    run(problem, config, z0)
+    tracemalloc.start()
+    try:
+        run(problem, config, z0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6
 
 
 # ---------------------------------------------------------------------------

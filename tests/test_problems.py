@@ -885,15 +885,45 @@ def test_bid_tile_windows_match_masked_full_image(rng):
     problem = adapter.block_problem()
     X = rng.random(adapter.image_shape)
     Y = rng.random((3, 4)) / 12.0
+    term = problem.smooth_x
     for b in (1, 2, 3, 5, 6):
         for _ in range(3):
             idx = np.sort(rng.choice(6, size=b, replace=False))
             value, gx, gy = _bid_masked_reference(adapter, idx, X, Y)
-            np.testing.assert_allclose(problem.grad_x(idx, X.ravel(), Y.ravel()), gx.ravel(),
-                                       rtol=1e-12, atol=1e-13)
+            # The reference carries the edge regularizer; the oracles leave it to smooth_x.
+            np.testing.assert_allclose(problem.grad_x(idx, X.ravel(), Y.ravel()) + term.grad(X.ravel()),
+                                       gx.ravel(), rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(problem.grad_y(idx, X.ravel(), Y.ravel()), gy.ravel(),
                                        rtol=1e-12, atol=1e-13)
-            assert problem.value(idx, X.ravel(), Y.ravel()) == pytest.approx(value, rel=1e-12)
+            assert (problem.value(idx, X.ravel(), Y.ravel()) + term.value(X.ravel())
+                    == pytest.approx(value, rel=1e-12))
+
+
+def test_bid_x_rows_decode_to_grad_x_bitwise(rng):
+    # An x-row is the tile's residual, zero-padded to the largest tile, then the
+    # kernel; rows_mean_x scatters the image adjoints as grad_x does, so SAGA's
+    # fresh estimate is the oracle's bit for bit.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    tiles = bid_component_split(Z.shape, 6)
+    areas = [(rs.stop - rs.start) * (cs.stop - cs.start) for rs, cs in tiles]
+    assert row_dims(problem) == (max(areas) + 12, 12)
+    xv, yv = rng.random(adapter.image_shape).ravel(), rng.random(12) / 12.0
+    X = xv.reshape(adapter.image_shape)
+    resids = [bid_forward(X[rs.start:rs.stop + 2, cs.start:cs.stop + 3], yv.reshape(3, 4)) - Z[rs, cs]
+              for rs, cs in tiles]
+    for b in (1, 2, 3, 6):
+        idx = np.sort(rng.choice(6, size=b, replace=False))
+        rows = problem.rows_x(idx, xv, yv)
+        assert rows.shape == (b, max(areas) + 12)
+        for row, i in zip(rows, idx):
+            np.testing.assert_array_equal(row[:areas[i]], resids[i].ravel())
+            assert not row[areas[i]:max(areas)].any()
+            np.testing.assert_array_equal(row[max(areas):], yv)
+        decoded = problem.rows_mean_x(idx, rows)
+        assert np.array_equal(decoded, problem.grad_x(idx, xv, yv))
+        assert not problem.rows_mean_x(idx, np.zeros_like(rows)).any()
 
 
 def _bid_masked_lipschitz_reference(adapter, batch, X, Y):
