@@ -8,9 +8,9 @@
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
-* the blind-deconvolution SAGA x-row oracle (``rows_x``, and ``rows_mean_x``
-  decoding its rows) at bid-medium shapes (16 tiles; b = 1 and the full
-  batch);
+* the blind-deconvolution batch oracles (``grad_x``, ``grad_y`` and ``value``)
+  and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
+  bid-medium shapes (16 tiles; b = 1 and the full batch);
 * each Lipschitz draw (the hook forming its operator plus the solver's
   ``POWER_ITERATIONS``-iteration estimate on it) at nmf-medium shapes
   (200 x 500, r = 10; b = 13 and the full batch) and bid-medium shapes
@@ -97,6 +97,14 @@ def test_nmf_oracle(benchmark, request, oracle, batch):
     fixture, b = NMF_BATCHES[batch]
     problem, z = request.getfixturevalue(fixture)
     idx = np.arange(problem.n) if b is None else np.sort(np.random.default_rng(1).choice(problem.n, b, replace=False))
+    benchmark(getattr(problem, oracle), idx, z.x, z.y)
+
+
+@pytest.mark.parametrize("b", [1, None], ids=["b1", "full"])
+@pytest.mark.parametrize("oracle", ["grad_x", "grad_y", "value"])
+def test_bid_oracle(benchmark, bid, oracle, b):
+    problem, z = bid
+    idx = np.arange(problem.n) if b is None else np.array([5])
     benchmark(getattr(problem, oracle), idx, z.x, z.y)
 
 

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import BlockProblem, CurvatureOperator, Iterate, SmoothTerm
 
@@ -347,19 +346,37 @@ def _output_shape(image_shape: tuple[int, int], kernel_shape: tuple[int, int]) -
     return h - kh + 1, w - kw + 1
 
 
+def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    """View of C-contiguous X, read through ``steps`` (in elements) from element ``offset``.
+
+    One ``np.ndarray(buffer=...)`` call: the view ``as_strided`` builds, at a
+    fraction of its per-call overhead.
+    """
+    step = X.itemsize
+    return np.ndarray(shape, X.dtype, buffer=X, offset=offset * step, strides=tuple(s * step for s in steps))
+
+
 def _window_view(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
     """Read-only view of X's kernel-sized windows, shape (out_h, out_w, kh, kw).
 
-    The view ``sliding_window_view`` gives, built with one ``as_strided``
-    call and without its validation overhead.
+    The windows ``sliding_window_view`` gives, without its validation
+    overhead.  A non-contiguous X is copied once, and the view reads the copy.
     """
     shape = _output_shape(X.shape, kernel_shape) + tuple(kernel_shape)
-    return as_strided(X, shape=shape, strides=X.strides * 2, writeable=False)
+    X = np.ascontiguousarray(X)
+    view = _strided(X, shape, (X.shape[1], 1) * 2)
+    view.flags.writeable = False
+    return view
 
 
 # Output columns per matrix product in ``bid_forward``.  Every tile-window
 # correlation of the bundled benchmarks fits in one block.
 _COLUMN_BLOCK = 32
+
+# Elements (128 KB) of the largest column block of a non-contiguous image that
+# ``bid_forward`` copies whole before stacking it.  A tile window's block is a
+# few hundred; a 256 x 256 image's single-block kernel adjoint is 65536.
+_BLOCK_COPY_LIMIT = 1 << 14
 
 
 def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
@@ -373,13 +390,47 @@ def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     kh, kw = Y.shape
     width = ncols + kw - 1
     toeplitz = np.zeros((kh * width, ncols))
-    step = toeplitz.itemsize
-    strides = (width * ncols * step, ncols * step, (ncols + 1) * step)
-    np.ndarray((kh, kw, ncols), buffer=toeplitz, strides=strides)[...] = Y[:, :, None]
+    _strided(toeplitz, (kh, kw, ncols), (width * ncols, ncols, ncols + 1))[...] = Y[:, :, None]
     return toeplitz
 
 
-def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _stacked_rows(X: np.ndarray, start: int, width: int, kh: int) -> np.ndarray:
+    """S of ``bid_forward``'s column block of ``width`` input columns from ``start``.
+
+    Row p of S is X[p:p + kh, start:start + width] laid end to end.  For
+    C-contiguous X, S is a strided view of X, reshaped: a copy, unless the
+    block spans X's rows, when the product gets the overlapping rows as they
+    are.  Otherwise S is a C-ordered copy, read from a contiguous copy of the
+    block's columns (freed before the caller builds T), or, for a block
+    larger than ``_BLOCK_COPY_LIMIT``, copied straight from X in
+    min(out_h, kh) slabs, so no input-sized temporary joins S and T.
+    """
+    oh = X.shape[0] - kh + 1
+    if X.flags.c_contiguous:
+        row = X.shape[1]
+        return _strided(X, (oh, kh, width), (row, row, 1), start).reshape(oh, -1)
+    if X.shape[0] * width > _BLOCK_COPY_LIMIT:
+        stacked = np.empty((oh, kh, width))
+        if oh <= kh:
+            for p in range(oh):
+                stacked[p] = X[p:p + kh, start:start + width]
+        else:
+            for a in range(kh):
+                stacked[:, a] = X[a:a + oh, start:start + width]
+        return stacked.reshape(oh, -1)
+    cols = np.ascontiguousarray(X[:, start:start + width])
+    return _strided(cols, (oh, kh, width), (width, width, 1)).copy().reshape(oh, -1)
+
+
+def _factor(Y: np.ndarray, ncols: int, factors: dict) -> np.ndarray:
+    """``_toeplitz(Y, ncols)``, built once per block width into ``factors``."""
+    toeplitz = factors.get(ncols)
+    if toeplitz is None:
+        toeplitz = factors[ncols] = _toeplitz(Y, ncols)
+    return toeplitz
+
+
+def bid_forward(X: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np.ndarray:
     """Valid-region 2D correlation of image X with kernel Y.
 
     out[p, q] = sum_{a, b} X[p + a, q + b] Y[a, b], output shape
@@ -388,26 +439,29 @@ def bid_forward(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     One matrix product per block of at most ``_COLUMN_BLOCK`` output
     columns: out[:, block] = S @ T.  Row p of S is the rows X[p:p + kh],
     restricted to the block's ncols + kw - 1 input columns and laid end to
-    end; T is ``_toeplitz(Y, ncols)``.  T's size does not grow with the
-    image width, and S holds at most min(kh, out_h) copies of the block's
-    input columns, so the temporaries stay within a few copies of X.  The
-    products sum in another order than the direct sum over (a, b), so
-    results agree with it to rounding, and exactly on small-integer-valued
-    inputs.
+    end (``_stacked_rows``, read through a strided ``np.ndarray`` view);
+    T is ``_toeplitz(Y, ncols)``.  ``factors`` is a dict from block width to
+    T, built once per width: pass one dict to every call that correlates
+    with the same Y, such as an oracle's tile windows or a power method's
+    applications, and T is built once for them all.  T's size does not grow
+    with the image width, and S holds at most min(kh, out_h) copies of the
+    block's input columns, so the temporaries stay within a few copies of X.
+    A single block's product is the result itself.  The products sum in
+    another order than the direct sum over (a, b), so results agree with it
+    to rounding, and exactly on small-integer-valued inputs.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     oh, ow = _output_shape(X.shape, Y.shape)
     kh, kw = Y.shape
+    factors = {} if factors is None else factors
+    if ow <= _COLUMN_BLOCK:
+        return _stacked_rows(X, 0, ow + kw - 1, kh) @ _factor(Y, ow, factors)
     out = np.empty((oh, ow))
     for start in range(0, ow, _COLUMN_BLOCK):
-        ncols = min(_COLUMN_BLOCK, ow - start)
-        if start == 0 or ncols < _COLUMN_BLOCK:  # the last block may be narrower
-            toeplitz = _toeplitz(Y, ncols)
-        cols = X[:, start:start + ncols + kw - 1]
-        stacked = as_strided(cols, shape=(oh, kh, cols.shape[1]), strides=(cols.strides[0], *cols.strides),
-                             writeable=False)
-        out[:, start:start + ncols] = stacked.reshape(oh, -1) @ toeplitz
+        ncols = min(_COLUMN_BLOCK, ow - start)  # the last block may be narrower
+        # One S at a time, freed after its product, so the blocks reuse one heap chunk.
+        out[:, start:start + ncols] = _stacked_rows(X, start, ncols + kw - 1, kh) @ _factor(Y, ncols, factors)
     return out
 
 
@@ -422,12 +476,16 @@ def bid_patches(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
     return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
 
 
-def bid_adjoint_image(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>."""
+def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np.ndarray:
+    """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>.
+
+    ``factors`` caches the Toeplitz factors of the flipped kernel
+    Y[::-1, ::-1], as ``bid_forward``'s caches those of Y.
+    """
     (h, w), (kh, kw) = np.shape(U), Y.shape
     padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
     padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = U
-    return bid_forward(padded, Y[::-1, ::-1])
+    return bid_forward(padded, Y[::-1, ::-1], factors)
 
 
 def bid_adjoint_kernel(U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -557,16 +615,20 @@ class BlindDeblurProblem:
             g = image_gradients_adjoint(bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta))
             return (lam * g).ravel()
 
+        # One oracle call correlates all its windows with one kernel, so it builds the
+        # kernel's Toeplitz factors once and shares them (``bid_forward``'s cache).
         def tile_residuals(idx, X, Y):
+            factors = {}
             for i in idx:
-                yield windows[i], bid_forward(X[windows[i]], Y) - Z[tiles[i]]
+                yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
 
-        def scatter_adjoints(parts, scale):
+        def scatter_adjoints(parts, scale, factors=None):
             # scale * the sum of the image adjoints of (window, residual, kernel) parts,
-            # each added into its window.
+            # each added into its window; ``factors`` is the flipped kernel's cache when
+            # every part has the same kernel.
             g = np.zeros((hx, wx))
             for window, resid, Y in parts:
-                g[window] += bid_adjoint_image(resid, Y)
+                g[window] += bid_adjoint_image(resid, Y, factors)
             g *= scale
             return g.ravel()
 
@@ -578,7 +640,7 @@ class BlindDeblurProblem:
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y))
-            return scatter_adjoints(parts, 2.0 * n / len(idx))
+            return scatter_adjoints(parts, 2.0 * n / len(idx), {})
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
@@ -596,8 +658,9 @@ class BlindDeblurProblem:
             return rows
 
         def rows_mean_x(idx, rows):
+            # A row with an all-zero kernel (a tile not visited yet) adds an exact zero: skip it.
             parts = ((windows[i], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
-                     for i, row in zip(idx, rows))
+                     for i, row in zip(idx, rows) if row[width:].any())
             return scatter_adjoints(parts, 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
@@ -630,11 +693,12 @@ class BlindDeblurProblem:
         def lip_x(xv, yv, batch):
             Y = yv.reshape(kh, kw)
             sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
+            forward, flipped = {}, {}  # the kernel's Toeplitz factors, built once per draw
 
             def apply(v):
                 V, g = v.reshape(hx, wx), np.zeros((hx, wx))
                 for window in sampled:
-                    g[window] += bid_adjoint_image(bid_forward(V[window], Y), Y)
+                    g[window] += bid_adjoint_image(bid_forward(V[window], Y, forward), Y, flipped)
                 return (scale * g).ravel()
 
             # The smooth_x term's curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.

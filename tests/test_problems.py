@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
 from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import lipschitz_estimate, power_estimate_sq_norm
+from springopt.lipschitz import POWER_ITERATIONS, lipschitz_estimate, power_estimate_sq_norm
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -758,6 +758,171 @@ def test_bid_window_view_is_read_only(rng):
             bid_patches(X, kernel)
 
 
+# The kernels, verbatim, that the cached-factor ones replaced: every call rebuilt
+# its Toeplitz factor and stacked its rows through ``as_strided``.
+def _asstrided_window_view(X, kernel_shape):
+    shape = problems_module._output_shape(X.shape, kernel_shape) + tuple(kernel_shape)
+    return as_strided(X, shape=shape, strides=X.strides * 2, writeable=False)
+
+
+def _asstrided_toeplitz(Y, ncols):
+    kh, kw = Y.shape
+    width = ncols + kw - 1
+    toeplitz = np.zeros((kh * width, ncols))
+    step = toeplitz.itemsize
+    strides = (width * ncols * step, ncols * step, (ncols + 1) * step)
+    np.ndarray((kh, kw, ncols), buffer=toeplitz, strides=strides)[...] = Y[:, :, None]
+    return toeplitz
+
+
+def _asstrided_bid_forward(X, Y):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    oh, ow = problems_module._output_shape(X.shape, Y.shape)
+    kh, kw = Y.shape
+    out = np.empty((oh, ow))
+    for start in range(0, ow, problems_module._COLUMN_BLOCK):
+        ncols = min(problems_module._COLUMN_BLOCK, ow - start)
+        if start == 0 or ncols < problems_module._COLUMN_BLOCK:  # the last block may be narrower
+            toeplitz = _asstrided_toeplitz(Y, ncols)
+        cols = X[:, start:start + ncols + kw - 1]
+        stacked = as_strided(cols, shape=(oh, kh, cols.shape[1]), strides=(cols.strides[0], *cols.strides),
+                             writeable=False)
+        out[:, start:start + ncols] = stacked.reshape(oh, -1) @ toeplitz
+    return out
+
+
+def _asstrided_bid_patches(X, kernel_shape):
+    kh, kw = kernel_shape
+    return _asstrided_window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
+
+
+def _asstrided_bid_adjoint_image(U, Y):
+    (h, w), (kh, kw) = np.shape(U), Y.shape
+    padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
+    padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = U
+    return _asstrided_bid_forward(padded, Y[::-1, ::-1])
+
+
+def _asstrided_bid_adjoint_kernel(U, X):
+    return _asstrided_bid_forward(X, U)
+
+
+def _bitwise(result, ref):
+    return result.shape == ref.shape and np.array_equal(result, ref) and np.array_equal(np.signbit(result),
+                                                                                         np.signbit(ref))
+
+
+@pytest.mark.parametrize("copy_limit", ["default", 0], ids=["block-copies", "slabs"])
+def test_bid_kernels_match_previous_kernels_bitwise(monkeypatch, rng, copy_limit):
+    # The layouts of the sliding-window comparison above plus a large window; a
+    # limit of 0 stacks every non-contiguous input in slabs.  Each kernel shape
+    # shares one forward and one flipped factor cache across all layouts (so
+    # across block widths), and each call is repeated on a warm cache.
+    if copy_limit != "default":
+        monkeypatch.setattr(problems_module, "_BLOCK_COPY_LIMIT", copy_limit)
+    big = rng.standard_normal((300, 300))
+    images = [
+        rng.standard_normal((12, 15)),    # contiguous
+        big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
+        big[::2, 1::3],                   # strided in both axes
+        np.asfortranarray(rng.standard_normal((9, 11))),
+        rng.standard_normal((7, 2 * problems_module._COLUMN_BLOCK + 7)),  # two full column blocks and a narrower one
+        big[4:140, 4:140],                # a large window: its single-block kernel adjoint passes the copy limit
+    ]
+    for kernel in ((3, 3), (2, 5), (4, 1), (1, 1), (9, 9), "image"):
+        Y = None if kernel == "image" else rng.standard_normal(kernel)
+        forward, flipped = {}, {}
+        for X in images:
+            h, w = X.shape
+            if kernel == "image":  # one output entry; each image its own kernel and caches
+                if X is images[-1]:
+                    continue  # its image adjoint would stack ~25 MB
+                Y, forward, flipped = rng.standard_normal((h, w)), {}, {}
+            kh, kw = Y.shape
+            if kh > h or kw > w:
+                continue
+            want = _asstrided_bid_forward(X, Y)
+            assert _bitwise(bid_forward(X, Y), want)
+            for _ in range(2):
+                assert _bitwise(bid_forward(X, Y, forward), want)
+            U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
+            for residual in (U, np.ascontiguousarray(U)):
+                want = _asstrided_bid_adjoint_image(residual, Y)
+                assert _bitwise(bid_adjoint_image(residual, Y), want)
+                for _ in range(2):
+                    assert _bitwise(bid_adjoint_image(residual, Y, flipped), want)
+                assert _bitwise(bid_adjoint_kernel(residual, X), _asstrided_bid_adjoint_kernel(residual, X))
+            assert _bitwise(bid_patches(X, (kh, kw)), _asstrided_bid_patches(X, (kh, kw)))
+
+
+def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
+    # Work counter: a b = 1 x-draw, a full-batch x-draw and a full-batch grad_x
+    # each build one Toeplitz factor of the kernel and one of its flip, shared by
+    # every window and every power-method application (12, 192 and 32 builds
+    # when each correlation built its own).
+    Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    problem = adapter.block_problem()
+    x = adapter.initial_iterate().x
+    Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
+    toeplitz, built = problems_module._toeplitz, []
+
+    def counting_toeplitz(kernel, ncols):
+        built.append("forward" if np.array_equal(kernel, Y) else
+                     "flipped" if np.array_equal(kernel, Y[::-1, ::-1]) else "other")
+        return toeplitz(kernel, ncols)
+
+    monkeypatch.setattr(problems_module, "_toeplitz", counting_toeplitz)
+    calls = {
+        "x-draw b=1": lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), np.array([6])),
+                                                 POWER_ITERATIONS, np.random.default_rng(0)),
+        "x-draw full": lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), np.arange(16)),
+                                                  POWER_ITERATIONS, np.random.default_rng(0)),
+        "grad_x full": lambda: problem.grad_x(np.arange(16), x, Y.ravel()),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert sorted(built) == ["flipped", "forward"], name
+    built.clear()
+    problem.value(np.arange(16), x, Y.ravel())
+    assert built == ["forward"]
+
+
+def test_bid_x_rows_decode_skips_zero_kernel_rows(monkeypatch, rng):
+    # Rows whose kernel part is all zero (a SAGA table's unvisited tiles, here also
+    # one with a residual left in it) add an exact zero: decoding makes no
+    # correlation for them, and the mean is the previous decode's bit for bit.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    tiles = bid_component_split(Z.shape, 6)
+    windows = [(slice(rs.start, rs.stop + 2), slice(cs.start, cs.stop + 3)) for rs, cs in tiles]
+    areas = [(rs.stop - rs.start) * (cs.stop - cs.start) for rs, cs in tiles]
+    width = max(areas)
+    xv, yv = rng.random(adapter.image_shape).ravel(), rng.random(12) / 12.0
+    idx = np.arange(6)
+    rows = problem.rows_x(idx, xv, yv)
+    rows[[1, 4]] = 0.0
+    rows[2, width:] = 0.0
+    correlated = []
+
+    def counting_forward(X, Y, factors=None):
+        correlated.append(np.shape(X))
+        return bid_forward(X, Y, factors)
+
+    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    decoded = problem.rows_mean_x(idx, rows)
+    assert len(correlated) == 3
+    want = np.zeros(adapter.image_shape)
+    for i, row in zip(idx, rows):
+        resid = row[:areas[i]].reshape(tiles[i][0].stop - tiles[i][0].start, tiles[i][1].stop - tiles[i][1].start)
+        want[windows[i]] += _asstrided_bid_adjoint_image(resid, row[width:].reshape(3, 4))
+    want *= 2.0 * 6 / len(idx)
+    assert _bitwise(decoded, want.ravel())
+
+
 def test_image_gradient_adjoint(rng):
     X = rng.standard_normal((6, 7))
     Wh = rng.standard_normal((6, 7))
@@ -1038,8 +1203,8 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     z = adapter.initial_iterate()
     work = []
 
-    def counting_forward(X, Y):
-        out = bid_forward(X, Y)
+    def counting_forward(X, Y, factors=None):
+        out = bid_forward(X, Y, factors)
         work.append(2 * out.size * np.asarray(Y).size)
         return out
 
@@ -1073,9 +1238,9 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
         patched.append(image)
         return bid_patches(image, kernel_shape)
 
-    def counting_forward(image, kernel):
+    def counting_forward(image, kernel, factors=None):
         correlated.append(image)
-        return bid_forward(image, kernel)
+        return bid_forward(image, kernel, factors)
 
     monkeypatch.setattr(problems_module, "bid_patches", counting_patches)
     monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
@@ -1108,9 +1273,9 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
                       for rs, cs in bid_component_split(Z.shape, 16)], axis=0)
     shapes = []
 
-    def recording_forward(X, Y):
+    def recording_forward(X, Y, factors=None):
         shapes.extend((np.shape(X), np.shape(Y)))
-        return bid_forward(X, Y)
+        return bid_forward(X, Y, factors)
 
     monkeypatch.setattr(problems_module, "bid_forward", recording_forward)
     run(problem, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
