@@ -373,11 +373,6 @@ def _window_view(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
 # correlation of the bundled benchmarks fits in one block.
 _COLUMN_BLOCK = 32
 
-# Elements (128 KB) of the largest column block of a non-contiguous image that
-# ``bid_forward`` copies whole before stacking it.  A tile window's block is a
-# few hundred; a 256 x 256 image's single-block kernel adjoint is 65536.
-_BLOCK_COPY_LIMIT = 1 << 14
-
 
 def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     """Banded Toeplitz factor T of the correlation with Y over ``ncols`` output columns.
@@ -401,36 +396,55 @@ def _stacked_rows(X: np.ndarray, start: int, width: int, kh: int) -> np.ndarray:
     C-contiguous X, S is a strided view of X, reshaped: a copy, unless the
     block spans X's rows, when the product gets the overlapping rows as they
     are.  Otherwise S is a C-ordered copy, read from a contiguous copy of the
-    block's columns (freed before the caller builds T), or, for a block
-    larger than ``_BLOCK_COPY_LIMIT``, copied straight from X in
-    min(out_h, kh) slabs, so no input-sized temporary joins S and T.
+    block's columns, which is freed before the caller builds T.
     """
     oh = X.shape[0] - kh + 1
     if X.flags.c_contiguous:
         row = X.shape[1]
         return _strided(X, (oh, kh, width), (row, row, 1), start).reshape(oh, -1)
-    if X.shape[0] * width > _BLOCK_COPY_LIMIT:
-        stacked = np.empty((oh, kh, width))
-        if oh <= kh:
-            for p in range(oh):
-                stacked[p] = X[p:p + kh, start:start + width]
-        else:
-            for a in range(kh):
-                stacked[:, a] = X[a:a + oh, start:start + width]
-        return stacked.reshape(oh, -1)
     cols = np.ascontiguousarray(X[:, start:start + width])
     return _strided(cols, (oh, kh, width), (width, width, 1)).copy().reshape(oh, -1)
 
 
-def _factor(Y: np.ndarray, ncols: int, factors: dict) -> np.ndarray:
-    """``_toeplitz(Y, ncols)``, built once per block width into ``factors``."""
-    toeplitz = factors.get(ncols)
-    if toeplitz is None:
-        toeplitz = factors[ncols] = _toeplitz(Y, ncols)
-    return toeplitz
+class ToeplitzFactors:
+    """The Toeplitz factors of one kernel array, each built once per block width.
+
+    Pass one to every ``bid_forward(X, Y, factors)`` and
+    ``bid_adjoint_image(U, Y, factors)`` call with the same kernel array Y,
+    such as an oracle's tile windows or a power method's applications, and
+    each factor is built once for them all.  Both functions refuse factors
+    of any other array (by identity, so an equal copy is refused too).  The
+    kernel's entries must not change while its factors are in use.
+    """
+
+    __slots__ = ("kernel", "_by_width", "_flipped")
+
+    def __init__(self, kernel: np.ndarray):
+        self.kernel = kernel
+        self._by_width: dict[int, np.ndarray] = {}
+        self._flipped: ToeplitzFactors | None = None
+
+    def of(self, Y) -> ToeplitzFactors:
+        """These factors, once checked to be Y's."""
+        if self.kernel is not Y:
+            raise ValueError("Toeplitz factors of another kernel array")
+        return self
+
+    def toeplitz(self, ncols: int) -> np.ndarray:
+        """``_toeplitz(kernel, ncols)``, built on the first request."""
+        toeplitz = self._by_width.get(ncols)
+        if toeplitz is None:
+            toeplitz = self._by_width[ncols] = _toeplitz(self.kernel, ncols)
+        return toeplitz
+
+    def flipped(self) -> ToeplitzFactors:
+        """The factors of kernel[::-1, ::-1], the kernel of ``bid_adjoint_image``'s correlation."""
+        if self._flipped is None:
+            self._flipped = ToeplitzFactors(self.kernel[::-1, ::-1])
+        return self._flipped
 
 
-def bid_forward(X: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np.ndarray:
+def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
     """Valid-region 2D correlation of image X with kernel Y.
 
     out[p, q] = sum_{a, b} X[p + a, q + b] Y[a, b], output shape
@@ -440,10 +454,9 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np
     columns: out[:, block] = S @ T.  Row p of S is the rows X[p:p + kh],
     restricted to the block's ncols + kw - 1 input columns and laid end to
     end (``_stacked_rows``, read through a strided ``np.ndarray`` view);
-    T is ``_toeplitz(Y, ncols)``.  ``factors`` is a dict from block width to
-    T, built once per width: pass one dict to every call that correlates
-    with the same Y, such as an oracle's tile windows or a power method's
-    applications, and T is built once for them all.  T's size does not grow
+    T is ``_toeplitz(Y, ncols)``, taken from ``factors`` (Y's
+    ``ToeplitzFactors``, shared by the calls that correlate with Y), so T is
+    built once per block width for all of them.  T's size does not grow
     with the image width, and S holds at most min(kh, out_h) copies of the
     block's input columns, so the temporaries stay within a few copies of X.
     A single block's product is the result itself.  The products sum in
@@ -451,17 +464,16 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np
     to rounding, and exactly on small-integer-valued inputs.
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    oh, ow = _output_shape(X.shape, Y.shape)
-    kh, kw = Y.shape
-    factors = {} if factors is None else factors
+    factors = ToeplitzFactors(np.asarray(Y, dtype=float)) if factors is None else factors.of(Y)
+    oh, ow = _output_shape(X.shape, factors.kernel.shape)
+    kh, kw = factors.kernel.shape
     if ow <= _COLUMN_BLOCK:
-        return _stacked_rows(X, 0, ow + kw - 1, kh) @ _factor(Y, ow, factors)
+        return _stacked_rows(X, 0, ow + kw - 1, kh) @ factors.toeplitz(ow)
     out = np.empty((oh, ow))
     for start in range(0, ow, _COLUMN_BLOCK):
         ncols = min(_COLUMN_BLOCK, ow - start)  # the last block may be narrower
         # One S at a time, freed after its product, so the blocks reuse one heap chunk.
-        out[:, start:start + ncols] = _stacked_rows(X, start, ncols + kw - 1, kh) @ _factor(Y, ncols, factors)
+        out[:, start:start + ncols] = _stacked_rows(X, start, ncols + kw - 1, kh) @ factors.toeplitz(ncols)
     return out
 
 
@@ -476,16 +488,18 @@ def bid_patches(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
     return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
 
 
-def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: dict | None = None) -> np.ndarray:
+def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
     """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>.
 
-    ``factors`` caches the Toeplitz factors of the flipped kernel
-    Y[::-1, ::-1], as ``bid_forward``'s caches those of Y.
+    The correlation with the flipped kernel Y[::-1, ::-1].  ``factors`` is
+    Y's ``ToeplitzFactors``, as for ``bid_forward``; the flipped kernel's
+    factors are kept in it, so one object serves both directions.
     """
+    flipped = (ToeplitzFactors(Y) if factors is None else factors.of(Y)).flipped()
     (h, w), (kh, kw) = np.shape(U), Y.shape
     padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
     padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = U
-    return bid_forward(padded, Y[::-1, ::-1], factors)
+    return bid_forward(padded, flipped.kernel, flipped)
 
 
 def bid_adjoint_kernel(U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -616,16 +630,16 @@ class BlindDeblurProblem:
             return (lam * g).ravel()
 
         # One oracle call correlates all its windows with one kernel, so it builds the
-        # kernel's Toeplitz factors once and shares them (``bid_forward``'s cache).
-        def tile_residuals(idx, X, Y):
-            factors = {}
+        # kernel's Toeplitz factors once and shares them (``ToeplitzFactors``).
+        def tile_residuals(idx, X, Y, factors=None):
+            factors = ToeplitzFactors(Y) if factors is None else factors
             for i in idx:
                 yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
 
         def scatter_adjoints(parts, scale, factors=None):
             # scale * the sum of the image adjoints of (window, residual, kernel) parts,
-            # each added into its window; ``factors`` is the flipped kernel's cache when
-            # every part has the same kernel.
+            # each added into its window; ``factors`` is the kernel's when every part
+            # has the same kernel.
             g = np.zeros((hx, wx))
             for window, resid, Y in parts:
                 g[window] += bid_adjoint_image(resid, Y, factors)
@@ -639,8 +653,9 @@ class BlindDeblurProblem:
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y))
-            return scatter_adjoints(parts, 2.0 * n / len(idx), {})
+            factors = ToeplitzFactors(Y)
+            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
+            return scatter_adjoints(parts, 2.0 * n / len(idx), factors)
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
@@ -693,12 +708,12 @@ class BlindDeblurProblem:
         def lip_x(xv, yv, batch):
             Y = yv.reshape(kh, kw)
             sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
-            forward, flipped = {}, {}  # the kernel's Toeplitz factors, built once per draw
+            factors = ToeplitzFactors(Y)  # built once per draw
 
             def apply(v):
                 V, g = v.reshape(hx, wx), np.zeros((hx, wx))
                 for window in sampled:
-                    g[window] += bid_adjoint_image(bid_forward(V[window], Y, forward), Y, flipped)
+                    g[window] += bid_adjoint_image(bid_forward(V[window], Y, factors), Y, factors)
                 return (scale * g).ravel()
 
             # The smooth_x term's curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.

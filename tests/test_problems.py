@@ -16,6 +16,7 @@ from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
     SparsePcaProblem,
+    ToeplitzFactors,
     bid_adjoint_image,
     bid_adjoint_kernel,
     bid_component_split,
@@ -813,14 +814,10 @@ def _bitwise(result, ref):
                                                                                          np.signbit(ref))
 
 
-@pytest.mark.parametrize("copy_limit", ["default", 0], ids=["block-copies", "slabs"])
-def test_bid_kernels_match_previous_kernels_bitwise(monkeypatch, rng, copy_limit):
-    # The layouts of the sliding-window comparison above plus a large window; a
-    # limit of 0 stacks every non-contiguous input in slabs.  Each kernel shape
-    # shares one forward and one flipped factor cache across all layouts (so
-    # across block widths), and each call is repeated on a warm cache.
-    if copy_limit != "default":
-        monkeypatch.setattr(problems_module, "_BLOCK_COPY_LIMIT", copy_limit)
+def test_bid_kernels_match_previous_kernels_bitwise(rng):
+    # The layouts of the sliding-window comparison above plus a large window.
+    # Each kernel shares one ToeplitzFactors across all layouts (so across block
+    # widths) and both directions, and each call is repeated on warm factors.
     big = rng.standard_normal((300, 300))
     images = [
         rng.standard_normal((12, 15)),    # contiguous
@@ -828,32 +825,48 @@ def test_bid_kernels_match_previous_kernels_bitwise(monkeypatch, rng, copy_limit
         big[::2, 1::3],                   # strided in both axes
         np.asfortranarray(rng.standard_normal((9, 11))),
         rng.standard_normal((7, 2 * problems_module._COLUMN_BLOCK + 7)),  # two full column blocks and a narrower one
-        big[4:140, 4:140],                # a large window: its single-block kernel adjoint passes the copy limit
+        big[4:140, 4:140],                # a large window: its kernel adjoint is one 136-column block
     ]
     for kernel in ((3, 3), (2, 5), (4, 1), (1, 1), (9, 9), "image"):
         Y = None if kernel == "image" else rng.standard_normal(kernel)
-        forward, flipped = {}, {}
+        factors = None if Y is None else ToeplitzFactors(Y)
         for X in images:
             h, w = X.shape
             if kernel == "image":  # one output entry; each image its own kernel and caches
                 if X is images[-1]:
                     continue  # its image adjoint would stack ~25 MB
-                Y, forward, flipped = rng.standard_normal((h, w)), {}, {}
+                Y = rng.standard_normal((h, w))
+                factors = ToeplitzFactors(Y)
             kh, kw = Y.shape
             if kh > h or kw > w:
                 continue
             want = _asstrided_bid_forward(X, Y)
             assert _bitwise(bid_forward(X, Y), want)
             for _ in range(2):
-                assert _bitwise(bid_forward(X, Y, forward), want)
+                assert _bitwise(bid_forward(X, Y, factors), want)
             U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
             for residual in (U, np.ascontiguousarray(U)):
                 want = _asstrided_bid_adjoint_image(residual, Y)
                 assert _bitwise(bid_adjoint_image(residual, Y), want)
                 for _ in range(2):
-                    assert _bitwise(bid_adjoint_image(residual, Y, flipped), want)
+                    assert _bitwise(bid_adjoint_image(residual, Y, factors), want)
                 assert _bitwise(bid_adjoint_kernel(residual, X), _asstrided_bid_adjoint_kernel(residual, X))
             assert _bitwise(bid_patches(X, (kh, kw)), _asstrided_bid_patches(X, (kh, kw)))
+
+
+def test_toeplitz_factors_refuse_another_kernel(rng):
+    # Factors are bound to one kernel array: an equal copy, the flipped kernel and
+    # a changed-shape array are all refused, in both directions.
+    Y = rng.standard_normal((3, 4))
+    factors = ToeplitzFactors(Y)
+    X, U = rng.standard_normal((8, 9)), rng.standard_normal((6, 6))
+    for other in (Y.copy(), Y[::-1, ::-1], factors.flipped().kernel, Y.T):
+        with pytest.raises(ValueError, match="another kernel"):
+            bid_forward(X, other, factors)
+        with pytest.raises(ValueError, match="another kernel"):
+            bid_adjoint_image(U, other, factors)
+    assert _bitwise(bid_forward(X, Y, factors), _asstrided_bid_forward(X, Y))
+    assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_bid_adjoint_image(U, Y))
 
 
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
