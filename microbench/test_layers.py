@@ -23,8 +23,10 @@
 * the fixed per-step costs: building an ``Iterate`` at nmf-medium's block
   sizes (2000, 5000) and drawing one b = 13 batch of n = 500;
 * one cold ``solver.run`` epoch (no warm start, practical steps, gradient
-  map traced) per algorithm at the toy-nmf-c11 shape (50 x 20, r = 5,
-  b = 1), where per-run and per-step overheads dominate.
+  map traced) per algorithm but inertial PALM at the toy-nmf-c11 shape
+  (50 x 20, r = 5, b = 1), where per-run and per-step overheads dominate,
+  and of PALM and inertial PALM at bid-medium shapes, whose full-batch
+  x-draw is the closed-form bound (as in ``test_bid_lipschitz_draw[x-full]``).
 """
 
 import numpy as np
@@ -179,9 +181,11 @@ def test_sample_batch(benchmark):
     benchmark(sample_batch, sampler)
 
 
-@pytest.mark.parametrize("algorithm", ["palm", "spring-sgd", "spring-saga", "spring-sarah"])
-def test_run_epoch(benchmark, algorithm):
-    adapter = SparseNmfProblem(A=toy_nmf_matrix(seed=0, shape=(50, 20), rank=3), r=5, s=10)
-    problem, z0 = adapter.block_problem(), adapter.initial_iterate(0)
+@pytest.mark.parametrize("workload, algorithm", [
+    ("toy_nmf", "palm"), ("toy_nmf", "spring-sgd"), ("toy_nmf", "spring-saga"), ("toy_nmf", "spring-sarah"),
+    ("bid", "palm"), ("bid", "ipalm"),
+], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "bid-palm", "bid-ipalm"])
+def test_run_epoch(benchmark, request, workload, algorithm):
+    problem, z0 = request.getfixturevalue(workload)
     config = SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, seed=0, warm_start=False)
     benchmark(run, problem, config, z0)

@@ -93,7 +93,10 @@ class BlockProblem:
     The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
     block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``,
     the full batch being ``np.arange(n)`` as for the oracles;
-    ``lipschitz.lipschitz_estimate`` runs the power method on it.
+    ``lipschitz.lipschitz_estimate`` runs the power method on it.  Where the
+    block has a closed-form bound on its Lipschitz modulus for that batch,
+    shift included, the hook may return it as a ``float`` instead; it is then
+    used as it is, with no power method and no oracle charge.
     """
 
     n: int
@@ -106,8 +109,8 @@ class BlockProblem:
     reg_y_value: RegFn = _zero_reg
     prox_x: ProxFn = _identity_prox
     prox_y: ProxFn = _identity_prox
-    lipschitz_x: Callable[..., CurvatureOperator] | None = None
-    lipschitz_y: Callable[..., CurvatureOperator] | None = None
+    lipschitz_x: Callable[..., CurvatureOperator | float] | None = None
+    lipschitz_y: Callable[..., CurvatureOperator | float] | None = None
     # Optional per-row oracles for SAGA tables; without them a row is dense.
     rows_x: RowsFn | None = None
     rows_mean_x: RowsMeanFn | None = None

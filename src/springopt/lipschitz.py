@@ -13,8 +13,12 @@ M through the symmetric action v -> M^T(M v).  It is a Rayleigh-type
 estimate: monotonically non-decreasing in the iteration count and never
 above the true value, so no safety factor is applied on top of it.  It runs in
 one place, ``lipschitz_estimate``, on the operator a problem's hook returns.
-``lipschitz_draw`` is the solver's draw: both blocks' estimates on one batch
-and their charge in stochastic first-order oracle calls (SFO).
+A hook whose block has a closed-form modulus on a batch returns that float
+instead; ``lipschitz_estimate`` passes it through, drawing nothing from its
+generator and applying no operator.  ``lipschitz_draw`` is the solver's
+draw: both blocks' estimates on one batch and their charge in stochastic
+first-order oracle calls (SFO), ``len(batch)`` per operator application, so
+a closed-form block is charged nothing.
 """
 
 from __future__ import annotations
@@ -63,8 +67,13 @@ def power_estimate_sq_norm(
     return _norm(np.asarray(apply(v), dtype=float))
 
 
-def lipschitz_estimate(op: CurvatureOperator, iterations: int, rng: np.random.Generator) -> float:
-    """Lipschitz estimate of a hook's operator: the power method's estimate plus ``op.shift``."""
+def lipschitz_estimate(op: CurvatureOperator | float, iterations: int, rng: np.random.Generator) -> float:
+    """Lipschitz estimate of a hook's operator: the power method's estimate plus ``op.shift``.
+
+    A float (a hook's closed-form modulus) is returned unchanged, and nothing is drawn from ``rng``.
+    """
+    if not isinstance(op, CurvatureOperator):
+        return op
     return power_estimate_sq_norm(op.apply, op.dim, iterations, rng) + op.shift
 
 
@@ -83,9 +92,12 @@ def lipschitz_draw(
     return lx, ly, (applied_x + applied_y) * len(batch)
 
 
-def _counted_estimate(op: CurvatureOperator, rng: np.random.Generator) -> tuple[float, int]:
+def _counted_estimate(op: CurvatureOperator | float, rng: np.random.Generator) -> tuple[float, int]:
     """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
-    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction."""
+    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction,
+    and none for a closed-form float."""
+    if not isinstance(op, CurvatureOperator):
+        return op, 0
     applied = 0
 
     def apply(v):
@@ -132,7 +144,8 @@ def practical_step_sizes(
     1/L for the estimate L it is given, and the power method estimates from
     below, so the step can exceed one over the block's true Lipschitz
     modulus; the descent lemma of PALM (Bolte, Sabach, Teboulle 2014) needs
-    the step strictly below it.
+    the step strictly below it.  A hook's closed-form bound is at or above
+    the modulus, so its 1/L is a descent step.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -636,13 +636,12 @@ class BlindDeblurProblem:
             for i in idx:
                 yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
 
-        def scatter_adjoints(parts, scale, factors=None):
-            # scale * the sum of the image adjoints of (window, residual, kernel) parts,
-            # each added into its window; ``factors`` is the kernel's when every part
-            # has the same kernel.
+        def scatter_adjoints(parts, scale):
+            # scale * the sum of the image adjoints of (window, residual, kernel factors)
+            # parts, each added into its window.
             g = np.zeros((hx, wx))
-            for window, resid, Y in parts:
-                g[window] += bid_adjoint_image(resid, Y, factors)
+            for window, resid, factors in parts:
+                g[window] += bid_adjoint_image(resid, factors.kernel, factors)
             g *= scale
             return g.ravel()
 
@@ -654,8 +653,8 @@ class BlindDeblurProblem:
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             factors = ToeplitzFactors(Y)
-            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
-            return scatter_adjoints(parts, 2.0 * n / len(idx), factors)
+            parts = ((window, resid, factors) for window, resid in tile_residuals(idx, X, Y, factors))
+            return scatter_adjoints(parts, 2.0 * n / len(idx))
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
@@ -674,9 +673,20 @@ class BlindDeblurProblem:
 
         def rows_mean_x(idx, rows):
             # A row with an all-zero kernel (a tile not visited yet) adds an exact zero: skip it.
-            parts = ((windows[i], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
-                     for i, row in zip(idx, rows) if row[width:].any())
-            return scatter_adjoints(parts, 2.0 * n / len(idx))
+            # A row whose kernel has the previous row's bits shares its factors, so a table
+            # filled by one rows_x call builds them once; only the latest are kept alive.
+            def parts():
+                key = factors = None
+                for i, row in zip(idx, rows):
+                    kernel = row[width:]
+                    if not kernel.any():
+                        continue
+                    bits = kernel.tobytes()
+                    if bits != key:
+                        key, factors = bits, ToeplitzFactors(kernel.reshape(kh, kw))
+                    yield windows[i], row[:areas[i]].reshape(tile_shapes[i]), factors
+
+            return scatter_adjoints(parts(), 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
@@ -701,11 +711,20 @@ class BlindDeblurProblem:
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
         # The Lipschitz hooks return M_B^T M_B for the sampled tiles' residual map M_B.
-        # The x-hook applies it window by window, like the oracles, so a draw costs
-        # about b/n of a full-batch draw and no correlation is larger than a padded
-        # tile window; overlapping windows accumulate.  The tiles partition the
-        # residual grid, so the full batch is all n tiles.
+        # The x-hook applies it window by window, like the oracles, so no correlation
+        # is larger than a padded tile window; overlapping windows accumulate.  The
+        # tiles partition the residual grid, so on the full batch (all n tiles) the
+        # operator is 2 M^T M for the valid correlation M with Y, and Young's
+        # inequality gives ||M|| <= ||Y||_1: the x-hook returns that bound in closed
+        # form, no power method and no correlation.  Below the full batch the bound
+        # is loose against the sampled window's curvature, so the power method runs.
+        # Either way the smooth_x term's curvature is the shift: Phi'' <= 2 theta,
+        # ||D^T D|| <= 8.
+        edge_curvature = 16.0 * lam * theta
+
         def lip_x(xv, yv, batch):
+            if len(batch) == n:
+                return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature
             Y = yv.reshape(kh, kw)
             sampled, scale = [windows[j] for j in batch], 2.0 * n / len(batch)
             factors = ToeplitzFactors(Y)  # built once per draw
@@ -716,8 +735,7 @@ class BlindDeblurProblem:
                     g[window] += bid_adjoint_image(bid_forward(V[window], Y, factors), Y, factors)
                 return (scale * g).ravel()
 
-            # The smooth_x term's curvature: Phi'' <= 2 theta, ||D^T D|| <= 8.
-            return CurvatureOperator(apply, hx * wx, 16.0 * lam * theta)
+            return CurvatureOperator(apply, hx * wx, edge_curvature)
 
         # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
         # y-hook returns the kh*kw square Gram matrix (2n/b) sum_j P_j^T P_j, formed

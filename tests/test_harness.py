@@ -555,8 +555,7 @@ def test_cli_estimate_lipschitz(capsys):
 def test_cli_estimate_lipschitz_prints_the_solvers_first_draws(monkeypatch, capsys):
     # PALM and spring-sgd (b = 2, seed 0) both step 1/L at k = 1, so 1/gamma of each
     # run's first step is its first Lipschitz draw: the full-batch and the sampled line.
-    problem, init_fn = ProblemSpec("toy-nmf").build()
-    first = {}
+    # On toy-bid the full-batch L_x is the closed-form bound 2 ||Y0||_1^2 + 16 lam theta.
     real_step = solver._step
 
     def spy(*args):
@@ -564,11 +563,17 @@ def test_cli_estimate_lipschitz_prints_the_solvers_first_draws(monkeypatch, caps
         return real_step(*args)
 
     monkeypatch.setattr(solver, "_step", spy)
-    for algo in ("palm", "spring-sgd"):
-        solver.run(problem, SolverConfig(algorithm=algo, batch_size=2, seed=0), init_fn(0))
-    assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-nmf", "--batch", "2"]) == 0
-    drawn = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()]
-    assert drawn == [f"L_x={1.0 / gx:.6g} L_y={1.0 / gy:.6g}" for gx, gy in first.values()]
+    for kind in ("toy-nmf", "toy-bid"):
+        problem, init_fn = ProblemSpec(kind).build()
+        first = {}
+        for algo in ("palm", "spring-sgd"):
+            solver.run(problem, SolverConfig(algorithm=algo, batch_size=2, seed=0), init_fn(0))
+        assert cli_dispatch(["estimate-lipschitz", "--problem", kind, "--batch", "2"]) == 0
+        drawn = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+        assert drawn == [f"L_x={1.0 / gx:.6g} L_y={1.0 / gy:.6g}" for gx, gy in first.values()], kind
+        if kind == "toy-bid":
+            bound = 2.0 * float(np.abs(init_fn(0).y).sum()) ** 2 + 16.0 * ProblemSpec.lam * ProblemSpec.theta
+            assert first["palm"][0] == 1.0 / bound
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -870,37 +870,53 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
 
 
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
-    # Work counter: a b = 1 x-draw, a full-batch x-draw and a full-batch grad_x
-    # each build one Toeplitz factor of the kernel and one of its flip, shared by
-    # every window and every power-method application (12, 192 and 32 builds
-    # when each correlation built its own).
+    # Work counter: a b = 1 x-draw and a full-batch grad_x each build one Toeplitz
+    # factor of the kernel and one of its flip, shared by every window and every
+    # power-method application (12 and 32 builds when each correlation built its
+    # own).  The full-batch x-draw is the closed-form bound: no correlation, no
+    # factor and nothing drawn from its generator (it power-iterated over all 16
+    # windows with one factor of each kind).  A full-batch decode of a table filled
+    # by one rows_x call shares one flipped factor across its rows (one per row
+    # when each row built its own).
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
     x = adapter.initial_iterate().x
     Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
-    toeplitz, built = problems_module._toeplitz, []
+    full = np.arange(16)
+    table = problem.rows_x(full, x, Y.ravel())
+    toeplitz, forward, built, correlated = problems_module._toeplitz, problems_module.bid_forward, [], []
 
     def counting_toeplitz(kernel, ncols):
         built.append("forward" if np.array_equal(kernel, Y) else
                      "flipped" if np.array_equal(kernel, Y[::-1, ::-1]) else "other")
         return toeplitz(kernel, ncols)
 
+    def counting_forward(X, kernel, factors=None):
+        correlated.append(np.shape(X))
+        return forward(X, kernel, factors)
+
     monkeypatch.setattr(problems_module, "_toeplitz", counting_toeplitz)
+    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    generator = np.random.default_rng(0)
     calls = {
-        "x-draw b=1": lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), np.array([6])),
-                                                 POWER_ITERATIONS, np.random.default_rng(0)),
-        "x-draw full": lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), np.arange(16)),
+        "x-draw b=1": (lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), np.array([6])),
                                                   POWER_ITERATIONS, np.random.default_rng(0)),
-        "grad_x full": lambda: problem.grad_x(np.arange(16), x, Y.ravel()),
+                       ["flipped", "forward"], 6 * 2),
+        "x-draw full": (lambda: lipschitz_estimate(problem.lipschitz_x(x, Y.ravel(), full),
+                                                   POWER_ITERATIONS, generator), [], 0),
+        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped", "forward"], 16 * 2),
+        "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"], 16),
+        "rows_mean_x full": (lambda: problem.rows_mean_x(full, table), ["flipped"], 16),
     }
-    for name, call in calls.items():
+    state = generator.bit_generator.state
+    for name, (call, factors, correlations) in calls.items():
         built.clear()
+        correlated.clear()
         call()
-        assert sorted(built) == ["flipped", "forward"], name
-    built.clear()
-    problem.value(np.arange(16), x, Y.ravel())
-    assert built == ["forward"]
+        assert sorted(built) == factors, name
+        assert len(correlated) == correlations, name
+    assert generator.bit_generator.state == state
 
 
 def test_bid_x_rows_decode_skips_zero_kernel_rows(monkeypatch, rng):
@@ -1138,6 +1154,13 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
         references = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
         for hook, reference, offset in zip(hooks, references, offsets):
             op = hook(xv, yv, np.arange(6) if batch is None else batch)
+            closed_form = hook is problem.lipschitz_x and (batch is None or len(batch) == 6)
+            assert isinstance(op, float) == closed_form
+            if closed_form:
+                # The full-batch x-hook's bound: at or above the operator's top eigenvalue.
+                dense = np.column_stack([reference(e) for e in np.eye(X.size)])
+                assert op - offset >= float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]) * (1 - 1e-12)
+                continue
             assert op.shift == offset
             for _ in range(3):
                 v = rng.standard_normal(op.dim)
@@ -1203,8 +1226,55 @@ def test_bid_lipschitz_estimates_match_window_operators(rng):
                 op = hook(xv, yv, np.arange(6) if batch is None else batch)
                 got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
                 want = power_estimate_sq_norm(reference, dim, 5, np.random.default_rng(seed)) + offset
+                closed_form = hook is problem.lipschitz_x and (batch is None or len(batch) == 6)
+                assert isinstance(op, float) == closed_form
+                if closed_form:
+                    # The full-batch x-hook's closed-form bound, above the estimate from below.
+                    assert got == op == 2.0 * float(np.abs(Y).sum()) ** 2 + offset
+                    assert got >= want, (batch, seed)
+                    continue
                 assert got == pytest.approx(want, rel=1e-12), (batch, seed)
                 assert op.dim == dim
+
+
+def test_bid_full_batch_x_bound_is_at_or_above_the_dense_eigenvalue(rng):
+    # Slow reference: the full-batch x-hook's value, less the edge regularizer's
+    # curvature, against the top eigenvalue of the dense full-image operator, on
+    # the uneven, overlapping 6-tile grid above.  The bound 2 ||Y||_1^2 reads the
+    # kernel alone, so kernels with negative entries, where Young's inequality is
+    # loosest and the sum is not the l1 norm, are checked on several images.
+    Z = rng.random((11, 13))
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
+    problem = adapter.block_problem()
+    offset = 16.0 * adapter.lam * adapter.theta
+    kernels = [rng.random((3, 4)) / 12.0, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)) - 0.5,
+               np.eye(3, 4) - 0.3]
+    for Y in kernels:
+        for _ in range(3):
+            X = rng.random(adapter.image_shape)
+            bound = problem.lipschitz_x(X.ravel(), Y.ravel(), np.arange(6)) - offset
+            apply_x, _ = _bid_masked_lipschitz_reference(adapter, None, X, Y)
+            dense = np.column_stack([apply_x(e) for e in np.eye(X.size)])
+            lam_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+            assert bound >= lam_max * (1 - 1e-12)
+
+
+def test_bid_full_batch_x_bound_is_tight_at_benchmark_shape():
+    # At bid-medium's shape (9x9 kernel, 56x56 residual grid, 16 tiles), at z0 and
+    # after 3 PALM epochs, the full-batch x-hook's Lipschitz value is within 1% of a
+    # 300-iteration power estimate of the window-wise operator plus the same edge
+    # curvature, so the step it gives is within 1% of the power method's.  (The data
+    # term alone is 2 / 1.928 = 1.037x its top eigenvalue for the uniform kernel.)
+    Z, _, _ = _toy_blur(seed=0, size=64, kernel=9)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(9, 9), n_tiles=16)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    offset = 16.0 * adapter.lam * adapter.theta
+    for z in (z0, run(problem, SolverConfig(algorithm="palm", epochs=3, seed=0), z0).z):
+        X, Y = z.x.reshape(adapter.image_shape), z.y.reshape(9, 9)
+        apply_x, _ = _bid_window_operators(adapter, np.arange(16), X, Y)
+        estimate = power_estimate_sq_norm(apply_x, X.size, 300, np.random.default_rng(0)) + offset
+        bound = problem.lipschitz_x(z.x, z.y, np.arange(16))
+        assert estimate <= bound <= 1.01 * estimate
 
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
@@ -1229,7 +1299,12 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
             lipschitz_estimate(hook(z.x, z.y, batch), 5, np.random.default_rng(0))
         return sum(work)
 
-    full = draw_work(np.arange(16))
+    # The full-batch x-draw is closed-form and correlates nothing, so the reference is
+    # what power-iterating its operator would cost: one full-batch application of
+    # M^T M correlates every window forward and back, as a full-batch grad_x does.
+    assert draw_work(np.arange(16)) == 0
+    problem.grad_x(np.arange(16), z.x, z.y)
+    full = 6 * sum(work)
     assert full > 0
     for j in range(16):
         assert draw_work(np.array([j])) <= full / 4, j
@@ -1403,6 +1478,10 @@ def test_bid_run_with_an_overflowing_image_step_diverges():
 # nesting.  Recorded when each hook still ran the power method itself; the
 # 'bid' rows re-recorded when the correlations became Toeplitz products and the
 # full-batch x-draw went window by window (largest relative change 1.9e-16).
+# The six full-batch ('bid', 'x') entries are the closed-form bound
+# 2 ||Y||_1^2 + 16 lam theta since; the power method's were 9.187581822847484,
+# 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644
+# and 9.646894481889209.
 DRAW_GRID = [(batch, seed, iterations) for batch in (None, (1,), (0, 3), (1, 2, 5))
              for seed in (0, 1) for iterations in (1, 5, 30)]
 PINNED_DRAWS = {
@@ -1435,11 +1514,11 @@ PINNED_DRAWS = {
         155.98993980917388, 112.20912704378881, 142.18338400298066, 155.98993805390714,
     ],
     ('bid', 'x'): [
-        9.187581822847484, 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644,
-        9.646894481889209, 15.689089207912751, 15.812124078271108, 15.81212413028749, 15.301408122979696,
-        15.812123927895207, 15.81212413028749, 11.111914365666873, 11.90606155285925, 11.906062065143747,
-        11.831609081097856, 11.906062039103647, 11.906062065143747, 12.722269617664999, 12.871074257352438,
-        12.871171533966553, 10.92733601802149, 12.86049714021646, 12.871171533966555,
+        10.0, 10.0, 10.0, 10.0, 10.0, 10.0,
+        15.689089207912751, 15.812124078271108, 15.81212413028749, 15.301408122979696, 15.812123927895207,
+        15.81212413028749, 11.111914365666873, 11.90606155285925, 11.906062065143747, 11.831609081097856,
+        11.906062039103647, 11.906062065143747, 12.722269617664999, 12.871074257352438, 12.871171533966553,
+        10.92733601802149, 12.86049714021646, 12.871171533966555,
     ],
     ('bid', 'y'): [
         312.71130582598715, 313.70815084050275, 313.7081508405044, 310.16629507766805, 313.708150840499,

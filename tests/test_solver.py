@@ -603,17 +603,21 @@ def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
     assert set(exc.snapshot) == {"max_abs_x", "max_abs_y"}
 
 
-@pytest.mark.parametrize("policy", [
-    dict(algorithm="palm"),
-    dict(algorithm="spring-saga", batch_size=2),
-    dict(algorithm="ipalm", step_policy="theoretical"),
-    dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"),
-], ids=["palm", "saga-anchor", "ipalm-theoretical", "sarah-theoretical"])
-def test_lipschitz_sfo_counts_every_operator_application(policy):
+@pytest.mark.parametrize("policy, closed_form_x", [
+    (dict(algorithm="palm"), False),
+    (dict(algorithm="spring-saga", batch_size=2), False),
+    (dict(algorithm="ipalm", step_policy="theoretical"), False),
+    (dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"), False),
+    (dict(algorithm="palm"), True),
+    (dict(algorithm="spring-saga", batch_size=2), True),
+], ids=["palm", "saga-anchor", "ipalm-theoretical", "sarah-theoretical", "palm-closed-form-x",
+        "saga-anchor-closed-form-x"])
+def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x):
     # Independent count: the hooks return an operator that tallies the
     # batch size (n for the full batch) at every application.
     # The first subsampled draw is degenerate, so the stochastic envelope
-    # also anchors on a full-batch draw at z0.
+    # also anchors on a full-batch draw at z0.  With ``closed_form_x`` the
+    # x-hook returns a float on the full batch, which is charged nothing.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
@@ -627,7 +631,10 @@ def test_lipschitz_sfo_counts_every_operator_application(policy):
 
         return CurvatureOperator(apply, len(x))
 
-    counted = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
+    def hook_x(x, y, batch):
+        return 1.0 if closed_form_x and len(batch) == problem.n else hook(x, y, batch)
+
+    counted = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook)
     z0 = Iterate(np.ones(4), np.ones(4))
     res = run(counted, SolverConfig(epochs=3, seed=4, track_grad_map=False, **policy), z0)
     assert applied[0] > 0
@@ -758,15 +765,18 @@ def test_misshapen_z0_raises_before_any_oracle_call(sep10):
 # bisection with the closed form (relative moves of 5e-14 to 1.5e-11), and
 # the spring-saga row again when the edge regularizer left the SAGA tables
 # (0.23613023430556207 before: the rows no longer hold stale regularizer
-# gradients).
+# gradients).  The palm and ipalm rows were re-pinned when the full-batch
+# x-draw became the closed-form bound 2 ||Y||_1^2 + 16 lam theta, at or above
+# the power method's estimate from below (0.2313782215757764 and
+# 0.2324846032863556 before).
 GOLDEN = {
     ('toy-nmf', 'palm'): [(40, 13287.681979609308), (80, 1333.9145178109109), (120, 356.71549580579506)],
     ('toy-nmf', 'ipalm'): [(40, 7965.783215716631), (80, 1812.0227569067652), (120, 416.2046930410671)],
     ('toy-nmf', 'spring-sgd'): [(40, 644.0840510488446), (80, 526.1890147548143), (120, 438.5394605864325)],
     ('toy-nmf', 'spring-saga'): [(40, 437.4621169938763), (80, 323.237259980523), (120, 294.72183711600485)],
     ('toy-nmf', 'spring-sarah'): [(40, 590.0396314423954), (152, 522.0397670821708), (192, 472.853866850736)],
-    ('bid', 'palm'): [(8, 0.2313782215757764)],
-    ('bid', 'ipalm'): [(8, 0.2324846032863556)],
+    ('bid', 'palm'): [(8, 0.2317293570181209)],
+    ('bid', 'ipalm'): [(8, 0.2328074254694939)],
     ('bid', 'spring-sgd'): [(8, 0.22094787257035747)],
     ('bid', 'spring-saga'): [(8, 0.23502238459368477)],
     ('bid', 'spring-sarah'): [(26, 0.22869028981923561)],
@@ -835,6 +845,41 @@ def test_fixed_seed_runs_match_golden(name):
         assert [r.sfo_calls for r in res.trace.rows] == [sfo for sfo, _obj in expected]
         for row, (_sfo, obj) in zip(res.trace.rows, expected):
             assert abs(row.objective - obj) <= 1e-12 * abs(obj), (algo, row.objective, obj)
+
+
+@pytest.mark.parametrize("algorithm", ["palm", "ipalm"])
+def test_bid_full_batch_steps_charge_the_y_draw_alone(algorithm):
+    # The full-batch x-draw is closed-form, so each step's Lipschitz work is the
+    # y-draw's POWER_ITERATIONS + 1 applications of n components (2 (POWER_ITERATIONS + 1) n
+    # while the x-block was power-iterated too).
+    problem, z0, _kw = _golden_case("bid")
+    res = run(problem, SolverConfig(algorithm=algorithm, seed=7, epochs=3), z0)
+    per_step = (POWER_ITERATIONS + 1) * problem.n
+    assert [row.lipschitz_sfo for row in res.trace.rows] == [per_step, 2 * per_step, 3 * per_step]
+
+
+@pytest.mark.parametrize("size, kernel, tiles", [(16, 3, 4), (32, 5, 16), (64, 9, 16)])
+def test_bid_palm_x_steps_descend(monkeypatch, size, kernel, tiles):
+    # PALM's BID x-step is 1/L for the closed-form bound L, at or above the x-block's
+    # Lipschitz modulus, and the image prox is a projection, so by the descent lemma
+    # no x-half-step raises the objective; an estimate from below does not ensure this.
+    Z, _, _ = toy_blurred_image(seed=0, size=size, kernel=kernel)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(kernel, kernel), n_tiles=tiles)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    steps, real_step = [], solver_module._step
+
+    def spy(problem, z, *args):
+        out = real_step(problem, z, *args)
+        steps.append((z, out[0]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_step", spy)
+    run(problem, SolverConfig(algorithm="palm", epochs=30, seed=0, track_grad_map=False), z0)
+    assert len(steps) == 30
+    for k, (z, z_next) in enumerate(steps):
+        before = objective(problem, z)
+        after = objective(problem, Iterate(z_next.x, z.y))
+        assert after - before <= 1e-12 * abs(before), (k, before, after)
 
 
 @pytest.mark.parametrize("name", POLICY_CASES)
