@@ -15,7 +15,8 @@ above the true value, so no safety factor is applied on top of it.  It runs in
 one place, ``lipschitz_estimate``, on the operator a problem's hook returns.
 A hook whose block has a closed-form modulus on a batch returns that float
 instead; ``lipschitz_estimate`` passes it through, drawing nothing from its
-generator and applying no operator.  ``lipschitz_draw`` is the solver's
+generator and applying no operator, so the draws after it read the generator
+one start vector earlier than if that block were power-iterated.  ``lipschitz_draw`` is the solver's
 draw: both blocks' estimates on one batch and their charge in stochastic
 first-order oracle calls (SFO), ``len(batch)`` per operator application, so
 a closed-form block is charged nothing.

@@ -636,12 +636,13 @@ class BlindDeblurProblem:
             for i in idx:
                 yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
 
-        def scatter_adjoints(parts, scale):
-            # scale * the sum of the image adjoints of (window, residual, kernel factors)
-            # parts, each added into its window.
+        def scatter_adjoints(parts, scale, factors=None):
+            # scale * the sum of the image adjoints of (window, residual, kernel) parts,
+            # each added into its window; ``factors`` is the kernel's when every part
+            # has the same kernel.
             g = np.zeros((hx, wx))
-            for window, resid, factors in parts:
-                g[window] += bid_adjoint_image(resid, factors.kernel, factors)
+            for window, resid, Y in parts:
+                g[window] += bid_adjoint_image(resid, Y, factors)
             g *= scale
             return g.ravel()
 
@@ -653,8 +654,8 @@ class BlindDeblurProblem:
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             factors = ToeplitzFactors(Y)
-            parts = ((window, resid, factors) for window, resid in tile_residuals(idx, X, Y, factors))
-            return scatter_adjoints(parts, 2.0 * n / len(idx))
+            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
+            return scatter_adjoints(parts, 2.0 * n / len(idx), factors)
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
@@ -673,20 +674,9 @@ class BlindDeblurProblem:
 
         def rows_mean_x(idx, rows):
             # A row with an all-zero kernel (a tile not visited yet) adds an exact zero: skip it.
-            # A row whose kernel has the previous row's bits shares its factors, so a table
-            # filled by one rows_x call builds them once; only the latest are kept alive.
-            def parts():
-                key = factors = None
-                for i, row in zip(idx, rows):
-                    kernel = row[width:]
-                    if not kernel.any():
-                        continue
-                    bits = kernel.tobytes()
-                    if bits != key:
-                        key, factors = bits, ToeplitzFactors(kernel.reshape(kh, kw))
-                    yield windows[i], row[:areas[i]].reshape(tile_shapes[i]), factors
-
-            return scatter_adjoints(parts(), 2.0 * n / len(idx))
+            parts = ((windows[i], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
+                     for i, row in zip(idx, rows) if row[width:].any())
+            return scatter_adjoints(parts, 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)

@@ -875,16 +875,13 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # power-method application (12 and 32 builds when each correlation built its
     # own).  The full-batch x-draw is the closed-form bound: no correlation, no
     # factor and nothing drawn from its generator (it power-iterated over all 16
-    # windows with one factor of each kind).  A full-batch decode of a table filled
-    # by one rows_x call shares one flipped factor across its rows (one per row
-    # when each row built its own).
+    # windows with one factor of each kind).
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
     x = adapter.initial_iterate().x
     Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
     full = np.arange(16)
-    table = problem.rows_x(full, x, Y.ravel())
     toeplitz, forward, built, correlated = problems_module._toeplitz, problems_module.bid_forward, [], []
 
     def counting_toeplitz(kernel, ncols):
@@ -907,7 +904,6 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
                                                    POWER_ITERATIONS, generator), [], 0),
         "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped", "forward"], 16 * 2),
         "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"], 16),
-        "rows_mean_x full": (lambda: problem.rows_mean_x(full, table), ["flipped"], 16),
     }
     state = generator.bit_generator.state
     for name, (call, factors, correlations) in calls.items():
@@ -1150,6 +1146,11 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
     hooks = (problem.lipschitz_x, problem.lipschitz_y)
     offsets = (16.0 * adapter.lam * adapter.theta, 0.0)  # the x-hook adds the regularizer's curvature
     batches = [np.sort(rng.choice(6, size=b, replace=False)) for b in (1, 2, 3, 5, 6)] + [None]
+    # The full-batch x-hook's bound 2 ||Y||_1^2 reads the kernel alone, so it is also
+    # checked on kernels with negative entries, where Young's inequality is loosest
+    # and the sum is not the l1 norm, and on more images.
+    kernels = [Y, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)) - 0.5, np.eye(3, 4) - 0.3]
+    images = [X] + [rng.random(adapter.image_shape) for _ in range(2)]
     for batch in batches:
         references = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
         for hook, reference, offset in zip(hooks, references, offsets):
@@ -1157,9 +1158,15 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
             closed_form = hook is problem.lipschitz_x and (batch is None or len(batch) == 6)
             assert isinstance(op, float) == closed_form
             if closed_form:
-                # The full-batch x-hook's bound: at or above the operator's top eigenvalue.
-                dense = np.column_stack([reference(e) for e in np.eye(X.size)])
-                assert op - offset >= float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]) * (1 - 1e-12)
+                # The bound, less the regularizer's curvature, is at or above the dense
+                # operator's top eigenvalue.
+                for Yk in kernels:
+                    for Xk in images:
+                        bound = hook(Xk.ravel(), Yk.ravel(), np.arange(6) if batch is None else batch)
+                        apply_x, _ = _bid_masked_lipschitz_reference(adapter, batch, Xk, Yk)
+                        dense = np.column_stack([apply_x(e) for e in np.eye(X.size)])
+                        lam_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
+                        assert bound - offset >= lam_max * (1 - 1e-12), batch
                 continue
             assert op.shift == offset
             for _ in range(3):
@@ -1235,28 +1242,6 @@ def test_bid_lipschitz_estimates_match_window_operators(rng):
                     continue
                 assert got == pytest.approx(want, rel=1e-12), (batch, seed)
                 assert op.dim == dim
-
-
-def test_bid_full_batch_x_bound_is_at_or_above_the_dense_eigenvalue(rng):
-    # Slow reference: the full-batch x-hook's value, less the edge regularizer's
-    # curvature, against the top eigenvalue of the dense full-image operator, on
-    # the uneven, overlapping 6-tile grid above.  The bound 2 ||Y||_1^2 reads the
-    # kernel alone, so kernels with negative entries, where Young's inequality is
-    # loosest and the sum is not the l1 norm, are checked on several images.
-    Z = rng.random((11, 13))
-    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
-    problem = adapter.block_problem()
-    offset = 16.0 * adapter.lam * adapter.theta
-    kernels = [rng.random((3, 4)) / 12.0, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)) - 0.5,
-               np.eye(3, 4) - 0.3]
-    for Y in kernels:
-        for _ in range(3):
-            X = rng.random(adapter.image_shape)
-            bound = problem.lipschitz_x(X.ravel(), Y.ravel(), np.arange(6)) - offset
-            apply_x, _ = _bid_masked_lipschitz_reference(adapter, None, X, Y)
-            dense = np.column_stack([apply_x(e) for e in np.eye(X.size)])
-            lam_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
-            assert bound >= lam_max * (1 - 1e-12)
 
 
 def test_bid_full_batch_x_bound_is_tight_at_benchmark_shape():

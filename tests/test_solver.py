@@ -669,6 +669,41 @@ def test_envelope_anchor_draws_at_the_current_iterate():
     np.testing.assert_array_equal(anchored_at, [np.zeros(2)] * 2 + [z1] * 2)
 
 
+def test_closed_form_anchor_draws_no_start_vector():
+    # Every sampled draw is degenerate, so the first step anchors on a full-batch draw.
+    # Its closed-form x-part draws nothing from the run's power_init stream: every
+    # power method, the y anchor's included, starts from the stream's next unit vector,
+    # so the draws from the anchor on read the stream one start vector earlier than
+    # when the full-batch x-block was power-iterated.
+    problem, _ = make_separable_quadratic(n=4, seed=3)
+    starts = []
+
+    def operator(dim, scale):
+        def apply(v):
+            if not fresh[0]:
+                fresh[0] = True
+                starts.append(v.copy())
+            return scale * v
+
+        fresh = [False]
+        return CurvatureOperator(apply, dim)
+
+    def hook_x(x, y, batch):
+        return 1.0 if len(batch) == problem.n else operator(len(x), 0.0)
+
+    def hook_y(x, y, batch):
+        return operator(len(y), 1.0 if len(batch) == problem.n else 0.0)
+
+    problem = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook_y)
+    z0 = Iterate(np.ones(4), np.ones(4))
+    run(problem, SolverConfig(algorithm="spring-sgd", batch_size=1, epochs=1, seed=2, track_grad_map=False), z0)
+    assert len(starts) == 2 * 4 + 1  # two sampled draws per step and the y anchor
+    stream = stream_rng(2, "power_init")
+    for k, start in enumerate(starts):
+        v = stream.standard_normal(4)
+        np.testing.assert_array_equal(start, v / np.linalg.norm(v), err_msg=str(k))
+
+
 def test_lipschitz_sfo_charges_only_the_applications_made():
     # An operator that annihilates every direction stops the power method after
     # one application per block: one PALM epoch (n = 8) is charged 2 x 8, not
