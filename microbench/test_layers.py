@@ -12,9 +12,10 @@
   and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
   bid-medium shapes (16 tiles; b = 1 and the full batch);
 * each Lipschitz draw (the hook forming its operator plus the solver's
-  ``POWER_ITERATIONS``-iteration estimate on it) at nmf-medium shapes
-  (200 x 500, r = 10; b = 13 and the full batch) and bid-medium shapes
-  (16 tiles; b = 1 and the full batch);
+  value on it: the ``POWER_ITERATIONS``-iteration estimate, or the
+  Collatz-Wielandt bound where the operator sets its passes, as every BID
+  operator does) at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
+  full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
 * one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
@@ -25,8 +26,8 @@
 * one cold ``solver.run`` epoch (no warm start, practical steps, gradient
   map traced) per algorithm but inertial PALM at the toy-nmf-c11 shape
   (50 x 20, r = 5, b = 1), where per-run and per-step overheads dominate,
-  and of PALM and inertial PALM at bid-medium shapes, whose full-batch
-  x-draw is the closed-form bound (as in ``test_bid_lipschitz_draw[x-full]``).
+  and of PALM, inertial PALM, SGD and SAGA at bid-medium shapes (b = 1),
+  whose draws are all bounds (as in ``test_bid_lipschitz_draw``).
 """
 
 import numpy as np
@@ -183,8 +184,9 @@ def test_sample_batch(benchmark):
 
 @pytest.mark.parametrize("workload, algorithm", [
     ("toy_nmf", "palm"), ("toy_nmf", "spring-sgd"), ("toy_nmf", "spring-saga"), ("toy_nmf", "spring-sarah"),
-    ("bid", "palm"), ("bid", "ipalm"),
-], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "bid-palm", "bid-ipalm"])
+    ("bid", "palm"), ("bid", "ipalm"), ("bid", "spring-sgd"), ("bid", "spring-saga"),
+], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "bid-palm", "bid-ipalm", "bid-spring-sgd",
+        "bid-spring-saga"])
 def test_run_epoch(benchmark, request, workload, algorithm):
     problem, z0 = request.getfixturevalue(workload)
     config = SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, seed=0, warm_start=False)

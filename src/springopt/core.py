@@ -49,11 +49,18 @@ class SmoothTerm(NamedTuple):
 class CurvatureOperator(NamedTuple):
     """A block's curvature operator: the PSD action ``apply`` (v -> M^T(M v)) on
     vectors of length ``dim``.  The block's Lipschitz estimate is the power
-    method's estimate of its norm plus ``shift``."""
+    method's estimate of its norm plus ``shift``.
+
+    A hook sets ``bound_passes`` only where ``apply`` is the action of an
+    entrywise nonnegative symmetric G whose top eigenvalue is at or above the
+    block's curvature (such as |M|^T |M|, taking M's entries as |.|).  The
+    value is then the Collatz-Wielandt bound on G from that many passes plus
+    ``shift``, a certified upper bound that draws no random start vector."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
     shift: float = 0.0
+    bound_passes: int | None = None
 
 
 def _zero_reg(_v: np.ndarray) -> float:
@@ -93,7 +100,8 @@ class BlockProblem:
     The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
     block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``,
     the full batch being ``np.arange(n)`` as for the oracles;
-    ``lipschitz.lipschitz_estimate`` runs the power method on it.  Where the
+    ``lipschitz.lipschitz_estimate`` runs the power method on it, or the
+    Collatz-Wielandt bound where its ``bound_passes`` is set.  Where the
     block has a closed-form bound on its Lipschitz modulus for that batch,
     shift included, the hook may return it as a ``float`` instead; it is then
     used as it is, with no power method and no oracle charge.

@@ -132,7 +132,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     grad_p.add_argument("--seed", type=int, default=0)
 
     lip_p = sub.add_parser("estimate-lipschitz", parents=[_problem_parent()], allow_abbrev=False,
-                           help="power-method Lipschitz estimates at the initial point")
+                           help="the solver's Lipschitz draws at the initial point")
     lip_p.add_argument("--batch", type=int, default=None, help="subsample size for stochastic estimates")
     lip_p.add_argument("--seed", type=int, default=0)
 

@@ -1,23 +1,35 @@
-"""Step-size machinery: power-method curvature estimates and step bounds.
+"""Step-size machinery: curvature estimates and bounds, and step bounds.
 
 Block step sizes come from one of three sources:
 
-* practical per-algorithm rules driven by a power-method estimate of the
-  partial-gradient Lipschitz constant, refreshed on the fly;
+* practical per-algorithm rules driven by a Lipschitz value of the partial
+  gradient, drawn on the fly;
 * the theoretical bound that the variance-reduction constants impose on the
   larger of the two step sizes (plus the per-block 1/(4L) caps);
 * fixed user-supplied constants.
 
-The power method estimates the largest squared singular value of an operator
-M through the symmetric action v -> M^T(M v).  It is a Rayleigh-type
-estimate: monotonically non-decreasing in the iteration count and never
-above the true value, so no safety factor is applied on top of it.  It runs in
-one place, ``lipschitz_estimate``, on the operator a problem's hook returns.
-A hook whose block has a closed-form modulus on a batch returns that float
-instead; ``lipschitz_estimate`` passes it through, drawing nothing from its
-generator and applying no operator, so the draws after it read the generator
-one start vector earlier than if that block were power-iterated.  ``lipschitz_draw`` is the solver's
-draw: both blocks' estimates on one batch and their charge in stochastic
+A problem's hook returns its block's curvature in one of three forms, and
+``lipschitz_estimate`` turns each into the block's Lipschitz value:
+
+* a ``CurvatureOperator`` for the power method, which estimates the largest
+  squared singular value of an operator M through the symmetric action
+  v -> M^T(M v).  It is a Rayleigh-type estimate: monotonically
+  non-decreasing in the iteration count and never above the true value, so
+  no safety factor is applied on top of it.  It starts from a random vector
+  drawn from the caller's generator.
+* a ``CurvatureOperator`` with ``bound_passes`` set, for an entrywise
+  nonnegative symmetric G that majorizes the block's curvature.  The
+  Collatz-Wielandt bound (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26)
+  takes ``bound_passes`` applications from the all-ones vector: for
+  v = G^(k-1) 1, lambda_max(G) <= max_i (G v)_i / v_i over the support of v.
+  It is a certified upper bound, non-increasing in the pass count, and
+  draws nothing from the generator.
+* a ``float``, the block's closed-form bound, passed through unchanged.
+
+So a block whose value draws no start vector leaves the generator where it
+was, and every later power method reads the stream one start vector earlier
+than if that block were power-iterated.  ``lipschitz_draw`` is the solver's
+draw: both blocks' values on one batch and their charge in stochastic
 first-order oracle calls (SFO), ``len(batch)`` per operator application, so
 a closed-form block is charged nothing.
 """
@@ -46,12 +58,15 @@ def power_estimate_sq_norm(
     dim: int,
     iterations: int,
     rng: np.random.Generator,
-) -> float:
-    """Estimate ||M||^2 from the PSD action v -> M^T(M v).
+    return_applications: bool = False,
+) -> float | tuple[float, int]:
+    """Estimate ||M||^2 from the PSD action v -> M^T(M v), which returns a float ndarray.
 
     Runs ``iterations`` normalized iterations from a random unit vector
     drawn from ``rng`` and returns the norm of one more application.
-    Returns 0 when the operator annihilates the sampled direction.
+    Returns 0 when the operator annihilates the sampled direction.  With
+    ``return_applications`` the result is the pair (estimate, applications
+    made): ``iterations + 1``, fewer when the operator annihilates an iterate.
     """
     if iterations < 1:
         raise ValueError(f"power method needs at least one iteration, got {iterations}")
@@ -59,54 +74,91 @@ def power_estimate_sq_norm(
         raise ValueError(f"operator dimension must be >= 1, got {dim}")
     v = rng.standard_normal(dim)
     v /= _norm(v)
-    for _ in range(iterations):
-        w = np.asarray(apply(v), dtype=float)
+    for applied in range(1, iterations + 1):
+        w = apply(v)
         nrm = _norm(w)
         if nrm == 0.0:
-            return 0.0
+            return (0.0, applied) if return_applications else 0.0
         v = w / nrm
-    return _norm(np.asarray(apply(v), dtype=float))
+    estimate = _norm(apply(v))
+    return (estimate, iterations + 1) if return_applications else estimate
+
+
+def collatz_wielandt_bound(
+    apply: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    passes: int,
+    return_applications: bool = False,
+) -> float | tuple[float, int]:
+    """Upper bound on lambda_max(G) from ``passes`` applications of ``apply``, v -> G v.
+
+    G must be entrywise nonnegative and symmetric, and ``apply`` returns a
+    float ndarray.  From v = 1, each pass but the last applies G and divides
+    by the result's maximum; the last returns max_i (G v)_i / v_i over the
+    support of v.  The support of G^k 1 is the set of G's nonzero rows for
+    every k >= 1, and G restricted to it is G's nonzero block, so the ratio
+    bounds lambda_max by the Collatz-Wielandt inequality (Horn & Johnson,
+    *Matrix Analysis*, Thm 8.1.26).  The bound does not increase with the
+    pass count, is exact on a rank-one G from two passes, and is 0 for the
+    zero operator.  No randomness is involved.  With ``return_applications``
+    the result is the pair (bound, applications made): ``passes``, fewer when
+    G annihilates the ones vector.
+    """
+    if passes < 1:
+        raise ValueError(f"the bound needs at least one pass, got {passes}")
+    if dim < 1:
+        raise ValueError(f"operator dimension must be >= 1, got {dim}")
+    v = np.ones(dim)
+    for applied in range(1, passes):
+        w = apply(v)
+        top = w.max()
+        if top == 0.0:
+            return (0.0, applied) if return_applications else 0.0
+        v = w / top
+    w = apply(v)
+    support = v > 0.0
+    bound = float(np.max(w[support] / v[support], initial=0.0))
+    return (bound, passes) if return_applications else bound
 
 
 def lipschitz_estimate(op: CurvatureOperator | float, iterations: int, rng: np.random.Generator) -> float:
-    """Lipschitz estimate of a hook's operator: the power method's estimate plus ``op.shift``.
+    """Lipschitz value of a hook's return: a float unchanged; for an operator, its
+    Collatz-Wielandt bound over ``op.bound_passes`` passes where that is set, else its
+    ``iterations``-iteration power-method estimate from ``rng``, plus ``op.shift``.
 
-    A float (a hook's closed-form modulus) is returned unchanged, and nothing is drawn from ``rng``.
+    Only the power method draws from ``rng``.
     """
-    if not isinstance(op, CurvatureOperator):
-        return op
-    return power_estimate_sq_norm(op.apply, op.dim, iterations, rng) + op.shift
+    return _counted_estimate(op, iterations, rng)[0]
 
 
 def lipschitz_draw(
     problem: BlockProblem, z: Iterate, batch: np.ndarray, rng: np.random.Generator
 ) -> tuple[float, float, int]:
-    """One (L_x, L_y) draw from the hooks' operators on ``batch`` at z, POWER_ITERATIONS
-    iterations each from ``rng``, and its SFO charge: ``len(batch)`` per operator application."""
+    """One (L_x, L_y) draw from the hooks' returns on ``batch`` at z, each power method
+    POWER_ITERATIONS iterations from ``rng``, and its SFO charge: ``len(batch)`` per
+    operator application."""
     if problem.lipschitz_x is None or problem.lipschitz_y is None:
         raise ValueError(
             "the practical/theoretical step policies need the problem's Lipschitz hooks; "
             "use step_policy='fixed' for problems without them"
         )
-    lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), rng)
-    ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), rng)
+    lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), POWER_ITERATIONS, rng)
+    ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), POWER_ITERATIONS, rng)
     return lx, ly, (applied_x + applied_y) * len(batch)
 
 
-def _counted_estimate(op: CurvatureOperator | float, rng: np.random.Generator) -> tuple[float, int]:
-    """``lipschitz_estimate`` of ``op`` and the number of applications it made, fewer than
-    POWER_ITERATIONS + 1 when the operator annihilates the power method's direction,
-    and none for a closed-form float."""
+def _counted_estimate(
+    op: CurvatureOperator | float, iterations: int, rng: np.random.Generator
+) -> tuple[float, int]:
+    """``lipschitz_estimate`` of ``op`` and the operator applications it made: none for a
+    closed-form float, and fewer than its rule's count when the operator annihilates an iterate."""
     if not isinstance(op, CurvatureOperator):
         return op, 0
-    applied = 0
-
-    def apply(v):
-        nonlocal applied
-        applied += 1
-        return op.apply(v)
-
-    return lipschitz_estimate(op._replace(apply=apply), POWER_ITERATIONS, rng), applied
+    if op.bound_passes is None:
+        lip, applied = power_estimate_sq_norm(op.apply, op.dim, iterations, rng, return_applications=True)
+    else:
+        lip, applied = collatz_wielandt_bound(op.apply, op.dim, op.bound_passes, return_applications=True)
+    return lip + op.shift, applied
 
 
 def _norm(v: np.ndarray) -> float:
@@ -145,8 +197,9 @@ def practical_step_sizes(
     1/L for the estimate L it is given, and the power method estimates from
     below, so the step can exceed one over the block's true Lipschitz
     modulus; the descent lemma of PALM (Bolte, Sabach, Teboulle 2014) needs
-    the step strictly below it.  A hook's closed-form bound is at or above
-    the modulus, so its 1/L is a descent step.
+    the step strictly below it.  A hook's closed-form bound or
+    Collatz-Wielandt bound is at or above the modulus, so its 1/L is a
+    descent step: both BID PALM steps are.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

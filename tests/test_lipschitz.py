@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from springopt.core import CurvatureOperator
 from springopt.lipschitz import (
     closed_form_step_cap,
+    collatz_wielandt_bound,
     ipalm_momentum,
     lipschitz_estimate,
     power_estimate_sq_norm,
@@ -95,6 +96,115 @@ def test_scalar_operator_estimate_is_exact(lip, seed, iters):
     # The quadratic toys' 1 x 1 operator [[L]]: sqrt(L * L) == L in binary64.
     op = CurvatureOperator(np.array([[lip]]).dot, 1)
     assert lipschitz_estimate(op, iters, np.random.default_rng(seed)) == lip
+
+
+def test_power_reports_its_applications():
+    # The applications the estimate made, counted independently by the operator.
+    rng = np.random.default_rng(3)
+    nilpotent = np.zeros((6, 6))
+    nilpotent[0, -1] = 1.0  # N v is nonzero and N (N v) = 0
+    annihilated_at = {"full rank": None, "zero": 1, "nilpotent": 2}
+    for name, apply in (("full rank", _matrix_apply(rng.standard_normal((6, 6)))),
+                        ("zero", lambda v: np.zeros_like(v)), ("nilpotent", nilpotent.dot)):
+        for iterations in (1, 5, 30):
+            made = [0]
+
+            def counted(v):
+                made[0] += 1
+                return apply(v)
+
+            estimate, applied = power_estimate_sq_norm(counted, 6, iterations, np.random.default_rng(4),
+                                                       return_applications=True)
+            assert applied == made[0] == min(iterations + 1, annihilated_at[name] or iterations + 1), name
+            assert estimate == power_estimate_sq_norm(apply, 6, iterations, np.random.default_rng(4)), name
+
+
+# The Collatz-Wielandt bound, checked against dense eigvalsh.  A bound computed in
+# floating point may sit below the exact eigenvalue by rounding alone: 1e-12 relative.
+def _nonnegative_symmetric(draw_rng, dim, density):
+    B = draw_rng.random((dim, dim)) * (draw_rng.random((dim, dim)) < density)
+    return B + B.T
+
+
+def _eigvalsh_max(G):
+    return float(np.linalg.eigvalsh(G)[-1])
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]),
+       passes=st.integers(1, 8))
+def test_bound_is_at_or_above_the_top_eigenvalue(dim, seed, density, passes):
+    G = _nonnegative_symmetric(np.random.default_rng(seed), dim, density)
+    assert collatz_wielandt_bound(G.dot, dim, passes) >= _eigvalsh_max(G) * (1 - 1e-12)
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]))
+def test_bound_does_not_increase_with_passes(dim, seed, density):
+    G = _nonnegative_symmetric(np.random.default_rng(seed), dim, density)
+    bounds = [collatz_wielandt_bound(G.dot, dim, passes) for passes in range(1, 12)]
+    for fewer, more in zip(bounds, bounds[1:]):
+        assert more <= fewer * (1 + 1e-12)
+    # One pass from the ones vector is the largest row sum.
+    assert bounds[0] == pytest.approx(float(G.sum(axis=1).max()), rel=1e-15)
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), zeros=st.integers(0, 5))
+def test_bound_is_exact_on_rank_one(dim, seed, zeros):
+    # G = u u^T, with some zero entries in u (zero rows of G): v = G 1 is parallel to u,
+    # and every ratio on its support is u.u.
+    u = np.random.default_rng(seed).random(dim)
+    u[:min(zeros, dim - 1)] = 0.0
+    G = np.outer(u, u)
+    for passes in (2, 3, 6):
+        assert collatz_wielandt_bound(G.dot, dim, passes) == pytest.approx(float(u @ u), rel=1e-13)
+
+
+def test_bound_takes_the_ratio_on_the_support_only():
+    # A zero row of G leaves a zero in v = G 1 (0/0 there would be NaN), and the
+    # ratio on the rest bounds the nonzero block: here diag(3, 0, 1) is exact from
+    # two passes, and a zero row inside a block is skipped as well.
+    G = np.diag([3.0, 0.0, 1.0])
+    assert collatz_wielandt_bound(G.dot, 3, 1) == 3.0
+    assert collatz_wielandt_bound(G.dot, 3, 2) == 3.0
+    block = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        for passes in (1, 2, 5):
+            assert collatz_wielandt_bound(block.dot, 3, passes) == 3.0
+
+
+def test_bound_of_the_zero_operator_is_the_shift():
+    for passes in (1, 2, 4):
+        assert collatz_wielandt_bound(np.zeros((4, 4)).dot, 4, passes, return_applications=True) == (0.0, 1)
+        op = CurvatureOperator(np.zeros((4, 4)).dot, 4, 2.5, passes)
+        assert lipschitz_estimate(op, 5, np.random.default_rng(0)) == 2.5
+
+
+def test_bound_reports_its_passes_and_draws_nothing():
+    G = _nonnegative_symmetric(np.random.default_rng(7), 9, 0.5)
+    for passes in (1, 2, 4):
+        made = [0]
+
+        def counted(v):
+            made[0] += 1
+            return G.dot(v)
+
+        bound, applied = collatz_wielandt_bound(counted, 9, passes, return_applications=True)
+        assert applied == made[0] == passes
+        assert bound == collatz_wielandt_bound(G.dot, 9, passes)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        op = CurvatureOperator(G.dot, 9, 0.5, passes)
+        assert lipschitz_estimate(op, 5, rng) == bound + 0.5
+        assert rng.bit_generator.state == state
+
+
+def test_bound_rejects_bad_config():
+    with pytest.raises(ValueError):
+        collatz_wielandt_bound(lambda v: v, 3, 0)
+    with pytest.raises(ValueError):
+        collatz_wielandt_bound(lambda v: v, 0, 2)
 
 
 def test_practical_steps_sgd_decay():

@@ -7,13 +7,19 @@ import pytest
 
 from springopt import estimators as est_module
 from springopt import solver as solver_module
-from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, with_oracle_counter
+from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, smooth_value, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.harness.runner import ProblemSpec
 from springopt.lipschitz import ALGORITHMS, POWER_ITERATIONS, ipalm_momentum
-from springopt.problems import BlindDeblurProblem, SparseNmfProblem, make_separable_quadratic
+from springopt.problems import (
+    X_BOUND_PASSES,
+    Y_BOUND_PASSES,
+    BlindDeblurProblem,
+    SparseNmfProblem,
+    make_separable_quadratic,
+)
 from springopt.rng import stream_rng
 from springopt.solver import (
     ConfigError,
@@ -603,25 +609,28 @@ def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
     assert set(exc.snapshot) == {"max_abs_x", "max_abs_y"}
 
 
-@pytest.mark.parametrize("policy, closed_form_x", [
-    (dict(algorithm="palm"), False),
-    (dict(algorithm="spring-saga", batch_size=2), False),
-    (dict(algorithm="ipalm", step_policy="theoretical"), False),
-    (dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"), False),
-    (dict(algorithm="palm"), True),
-    (dict(algorithm="spring-saga", batch_size=2), True),
+@pytest.mark.parametrize("policy, closed_form_x, bound_y", [
+    (dict(algorithm="palm"), False, False),
+    (dict(algorithm="spring-saga", batch_size=2), False, False),
+    (dict(algorithm="ipalm", step_policy="theoretical"), False, False),
+    (dict(algorithm="spring-sarah", batch_size=2, step_policy="theoretical"), False, False),
+    (dict(algorithm="palm"), True, False),
+    (dict(algorithm="spring-saga", batch_size=2), True, False),
+    (dict(algorithm="palm"), True, True),
+    (dict(algorithm="spring-saga", batch_size=2), False, True),
 ], ids=["palm", "saga-anchor", "ipalm-theoretical", "sarah-theoretical", "palm-closed-form-x",
-        "saga-anchor-closed-form-x"])
-def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x):
+        "saga-anchor-closed-form-x", "palm-bound-y", "saga-anchor-bound-y"])
+def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x, bound_y):
     # Independent count: the hooks return an operator that tallies the
     # batch size (n for the full batch) at every application.
     # The first subsampled draw is degenerate, so the stochastic envelope
     # also anchors on a full-batch draw at z0.  With ``closed_form_x`` the
-    # x-hook returns a float on the full batch, which is charged nothing.
+    # x-hook returns a float on the full batch, which is charged nothing; with
+    # ``bound_y`` the y-hook's operator is for a 3-pass Collatz-Wielandt bound.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch):
+    def hook(x, y, batch, bound_passes=None):
         size = len(batch)
         scale = 1e-14 if size < problem.n and applied[0] == 0 else 1.0
 
@@ -629,12 +638,15 @@ def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x):
             applied[0] += size
             return scale * v
 
-        return CurvatureOperator(apply, len(x))
+        return CurvatureOperator(apply, len(x), bound_passes=bound_passes)
 
     def hook_x(x, y, batch):
         return 1.0 if closed_form_x and len(batch) == problem.n else hook(x, y, batch)
 
-    counted = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook)
+    def hook_y(x, y, batch):
+        return hook(x, y, batch, 3 if bound_y else None)
+
+    counted = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook_y)
     z0 = Iterate(np.ones(4), np.ones(4))
     res = run(counted, SolverConfig(epochs=3, seed=4, track_grad_map=False, **policy), z0)
     assert applied[0] > 0
@@ -803,18 +815,21 @@ def test_misshapen_z0_raises_before_any_oracle_call(sep10):
 # gradients).  The palm and ipalm rows were re-pinned when the full-batch
 # x-draw became the closed-form bound 2 ||Y||_1^2 + 16 lam theta, at or above
 # the power method's estimate from below (0.2313782215757764 and
-# 0.2324846032863556 before).
+# 0.2324846032863556 before).  All five bid rows were re-pinned when the
+# remaining BID draws became Collatz-Wielandt bounds (palm 0.2317293570181209,
+# ipalm 0.2328074254694939, spring-sgd 0.22094787257035747, spring-saga
+# 0.23502238459368477 and spring-sarah 0.22869028981923561 before).
 GOLDEN = {
     ('toy-nmf', 'palm'): [(40, 13287.681979609308), (80, 1333.9145178109109), (120, 356.71549580579506)],
     ('toy-nmf', 'ipalm'): [(40, 7965.783215716631), (80, 1812.0227569067652), (120, 416.2046930410671)],
     ('toy-nmf', 'spring-sgd'): [(40, 644.0840510488446), (80, 526.1890147548143), (120, 438.5394605864325)],
     ('toy-nmf', 'spring-saga'): [(40, 437.4621169938763), (80, 323.237259980523), (120, 294.72183711600485)],
     ('toy-nmf', 'spring-sarah'): [(40, 590.0396314423954), (152, 522.0397670821708), (192, 472.853866850736)],
-    ('bid', 'palm'): [(8, 0.2317293570181209)],
-    ('bid', 'ipalm'): [(8, 0.2328074254694939)],
-    ('bid', 'spring-sgd'): [(8, 0.22094787257035747)],
-    ('bid', 'spring-saga'): [(8, 0.23502238459368477)],
-    ('bid', 'spring-sarah'): [(26, 0.22869028981923561)],
+    ('bid', 'palm'): [(8, 0.23173014148340426)],
+    ('bid', 'ipalm'): [(8, 0.23280813768833575)],
+    ('bid', 'spring-sgd'): [(8, 0.2213207945480169)],
+    ('bid', 'spring-saga'): [(8, 0.235287120597246)],
+    ('bid', 'spring-sarah'): [(26, 0.22915018319406547)],
     # Per row (sfo_calls, objective, lipschitz_sfo) of the policies and trace
     # mode the cases above leave out (``POLICY_CASES``), recorded before the
     # step sizes moved into one run-scoped object.  Runs that diverge within
@@ -885,12 +900,72 @@ def test_fixed_seed_runs_match_golden(name):
 @pytest.mark.parametrize("algorithm", ["palm", "ipalm"])
 def test_bid_full_batch_steps_charge_the_y_draw_alone(algorithm):
     # The full-batch x-draw is closed-form, so each step's Lipschitz work is the
-    # y-draw's POWER_ITERATIONS + 1 applications of n components (2 (POWER_ITERATIONS + 1) n
-    # while the x-block was power-iterated too).
+    # y-bound's Y_BOUND_PASSES applications of n components (2n; it was
+    # (POWER_ITERATIONS + 1) n = 6n while the y-block was power-iterated).
     problem, z0, _kw = _golden_case("bid")
     res = run(problem, SolverConfig(algorithm=algorithm, seed=7, epochs=3), z0)
-    per_step = (POWER_ITERATIONS + 1) * problem.n
+    per_step = Y_BOUND_PASSES * problem.n
+    assert per_step == 2 * problem.n
     assert [row.lipschitz_sfo for row in res.trace.rows] == [per_step, 2 * per_step, 3 * per_step]
+
+
+@pytest.mark.parametrize("algorithm", ["spring-sgd", "spring-saga", "spring-sarah"])
+def test_bid_subsampled_draws_charge_their_bound_passes(algorithm):
+    # A b = 1 draw on the golden BID case is charged its passes: X_BOUND_PASSES (4) for
+    # the x-bound and Y_BOUND_PASSES (2) for the y-bound, 6 per step (12 while both
+    # blocks were power-iterated).  No envelope anchors on these runs.
+    problem, z0, kw = _golden_case("bid")
+    res = run(problem, SolverConfig(algorithm=algorithm, seed=7, **{**kw, "epochs": 2}), z0)
+    assert X_BOUND_PASSES + Y_BOUND_PASSES == 6
+    assert [row.lipschitz_sfo for row in res.trace.rows] == [6 * problem.n, 12 * problem.n]
+
+
+def test_bid_runs_draw_nothing_from_the_power_init_stream(monkeypatch):
+    # Every BID draw is a bound, so one epoch of each algorithm leaves the run's
+    # power_init generator where it was built; the stochastic runs do draw batches.
+    problem, z0, kw = _golden_case("bid")
+    for algorithm in ALGORITHMS:
+        built = {}
+
+        def spy(seed, purpose):
+            built[purpose] = stream_rng(seed, purpose)
+            return built[purpose]
+
+        monkeypatch.setattr(solver_module, "stream_rng", spy)
+        run(problem, SolverConfig(algorithm=algorithm, seed=7, **kw), z0)
+        # A Philox state holds arrays, so the generators are compared by their next draws.
+        for purpose, generator in built.items():
+            untouched = np.array_equal(generator.random(4), stream_rng(7, purpose).random(4))
+            assert untouched == (purpose == "power_init"), (algorithm, purpose)
+
+
+@pytest.mark.parametrize("size, kernel, tiles", [(16, 3, 4), (32, 5, 16), (64, 9, 16)])
+def test_bid_palm_y_steps_descend(monkeypatch, size, kernel, tiles):
+    # PALM's BID y-step is 1/L (inertial PALM's 0.9/L) for the Collatz-Wielandt bound L,
+    # at or above the y-block's Lipschitz modulus, and the kernel prox is a projection,
+    # so by the descent lemma no y-half-step raises the objective: phi at
+    # (x_{k+1}, y_{k+1}) is at most phi at the point the y-step starts from,
+    # (x_{k+1}, y_bar) with y_bar = y_k + beta (y_k - y_{k-1}).  That point may leave
+    # the kernel's feasible set under momentum, so it is measured without R(y).
+    Z, _, _ = toy_blurred_image(seed=0, size=size, kernel=kernel)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(kernel, kernel), n_tiles=tiles)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    real_step = solver_module._step
+    for algorithm in ("palm", "ipalm"):
+        steps = []
+
+        def spy(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
+            out = real_step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name)
+            steps.append((z.y + beta * (z.y - z_prev.y), out[0]))
+            return out
+
+        monkeypatch.setattr(solver_module, "_step", spy)
+        run(problem, SolverConfig(algorithm=algorithm, epochs=30, seed=0, track_grad_map=False), z0)
+        assert len(steps) == 30
+        for k, (y_bar, z_next) in enumerate(steps):
+            before = problem.reg_x_value(z_next.x) + smooth_value(problem, Iterate(z_next.x, y_bar))
+            after = objective(problem, z_next)
+            assert after - before <= 1e-12 * abs(before), (algorithm, k, before, after)
 
 
 @pytest.mark.parametrize("size, kernel, tiles", [(16, 3, 4), (32, 5, 16), (64, 9, 16)])
