@@ -11,11 +11,10 @@
 * the blind-deconvolution batch oracles (``grad_x``, ``grad_y`` and ``value``)
   and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
   bid-medium shapes (16 tiles; b = 1 and the full batch);
-* each Lipschitz draw (the hook forming its operator plus the solver's
-  value on it: the ``POWER_ITERATIONS``-iteration estimate, or the
-  Collatz-Wielandt bound where the operator sets its passes, as every BID
-  operator does) at nmf-medium shapes (200 x 500, r = 10; b = 13 and the
-  full batch) and bid-medium shapes (16 tiles; b = 1 and the full batch);
+* each block's Lipschitz hook, the value the solver draws (the NMF hooks'
+  ``POWER_ITERATIONS``-iteration power method, the BID hooks' bounds) at
+  nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
+  bid-medium shapes (16 tiles; b = 1 and the full batch);
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
 * one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
@@ -36,7 +35,6 @@ import pytest
 from springopt.core import Iterate
 from springopt.estimators import BatchSampler, SagaState, sample_batch
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import POWER_ITERATIONS, lipschitz_estimate
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -122,13 +120,9 @@ def test_bid_row_oracle(benchmark, bid, oracle, b):
         benchmark(problem.rows_mean_x, idx, problem.rows_x(idx, z.x, z.y))
 
 
-def _estimate(hook, z, batch, rng):
-    return lipschitz_estimate(hook(z.x, z.y, batch), POWER_ITERATIONS, rng)
-
-
 def _draw(benchmark, problem, z, block, batch):
     hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
-    benchmark(_estimate, hook, z, batch, np.random.default_rng(0))
+    benchmark(hook, z.x, z.y, batch, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
@@ -166,8 +160,8 @@ def test_spring_step(benchmark, request, workload, kind):
     if kind == "saga":
         driver.saga = SagaState.from_problem(problem)
     rng = np.random.default_rng(0)
-    gamma_x = 1.0 / _estimate(problem.lipschitz_x, z, np.arange(problem.n), rng)
-    gamma_y = 1.0 / _estimate(problem.lipschitz_y, z, np.arange(problem.n), rng)
+    gamma_x = 1.0 / problem.lipschitz_x(z.x, z.y, np.arange(problem.n), rng)[0]
+    gamma_y = 1.0 / problem.lipschitz_y(z.x, z.y, np.arange(problem.n), rng)[0]
     benchmark(spring_step, problem, z, driver, gamma_x, gamma_y)
 
 

@@ -36,6 +36,7 @@ RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
+LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.random.Generator], tuple[float, int]]
 
 
 class SmoothTerm(NamedTuple):
@@ -44,23 +45,6 @@ class SmoothTerm(NamedTuple):
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-
-
-class CurvatureOperator(NamedTuple):
-    """A block's curvature operator: the PSD action ``apply`` (v -> M^T(M v)) on
-    vectors of length ``dim``.  The block's Lipschitz estimate is the power
-    method's estimate of its norm plus ``shift``.
-
-    A hook sets ``bound_passes`` only where ``apply`` is the action of an
-    entrywise nonnegative symmetric G whose top eigenvalue is at or above the
-    block's curvature (such as |M|^T |M|, taking M's entries as |.|).  The
-    value is then the Collatz-Wielandt bound on G from that many passes plus
-    ``shift``, a certified upper bound that draws no random start vector."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    shift: float = 0.0
-    bound_passes: int | None = None
 
 
 def _zero_reg(_v: np.ndarray) -> float:
@@ -95,16 +79,14 @@ class BlockProblem:
     the solver adds G's exact gradient to every stochastic x-estimate,
     uncharged, so it needs no variance reduction.  G's gradient is added in
     place to the arrays ``grad_x`` and ``rows_mean_x`` return, so these must
-    be fresh.  G's curvature belongs in the x-hook's ``shift``.
+    be fresh.  G's curvature belongs in the x-hook's value.
 
-    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
-    block's ``CurvatureOperator`` at (x, y) for the sorted indices ``batch``,
-    the full batch being ``np.arange(n)`` as for the oracles;
-    ``lipschitz.lipschitz_estimate`` runs the power method on it, or the
-    Collatz-Wielandt bound where its ``bound_passes`` is set.  Where the
-    block has a closed-form bound on its Lipschitz modulus for that batch,
-    shift included, the hook may return it as a ``float`` instead; it is then
-    used as it is, with no power method and no oracle charge.
+    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch, rng)`` return
+    their block's Lipschitz value at (x, y) on the sorted indices ``batch``,
+    the full batch being ``np.arange(n)`` as for the oracles, and the number
+    of operator applications made for it; ``lipschitz.lipschitz_draw``
+    charges ``len(batch)`` SFO for each.  A hook that estimates draws its
+    random start vector from ``rng``.
     """
 
     n: int
@@ -117,8 +99,8 @@ class BlockProblem:
     reg_y_value: RegFn = _zero_reg
     prox_x: ProxFn = _identity_prox
     prox_y: ProxFn = _identity_prox
-    lipschitz_x: Callable[..., CurvatureOperator | float] | None = None
-    lipschitz_y: Callable[..., CurvatureOperator | float] | None = None
+    lipschitz_x: LipschitzFn | None = None
+    lipschitz_y: LipschitzFn | None = None
     # Optional per-row oracles for SAGA tables; without them a row is dense.
     rows_x: RowsFn | None = None
     rows_mean_x: RowsMeanFn | None = None

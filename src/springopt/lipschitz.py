@@ -1,4 +1,4 @@
-"""Step-size machinery: curvature estimates and bounds, and step bounds.
+"""Step-size machinery: Lipschitz draws and step bounds.
 
 Block step sizes come from one of three sources:
 
@@ -8,30 +8,30 @@ Block step sizes come from one of three sources:
   larger of the two step sizes (plus the per-block 1/(4L) caps);
 * fixed user-supplied constants.
 
-A problem's hook returns its block's curvature in one of three forms, and
-``lipschitz_estimate`` turns each into the block's Lipschitz value:
+A problem's hooks ``lipschitz_x/lipschitz_y(x, y, batch, rng)`` return their
+block's Lipschitz value on ``batch`` and the operator applications they made
+for it.  A hook computes the value by one of two rules here, or in closed form
+with no application:
 
-* a ``CurvatureOperator`` for the power method, which estimates the largest
-  squared singular value of an operator M through the symmetric action
+* ``power_estimate_sq_norm``, the power method, estimates the largest squared
+  singular value of an operator M through the symmetric action
   v -> M^T(M v).  It is a Rayleigh-type estimate: monotonically
   non-decreasing in the iteration count and never above the true value, so
   no safety factor is applied on top of it.  It starts from a random vector
-  drawn from the caller's generator.
-* a ``CurvatureOperator`` with ``bound_passes`` set, for an entrywise
-  nonnegative symmetric G that majorizes the block's curvature.  The
-  Collatz-Wielandt bound (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26)
-  takes ``bound_passes`` applications from the all-ones vector: for
-  v = G^(k-1) 1, lambda_max(G) <= max_i (G v)_i / v_i over the support of v.
-  It is a certified upper bound, non-increasing in the pass count, and
-  draws nothing from the generator.
-* a ``float``, the block's closed-form bound, passed through unchanged.
+  drawn from the hook's generator.
+* ``collatz_wielandt_bound`` bounds the top eigenvalue of an entrywise
+  nonnegative symmetric G that majorizes the block's curvature (Horn &
+  Johnson, *Matrix Analysis*, Thm 8.1.26): for v = G^(k-1) 1,
+  lambda_max(G) <= max_i (G v)_i / v_i over the support of v.  It is a
+  certified upper bound, non-increasing in the pass count, and draws nothing
+  from the generator.
 
-So a block whose value draws no start vector leaves the generator where it
-was, and every later power method reads the stream one start vector earlier
-than if that block were power-iterated.  ``lipschitz_draw`` is the solver's
-draw: both blocks' values on one batch and their charge in stochastic
-first-order oracle calls (SFO), ``len(batch)`` per operator application, so
-a closed-form block is charged nothing.
+So a hook that draws no start vector leaves the generator where it was, and
+every later power method reads the stream one start vector earlier than if
+that block were power-iterated.  ``lipschitz_draw`` is the solver's draw:
+both blocks' values on one batch, x first, from one generator, and their
+charge in stochastic first-order oracle calls (SFO), ``len(batch)`` per
+operator application.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BlockProblem, CurvatureOperator, Iterate
+from .core import BlockProblem, Iterate
 
 ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 
@@ -58,15 +58,14 @@ def power_estimate_sq_norm(
     dim: int,
     iterations: int,
     rng: np.random.Generator,
-    return_applications: bool = False,
-) -> float | tuple[float, int]:
+) -> tuple[float, int]:
     """Estimate ||M||^2 from the PSD action v -> M^T(M v), which returns a float ndarray.
 
     Runs ``iterations`` normalized iterations from a random unit vector
-    drawn from ``rng`` and returns the norm of one more application.
-    Returns 0 when the operator annihilates the sampled direction.  With
-    ``return_applications`` the result is the pair (estimate, applications
-    made): ``iterations + 1``, fewer when the operator annihilates an iterate.
+    drawn from ``rng`` and returns the norm of one more application, with
+    the applications made: ``iterations + 1``.  An iterate that the operator
+    annihilates stops it early with the estimate 0, and one whose norm
+    overflows stops it with the estimate inf.
     """
     if iterations < 1:
         raise ValueError(f"power method needs at least one iteration, got {iterations}")
@@ -77,20 +76,19 @@ def power_estimate_sq_norm(
     for applied in range(1, iterations + 1):
         w = apply(v)
         nrm = _norm(w)
-        if nrm == 0.0:
-            return (0.0, applied) if return_applications else 0.0
+        if nrm == 0.0 or nrm == math.inf:
+            return nrm, applied
         v = w / nrm
-    estimate = _norm(apply(v))
-    return (estimate, iterations + 1) if return_applications else estimate
+    return _norm(apply(v)), iterations + 1
 
 
 def collatz_wielandt_bound(
     apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
     passes: int,
-    return_applications: bool = False,
-) -> float | tuple[float, int]:
-    """Upper bound on lambda_max(G) from ``passes`` applications of ``apply``, v -> G v.
+) -> tuple[float, int]:
+    """Upper bound on lambda_max(G) from ``passes`` applications of ``apply``, v -> G v,
+    with the applications made.
 
     G must be entrywise nonnegative and symmetric, and ``apply`` returns a
     float ndarray.  From v = 1, each pass but the last applies G and divides
@@ -100,9 +98,8 @@ def collatz_wielandt_bound(
     bounds lambda_max by the Collatz-Wielandt inequality (Horn & Johnson,
     *Matrix Analysis*, Thm 8.1.26).  The bound does not increase with the
     pass count, is exact on a rank-one G from two passes, and is 0 for the
-    zero operator.  No randomness is involved.  With ``return_applications``
-    the result is the pair (bound, applications made): ``passes``, fewer when
-    G annihilates the ones vector.
+    zero operator.  No randomness is involved.  A pass whose maximum is 0 or
+    not finite stops early with that maximum as the bound.
     """
     if passes < 1:
         raise ValueError(f"the bound needs at least one pass, got {passes}")
@@ -111,54 +108,28 @@ def collatz_wielandt_bound(
     v = np.ones(dim)
     for applied in range(1, passes):
         w = apply(v)
-        top = w.max()
-        if top == 0.0:
-            return (0.0, applied) if return_applications else 0.0
+        top = float(w.max())
+        if top == 0.0 or not math.isfinite(top):
+            return top, applied
         v = w / top
     w = apply(v)
     support = v > 0.0
-    bound = float(np.max(w[support] / v[support], initial=0.0))
-    return (bound, passes) if return_applications else bound
-
-
-def lipschitz_estimate(op: CurvatureOperator | float, iterations: int, rng: np.random.Generator) -> float:
-    """Lipschitz value of a hook's return: a float unchanged; for an operator, its
-    Collatz-Wielandt bound over ``op.bound_passes`` passes where that is set, else its
-    ``iterations``-iteration power-method estimate from ``rng``, plus ``op.shift``.
-
-    Only the power method draws from ``rng``.
-    """
-    return _counted_estimate(op, iterations, rng)[0]
+    return float(np.max(w[support] / v[support], initial=0.0)), passes
 
 
 def lipschitz_draw(
     problem: BlockProblem, z: Iterate, batch: np.ndarray, rng: np.random.Generator
 ) -> tuple[float, float, int]:
-    """One (L_x, L_y) draw from the hooks' returns on ``batch`` at z, each power method
-    POWER_ITERATIONS iterations from ``rng``, and its SFO charge: ``len(batch)`` per
-    operator application."""
+    """One (L_x, L_y) draw from the hooks on ``batch`` at z, x first, both from ``rng``,
+    and its SFO charge: ``len(batch)`` per operator application."""
     if problem.lipschitz_x is None or problem.lipschitz_y is None:
         raise ValueError(
             "the practical/theoretical step policies need the problem's Lipschitz hooks; "
             "use step_policy='fixed' for problems without them"
         )
-    lx, applied_x = _counted_estimate(problem.lipschitz_x(z.x, z.y, batch), POWER_ITERATIONS, rng)
-    ly, applied_y = _counted_estimate(problem.lipschitz_y(z.x, z.y, batch), POWER_ITERATIONS, rng)
+    lx, applied_x = problem.lipschitz_x(z.x, z.y, batch, rng)
+    ly, applied_y = problem.lipschitz_y(z.x, z.y, batch, rng)
     return lx, ly, (applied_x + applied_y) * len(batch)
-
-
-def _counted_estimate(
-    op: CurvatureOperator | float, iterations: int, rng: np.random.Generator
-) -> tuple[float, int]:
-    """``lipschitz_estimate`` of ``op`` and the operator applications it made: none for a
-    closed-form float, and fewer than its rule's count when the operator annihilates an iterate."""
-    if not isinstance(op, CurvatureOperator):
-        return op, 0
-    if op.bound_passes is None:
-        lip, applied = power_estimate_sq_norm(op.apply, op.dim, iterations, rng, return_applications=True)
-    else:
-        lip, applied = collatz_wielandt_bound(op.apply, op.dim, op.bound_passes, return_applications=True)
-    return lip + op.shift, applied
 
 
 def _norm(v: np.ndarray) -> float:
@@ -194,12 +165,11 @@ def practical_step_sizes(
     epoch counter k >= 1;  spring-saga: 1/(3L);  spring-sarah: 1/(2L).
 
     These are heuristics, not the analysis' steps.  The PALM step is exactly
-    1/L for the estimate L it is given, and the power method estimates from
-    below, so the step can exceed one over the block's true Lipschitz
+    1/L for the value L it is given.  A power-method value is an estimate
+    from below, so its step can exceed one over the block's true Lipschitz
     modulus; the descent lemma of PALM (Bolte, Sabach, Teboulle 2014) needs
-    the step strictly below it.  A hook's closed-form bound or
-    Collatz-Wielandt bound is at or above the modulus, so its 1/L is a
-    descent step: both BID PALM steps are.
+    the step strictly below it.  The BID hooks' values are upper bounds, so
+    both BID PALM steps are descent steps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

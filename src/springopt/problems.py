@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockProblem, CurvatureOperator, Iterate, SmoothTerm
+from .core import BlockProblem, Iterate, SmoothTerm
+from .lipschitz import POWER_ITERATIONS, collatz_wielandt_bound, power_estimate_sq_norm
 
 # ---------------------------------------------------------------------------
 # Proximal operators
@@ -210,18 +211,18 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         # The rows' decoding, so a SAGA table's fresh mean is the oracle's bit for bit.
         return rows_mean_y(idx, rows_y(idx, xv, yv))
 
-    # Both hooks return an r x r Gram matrix with the scale folded in, formed
+    # Both hooks power-iterate an r x r Gram matrix with the scale folded in, formed
     # once per draw.
-    def lip_x(xv, yv, batch):
+    def lip_x(xv, yv, batch, rng):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
         # 2 (d/b) ||Y_B||^2.
         cols = gather(batch, yv.reshape(r, d), 1)
-        return CurvatureOperator(((2.0 * d / len(batch)) * (cols @ cols.T)).dot, r)
+        return power_estimate_sq_norm(((2.0 * d / len(batch)) * (cols @ cols.T)).dot, r, POWER_ITERATIONS, rng)
 
-    def lip_y(xv, yv, batch):
+    def lip_y(xv, yv, batch, rng):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
-        return CurvatureOperator(((2.0 * d / len(batch)) * (X.T @ X)).dot, r)
+        return power_estimate_sq_norm(((2.0 * d / len(batch)) * (X.T @ X)).dot, r, POWER_ITERATIONS, rng)
 
     return BlockProblem(
         n=d,
@@ -598,7 +599,7 @@ class BlindDeblurProblem:
     so the valid correlation matches Z exactly.  The residual grid is split
     into ``n_tiles`` components, each the data term of one tile; the smooth
     edge regularizer is the deterministic ``smooth_x`` term, outside the
-    finite sum, and its curvature is the x-hook's ``shift``.  A SAGA x-row
+    finite sum, and its curvature is added to the x-hook's value.  A SAGA x-row
     is the tile's residual, zero-padded to the largest tile, followed by the
     kernel at the visit: max tile area + kh * kw numbers.
     """
@@ -712,21 +713,22 @@ class BlindDeblurProblem:
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
         # The Lipschitz hooks bound the top eigenvalue of M_B^T M_B for the sampled tiles'
-        # residual map M_B.  The tiles partition the residual grid, so on the full batch
-        # (all n tiles) the x-operator is 2 M^T M for the valid correlation M with Y, and
-        # Young's inequality gives ||M|| <= ||Y||_1: the x-hook returns that bound in
-        # closed form, with no correlation.  Below the full batch it is loose against the
-        # sampled windows' curvature, so the x-hook, like the y-hook at every batch size,
-        # returns a nonnegative operator for the Collatz-Wielandt bound: M_B with its
-        # data taken as |.| (|Y| for x, the windows of |X| for y) majorizes M_B entrywise,
-        # so ||M_B|| <= || |M_B| || and |M_B|^T |M_B| is nonnegative and symmetric.
-        # Either x-value adds the smooth_x term's curvature as the shift: Phi'' <= 2 theta,
+        # residual map M_B, and draw nothing from their generator.  The tiles partition
+        # the residual grid, so on the full batch (all n tiles) the x-operator is 2 M^T M
+        # for the valid correlation M with Y, and Young's inequality gives
+        # ||M|| <= ||Y||_1: the x-hook returns that bound in closed form, with no
+        # correlation.  Below the full batch it is loose against the sampled windows'
+        # curvature, so the x-hook, like the y-hook at every batch size, takes the
+        # Collatz-Wielandt bound of a nonnegative operator: M_B with its data taken as
+        # |.| (|Y| for x, the windows of |X| for y) majorizes M_B entrywise, so
+        # ||M_B|| <= || |M_B| || and |M_B|^T |M_B| is nonnegative and symmetric.
+        # Either x-value adds the smooth_x term's curvature: Phi'' <= 2 theta,
         # ||D^T D|| <= 8.
         edge_curvature = 16.0 * lam * theta
 
-        def lip_x(xv, yv, batch):
+        def lip_x(xv, yv, batch, _rng):
             if len(batch) == n:
-                return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature
+                return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature, 0
             # Applied window by window, like the oracles, so no correlation is larger than
             # a padded tile window; overlapping windows accumulate.  The operator vanishes
             # outside the sampled windows, so it acts on their bounding box alone: for
@@ -747,13 +749,14 @@ class BlindDeblurProblem:
                 g *= scale
                 return g.ravel()
 
-            return CurvatureOperator(apply, box[0] * box[1], edge_curvature, X_BOUND_PASSES)
+            bound, applied = collatz_wielandt_bound(apply, box[0] * box[1], X_BOUND_PASSES)
+            return bound + edge_curvature, applied
 
         # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
         # y-operator is (2n/b) sum_j P_j^T P_j, applied as two window correlations per
         # sampled tile with the window's |X|: P_j v correlates the window with the kernel
         # v, and P_j^T u is the window correlated with u.
-        def lip_y(xv, yv, batch):
+        def lip_y(xv, yv, batch, _rng):
             X = xv.reshape(hx, wx)
             sampled, scale = [np.abs(X[windows[j]]) for j in batch], 2.0 * n / len(batch)
 
@@ -765,7 +768,7 @@ class BlindDeblurProblem:
                 g *= scale
                 return g.ravel()
 
-            return CurvatureOperator(apply, kh * kw, 0.0, Y_BOUND_PASSES)
+            return collatz_wielandt_bound(apply, kh * kw, Y_BOUND_PASSES)
 
         return BlockProblem(
             n=n,
@@ -801,10 +804,15 @@ class BlindDeblurProblem:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic toys (testing and calibration).  Their Lipschitz hooks return the
-# 1 x 1 operator [[L]]; the power method returns L from it exactly, since
-# sqrt(L * L) == L in binary64.
+# Quadratic toys (testing and calibration).
 # ---------------------------------------------------------------------------
+
+
+def _constant_lipschitz(lip: float):
+    """A hook that power-iterates the 1 x 1 operator [[lip]]: the estimate is lip
+    exactly, since sqrt(lip * lip) == lip in binary64."""
+    apply = np.array([[lip]]).dot
+    return lambda x, y, batch, rng: power_estimate_sq_norm(apply, 1, POWER_ITERATIONS, rng)
 
 
 def make_separable_quadratic(
@@ -843,8 +851,8 @@ def make_separable_quadratic(
         value=value,
         grad_x=lambda idx, x, y: (x - a_i[idx]).mean(axis=0),
         grad_y=lambda idx, x, y: (y - b_i[idx]).mean(axis=0),
-        lipschitz_x=lambda x, y, batch: CurvatureOperator(np.array([[1.0]]).dot, 1),
-        lipschitz_y=lambda x, y, batch: CurvatureOperator(np.array([[1.0]]).dot, 1),
+        lipschitz_x=_constant_lipschitz(1.0),
+        lipschitz_y=_constant_lipschitz(1.0),
     )
     phi_star = 0.5 * float((ea * ea).sum() + (eb * eb).sum()) / n
     info = {"a": a, "b": b, "phi_star": phi_star, "a_i": a_i, "b_i": b_i, "L": 1.0}
@@ -891,8 +899,8 @@ def make_random_quadratic(dim_x: int = 4, dim_y: int = 4, n: int = 5, seed: int 
         value=value,
         grad_x=lambda idx, x, y: (Ps[idx] @ x + Rs[idx] @ y + ss[idx]).mean(axis=0),
         grad_y=lambda idx, x, y: (Qs[idx] @ y + x @ Rs[idx] + ts[idx]).mean(axis=0),
-        lipschitz_x=lambda x, y, batch: CurvatureOperator(np.array([[lip_x_exact]]).dot, 1),
-        lipschitz_y=lambda x, y, batch: CurvatureOperator(np.array([[lip_y_exact]]).dot, 1),
+        lipschitz_x=_constant_lipschitz(lip_x_exact),
+        lipschitz_y=_constant_lipschitz(lip_y_exact),
     )
     info = {
         "P": Ps, "Q": Qs, "R": Rs, "s": ss, "t": ts,

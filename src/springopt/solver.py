@@ -307,7 +307,7 @@ class _StepSizes:
     realizes much larger curvature.  So its estimate is a running maximum of
     the draws, decaying by half over ~2 epochs when the landscape flattens,
     and anchored on a full-batch draw at the current iterate while
-    degenerate.
+    degenerate.  A draw that is not finite raises ``DivergenceError``.
     """
 
     def __init__(self, problem, config, z0, kind, b, sarah_p):
@@ -344,6 +344,11 @@ class _StepSizes:
         """``lipschitz_draw`` from the run's ``power_init`` stream, its charge added to ``sfo``."""
         lx, ly, charge = lipschitz_draw(self.problem, z, batch, self.rng)
         self.sfo += charge
+        if not (math.isfinite(lx) and math.isfinite(ly)):
+            raise DivergenceError(
+                f"non-finite Lipschitz draw (L_x, L_y) = ({lx}, {ly})",
+                snapshot={"lipschitz_x": lx, "lipschitz_y": ly, "batch_size": len(batch)},
+            )
         return lx, ly
 
     def _estimate(self, z):
@@ -396,8 +401,10 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     warm_steps = steps_per_epoch if config.warm_start and kind in ("saga", "sarah") else 0
     steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
 
-    # The divergence cap DIVERGENCE_FACTOR * max(1, |phi(z0)|) is never below
-    # DIVERGENCE_FACTOR, so phi(z0) is evaluated only once an objective passes that.
+    # The divergence cap DIVERGENCE_FACTOR * max(1, |phi0|) is never below
+    # DIVERGENCE_FACTOR, so phi0 is evaluated only once an objective passes that.  It is
+    # phi(z0), or the first traced objective where phi(z0) is not finite (a start outside
+    # an indicator's set), so that the cap stays finite.
     phi0 = None
     trace = Trace()
     z = z0
@@ -427,6 +434,7 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
             if phi > DIVERGENCE_FACTOR:
                 if phi0 is None:
                     phi0 = objective(problem, z0)
+                    phi0 = phi0 if math.isfinite(phi0) else trace.rows[0].objective
                 if phi > DIVERGENCE_FACTOR * max(1.0, abs(phi0)):
                     raise DivergenceError(
                         f"objective {phi:.3e} exceeded {DIVERGENCE_FACTOR:g} x its initial magnitude",

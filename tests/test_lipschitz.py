@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springopt.core import CurvatureOperator
+from springopt.harness.datasets import toy_blurred_image
 from springopt.lipschitz import (
     closed_form_step_cap,
     collatz_wielandt_bound,
     ipalm_momentum,
-    lipschitz_estimate,
     power_estimate_sq_norm,
     practical_step_sizes,
     theoretical_step_bound,
 )
+from springopt.problems import BlindDeblurProblem
 
 
 def _matrix_apply(M):
@@ -23,17 +23,26 @@ def _matrix_apply(M):
 def test_power_diagonal_oracle():
     # Exact eigendecomposition oracle: ||diag(3,1)||^2 = 9.
     M = np.diag([3.0, 1.0])
-    estimate = power_estimate_sq_norm(_matrix_apply(M), 2, 50, np.random.default_rng(0))
+    estimate, _ = power_estimate_sq_norm(_matrix_apply(M), 2, 50, np.random.default_rng(0))
     assert estimate == pytest.approx(9.0, abs=1e-6)
 
 
 def test_power_identity_exact():
-    estimate = power_estimate_sq_norm(_matrix_apply(np.eye(4)), 4, 3, np.random.default_rng(1))
+    estimate, _ = power_estimate_sq_norm(_matrix_apply(np.eye(4)), 4, 3, np.random.default_rng(1))
     assert estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_zero_operator():
-    assert power_estimate_sq_norm(_matrix_apply(np.zeros((3, 3))), 3, 5, np.random.default_rng(2)) == 0.0
+    assert power_estimate_sq_norm(_matrix_apply(np.zeros((3, 3))), 3, 5, np.random.default_rng(2)) == (0.0, 1)
+
+
+@np.errstate(over="ignore")
+def test_power_reads_an_overflowing_norm_as_inf():
+    # ||G v|| past ~1e154 squares to inf; the estimate is inf, not the 0 that
+    # normalizing by inf would give.
+    for G in (np.array([[1e200]]), 1e160 * np.eye(3)):
+        estimate, applied = power_estimate_sq_norm(G.dot, len(G), 5, np.random.default_rng(0))
+        assert estimate == math.inf and applied == 1
 
 
 @settings(max_examples=25)
@@ -44,7 +53,7 @@ def test_power_monotone_and_never_exceeds_truth(dim, seed):
     truth = float(np.linalg.norm(M, 2) ** 2)
     estimates = []
     for iters in (1, 2, 4, 8, 16):
-        estimates.append(power_estimate_sq_norm(_matrix_apply(M), dim, iters, np.random.default_rng(seed + 1)))
+        estimates.append(power_estimate_sq_norm(_matrix_apply(M), dim, iters, np.random.default_rng(seed + 1))[0])
     # Same v0 stream per call, so the Rayleigh estimate grows with iterations.
     for a, b in zip(estimates, estimates[1:]):
         assert b >= a - 1e-9
@@ -78,7 +87,7 @@ def test_power_norms_bitwise_equal_linalg_norm_loop():
     for name, (apply, dim) in operators.items():
         for seed in range(6):
             for iters in (1, 5, 30):
-                got = power_estimate_sq_norm(apply, dim, iters, np.random.default_rng(seed))
+                got, _ = power_estimate_sq_norm(apply, dim, iters, np.random.default_rng(seed))
                 want = _power_estimate_reference(apply, dim, iters, np.random.default_rng(seed))
                 assert got == want, (name, seed, iters)
 
@@ -94,8 +103,7 @@ def test_power_rejects_bad_config():
 @given(lip=st.floats(1e-100, 1e100), seed=st.integers(0, 10_000), iters=st.integers(1, 30))
 def test_scalar_operator_estimate_is_exact(lip, seed, iters):
     # The quadratic toys' 1 x 1 operator [[L]]: sqrt(L * L) == L in binary64.
-    op = CurvatureOperator(np.array([[lip]]).dot, 1)
-    assert lipschitz_estimate(op, iters, np.random.default_rng(seed)) == lip
+    assert power_estimate_sq_norm(np.array([[lip]]).dot, 1, iters, np.random.default_rng(seed)) == (lip, iters + 1)
 
 
 def test_power_reports_its_applications():
@@ -113,10 +121,9 @@ def test_power_reports_its_applications():
                 made[0] += 1
                 return apply(v)
 
-            estimate, applied = power_estimate_sq_norm(counted, 6, iterations, np.random.default_rng(4),
-                                                       return_applications=True)
+            estimate, applied = power_estimate_sq_norm(counted, 6, iterations, np.random.default_rng(4))
             assert applied == made[0] == min(iterations + 1, annihilated_at[name] or iterations + 1), name
-            assert estimate == power_estimate_sq_norm(apply, 6, iterations, np.random.default_rng(4)), name
+            assert estimate == _power_estimate_reference(apply, 6, iterations, np.random.default_rng(4)), name
 
 
 # The Collatz-Wielandt bound, checked against dense eigvalsh.  A bound computed in
@@ -135,14 +142,14 @@ def _eigvalsh_max(G):
        passes=st.integers(1, 8))
 def test_bound_is_at_or_above_the_top_eigenvalue(dim, seed, density, passes):
     G = _nonnegative_symmetric(np.random.default_rng(seed), dim, density)
-    assert collatz_wielandt_bound(G.dot, dim, passes) >= _eigvalsh_max(G) * (1 - 1e-12)
+    assert collatz_wielandt_bound(G.dot, dim, passes)[0] >= _eigvalsh_max(G) * (1 - 1e-12)
 
 
 @settings(max_examples=50)
 @given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]))
 def test_bound_does_not_increase_with_passes(dim, seed, density):
     G = _nonnegative_symmetric(np.random.default_rng(seed), dim, density)
-    bounds = [collatz_wielandt_bound(G.dot, dim, passes) for passes in range(1, 12)]
+    bounds = [collatz_wielandt_bound(G.dot, dim, passes)[0] for passes in range(1, 12)]
     for fewer, more in zip(bounds, bounds[1:]):
         assert more <= fewer * (1 + 1e-12)
     # One pass from the ones vector is the largest row sum.
@@ -158,7 +165,7 @@ def test_bound_is_exact_on_rank_one(dim, seed, zeros):
     u[:min(zeros, dim - 1)] = 0.0
     G = np.outer(u, u)
     for passes in (2, 3, 6):
-        assert collatz_wielandt_bound(G.dot, dim, passes) == pytest.approx(float(u @ u), rel=1e-13)
+        assert collatz_wielandt_bound(G.dot, dim, passes)[0] == pytest.approx(float(u @ u), rel=1e-13)
 
 
 def test_bound_takes_the_ratio_on_the_support_only():
@@ -166,19 +173,38 @@ def test_bound_takes_the_ratio_on_the_support_only():
     # ratio on the rest bounds the nonzero block: here diag(3, 0, 1) is exact from
     # two passes, and a zero row inside a block is skipped as well.
     G = np.diag([3.0, 0.0, 1.0])
-    assert collatz_wielandt_bound(G.dot, 3, 1) == 3.0
-    assert collatz_wielandt_bound(G.dot, 3, 2) == 3.0
+    assert collatz_wielandt_bound(G.dot, 3, 1) == (3.0, 1)
+    assert collatz_wielandt_bound(G.dot, 3, 2) == (3.0, 2)
     block = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
     with np.errstate(all="raise"):
         for passes in (1, 2, 5):
-            assert collatz_wielandt_bound(block.dot, 3, passes) == 3.0
+            assert collatz_wielandt_bound(block.dot, 3, passes) == (3.0, passes)
+
+
+def _toy_bid():
+    Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=5)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
+    return adapter, adapter.block_problem(), adapter.initial_iterate()
 
 
 def test_bound_of_the_zero_operator_is_the_shift():
     for passes in (1, 2, 4):
-        assert collatz_wielandt_bound(np.zeros((4, 4)).dot, 4, passes, return_applications=True) == (0.0, 1)
-        op = CurvatureOperator(np.zeros((4, 4)).dot, 4, 2.5, passes)
-        assert lipschitz_estimate(op, 5, np.random.default_rng(0)) == 2.5
+        assert collatz_wielandt_bound(np.zeros((4, 4)).dot, 4, passes) == (0.0, 1)
+    # Below the full batch, the BID x-value at the zero kernel is the bound of the zero
+    # operator plus the edge term's curvature 16 lam theta, after one application.
+    adapter, problem, z = _toy_bid()
+    shift = 16.0 * adapter.lam * adapter.theta
+    assert problem.lipschitz_x(z.x, np.zeros_like(z.y), np.array([3]), None) == (shift, 1)
+
+
+@np.errstate(over="ignore")
+def test_bound_reads_an_overflowing_pass_as_inf():
+    # A pass whose maximum overflows stops with inf; dividing by it would leave NaN and
+    # zeros, and the ratio on the remaining support would read 0.
+    G = np.full((3, 3), 1e308)
+    for passes in (2, 4):
+        assert collatz_wielandt_bound(G.dot, 3, passes) == (math.inf, 1)
+    assert collatz_wielandt_bound(G.dot, 3, 1) == (math.inf, 1)
 
 
 def test_bound_reports_its_passes_and_draws_nothing():
@@ -190,14 +216,17 @@ def test_bound_reports_its_passes_and_draws_nothing():
             made[0] += 1
             return G.dot(v)
 
-        bound, applied = collatz_wielandt_bound(counted, 9, passes, return_applications=True)
+        bound, applied = collatz_wielandt_bound(counted, 9, passes)
         assert applied == made[0] == passes
-        assert bound == collatz_wielandt_bound(G.dot, 9, passes)
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        op = CurvatureOperator(G.dot, 9, 0.5, passes)
-        assert lipschitz_estimate(op, 5, rng) == bound + 0.5
-        assert rng.bit_generator.state == state
+        assert bound >= _eigvalsh_max(G) * (1 - 1e-12)
+    # The BID hooks, whose values are such bounds, leave their generator where it was.
+    _adapter, problem, z = _toy_bid()
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for hook in (problem.lipschitz_x, problem.lipschitz_y):
+        for batch in (np.array([2]), np.arange(problem.n)):
+            hook(z.x, z.y, batch, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_bound_rejects_bad_config():

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
 from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.lipschitz import POWER_ITERATIONS, collatz_wielandt_bound, lipschitz_estimate, power_estimate_sq_norm
+from springopt.lipschitz import POWER_ITERATIONS, collatz_wielandt_bound, lipschitz_draw, power_estimate_sq_norm
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -558,6 +560,7 @@ def test_factorization_oracle_memory_stays_blocked(oracle):
 @pytest.mark.parametrize("family", ["nmf", "pca"])
 def test_factorization_lipschitz_hooks_match_eigvalsh(family):
     # Exact references: 2 (d/b) Y_B Y_B^T and 2 (d/b) X^T X (full batch: 2 Y Y^T, 2 X^T X).
+    # Each hook's value is the power method's on its reference.
     rng = np.random.default_rng(23)
     m, d, r = 9, 14, 4
     A = rng.random((m, d))
@@ -571,15 +574,17 @@ def test_factorization_lipschitz_hooks_match_eigvalsh(family):
         cols = Y if batch is None else Y[:, batch]
         exact_x = float(np.linalg.eigvalsh(scale * cols @ cols.T)[-1])
         exact_y = float(np.linalg.eigvalsh(scale * X.T @ X)[-1])
-        for hook, exact in ((problem.lipschitz_x, exact_x), (problem.lipschitz_y, exact_y)):
-            op = hook(z.x, z.y, np.arange(d) if batch is None else batch)
-            assert lipschitz_estimate(op, 100, np.random.default_rng(5)) == pytest.approx(exact, rel=1e-10)
+        references = (scale * cols @ cols.T, scale * X.T @ X)
+        for hook, exact, G in zip((problem.lipschitz_x, problem.lipschitz_y), (exact_x, exact_y), references):
+            lip, applied = hook(z.x, z.y, np.arange(d) if batch is None else batch, np.random.default_rng(5))
+            want = power_estimate_sq_norm(G.dot, r, POWER_ITERATIONS, np.random.default_rng(5))
+            assert lip == pytest.approx(want[0], rel=1e-12) and applied == want[1] == POWER_ITERATIONS + 1
             # A Rayleigh-type estimate stays below the truth (up to rounding).
-            assert lipschitz_estimate(op, 5, np.random.default_rng(5)) <= exact * (1 + 1e-13)
+            assert lip <= exact * (1 + 1e-13)
 
 
 @pytest.mark.parametrize("family", ["nmf", "pca"])
-def test_factorization_lipschitz_estimates_match_matrix_free_operators(family):
+def test_factorization_lipschitz_values_match_matrix_free_operators(family):
     # The hooks iterate on r x r Gram matrices with the scale folded in; the
     # matrix-free operators cols (cols^T v) and X^T (X v), scaled afterwards,
     # give the same 5-iteration estimates from the same v0 stream.
@@ -597,11 +602,10 @@ def test_factorization_lipschitz_estimates_match_matrix_free_operators(family):
         references = (lambda v: cols @ (cols.T @ v), lambda v: X.T @ (X @ v))
         for hook, reference in zip((problem.lipschitz_x, problem.lipschitz_y), references):
             for seed in (0, 1, 2):
-                op = hook(z.x, z.y, np.arange(d) if batch is None else batch)
-                got = lipschitz_estimate(op, 5, np.random.default_rng(seed))
-                want = scale * power_estimate_sq_norm(reference, r, 5, np.random.default_rng(seed))
-                assert got == pytest.approx(want, rel=1e-12), (b, seed)
-                assert op.dim == r
+                got, applied = hook(z.x, z.y, np.arange(d) if batch is None else batch, np.random.default_rng(seed))
+                want, want_applied = power_estimate_sq_norm(reference, r, 5, np.random.default_rng(seed))
+                assert got == pytest.approx(scale * want, rel=1e-12), (b, seed)
+                assert applied == want_applied
 
 
 def test_pca_objective_includes_l1():
@@ -900,7 +904,7 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     generator = np.random.default_rng(0)
 
     def draw(hook, batch):
-        return lambda: lipschitz_estimate(hook(x, Y.ravel(), batch), POWER_ITERATIONS, generator)
+        return lambda: hook(x, Y.ravel(), batch, generator)
 
     calls = {
         "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2),
@@ -1153,6 +1157,24 @@ def _bid_sampled_box(adapter, batch):
             slice(min(cs.start for _, cs in tiles), max(cs.stop for _, cs in tiles) + kw - 1))
 
 
+def _bid_box_reference(adapter, batch, X, Y):
+    # The masked full-image x-operator on vectors of the sampled box, and the box's size:
+    # it vanishes outside the box, so this is its nonzero block.
+    apply_x = _bid_masked_lipschitz_reference(adapter, batch, X, Y)[0]
+    box = _bid_sampled_box(adapter, batch)
+
+    def apply(u):
+        v = np.zeros(X.shape)
+        v[box] = u.reshape(v[box].shape)
+        out = apply_x(v.ravel()).reshape(X.shape)
+        outside = np.ones(X.shape, dtype=bool)
+        outside[box] = False
+        assert not out[outside].any()
+        return out[box].ravel()
+
+    return apply, X[box].size
+
+
 def test_bid_lipschitz_hooks_match_masked_full_image(rng):
     # The uneven 6-tile grid above, whose tile windows overlap.  Every value the hooks
     # give, less the x-hook's regularizer curvature, is at or above the top eigenvalue
@@ -1178,33 +1200,23 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
             for X in images:
                 xv, yv = X.ravel(), Y.ravel()
                 apply_x, apply_y = _bid_masked_lipschitz_reference(adapter, batch, X, Y)
-                lip_x = lipschitz_estimate(problem.lipschitz_x(xv, yv, idx), 5, None)
-                lip_y = lipschitz_estimate(problem.lipschitz_y(xv, yv, idx), 5, None)
+                lip_x, _ = problem.lipschitz_x(xv, yv, idx, None)
+                lip_y, _ = problem.lipschitz_y(xv, yv, idx, None)
                 assert lip_x - offset >= _dense_top_eigenvalue(apply_x, X.size) * (1 - 1e-12), batch
                 assert lip_y >= _dense_top_eigenvalue(apply_y, Y.size) * (1 - 1e-12), batch
 
         Y, X = kernels[1], images[1]
-        op_x, op_y = (hook(X.ravel(), Y.ravel(), idx) for hook in (problem.lipschitz_x, problem.lipschitz_y))
-        abs_x, abs_y = _bid_masked_lipschitz_reference(adapter, batch, np.abs(X), np.abs(Y))
-        assert isinstance(op_x, float) == full
-        assert op_y.shift == 0.0 and op_y.bound_passes == problems_module.Y_BOUND_PASSES
-        for _ in range(3):
-            w = rng.standard_normal(op_y.dim)
-            want = abs_y(w)
-            np.testing.assert_allclose(op_y.apply(w), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        (lip_x, applied_x), (lip_y, applied_y) = (hook(X.ravel(), Y.ravel(), idx, None)
+                                                  for hook in (problem.lipschitz_x, problem.lipschitz_y))
+        abs_y = _bid_masked_lipschitz_reference(adapter, batch, np.abs(X), np.abs(Y))[1]
+        want_y, want_applied_y = collatz_wielandt_bound(abs_y, Y.size, problems_module.Y_BOUND_PASSES)
+        assert lip_y == pytest.approx(want_y, rel=1e-12) and applied_y == want_applied_y
         if full:
+            assert (lip_x, applied_x) == (2.0 * float(np.abs(Y).sum()) ** 2 + offset, 0)
             continue
-        assert op_x.shift == offset and op_x.bound_passes == problems_module.X_BOUND_PASSES
-        box = _bid_sampled_box(adapter, batch)
-        for _ in range(3):
-            v = np.zeros(shape)
-            v[box] = rng.standard_normal(v[box].shape)
-            want = abs_x(v.ravel()).reshape(shape)
-            outside = np.ones(shape, dtype=bool)
-            outside[box] = False
-            assert not want[outside].any()
-            np.testing.assert_allclose(op_x.apply(v[box].ravel()), want[box].ravel(), rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
+        abs_x, box_size = _bid_box_reference(adapter, batch, np.abs(X), np.abs(Y))
+        want_x, want_applied_x = collatz_wielandt_bound(abs_x, box_size, problems_module.X_BOUND_PASSES)
+        assert lip_x == pytest.approx(want_x + offset, rel=1e-12) and applied_x == want_applied_x
 
 
 def _bid_window_operators(adapter, batch, X, Y):
@@ -1239,7 +1251,7 @@ def _bid_window_operators(adapter, batch, X, Y):
     return apply_x, apply_y
 
 
-def test_bid_lipschitz_estimates_match_window_operators(rng):
+def test_bid_lipschitz_values_match_window_operators(rng):
     # The uneven, overlapping 6-tile grid above, on a nonnegative image and kernel (as
     # the prox keeps them).  Below the full batch each value is the Collatz-Wielandt
     # bound of the window-wise operator on the whole image, its rule's pass count from
@@ -1264,20 +1276,17 @@ def test_bid_lipschitz_estimates_match_window_operators(rng):
         for hook, reference, offset, dim, count in zip(hooks, references, offsets, dims, passes):
             generator = np.random.default_rng(0)
             state = generator.bit_generator.state
-            op = hook(xv, yv, np.arange(6) if batch is None else batch)
-            got = lipschitz_estimate(op, 5, generator)
+            got, applied = hook(xv, yv, np.arange(6) if batch is None else batch, generator)
             assert generator.bit_generator.state == state
-            closed_form = hook is problem.lipschitz_x and (batch is None or len(batch) == 6)
-            assert isinstance(op, float) == closed_form
-            if closed_form:
-                assert got == op == 2.0 * float(np.abs(Y).sum()) ** 2 + offset
+            if hook is problem.lipschitz_x and (batch is None or len(batch) == 6):
+                assert (got, applied) == (2.0 * float(np.abs(Y).sum()) ** 2 + offset, 0)
             else:
-                want = collatz_wielandt_bound(reference, dim, count) + offset
-                assert got == pytest.approx(want, rel=1e-12), batch
+                want, want_applied = collatz_wielandt_bound(reference, dim, count)
+                assert got == pytest.approx(want + offset, rel=1e-12) and applied == want_applied == count, batch
             lam_max = _dense_top_eigenvalue(reference, dim)
             assert got - offset >= lam_max * (1 - 1e-12), batch
             for seed in (0, 1, 2):
-                assert got >= power_estimate_sq_norm(reference, dim, 5, np.random.default_rng(seed)) + offset
+                assert got >= power_estimate_sq_norm(reference, dim, 5, np.random.default_rng(seed))[0] + offset
 
 
 def test_bid_full_batch_x_bound_is_tight_at_benchmark_shape():
@@ -1293,9 +1302,9 @@ def test_bid_full_batch_x_bound_is_tight_at_benchmark_shape():
     for z in (z0, run(problem, SolverConfig(algorithm="palm", epochs=3, seed=0), z0).z):
         X, Y = z.x.reshape(adapter.image_shape), z.y.reshape(9, 9)
         apply_x, _ = _bid_window_operators(adapter, np.arange(16), X, Y)
-        estimate = power_estimate_sq_norm(apply_x, X.size, 300, np.random.default_rng(0)) + offset
-        bound = problem.lipschitz_x(z.x, z.y, np.arange(16))
-        assert estimate <= bound <= 1.01 * estimate
+        estimate = power_estimate_sq_norm(apply_x, X.size, 300, np.random.default_rng(0))[0] + offset
+        bound, applied = problem.lipschitz_x(z.x, z.y, np.arange(16), None)
+        assert applied == 0 and estimate <= bound <= 1.01 * estimate
 
 
 def test_bid_bounds_are_tight_at_benchmark_shape():
@@ -1310,15 +1319,19 @@ def test_bid_bounds_are_tight_at_benchmark_shape():
     problem, z0 = adapter.block_problem(), adapter.initial_iterate()
     offset = 16.0 * adapter.lam * adapter.theta
     for z in (z0, run(problem, SolverConfig(algorithm="palm", epochs=3, seed=0), z0).z):
-        def ratio(hook, batch, shift=0.0):
-            op = hook(z.x, z.y, batch)
-            return (lipschitz_estimate(op, 5, None) - shift) / _dense_top_eigenvalue(op.apply, op.dim)
+        X, Y = np.abs(z.x.reshape(adapter.image_shape)), np.abs(z.y.reshape(9, 9))
 
-        full = ratio(problem.lipschitz_y, np.arange(16))
-        windows = [ratio(problem.lipschitz_y, np.array([j])) for j in range(16)]
+        def y_ratio(batch):
+            reference = _bid_window_operators(adapter, batch, X, Y)[1]
+            return problem.lipschitz_y(z.x, z.y, batch, None)[0] / _dense_top_eigenvalue(reference, Y.size)
+
+        full = y_ratio(np.arange(16))
+        windows = [y_ratio(np.array([j])) for j in range(16)]
         assert 1.0 - 1e-12 <= full <= 1.005
         assert min(windows) >= 1.0 - 1e-12 and max(windows) <= 1.011 and np.median(windows) <= 1.005
-        assert 1.0 - 1e-12 <= ratio(problem.lipschitz_x, np.array([5]), offset) <= 1.01
+        reference, box_size = _bid_box_reference(adapter, np.array([5]), X, Y)
+        lip_x = problem.lipschitz_x(z.x, z.y, np.array([5]), None)[0]
+        assert 1.0 - 1e-12 <= (lip_x - offset) / _dense_top_eigenvalue(reference, box_size) <= 1.01
 
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
@@ -1345,7 +1358,7 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     def draw_work(batch):
         work.clear()
         for hook in (problem.lipschitz_x, problem.lipschitz_y):
-            lipschitz_estimate(hook(z.x, z.y, batch), 5, np.random.default_rng(0))
+            hook(z.x, z.y, batch, np.random.default_rng(0))
         return sum(work)
 
     # The full-batch x-draw is closed-form and correlates nothing.  A pass of the
@@ -1387,7 +1400,7 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
 
     def y_draw(batch):
         correlated.clear()
-        lipschitz_estimate(problem.lipschitz_y(xv, z.y, batch), 5, np.random.default_rng(0))
+        problem.lipschitz_y(xv, z.y, batch, np.random.default_rng(0))
         assert not patched
         return list(correlated)
 
@@ -1527,54 +1540,43 @@ def test_bid_run_with_an_overflowing_image_step_diverges():
 # Lipschitz draws, pinned bitwise
 # ---------------------------------------------------------------------------
 
-# Each adapter's draw, lipschitz_estimate of its hook's operator, over batches
-# (full, 1, 2, 3 components) x power-method seeds x iteration counts, in that
-# nesting.  Recorded when each hook still ran the power method itself; the
-# 'bid' rows re-recorded when the correlations became Toeplitz products and the
-# full-batch x-draw went window by window (largest relative change 1.9e-16).
-# The six full-batch ('bid', 'x') entries are the closed-form bound
-# 2 ||Y||_1^2 + 16 lam theta since; the power method's were 9.187581822847484,
-# 9.626694593952784, 9.646894491638127, 9.186910920913746, 9.59906745613644
-# and 9.646894481889209.  The other 'bid' entries are Collatz-Wielandt bounds
-# since, each at or above the power method's 30-iteration value for its batch:
-# x 15.81212413028749, 11.906062065143747, 12.871171533966555 and y
-# 313.7081508405044, 85.48523968837314, 209.5070681101507, 126.65835299378942.
-DRAW_GRID = [(batch, seed, iterations) for batch in (None, (1,), (0, 3), (1, 2, 5))
-             for seed in (0, 1) for iterations in (1, 5, 30)]
+# Each adapter's draw, its hook's (value, operator applications), over batches
+# (full, 1, 2, 3 components) x power-method seeds, in that nesting, at the solver's
+# POWER_ITERATIONS.  The values were recorded when each hook still ran the power
+# method itself, on a grid that also held 1 and 30 iterations; the 'bid' rows
+# re-recorded when the correlations became Toeplitz products and the full-batch
+# x-draw went window by window (largest relative change 1.9e-16).  The two
+# full-batch ('bid', 'x') entries are the closed-form bound 2 ||Y||_1^2 + 16 lam
+# theta since; the power method's were 9.626694593952784 and 9.59906745613644.  The
+# other 'bid' entries are Collatz-Wielandt bounds since, each at or above the power
+# method's 30-iteration value for its batch: x 15.81212413028749,
+# 11.906062065143747, 12.871171533966555 and y 313.7081508405044,
+# 85.48523968837314, 209.5070681101507, 126.65835299378942.  The applications were
+# recorded when the hooks returned operators for the draw to estimate.
+DRAW_GRID = [(batch, seed) for batch in (None, (1,), (0, 3), (1, 2, 5)) for seed in (0, 1)]
 PINNED_DRAWS = {
-    ('nmf', 'x'): [
-        8.811399019522566, 9.302549073591269, 9.3025490802467, 8.730926929605168, 9.302549071453099,
-        9.3025490802467, 4.913417114955097, 4.913417114955097, 4.913417114955097, 4.913417114955097,
-        4.913417114955097, 4.913417114955097, 7.199946262124535, 9.53636451626915, 9.536364523287345,
-        9.453883455154394, 9.536364523125094, 9.536364523287347, 10.048823352840389, 10.208286700218578,
-        10.208286700282418, 10.090676524911462, 10.208286700244004, 10.208286700282418,
-    ],
-    ('nmf', 'y'): [
-        2.7143137653473346, 3.2030294532236656, 5.280930718014737, 4.274125550703749, 5.263640382495582,
-        5.28093071809301, 54.28627530694668, 64.06058906447336, 105.61861436029474, 85.48251101407497,
-        105.27280764991167, 105.6186143618602, 27.14313765347334, 32.03029453223668, 52.80930718014737,
-        42.741255507037486, 52.636403824955835, 52.8093071809301, 18.09542510231556, 21.353529688157778,
-        35.20620478676492, 28.494170338024993, 35.09093588330389, 35.20620478728673,
-    ],
-    ('pca', 'x'): [
-        7.011330421054748, 8.258894222314183, 11.126788174152743, 10.56663169480894, 11.11237622801175,
-        11.126788175094767, 36.72455463836492, 36.72455463836492, 36.724554638364935, 36.72455463836492,
-        36.72455463836492, 36.724554638364935, 49.40364016878938, 49.40704904087823, 49.40704904851361,
-        46.68586823023362, 49.40704237875842, 49.40704904851361, 11.303601658431765, 18.188418105128726,
-        18.80327644463901, 17.516267833654116, 18.793636676042762, 18.80327644463911,
-    ],
-    ('pca', 'y'): [
-        16.41559845202967, 23.30549434819713, 23.39849097137608, 16.831369056568324, 21.327507600447102,
-        23.398490708086065, 328.31196904059345, 466.10988696394253, 467.9698194275216, 336.6273811313665,
-        426.550152008942, 467.96981416172133, 164.15598452029673, 233.05494348197126, 233.9849097137608,
-        168.31369056568326, 213.275076004471, 233.98490708086067, 109.43732301353114, 155.36996232131418,
-        155.98993980917388, 112.20912704378881, 142.18338400298066, 155.98993805390714,
-    ],
-    # The BID values are bounds, which read no generator and no iteration count, so each
-    # batch's six entries are equal.
-    ('bid', 'x'): [10.0] * 6 + [15.812631170599388] * 6 + [11.906315585299694] * 6 + [12.927133375888335] * 6,
-    ('bid', 'y'): [316.3192940576789] * 6 + [85.54543025583669] * 6 + [209.9962100421703] * 6
-                  + [126.79029041356753] * 6,
+    ('nmf', 'x'): ([
+        9.302549073591269, 9.302549071453099, 4.913417114955097, 4.913417114955097,
+        9.53636451626915, 9.536364523125094, 10.208286700218578, 10.208286700244004,
+    ], [6] * 8),
+    ('nmf', 'y'): ([
+        3.2030294532236656, 5.263640382495582, 64.06058906447336, 105.27280764991167,
+        32.03029453223668, 52.636403824955835, 21.353529688157778, 35.09093588330389,
+    ], [6] * 8),
+    ('pca', 'x'): ([
+        8.258894222314183, 11.11237622801175, 36.72455463836492, 36.72455463836492,
+        49.40704904087823, 49.40704237875842, 18.188418105128726, 18.793636676042762,
+    ], [6] * 8),
+    ('pca', 'y'): ([
+        23.30549434819713, 21.327507600447102, 466.10988696394253, 426.550152008942,
+        233.05494348197126, 213.275076004471, 155.36996232131418, 142.18338400298066,
+    ], [6] * 8),
+    # The BID values are bounds, which read no generator, so each batch's two entries
+    # are equal.
+    ('bid', 'x'): ([10.0] * 2 + [15.812631170599388] * 2 + [11.906315585299694] * 2 + [12.927133375888335] * 2,
+                   [0] * 2 + [4] * 6),
+    ('bid', 'y'): ([316.3192940576789] * 2 + [85.54543025583669] * 2 + [209.9962100421703] * 2
+                   + [126.79029041356753] * 2, [2] * 8),
 }
 
 
@@ -1589,9 +1591,8 @@ def _pinned_draw_problem(name):
 
 
 def _grid_draws(hook, z, n):
-    return [lipschitz_estimate(hook(z.x, z.y, np.arange(n) if batch is None else np.array(batch)), iterations,
-                               np.random.default_rng(seed))
-            for batch, seed, iterations in DRAW_GRID]
+    return [hook(z.x, z.y, np.arange(n) if batch is None else np.array(batch), np.random.default_rng(seed))
+            for batch, seed in DRAW_GRID]
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
@@ -1599,7 +1600,7 @@ def _grid_draws(hook, z, n):
 def test_lipschitz_draws_match_pinned_values(name, block):
     problem, z = _pinned_draw_problem(name)
     hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
-    assert _grid_draws(hook, z, problem.n) == PINNED_DRAWS[name, block]
+    assert _grid_draws(hook, z, problem.n) == list(zip(*PINNED_DRAWS[name, block]))
 
 
 def test_quadratic_lipschitz_draws_are_their_constants():
@@ -1607,5 +1608,23 @@ def test_quadratic_lipschitz_draws_are_their_constants():
     coupled, info = make_random_quadratic(n=8, seed=3)
     z = Iterate(np.ones(4), -np.ones(4))
     for problem, lip_x, lip_y in ((separable, 1.0, 1.0), (coupled, info["lip_x"], info["lip_y"])):
-        assert _grid_draws(problem.lipschitz_x, z, problem.n) == [lip_x] * len(DRAW_GRID)
-        assert _grid_draws(problem.lipschitz_y, z, problem.n) == [lip_y] * len(DRAW_GRID)
+        assert _grid_draws(problem.lipschitz_x, z, problem.n) == [(lip_x, POWER_ITERATIONS + 1)] * len(DRAW_GRID)
+        assert _grid_draws(problem.lipschitz_y, z, problem.n) == [(lip_y, POWER_ITERATIONS + 1)] * len(DRAW_GRID)
+
+
+def test_benchmark_tracer_counts_the_hooks_power_methods():
+    # The benchmark's tracer (perfbench/spans.py) counts power-method applications by
+    # patching ``power_estimate_sq_norm`` in every springopt module that binds it, so a
+    # hook must call it through its module's binding.  A full-batch toy-NMF draw under
+    # the patches is counted in full and draws the same values.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    problem, z = _pinned_draw_problem("nmf")
+    full = np.arange(problem.n)
+    tracer = spans.Tracer()
+    with spans.Patches(tracer, spans.FUNCTION_LAYERS):
+        traced = lipschitz_draw(problem, z, full, np.random.default_rng(0))
+    assert tracer.counts["lipschitz.operator_applies"] == 2 * (POWER_ITERATIONS + 1)
+    assert traced == lipschitz_draw(problem, z, full, np.random.default_rng(0))

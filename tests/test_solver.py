@@ -7,12 +7,19 @@ import pytest
 
 from springopt import estimators as est_module
 from springopt import solver as solver_module
-from springopt.core import BlockProblem, CurvatureOperator, Iterate, objective, smooth_value, with_oracle_counter
+from springopt.core import BlockProblem, Iterate, objective, smooth_value, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, SarahState
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.harness.runner import ProblemSpec
-from springopt.lipschitz import ALGORITHMS, POWER_ITERATIONS, ipalm_momentum
+from springopt.lipschitz import (
+    ALGORITHMS,
+    POWER_ITERATIONS,
+    collatz_wielandt_bound,
+    ipalm_momentum,
+    lipschitz_draw,
+    power_estimate_sq_norm,
+)
 from springopt.problems import (
     X_BOUND_PASSES,
     Y_BOUND_PASSES,
@@ -470,13 +477,44 @@ def test_theoretical_policy_rejects_a_zero_lipschitz_draw(sep10, algorithm):
     # A zero operator draws L = 0 at z0; 1/L would be a bare ZeroDivisionError.
     problem, _ = sep10
 
-    def zero(x, y, batch):
-        return CurvatureOperator(np.zeros((1, 1)).dot, 1)
+    def zero(x, y, batch, rng):
+        return power_estimate_sq_norm(np.zeros((1, 1)).dot, 1, POWER_ITERATIONS, rng)
 
     problem = replace(problem, lipschitz_x=zero, lipschitz_y=zero)
     z0 = Iterate(np.ones(4), np.ones(4))
     with pytest.raises(ValueError, match="not positive.*lipschitz_const"):
         run(problem, SolverConfig(algorithm=algorithm, batch_size=2, step_policy="theoretical"), z0)
+
+
+@pytest.mark.parametrize("policy", ["practical", "theoretical"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_lipschitz_draw_is_divergence(sep10, value, policy):
+    # The floor turned a NaN draw into a 1e12 step, and an inf one gave a zero step
+    # that escaped as a ValueError.  Either stops the run, with the draw in the
+    # snapshot: the practical policy's first b = 2 draw, or the theoretical one at z0.
+    problem, _ = sep10
+    problem = replace(problem, lipschitz_y=lambda x, y, batch, rng: (value, 1))
+    config = SolverConfig(algorithm="spring-saga", batch_size=2, step_policy=policy)
+    with pytest.raises(DivergenceError, match="non-finite Lipschitz draw") as exc_info:
+        run(problem, config, Iterate(np.ones(4), np.ones(4)))
+    snapshot = exc_info.value.snapshot
+    assert snapshot["lipschitz_x"] == 1.0 and snapshot["batch_size"] == (2 if policy == "practical" else 10)
+    np.testing.assert_equal(snapshot["lipschitz_y"], value)
+
+
+def test_an_overflowing_lipschitz_draw_is_divergence():
+    # At 1e150 x the toy-NMF start, the Gram matrices' power iterates overflow.  The
+    # draw read (0, 0), which the floor turned into 1e12 steps; it is inf now, and the
+    # run stops on it before its first step.
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(), r=5, s=10)
+    z0 = adapter.initial_iterate(7)
+    problem, huge = adapter.block_problem(), Iterate(1e150 * z0.x, 1e150 * z0.y)
+    with np.errstate(over="ignore"):
+        assert lipschitz_draw(problem, huge, np.arange(problem.n), np.random.default_rng(0))[:2] == (math.inf,) * 2
+    with pytest.raises(DivergenceError, match="non-finite Lipschitz draw") as exc_info:
+        run(problem, SolverConfig(algorithm="palm"), huge)
+    assert exc_info.value.snapshot == {"lipschitz_x": math.inf, "lipschitz_y": math.inf, "batch_size": problem.n}
+    assert exc_info.value.trace.rows == []
 
 
 def test_theoretical_policy_converges_on_toy(sep10):
@@ -621,16 +659,16 @@ def test_run_attaches_partial_trace_to_non_finite_iterate(algorithm, block):
 ], ids=["palm", "saga-anchor", "ipalm-theoretical", "sarah-theoretical", "palm-closed-form-x",
         "saga-anchor-closed-form-x", "palm-bound-y", "saga-anchor-bound-y"])
 def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x, bound_y):
-    # Independent count: the hooks return an operator that tallies the
-    # batch size (n for the full batch) at every application.
+    # Independent count: the hooks' operators tally the batch size (n for the
+    # full batch) at every application.
     # The first subsampled draw is degenerate, so the stochastic envelope
     # also anchors on a full-batch draw at z0.  With ``closed_form_x`` the
-    # x-hook returns a float on the full batch, which is charged nothing; with
-    # ``bound_y`` the y-hook's operator is for a 3-pass Collatz-Wielandt bound.
+    # x-hook returns a closed-form value on the full batch, with no application;
+    # with ``bound_y`` the y-hook takes a 3-pass Collatz-Wielandt bound.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch, bound_passes=None):
+    def hook(x, y, batch, rng, bound_passes=None):
         size = len(batch)
         scale = 1e-14 if size < problem.n and applied[0] == 0 else 1.0
 
@@ -638,13 +676,15 @@ def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x, 
             applied[0] += size
             return scale * v
 
-        return CurvatureOperator(apply, len(x), bound_passes=bound_passes)
+        if bound_passes is None:
+            return power_estimate_sq_norm(apply, len(x), POWER_ITERATIONS, rng)
+        return collatz_wielandt_bound(apply, len(x), bound_passes)
 
-    def hook_x(x, y, batch):
-        return 1.0 if closed_form_x and len(batch) == problem.n else hook(x, y, batch)
+    def hook_x(x, y, batch, rng):
+        return (1.0, 0) if closed_form_x and len(batch) == problem.n else hook(x, y, batch, rng)
 
-    def hook_y(x, y, batch):
-        return hook(x, y, batch, 3 if bound_y else None)
+    def hook_y(x, y, batch, rng):
+        return hook(x, y, batch, rng, 3 if bound_y else None)
 
     counted = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook_y)
     z0 = Iterate(np.ones(4), np.ones(4))
@@ -660,12 +700,12 @@ def test_envelope_anchor_draws_at_the_current_iterate():
     z0 = Iterate(np.zeros(1), np.zeros(1))
     anchored_at, proxed = [], []
 
-    def hook(x, y, batch):
+    def hook(x, y, batch, rng):
         full = len(batch) == problem.n
         if full:
             anchored_at.append(np.concatenate([x, y]))
         scale = 1.0 if full and (x.any() or y.any()) else 0.0
-        return CurvatureOperator(lambda v: scale * v, 1)
+        return power_estimate_sq_norm(lambda v: scale * v, 1, POWER_ITERATIONS, rng)
 
     def box(_gamma, v):
         proxed.append(np.clip(v, -1.0, 1.0))
@@ -690,7 +730,7 @@ def test_closed_form_anchor_draws_no_start_vector():
     problem, _ = make_separable_quadratic(n=4, seed=3)
     starts = []
 
-    def operator(dim, scale):
+    def power_method(dim, scale, rng):
         def apply(v):
             if not fresh[0]:
                 fresh[0] = True
@@ -698,13 +738,13 @@ def test_closed_form_anchor_draws_no_start_vector():
             return scale * v
 
         fresh = [False]
-        return CurvatureOperator(apply, dim)
+        return power_estimate_sq_norm(apply, dim, POWER_ITERATIONS, rng)
 
-    def hook_x(x, y, batch):
-        return 1.0 if len(batch) == problem.n else operator(len(x), 0.0)
+    def hook_x(x, y, batch, rng):
+        return (1.0, 0) if len(batch) == problem.n else power_method(len(x), 0.0, rng)
 
-    def hook_y(x, y, batch):
-        return operator(len(y), 1.0 if len(batch) == problem.n else 0.0)
+    def hook_y(x, y, batch, rng):
+        return power_method(len(y), 1.0 if len(batch) == problem.n else 0.0, rng)
 
     problem = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook_y)
     z0 = Iterate(np.ones(4), np.ones(4))
@@ -724,12 +764,12 @@ def test_lipschitz_sfo_charges_only_the_applications_made():
     problem, info = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch):
+    def hook(x, y, batch, rng):
         def apply(v):
             applied[0] += problem.n
             return np.zeros_like(v)
 
-        return CurvatureOperator(apply, len(x))
+        return power_estimate_sq_norm(apply, len(x), POWER_ITERATIONS, rng)
 
     zero = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
     with pytest.warns(RuntimeWarning, match="at or below floor"):
@@ -796,6 +836,26 @@ def test_divergence_reports_the_objective_at_z0(sep10, monkeypatch):
         run(problem, SolverConfig(algorithm="palm", epochs=200, step_policy="fixed", fixed_steps=(4.0, 4.0)), z0)
     assert exc_info.value.snapshot["initial"] == objective(problem, z0)
     assert sum(z is z0 for z in seen) == 1
+
+
+def test_divergence_cap_is_finite_from_an_infeasible_start():
+    # One y-entry at -1e-9 puts the toy-NMF start outside its constraint set, so
+    # phi(z0) = +inf and the cap DIVERGENCE_FACTOR * |phi(z0)| was +inf: theoretical
+    # iPALM then ran on until its iterate overflowed, where the feasible start raises
+    # at 8.9e22 on its third row.  The cap now comes from the first traced objective.
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(), r=5, s=10)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate(7)
+    y = z0.y.copy()
+    y[0] = -1e-9
+    start = Iterate(z0.x, y)
+    assert objective(problem, start) == math.inf
+    config = SolverConfig(algorithm="ipalm", step_policy="theoretical", epochs=200)
+    for z in (z0, start):
+        with pytest.raises(DivergenceError, match="exceeded") as exc_info:
+            run(problem, config, z)
+        err = exc_info.value
+        assert err.snapshot["iteration"] == 3
+        assert err.snapshot["initial"] == (objective(problem, z0) if z is z0 else err.trace.rows[0].objective)
 
 
 def test_misshapen_z0_raises_before_any_oracle_call(sep10):
