@@ -12,7 +12,7 @@
   and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
   bid-medium shapes (16 tiles; b = 1 and the full batch);
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
-  ``POWER_ITERATIONS``-iteration power method, the BID hooks' bounds) at
+  exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
   bid-medium shapes (16 tiles; b = 1 and the full batch);
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
@@ -122,7 +122,7 @@ def test_bid_row_oracle(benchmark, bid, oracle, b):
 
 def _draw(benchmark, problem, z, block, batch):
     hook = problem.lipschitz_x if block == "x" else problem.lipschitz_y
-    benchmark(hook, z.x, z.y, batch, np.random.default_rng(0))
+    benchmark(hook, z.x, z.y, batch)
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
@@ -159,9 +159,8 @@ def test_spring_step(benchmark, request, workload, kind):
                              sampler_y=BatchSampler(problem.n, b, stream_rng(0, "batch_y")))
     if kind == "saga":
         driver.saga = SagaState.from_problem(problem)
-    rng = np.random.default_rng(0)
-    gamma_x = 1.0 / problem.lipschitz_x(z.x, z.y, np.arange(problem.n), rng)[0]
-    gamma_y = 1.0 / problem.lipschitz_y(z.x, z.y, np.arange(problem.n), rng)[0]
+    gamma_x = 1.0 / problem.lipschitz_x(z.x, z.y, np.arange(problem.n))[0]
+    gamma_y = 1.0 / problem.lipschitz_y(z.x, z.y, np.arange(problem.n))[0]
     benchmark(spring_step, problem, z, driver, gamma_x, gamma_y)
 
 

@@ -3,7 +3,7 @@
 Alternating prox-gradient methods for two-block composite objectives
 J(x) + (1/n) sum_i F_i(x, y) + R(y): deterministic PALM, its inertial
 variant, and stochastic versions driven by SGD, SAGA, or loopless SARAH
-partial-gradient estimators, with on-the-fly power-method step sizes and
+partial-gradient estimators, with on-the-fly Lipschitz step sizes and
 gradient-map convergence diagnostics.
 
 Each name is imported from the module that defines it (``springopt.solver``,

@@ -36,7 +36,7 @@ RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
-LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.random.Generator], tuple[float, int]]
+LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, int]]
 
 
 class SmoothTerm(NamedTuple):
@@ -81,12 +81,12 @@ class BlockProblem:
     place to the arrays ``grad_x`` and ``rows_mean_x`` return, so these must
     be fresh.  G's curvature belongs in the x-hook's value.
 
-    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch, rng)`` return
-    their block's Lipschitz value at (x, y) on the sorted indices ``batch``,
-    the full batch being ``np.arange(n)`` as for the oracles, and the number
-    of operator applications made for it; ``lipschitz.lipschitz_draw``
-    charges ``len(batch)`` SFO for each.  A hook that estimates draws its
-    random start vector from ``rng``.
+    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
+    block's Lipschitz value at (x, y) on the sorted indices ``batch``, the
+    full batch being ``np.arange(n)`` as for the oracles, and the number of
+    operator applications made for it; ``lipschitz.lipschitz_draw`` charges
+    ``len(batch)`` SFO for each.  The value is exact or an upper bound, and a
+    hook reads no random stream.
     """
 
     n: int

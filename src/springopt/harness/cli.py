@@ -12,9 +12,8 @@ usage error.  No flag is abbreviated, and ``--algo`` is ``run``'s alone:
 ``check-grad`` finite-differences the batch-mean oracles ``grad_x`` and
 ``grad_y`` on each singleton batch at feasible points near the initial one.
 ``estimate-lipschitz`` makes the solver's own Lipschitz draws at the initial
-point, each from a fresh ``power_init`` stream: the full-batch draw is PALM's
-first, and the ``--batch`` draw, on a batch from the ``lip_batch`` stream, is
-a SPRING run's first.
+point: the full-batch draw is PALM's first, and the ``--batch`` draw, on a
+batch from the ``lip_batch`` stream, is a SPRING run's first.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including any
 subcommand's solver settings that ``SolverConfig.validate`` rejects, and
@@ -226,11 +225,11 @@ def cmd_estimate_lipschitz(args) -> int:
     problem, init_fn = _problem_spec(args).build()
     SolverConfig(algorithm="spring-sgd", seed=args.seed, batch_size=b).validate(problem.n)
     z = init_fn(args.seed)
-    lx, ly, _ = lipschitz_draw(problem, z, np.arange(problem.n), stream_rng(args.seed, "power_init"))
+    lx, ly, _ = lipschitz_draw(problem, z, np.arange(problem.n))
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
         batch = est.sample_batch(est.BatchSampler(problem.n, b, stream_rng(args.seed, "lip_batch")))
-        sx, sy, _ = lipschitz_draw(problem, z, batch, stream_rng(args.seed, "power_init"))
+        sx, sy, _ = lipschitz_draw(problem, z, batch)
         print(f"stochastic estimates (b={args.batch}): L_x={sx:.6g} L_y={sy:.6g}")
     return 0
 

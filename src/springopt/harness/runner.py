@@ -124,7 +124,7 @@ def _sweep(spec: RunSpec, problem, init_fn) -> dict:
         try:
             status, trace = "ok", run(problem, replace(spec.config, seed=seed), init_fn(seed)).trace
         except DivergenceError as exc:
-            status, trace = "diverged", exc.trace or Trace()
+            status, trace = "diverged", exc.trace
         if spec.deterministic_timing:
             trace = Trace(rows=[row._replace(wall_ms=0.0) for row in trace.rows])
         io.write_trace_csv(out / f"trace_{algo}_seed{seed}.csv", trace)

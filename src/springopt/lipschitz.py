@@ -8,30 +8,20 @@ Block step sizes come from one of three sources:
   larger of the two step sizes (plus the per-block 1/(4L) caps);
 * fixed user-supplied constants.
 
-A problem's hooks ``lipschitz_x/lipschitz_y(x, y, batch, rng)`` return their
+A problem's hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
 block's Lipschitz value on ``batch`` and the operator applications they made
-for it.  A hook computes the value by one of two rules here, or in closed form
-with no application:
+for it.  Every value is exact or an upper bound at the point it is drawn at:
+the factorization hooks take the exact top eigenvalue of an r x r Gram
+matrix, the quadratic toys return their constant, and the blind-deconvolution
+hooks a closed form or ``collatz_wielandt_bound``, which bounds the top
+eigenvalue of an entrywise nonnegative symmetric G that majorizes the
+block's curvature (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26): for
+v = G^(k-1) 1, lambda_max(G) <= max_i (G v)_i / v_i over the support of v.
+It is non-increasing in the pass count.  No draw reads a random stream.
 
-* ``power_estimate_sq_norm``, the power method, estimates the largest squared
-  singular value of an operator M through the symmetric action
-  v -> M^T(M v).  It is a Rayleigh-type estimate: monotonically
-  non-decreasing in the iteration count and never above the true value, so
-  no safety factor is applied on top of it.  It starts from a random vector
-  drawn from the hook's generator.
-* ``collatz_wielandt_bound`` bounds the top eigenvalue of an entrywise
-  nonnegative symmetric G that majorizes the block's curvature (Horn &
-  Johnson, *Matrix Analysis*, Thm 8.1.26): for v = G^(k-1) 1,
-  lambda_max(G) <= max_i (G v)_i / v_i over the support of v.  It is a
-  certified upper bound, non-increasing in the pass count, and draws nothing
-  from the generator.
-
-So a hook that draws no start vector leaves the generator where it was, and
-every later power method reads the stream one start vector earlier than if
-that block were power-iterated.  ``lipschitz_draw`` is the solver's draw:
-both blocks' values on one batch, x first, from one generator, and their
-charge in stochastic first-order oracle calls (SFO), ``len(batch)`` per
-operator application.
+``lipschitz_draw`` is the solver's draw: both blocks' values on one batch,
+x first, and their charge in stochastic first-order oracle calls (SFO),
+``len(batch)`` per operator application.
 """
 
 from __future__ import annotations
@@ -48,38 +38,6 @@ ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 
 # Floor applied to Lipschitz estimates before inversion.
 EPS_LIPSCHITZ = 1e-12
-
-# The solver's draw rule: power-method iterations per Lipschitz draw.
-POWER_ITERATIONS = 5
-
-
-def power_estimate_sq_norm(
-    apply: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    iterations: int,
-    rng: np.random.Generator,
-) -> tuple[float, int]:
-    """Estimate ||M||^2 from the PSD action v -> M^T(M v), which returns a float ndarray.
-
-    Runs ``iterations`` normalized iterations from a random unit vector
-    drawn from ``rng`` and returns the norm of one more application, with
-    the applications made: ``iterations + 1``.  An iterate that the operator
-    annihilates stops it early with the estimate 0, and one whose norm
-    overflows stops it with the estimate inf.
-    """
-    if iterations < 1:
-        raise ValueError(f"power method needs at least one iteration, got {iterations}")
-    if dim < 1:
-        raise ValueError(f"operator dimension must be >= 1, got {dim}")
-    v = rng.standard_normal(dim)
-    v /= _norm(v)
-    for applied in range(1, iterations + 1):
-        w = apply(v)
-        nrm = _norm(w)
-        if nrm == 0.0 or nrm == math.inf:
-            return nrm, applied
-        v = w / nrm
-    return _norm(apply(v)), iterations + 1
 
 
 def collatz_wielandt_bound(
@@ -117,27 +75,17 @@ def collatz_wielandt_bound(
     return float(np.max(w[support] / v[support], initial=0.0)), passes
 
 
-def lipschitz_draw(
-    problem: BlockProblem, z: Iterate, batch: np.ndarray, rng: np.random.Generator
-) -> tuple[float, float, int]:
-    """One (L_x, L_y) draw from the hooks on ``batch`` at z, x first, both from ``rng``,
-    and its SFO charge: ``len(batch)`` per operator application."""
+def lipschitz_draw(problem: BlockProblem, z: Iterate, batch: np.ndarray) -> tuple[float, float, int]:
+    """One (L_x, L_y) draw from the hooks on ``batch`` at z, x first, and its SFO
+    charge: ``len(batch)`` per operator application."""
     if problem.lipschitz_x is None or problem.lipschitz_y is None:
         raise ValueError(
             "the practical/theoretical step policies need the problem's Lipschitz hooks; "
             "use step_policy='fixed' for problems without them"
         )
-    lx, applied_x = problem.lipschitz_x(z.x, z.y, batch, rng)
-    ly, applied_y = problem.lipschitz_y(z.x, z.y, batch, rng)
+    lx, applied_x = problem.lipschitz_x(z.x, z.y, batch)
+    ly, applied_y = problem.lipschitz_y(z.x, z.y, batch)
     return lx, ly, (applied_x + applied_y) * len(batch)
-
-
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm(v) of a real array is sqrt(x.dot(x)) with x = v.ravel(order="K");
-    # the same steps without its dispatch overhead, so the result is bitwise equal.
-    # (The flattening matters: BLAS sums a strided vector in another order.)
-    flat = v.ravel(order="K")
-    return math.sqrt(float(flat.dot(flat)))
 
 
 def _floored(lip: float) -> float:
@@ -165,11 +113,10 @@ def practical_step_sizes(
     epoch counter k >= 1;  spring-saga: 1/(3L);  spring-sarah: 1/(2L).
 
     These are heuristics, not the analysis' steps.  The PALM step is exactly
-    1/L for the value L it is given.  A power-method value is an estimate
-    from below, so its step can exceed one over the block's true Lipschitz
-    modulus; the descent lemma of PALM (Bolte, Sabach, Teboulle 2014) needs
-    the step strictly below it.  The BID hooks' values are upper bounds, so
-    both BID PALM steps are descent steps.
+    1/L for the value L it is given, and every hook's value is exact or an
+    upper bound at the point it is drawn at.  The one deviation from PALM's
+    analysis (Bolte, Sabach, Teboulle 2014) left is that its descent lemma
+    asks for a step strictly below 1/L, and 1/L is taken.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockProblem, Iterate, SmoothTerm
-from .lipschitz import POWER_ITERATIONS, collatz_wielandt_bound, power_estimate_sq_norm
+from .lipschitz import collatz_wielandt_bound
 
 # ---------------------------------------------------------------------------
 # Proximal operators
@@ -134,6 +134,12 @@ def nmf_component_grads(A: np.ndarray, i: int, X: np.ndarray, Y: np.ndarray) -> 
     return grad_x, grad_y
 
 
+def _top_eigenvalue(G: np.ndarray) -> float:
+    """The largest eigenvalue of the symmetric G, or inf where G is not finite
+    (``eigvalsh`` raises on some such G and reads others as 0)."""
+    return float(np.linalg.eigvalsh(G)[-1]) if np.isfinite(G).all() else math.inf
+
+
 def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y):
     m, d = A.shape
     dim_x, dim_y = m * r, r * d
@@ -211,18 +217,18 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         # The rows' decoding, so a SAGA table's fresh mean is the oracle's bit for bit.
         return rows_mean_y(idx, rows_y(idx, xv, yv))
 
-    # Both hooks power-iterate an r x r Gram matrix with the scale folded in, formed
-    # once per draw.
-    def lip_x(xv, yv, batch, rng):
+    # Both hooks take the exact top eigenvalue of an r x r Gram matrix with the scale
+    # folded in: one pass over the batch forms it, one application charged.
+    def lip_x(xv, yv, batch):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
         # 2 (d/b) ||Y_B||^2.
         cols = gather(batch, yv.reshape(r, d), 1)
-        return power_estimate_sq_norm(((2.0 * d / len(batch)) * (cols @ cols.T)).dot, r, POWER_ITERATIONS, rng)
+        return _top_eigenvalue((2.0 * d / len(batch)) * (cols @ cols.T)), 1
 
-    def lip_y(xv, yv, batch, rng):
+    def lip_y(xv, yv, batch):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
-        return power_estimate_sq_norm(((2.0 * d / len(batch)) * (X.T @ X)).dot, r, POWER_ITERATIONS, rng)
+        return _top_eigenvalue((2.0 * d / len(batch)) * (X.T @ X)), 1
 
     return BlockProblem(
         n=d,
@@ -274,11 +280,17 @@ class SparseNmfProblem:
         def reg_y(yv):
             return 0.0 if np.all(yv >= 0) else float("inf")
 
+        # An overflowed step gives an all-NaN factor, as BID's proxes do, so the
+        # iterate guard reports it where the proxes would set it to 0.  They can lose
+        # only NaN and -inf entries, and the minimum is NaN or -inf when one is there
+        # (one reduction, cheaper than an isfinite mask); +inf entries survive both.
         def px(_gamma, xv):
+            if not math.isfinite(xv.min()):
+                return np.full(xv.shape, np.nan)
             return prox_l0_nonneg_columns(xv.reshape(m, r), s).ravel()
 
         def py(_gamma, yv):
-            return prox_nonneg(yv)
+            return prox_nonneg(yv) if math.isfinite(yv.min()) else np.full(yv.shape, np.nan)
 
         return _factorization_block_problem(self.A, r, reg_x, reg_y, px, py)
 
@@ -412,7 +424,7 @@ class ToeplitzFactors:
 
     Pass one to every ``bid_forward(X, Y, factors)`` and
     ``bid_adjoint_image(U, Y, factors)`` call with the same kernel array Y,
-    such as an oracle's tile windows or a power method's applications, and
+    such as an oracle's tile windows or a Lipschitz bound's passes, and
     each factor is built once for them all.  Both functions refuse factors
     of any other array (by identity, so an equal copy is refused too).  The
     kernel's entries must not change while its factors are in use.
@@ -585,8 +597,7 @@ def bid_grads(
 # top eigenvalue at bid-medium's shape (9x9 kernel, 16 tiles) at z0 and after PALM,
 # SGD and SAGA runs: the y-bound from 2 passes is 1.0027-1.0033x at the full batch
 # and at most 1.011x on every b = 1 window (median 1.001x); the x-bound's data term
-# from 4 passes is at most 1.0047x at b = 1.  The 5-iteration power method read
-# 1.0000x (y) and 0.990-0.998x (x), from below.
+# from 4 passes is at most 1.0047x at b = 1.
 X_BOUND_PASSES = 4
 Y_BOUND_PASSES = 2
 
@@ -713,20 +724,19 @@ class BlindDeblurProblem:
             return project_box_l1(yv.reshape(kh, kw)).ravel()
 
         # The Lipschitz hooks bound the top eigenvalue of M_B^T M_B for the sampled tiles'
-        # residual map M_B, and draw nothing from their generator.  The tiles partition
-        # the residual grid, so on the full batch (all n tiles) the x-operator is 2 M^T M
-        # for the valid correlation M with Y, and Young's inequality gives
-        # ||M|| <= ||Y||_1: the x-hook returns that bound in closed form, with no
-        # correlation.  Below the full batch it is loose against the sampled windows'
-        # curvature, so the x-hook, like the y-hook at every batch size, takes the
-        # Collatz-Wielandt bound of a nonnegative operator: M_B with its data taken as
-        # |.| (|Y| for x, the windows of |X| for y) majorizes M_B entrywise, so
+        # residual map M_B.  The tiles partition the residual grid, so on the full batch
+        # (all n tiles) the x-operator is 2 M^T M for the valid correlation M with Y, and
+        # Young's inequality gives ||M|| <= ||Y||_1: the x-hook returns that bound in
+        # closed form, with no correlation.  Below the full batch it is loose against the
+        # sampled windows' curvature, so the x-hook, like the y-hook at every batch size,
+        # takes the Collatz-Wielandt bound of a nonnegative operator: M_B with its data
+        # taken as |.| (|Y| for x, the windows of |X| for y) majorizes M_B entrywise, so
         # ||M_B|| <= || |M_B| || and |M_B|^T |M_B| is nonnegative and symmetric.
         # Either x-value adds the smooth_x term's curvature: Phi'' <= 2 theta,
         # ||D^T D|| <= 8.
         edge_curvature = 16.0 * lam * theta
 
-        def lip_x(xv, yv, batch, _rng):
+        def lip_x(xv, yv, batch):
             if len(batch) == n:
                 return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature, 0
             # Applied window by window, like the oracles, so no correlation is larger than
@@ -756,7 +766,7 @@ class BlindDeblurProblem:
         # y-operator is (2n/b) sum_j P_j^T P_j, applied as two window correlations per
         # sampled tile with the window's |X|: P_j v correlates the window with the kernel
         # v, and P_j^T u is the window correlated with u.
-        def lip_y(xv, yv, batch, _rng):
+        def lip_y(xv, yv, batch):
             X = xv.reshape(hx, wx)
             sampled, scale = [np.abs(X[windows[j]]) for j in batch], 2.0 * n / len(batch)
 
@@ -809,10 +819,8 @@ class BlindDeblurProblem:
 
 
 def _constant_lipschitz(lip: float):
-    """A hook that power-iterates the 1 x 1 operator [[lip]]: the estimate is lip
-    exactly, since sqrt(lip * lip) == lip in binary64."""
-    apply = np.array([[lip]]).dot
-    return lambda x, y, batch, rng: power_estimate_sq_norm(apply, 1, POWER_ITERATIONS, rng)
+    """A hook returning the constant ``lip`` with no operator application."""
+    return lambda x, y, batch: (lip, 0)
 
 
 def make_separable_quadratic(

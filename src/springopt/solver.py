@@ -315,7 +315,6 @@ class _StepSizes:
         self.problem = problem
         self.config = config
         self.b = b
-        self.rng = stream_rng(config.seed, "power_init")
         self.sampler = est.BatchSampler(n, b, stream_rng(config.seed, "lip_batch")) if kind != "full" else None
         self.decay = 0.5 ** (b / (2.0 * n))  # a half-life of 2 epochs
         self.env_x = 0.0
@@ -341,8 +340,8 @@ class _StepSizes:
         return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
 
     def draw(self, z, batch):
-        """``lipschitz_draw`` from the run's ``power_init`` stream, its charge added to ``sfo``."""
-        lx, ly, charge = lipschitz_draw(self.problem, z, batch, self.rng)
+        """``lipschitz_draw``, its charge added to ``sfo``."""
+        lx, ly, charge = lipschitz_draw(self.problem, z, batch)
         self.sfo += charge
         if not (math.isfinite(lx) and math.isfinite(ly)):
             raise DivergenceError(
@@ -399,7 +398,6 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
         driver.sarah = est.SarahState(np.zeros(problem.dim_x), np.zeros(problem.dim_y), sarah_p)
     # SAGA and SARAH step like SGD through a warm-start first epoch.
     warm_steps = steps_per_epoch if config.warm_start and kind in ("saga", "sarah") else 0
-    steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
 
     # The divergence cap DIVERGENCE_FACTOR * max(1, |phi0|) is never below
     # DIVERGENCE_FACTOR, so phi0 is evaluated only once an objective passes that.  It is
@@ -410,8 +408,10 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
     z = z0
     z_prev = z0
     sfo_calls = 0
-    start = time.perf_counter()
     try:
+        # Built inside the try, so a DivergenceError from the draw at z0 carries the trace too.
+        steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
+        start = time.perf_counter()
         for k in range(1, config.epochs * steps_per_epoch + 1):
             gamma_x, gamma_y = steps(z, k)
             driver.warm = k <= warm_steps

@@ -352,11 +352,11 @@ _FAKE_ROWS = [TraceRow(1.0, 40, 2.5, math.nan, 0.0, 8), TraceRow(2.0, 80, 1 / 3,
 
 def _fake_run(problem, config, z0):
     # Seed 0 converges (stochastic methods to a quarter of PALM's objective);
-    # seed 1 diverges with a partial trace, seed 2 without one.
+    # seed 1 diverges with a partial trace, seed 2 with an empty one.
     if config.seed == 1:
         raise DivergenceError("blown up", trace=Trace(rows=_FAKE_ROWS[:1]))
     if config.seed == 2:
-        raise DivergenceError("blown up")
+        raise DivergenceError("blown up", trace=Trace())
     rows = _FAKE_ROWS if config.algorithm == "palm" else [r._replace(objective=r.objective / 4) for r in _FAKE_ROWS]
     return RunResult(z0, Trace(rows=list(rows)), None)
 
@@ -547,8 +547,8 @@ def test_cli_estimate_lipschitz(capsys):
     assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-nmf", "--batch", "2"]) == 0
     # Pinned: the subsampled draw takes its batch as the solver's lip_batch sampler does.
     assert capsys.readouterr().out.splitlines() == [
-        "full-batch estimates: L_x=10.5273 L_y=5.55568",
-        "stochastic estimates (b=2): L_x=13.9267 L_y=55.5568",
+        "full-batch estimates: L_x=10.5273 L_y=5.5651",
+        "stochastic estimates (b=2): L_x=13.9267 L_y=55.651",
     ]
 
 
@@ -611,7 +611,7 @@ def test_cli_config_file_defaults_and_overrides(tmp_path, capsys):
     assert out == ""
     assert err == f"error: {cfg}: unknown keys for run: epoch, parallelism\n"
     assert not Path(tmp_path, "c4").exists()
-    # The power method's length is the library's draw rule, not a setting.
+    # No draw has an iteration count to set.
     cfg.write_text("power_iters = 5\nout = {}\n".format(tmp_path / "c5"))
     assert cli_dispatch(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", f"error: {cfg}: unknown keys for run: power_iters\n")
