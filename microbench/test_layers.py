@@ -21,7 +21,9 @@
   start) at nmf-medium shapes (b = 13) and bid-medium shapes (b = 1), with
   one-over-L steps from full-batch draws at the start;
 * the fixed per-step costs: building an ``Iterate`` at nmf-medium's block
-  sizes (2000, 5000) and drawing one b = 13 batch of n = 500;
+  sizes (2000, 5000), drawing one b = 13 batch of n = 500 and one b = 1
+  batch of toy-nmf-c11's n = 20, and the NMF hooks' top eigenvalue of an
+  r x r Gram matrix at toy-nmf-c11's r = 5 and nmf-medium's r = 10;
 * one cold ``solver.run`` epoch (no warm start, practical steps, gradient
   map traced) per algorithm but inertial PALM at the toy-nmf-c11 shape
   (50 x 20, r = 5, b = 1), where per-run and per-step overheads dominate,
@@ -38,6 +40,7 @@ from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
+    _top_eigenvalue,
     bid_adjoint_image,
     bid_adjoint_kernel,
     bid_forward,
@@ -170,9 +173,16 @@ def test_iterate(benchmark):
     benchmark(Iterate, x, y)
 
 
-def test_sample_batch(benchmark):
-    sampler = BatchSampler(500, 13, np.random.default_rng(5))
+@pytest.mark.parametrize("n, b", [(500, 13), (20, 1)], ids=["medium-b13", "toy-b1"])
+def test_sample_batch(benchmark, n, b):
+    sampler = BatchSampler(n, b, np.random.default_rng(5))
     benchmark(sample_batch, sampler)
+
+
+@pytest.mark.parametrize("r", [5, 10])
+def test_top_eigenvalue(benchmark, r):
+    cols = np.random.default_rng(6).random((r, 13))
+    benchmark(_top_eigenvalue, cols @ cols.T)
 
 
 @pytest.mark.parametrize("workload, algorithm", [

@@ -143,7 +143,8 @@ class Iterate:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.ndim != 1 or self.y.ndim != 1:
             raise ValueError("iterate blocks must be flat vectors")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+        # ``ndarray.all`` is a Python wrapper around this one reduction.
+        if not (np.logical_and.reduce(np.isfinite(self.x)) and np.logical_and.reduce(np.isfinite(self.y))):
             raise NonFiniteIterateError("iterate contains non-finite entries")
 
 
@@ -210,10 +211,11 @@ def full_grad_y(problem: BlockProblem, z: Iterate) -> np.ndarray:
 
 
 def prox_generic(prox: ProxFn, gamma: float, v: np.ndarray) -> np.ndarray:
-    """Apply a prox map after validating the step parameter gamma > 0."""
+    """Apply a prox map to v as a float array after validating the step
+    parameter gamma > 0; the prox returns a float array (``BlockProblem``)."""
     if not gamma > 0:
         raise ValueError(f"prox step must be positive, got {gamma}")
-    return np.asarray(prox(gamma, np.asarray(v, dtype=float)), dtype=float)
+    return prox(gamma, np.asarray(v, dtype=float))
 
 
 @dataclass

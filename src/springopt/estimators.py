@@ -53,7 +53,15 @@ class BatchSampler:
 
 
 def sample_batch(sampler: BatchSampler) -> np.ndarray:
-    """Draw one sorted b-subset of {0..n-1}, uniform over all such subsets."""
+    """Draw one sorted b-subset of {0..n-1}, uniform over all such subsets.
+
+    The batch is ``np.sort(rng.choice(n, b, replace=False))``.  At b = 1
+    ``choice``'s Floyd pass makes one bounded draw from [0, n) and its
+    shuffle none, so the same draw is taken with ``integers``, without
+    ``choice``'s overhead: the stream is unchanged.
+    """
+    if sampler.b == 1:
+        return np.array([sampler.rng.integers(sampler.n)])
     idx = sampler.rng.choice(sampler.n, size=sampler.b, replace=False)
     idx.sort()  # choice returns a fresh array: no copy needed
     return idx

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import BlockProblem, Iterate, SmoothTerm
 from .lipschitz import collatz_wielandt_bound
@@ -62,24 +63,33 @@ def prox_l0_nonneg_columns(v: np.ndarray, s: int) -> np.ndarray:
 
     Per column: clamp negatives to zero, keep the s largest remaining
     entries and zero the rest.  Ties keep the lowest row index (as a stable
-    sort would), which makes the prox a deterministic single-valued map.
+    sort would), which makes the prox a deterministic single-valued map.  A
+    matrix's columns are its columns; a vector is one column, and comes back
+    a vector.
     """
     if s < 1:
         raise ValueError(f"sparsity level must be >= 1, got {s}")
-    v = np.atleast_2d(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return prox_l0_nonneg_columns(v[:, None], s)[:, 0]
+    if v.ndim != 2:
+        raise ValueError(f"the L0 prox takes a vector or a matrix, got {v.ndim} dimensions")
     clipped = np.maximum(v, 0.0)
-    if s >= v.shape[0]:
+    m, r = v.shape
+    if s >= m:
         return clipped
-    # Each column's s-th largest entry, from one partition along the rows of a
-    # C-ordered (r, m) negated copy.  NaNs partition after every number.
-    kth = -np.partition(np.negative(clipped.T, order="C"), s - 1, axis=1)[:, s - 1]
+    # Each column's s-th largest entry, from one in-place partition along the rows of
+    # a C-ordered (r, m) negated copy.  NaNs partition after every number.
+    neg = np.negative(clipped.T, order="C")
+    neg.partition(s - 1, axis=1)
+    kth = -neg[:, s - 1]
     keep = clipped >= kth
-    nan_kth = np.isnan(kth)
-    if np.count_nonzero(keep) != s * v.shape[1] or nan_kth.any():
+    # The thresholds lie in [0, inf], so their sum is NaN exactly when one is NaN.
+    if np.add.reduce(keep, axis=None) != s * r or math.isnan(np.add.reduce(kth)):
         # Some column ties at its threshold, or has fewer than s numbers (its
         # threshold is NaN and its NaNs tie): keep what lies above the
         # threshold, then tied entries lowest row first until s are kept.
-        nan = np.isnan(clipped)
+        nan, nan_kth = np.isnan(clipped), np.isnan(kth)
         above = (clipped > kth) | (nan_kth & ~nan)
         tie = (clipped == kth) | (nan_kth & nan)
         keep = above | (tie & (np.cumsum(tie, axis=0) <= s - np.count_nonzero(above, axis=0)))
@@ -119,25 +129,22 @@ def project_box_l1(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def nmf_component_grads(A: np.ndarray, i: int, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of F_i = d * ||A_i - X Y_i||^2 for column i.
-
-    grad_X = 2d (X Y_i - A_i) Y_i^T; grad_Y is zero outside column i, where
-    it equals 2d X^T (X Y_i - A_i).  The d factor makes the component mean
-    equal ||A - XY||_F^2.
-    """
-    d = A.shape[1]
-    resid = X @ Y[:, i] - A[:, i]
-    grad_x = 2.0 * d * np.outer(resid, Y[:, i])
-    grad_y = np.zeros_like(Y)
-    grad_y[:, i] = 2.0 * d * (X.T @ resid)
-    return grad_x, grad_y
+# The LAPACK gufunc that ``np.linalg.eigvalsh`` calls on float64 input, without the
+# wrapper's type dispatch and ``errstate`` context: the same values, bit for bit.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
-    """The largest eigenvalue of the symmetric G, or inf where G is not finite
-    (``eigvalsh`` raises on some such G and reads others as 0)."""
-    return float(np.linalg.eigvalsh(G)[-1]) if np.isfinite(G).all() else math.inf
+    """The largest eigenvalue of the symmetric float64 G, or inf where G is not
+    finite (``eigvalsh`` raises on some such G and reads others as 0).
+
+    Where LAPACK does not converge the value is NaN, which ``eigvalsh`` would
+    raise as ``LinAlgError``; the solver's draw reports it as divergence, as
+    it does an inf.
+    """
+    if np.logical_and.reduce(np.isfinite(G), axis=None):
+        return float(_eigvalsh_lo(G, signature="d->d")[-1])
+    return math.inf
 
 
 def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y):
@@ -283,14 +290,15 @@ class SparseNmfProblem:
         # An overflowed step gives an all-NaN factor, as BID's proxes do, so the
         # iterate guard reports it where the proxes would set it to 0.  They can lose
         # only NaN and -inf entries, and the minimum is NaN or -inf when one is there
-        # (one reduction, cheaper than an isfinite mask); +inf entries survive both.
+        # (one reduction, cheaper than an isfinite mask; ``ndarray.min`` is a Python
+        # wrapper around it); +inf entries survive both.
         def px(_gamma, xv):
-            if not math.isfinite(xv.min()):
+            if not math.isfinite(np.minimum.reduce(xv)):
                 return np.full(xv.shape, np.nan)
             return prox_l0_nonneg_columns(xv.reshape(m, r), s).ravel()
 
         def py(_gamma, yv):
-            return prox_nonneg(yv) if math.isfinite(yv.min()) else np.full(yv.shape, np.nan)
+            return prox_nonneg(yv) if math.isfinite(np.minimum.reduce(yv)) else np.full(yv.shape, np.nan)
 
         return _factorization_block_problem(self.A, r, reg_x, reg_y, px, py)
 
@@ -367,19 +375,6 @@ def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...], offs
     """
     step = X.itemsize
     return np.ndarray(shape, X.dtype, buffer=X, offset=offset * step, strides=tuple(s * step for s in steps))
-
-
-def _window_view(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
-    """Read-only view of X's kernel-sized windows, shape (out_h, out_w, kh, kw).
-
-    The windows ``sliding_window_view`` gives, without its validation
-    overhead.  A non-contiguous X is copied once, and the view reads the copy.
-    """
-    shape = _output_shape(X.shape, kernel_shape) + tuple(kernel_shape)
-    X = np.ascontiguousarray(X)
-    view = _strided(X, shape, (X.shape[1], 1) * 2)
-    view.flags.writeable = False
-    return view
 
 
 # Output columns per matrix product in ``bid_forward``.  Every tile-window
@@ -490,17 +485,6 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = 
     return out
 
 
-def bid_patches(X: np.ndarray, kernel_shape: tuple[int, int]) -> np.ndarray:
-    """Patch matrix P of the correlation with a kernel of ``kernel_shape``.
-
-    Row p * out_w + q holds the window X[p:p + kh, q:q + kw], so up to
-    rounding bid_forward(X, W).ravel() == P @ W.ravel() and
-    bid_adjoint_kernel(U, X).ravel() == P.T @ U.ravel().
-    """
-    kh, kw = kernel_shape
-    return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
-
-
 def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
     """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>.
 
@@ -572,24 +556,6 @@ def bid_potential(v: np.ndarray, theta: float) -> np.ndarray:
 def bid_potential_deriv(v: np.ndarray, theta: float) -> np.ndarray:
     """Derivative 2 theta v / (1 + theta v^2)."""
     return 2.0 * theta * v / (1.0 + theta * v * v)
-
-
-def bid_grads(
-    X: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
-    lam: float,
-    theta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full gradients of ||Z - X (*) Y||_F^2 + lam sum Phi(D(X))."""
-    resid = bid_forward(X, Y) - Z
-    grad_x = 2.0 * bid_adjoint_image(resid, Y)
-    dh, dv = image_gradients(X)
-    grad_x += lam * image_gradients_adjoint(
-        bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta)
-    )
-    grad_y = 2.0 * bid_adjoint_kernel(resid, X)
-    return grad_x, grad_y
 
 
 # Collatz-Wielandt passes of the BID Lipschitz draws below the full batch (x) and at

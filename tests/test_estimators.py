@@ -83,7 +83,7 @@ def test_sampler_determinism():
         np.testing.assert_array_equal(sample_batch(a), sample_batch(b))
 
 
-@pytest.mark.parametrize("n, b", [(500, 13), (16, 1), (20, 20)])
+@pytest.mark.parametrize("n, b", [(500, 13), (16, 1), (20, 20), (1, 1), (2, 1), (20, 1), (2**32 + 5, 1)])
 def test_sampler_stream_is_sorted_choice(n, b):
     # The batch sequence of a seed is np.sort(choice(n, b, replace=False)),
     # draw for draw, and each batch is a fresh array.

@@ -21,14 +21,11 @@ from springopt.problems import (
     bid_adjoint_kernel,
     bid_component_split,
     bid_forward,
-    bid_grads,
-    bid_patches,
     bid_potential_deriv,
     image_gradients,
     image_gradients_adjoint,
     make_random_quadratic,
     make_separable_quadratic,
-    nmf_component_grads,
     prox_l0_nonneg_columns,
     prox_l1,
     prox_nonneg,
@@ -85,6 +82,21 @@ def test_prox_l0_matches_bruteforce_batch(rng):
         v = np.round(rng.standard_normal(dim), 2)
         fast = prox_l0_nonneg_columns(v.reshape(-1, 1), s).ravel()
         np.testing.assert_array_equal(fast, bruteforce_prox_l0_nonneg(v, s))
+
+
+def test_prox_l0_on_a_vector_matches_bruteforce(rng):
+    # A vector is one column, and comes back a vector.
+    np.testing.assert_array_equal(prox_l0_nonneg_columns(np.array([3.0, 2.0, 1.0]), 1), [3.0, 0.0, 0.0])
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        s = int(rng.integers(1, 4))
+        v = np.round(rng.standard_normal(dim), 1)  # one decimal, so ties are frequent
+        fast = prox_l0_nonneg_columns(v, s)
+        assert fast.shape == v.shape
+        np.testing.assert_array_equal(fast, bruteforce_prox_l0_nonneg(v, s))
+    for bad in (np.float64(1.0), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="vector or a matrix"):
+            prox_l0_nonneg_columns(bad, 1)
 
 
 def _column_loop_prox_l0(v, s):
@@ -271,6 +283,21 @@ def _nmf_instance(seed=0, m=10, d=8, r=3, s=4):
     rng = np.random.default_rng(seed)
     A = rng.random((m, d))
     return SparseNmfProblem(A=A, r=r, s=s), A
+
+
+def nmf_component_grads(A, i, X, Y):
+    """Gradients of F_i = d * ||A_i - X Y_i||^2 for column i: the slow reference.
+
+    grad_X = 2d (X Y_i - A_i) Y_i^T; grad_Y is zero outside column i, where
+    it equals 2d X^T (X Y_i - A_i).  The d factor makes the component mean
+    equal ||A - XY||_F^2.
+    """
+    d = A.shape[1]
+    resid = X @ Y[:, i] - A[:, i]
+    grad_x = 2.0 * d * np.outer(resid, Y[:, i])
+    grad_y = np.zeros_like(Y)
+    grad_y[:, i] = 2.0 * d * (X.T @ resid)
+    return grad_x, grad_y
 
 
 def test_nmf_grads_zero_at_exact_fit():
@@ -575,6 +602,23 @@ def test_factorization_lipschitz_hooks_match_eigvalsh(family):
             assert hook(z.x, z.y, batch) == (float(np.linalg.eigvalsh(G)[-1]), 1), b
 
 
+@pytest.mark.parametrize("r", [1, 2, 5, 10, 40])
+def test_top_eigenvalue_is_eigvalsh_bit_for_bit(r):
+    # The hooks' eigenvalue comes from the LAPACK gufunc behind np.linalg.eigvalsh,
+    # called directly: the same value on Gram matrices across the float64 range, and
+    # inf for a matrix holding an inf or a NaN.
+    rng = np.random.default_rng(r)
+    for scale in 10.0 ** np.arange(-150, 151, 50):
+        for k in (1, r, 3 * r):
+            B = scale * rng.standard_normal((r, k))
+            G = B @ B.T
+            assert problems_module._top_eigenvalue(G) == float(np.linalg.eigvalsh(G)[-1]), (scale, k)
+    for bad in (np.inf, -np.inf, np.nan):
+        G = np.eye(r)
+        G[-1, 0] = G[0, -1] = bad
+        assert problems_module._top_eigenvalue(G) == math.inf, bad
+
+
 @pytest.mark.parametrize("family", ["nmf", "pca"])
 def test_factorization_lipschitz_values_match_matrix_free_operators(family):
     # The slow reference: each block's Hessian on the batch, built densely column by
@@ -672,6 +716,30 @@ def test_bid_forward_rejects_large_kernel():
         bid_forward(np.ones((2, 2)), np.ones((3, 3)))
 
 
+def _window_view(X, kernel_shape):
+    """Read-only view of X's kernel-sized windows, shape (out_h, out_w, kh, kw).
+
+    The windows ``sliding_window_view`` gives, without its validation
+    overhead.  A non-contiguous X is copied once, and the view reads the copy.
+    """
+    shape = problems_module._output_shape(X.shape, kernel_shape) + tuple(kernel_shape)
+    X = np.ascontiguousarray(X)
+    view = problems_module._strided(X, shape, (X.shape[1], 1) * 2)
+    view.flags.writeable = False
+    return view
+
+
+def bid_patches(X, kernel_shape):
+    """Patch matrix P of the correlation with a kernel of ``kernel_shape``: the slow reference.
+
+    Row p * out_w + q holds the window X[p:p + kh, q:q + kw], so up to
+    rounding bid_forward(X, W).ravel() == P @ W.ravel() and
+    bid_adjoint_kernel(U, X).ravel() == P.T @ U.ravel().
+    """
+    kh, kw = kernel_shape
+    return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
+
+
 def test_bid_adjoint_identities(rng):
     # <X (*) Y, U> = <X, adj_image(U, Y)> = <Y, adj_kernel(U, X)>.
     X = rng.standard_normal((7, 6))
@@ -761,7 +829,7 @@ def test_bid_forward_memory_stays_blocked(correlation):
 
 def test_bid_window_view_is_read_only(rng):
     X = rng.random((6, 7))
-    view = problems_module._window_view(X, (2, 3))
+    view = _window_view(X, (2, 3))
     assert view.shape == (5, 5, 2, 3)
     assert not view.flags.writeable
     with pytest.raises(ValueError):
@@ -973,6 +1041,18 @@ def test_image_gradient_adjoint(rng):
     lhs = float((dh * Wh).sum() + (dv * Wv).sum())
     rhs = float((X * image_gradients_adjoint(Wh, Wv)).sum())
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def bid_grads(X, Y, Z, lam, theta):
+    """Full gradients of ||Z - X (*) Y||_F^2 + lam sum Phi(D(X)): the slow reference."""
+    resid = bid_forward(X, Y) - Z
+    grad_x = 2.0 * bid_adjoint_image(resid, Y)
+    dh, dv = image_gradients(X)
+    grad_x += lam * image_gradients_adjoint(
+        bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta)
+    )
+    grad_y = 2.0 * bid_adjoint_kernel(resid, X)
+    return grad_x, grad_y
 
 
 def test_bid_grads_zero_at_exact_constant_fit():
@@ -1404,7 +1484,9 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
         correlated.append(image)
         return bid_forward(image, kernel, factors)
 
-    monkeypatch.setattr(problems_module, "bid_patches", counting_patches)
+    # problems has no bid_patches (the patch matrix is a test reference), so this spy
+    # catches one added there and called by the draw.
+    monkeypatch.setattr(problems_module, "bid_patches", counting_patches, raising=False)
     monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
 
     def y_draw(batch):
