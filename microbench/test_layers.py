@@ -4,13 +4,17 @@
   of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image),
   on the full 64 x 64 image, and on a 256 x 256 image, the size of a
   large deconvolution benchmark, where ``bid_forward`` runs several column
-  blocks;
+  blocks; ``bid_kernel_gradient``, the full batch's kernel adjoint, beside
+  ``bid_adjoint_kernel``, the windows';
+* the edge regularizer's gradient (``smooth_x.grad``) on bid-medium's 64 x 64
+  image;
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
 * the blind-deconvolution batch oracles (``grad_x``, ``grad_y`` and ``value``)
   and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
-  bid-medium shapes (16 tiles; b = 1 and the full batch);
+  bid-medium shapes (16 tiles; b = 1 and the full batch, where the oracles
+  work on the one image residual);
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
   exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
@@ -44,6 +48,7 @@ from springopt.problems import (
     bid_adjoint_image,
     bid_adjoint_kernel,
     bid_forward,
+    bid_kernel_gradient,
     project_box_l1,
     prox_l0_nonneg_columns,
 )
@@ -76,7 +81,7 @@ def bid():
 
 
 @pytest.mark.parametrize("shape", IMAGE_SHAPES)
-@pytest.mark.parametrize("kernel", ["forward", "adjoint_image", "adjoint_kernel"])
+@pytest.mark.parametrize("kernel", ["forward", "adjoint_image", "adjoint_kernel", "kernel_gradient"])
 def test_bid_kernel(benchmark, kernel, shape):
     rng = np.random.default_rng(0)
     h, w = IMAGE_SHAPES[shape]
@@ -87,9 +92,15 @@ def test_bid_kernel(benchmark, kernel, shape):
         "forward": (bid_forward, X, Y),
         "adjoint_image": (bid_adjoint_image, U, Y),
         "adjoint_kernel": (bid_adjoint_kernel, U, X),
+        "kernel_gradient": (bid_kernel_gradient, X, U),
     }
     fn, *args = calls[kernel]
     benchmark(fn, *args)
+
+
+def test_bid_smooth_grad(benchmark, bid):
+    problem, z = bid
+    benchmark(problem.smooth_x.grad, z.x)
 
 
 NMF_BATCHES = {"toy-b1": ("toy_nmf", 1), "medium-b13": ("nmf", 13), "medium-full": ("nmf", None)}

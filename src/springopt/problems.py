@@ -20,8 +20,10 @@ The factorization data is stored component-major, as A^T: a batch gathers
 its rows (only a long batch's A_B Y_B^T, such as a full batch of 500, rounds
 apart from row-major A's, in the last bits), the gradients are in Gram form,
 and the objective sweeps 2r components at a time, the widest parts whose
-buffer fits 4 m r temporaries.  The deconvolution oracles work one tile
-window at a time, so a component costs about 1/n of a full gradient.
+buffer fits 4 m r temporaries.  Below the full batch the deconvolution
+oracles work one tile window at a time, so a component costs about 1/n of a
+full gradient; the full batch's tiles partition the residual grid, so its
+oracles and y-draw correlate the whole image once instead.
 
 Matrix blocks are flattened row-major into the solver's vector view.
 
@@ -378,8 +380,13 @@ def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...], offs
 
 
 # Output columns per matrix product in ``bid_forward``.  Every tile-window
-# correlation of the bundled benchmarks fits in one block.
-_COLUMN_BLOCK = 32
+# correlation of the bundled benchmarks (at most 22 output columns) fits in one
+# block; a whole-image correlation is split, which bounds S and T.
+_COLUMN_BLOCK = 24
+# Columns of U per matrix product in ``bid_kernel_gradient``.  Its product has
+# kh * (block + kw - 1) rows, of which kh * kw per column are summed, so it is
+# narrower.
+_KERNEL_BLOCK = 8
 
 
 def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
@@ -500,8 +507,40 @@ def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | N
 
 
 def bid_adjoint_kernel(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Adjoint of Y -> bid_forward(X, Y); correlation of X with U."""
+    """Adjoint of Y -> bid_forward(X, Y); correlation of X with U.
+
+    ``bid_forward(X, U)``, which builds a Toeplitz factor of U: the faster
+    form on a tile window, while ``bid_kernel_gradient`` is on an image.
+    """
     return bid_forward(X, U)
+
+
+def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Adjoint of Y -> bid_forward(X, Y): <bid_forward(X, Y), U> = <Y, bid_kernel_gradient(X, U)>.
+
+    The correlation of X with U, as ``bid_adjoint_kernel(U, X)``, without a
+    Toeplitz factor of U (258 KB for a 56 x 56 residual).  Per block of at
+    most ``_KERNEL_BLOCK`` columns of U it forms M = S.T @ U[:, block], S
+    being ``bid_forward``'s stacked rows of the block, and sums M's strided
+    diagonals: G[a, b] gets M[a * width + j + b, j] over the block's columns
+    j, the entries where ``_toeplitz`` writes Y[a, b], so this is the
+    adjoint of that write.  S.T is read as kh strided views of X's rows, one
+    matrix product each in a single ``np.matmul``, so S is never copied.
+    The sum order differs from ``bid_adjoint_kernel``'s, so the two agree to
+    rounding.
+    """
+    X, U = np.ascontiguousarray(X, dtype=float), np.asarray(U, dtype=float)
+    (h, w), (oh, ow) = X.shape, U.shape
+    kh, kw = h - oh + 1, w - ow + 1
+    if kh < 1 or kw < 1:
+        raise ValueError(f"residual {U.shape} larger than image {X.shape}")
+    G = np.zeros((kh, kw))
+    for start in range(0, ow, _KERNEL_BLOCK):
+        ncols = min(_KERNEL_BLOCK, ow - start)
+        width = ncols + kw - 1
+        M = np.matmul(_strided(X, (kh, width, oh), (w, 1, w), start), U[:, start:start + ncols])
+        G += _strided(M, (kh, kw, ncols), (width * ncols, ncols, ncols + 1)).sum(axis=2)
+    return G
 
 
 def image_gradients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,16 +550,6 @@ def image_gradients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dv = np.zeros_like(X)
     dv[:-1, :] = X[1:, :] - X[:-1, :]
     return dh, dv
-
-
-def image_gradients_adjoint(Wh: np.ndarray, Wv: np.ndarray) -> np.ndarray:
-    """Adjoint of ``image_gradients`` (negative discrete divergence)."""
-    out = np.zeros_like(Wh)
-    out[:, 1:] += Wh[:, :-1]
-    out[:, :-1] -= Wh[:, :-1]
-    out[1:, :] += Wv[:-1, :]
-    out[:-1, :] -= Wv[:-1, :]
-    return out
 
 
 def bid_component_split(shape: tuple[int, int], n_blocks: int) -> list[tuple[slice, slice]]:
@@ -553,11 +582,6 @@ def bid_potential(v: np.ndarray, theta: float) -> np.ndarray:
     return np.log1p(theta * v * v)
 
 
-def bid_potential_deriv(v: np.ndarray, theta: float) -> np.ndarray:
-    """Derivative 2 theta v / (1 + theta v^2)."""
-    return 2.0 * theta * v / (1.0 + theta * v * v)
-
-
 # Collatz-Wielandt passes of the BID Lipschitz draws below the full batch (x) and at
 # every batch size (y), fixed rule constants.  Measured against the dense eigvalsh
 # top eigenvalue at bid-medium's shape (9x9 kernel, 16 tiles) at z0 and after PALM,
@@ -579,6 +603,13 @@ class BlindDeblurProblem:
     finite sum, and its curvature is added to the x-hook's value.  A SAGA x-row
     is the tile's residual, zero-padded to the largest tile, followed by the
     kernel at the visit: max tile area + kh * kw numbers.
+
+    Below the full batch the oracles and draws correlate the sampled tiles'
+    image windows.  The full batch's tiles partition the residual grid, so
+    its ``value``, ``grad_x``, ``grad_y`` and y-draw work on the one image
+    residual bid_forward(X, Y) - Z instead, and sum in another order than
+    the tiles would (a fresh SAGA x-row therefore decodes to ``grad_x`` bit
+    for bit below the full batch only).
     """
 
     Z: np.ndarray
@@ -608,15 +639,39 @@ class BlindDeblurProblem:
         n = len(tiles)
         # Tile i's residual needs only its image window: the tile grown by the kernel.
         windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
+        # The image rows of each tile-row band of the residual grid: the windows of
+        # the full-batch image adjoint, which bound its zero-padded temporaries.
+        bands = [(slice(top, stop), slice(top, stop + kh - 1)) for top, stop in
+                 sorted({(rs.start, rs.stop) for rs, _cs in tiles})]
 
         def reg_value(xv):
             dh, dv = image_gradients(xv.reshape(hx, wx))
             return lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
 
         def reg_grad(xv):
-            dh, dv = image_gradients(xv.reshape(hx, wx))
-            g = image_gradients_adjoint(bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta))
-            return (lam * g).ravel()
+            # D^T Phi'(D X), one difference direction at a time, so at most two
+            # difference-sized arrays are live.  Phi'(d) = 2 theta d / (1 + theta d d) is
+            # applied in place in that association order, and the differences are
+            # scattered horizontal first, then vertical.
+            X, g = xv.reshape(hx, wx), np.zeros((hx, wx))
+            for ahead, behind in (((slice(None), slice(1, None)), (slice(None), slice(None, -1))),
+                                  ((slice(1, None),), (slice(None, -1),))):
+                d = X[ahead] - X[behind]
+                den = theta * d
+                den *= d
+                den += 1.0
+                d *= 2.0 * theta
+                d /= den
+                del den
+                g[ahead] += d
+                g[behind] -= d
+            g *= lam
+            return g.ravel()
+
+        def image_residual(X, Y):
+            resid = bid_forward(X, Y)
+            resid -= Z
+            return resid
 
         # One oracle call correlates all its windows with one kernel, so it builds the
         # kernel's Toeplitz factors once and shares them (``ToeplitzFactors``).
@@ -637,13 +692,21 @@ class BlindDeblurProblem:
 
         def value(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+            if len(idx) == n:
+                resid = image_residual(X, Y)
+                return float(np.vdot(resid, resid))
             total = sum(float((resid * resid).sum()) for _w, resid in tile_residuals(idx, X, Y))
             return n * total / len(idx)
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             factors = ToeplitzFactors(Y)
-            parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
+            if len(idx) == n:
+                # The forward's factors are freed before the adjoints build the flipped ones.
+                resid = image_residual(X, Y)
+                parts = (((image_rows, slice(None)), resid[grid_rows], Y) for grid_rows, image_rows in bands)
+            else:
+                parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
             return scatter_adjoints(parts, 2.0 * n / len(idx), factors)
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
@@ -669,9 +732,12 @@ class BlindDeblurProblem:
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            g = np.zeros((kh, kw))
-            for window, resid in tile_residuals(idx, X, Y):
-                g += bid_adjoint_kernel(resid, X[window])
+            if len(idx) == n:
+                g = bid_kernel_gradient(X, image_residual(X, Y))
+            else:
+                g = np.zeros((kh, kw))
+                for window, resid in tile_residuals(idx, X, Y):
+                    g += bid_adjoint_kernel(resid, X[window])
             g *= 2.0 * n / len(idx)
             return g.ravel()
 
@@ -731,18 +797,27 @@ class BlindDeblurProblem:
         # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
         # y-operator is (2n/b) sum_j P_j^T P_j, applied as two window correlations per
         # sampled tile with the window's |X|: P_j v correlates the window with the kernel
-        # v, and P_j^T u is the window correlated with u.
+        # v, and P_j^T u is the window correlated with u.  The full batch's sum is P^T P
+        # for the patch matrix P of the whole image's |X|: two image correlations.
         def lip_y(xv, yv, batch):
-            X = xv.reshape(hx, wx)
-            sampled, scale = [np.abs(X[windows[j]]) for j in batch], 2.0 * n / len(batch)
+            X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
+            if len(batch) == n:
+                image = np.abs(X)
 
-            def apply(v):
-                V, g = v.reshape(kh, kw), np.zeros((kh, kw))
-                factors = ToeplitzFactors(V)  # shared by the windows
-                for patch in sampled:
-                    g += bid_adjoint_kernel(bid_forward(patch, V, factors), patch)
-                g *= scale
-                return g.ravel()
+                def apply(v):
+                    g = bid_kernel_gradient(image, bid_forward(image, v.reshape(kh, kw)))
+                    g *= scale
+                    return g.ravel()
+            else:
+                sampled = [np.abs(X[windows[j]]) for j in batch]
+
+                def apply(v):
+                    V, g = v.reshape(kh, kw), np.zeros((kh, kw))
+                    factors = ToeplitzFactors(V)  # shared by the windows
+                    for patch in sampled:
+                        g += bid_adjoint_kernel(bid_forward(patch, V, factors), patch)
+                    g *= scale
+                    return g.ravel()
 
             return collatz_wielandt_bound(apply, kh * kw, Y_BOUND_PASSES)
 

@@ -21,9 +21,9 @@ from springopt.problems import (
     bid_adjoint_kernel,
     bid_component_split,
     bid_forward,
-    bid_potential_deriv,
+    bid_kernel_gradient,
+    bid_potential,
     image_gradients,
-    image_gradients_adjoint,
     make_random_quadratic,
     make_separable_quadratic,
     prox_l0_nonneg_columns,
@@ -741,13 +741,22 @@ def bid_patches(X, kernel_shape):
 
 
 def test_bid_adjoint_identities(rng):
-    # <X (*) Y, U> = <X, adj_image(U, Y)> = <Y, adj_kernel(U, X)>.
+    # <X (*) Y, U> = <X, adj_image(U, Y)> = <Y, adj_kernel(U, X)> = <Y, kernel_gradient(X, U)>,
+    # the last also over several of its column blocks and on a non-contiguous image.
     X = rng.standard_normal((7, 6))
     Y = rng.standard_normal((3, 2))
     U = rng.standard_normal((5, 5))
     lhs = float((bid_forward(X, Y) * U).sum())
     assert lhs == pytest.approx(float((X * bid_adjoint_image(U, Y)).sum()), abs=1e-10)
     assert lhs == pytest.approx(float((Y * bid_adjoint_kernel(U, X)).sum()), abs=1e-10)
+    assert lhs == pytest.approx(float((Y * bid_kernel_gradient(X, U)).sum()), abs=1e-10)
+    for X, Y in ((rng.standard_normal((64, 64)), rng.standard_normal((9, 9))),
+                 (rng.standard_normal((30, 50))[::2, 1::2], rng.standard_normal((4, 3)))):
+        U = rng.standard_normal(problems_module._output_shape(X.shape, Y.shape))
+        lhs = float((bid_forward(X, Y) * U).sum())
+        assert float((Y * bid_kernel_gradient(X, U)).sum()) == pytest.approx(lhs, rel=1e-12)
+    with pytest.raises(ValueError, match="larger than image"):
+        bid_kernel_gradient(rng.standard_normal((5, 5)), rng.standard_normal((6, 3)))
 
 
 def _swv_bid_forward(X, Y):
@@ -803,6 +812,7 @@ def test_bid_kernels_match_sliding_window_versions(rng):
                 for residual in (U, np.ascontiguousarray(U)):
                     check(bid_adjoint_image(residual, Y), _pad_bid_adjoint_image(residual, Y))
                     check(bid_adjoint_kernel(residual, X), _swv_bid_adjoint_kernel(residual, X))
+                    check(bid_kernel_gradient(X, residual), _swv_bid_adjoint_kernel(residual, X))
                 patches = bid_patches(X, (kh, kw))
                 assert np.array_equal(patches, sliding_window_view(X, (kh, kw)).reshape(-1, kh * kw))
                 np.testing.assert_allclose(patches @ Y.ravel(), fwd.ravel(), rtol=1e-13)
@@ -952,13 +962,18 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
 
 
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
-    # Work counter: a b = 1 x-draw and a full-batch grad_x each build one Toeplitz
-    # factor of the kernel and one of its flip, shared by every window and every
-    # operator application (8 and 32 builds when each correlation built its own).
-    # The full-batch x-draw is the closed-form bound: no correlation and no factor.
-    # A y-draw correlates each sampled window with the iterate v and the result
-    # with the window, every pass: one factor of v per pass, shared by the windows,
-    # and one of each window's result.
+    # Work counter: a b = 1 x-draw builds one Toeplitz factor of the kernel and one of
+    # its flip, shared by every operator application (8 builds when each correlation
+    # built its own), and a b = 1 y-draw pass one factor of the iterate v and one of
+    # the window's result.  The full-batch x-draw is the closed-form bound: no
+    # correlation and no factor.  The full batch works on the whole 28 x 28 residual,
+    # two forward column blocks (24 and 4 columns): value, grad_y and each y-draw pass
+    # build the two factors of their kernel; grad_x also builds its flip's two (the
+    # 32-column band adjoints: 24 and 8) and correlates the image once and each of the
+    # 4 tile-row bands once.  grad_y and a y-draw pass correlate forward and then take
+    # one bid_kernel_gradient, which builds no factor.  Window by window, the full
+    # batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for the
+    # y-draw, with 1, 2, 17 and 34 factor builds.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -966,7 +981,8 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
     full = np.arange(16)
     x_passes, y_passes = problems_module.X_BOUND_PASSES, problems_module.Y_BOUND_PASSES
-    toeplitz, forward, built, correlated = problems_module._toeplitz, problems_module.bid_forward, [], []
+    toeplitz, forward, gradient = problems_module._toeplitz, problems_module.bid_forward, bid_kernel_gradient
+    built, correlated = [], []
 
     def counting_toeplitz(kernel, ncols):
         built.append("forward" if np.array_equal(kernel, Y) else
@@ -977,8 +993,13 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
         correlated.append(np.shape(X))
         return forward(X, kernel, factors)
 
+    def counting_gradient(X, U):
+        correlated.append(np.shape(X))
+        return gradient(X, U)
+
     monkeypatch.setattr(problems_module, "_toeplitz", counting_toeplitz)
     monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    monkeypatch.setattr(problems_module, "bid_kernel_gradient", counting_gradient)
     def draw(hook, batch):
         return lambda: hook(x, Y.ravel(), batch)
 
@@ -986,9 +1007,10 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
         "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2),
         "x-draw full": (draw(problem.lipschitz_x, full), [], 0),
         "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"] * y_passes * 2, y_passes * 2),
-        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * y_passes * 17, y_passes * 16 * 2),
-        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped", "forward"], 16 * 2),
-        "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"], 16),
+        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * y_passes * 2, y_passes * 2),
+        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 1 + 4),
+        "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2),
+        "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1),
     }
     for name, (call, factors, correlations) in calls.items():
         built.clear()
@@ -1029,6 +1051,21 @@ def test_bid_x_rows_decode_skips_zero_kernel_rows(monkeypatch, rng):
         want[windows[i]] += _asstrided_bid_adjoint_image(resid, row[width:].reshape(3, 4))
     want *= 2.0 * 6 / len(idx)
     assert _bitwise(decoded, want.ravel())
+
+
+def image_gradients_adjoint(Wh, Wv):
+    """Adjoint of ``image_gradients`` (negative discrete divergence): the reference."""
+    out = np.zeros_like(Wh)
+    out[:, 1:] += Wh[:, :-1]
+    out[:, :-1] -= Wh[:, :-1]
+    out[1:, :] += Wv[:-1, :]
+    out[:-1, :] -= Wv[:-1, :]
+    return out
+
+
+def bid_potential_deriv(v, theta):
+    """Derivative 2 theta v / (1 + theta v^2) of the edge potential: the reference."""
+    return 2.0 * theta * v / (1.0 + theta * v * v)
 
 
 def test_image_gradient_adjoint(rng):
@@ -1184,10 +1221,134 @@ def test_bid_tile_windows_match_masked_full_image(rng):
                     == pytest.approx(value, rel=1e-12))
 
 
+def _per_tile_full_batch(adapter, xv, yv):
+    """The full-batch value, grad_x, grad_y and y-draw summed tile window by tile window.
+
+    The oracles' and y-hook's code, verbatim, from before the full batch became one
+    image residual: the slow reference for the image path.
+    """
+    Z = adapter.Z
+    kh, kw = adapter.kernel_shape
+    hx, wx = adapter.image_shape
+    tiles = bid_component_split(Z.shape, adapter.n_tiles)
+    n = len(tiles)
+    windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
+    idx = np.arange(n)
+    X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+
+    def tile_residuals(idx, X, Y, factors=None):
+        factors = ToeplitzFactors(Y) if factors is None else factors
+        for i in idx:
+            yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
+
+    def scatter_adjoints(parts, scale, factors=None):
+        g = np.zeros((hx, wx))
+        for window, resid, Y in parts:
+            g[window] += bid_adjoint_image(resid, Y, factors)
+        g *= scale
+        return g.ravel()
+
+    total = sum(float((resid * resid).sum()) for _w, resid in tile_residuals(idx, X, Y))
+    value = n * total / len(idx)
+
+    factors = ToeplitzFactors(Y)
+    parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
+    grad_x = scatter_adjoints(parts, 2.0 * n / len(idx), factors)
+
+    g = np.zeros((kh, kw))
+    for window, resid in tile_residuals(idx, X, Y):
+        g += bid_adjoint_kernel(resid, X[window])
+    g *= 2.0 * n / len(idx)
+    grad_y = g.ravel()
+
+    sampled, scale = [np.abs(X[windows[j]]) for j in idx], 2.0 * n / len(idx)
+
+    def apply(v):
+        V, g = v.reshape(kh, kw), np.zeros((kh, kw))
+        factors = ToeplitzFactors(V)  # shared by the windows
+        for patch in sampled:
+            g += bid_adjoint_kernel(bid_forward(patch, V, factors), patch)
+        g *= scale
+        return g.ravel()
+
+    return value, grad_x, grad_y, collatz_wielandt_bound(apply, kh * kw, problems_module.Y_BOUND_PASSES)
+
+
+def _close(got, want, rel):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", ["uneven-1", "uneven-6", "uneven-16", "bid-medium"])
+def test_bid_full_batch_image_path_matches_per_tile_sums(rng, shape):
+    # The full batch's value, grad_x, grad_y and y-draw work on the one image residual;
+    # they match the per-tile sums to 1e-13 relative.  The uneven 11 x 13 grid with a
+    # 3 x 4 kernel in 1, 6 and 16 tiles, and bid-medium's shape, whose residual spans
+    # three forward column blocks.  The y-bound stays at or above the dense top
+    # eigenvalue of 2 P^T P, for P the patch matrix of X and of |X|.
+    if shape == "bid-medium":
+        Z, _, _ = _toy_blur(seed=0, size=64, kernel=9)
+        adapter = BlindDeblurProblem(Z=Z, kernel_shape=(9, 9), n_tiles=16)
+    else:
+        adapter = BlindDeblurProblem(Z=rng.random((11, 13)), kernel_shape=(3, 4), lam=2e-3, theta=50.0,
+                                     n_tiles=int(shape.split("-")[1]))
+    problem = adapter.block_problem()
+    full = np.arange(problem.n)
+    kernel_size = int(np.prod(adapter.kernel_shape))
+    points = [adapter.initial_iterate(),
+              Iterate(rng.random(problem.dim_x), rng.random(kernel_size) / kernel_size),
+              Iterate(rng.standard_normal(problem.dim_x), rng.standard_normal(kernel_size))]
+    for z in points:
+        value, grad_x, grad_y, (lip_y, applied) = _per_tile_full_batch(adapter, z.x, z.y)
+        assert problem.value(full, z.x, z.y) == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert _close(problem.grad_x(full, z.x, z.y), grad_x, 1e-13)
+        assert _close(problem.grad_y(full, z.x, z.y), grad_y, 1e-13)
+        got, got_applied = problem.lipschitz_y(z.x, z.y, full)
+        assert got == pytest.approx(lip_y, rel=1e-13, abs=0.0) and got_applied == applied
+        X = z.x.reshape(adapter.image_shape)
+        for image in (X, np.abs(X)):
+            patches = bid_patches(image, adapter.kernel_shape)
+            assert got >= np.linalg.eigvalsh(2.0 * patches.T @ patches)[-1] * (1 - 1e-12)
+
+
+def _previous_edge_terms(xv, shape, lam, theta):
+    # smooth_x's value and gradient, verbatim, from before the gradient took one
+    # difference direction at a time.
+    dh, dv = image_gradients(xv.reshape(shape))
+    value = lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
+    g = image_gradients_adjoint(bid_potential_deriv(dh, theta), bid_potential_deriv(dv, theta))
+    return value, (lam * g).ravel()
+
+
+@pytest.mark.parametrize("Z_shape, kernel", [((11, 13), (3, 4)), ((56, 56), (9, 9)), ((1, 9), (1, 3)),
+                                             ((9, 1), (3, 1)), ((1, 1), (1, 1))])
+def test_bid_edge_regularizer_matches_previous_code_bitwise(rng, Z_shape, kernel):
+    # Every bit of smooth_x's value and gradient, NaNs' included, on images of one row
+    # or one column too, and on inputs holding NaN and infinities.
+    adapter = BlindDeblurProblem(Z=rng.random(Z_shape), kernel_shape=kernel, lam=3e-3, theta=70.0, n_tiles=1)
+    term, shape = adapter.block_problem().smooth_x, adapter.image_shape
+    size = shape[0] * shape[1]
+    inputs = [rng.random(size), 5.0 * rng.standard_normal(size), np.zeros(size)]
+    for bad in (np.nan, np.inf, -np.inf):
+        xv = rng.random(size)
+        xv[rng.integers(size)] = bad
+        inputs.append(xv)
+    mixed = rng.random(size)
+    mixed[::3], mixed[1::3] = np.inf, -np.inf
+    inputs.append(mixed)
+    with np.errstate(all="ignore"):
+        for xv in inputs:
+            value, grad = _previous_edge_terms(xv, shape, adapter.lam, adapter.theta)
+            got = term.grad(xv)
+            assert got.shape == grad.shape and got.tobytes() == grad.tobytes()
+            assert np.float64(term.value(xv)).tobytes() == np.float64(value).tobytes()
+
+
 def test_bid_x_rows_decode_to_grad_x_bitwise(rng):
     # An x-row is the tile's residual, zero-padded to the largest tile, then the
-    # kernel; rows_mean_x scatters the image adjoints as grad_x does, so SAGA's
-    # fresh estimate is the oracle's bit for bit.
+    # kernel; rows_mean_x scatters the image adjoints as grad_x does below the full
+    # batch, so SAGA's fresh estimate is the oracle's bit for bit there.  The
+    # full-batch grad_x takes the adjoint of the image residual by tile-row bands,
+    # another summation order than the rows' tile by tile: equal to 1e-14.
     Z = rng.random((11, 13))
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
     problem = adapter.block_problem()
@@ -1206,8 +1367,11 @@ def test_bid_x_rows_decode_to_grad_x_bitwise(rng):
             np.testing.assert_array_equal(row[:areas[i]], resids[i].ravel())
             assert not row[areas[i]:max(areas)].any()
             np.testing.assert_array_equal(row[max(areas):], yv)
-        decoded = problem.rows_mean_x(idx, rows)
-        assert np.array_equal(decoded, problem.grad_x(idx, xv, yv))
+        decoded, fresh = problem.rows_mean_x(idx, rows), problem.grad_x(idx, xv, yv)
+        if b < 6:
+            assert np.array_equal(decoded, fresh)
+        else:
+            assert np.abs(decoded - fresh).max() <= 1e-14 * np.abs(fresh).max()
         assert not problem.rows_mean_x(idx, np.zeros_like(rows)).any()
 
 
@@ -1464,9 +1628,11 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
 
 
 def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
-    # The y-draw correlates the sampled tiles' windows of |X| only, each twice per
-    # pass (with the iterate, then with the result), and forms no patch matrix:
-    # one window at b = 1, all n windows for the full batch.
+    # Below the full batch the y-draw correlates the sampled tiles' windows of |X|
+    # only, each twice per pass (with the iterate, then with the result), and forms no
+    # patch matrix: one window at b = 1.  The full batch's windows cover the image, so
+    # each pass correlates the whole |X| twice instead: forward, then its kernel
+    # gradient.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1481,13 +1647,18 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
         return bid_patches(image, kernel_shape)
 
     def counting_forward(image, kernel, factors=None):
-        correlated.append(image)
+        correlated.append(("forward", image))
         return bid_forward(image, kernel, factors)
+
+    def counting_gradient(image, residual):
+        correlated.append(("gradient", image))
+        return bid_kernel_gradient(image, residual)
 
     # problems has no bid_patches (the patch matrix is a test reference), so this spy
     # catches one added there and called by the draw.
     monkeypatch.setattr(problems_module, "bid_patches", counting_patches, raising=False)
     monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    monkeypatch.setattr(problems_module, "bid_kernel_gradient", counting_gradient)
 
     def y_draw(batch):
         correlated.clear()
@@ -1498,35 +1669,71 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     per_window = 2 * problems_module.Y_BOUND_PASSES
     for j in range(16):
         seen = y_draw(np.array([j]))
-        assert len(seen) == per_window and all(np.array_equal(got, windows[j]) for got in seen), j
+        assert len(seen) == per_window, j
+        assert all(kind == "forward" and np.array_equal(got, windows[j]) for kind, got in seen), j
     seen = y_draw(np.arange(16))
-    assert len(seen) == 16 * per_window
-    for k, got in enumerate(seen):
-        # Each pass takes the windows in batch order, each window twice in a row.
-        assert np.array_equal(got, windows[k // 2 % 16]), k
+    assert [kind for kind, _got in seen] == ["forward", "gradient"] * problems_module.Y_BOUND_PASSES
+    assert all(np.array_equal(got, np.abs(X)) for _kind, got in seen)
 
 
 @pytest.mark.parametrize("algorithm", ["palm", "spring-sgd"])
 def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
-    # Every oracle, Lipschitz draw, objective and gradient map of a run goes
-    # through the tile windows, the full batch included: no correlation input
-    # is larger than a tile window padded for the image adjoint.
+    # Every oracle and Lipschitz draw of a run below the full batch goes through the
+    # tile windows: no correlation input is larger than a tile window padded for the
+    # image adjoint.  A full-batch call (PALM's steps and draws, every objective and
+    # gradient map) correlates the whole image a fixed number of times: value once,
+    # grad_x once and then each of the 4 tile-row bands, padded, once; grad_y and each
+    # of the y-draw's passes once forward and once by bid_kernel_gradient; the
+    # closed-form x-draw not at all.
     Z, _, _ = toy_blurred_image(seed=0, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem, z0 = adapter.block_problem(), adapter.initial_iterate()
-    pad = 2 * (5 - 1)  # the image adjoint pads a tile's residual by the kernel on both sides
-    largest = np.max([(rs.stop - rs.start + pad, cs.stop - cs.start + pad)
-                      for rs, cs in bid_component_split(Z.shape, 16)], axis=0)
-    shapes = []
+    n, image, kernel = problem.n, adapter.image_shape, (5, 5)
+    pad = 2 * (5 - 1)  # the image adjoint pads a residual by the kernel on both sides
+    tiles = bid_component_split(Z.shape, 16)
+    largest = np.max([(rs.stop - rs.start + pad, cs.stop - cs.start + pad) for rs, cs in tiles], axis=0)
+    band = (tiles[0][0].stop - tiles[0][0].start + pad, Z.shape[1] + pad)
+    passes = problems_module.Y_BOUND_PASSES
+    per_call = {
+        "value": [("forward", image, kernel)],
+        "grad_x": [("forward", image, kernel)] + [("forward", band, kernel)] * 4,
+        "grad_y": [("forward", image, kernel), ("gradient", image, Z.shape)],
+        "lipschitz_x": [],
+        "lipschitz_y": [("forward", image, kernel), ("gradient", image, Z.shape)] * passes,
+    }
+    shapes, calls = [], {}
 
     def recording_forward(X, Y, factors=None):
-        shapes.extend((np.shape(X), np.shape(Y)))
+        shapes.append(("forward", np.shape(X), np.shape(Y)))
         return bid_forward(X, Y, factors)
 
+    def recording_gradient(X, U):
+        shapes.append(("gradient", np.shape(X), np.shape(U)))
+        return bid_kernel_gradient(X, U)
+
+    def recording(name, hook):
+        def call(*args):
+            batch = args[-1] if name.startswith("lipschitz") else args[0]
+            start = len(shapes)
+            out = hook(*args)
+            calls.setdefault((name, len(batch) == n), []).append(shapes[start:])
+            return out
+        return call
+
     monkeypatch.setattr(problems_module, "bid_forward", recording_forward)
-    run(problem, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
-    assert shapes
-    assert all(h <= largest[0] and w <= largest[1] for h, w in shapes), max(shapes)
+    monkeypatch.setattr(problems_module, "bid_kernel_gradient", recording_gradient)
+    hooks = ("value", "grad_x", "grad_y", "lipschitz_x", "lipschitz_y", "rows_x", "rows_mean_x")
+    recorded = replace(problem, **{name: recording(name, getattr(problem, name)) for name in hooks})
+    run(recorded, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
+    assert shapes and ("value", True) in calls
+    for (name, full), made in calls.items():
+        for seen in made:
+            if full:
+                assert seen == per_call[name], name
+            else:
+                assert seen and all(kind == "forward" and h <= largest[0] and w <= largest[1]
+                                    for kind, (h, w), _kernel in seen), name
+    assert ("grad_x", True) in calls and (("grad_x", False) in calls) == (algorithm != "palm")
 
 
 # ---------------------------------------------------------------------------
