@@ -3,9 +3,9 @@
 * the blind-deconvolution kernels on a bid-medium tile window (a 14 x 14 tile
   of the 56 x 56 residual grid grown by the 9 x 9 kernel to a 22 x 22 image),
   on the full 64 x 64 image, and on a 256 x 256 image, the size of a
-  large deconvolution benchmark, where ``bid_forward`` runs several column
-  blocks; ``bid_kernel_gradient``, the full batch's kernel adjoint, beside
-  ``bid_adjoint_kernel``, the windows';
+  large deconvolution benchmark, where ``bid_forward`` runs several row and
+  column blocks; ``bid_kernel_gradient``, the kernel adjoint of a tile
+  window and of the image alike;
 * the edge regularizer's gradient (``smooth_x.grad``) on bid-medium's 64 x 64
   image;
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
@@ -13,8 +13,8 @@
   shapes (b = 13 and the full batch);
 * the blind-deconvolution batch oracles (``grad_x``, ``grad_y`` and ``value``)
   and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
-  bid-medium shapes (16 tiles; b = 1 and the full batch, where the oracles
-  work on the one image residual);
+  bid-medium shapes (16 tiles; b = 1, where the oracles correlate one tile
+  window, and the full batch, whose one region is the whole image);
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
   exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
@@ -46,7 +46,6 @@ from springopt.problems import (
     SparseNmfProblem,
     _top_eigenvalue,
     bid_adjoint_image,
-    bid_adjoint_kernel,
     bid_forward,
     bid_kernel_gradient,
     project_box_l1,
@@ -81,7 +80,7 @@ def bid():
 
 
 @pytest.mark.parametrize("shape", IMAGE_SHAPES)
-@pytest.mark.parametrize("kernel", ["forward", "adjoint_image", "adjoint_kernel", "kernel_gradient"])
+@pytest.mark.parametrize("kernel", ["forward", "adjoint_image", "kernel_gradient"])
 def test_bid_kernel(benchmark, kernel, shape):
     rng = np.random.default_rng(0)
     h, w = IMAGE_SHAPES[shape]
@@ -91,7 +90,6 @@ def test_bid_kernel(benchmark, kernel, shape):
     calls = {
         "forward": (bid_forward, X, Y),
         "adjoint_image": (bid_adjoint_image, U, Y),
-        "adjoint_kernel": (bid_adjoint_kernel, U, X),
         "kernel_gradient": (bid_kernel_gradient, X, U),
     }
     fn, *args = calls[kernel]

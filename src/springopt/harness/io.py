@@ -142,8 +142,12 @@ def load_image(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: malformed PGM header") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image size {width}x{height}, expected at least 1x1")
     count = width * height
     if magic == b"P5":
+        if header_end == len(raw):
+            raise FormatError(f"{path}: no whitespace byte after maxval before the P5 payload")
         start = header_end + 1  # exactly one whitespace byte after maxval
         pixels = np.frombuffer(raw, dtype=np.uint8, count=-1, offset=start)
         if pixels.size < count:
@@ -151,8 +155,11 @@ def load_image(path: str | Path) -> np.ndarray:
         pixels = pixels[:count]
     else:
         values = []
-        for tok, _ in tokens:
-            values.append(int(tok))
+        for index, (tok, _) in enumerate(tokens):
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise FormatError(f"{path}: P2 sample {index} is not an integer: {tok!r}") from None
         if len(values) != count:
             raise FormatError(f"{path}: P2 payload has {len(values)} samples, expected {count}")
         pixels = np.asarray(values)

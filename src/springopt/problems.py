@@ -20,10 +20,10 @@ The factorization data is stored component-major, as A^T: a batch gathers
 its rows (only a long batch's A_B Y_B^T, such as a full batch of 500, rounds
 apart from row-major A's, in the last bits), the gradients are in Gram form,
 and the objective sweeps 2r components at a time, the widest parts whose
-buffer fits 4 m r temporaries.  Below the full batch the deconvolution
-oracles work one tile window at a time, so a component costs about 1/n of a
-full gradient; the full batch's tiles partition the residual grid, so its
-oracles and y-draw correlate the whole image once instead.
+buffer fits 4 m r temporaries.  The deconvolution oracles correlate a list of
+regions: below the full batch each sampled tile's image window, so a
+component costs about 1/n of a full gradient; the full batch's tiles
+partition the residual grid, so its one region is the whole image.
 
 Matrix blocks are flattened row-major into the solver's vector view.
 
@@ -379,14 +379,15 @@ def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...], offs
     return np.ndarray(shape, X.dtype, buffer=X, offset=offset * step, strides=tuple(s * step for s in steps))
 
 
-# Output columns per matrix product in ``bid_forward``.  Every tile-window
-# correlation of the bundled benchmarks (at most 22 output columns) fits in one
-# block; a whole-image correlation is split, which bounds S and T.
-_COLUMN_BLOCK = 24
+# Output rows and columns per matrix product in ``bid_forward``: a tile window of
+# the bundled benchmarks (at most 22 x 22 outputs) is one block, and an image's
+# blocks keep S and T at one size at every image size.  From 28 rows, bid-medium's
+# full-batch grad_x would exceed the peak tests/test_peak_memory.py holds.
+_BLOCK = 24
 # Columns of U per matrix product in ``bid_kernel_gradient``.  Its product has
 # kh * (block + kw - 1) rows, of which kh * kw per column are summed, so it is
 # narrower.
-_KERNEL_BLOCK = 8
+_KERNEL_BLOCK = 16
 
 
 def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
@@ -404,29 +405,12 @@ def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     return toeplitz
 
 
-def _stacked_rows(X: np.ndarray, start: int, width: int, kh: int) -> np.ndarray:
-    """S of ``bid_forward``'s column block of ``width`` input columns from ``start``.
-
-    Row p of S is X[p:p + kh, start:start + width] laid end to end.  For
-    C-contiguous X, S is a strided view of X, reshaped: a copy, unless the
-    block spans X's rows, when the product gets the overlapping rows as they
-    are.  Otherwise S is a C-ordered copy, read from a contiguous copy of the
-    block's columns, which is freed before the caller builds T.
-    """
-    oh = X.shape[0] - kh + 1
-    if X.flags.c_contiguous:
-        row = X.shape[1]
-        return _strided(X, (oh, kh, width), (row, row, 1), start).reshape(oh, -1)
-    cols = np.ascontiguousarray(X[:, start:start + width])
-    return _strided(cols, (oh, kh, width), (width, width, 1)).copy().reshape(oh, -1)
-
-
 class ToeplitzFactors:
     """The Toeplitz factors of one kernel array, each built once per block width.
 
     Pass one to every ``bid_forward(X, Y, factors)`` and
     ``bid_adjoint_image(U, Y, factors)`` call with the same kernel array Y,
-    such as an oracle's tile windows or a Lipschitz bound's passes, and
+    such as an oracle's regions or a Lipschitz bound's passes, and
     each factor is built once for them all.  Both functions refuse factors
     of any other array (by identity, so an equal copy is refused too).  The
     kernel's entries must not change while its factors are in use.
@@ -465,30 +449,37 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = 
     out[p, q] = sum_{a, b} X[p + a, q + b] Y[a, b], output shape
     (h - kh + 1, w - kw + 1).
 
-    One matrix product per block of at most ``_COLUMN_BLOCK`` output
-    columns: out[:, block] = S @ T.  Row p of S is the rows X[p:p + kh],
-    restricted to the block's ncols + kw - 1 input columns and laid end to
-    end (``_stacked_rows``, read through a strided ``np.ndarray`` view);
-    T is ``_toeplitz(Y, ncols)``, taken from ``factors`` (Y's
-    ``ToeplitzFactors``, shared by the calls that correlate with Y), so T is
-    built once per block width for all of them.  T's size does not grow
-    with the image width, and S holds at most min(kh, out_h) copies of the
-    block's input columns, so the temporaries stay within a few copies of X.
-    A single block's product is the result itself.  The products sum in
-    another order than the direct sum over (a, b), so results agree with it
-    to rounding, and exactly on small-integer-valued inputs.
+    One matrix product per block of at most ``_BLOCK`` output rows and
+    columns: out[block] = S @ T.  Row p of S is the rows X[p:p + kh] of the
+    block's ncols + kw - 1 input columns laid end to end, read from one
+    strided view of X (or of one contiguous copy of a non-contiguous X,
+    such as a tile window) and reshaped: a copy, unless the block spans X's
+    rows, when the product gets the overlapping rows as they are.  T is
+    ``_toeplitz(Y, ncols)``, taken from ``factors`` (Y's
+    ``ToeplitzFactors``, shared by the calls that correlate with Y).
+    Neither grows with the image, so the temporaries beyond the output (and
+    X's copy) are the same at every image size.  A single block's product
+    is the result itself.  The products sum in another order than the
+    direct sum over (a, b), so results agree with it to rounding, and
+    exactly on small-integer-valued inputs.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     factors = ToeplitzFactors(np.asarray(Y, dtype=float)) if factors is None else factors.of(Y)
     oh, ow = _output_shape(X.shape, factors.kernel.shape)
     kh, kw = factors.kernel.shape
-    if ow <= _COLUMN_BLOCK:
-        return _stacked_rows(X, 0, ow + kw - 1, kh) @ factors.toeplitz(ow)
+    w = X.shape[1]
+    bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
+    if oh <= _BLOCK and ow <= _BLOCK:
+        return bands.reshape(oh, -1) @ factors.toeplitz(ow)
     out = np.empty((oh, ow))
-    for start in range(0, ow, _COLUMN_BLOCK):
-        ncols = min(_COLUMN_BLOCK, ow - start)  # the last block may be narrower
-        # One S at a time, freed after its product, so the blocks reuse one heap chunk.
-        out[:, start:start + ncols] = _stacked_rows(X, start, ncols + kw - 1, kh) @ factors.toeplitz(ncols)
+    for start in range(0, ow, _BLOCK):
+        ncols = min(_BLOCK, ow - start)  # the last block may be narrower
+        toeplitz = factors.toeplitz(ncols)
+        for top in range(0, oh, _BLOCK):
+            nrows = min(_BLOCK, oh - top)
+            # One S at a time, its product written into out, so the blocks reuse one heap chunk.
+            np.matmul(bands[top:top + nrows, :, start:start + ncols + kw - 1].reshape(nrows, -1), toeplitz,
+                      out=out[top:top + nrows, start:start + ncols])
     return out
 
 
@@ -506,28 +497,19 @@ def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | N
     return bid_forward(padded, flipped.kernel, flipped)
 
 
-def bid_adjoint_kernel(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Adjoint of Y -> bid_forward(X, Y); correlation of X with U.
-
-    ``bid_forward(X, U)``, which builds a Toeplitz factor of U: the faster
-    form on a tile window, while ``bid_kernel_gradient`` is on an image.
-    """
-    return bid_forward(X, U)
-
-
 def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Adjoint of Y -> bid_forward(X, Y): <bid_forward(X, Y), U> = <Y, bid_kernel_gradient(X, U)>.
 
-    The correlation of X with U, as ``bid_adjoint_kernel(U, X)``, without a
-    Toeplitz factor of U (258 KB for a 56 x 56 residual).  Per block of at
-    most ``_KERNEL_BLOCK`` columns of U it forms M = S.T @ U[:, block], S
-    being ``bid_forward``'s stacked rows of the block, and sums M's strided
-    diagonals: G[a, b] gets M[a * width + j + b, j] over the block's columns
-    j, the entries where ``_toeplitz`` writes Y[a, b], so this is the
-    adjoint of that write.  S.T is read as kh strided views of X's rows, one
-    matrix product each in a single ``np.matmul``, so S is never copied.
-    The sum order differs from ``bid_adjoint_kernel``'s, so the two agree to
-    rounding.
+    The correlation of X with U, on a tile window and on the whole image
+    alike, without a Toeplitz factor of U (258 KB for a 56 x 56 residual).
+    Per block of at most ``_KERNEL_BLOCK`` columns of U
+    it forms M = S.T @ U[:, block], S being ``bid_forward``'s stacked rows
+    of the block, and sums M's strided diagonals: G[a, b] gets
+    M[a * width + j + b, j] over the block's columns j, the entries where
+    ``_toeplitz`` writes Y[a, b], so this is the adjoint of that write.
+    S.T is read as kh strided views of X's rows, one matrix product each in
+    a single ``np.matmul``, so S is never copied and M's size does not grow
+    with the image.  It agrees with ``bid_forward(X, U)`` to rounding.
     """
     X, U = np.ascontiguousarray(X, dtype=float), np.asarray(U, dtype=float)
     (h, w), (oh, ow) = X.shape, U.shape
@@ -535,10 +517,11 @@ def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     if kh < 1 or kw < 1:
         raise ValueError(f"residual {U.shape} larger than image {X.shape}")
     G = np.zeros((kh, kw))
+    columns = _strided(X, (kh, w, oh), (w, 1, w))  # columns[a, c] is X[a:a + oh, c]
     for start in range(0, ow, _KERNEL_BLOCK):
         ncols = min(_KERNEL_BLOCK, ow - start)
         width = ncols + kw - 1
-        M = np.matmul(_strided(X, (kh, width, oh), (w, 1, w), start), U[:, start:start + ncols])
+        M = np.matmul(columns[:, start:start + width], U[:, start:start + ncols])
         G += _strided(M, (kh, kw, ncols), (width * ncols, ncols, ncols + 1)).sum(axis=2)
     return G
 
@@ -604,12 +587,11 @@ class BlindDeblurProblem:
     is the tile's residual, zero-padded to the largest tile, followed by the
     kernel at the visit: max tile area + kh * kw numbers.
 
-    Below the full batch the oracles and draws correlate the sampled tiles'
-    image windows.  The full batch's tiles partition the residual grid, so
-    its ``value``, ``grad_x``, ``grad_y`` and y-draw work on the one image
-    residual bid_forward(X, Y) - Z instead, and sum in another order than
-    the tiles would (a fresh SAGA x-row therefore decodes to ``grad_x`` bit
-    for bit below the full batch only).
+    Each oracle and y-draw correlates a list of regions (an image window and
+    its part of the residual grid): the sampled tiles' windows, or, on the
+    full batch, whose tiles partition the grid, the whole image.  That sums
+    in another order than the tiles, so a fresh SAGA x-row (one tile's)
+    decodes to ``grad_x`` bit for bit below the full batch only.
     """
 
     Z: np.ndarray
@@ -637,12 +619,15 @@ class BlindDeblurProblem:
         hx, wx = self.image_shape
         tiles = bid_component_split(Z.shape, self.n_tiles)
         n = len(tiles)
-        # Tile i's residual needs only its image window: the tile grown by the kernel.
-        windows = [(slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)) for rs, cs in tiles]
-        # The image rows of each tile-row band of the residual grid: the windows of
-        # the full-batch image adjoint, which bound its zero-padded temporaries.
-        bands = [(slice(top, stop), slice(top, stop + kh - 1)) for top, stop in
-                 sorted({(rs.start, rs.stop) for rs, _cs in tiles})]
+        # A region is an image window and the part of the residual grid it yields: tile
+        # i's window is the tile grown by the kernel, and the full batch's tiles
+        # partition the grid, so its one region is the whole image.
+        tile_regions = [((slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)), (rs, cs))
+                        for rs, cs in tiles]
+        image_region = [((slice(None), slice(None)), (slice(None), slice(None)))]
+
+        def regions(idx):
+            return image_region if len(idx) == n else [tile_regions[i] for i in idx]
 
         def reg_value(xv):
             dh, dv = image_gradients(xv.reshape(hx, wx))
@@ -668,17 +653,12 @@ class BlindDeblurProblem:
             g *= lam
             return g.ravel()
 
-        def image_residual(X, Y):
-            resid = bid_forward(X, Y)
-            resid -= Z
-            return resid
-
-        # One oracle call correlates all its windows with one kernel, so it builds the
-        # kernel's Toeplitz factors once and shares them (``ToeplitzFactors``).
-        def tile_residuals(idx, X, Y, factors=None):
-            factors = ToeplitzFactors(Y) if factors is None else factors
-            for i in idx:
-                yield windows[i], bid_forward(X[windows[i]], Y, factors) - Z[tiles[i]]
+        # The (window, residual) of each region, correlated with one kernel whose Toeplitz
+        # factors are built once and freed on return, before grad_x's adjoints build the
+        # flipped ones: on the full batch both would not fit in smooth_x.grad's peak.
+        def residuals(regions, X, Y):
+            factors = ToeplitzFactors(Y)
+            return [(window, bid_forward(X[window], Y, factors) - Z[tile]) for window, tile in regions]
 
         def scatter_adjoints(parts, scale, factors=None):
             # scale * the sum of the image adjoints of (window, residual, kernel) parts,
@@ -692,26 +672,18 @@ class BlindDeblurProblem:
 
         def value(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            if len(idx) == n:
-                resid = image_residual(X, Y)
-                return float(np.vdot(resid, resid))
-            total = sum(float((resid * resid).sum()) for _w, resid in tile_residuals(idx, X, Y))
-            return n * total / len(idx)
+            total = sum(float(np.vdot(resid, resid)) for _w, resid in residuals(regions(idx), X, Y))
+            return total * (n / len(idx))  # exactly the image's sum of squares on the full batch
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            factors = ToeplitzFactors(Y)
-            if len(idx) == n:
-                # The forward's factors are freed before the adjoints build the flipped ones.
-                resid = image_residual(X, Y)
-                parts = (((image_rows, slice(None)), resid[grid_rows], Y) for grid_rows, image_rows in bands)
-            else:
-                parts = ((window, resid, Y) for window, resid in tile_residuals(idx, X, Y, factors))
-            return scatter_adjoints(parts, 2.0 * n / len(idx), factors)
+            parts = ((window, resid, Y) for window, resid in residuals(regions(idx), X, Y))
+            return scatter_adjoints(parts, 2.0 * n / len(idx), ToeplitzFactors(Y))
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
-        # row holds a tile and a kernel instead of the image.
+        # row holds a tile and a kernel instead of the image.  A row is one tile's, so
+        # rows_x takes tile regions at every batch size.
         tile_shapes = [(rs.stop - rs.start, cs.stop - cs.start) for rs, cs in tiles]
         areas = [th * tw for th, tw in tile_shapes]
         width = max(areas)
@@ -719,25 +691,22 @@ class BlindDeblurProblem:
         def rows_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
             rows = np.zeros((len(idx), width + kh * kw))
-            for row, (_window, resid) in zip(rows, tile_residuals(idx, X, Y)):
+            for row, (_window, resid) in zip(rows, residuals([tile_regions[i] for i in idx], X, Y)):
                 row[:resid.size] = resid.ravel()
             rows[:, width:] = yv
             return rows
 
         def rows_mean_x(idx, rows):
             # A row with an all-zero kernel (a tile not visited yet) adds an exact zero: skip it.
-            parts = ((windows[i], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
+            parts = ((tile_regions[i][0], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
                      for i, row in zip(idx, rows) if row[width:].any())
             return scatter_adjoints(parts, 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            if len(idx) == n:
-                g = bid_kernel_gradient(X, image_residual(X, Y))
-            else:
-                g = np.zeros((kh, kw))
-                for window, resid in tile_residuals(idx, X, Y):
-                    g += bid_adjoint_kernel(resid, X[window])
+            g = np.zeros((kh, kw))
+            for window, resid in residuals(regions(idx), X, Y):
+                g += bid_kernel_gradient(X[window], resid)
             g *= 2.0 * n / len(idx)
             return g.ravel()
 
@@ -776,7 +745,7 @@ class BlindDeblurProblem:
             # outside the sampled windows, so it acts on their bounding box alone: for
             # b = 1 the box is the window itself.
             Y = np.abs(yv.reshape(kh, kw))
-            rows, cols = [windows[j][0] for j in batch], [windows[j][1] for j in batch]
+            rows, cols = zip(*(tile_regions[j][0] for j in batch))
             top, left = min(rs.start for rs in rows), min(cs.start for cs in cols)
             box = (max(rs.stop for rs in rows) - top, max(cs.stop for cs in cols) - left)
             sampled = [(slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left))
@@ -794,30 +763,22 @@ class BlindDeblurProblem:
             bound, applied = collatz_wielandt_bound(apply, box[0] * box[1], X_BOUND_PASSES)
             return bound + edge_curvature, applied
 
-        # On the kernel, tile j's residual map is its window's patch matrix P_j, so the
-        # y-operator is (2n/b) sum_j P_j^T P_j, applied as two window correlations per
-        # sampled tile with the window's |X|: P_j v correlates the window with the kernel
-        # v, and P_j^T u is the window correlated with u.  The full batch's sum is P^T P
-        # for the patch matrix P of the whole image's |X|: two image correlations.
+        # On the kernel, a region's residual map is its window's patch matrix P_j, so the
+        # y-operator is (2n/b) sum_j P_j^T P_j, applied as two correlations per region
+        # with the window's |X|: P_j v correlates the window with the kernel v, and
+        # P_j^T u is the window correlated with u.  The full batch's one region is the
+        # whole image, whose patch matrix P has P^T P = sum_j P_j^T P_j over all tiles.
         def lip_y(xv, yv, batch):
             X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
-            if len(batch) == n:
-                image = np.abs(X)
+            sampled = [np.abs(X[window]) for window, _tile in regions(batch)]
 
-                def apply(v):
-                    g = bid_kernel_gradient(image, bid_forward(image, v.reshape(kh, kw)))
-                    g *= scale
-                    return g.ravel()
-            else:
-                sampled = [np.abs(X[windows[j]]) for j in batch]
-
-                def apply(v):
-                    V, g = v.reshape(kh, kw), np.zeros((kh, kw))
-                    factors = ToeplitzFactors(V)  # shared by the windows
-                    for patch in sampled:
-                        g += bid_adjoint_kernel(bid_forward(patch, V, factors), patch)
-                    g *= scale
-                    return g.ravel()
+            def apply(v):
+                V, g = v.reshape(kh, kw), np.zeros((kh, kw))
+                factors = ToeplitzFactors(V)  # shared by the regions
+                for patch in sampled:
+                    g += bid_kernel_gradient(patch, bid_forward(patch, V, factors))
+                g *= scale
+                return g.ravel()
 
             return collatz_wielandt_bound(apply, kh * kw, Y_BOUND_PASSES)
 

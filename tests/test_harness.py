@@ -163,6 +163,30 @@ def test_pgm_comments_and_errors(tmp_path):
         io.load_image(maxval)
 
 
+def test_pgm_rejects_a_size_below_one(tmp_path):
+    # A negative width loaded as a (4, 0) image.
+    for header in (b"P5\n-1 4\n255\n", b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"):
+        path = tmp_path / "size.pgm"
+        path.write_bytes(header + bytes(4))
+        with pytest.raises(io.FormatError, match=re.escape(f"{path}: image size")):
+            io.load_image(path)
+
+
+def test_pgm_p5_without_a_payload_separator_names_the_file(tmp_path):
+    # The payload offset ran past the file's end, which NumPy raised without the path.
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n2 2\n255")
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: no whitespace byte after maxval")):
+        io.load_image(path)
+
+
+def test_pgm_p2_non_integer_sample_names_the_file_and_index(tmp_path):
+    path = tmp_path / "float.pgm"
+    path.write_text("P2\n2 2\n255\n0 12 1.5 255\n")
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: P2 sample 2 is not an integer")):
+        io.load_image(path)
+
+
 # ---------------------------------------------------------------------------
 # Trace CSVs
 # ---------------------------------------------------------------------------

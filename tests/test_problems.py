@@ -18,7 +18,6 @@ from springopt.problems import (
     SparsePcaProblem,
     ToeplitzFactors,
     bid_adjoint_image,
-    bid_adjoint_kernel,
     bid_component_split,
     bid_forward,
     bid_kernel_gradient,
@@ -740,6 +739,15 @@ def bid_patches(X, kernel_shape):
     return _window_view(np.asarray(X, dtype=float), kernel_shape).reshape(-1, kh * kw)
 
 
+def bid_adjoint_kernel(U, X):
+    """Adjoint of Y -> bid_forward(X, Y); correlation of X with U: the reference.
+
+    ``bid_forward(X, U)``, which builds a Toeplitz factor of U: the faster
+    form on a tile window, while ``bid_kernel_gradient`` is on an image.
+    """
+    return bid_forward(X, U)
+
+
 def test_bid_adjoint_identities(rng):
     # <X (*) Y, U> = <X, adj_image(U, Y)> = <Y, adj_kernel(U, X)> = <Y, kernel_gradient(X, U)>,
     # the last also over several of its column blocks and on a non-contiguous image.
@@ -800,7 +808,7 @@ def test_bid_kernels_match_sliding_window_versions(rng):
             big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
             big[::2, 1::3],                   # strided in both axes
             np.asfortranarray(draw((9, 11))),
-            draw((7, 2 * problems_module._COLUMN_BLOCK + 7)),  # two full column blocks and a narrower one
+            draw((7, 2 * problems_module._BLOCK + 7)),  # two full column blocks and a narrower one
         ]
         for X in images:
             h, w = X.shape
@@ -835,6 +843,28 @@ def test_bid_forward_memory_stays_blocked(correlation):
         tracemalloc.stop()
     assert out.shape == ((248, 248) if correlation == "forward" else X.shape)
     assert peak <= out.nbytes + 4 * X.nbytes
+
+
+@pytest.mark.parametrize("correlation", ["forward", "adjoint_image"])
+def test_bid_correlation_temporaries_do_not_grow_with_the_image(correlation):
+    # A 9 x 9 kernel on 64, 256 and 512-pixel images: the row and column blocks hold
+    # S and T, the temporaries beyond the output (and the adjoint's zero-padded copy
+    # of the residual), at one size, within 160 KB at every image size.  Blocking the
+    # columns alone let S grow with the image height, to 1.3 MB at 512 pixels.
+    rng = np.random.default_rng(29)
+    Y = rng.random((9, 9))
+    for size in (64, 256, 512):
+        X, U = rng.random((size, size)), rng.random((size - 8, size - 8))
+        call = (lambda: bid_forward(X, Y)) if correlation == "forward" else (lambda: bid_adjoint_image(U, Y))
+        padded = 0 if correlation == "forward" else (size + 8) ** 2 * 8
+        call()
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - padded <= 160_000, size
 
 
 def test_bid_window_view_is_read_only(rng):
@@ -874,9 +904,9 @@ def _asstrided_bid_forward(X, Y):
     oh, ow = problems_module._output_shape(X.shape, Y.shape)
     kh, kw = Y.shape
     out = np.empty((oh, ow))
-    for start in range(0, ow, problems_module._COLUMN_BLOCK):
-        ncols = min(problems_module._COLUMN_BLOCK, ow - start)
-        if start == 0 or ncols < problems_module._COLUMN_BLOCK:  # the last block may be narrower
+    for start in range(0, ow, problems_module._BLOCK):
+        ncols = min(problems_module._BLOCK, ow - start)
+        if start == 0 or ncols < problems_module._BLOCK:  # the last block may be narrower
             toeplitz = _asstrided_toeplitz(Y, ncols)
         cols = X[:, start:start + ncols + kw - 1]
         stacked = as_strided(cols, shape=(oh, kh, cols.shape[1]), strides=(cols.strides[0], *cols.strides),
@@ -909,14 +939,22 @@ def _bitwise(result, ref):
 def test_bid_kernels_match_previous_kernels_bitwise(rng):
     # The layouts of the sliding-window comparison above plus a large window.
     # Each kernel shares one ToeplitzFactors across all layouts (so across block
-    # widths) and both directions, and each call is repeated on warm factors.
+    # widths) and both directions, and each call is repeated on warm factors.  The
+    # row blocks leave every result bitwise: no output here ends in a one-row block,
+    # whose matrix-vector product would sum in another order.  One layout is not
+    # bitwise: the reference kernel adjoint, a correlation with the residual as the
+    # kernel, on a non-contiguous image when its output is one column wide.  The
+    # previous kernel copied such an image's stacked rows into C order, while
+    # bid_forward now reads them, overlapping, from one contiguous copy of the
+    # image, and the matrix-vector product sums those in another order: equal to
+    # 1e-13 there.
     big = rng.standard_normal((300, 300))
     images = [
         rng.standard_normal((12, 15)),    # contiguous
         big[3:17, 5:21],                  # a tile window of a larger image (non-contiguous)
         big[::2, 1::3],                   # strided in both axes
         np.asfortranarray(rng.standard_normal((9, 11))),
-        rng.standard_normal((7, 2 * problems_module._COLUMN_BLOCK + 7)),  # two full column blocks and a narrower one
+        rng.standard_normal((7, 2 * problems_module._BLOCK + 7)),  # two full column blocks and a narrower one
         big[4:140, 4:140],                # a large window: its kernel adjoint is one 136-column block
     ]
     for kernel in ((3, 3), (2, 5), (4, 1), (1, 1), (9, 9), "image"):
@@ -942,7 +980,11 @@ def test_bid_kernels_match_previous_kernels_bitwise(rng):
                 assert _bitwise(bid_adjoint_image(residual, Y), want)
                 for _ in range(2):
                     assert _bitwise(bid_adjoint_image(residual, Y, factors), want)
-                assert _bitwise(bid_adjoint_kernel(residual, X), _asstrided_bid_adjoint_kernel(residual, X))
+                got, want = bid_adjoint_kernel(residual, X), _asstrided_bid_adjoint_kernel(residual, X)
+                if kw == 1 and not X.flags.c_contiguous:
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+                else:
+                    assert _bitwise(got, want)
             assert _bitwise(bid_patches(X, (kh, kw)), _asstrided_bid_patches(X, (kh, kw)))
 
 
@@ -964,16 +1006,20 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # Work counter: a b = 1 x-draw builds one Toeplitz factor of the kernel and one of
     # its flip, shared by every operator application (8 builds when each correlation
-    # built its own), and a b = 1 y-draw pass one factor of the iterate v and one of
-    # the window's result.  The full-batch x-draw is the closed-form bound: no
-    # correlation and no factor.  The full batch works on the whole 28 x 28 residual,
-    # two forward column blocks (24 and 4 columns): value, grad_y and each y-draw pass
-    # build the two factors of their kernel; grad_x also builds its flip's two (the
-    # 32-column band adjoints: 24 and 8) and correlates the image once and each of the
-    # 4 tile-row bands once.  grad_y and a y-draw pass correlate forward and then take
-    # one bid_kernel_gradient, which builds no factor.  Window by window, the full
-    # batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for the
-    # y-draw, with 1, 2, 17 and 34 factor builds.
+    # built its own), and a b = 1 y-draw pass one factor of the iterate v: the kernel
+    # adjoint, bid_kernel_gradient, builds none (the window kernel adjoint
+    # bid_forward(X, U) built one of the window's residual U, 4 builds per draw).
+    # The full-batch x-draw is the closed-form bound: no correlation and no factor.
+    # A b = 1 oracle correlates its window: grad_x builds one forward and one flipped
+    # factor, grad_y one forward factor.  The full batch correlates the whole image,
+    # the one region whose 28 x 28 residual spans two forward column blocks (24 and
+    # 4): value, grad_y and each y-draw pass build the two factors of their kernel;
+    # grad_x also builds its flip's two (the 32-column image adjoint: 24 and 8) and
+    # correlates the image once forward and once back.  grad_y and a y-draw pass
+    # correlate forward and then take one bid_kernel_gradient.  Window by window, the
+    # full batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for
+    # the y-draw, with 1, 2, 17 and 34 factor builds; by tile-row bands of the image
+    # residual, grad_x made 5 correlations.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1006,9 +1052,11 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     calls = {
         "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2),
         "x-draw full": (draw(problem.lipschitz_x, full), [], 0),
-        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"] * y_passes * 2, y_passes * 2),
+        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"] * y_passes, y_passes * 2),
         "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * y_passes * 2, y_passes * 2),
-        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 1 + 4),
+        "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["flipped", "forward"], 2),
+        "grad_y b=1": (lambda: problem.grad_y(np.array([6]), x, Y.ravel()), ["forward"], 2),
+        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2),
         "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2),
         "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1),
     }
@@ -1283,7 +1331,7 @@ def test_bid_full_batch_image_path_matches_per_tile_sums(rng, shape):
     # The full batch's value, grad_x, grad_y and y-draw work on the one image residual;
     # they match the per-tile sums to 1e-13 relative.  The uneven 11 x 13 grid with a
     # 3 x 4 kernel in 1, 6 and 16 tiles, and bid-medium's shape, whose residual spans
-    # three forward column blocks.  The y-bound stays at or above the dense top
+    # three forward row blocks and three column blocks.  The y-bound stays at or above the dense top
     # eigenvalue of 2 P^T P, for P the patch matrix of X and of |X|.
     if shape == "bid-medium":
         Z, _, _ = _toy_blur(seed=0, size=64, kernel=9)
@@ -1347,8 +1395,8 @@ def test_bid_x_rows_decode_to_grad_x_bitwise(rng):
     # An x-row is the tile's residual, zero-padded to the largest tile, then the
     # kernel; rows_mean_x scatters the image adjoints as grad_x does below the full
     # batch, so SAGA's fresh estimate is the oracle's bit for bit there.  The
-    # full-batch grad_x takes the adjoint of the image residual by tile-row bands,
-    # another summation order than the rows' tile by tile: equal to 1e-14.
+    # full-batch grad_x takes one adjoint of the whole image residual, another
+    # summation order than the rows' tile by tile: equal to 1e-14.
     Z = rng.random((11, 13))
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 4), lam=2e-3, theta=50.0, n_tiles=6)
     problem = adapter.block_problem()
@@ -1629,10 +1677,10 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
 
 def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     # Below the full batch the y-draw correlates the sampled tiles' windows of |X|
-    # only, each twice per pass (with the iterate, then with the result), and forms no
-    # patch matrix: one window at b = 1.  The full batch's windows cover the image, so
-    # each pass correlates the whole |X| twice instead: forward, then its kernel
-    # gradient.
+    # only, each twice per pass (forward with the iterate, then its kernel gradient
+    # with the result), and forms no patch matrix: one window at b = 1.  The full
+    # batch's one region is the whole image, so each pass correlates the whole |X|
+    # twice instead, in the same two steps.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1666,11 +1714,10 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
         assert not patched
         return list(correlated)
 
-    per_window = 2 * problems_module.Y_BOUND_PASSES
     for j in range(16):
         seen = y_draw(np.array([j]))
-        assert len(seen) == per_window, j
-        assert all(kind == "forward" and np.array_equal(got, windows[j]) for kind, got in seen), j
+        assert [kind for kind, _got in seen] == ["forward", "gradient"] * problems_module.Y_BOUND_PASSES, j
+        assert all(np.array_equal(got, windows[j]) for _kind, got in seen), j
     seen = y_draw(np.arange(16))
     assert [kind for kind, _got in seen] == ["forward", "gradient"] * problems_module.Y_BOUND_PASSES
     assert all(np.array_equal(got, np.abs(X)) for _kind, got in seen)
@@ -1682,9 +1729,9 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
     # tile windows: no correlation input is larger than a tile window padded for the
     # image adjoint.  A full-batch call (PALM's steps and draws, every objective and
     # gradient map) correlates the whole image a fixed number of times: value once,
-    # grad_x once and then each of the 4 tile-row bands, padded, once; grad_y and each
-    # of the y-draw's passes once forward and once by bid_kernel_gradient; the
-    # closed-form x-draw not at all.
+    # grad_x once forward and once back (the residual padded by the kernel); grad_y
+    # and each of the y-draw's passes once forward and once by bid_kernel_gradient;
+    # the closed-form x-draw not at all.
     Z, _, _ = toy_blurred_image(seed=0, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem, z0 = adapter.block_problem(), adapter.initial_iterate()
@@ -1692,11 +1739,11 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
     pad = 2 * (5 - 1)  # the image adjoint pads a residual by the kernel on both sides
     tiles = bid_component_split(Z.shape, 16)
     largest = np.max([(rs.stop - rs.start + pad, cs.stop - cs.start + pad) for rs, cs in tiles], axis=0)
-    band = (tiles[0][0].stop - tiles[0][0].start + pad, Z.shape[1] + pad)
+    padded = (Z.shape[0] + pad, Z.shape[1] + pad)
     passes = problems_module.Y_BOUND_PASSES
     per_call = {
         "value": [("forward", image, kernel)],
-        "grad_x": [("forward", image, kernel)] + [("forward", band, kernel)] * 4,
+        "grad_x": [("forward", image, kernel), ("forward", padded, kernel)],
         "grad_y": [("forward", image, kernel), ("gradient", image, Z.shape)],
         "lipschitz_x": [],
         "lipschitz_y": [("forward", image, kernel), ("gradient", image, Z.shape)] * passes,
@@ -1731,8 +1778,7 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
             if full:
                 assert seen == per_call[name], name
             else:
-                assert seen and all(kind == "forward" and h <= largest[0] and w <= largest[1]
-                                    for kind, (h, w), _kernel in seen), name
+                assert seen and all(h <= largest[0] and w <= largest[1] for _kind, (h, w), _kernel in seen), name
     assert ("grad_x", True) in calls and (("grad_x", False) in calls) == (algorithm != "palm")
 
 
@@ -1849,6 +1895,10 @@ def test_bid_run_with_an_overflowing_image_step_diverges():
 # Collatz-Wielandt bounds since, each at or above the power method's 30-iteration
 # value for its batch: x 15.81212413028749, 11.906062065143747, 12.871171533966555
 # and y 313.7081508405044, 85.48523968837314, 209.5070681101507, 126.65835299378942.
+# Two ('bid', 'y') entries moved one ulp down when every kernel adjoint became
+# bid_kernel_gradient with 16-column blocks, which sums in another order: the full
+# batch's 316.3192940576789 -> 316.31929405767886 and batch (1, 2, 5)'s
+# 126.79029041356753 -> 126.79029041356752.
 # The 'nmf' and 'pca' values are eigvalsh's exact top eigenvalues of the scaled
 # Gram matrices since, each charged one application; the 5-iteration power
 # method's, from two start vectors per batch, are in the change log.
@@ -1864,8 +1914,8 @@ PINNED_DRAWS = {
                    + [155.98993983113417] * 2, [1] * 8),
     ('bid', 'x'): ([10.0] * 2 + [15.812631170599388] * 2 + [11.906315585299694] * 2 + [12.927133375888335] * 2,
                    [0] * 2 + [4] * 6),
-    ('bid', 'y'): ([316.3192940576789] * 2 + [85.54543025583669] * 2 + [209.9962100421703] * 2
-                   + [126.79029041356753] * 2, [2] * 8),
+    ('bid', 'y'): ([316.31929405767886] * 2 + [85.54543025583669] * 2 + [209.9962100421703] * 2
+                   + [126.79029041356752] * 2, [2] * 8),
 }
 
 
