@@ -210,14 +210,6 @@ def full_grad_y(problem: BlockProblem, z: Iterate) -> np.ndarray:
     return _mean_grad(problem, z, problem.grad_y, problem.dim_y)
 
 
-def prox_generic(prox: ProxFn, gamma: float, v: np.ndarray) -> np.ndarray:
-    """Apply a prox map to v as a float array after validating the step
-    parameter gamma > 0; the prox returns a float array (``BlockProblem``)."""
-    if not gamma > 0:
-        raise ValueError(f"prox step must be positive, got {gamma}")
-    return prox(gamma, np.asarray(v, dtype=float))
-
-
 @dataclass
 class OracleCounter:
     """Mutable tally of component evaluations (``len(idx)`` per oracle call).

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, check_dims, dist_sq, full_grad_x, full_grad_y, objective, prox_generic
+from .core import BlockProblem, Iterate, check_dims, dist_sq, full_grad_x, full_grad_y, objective
 from .estimators import SagaState, SarahState, saga_estimate_x, saga_estimate_y
 
 
@@ -52,14 +52,14 @@ def generalized_gradient_map(
     evaluated at.  ``grads``, when given, are those two full gradients
     already computed by the caller, and are not evaluated again.
     """
-    if gamma1 <= 0 or gamma2 <= 0:
+    if not (gamma1 > 0 and gamma2 > 0):
         raise ValueError(f"gradient-map parameters must be positive, got ({gamma1}, {gamma2})")
     check_dims(problem, z)
     if grads is None:
         grads = (full_grad_x(problem, z), full_grad_y(problem, Iterate(z_x_next, z.y)))
     gx_full, gy_full = grads
-    g_x = (z.x - prox_generic(problem.prox_x, gamma1, z.x - gamma1 * gx_full)) / gamma1
-    g_y = (z.y - prox_generic(problem.prox_y, gamma2, z.y - gamma2 * gy_full)) / gamma2
+    g_x = (z.x - problem.prox_x(gamma1, z.x - gamma1 * gx_full)) / gamma1
+    g_y = (z.y - problem.prox_y(gamma2, z.y - gamma2 * gy_full)) / gamma2
     return GradMapEval(g_x=g_x, g_y=g_y, norm_sq=float(g_x @ g_x + g_y @ g_y))
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import estimators as est
-from ..core import Iterate, prox_generic
+from ..core import Iterate
 from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS, lipschitz_draw
 from ..rng import stream_rng
@@ -177,8 +177,8 @@ def _feasible_points(args, count: int):
     rng = np.random.default_rng(args.seed)
     for i in range(count):
         z = init_fn(args.seed + i)
-        x = prox_generic(problem.prox_x, 1.0, z.x + 0.05 * rng.standard_normal(problem.dim_x))
-        y = prox_generic(problem.prox_y, 1.0, z.y + 0.05 * rng.standard_normal(problem.dim_y))
+        x = problem.prox_x(1.0, z.x + 0.05 * rng.standard_normal(problem.dim_x))
+        y = problem.prox_y(1.0, z.y + 0.05 * rng.standard_normal(problem.dim_y))
         yield problem, Iterate(x, y)
 
 

@@ -156,14 +156,14 @@ def load_image(path: str | Path) -> np.ndarray:
     else:
         values = []
         for index, (tok, _) in enumerate(tokens):
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise FormatError(f"{path}: P2 sample {index} is not an integer: {tok!r}") from None
+            # Decimal digits only: int() would also take a sign and "_" separators.
+            if not tok.isdigit():
+                raise FormatError(f"{path}: P2 sample {index} is not an integer: {tok!r}")
+            values.append(int(tok))
         if len(values) != count:
             raise FormatError(f"{path}: P2 payload has {len(values)} samples, expected {count}")
         pixels = np.asarray(values)
-        if pixels.size and (pixels.min() < 0 or pixels.max() > 255):
+        if pixels.max() > 255:
             raise FormatError(f"{path}: P2 sample out of range [0, 255]")
     return pixels.reshape(height, width).astype(float) / 255.0
 

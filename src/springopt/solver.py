@@ -20,10 +20,10 @@ steps.  Per-epoch trace evaluations (objective and gradient map) and
 Lipschitz estimation are excluded; Lipschitz work is reported in its own
 trace column.
 
-``run`` builds one ``_StepSizes`` object per run (the step policy, the
-Lipschitz draws and their tally) and one ``EstimatorDriver``, then steps
-and records.  A recursive SARAH step takes its old points from
-``EstimatorDriver.sarah_prev``.
+``run`` builds one ``_StepSizes`` provider per run (the step policy, its
+Lipschitz draws and their tally) and one ``EstimatorDriver``; ``_step`` asks
+the provider for gamma_x at z and for gamma_y after the x-update.  A
+recursive SARAH step takes its old points from ``EstimatorDriver.sarah_prev``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .core import (
     full_grad_x,
     full_grad_y,
     objective,
-    prox_generic,
 )
 from .diagnostics import generalized_gradient_map
 from .lipschitz import (
@@ -104,6 +103,10 @@ class SolverConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.step_policy not in STEP_POLICIES:
             raise ConfigError(f"unknown step policy {self.step_policy!r}")
+        if not isinstance(self.epochs, (int, np.integer)):
+            raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
+        if not isinstance(self.batch_size, (int, np.integer)):
+            raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.batch_size <= n:
@@ -111,7 +114,7 @@ class SolverConfig:
         if self.sarah_p is not None and not 1 <= self.sarah_p < math.inf:
             raise ConfigError(f"SARAH period must satisfy 1 <= p < inf, got {self.sarah_p}")
         fixed = self.fixed_steps
-        if self.step_policy == "fixed" and not (fixed and all(0 < g < math.inf for g in fixed)):
+        if self.step_policy == "fixed" and not (fixed and len(fixed) == 2 and all(0 < g < math.inf for g in fixed)):
             raise ConfigError(f"fixed steps must be a positive finite (gamma_x, gamma_y), got {fixed}")
         if self.step_policy == "theoretical" and self.algorithm == "spring-sgd":
             raise ConfigError("the theoretical step policy applies to variance-reduced estimators only")
@@ -223,19 +226,19 @@ def _estimate(problem, driver, kind, refresh, block, point, point_old):
     return g, len(batch)
 
 
-def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
-    """One alternating prox-gradient step; returns (z_next, sfo_used, (gx, gy)).
+def _step(problem, z, z_prev, driver, steps, k, beta, name):
+    """Step k, one alternating prox-gradient step; returns (z_next, sfo_used, (gx, gy),
+    (gamma_x, gamma_y)), asking ``steps.x(z, k)`` first and ``steps.y(mid, k)`` once mid is built.
 
     Each block extrapolates by beta * (current - previous) before its update,
-    unless beta = 0: then the estimates are at z and at (x_next, y).
+    unless beta = 0: then the estimates are at z and at mid = (x_next, y).
     Estimator state inside ``driver`` is advanced as a side effect (SAGA
     table rows refreshed with the evaluations already made for the
     estimate; SARAH estimates and ``sarah_prev`` updated).  Every point
     built here, the extrapolated one included, goes through
     ``_guarded_iterate``; ``name`` labels its divergence messages.
     """
-    if not (gamma_x > 0 and gamma_y > 0):
-        raise ValueError(f"step sizes must be positive, got ({gamma_x}, {gamma_y})")
+    gamma_x = steps.x(z, k)
     kind = "sgd" if driver.warm else driver.kind
     refresh, z_old, mid_old = False, None, None
     if kind == "sarah":
@@ -248,19 +251,27 @@ def _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
         y_bar = z.y + beta * (z.y - z_prev.y)
         at = _guarded_iterate(x_bar, z.y, f"{name} extrapolation")
     gx, sfo_x = _estimate(problem, driver, kind, refresh, "x", at, z_old)
-    x_next = prox_generic(problem.prox_x, gamma_x, x_bar - gamma_x * gx)
+    x_next = problem.prox_x(gamma_x, x_bar - gamma_x * gx)
     mid = _guarded_iterate(x_next, y_bar, f"{name} x-update")
 
+    gamma_y = steps.y(mid, k)
     gy, sfo_y = _estimate(problem, driver, kind, refresh, "y", mid, mid_old)
-    y_next = prox_generic(problem.prox_y, gamma_y, y_bar - gamma_y * gy)
+    y_next = problem.prox_y(gamma_y, y_bar - gamma_y * gy)
     z_next = _guarded_iterate(x_next, y_next, f"{name} y-update")
     driver.sarah_prev = (z, mid) if kind == "sarah" else None
-    return z_next, sfo_x + sfo_y, (gx, gy)
+    return z_next, sfo_x + sfo_y, (gx, gy), (gamma_x, gamma_y)
+
+
+def _fixed_steps(problem, gamma_x, gamma_y):
+    """The fixed policy's provider for (gamma_x, gamma_y), validated as ``run`` validates it."""
+    config = SolverConfig("palm", step_policy="fixed", fixed_steps=(gamma_x, gamma_y))
+    config.validate(problem.n)
+    return _StepSizes(problem, config, None, "full", problem.n, None)
 
 
 def palm_step(problem: BlockProblem, z: Iterate, gamma_x: float, gamma_y: float) -> Iterate:
     """One deterministic alternating prox-gradient step."""
-    return _step(problem, z, z, EstimatorDriver("full"), gamma_x, gamma_y, 0.0, "palm")[0]
+    return _step(problem, z, z, EstimatorDriver("full"), _fixed_steps(problem, gamma_x, gamma_y), 1, 0.0, "palm")[0]
 
 
 def ipalm_step(
@@ -272,7 +283,7 @@ def ipalm_step(
     beta: float,
 ) -> Iterate:
     """PALM step from the inertially extrapolated points z + beta * (z - z_prev)."""
-    return _step(problem, z, z_prev, EstimatorDriver("full"), gamma_x, gamma_y, beta, "ipalm")[0]
+    return _step(problem, z, z_prev, EstimatorDriver("full"), _fixed_steps(problem, gamma_x, gamma_y), 1, beta, "ipalm")[0]
 
 
 def spring_step(
@@ -283,7 +294,7 @@ def spring_step(
     gamma_y: float,
 ) -> tuple[Iterate, int]:
     """One alternating step with ``driver``'s estimator, advancing its state; returns (z_next, sfo_used)."""
-    return _step(problem, z, z, driver, gamma_x, gamma_y, 0.0, "spring")[:2]
+    return _step(problem, z, z, driver, _fixed_steps(problem, gamma_x, gamma_y), 1, 0.0, "spring")[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +303,13 @@ def spring_step(
 
 
 class _StepSizes:
-    """Run-scoped step sizes: ``steps(z, k)`` returns (gamma_x, gamma_y).
+    """Run-scoped step sizes: ``x(z, k)`` and ``y(mid, k)`` return ``pair``'s halves.
 
-    The policy is set up once: ``fixed`` returns the configured pair;
+    The policy is set up once: ``fixed`` keeps the configured pair;
     ``theoretical`` a constant pair from the variance-reduction bound (1/L
     for PALM and inertial PALM), with L from ``lipschitz_const`` or a
     full-batch draw at z0; ``practical`` applies ``practical_step_sizes`` to
-    a Lipschitz estimate made at the current iterate at every step.
+    a Lipschitz estimate of both blocks that ``x`` makes at z, every step.
 
     PALM and inertial PALM estimate with a full-batch draw.  A stochastic
     run draws on a batch from the ``lip_batch`` stream, one of the many
@@ -320,7 +331,7 @@ class _StepSizes:
         self.env_x = 0.0
         self.env_y = 0.0
         self.sfo = 0
-        self.constant = config.fixed_steps if config.step_policy == "fixed" else None
+        self.pair = config.fixed_steps
         if config.step_policy == "theoretical":
             L = config.lipschitz_const or max(self.draw(z0, np.arange(n)))
             if not L > 0:
@@ -331,13 +342,15 @@ class _StepSizes:
                 v1, _v2, vu, rho = est.estimator_constants(kind, n=n, b=b, p=sarah_p, L=L, M=L)
                 bound = theoretical_step_bound(L, v1, vu, rho, variant="rate")
                 gamma = min(bound, (1.0 - 1e-9) / (4.0 * L))
-            self.constant = (gamma, gamma)
+            self.pair = (gamma, gamma)
 
-    def __call__(self, z, k):
-        if self.constant is not None:
-            return self.constant
-        lx, ly = self._estimate(z)
-        return practical_step_sizes(self.config.algorithm, lx, ly, k=k, b=self.b, n=self.problem.n)
+    def x(self, z, k):
+        if self.config.step_policy == "practical":
+            self.pair = practical_step_sizes(self.config.algorithm, *self._estimate(z), k=k, b=self.b, n=self.problem.n)
+        return self.pair[0]
+
+    def y(self, mid, k):
+        return self.pair[1]
 
     def draw(self, z, batch):
         """``lipschitz_draw``, its charge added to ``sfo``."""
@@ -413,10 +426,9 @@ def run(problem: BlockProblem, config: SolverConfig, z0: Iterate) -> RunResult:
         steps = _StepSizes(problem, config, z0, kind, b, sarah_p)
         start = time.perf_counter()
         for k in range(1, config.epochs * steps_per_epoch + 1):
-            gamma_x, gamma_y = steps(z, k)
             driver.warm = k <= warm_steps
             beta = ipalm_momentum(k) if algo == "ipalm" else 0.0
-            z_next, used, grads = _step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name)
+            z_next, used, grads, (gamma_x, gamma_y) = _step(problem, z, z_prev, driver, steps, k, beta, name)
             # The trace reuses exact gradients taken without momentum (the map's); others are freed now.
             grads = grads if kind == "full" and not beta else None
             sfo_calls += used

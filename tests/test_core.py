@@ -12,7 +12,6 @@ from springopt.core import (
     full_grad_x,
     full_grad_y,
     objective,
-    prox_generic,
     smooth_value,
     with_oracle_counter,
 )
@@ -136,28 +135,6 @@ def test_objective_summation_order(quad5, random_iterate):
     forward = smooth_value(problem, z)
     reverse = sum(problem.value(np.array([i]), z.x, z.y) for i in reversed(range(problem.n))) / problem.n
     assert abs(forward - reverse) <= 1e-12 * max(1.0, abs(forward))
-
-
-def test_prox_generic_identity_for_zero_reg():
-    v = np.array([1.5, -2.0])
-    out = prox_generic(lambda g, w: w, 0.7, v)
-    np.testing.assert_array_equal(out, v)
-
-
-def test_prox_generic_projection_example():
-    out = prox_generic(lambda g, w: np.maximum(w, 0.0), 1.0, np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(out, [0.0, 2.0])
-
-
-def test_prox_generic_soft_threshold_example():
-    out = prox_generic(lambda g, w: prox_l1(w, g), 1.0, np.array([3.0, -0.5]))
-    np.testing.assert_array_equal(out, [2.0, 0.0])
-
-
-def test_prox_generic_rejects_nonpositive_gamma():
-    for gamma in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            prox_generic(lambda g, w: w, gamma, np.zeros(2))
 
 
 @given(gamma=st.floats(1e-3, 10.0), seed=st.integers(0, 10_000))

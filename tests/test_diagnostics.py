@@ -101,6 +101,15 @@ def test_gradmap_rejects_bad_gammas(quad5, random_iterate):
         generalized_gradient_map(problem, z, z.x, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("gammas", [(math.nan, 1.0), (1.0, math.nan)])
+def test_gradmap_rejects_nan_gamma(quad5, random_iterate, gammas):
+    # The map checks its own parameters; no prox call stands behind it to catch a NaN.
+    problem, _ = quad5
+    z = random_iterate(problem, seed=3)
+    with pytest.raises(ValueError, match="gradient-map parameters must be positive"):
+        generalized_gradient_map(problem, z, z.x, *gammas)
+
+
 def test_is_eps_critical_boundary():
     from springopt.diagnostics import GradMapEval
 

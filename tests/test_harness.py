@@ -187,6 +187,18 @@ def test_pgm_p2_non_integer_sample_names_the_file_and_index(tmp_path):
         io.load_image(path)
 
 
+@pytest.mark.parametrize("payload, index, token", [
+    ("1_0 +7", 0, "1_0"), ("7 +7", 1, "+7"), ("0 -0", 1, "-0"),
+], ids=["separator", "plus", "minus-zero"])
+def test_pgm_p2_sample_takes_decimal_digits_only(tmp_path, payload, index, token):
+    # int() read "1_0" as 10, "+7" as 7 and "-0" as 0; none of them is a PGM sample.
+    path = tmp_path / "signed.pgm"
+    path.write_text(f"P2\n2 1\n255\n{payload}\n")
+    message = f"{path}: P2 sample {index} is not an integer: {token.encode()!r}"
+    with pytest.raises(io.FormatError, match=re.escape(message)):
+        io.load_image(path)
+
+
 # ---------------------------------------------------------------------------
 # Trace CSVs
 # ---------------------------------------------------------------------------
@@ -583,8 +595,9 @@ def test_cli_estimate_lipschitz_prints_the_solvers_first_draws(monkeypatch, caps
     real_step = solver._step
 
     def spy(*args):
-        first.setdefault(algo, args[4:6])
-        return real_step(*args)
+        out = real_step(*args)
+        first.setdefault(algo, out[3])
+        return out
 
     monkeypatch.setattr(solver, "_step", spy)
     for kind in ("toy-nmf", "toy-bid"):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -120,12 +121,93 @@ def test_spring_step_rejects_nan_step_before_any_draw(gammas):
         return [saga.table_x.tobytes(), saga.table_y.tobytes(), saga.mean_x.tobytes(), saga.mean_y.tobytes()]
 
     before = tables()
-    with pytest.raises(ValueError, match="step sizes must be positive"):
+    with pytest.raises(ValueError, match=r"fixed steps must be a positive finite \(gamma_x, gamma_y\)"):
         spring_step(problem, Iterate(np.ones(4), -np.ones(4)), driver, *gammas)
     assert tables() == before
     fresh = _sgd_driver(problem, 2)
     for sampler, fresh_sampler in ((driver.sampler_x, fresh.sampler_x), (driver.sampler_y, fresh.sampler_y)):
         np.testing.assert_array_equal(est_module.sample_batch(sampler), est_module.sample_batch(fresh_sampler))
+
+
+@pytest.mark.parametrize("step", ["palm", "ipalm", "spring"])
+@pytest.mark.parametrize("gammas", [(0.0, 0.1), (0.1, -1.0), (math.inf, 0.1), (0.1, math.inf)])
+def test_single_steps_validate_their_pair_as_run_does(step, gammas):
+    # The single-step functions take the fixed policy's path: SolverConfig.validate rejects
+    # a non-positive or an infinite step, before any oracle is called.
+    problem, _ = make_separable_quadratic(n=8, seed=10)
+    problem, counter = with_oracle_counter(problem)
+    z = Iterate(np.ones(4), -np.ones(4))
+    call = {"palm": lambda: palm_step(problem, z, *gammas),
+            "ipalm": lambda: ipalm_step(problem, z, z, *gammas, beta=0.5),
+            "spring": lambda: spring_step(problem, z, _sgd_driver(problem, 2), *gammas)}[step]
+    with pytest.raises(ConfigError, match=re.escape(f"fixed steps must be a positive finite (gamma_x, gamma_y), "
+                                                    f"got {gammas}")):
+        call()
+    assert counter.total_grads == 0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_asks_the_provider_for_each_block_where_it_moves(monkeypatch, algorithm):
+    # Step k asks x(z, k) first, before its lip_batch, batch_x or sarah_coin draw, and
+    # y(mid, k) after the x-update, at mid = (x_{k+1}, y_bar), the point the y-estimate is
+    # taken at: y_bar is y_k, or y_k + beta (y_k - y_{k-1}) under inertial PALM's momentum.
+    # The step returns the pair the provider gave.
+    problem, init_fn = ProblemSpec("toy-nmf").build()
+    events, steps = [], []
+    real_sample, real_coin, real_step = est_module.sample_batch, est_module.sarah_refresh_coin, solver_module._step
+
+    class Recording(solver_module._StepSizes):
+        def x(self, z, k):
+            events.append(("x", z, k))
+            gamma = super().x(z, k)
+            events.append(("gamma_x", gamma))
+            return gamma
+
+        def y(self, mid, k):
+            events.append(("y", mid, k))
+            gamma = super().y(mid, k)
+            events.append(("gamma_y", gamma))
+            return gamma
+
+    def sample(sampler):
+        events.append(("draw", id(sampler)))
+        return real_sample(sampler)
+
+    def coin(state, rng):
+        events.append(("draw", "coin"))
+        return real_coin(state, rng)
+
+    def spy(problem, z, z_prev, driver, step_sizes, k, beta, name):
+        start = len(events)
+        out = real_step(problem, z, z_prev, driver, step_sizes, k, beta, name)
+        steps.append((z, z_prev, driver, step_sizes, k, beta, events[start:], out))
+        return out
+
+    monkeypatch.setattr(solver_module, "_StepSizes", Recording)
+    monkeypatch.setattr(est_module, "sample_batch", sample)
+    monkeypatch.setattr(est_module, "sarah_refresh_coin", coin)
+    monkeypatch.setattr(solver_module, "_step", spy)
+    run(problem, SolverConfig(algorithm=algorithm, batch_size=2, epochs=2, seed=0), init_fn(0))
+
+    assert len(steps) == 2 * (1 if algorithm in ("palm", "ipalm") else math.ceil(problem.n / 2))
+    for z, z_prev, driver, step_sizes, k, beta, seen, (z_next, _, _, pair) in steps:
+        tags = [event[0] for event in seen]
+        assert tags.count("x") == tags.count("y") == 1, tags
+        assert seen[0][0] == "x" and seen[0][1] is z and seen[0][2] == k
+        at_y = tags.index("y")
+        assert {event[1] for event in seen[:at_y] if event[0] == "draw"} <= {
+            id(step_sizes.sampler), id(driver.sampler_x), "coin"}
+        assert {event[1] for event in seen[at_y:] if event[0] == "draw"} <= {id(driver.sampler_y)}
+        _, mid, k_y = seen[at_y]
+        assert k_y == k
+        np.testing.assert_array_equal(mid.x, z_next.x)
+        np.testing.assert_array_equal(mid.y, z.y + beta * (z.y - z_prev.y) if beta else z.y)
+        assert pair == (seen[tags.index("gamma_x")][1], seen[tags.index("gamma_y")][1])
+    drawn = {event[1] for *_, seen, _ in steps for event in seen if event[0] == "draw"}
+    if algorithm.startswith("spring"):
+        assert {id(steps[0][3].sampler), id(steps[0][2].sampler_x), id(steps[0][2].sampler_y)} <= drawn
+    assert ("coin" in drawn) == (algorithm == "spring-sarah")
+    assert any(beta for *_, beta, _, _ in steps) == (algorithm == "ipalm")
 
 
 def test_gauss_seidel_ordering_spy():
@@ -239,6 +321,20 @@ def test_run_validates_config(sep10):
     # No draw has an iteration count to set.
     with pytest.raises(TypeError):
         SolverConfig(algorithm="palm", power_iterations=5)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(step_policy="fixed", fixed_steps=(0.1,)), "fixed steps must be a positive finite (gamma_x, gamma_y), got (0.1,)"),
+    (dict(step_policy="fixed", fixed_steps=(1e-3, 1e-3, 5.0)),
+     "fixed steps must be a positive finite (gamma_x, gamma_y), got (0.001, 0.001, 5.0)"),
+    (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (dict(batch_size=2.5), "batch size must be an integer, got 2.5"),
+], ids=["one-step", "three-steps", "fractional-epochs", "fractional-batch"])
+def test_run_rejects_malformed_steps_and_counts(sep10, bad, message):
+    # Each of these validated, then failed inside run with a bare unpacking ValueError or a TypeError.
+    problem, _ = sep10
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(problem, SolverConfig(algorithm="spring-sgd", **bad), Iterate(np.zeros(4), np.zeros(4)))
 
 
 def test_run_epoch_and_sfo_accounting(sep10):
@@ -1001,8 +1097,8 @@ def test_bid_palm_y_steps_descend(monkeypatch, size, kernel, tiles):
     for algorithm in ("palm", "ipalm"):
         steps = []
 
-        def spy(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name):
-            out = real_step(problem, z, z_prev, driver, gamma_x, gamma_y, beta, name)
+        def spy(problem, z, z_prev, driver, step_sizes, k, beta, name):
+            out = real_step(problem, z, z_prev, driver, step_sizes, k, beta, name)
             steps.append((z.y + beta * (z.y - z_prev.y), out[0]))
             return out
 
