@@ -156,13 +156,6 @@ def check_dims(problem: BlockProblem, z: Iterate) -> None:
         )
 
 
-def dist_sq(a: Iterate, b: Iterate) -> float:
-    """Squared distance ||z_a - z_b||^2 over both blocks."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return float(dx @ dx + dy @ dy)
-
-
 def smooth_value(problem: BlockProblem, z: Iterate) -> float:
     """G(x) + (1/n) sum_i F_i(x, y): the value oracle over all n components,
     plus the smooth x-term where there is one."""
@@ -222,10 +215,6 @@ class OracleCounter:
     grad_x: int = 0
     grad_y: int = 0
     value: int = 0
-
-    @property
-    def total_grads(self) -> int:
-        return self.grad_x + self.grad_y
 
 
 def with_oracle_counter(problem: BlockProblem) -> tuple[BlockProblem, OracleCounter]:

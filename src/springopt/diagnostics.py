@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, check_dims, dist_sq, full_grad_x, full_grad_y, objective
+from .core import BlockProblem, Iterate, check_dims, full_grad_x, full_grad_y
 from .estimators import SagaState, SarahState, saga_estimate_x, saga_estimate_y
 
 
@@ -66,30 +66,6 @@ def generalized_gradient_map(
 def is_eps_critical(eval: GradMapEval, eps: float) -> bool:
     """True when the gradient-map norm is at most eps (boundary inclusive)."""
     return math.sqrt(eval.norm_sq) <= eps
-
-
-def lyapunov_psi(
-    problem: BlockProblem,
-    z_k: Iterate,
-    z_prev: Iterate,
-    upsilon: float,
-    v1: float,
-    v_upsilon: float,
-    rho: float,
-) -> float:
-    """Objective plus variance and displacement penalties.
-
-    Psi = Phi(z_k) + upsilon / (2 rho sqrt(2 A)) + sqrt(A/2) ||z_k - z_prev||^2
-    with A = V1 + V_upsilon / rho.  A monitor only: its expected decrease is
-    a statistical trend, never asserted per step.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    a = v1 + v_upsilon / rho
-    phi = objective(problem, z_k)
-    if a == 0.0:
-        return phi if upsilon == 0.0 else float("inf")
-    return phi + upsilon / (2.0 * rho * math.sqrt(2.0 * a)) + math.sqrt(a / 2.0) * dist_sq(z_k, z_prev)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,6 @@ oracle (for an m x d factorization of rank r, m + r numbers per x-row and r
 per y-row instead of dense gradients of m r and r d), else dense component
 gradients from singleton batches.  A table is read only through the
 problem's ``rows_mean``, which decodes the mean gradient of a set of rows.
-
-``probe_upsilon_*`` compute the variance-tracking quantity Upsilon (a sum of
-squared deviation norms) and its unsquared companion only; the
-variance-reduction constants are ``estimator_constants``'.  The probes are
-diagnostics and never influence the iteration.
 """
 
 from __future__ import annotations
@@ -80,11 +75,6 @@ def row_dims(problem: BlockProblem) -> tuple[int, int]:
 def row_means(problem: BlockProblem) -> tuple[RowsMeanFn, RowsMeanFn]:
     """The problem's (rows_mean_x, rows_mean_y), dense decoders where absent."""
     return problem.rows_mean_x or dense_rows_mean, problem.rows_mean_y or dense_rows_mean
-
-
-def expand_rows(rows_mean: RowsMeanFn, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Dense component gradients encoded by ``rows``, decoded one row at a time."""
-    return np.array([rows_mean(idx[j:j + 1], rows[j:j + 1]) for j in range(len(idx))])
 
 
 def _stack_rows(grad_fn, batch, x, y, dim):
@@ -321,21 +311,8 @@ def sarah_estimate_y(
 
 
 # ---------------------------------------------------------------------------
-# Variance instrumentation
+# Variance-reduction constants
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VarianceProbe:
-    """Snapshot of the variance-tracking quantities.
-
-    ``upsilon`` is a sum of s squared deviation norms (s = 2n for SAGA, 2
-    for SARAH); ``gamma_sum`` the matching sum of plain norms.
-    """
-
-    upsilon: float
-    gamma_sum: float
-    s: int
 
 
 def estimator_constants(
@@ -361,53 +338,3 @@ def estimator_constants(
             raise ValueError("SARAH constants need p")
         return (2.0 * L * L, 2.0 * L, 2.0 * L * L, 1.0 / p)
     raise ValueError(f"unknown estimator kind {kind!r}")
-
-
-def probe_upsilon_saga(
-    problem: BlockProblem,
-    state: SagaState,
-    z: Iterate,
-    b: int,
-) -> VarianceProbe:
-    """Deviation of the SAGA tables from the current component gradients.
-
-    upsilon = (1/(b n)) sum_i (||gx_i - tx_i||^2 + 4 ||gy_i - ty_i||^2), where tx_i
-    and ty_i are the gradients that table rows i encode,
-    with the unsquared analog scaled by 1/sqrt(b n) and y-terms doubled.
-    """
-    _check_saga_state(problem, state)
-    check_dims(problem, z)
-    n = problem.n
-    all_idx = np.arange(n)
-    # Rows are decoded one at a time: this is a test-scale diagnostic.
-    dx = (expand_rows(state.rows_mean_x, all_idx, batch_grads_x(problem, all_idx, z.x, z.y))
-          - expand_rows(state.rows_mean_x, all_idx, state.table_x))
-    dy = (expand_rows(state.rows_mean_y, all_idx, batch_grads_y(problem, all_idx, z.x, z.y))
-          - expand_rows(state.rows_mean_y, all_idx, state.table_y))
-    sq_x = np.einsum("ij,ij->i", dx, dx)
-    sq_y = np.einsum("ij,ij->i", dy, dy)
-    return VarianceProbe(
-        upsilon=float((sq_x + 4.0 * sq_y).sum()) / (b * n),
-        gamma_sum=float((np.sqrt(sq_x) + 2.0 * np.sqrt(sq_y)).sum()) / math.sqrt(b * n),
-        s=2 * n,
-    )
-
-
-def probe_upsilon_sarah(
-    state: SarahState,
-    grad_x_full: np.ndarray,
-    grad_y_full: np.ndarray,
-) -> VarianceProbe:
-    """Deviation of the SARAH estimates from the supplied full gradients.
-
-    ``SarahState`` holds estimates of the finite sum alone, so compare them
-    with ``problem.grad_x``/``grad_y`` on all n components; ``full_grad_x``
-    also holds the gradient of a problem's ``smooth_x`` term.
-    """
-    dx = state.est_x - np.asarray(grad_x_full, dtype=float)
-    dy = state.est_y - np.asarray(grad_y_full, dtype=float)
-    return VarianceProbe(
-        upsilon=float(dx @ dx + dy @ dy),
-        gamma_sum=float(np.linalg.norm(dx) + np.linalg.norm(dy)),
-        s=2,
-    )

@@ -133,13 +133,11 @@ def load_image(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: empty image file") from None
     if magic not in (b"P5", b"P2"):
         raise FormatError(f"{path}: unsupported magic {magic!r}, expected P5 or P2")
-    try:
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, header_end = next(tokens)
-        width, height, maxval = int(width), int(height), int(maxval)
-    except (StopIteration, ValueError):
-        raise FormatError(f"{path}: malformed PGM header") from None
+    (width, _), (height, _), (maxval, header_end) = header = [next(tokens, (b"", 0)) for _ in range(3)]
+    # Decimal digits only, as for the P2 samples below.
+    if not all(tok.isdigit() for tok, _ in header):
+        raise FormatError(f"{path}: malformed PGM header")
+    width, height, maxval = int(width), int(height), int(maxval)
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
     if width < 1 or height < 1:

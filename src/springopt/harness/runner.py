@@ -14,6 +14,7 @@ from pathlib import Path
 
 from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
+from ..rng import is_seed
 from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, run
 from . import datasets, io
 
@@ -96,6 +97,9 @@ class RunSpec:
     def validate(self) -> None:
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
+        # The first seed is SolverConfig.validate's; the sweep must not run past 2**64 - 1.
+        if is_seed(self.config.seed) and not is_seed(last := int(self.config.seed) + self.repeat - 1):
+            raise ConfigError(f"the sweep's last seed {last} is outside [0, 2**64)")
         self.problem.validate()
 
 

@@ -54,7 +54,7 @@ from .lipschitz import (
     practical_step_sizes,
     theoretical_step_bound,
 )
-from .rng import stream_rng
+from .rng import is_seed, stream_rng
 
 STEP_POLICIES = ("practical", "theoretical", "fixed")
 
@@ -107,6 +107,8 @@ class SolverConfig:
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
         if not isinstance(self.batch_size, (int, np.integer)):
             raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
+        if not is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.batch_size <= n:

@@ -13,7 +13,6 @@ from springopt.diagnostics import (
     fd_gradient_check,
     generalized_gradient_map,
     is_eps_critical,
-    lyapunov_psi,
 )
 from springopt.estimators import (
     BatchSampler,
@@ -22,13 +21,11 @@ from springopt.estimators import (
     batch_grads_x,
     batch_grads_y,
     estimator_constants,
-    probe_upsilon_saga,
     saga_combine,
     saga_update_table_x,
     saga_update_table_y,
     sample_batch,
 )
-from springopt.core import dist_sq
 from springopt.problems import (
     BlindDeblurProblem,
     SparseNmfProblem,
@@ -39,6 +36,8 @@ from springopt.problems import (
 )
 from springopt.harness.datasets import toy_blurred_image
 from springopt.rng import stream_rng
+
+from monitors import dist_sq, lyapunov_psi, probe_upsilon_saga
 
 
 def test_gradmap_unregularized_returns_gradients(quad5, random_iterate):

@@ -17,9 +17,6 @@ from springopt.estimators import (
     batch_grads_x,
     batch_grads_y,
     estimator_constants,
-    expand_rows,
-    probe_upsilon_saga,
-    probe_upsilon_sarah,
     saga_combine,
     saga_estimate_x,
     saga_estimate_y,
@@ -35,6 +32,8 @@ from springopt.harness.datasets import toy_blurred_image
 from springopt.problems import BlindDeblurProblem, SparseNmfProblem, bid_component_split, make_random_quadratic
 from springopt.rng import stream_rng
 from springopt.solver import SolverConfig, run
+
+from monitors import expand_rows, probe_upsilon_saga, probe_upsilon_sarah
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from springopt import solver
 from springopt.harness import datasets, io, runner, svgplot
@@ -164,12 +165,57 @@ def test_pgm_comments_and_errors(tmp_path):
 
 
 def test_pgm_rejects_a_size_below_one(tmp_path):
-    # A negative width loaded as a (4, 0) image.
-    for header in (b"P5\n-1 4\n255\n", b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"):
+    # A negative width loaded as a (4, 0) image; its sign makes the header malformed.
+    for header, fault in ((b"P5\n-1 4\n255\n", "malformed PGM header"), (b"P5\n0 4\n255\n", "image size"),
+                          (b"P5\n4 0\n255\n", "image size")):
         path = tmp_path / "size.pgm"
         path.write_bytes(header + bytes(4))
-        with pytest.raises(io.FormatError, match=re.escape(f"{path}: image size")):
+        with pytest.raises(io.FormatError, match=re.escape(f"{path}: {fault}")):
             io.load_image(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"P2\n+2 1\n2_55\n0 7\n", b"P2\n2 +1\n255\n0 7\n", b"P5\n2 1\n+255\n\x00\x07", b"P5\n2_0 1\n255\n" + bytes(20),
+], ids=["p2-plus-width-separator-maxval", "p2-plus-height", "p5-plus-maxval", "p5-separator-width"])
+def test_pgm_header_takes_decimal_digits_only(tmp_path, raw):
+    # int() read "+2" as 2 and "2_55" as 255, so the first of these loaded as a (1, 2) image.
+    path = tmp_path / "header.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: malformed PGM header")):
+        io.load_image(path)
+
+
+# One header or sample token, never split by whitespace nor read as a comment.
+_NOT_DIGITS = st.one_of(
+    st.sampled_from([b"+1", b"-0", b"1_0", b"1.0", b"0x1", b"\xd9\xa1"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).map(str.encode),
+).filter(lambda tok: not tok.isdigit() and tok.split() == [tok] and not tok.startswith(b"#"))
+
+
+# Each example rewrites one file before reading it, so the examples can share tmp_path.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(magic=st.sampled_from([b"P5", b"P2"]), position=st.integers(0, 4), token=_NOT_DIGITS)
+def test_pgm_token_that_is_not_decimal_digits_names_the_file(tmp_path, magic, position, token):
+    # Width, height and maxval of a 2x1 image, then its two P2 samples.
+    assume(magic == b"P2" or position < 3)
+    fields = [b"2", b"1", b"255", b"0", b"7"]
+    fields[position] = token
+    payload = b" ".join(fields[3:]) if magic == b"P2" else bytes([0, 7])
+    path = tmp_path / "token.pgm"
+    path.write_bytes(magic + b"\n" + b" ".join(fields[:3]) + b"\n" + payload)
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: ")):
+        io.load_image(path)
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pixels=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=8)))
+def test_pgm_8bit_images_round_trip_exactly(tmp_path, pixels):
+    height, width = pixels.shape
+    p5, p2 = tmp_path / "rt5.pgm", tmp_path / "rt2.pgm"
+    io.save_image_pgm(p5, pixels / 255.0)
+    p2.write_text(f"P2\n{width} {height}\n255\n" + "\n".join(" ".join(map(str, row)) for row in pixels) + "\n")
+    for path in (p5, p2):
+        np.testing.assert_array_equal(io.load_image(path), pixels / 255.0)
 
 
 def test_pgm_p5_without_a_payload_separator_names_the_file(tmp_path):
@@ -517,6 +563,8 @@ def test_cli_unknown_flag_exits_2():
     (["--tol", "nan"], "grad_map_tolerance must satisfy 0 <= tol < inf, got nan"),
     (["--tol", "-1"], "grad_map_tolerance must satisfy 0 <= tol < inf, got -1.0"),
     (["--repeat", "0"], "repeat must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["--seed", str(2**64 - 1), "--repeat", "2"], f"the sweep's last seed {2**64} is outside [0, 2**64)"),
 ])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_cli_rejected_solver_flag_exits_2(tmp_path, capsys, command, flags, message):

@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 import springopt.problems as problems_module
 from springopt.core import Iterate, full_grad_x, full_grad_y, objective, smooth_value
 from springopt.diagnostics import bruteforce_prox_l0_nonneg, fd_gradient_check
-from springopt.estimators import batch_grads_x, batch_grads_y, expand_rows, row_dims
+from springopt.estimators import batch_grads_x, batch_grads_y, row_dims
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.lipschitz import collatz_wielandt_bound
 from springopt.problems import (
@@ -31,6 +31,8 @@ from springopt.problems import (
     project_box_l1,
 )
 from springopt.solver import DivergenceError, SolverConfig, run
+
+from monitors import expand_rows
 
 
 # ---------------------------------------------------------------------------

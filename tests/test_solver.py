@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from springopt import estimators as est_module
 from springopt import solver as solver_module
@@ -37,6 +38,8 @@ from springopt.solver import (
     run,
     spring_step,
 )
+
+from monitors import total_grads
 
 
 def _sgd_driver(problem, b, seed=0):
@@ -143,7 +146,7 @@ def test_single_steps_validate_their_pair_as_run_does(step, gammas):
     with pytest.raises(ConfigError, match=re.escape(f"fixed steps must be a positive finite (gamma_x, gamma_y), "
                                                     f"got {gammas}")):
         call()
-    assert counter.total_grads == 0
+    assert total_grads(counter) == 0
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -381,7 +384,7 @@ def test_sfo_double_entry_exact(sep10):
         res = run(counted, SolverConfig(algorithm=algo, batch_size=b, epochs=epochs, seed=3,
                                         step_policy="fixed", fixed_steps=(0.2, 0.2),
                                         track_grad_map=False), z0)
-        assert res.trace.rows[-1].sfo_calls == counter.total_grads
+        assert res.trace.rows[-1].sfo_calls == total_grads(counter)
 
     counted, counter = with_oracle_counter(problem)
     res = run(counted, SolverConfig(algorithm="spring-sarah", batch_size=b, epochs=epochs,
@@ -392,7 +395,7 @@ def test_sfo_double_entry_exact(sep10):
     # sfo = 2nR + 2b(S - R), grads = 2nR + 4b(S - R) with R refreshes.
     refreshes = (sfo - 2 * b * steps) // (2 * n - 2 * b)
     recursive = steps - refreshes
-    assert counter.total_grads == sfo + 2 * b * recursive
+    assert total_grads(counter) == sfo + 2 * b * recursive
 
 
 def test_sfo_double_entry_compact_saga_rows():
@@ -406,7 +409,7 @@ def test_sfo_double_entry_compact_saga_rows():
                                         warm_start=warm, track_grad_map=False),
                   adapter.initial_iterate(0))
         assert res.estimator_state.table_x.shape[1] == problem.row_dim_x
-        assert res.trace.rows[-1].sfo_calls == counter.total_grads
+        assert res.trace.rows[-1].sfo_calls == total_grads(counter)
 
 
 def test_palm_gradient_map_reuses_step_gradients(sep10):
@@ -422,7 +425,7 @@ def test_palm_gradient_map_reuses_step_gradients(sep10):
                                         fixed_steps=(0.5, 0.4), track_grad_map=True), z)
         rows = res.trace.rows
         extra = 0 if algo == "palm" else 2 * problem.n * (len(rows) - 1)
-        assert counter.total_grads == rows[-1].sfo_calls + extra
+        assert total_grads(counter) == rows[-1].sfo_calls + extra
         for k, row in enumerate(rows, start=1):
             if algo == "palm":
                 z_next = palm_step(problem, z, 0.5, 0.4)
@@ -906,6 +909,43 @@ def test_stream_first_draws_are_pinned():
         stream_rng(7, "power_init")
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64, 2**64 + 2, True, np.float64(2.0), np.int64(-1)],
+                         ids=["fraction", "minus-one", "two-to-64", "above-two-to-64", "bool", "numpy-float",
+                              "numpy-minus-one"])
+def test_a_seed_that_is_no_integer_in_range_is_rejected(seed):
+    # 2.5 ran seed 2's streams, -1 those of 2**64 - 1, and 2**64 + 2 and True validated.
+    message = re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    with pytest.raises(ConfigError, match=message):
+        SolverConfig(algorithm="palm", seed=seed).validate(4)
+    with pytest.raises(ValueError, match=message):
+        stream_rng(seed, "batch_x")
+
+
+_SEEDS_IN_RANGE = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1).map(np.uint64),
+                            st.integers(0, 2**63 - 1).map(np.int64))
+_SEEDS_OUT_OF_RANGE = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64),
+                                st.integers(-2**63, -1).map(np.int64), st.floats(), st.booleans(), st.text(max_size=3))
+
+
+@given(seed=_SEEDS_IN_RANGE)
+def test_a_seed_in_range_keeps_its_streams(seed):
+    SolverConfig(algorithm="palm", seed=seed).validate(4)
+    for purpose, idx in STREAMS.items():
+        # Philox under the seed masked to 64 bits: in range the mask changes nothing.
+        ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(idx,))
+        reference = np.random.Generator(np.random.Philox(ss))
+        assert stream_rng(seed, purpose).bit_generator.random_raw(4).tolist() == \
+            reference.bit_generator.random_raw(4).tolist()
+
+
+@given(seed=_SEEDS_OUT_OF_RANGE)
+def test_a_seed_out_of_range_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match=re.escape("seed must be an integer in [0, 2**64)")):
+        SolverConfig(algorithm="palm", seed=seed).validate(4)
+    with pytest.raises(ValueError):
+        stream_rng(seed, "batch_x")
+
+
 def _objective_spy(monkeypatch):
     """Record the iterate of every ``objective`` call the solver makes."""
     seen = []
@@ -962,7 +1002,7 @@ def test_misshapen_z0_raises_before_any_oracle_call(sep10):
     counted, counter = with_oracle_counter(problem)
     with pytest.raises(ValueError, match="do not match problem"):
         run(counted, SolverConfig(algorithm="spring-sgd", batch_size=2, seed=0), Iterate(np.ones(3), np.ones(4)))
-    assert counter.total_grads == 0 and counter.value == 0
+    assert total_grads(counter) == 0 and counter.value == 0
 
 
 # Per-epoch (sfo_calls, objective) of fixed-seed runs, recorded before the
