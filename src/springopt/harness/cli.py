@@ -35,7 +35,7 @@ from .. import estimators as est
 from ..core import Iterate
 from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS, lipschitz_draw
-from ..rng import stream_rng
+from ..rng import is_seed, stream_rng
 from ..solver import STEP_POLICIES, ConfigError, SolverConfig
 from . import io, svgplot
 from .runner import PROBLEM_KINDS, ProblemSpec, RunSpec, bench, run_experiment
@@ -173,6 +173,11 @@ def _run_spec(args, config: SolverConfig) -> RunSpec:
 
 
 def _feasible_points(args, count: int):
+    # Point i starts from init_fn(seed + i), so every seed from seed to seed + count - 1 must be one.
+    if not is_seed(args.seed):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {args.seed!r}")
+    if count > 0 and not is_seed(last := args.seed + count - 1):
+        raise ConfigError(f"the last point's seed {last} is outside [0, 2**64)")
     problem, init_fn = _problem_spec(args).build()
     rng = np.random.default_rng(args.seed)
     for i in range(count):

@@ -124,7 +124,8 @@ def _sweep(spec: RunSpec, problem, init_fn) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     algo = spec.config.algorithm
     runs = []
-    for seed in range(spec.config.seed, spec.config.seed + spec.repeat):
+    # Python integers: a NumPy seed type would wrap past 2**64 - 1 and end the sweep early.
+    for seed in range(int(spec.config.seed), int(spec.config.seed) + spec.repeat):
         try:
             status, trace = "ok", run(problem, replace(spec.config, seed=seed), init_fn(seed)).trace
         except DivergenceError as exc:

@@ -39,6 +39,9 @@ ALGORITHMS = ("palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah")
 # Floor applied to Lipschitz estimates before inversion.
 EPS_LIPSCHITZ = 1e-12
 
+# The reduction behind ndarray.max, without its Python wrapper.
+_max = np.maximum.reduce
+
 
 def collatz_wielandt_bound(
     apply: Callable[[np.ndarray], np.ndarray],
@@ -66,13 +69,15 @@ def collatz_wielandt_bound(
     v = np.ones(dim)
     for applied in range(1, passes):
         w = apply(v)
-        top = float(w.max())
+        top = float(_max(w))
         if top == 0.0 or not math.isfinite(top):
             return top, applied
         v = w / top
     w = apply(v)
-    support = v > 0.0
-    return float(np.max(w[support] / v[support], initial=0.0)), passes
+    if not np.minimum.reduce(v) > 0.0:  # gather the support, unless it is all of v
+        support = v > 0.0
+        w, v = w[support], v[support]
+    return float(_max(w / v, initial=0.0)), passes
 
 
 def lipschitz_draw(problem: BlockProblem, z: Iterate, batch: np.ndarray) -> tuple[float, float, int]:

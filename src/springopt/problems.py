@@ -369,14 +369,14 @@ def _output_shape(image_shape: tuple[int, int], kernel_shape: tuple[int, int]) -
     return h - kh + 1, w - kw + 1
 
 
-def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...], offset: int = 0) -> np.ndarray:
-    """View of C-contiguous X, read through ``steps`` (in elements) from element ``offset``.
+def _strided(X: np.ndarray, shape: tuple[int, ...], steps: tuple[int, ...]) -> np.ndarray:
+    """View of C-contiguous X, read through ``steps`` (in elements) from its first element.
 
-    One ``np.ndarray(buffer=...)`` call: the view ``as_strided`` builds, at a
-    fraction of its per-call overhead.
+    One ``np.ndarray(buffer=...)`` call, its arguments positional: the view
+    ``as_strided`` builds, at a fraction of its per-call overhead.
     """
     step = X.itemsize
-    return np.ndarray(shape, X.dtype, buffer=X, offset=offset * step, strides=tuple(s * step for s in steps))
+    return np.ndarray(shape, X.dtype, X, 0, [s * step for s in steps])
 
 
 # Output rows and columns per matrix product in ``bid_forward``: a tile window of
@@ -390,18 +390,29 @@ _BLOCK = 24
 _KERNEL_BLOCK = 16
 
 
+def _diagonals(A: np.ndarray, kernel_shape: tuple[int, int], ncols: int) -> np.ndarray:
+    """The (kh, kw, ncols) view of the entries A[a * width + j + b, j], width = ncols + kw - 1.
+
+    A is C-contiguous with the flat layout of a (kh * width, ncols) array: a
+    Toeplitz factor, whose entries these are, or ``bid_kernel_gradient``'s
+    product M, whose diagonals it sums.  They sit at fixed strides in a, b
+    and j, so one strided view reads or writes them all.
+    """
+    kh, kw = kernel_shape
+    width = ncols + kw - 1
+    return _strided(A, (kh, kw, ncols), (width * ncols, ncols, ncols + 1))
+
+
 def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     """Banded Toeplitz factor T of the correlation with Y over ``ncols`` output columns.
 
     T has shape (kh * (ncols + kw - 1), ncols) with
-    T[a * (ncols + kw - 1) + j + b, j] = Y[a, b] and zeros elsewhere.  In
-    T's flat layout these entries sit at fixed strides in a, b and j, so one
-    strided view writes them all.
+    T[a * (ncols + kw - 1) + j + b, j] = Y[a, b] and zeros elsewhere, written
+    through one ``_diagonals`` view.
     """
     kh, kw = Y.shape
-    width = ncols + kw - 1
-    toeplitz = np.zeros((kh * width, ncols))
-    _strided(toeplitz, (kh, kw, ncols), (width * ncols, ncols, ncols + 1))[...] = Y[:, :, None]
+    toeplitz = np.zeros((kh * (ncols + kw - 1), ncols))
+    _diagonals(toeplitz, Y.shape, ncols)[...] = Y[:, :, None]
     return toeplitz
 
 
@@ -412,8 +423,9 @@ class ToeplitzFactors:
     ``bid_adjoint_image(U, Y, factors)`` call with the same kernel array Y,
     such as an oracle's regions or a Lipschitz bound's passes, and
     each factor is built once for them all.  Both functions refuse factors
-    of any other array (by identity, so an equal copy is refused too).  The
-    kernel's entries must not change while its factors are in use.
+    of any other array (by identity, so an equal copy is refused too).  When
+    the kernel's entries change in place, ``refresh`` rewrites the factors
+    built so far before they are used again.
     """
 
     __slots__ = ("kernel", "_by_width", "_flipped")
@@ -442,6 +454,89 @@ class ToeplitzFactors:
             self._flipped = ToeplitzFactors(self.kernel[::-1, ::-1])
         return self._flipped
 
+    def refresh(self) -> None:
+        """Rewrite the factors built so far from the kernel's current entries.
+
+        A factor's zeros do not depend on the kernel, so each takes one
+        strided write of the kernel, and holds what a new build would.
+        """
+        kernel = self.kernel[:, :, None]
+        for ncols, toeplitz in self._by_width.items():
+            _diagonals(toeplitz, self.kernel.shape, ncols)[...] = kernel
+        if self._flipped is not None:
+            self._flipped.refresh()
+
+
+class _Correlation:
+    """``bid_forward(X, factors.kernel)`` into ``out``, set up once and run as often as X changes.
+
+    X is C-contiguous float.  The set-up is the strided view of X that
+    ``bid_forward``'s blocks stack their rows from, reshaped once when one
+    block spans X's rows; each call makes the blocks' products from X's and
+    the factors' current entries, so a caller that rewrites X in place (or
+    the kernel, then ``factors.refresh()``) runs it again with nothing set
+    up again.
+    """
+
+    __slots__ = ("image", "factors", "out", "_bands")
+
+    def __init__(self, X: np.ndarray, factors: ToeplitzFactors, out: np.ndarray):
+        self.image, self.factors, self.out = X, factors, out
+        (oh, ow), kh, w = out.shape, factors.kernel.shape[0], X.shape[1]
+        self._bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
+        if oh <= _BLOCK and ow <= _BLOCK:  # one block, whose stacked rows are a view, read overlapping
+            self._bands = self._bands.reshape(oh, -1)
+
+    def __call__(self) -> np.ndarray:
+        bands, out, toeplitz = self._bands, self.out, self.factors.toeplitz
+        oh, ow = out.shape
+        if bands.ndim == 2:
+            return np.matmul(bands, toeplitz(ow), out=out)
+        kw = self.factors.kernel.shape[1]
+        for start in range(0, ow, _BLOCK):
+            ncols = min(_BLOCK, ow - start)  # the last block may be narrower
+            for top in range(0, oh, _BLOCK):
+                # One S at a time, its product written into out, so the blocks reuse one heap chunk.
+                stacked = bands[top:top + _BLOCK, :, start:start + ncols + kw - 1]
+                np.matmul(stacked.reshape(len(stacked), -1), toeplitz(ncols),
+                          out=out[top:top + _BLOCK, start:start + ncols])
+        return out
+
+
+class _KernelGradient:
+    """``bid_kernel_gradient(X, U)`` into ``out``, set up once and run as often as X or U change.
+
+    X is C-contiguous float.  The set-up is, per block of at most
+    ``_KERNEL_BLOCK`` columns of U, the kh strided views of X's rows that
+    read S.T and the block's columns of U, with one product buffer M per
+    block width and its ``_diagonals`` view; each call makes the blocks'
+    products from X's and U's current entries and sums their diagonals into
+    ``out``, in the blocks' order, so a caller that rewrites X or U in place
+    runs it again with nothing set up again.
+    """
+
+    __slots__ = ("image", "residual", "out", "_products")
+
+    def __init__(self, X: np.ndarray, U: np.ndarray, out: np.ndarray):
+        self.image, self.residual, self.out = X, U, out
+        (_h, w), (oh, ow), (kh, kw) = X.shape, U.shape, out.shape
+        columns = _strided(X, (kh, w, oh), (w, 1, w))  # columns[a, c] is X[a:a + oh, c]
+        sums, self._products = {}, []
+        for start in range(0, ow, _KERNEL_BLOCK):
+            ncols = min(_KERNEL_BLOCK, ow - start)
+            if ncols not in sums:
+                M = np.empty((kh, ncols + kw - 1, ncols))
+                sums[ncols] = (M, _diagonals(M, (kh, kw), ncols))
+            self._products.append((columns[:, start:start + ncols + kw - 1], U[:, start:start + ncols], *sums[ncols]))
+
+    def __call__(self) -> np.ndarray:
+        G = self.out
+        G[...] = 0.0
+        for columns, U, M, diagonals in self._products:
+            np.matmul(columns, U, out=M)
+            G += np.add.reduce(diagonals, axis=2)  # diagonals.sum(axis=2), without the method's wrapper
+        return G
+
 
 def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
     """Valid-region 2D correlation of image X with kernel Y.
@@ -456,31 +551,17 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = 
     such as a tile window) and reshaped: a copy, unless the block spans X's
     rows, when the product gets the overlapping rows as they are.  T is
     ``_toeplitz(Y, ncols)``, taken from ``factors`` (Y's
-    ``ToeplitzFactors``, shared by the calls that correlate with Y).
-    Neither grows with the image, so the temporaries beyond the output (and
-    X's copy) are the same at every image size.  A single block's product
-    is the result itself.  The products sum in another order than the
+    ``ToeplitzFactors``, shared by the calls that correlate with Y); the
+    products are ``_Correlation``'s.  Neither grows with the image, so the
+    temporaries beyond the output (and X's copy) are the same at every image
+    size.  A single block's product is written as the result itself.  The
+    products sum in another order than the
     direct sum over (a, b), so results agree with it to rounding, and
     exactly on small-integer-valued inputs.
     """
     X = np.ascontiguousarray(X, dtype=float)
     factors = ToeplitzFactors(np.asarray(Y, dtype=float)) if factors is None else factors.of(Y)
-    oh, ow = _output_shape(X.shape, factors.kernel.shape)
-    kh, kw = factors.kernel.shape
-    w = X.shape[1]
-    bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
-    if oh <= _BLOCK and ow <= _BLOCK:
-        return bands.reshape(oh, -1) @ factors.toeplitz(ow)
-    out = np.empty((oh, ow))
-    for start in range(0, ow, _BLOCK):
-        ncols = min(_BLOCK, ow - start)  # the last block may be narrower
-        toeplitz = factors.toeplitz(ncols)
-        for top in range(0, oh, _BLOCK):
-            nrows = min(_BLOCK, oh - top)
-            # One S at a time, its product written into out, so the blocks reuse one heap chunk.
-            np.matmul(bands[top:top + nrows, :, start:start + ncols + kw - 1].reshape(nrows, -1), toeplitz,
-                      out=out[top:top + nrows, start:start + ncols])
-    return out
+    return _Correlation(X, factors, np.empty(_output_shape(X.shape, factors.kernel.shape)))()
 
 
 def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
@@ -509,21 +590,14 @@ def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     ``_toeplitz`` writes Y[a, b], so this is the adjoint of that write.
     S.T is read as kh strided views of X's rows, one matrix product each in
     a single ``np.matmul``, so S is never copied and M's size does not grow
-    with the image.  It agrees with ``bid_forward(X, U)`` to rounding.
+    with the image; the products are ``_KernelGradient``'s.  It agrees with
+    ``bid_forward(X, U)`` to rounding.
     """
     X, U = np.ascontiguousarray(X, dtype=float), np.asarray(U, dtype=float)
     (h, w), (oh, ow) = X.shape, U.shape
-    kh, kw = h - oh + 1, w - ow + 1
-    if kh < 1 or kw < 1:
+    if oh > h or ow > w:
         raise ValueError(f"residual {U.shape} larger than image {X.shape}")
-    G = np.zeros((kh, kw))
-    columns = _strided(X, (kh, w, oh), (w, 1, w))  # columns[a, c] is X[a:a + oh, c]
-    for start in range(0, ow, _KERNEL_BLOCK):
-        ncols = min(_KERNEL_BLOCK, ow - start)
-        width = ncols + kw - 1
-        M = np.matmul(columns[:, start:start + width], U[:, start:start + ncols])
-        G += _strided(M, (kh, kw, ncols), (width * ncols, ncols, ncols + 1)).sum(axis=2)
-    return G
+    return _KernelGradient(X, U, np.empty((h - oh + 1, w - ow + 1)))()
 
 
 def image_gradients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -704,9 +778,10 @@ class BlindDeblurProblem:
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            g = np.zeros((kh, kw))
-            for window, resid in residuals(regions(idx), X, Y):
-                g += bid_kernel_gradient(X[window], resid)
+            factors, g = ToeplitzFactors(Y), np.zeros((kh, kw))
+            for window, tile in regions(idx):
+                patch = np.ascontiguousarray(X[window])  # one copy of a tile window, read by both correlations
+                g += bid_kernel_gradient(patch, bid_forward(patch, Y, factors) - Z[tile])
             g *= 2.0 * n / len(idx)
             return g.ravel()
 
@@ -748,15 +823,27 @@ class BlindDeblurProblem:
             rows, cols = zip(*(tile_regions[j][0] for j in batch))
             top, left = min(rs.start for rs in rows), min(cs.start for cs in cols)
             box = (max(rs.stop for rs in rows) - top, max(cs.stop for cs in cols) - left)
-            sampled = [(slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left))
-                       for rs, cs in zip(rows, cols)]
             scale = 2.0 * n / len(batch)
-            factors = ToeplitzFactors(Y)  # built once per draw
+            # Set up once per draw for all its passes: the kernel's factors and, per window
+            # shape, a contiguous copy of the window, its forward correlation written into
+            # the interior of a zero-padded residual whose border stays zero, and the image
+            # adjoint read from that residual.  A pass only copies and multiplies.
+            factors, shapes, passes = ToeplitzFactors(Y), {}, []
+            for rs, cs in zip(rows, cols):
+                h, w = rs.stop - rs.start, cs.stop - cs.start
+                if (h, w) not in shapes:
+                    window, padded = np.empty((h, w)), np.zeros((h + kh - 1, w + kw - 1))
+                    shapes[h, w] = (window, _Correlation(window, factors, padded[kh - 1:h, kw - 1:w]),
+                                    _Correlation(padded, factors.flipped(), np.empty((h, w))))
+                passes.append(((slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left)),
+                               *shapes[h, w]))
 
             def apply(v):
                 V, g = v.reshape(box), np.zeros(box)
-                for window in sampled:
-                    g[window] += bid_adjoint_image(bid_forward(V[window], Y, factors), Y, factors)
+                for region, window, forward, adjoint in passes:
+                    window[...] = V[region]
+                    forward()
+                    g[region] += adjoint()
                 g *= scale
                 return g.ravel()
 
@@ -770,13 +857,23 @@ class BlindDeblurProblem:
         # whole image, whose patch matrix P has P^T P = sum_j P_j^T P_j over all tiles.
         def lip_y(xv, yv, batch):
             X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
-            sampled = [np.abs(X[window]) for window, _tile in regions(batch)]
+            # Set up once per draw for all its passes: each region's window of |X| with its
+            # two correlations, and the factors of one kernel array V.  A pass copies the
+            # iterate into V, rewrites V's factors in place and multiplies.
+            V = np.zeros((kh, kw))
+            factors, passes = ToeplitzFactors(V), []
+            for window, _tile in regions(batch):
+                patch = np.abs(X[window])
+                forward = _Correlation(patch, factors, np.empty(_output_shape(patch.shape, (kh, kw))))
+                passes.append((forward, _KernelGradient(patch, forward.out, np.empty((kh, kw)))))
 
             def apply(v):
-                V, g = v.reshape(kh, kw), np.zeros((kh, kw))
-                factors = ToeplitzFactors(V)  # shared by the regions
-                for patch in sampled:
-                    g += bid_kernel_gradient(patch, bid_forward(patch, V, factors))
+                V[...] = v.reshape(kh, kw)
+                factors.refresh()
+                g = np.zeros((kh, kw))
+                for forward, gradient in passes:
+                    forward()
+                    g += gradient()
                 g *= scale
                 return g.ravel()
 

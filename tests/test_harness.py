@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -383,6 +384,18 @@ def test_run_experiment_seed_sweep(tmp_path):
         assert Path(spec.out_dir, f"trace_spring-sgd_seed{seed}.csv").exists()
 
 
+def test_run_experiment_sweeps_the_largest_numpy_seed(tmp_path):
+    # The sweep counts in Python integers: from np.uint64(2**64 - 1), adding the repeat
+    # count in the seed's own type wrapped to 0 with a RuntimeWarning, and the sweep ran
+    # nothing and wrote an empty summary.
+    spec = _toy_spec(tmp_path, seed=np.uint64(2**64 - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = run_experiment(spec)
+    assert [(r["seed"], r["status"]) for r in summary["runs"]] == [(2**64 - 1, "ok")]
+    assert [path.name for path in Path(spec.out_dir).glob("trace_*.csv")] == [f"trace_palm_seed{2**64 - 1}.csv"]
+
+
 def test_sarah_refresh_rate_binomial(tmp_path):
     # Over 100 epochs with p = n, full refreshes per epoch are
     # Binomial(n/b steps, 1/n); check the observed count within 3 sigma.
@@ -625,6 +638,19 @@ def test_cli_plot_from_traces(tmp_path):
 
 def test_cli_check_grad(tmp_path):
     assert cli_dispatch(["check-grad", "--problem", "toy-nmf", "--points", "2"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["--seed", str(2**64)], f"seed must be an integer in [0, 2**64), got {2**64}"),
+    (["--seed", str(2**64 - 2), "--points", "3"], f"the last point's seed {2**64} is outside [0, 2**64)"),
+])
+def test_cli_check_grad_rejects_a_bad_seed_as_a_usage_error(capsys, flags, message):
+    # Point i starts from the seed plus i, so the first and the last point's seeds are
+    # checked by the seed rule, as run's and bench's sweeps are: exit 2, nothing printed.
+    assert cli_dispatch(["check-grad", "--problem", "toy-nmf", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli_dispatch(["check-grad", "--problem", "toy-nmf", "--seed", str(2**64 - 3), "--points", "3"]) == 0
 
 
 def test_cli_estimate_lipschitz(capsys):

@@ -119,6 +119,72 @@ def test_bound_reports_its_passes_and_draws_nothing():
         assert bound >= _eigvalsh_max(G) * (1 - 1e-12)
 
 
+def previous_collatz_wielandt_bound(apply, dim, passes):
+    # The bound as it was before a full support skipped the gathers, verbatim: the
+    # reference the bit-for-bit pins below and in test_problems compare against.
+    if passes < 1:
+        raise ValueError(f"the bound needs at least one pass, got {passes}")
+    if dim < 1:
+        raise ValueError(f"operator dimension must be >= 1, got {dim}")
+    v = np.ones(dim)
+    for applied in range(1, passes):
+        w = apply(v)
+        top = float(w.max())
+        if top == 0.0 or not math.isfinite(top):
+            return top, applied
+        v = w / top
+    w = apply(v)
+    support = v > 0.0
+    return float(np.max(w[support] / v[support], initial=0.0)), passes
+
+
+def _bitwise_bound(got, want):
+    return (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+
+
+@settings(max_examples=80)
+@given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]),
+       zero_rows=st.integers(0, 3), passes=st.integers(1, 6))
+def test_bound_matches_the_gathering_bound_bitwise(dim, seed, density, zero_rows, passes):
+    # With full support the ratio is taken over all of v without the two gathers, and
+    # a partial support (G's zero rows, v's zeros from the second pass) still gathers:
+    # the same values and pass counts, bit for bit.
+    draw_rng = np.random.default_rng(seed)
+    G = _nonnegative_symmetric(draw_rng, dim, density)
+    dead = draw_rng.choice(dim, size=min(zero_rows, dim), replace=False)
+    G[dead], G[:, dead] = 0.0, 0.0
+    assert _bitwise_bound(collatz_wielandt_bound(G.dot, dim, passes),
+                          previous_collatz_wielandt_bound(G.dot, dim, passes))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_bound_edge_cases_match_the_gathering_bound_bitwise():
+    # The zero operator, an overflowing pass, signed zeros, and a last pass with NaN,
+    # inf or -0.0 on the support: the early stops and the ratio agree bit for bit.
+    G = _nonnegative_symmetric(np.random.default_rng(3), 6, 0.5)
+    G[2], G[:, 2] = 0.0, 0.0
+
+    def last_pass(value):
+        # G, except that every pass after the first writes ``value`` into entry 0.
+        made = [0]
+
+        def apply(v):
+            made[0] += 1
+            w = G.dot(v)
+            if made[0] > 1:
+                w[0] = value
+            return w
+        return apply
+
+    operators = [lambda: np.zeros((6, 6)).dot, lambda: np.full((6, 6), 1e308).dot, lambda: G.dot,
+                 lambda: (lambda v: -0.0 * v), lambda: (lambda v: np.zeros_like(v) - 0.0)]
+    operators += [lambda value=value: last_pass(value) for value in (math.nan, math.inf, -0.0)]
+    for passes in (1, 2, 3):
+        for operator in operators:
+            assert _bitwise_bound(collatz_wielandt_bound(operator(), 6, passes),
+                                  previous_collatz_wielandt_bound(operator(), 6, passes))
+
+
 def test_bound_rejects_bad_config():
     with pytest.raises(ValueError):
         collatz_wielandt_bound(lambda v: v, 3, 0)

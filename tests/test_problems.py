@@ -33,6 +33,7 @@ from springopt.problems import (
 from springopt.solver import DivergenceError, SolverConfig, run
 
 from monitors import expand_rows
+from test_lipschitz import previous_collatz_wielandt_bound
 
 
 # ---------------------------------------------------------------------------
@@ -1005,23 +1006,84 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
     assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_bid_adjoint_image(U, Y))
 
 
+def test_toeplitz_factors_refresh_to_a_changed_kernel(rng):
+    # After the kernel array changes in place, refresh leaves every factor built so far,
+    # the flipped kernel's included, equal to a new build of the new entries; factors
+    # built later read the new entries anyway.  A kernel with zero entries shows that
+    # refresh writes the kernel's positions only.
+    Y = rng.standard_normal((3, 4))
+    factors = ToeplitzFactors(Y)
+    built = [factors.toeplitz(5), factors.toeplitz(24), factors.flipped().toeplitz(7)]
+    Y[...] = rng.standard_normal((3, 4)) * (rng.random((3, 4)) < 0.5)
+    factors.refresh()
+    assert factors.toeplitz(5) is built[0] and factors.flipped().toeplitz(7) is built[2]
+    want = [problems_module._toeplitz(Y, 5), problems_module._toeplitz(Y, 24),
+            problems_module._toeplitz(Y[::-1, ::-1], 7)]
+    assert all(_bitwise(got, ref) for got, ref in zip(built, want))
+    assert _bitwise(factors.toeplitz(9), problems_module._toeplitz(Y, 9))
+    X = rng.standard_normal((8, 9))
+    assert _bitwise(bid_forward(X, Y, factors), _asstrided_bid_forward(X, Y))
+
+
+class _CorrelationSpy:
+    """Records every BID correlation and every correlation set-up, in order.
+
+    ``bid_forward`` (so ``bid_adjoint_image``) and ``bid_kernel_gradient`` run
+    their correlation through ``problems._Correlation`` and
+    ``problems._KernelGradient``, and the Lipschitz draws set those up once
+    and run them on every pass, so spying on the two classes sees every
+    correlation an oracle or a draw makes.  A run is recorded as
+    ("forward", image, kernel, output size) or ("gradient", image, residual,
+    output size), with the arrays as the correlation reads them.
+    """
+
+    def __init__(self, monkeypatch):
+        self.runs, self.set_ups = [], []
+        for kind, cls in (("forward", problems_module._Correlation), ("gradient", problems_module._KernelGradient)):
+            self._spy(monkeypatch, kind, cls)
+
+    def _spy(self, monkeypatch, kind, cls):
+        set_up, run_it = cls.__init__, cls.__call__
+
+        def counting_set_up(correlation, *args):
+            self.set_ups.append(kind)
+            set_up(correlation, *args)
+
+        def counting_run(correlation):
+            other = correlation.factors.kernel if kind == "forward" else correlation.residual
+            self.runs.append((kind, correlation.image, other, correlation.out.size))
+            return run_it(correlation)
+
+        monkeypatch.setattr(cls, "__init__", counting_set_up)
+        monkeypatch.setattr(cls, "__call__", counting_run)
+
+    def clear(self):
+        self.runs.clear()
+        self.set_ups.clear()
+
+
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # Work counter: a b = 1 x-draw builds one Toeplitz factor of the kernel and one of
     # its flip, shared by every operator application (8 builds when each correlation
-    # built its own), and a b = 1 y-draw pass one factor of the iterate v: the kernel
-    # adjoint, bid_kernel_gradient, builds none (the window kernel adjoint
+    # built its own), and sets its two correlations up once for its X_BOUND_PASSES
+    # passes (8 set-ups when each pass went through bid_forward and bid_adjoint_image).
+    # A y-draw builds one factor of its iterate v per block width, rewritten in place
+    # on each pass (one build per pass before: 2 at b = 1, 4 at the full batch), and
+    # sets its two correlations up once per region (4 set-ups at b = 1 before).  The
+    # kernel adjoint, bid_kernel_gradient, builds no factor (the window kernel adjoint
     # bid_forward(X, U) built one of the window's residual U, 4 builds per draw).
     # The full-batch x-draw is the closed-form bound: no correlation and no factor.
     # A b = 1 oracle correlates its window: grad_x builds one forward and one flipped
     # factor, grad_y one forward factor.  The full batch correlates the whole image,
     # the one region whose 28 x 28 residual spans two forward column blocks (24 and
-    # 4): value, grad_y and each y-draw pass build the two factors of their kernel;
-    # grad_x also builds its flip's two (the 32-column image adjoint: 24 and 8) and
+    # 4): value, grad_y and the y-draw build the two factors of their kernel; grad_x
+    # also builds its flip's two (the 32-column image adjoint: 24 and 8) and
     # correlates the image once forward and once back.  grad_y and a y-draw pass
-    # correlate forward and then take one bid_kernel_gradient.  Window by window, the
+    # correlate forward and then take one kernel gradient.  Window by window, the
     # full batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for
     # the y-draw, with 1, 2, 17 and 34 factor builds; by tile-row bands of the image
-    # residual, grad_x made 5 correlations.
+    # residual, grad_x made 5 correlations.  An oracle sets each correlation up as it
+    # runs it.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1029,45 +1091,38 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
     full = np.arange(16)
     x_passes, y_passes = problems_module.X_BOUND_PASSES, problems_module.Y_BOUND_PASSES
-    toeplitz, forward, gradient = problems_module._toeplitz, problems_module.bid_forward, bid_kernel_gradient
-    built, correlated = [], []
+    toeplitz = problems_module._toeplitz
+    built = []
 
     def counting_toeplitz(kernel, ncols):
         built.append("forward" if np.array_equal(kernel, Y) else
                      "flipped" if np.array_equal(kernel, Y[::-1, ::-1]) else "other")
         return toeplitz(kernel, ncols)
 
-    def counting_forward(X, kernel, factors=None):
-        correlated.append(np.shape(X))
-        return forward(X, kernel, factors)
-
-    def counting_gradient(X, U):
-        correlated.append(np.shape(X))
-        return gradient(X, U)
-
     monkeypatch.setattr(problems_module, "_toeplitz", counting_toeplitz)
-    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
-    monkeypatch.setattr(problems_module, "bid_kernel_gradient", counting_gradient)
+    spy = _CorrelationSpy(monkeypatch)
+
     def draw(hook, batch):
         return lambda: hook(x, Y.ravel(), batch)
 
     calls = {
-        "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2),
-        "x-draw full": (draw(problem.lipschitz_x, full), [], 0),
-        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"] * y_passes, y_passes * 2),
-        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * y_passes * 2, y_passes * 2),
-        "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["flipped", "forward"], 2),
-        "grad_y b=1": (lambda: problem.grad_y(np.array([6]), x, Y.ravel()), ["forward"], 2),
-        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2),
-        "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2),
-        "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1),
+        "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2, 2),
+        "x-draw full": (draw(problem.lipschitz_x, full), [], 0, 0),
+        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"], y_passes * 2, 2),
+        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * 2, y_passes * 2, 2),
+        "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["flipped", "forward"], 2, 2),
+        "grad_y b=1": (lambda: problem.grad_y(np.array([6]), x, Y.ravel()), ["forward"], 2, 2),
+        "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2, 2),
+        "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2, 2),
+        "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1, 1),
     }
-    for name, (call, factors, correlations) in calls.items():
+    for name, (call, factors, correlations, set_ups) in calls.items():
         built.clear()
-        correlated.clear()
+        spy.clear()
         call()
         assert sorted(built) == factors, name
-        assert len(correlated) == correlations, name
+        assert len(spy.runs) == correlations, name
+        assert len(spy.set_ups) == set_ups, name
 
 
 def test_bid_x_rows_decode_skips_zero_kernel_rows(monkeypatch, rng):
@@ -1582,6 +1637,101 @@ def test_bid_lipschitz_values_match_window_operators(rng):
             assert got - offset >= lam_max * (1 - 1e-12), batch
 
 
+def _previous_bid_draws(adapter):
+    """The BID Lipschitz hooks as they were before a draw set its correlations up
+    once for all its passes, verbatim: every pass correlated each window through
+    bid_forward, bid_adjoint_image and bid_kernel_gradient, and the y-draw built a
+    new ToeplitzFactors of its iterate on each pass."""
+    Z, lam, theta = adapter.Z, adapter.lam, adapter.theta
+    kh, kw = adapter.kernel_shape
+    hx, wx = adapter.image_shape
+    tiles = bid_component_split(Z.shape, adapter.n_tiles)
+    n = len(tiles)
+    tile_regions = [((slice(rs.start, rs.stop + kh - 1), slice(cs.start, cs.stop + kw - 1)), (rs, cs))
+                    for rs, cs in tiles]
+    image_region = [((slice(None), slice(None)), (slice(None), slice(None)))]
+
+    def regions(idx):
+        return image_region if len(idx) == n else [tile_regions[i] for i in idx]
+
+    edge_curvature = 16.0 * lam * theta
+
+    def lip_x(xv, yv, batch):
+        if len(batch) == n:
+            return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature, 0
+        Y = np.abs(yv.reshape(kh, kw))
+        rows, cols = zip(*(tile_regions[j][0] for j in batch))
+        top, left = min(rs.start for rs in rows), min(cs.start for cs in cols)
+        box = (max(rs.stop for rs in rows) - top, max(cs.stop for cs in cols) - left)
+        sampled = [(slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left))
+                   for rs, cs in zip(rows, cols)]
+        scale = 2.0 * n / len(batch)
+        factors = ToeplitzFactors(Y)  # built once per draw
+
+        def apply(v):
+            V, g = v.reshape(box), np.zeros(box)
+            for window in sampled:
+                g[window] += bid_adjoint_image(bid_forward(V[window], Y, factors), Y, factors)
+            g *= scale
+            return g.ravel()
+
+        bound, applied = previous_collatz_wielandt_bound(apply, box[0] * box[1], problems_module.X_BOUND_PASSES)
+        return bound + edge_curvature, applied
+
+    def lip_y(xv, yv, batch):
+        X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
+        sampled = [np.abs(X[window]) for window, _tile in regions(batch)]
+
+        def apply(v):
+            V, g = v.reshape(kh, kw), np.zeros((kh, kw))
+            factors = ToeplitzFactors(V)  # shared by the regions
+            for patch in sampled:
+                g += bid_kernel_gradient(patch, bid_forward(patch, V, factors))
+            g *= scale
+            return g.ravel()
+
+        return previous_collatz_wielandt_bound(apply, kh * kw, problems_module.Y_BOUND_PASSES)
+
+    return lip_x, lip_y
+
+
+# (observation shape, kernel shape, tiles) of the draw pins below: uneven tiles, and
+# windows of one block, of several row and column blocks (30 x 30 tiles: the x-draw's
+# forward and adjoint correlations span two blocks of 24, the kernel gradient two of
+# 16), and of a 9 x 9 kernel.
+DRAW_PIN_SHAPES = [((11, 13), (3, 3), 6), ((17, 14), (2, 5), 6), ((15, 19), (4, 1), 4), ((40, 37), (9, 9), 6),
+                   ((60, 60), (3, 3), 4)]
+
+
+@pytest.mark.parametrize("shape", DRAW_PIN_SHAPES, ids=str)
+def test_bid_draws_match_previous_draws_bitwise(shape):
+    # Every draw, as (value, applications), equals the previous hooks' bit for bit:
+    # b = 1, 2 and 3 (adjacent tiles' windows overlap), the full batch, an image and a
+    # kernel with zero entries, and data whose operator has zero rows, so the
+    # Collatz-Wielandt ratio is taken on a partial support.
+    Z_shape, kernel, tiles = shape
+    rng = np.random.default_rng(sum(Z_shape) + 10 * kernel[0] + kernel[1])
+    adapter = BlindDeblurProblem(Z=rng.random(Z_shape), kernel_shape=kernel, lam=2e-3, theta=50.0, n_tiles=tiles)
+    problem = adapter.block_problem()
+    previous_x, previous_y = _previous_bid_draws(adapter)
+    kh, kw = kernel
+    batches = [np.array([j]) for j in range(tiles)] + [np.array([0, 1]), np.array([0, tiles - 1]),
+                                                      np.array([0, 1, 2]), np.arange(tiles)]
+    sparse_kernel = rng.random(kernel) * (rng.random(kernel) < 0.5)
+    edge_kernel = np.zeros(kernel)  # only its first row and column: the box's far pixels reach no residual
+    edge_kernel[0], edge_kernel[:, 0] = rng.random(kw), rng.random(kh)
+    dark_image = rng.random(adapter.image_shape)  # zero outside a corner: zero kernel rows for far windows
+    dark_image[kh + 1:, :] = 0.0
+    kernels = [rng.random(kernel) / (kh * kw), rng.standard_normal(kernel), sparse_kernel, edge_kernel]
+    images = [rng.random(adapter.image_shape), rng.standard_normal(adapter.image_shape), dark_image]
+    for Y in kernels:
+        for X in images:
+            for batch in batches:
+                for hook, previous in ((problem.lipschitz_x, previous_x), (problem.lipschitz_y, previous_y)):
+                    got, want = hook(X.ravel(), Y.ravel(), batch), previous(X.ravel(), Y.ravel(), batch)
+                    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (Y, X, batch)
+
+
 def _power_estimate(apply, dim, iterations):
     # ||G v|| after ``iterations`` normalized applications of the PSD G from a fixed
     # random start: a Rayleigh-type estimate of lambda_max(G), from below.
@@ -1638,31 +1788,28 @@ def test_bid_bounds_are_tight_at_benchmark_shape():
 
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
-    # Correlation work in the benchmark's form, 2 out_h out_w kh kw per bid_forward call
-    # (the adjoints correlate through bid_forward too).
+    # Correlation work in the benchmark's form, 2 out_h out_w kh kw per forward
+    # correlation (the image adjoints correlate forward too), whether an oracle makes
+    # it through bid_forward or a draw runs it set up.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
     z = adapter.initial_iterate()
-    work = []
+    spy = _CorrelationSpy(monkeypatch)
 
-    def counting_forward(X, Y, factors=None):
-        out = bid_forward(X, Y, factors)
-        work.append(2 * out.size * np.asarray(Y).size)
-        return out
-
-    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    def work():
+        return sum(2 * size * kernel.size for kind, _image, kernel, size in spy.runs if kind == "forward")
 
     def oracle_work(oracle):
-        work.clear()
+        spy.clear()
         oracle(np.arange(16), z.x, z.y)
-        return sum(work)
+        return work()
 
     def draw_work(batch):
-        work.clear()
+        spy.clear()
         for hook in (problem.lipschitz_x, problem.lipschitz_y):
             hook(z.x, z.y, batch)
-        return sum(work)
+        return work()
 
     # The full-batch x-draw is closed-form and correlates nothing.  A pass of the
     # y-operator correlates each window as a full-batch grad_y does (the window with
@@ -1690,31 +1837,22 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
     xv = z.x - 0.5  # signed, so the windows' |.| shows
     X = xv.reshape(adapter.image_shape)
     windows = [np.abs(X[rs.start:rs.stop + 4, cs.start:cs.stop + 4]) for rs, cs in bid_component_split(Z.shape, 16)]
-    patched, correlated = [], []
+    patched = []
 
     def counting_patches(image, kernel_shape):
         patched.append(image)
         return bid_patches(image, kernel_shape)
 
-    def counting_forward(image, kernel, factors=None):
-        correlated.append(("forward", image))
-        return bid_forward(image, kernel, factors)
-
-    def counting_gradient(image, residual):
-        correlated.append(("gradient", image))
-        return bid_kernel_gradient(image, residual)
-
     # problems has no bid_patches (the patch matrix is a test reference), so this spy
     # catches one added there and called by the draw.
     monkeypatch.setattr(problems_module, "bid_patches", counting_patches, raising=False)
-    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
-    monkeypatch.setattr(problems_module, "bid_kernel_gradient", counting_gradient)
+    spy = _CorrelationSpy(monkeypatch)
 
     def y_draw(batch):
-        correlated.clear()
+        spy.clear()
         problem.lipschitz_y(xv, z.y, batch)
         assert not patched
-        return list(correlated)
+        return [(kind, image) for kind, image, _other, _size in spy.runs]
 
     for j in range(16):
         seen = y_draw(np.array([j]))
@@ -1750,31 +1888,22 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
         "lipschitz_x": [],
         "lipschitz_y": [("forward", image, kernel), ("gradient", image, Z.shape)] * passes,
     }
-    shapes, calls = [], {}
-
-    def recording_forward(X, Y, factors=None):
-        shapes.append(("forward", np.shape(X), np.shape(Y)))
-        return bid_forward(X, Y, factors)
-
-    def recording_gradient(X, U):
-        shapes.append(("gradient", np.shape(X), np.shape(U)))
-        return bid_kernel_gradient(X, U)
+    spy, calls = _CorrelationSpy(monkeypatch), {}
 
     def recording(name, hook):
         def call(*args):
             batch = args[-1] if name.startswith("lipschitz") else args[0]
-            start = len(shapes)
+            start = len(spy.runs)
             out = hook(*args)
-            calls.setdefault((name, len(batch) == n), []).append(shapes[start:])
+            seen = [(kind, image.shape, other.shape) for kind, image, other, _size in spy.runs[start:]]
+            calls.setdefault((name, len(batch) == n), []).append(seen)
             return out
         return call
 
-    monkeypatch.setattr(problems_module, "bid_forward", recording_forward)
-    monkeypatch.setattr(problems_module, "bid_kernel_gradient", recording_gradient)
     hooks = ("value", "grad_x", "grad_y", "lipschitz_x", "lipschitz_y", "rows_x", "rows_mean_x")
     recorded = replace(problem, **{name: recording(name, getattr(problem, name)) for name in hooks})
     run(recorded, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
-    assert shapes and ("value", True) in calls
+    assert spy.runs and ("value", True) in calls
     for (name, full), made in calls.items():
         for seen in made:
             if full:
