@@ -28,17 +28,23 @@
   sizes (2000, 5000), drawing one b = 13 batch of n = 500 and one b = 1
   batch of toy-nmf-c11's n = 20, and the NMF hooks' top eigenvalue of an
   r x r Gram matrix at toy-nmf-c11's r = 5 and nmf-medium's r = 10;
+* the trace row's diagnostics: ``core.objective`` and
+  ``generalized_gradient_map`` (with the step's full gradients reused, as a
+  PALM row has them) at toy-nmf-c11 and nmf-medium shapes;
 * one cold ``solver.run`` epoch (no warm start, practical steps, gradient
   map traced) per algorithm but inertial PALM at the toy-nmf-c11 shape
   (50 x 20, r = 5, b = 1), where per-run and per-step overheads dominate,
-  and of PALM, inertial PALM, SGD and SAGA at bid-medium shapes (b = 1),
-  whose draws are all bounds (as in ``test_bid_lipschitz_draw``).
+  of PALM at the nmf-medium shape, where the trace row's objective is a
+  large share of the epoch, and of PALM, inertial PALM, SGD and SAGA at
+  bid-medium shapes (b = 1), whose draws are all bounds (as in
+  ``test_bid_lipschitz_draw``).
 """
 
 import numpy as np
 import pytest
 
-from springopt.core import Iterate
+from springopt.core import Iterate, full_grad_x, full_grad_y, objective
+from springopt.diagnostics import generalized_gradient_map
 from springopt.estimators import BatchSampler, SagaState, sample_batch
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
 from springopt.problems import (
@@ -194,11 +200,24 @@ def test_top_eigenvalue(benchmark, r):
     benchmark(_top_eigenvalue, cols @ cols.T)
 
 
+@pytest.mark.parametrize("workload", ["toy_nmf", "nmf"], ids=["toy", "medium"])
+@pytest.mark.parametrize("diagnostic", ["objective", "gradient_map"])
+def test_trace_row(benchmark, request, workload, diagnostic):
+    problem, z = request.getfixturevalue(workload)
+    if diagnostic == "objective":
+        benchmark(objective, problem, z)
+    else:
+        grads = (full_grad_x(problem, z), full_grad_y(problem, z))
+        gamma_x = 0.5 / problem.lipschitz_x(z.x, z.y, np.arange(problem.n))[0]
+        gamma_y = 0.5 / problem.lipschitz_y(z.x, z.y, np.arange(problem.n))[0]
+        benchmark(generalized_gradient_map, problem, z, z.x, gamma_x, gamma_y, grads=grads)
+
+
 @pytest.mark.parametrize("workload, algorithm", [
     ("toy_nmf", "palm"), ("toy_nmf", "spring-sgd"), ("toy_nmf", "spring-saga"), ("toy_nmf", "spring-sarah"),
-    ("bid", "palm"), ("bid", "ipalm"), ("bid", "spring-sgd"), ("bid", "spring-saga"),
-], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "bid-palm", "bid-ipalm", "bid-spring-sgd",
-        "bid-spring-saga"])
+    ("nmf", "palm"), ("bid", "palm"), ("bid", "ipalm"), ("bid", "spring-sgd"), ("bid", "spring-saga"),
+], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "medium-palm", "bid-palm", "bid-ipalm",
+        "bid-spring-sgd", "bid-spring-saga"])
 def test_run_epoch(benchmark, request, workload, algorithm):
     problem, z0 = request.getfixturevalue(workload)
     config = SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, seed=0, warm_start=False)

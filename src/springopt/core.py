@@ -14,7 +14,8 @@ objective is always an error.
 Oracle contract: ``grad_x(idx, x, y)`` is the mean of grad_x F_i over a sorted
 array ``idx`` of distinct indices, ``grad_y`` and ``value`` likewise, and a
 call costs ``len(idx)`` SFO.  Full gradients and the smooth value pass all n
-indices and add G's exact value or x-gradient, which costs no SFO.  SAGA
+indices, as the read-only ``full_batch(n)``, so an oracle must not write into
+``idx``, and add G's exact value or x-gradient, which costs no SFO.  SAGA
 tables store one row per component: the problem's compact per-row data where
 it has a per-row oracle (see ``BlockProblem``), else the dense component
 gradient from a singleton batch.
@@ -25,7 +26,9 @@ threads.  Oracles are deterministic, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,8 +86,8 @@ class BlockProblem:
 
     The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
     block's Lipschitz value at (x, y) on the sorted indices ``batch``, the
-    full batch being ``np.arange(n)`` as for the oracles, and the number of
-    operator applications made for it; ``lipschitz.lipschitz_draw`` charges
+    full batch being ``full_batch(n)`` as for the oracles, and the number
+    of operator applications made for it; ``lipschitz.lipschitz_draw`` charges
     ``len(batch)`` SFO for each.  The value is exact or an upper bound, and a
     hook reads no random stream.
     """
@@ -156,34 +159,51 @@ def check_dims(problem: BlockProblem, z: Iterate) -> None:
         )
 
 
-def smooth_value(problem: BlockProblem, z: Iterate) -> float:
-    """G(x) + (1/n) sum_i F_i(x, y): the value oracle over all n components,
-    plus the smooth x-term where there is one."""
-    check_dims(problem, z)
-    val = float(problem.value(np.arange(problem.n), z.x, z.y))
+@lru_cache(maxsize=8)
+def full_batch(n: int) -> np.ndarray:
+    """``np.arange(n)``, the full batch of n components, built once per n and
+    read-only, since every full-gradient, objective and full-batch draw passes it."""
+    idx = np.arange(n)
+    idx.flags.writeable = False
+    return idx
+
+
+def _smooth_value(problem: BlockProblem, z: Iterate) -> float:
+    val = float(problem.value(full_batch(problem.n), z.x, z.y))
     if problem.smooth_x is not None:
         val += float(problem.smooth_x.value(z.x))
     return val
 
 
+def smooth_value(problem: BlockProblem, z: Iterate) -> float:
+    """G(x) + (1/n) sum_i F_i(x, y): the value oracle over all n components,
+    plus the smooth x-term where there is one."""
+    check_dims(problem, z)
+    return _smooth_value(problem, z)
+
+
 def objective(problem: BlockProblem, z: Iterate) -> float:
-    """Full objective J(x) + G(x) + (1/n) sum F_i + R(y); +inf outside indicators."""
+    """Full objective J(x) + G(x) + (1/n) sum F_i + R(y); +inf outside indicators.
+
+    The dimensions are checked once, and the checks on the Python floats are
+    ``math``'s, which cost no array conversion.
+    """
     check_dims(problem, z)
     jx = float(problem.reg_x_value(z.x))
     ry = float(problem.reg_y_value(z.y))
-    if np.isnan(jx) or np.isnan(ry):
+    if math.isnan(jx) or math.isnan(ry):
         raise FloatingPointError("regularizer value is NaN")
-    if np.isinf(jx) or np.isinf(ry):
+    if math.isinf(jx) or math.isinf(ry):
         return float("inf")
-    val = jx + smooth_value(problem, z) + ry
-    if np.isnan(val):
+    val = jx + _smooth_value(problem, z) + ry
+    if math.isnan(val):
         raise FloatingPointError("objective evaluated to NaN (numerical failure)")
     return val
 
 
 def _mean_grad(problem: BlockProblem, z: Iterate, grad_fn: GradFn, dim: int) -> np.ndarray:
     check_dims(problem, z)
-    g = np.asarray(grad_fn(np.arange(problem.n), z.x, z.y), dtype=float)
+    g = np.asarray(grad_fn(full_batch(problem.n), z.x, z.y), dtype=float)
     if g.shape != (dim,):
         raise ValueError(f"full gradient has shape {g.shape}, expected ({dim},)")
     return g

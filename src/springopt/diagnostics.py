@@ -57,9 +57,11 @@ def generalized_gradient_map(
     check_dims(problem, z)
     if grads is None:
         grads = (full_grad_x(problem, z), full_grad_y(problem, Iterate(z_x_next, z.y)))
-    gx_full, gy_full = grads
-    g_x = (z.x - problem.prox_x(gamma1, z.x - gamma1 * gx_full)) / gamma1
-    g_y = (z.y - problem.prox_y(gamma2, z.y - gamma2 * gy_full)) / gamma2
+    # Each row divides the difference it makes in place: no further temporary.
+    g_x = z.x - problem.prox_x(gamma1, z.x - gamma1 * grads[0])
+    g_x /= gamma1
+    g_y = z.y - problem.prox_y(gamma2, z.y - gamma2 * grads[1])
+    g_y /= gamma2
     return GradMapEval(g_x=g_x, g_y=g_y, norm_sq=float(g_x @ g_x + g_y @ g_y))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, RowsMeanFn, check_dims
+from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_batch
 
 # Table-update calls (one per block per step, whatever the batch size) between exact
 # mean recomputations.  Each drifts the mean by O(eps); recomputing keeps it within 1e-10.
@@ -166,7 +166,7 @@ class SagaState:
                        mean_x=np.zeros(problem.dim_x), mean_y=np.zeros(problem.dim_y),
                        rows_mean_x=mean_fx, rows_mean_y=mean_fy)
         check_dims(problem, z)
-        all_idx = np.arange(n)
+        all_idx = full_batch(n)
         tx = batch_grads_x(problem, all_idx, z.x, z.y)
         ty = batch_grads_y(problem, all_idx, z.x, z.y)
         return cls(table_x=tx, table_y=ty, mean_x=mean_fx(all_idx, tx), mean_y=mean_fy(all_idx, ty),
@@ -239,7 +239,7 @@ def saga_update_table_y(state: SagaState, batch: np.ndarray, fresh: np.ndarray) 
 def _maybe_recompute(state: SagaState) -> None:
     state._updates += 1
     if state._updates >= _MEAN_RECOMPUTE_PERIOD:
-        all_idx = np.arange(state.table_x.shape[0])
+        all_idx = full_batch(state.table_x.shape[0])
         state.mean_x = state.rows_mean_x(all_idx, state.table_x)
         state.mean_y = state.rows_mean_y(all_idx, state.table_y)
         state._updates = 0
@@ -276,7 +276,7 @@ def sarah_refresh_coin(state: SarahState, rng: np.random.Generator) -> bool:
 
 def _sarah_estimate(problem, batch, z_new, z_old, prev_est, refresh, grad_fn):
     if refresh:
-        return grad_fn(np.arange(problem.n), z_new.x, z_new.y)
+        return grad_fn(full_batch(problem.n), z_new.x, z_new.y)
     return (grad_fn(batch, z_new.x, z_new.y) - grad_fn(batch, z_old.x, z_old.y)) + prev_est
 
 

@@ -161,18 +161,24 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
 
     def value(idx, xv, yv):
         # (X Y_part)^T - A^T[part], never the expanded Gram form, which cancels
-        # catastrophically near a fit.  A run of components is sliced, not copied.
+        # catastrophically near a fit.  A part whose components run consecutively
+        # (its last index less its first is its length less one, as the indices are
+        # sorted and distinct) is sliced, not copied.  The indices are read as Python
+        # ints: the full batch is range(d), all runs, and a smaller one its list.
+        b, width = len(idx), 2 * r
         X_T, Y_T = np.ascontiguousarray(xv.reshape(m, r).T), yv.reshape(r, d).T
-        buf, total = np.empty((min(2 * r, len(idx)), m)), 0.0
-        for start in range(0, len(idx), 2 * r):
-            part = idx[start:start + 2 * r]
-            resid = buf[:len(part)]
-            if part[-1] - part[0] == len(part) - 1:
-                part = slice(part[0], part[-1] + 1)
+        buf, total = np.empty((min(width, b), m)), 0.0
+        ids = range(d) if b == d else idx.tolist()
+        for start in range(0, b, width):
+            stop = min(start + width, b)
+            first, last = ids[start], ids[stop - 1]
+            part = slice(first, last + 1) if last - first == stop - 1 - start else idx[start:stop]
+            resid = buf[:stop - start]
             np.matmul(Y_T[part], X_T, out=resid)
             resid -= A_T[part]
-            total += float(np.vdot(resid, resid))
-        return d * total / len(idx)
+            flat = resid.reshape(-1)
+            total += float(flat.dot(flat))  # np.vdot's dot of the flat buffer, without its dispatcher
+        return d * total / b
 
     # The gradients in Gram form, a few BLAS calls per batch:
     # grad_x = (2d/b) (X (Y_B Y_B^T) - A_B Y_B^T), and grad_y in the columns B
@@ -281,13 +287,17 @@ class SparseNmfProblem:
         m, d = self.A.shape
         r, s = self.r, self.s
 
+        # Each check is one ufunc reduction (``np.all`` and ``np.count_nonzero`` are
+        # Python wrappers around theirs): the minimum is NaN where an entry is, so
+        # NaN is infeasible as ``>= 0`` has it, and a column's count of entries
+        # ``!= 0`` is count_nonzero's (-0.0 is zero, NaN is not).
         def reg_x(xv):
-            X = xv.reshape(m, r)
-            feasible = np.all(X >= 0) and np.all(np.count_nonzero(X, axis=0) <= s)
+            feasible = (np.minimum.reduce(xv) >= 0
+                        and np.maximum.reduce(np.add.reduce(xv.reshape(m, r) != 0, axis=0)) <= s)
             return 0.0 if feasible else float("inf")
 
         def reg_y(yv):
-            return 0.0 if np.all(yv >= 0) else float("inf")
+            return 0.0 if np.minimum.reduce(yv) >= 0 else float("inf")
 
         # An overflowed step gives an all-NaN factor, as BID's proxes do, so the
         # iterate guard reports it where the proxes would set it to 0.  They can lose
@@ -333,11 +343,12 @@ class SparsePcaProblem:
     def block_problem(self) -> BlockProblem:
         lam1, lam2 = self.lam1, self.lam2
 
+        # np.add.reduce is the sum ``ndarray.sum`` takes, without its Python wrapper.
         def reg_x(xv):
-            return lam1 * float(np.abs(xv).sum())
+            return lam1 * float(np.add.reduce(np.abs(xv)))
 
         def reg_y(yv):
-            return lam2 * float(np.abs(yv).sum())
+            return lam2 * float(np.add.reduce(np.abs(yv)))
 
         def px(gamma, xv):
             return prox_l1(xv, gamma * lam1)
@@ -705,7 +716,9 @@ class BlindDeblurProblem:
 
         def reg_value(xv):
             dh, dv = image_gradients(xv.reshape(hx, wx))
-            return lam * float(bid_potential(dh, theta).sum() + bid_potential(dv, theta).sum())
+            # ndarray.sum's reduction, without the method's Python wrapper.
+            return lam * float(np.add.reduce(bid_potential(dh, theta), axis=None)
+                               + np.add.reduce(bid_potential(dv, theta), axis=None))
 
         def reg_grad(xv):
             # D^T Phi'(D X), one difference direction at a time, so at most two
@@ -734,13 +747,12 @@ class BlindDeblurProblem:
             factors = ToeplitzFactors(Y)
             return [(window, bid_forward(X[window], Y, factors) - Z[tile]) for window, tile in regions]
 
-        def scatter_adjoints(parts, scale, factors=None):
-            # scale * the sum of the image adjoints of (window, residual, kernel) parts,
-            # each added into its window; ``factors`` is the kernel's when every part
-            # has the same kernel.
+        def scatter_adjoints(parts, scale):
+            # scale * the sum of the image adjoints of (window, residual, kernel factors)
+            # parts, each added into its window; parts with one kernel share its factors.
             g = np.zeros((hx, wx))
-            for window, resid, Y in parts:
-                g[window] += bid_adjoint_image(resid, Y, factors)
+            for window, resid, factors in parts:
+                g[window] += bid_adjoint_image(resid, factors.kernel, factors)
             g *= scale
             return g.ravel()
 
@@ -751,8 +763,9 @@ class BlindDeblurProblem:
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
-            parts = ((window, resid, Y) for window, resid in residuals(regions(idx), X, Y))
-            return scatter_adjoints(parts, 2.0 * n / len(idx), ToeplitzFactors(Y))
+            parts = residuals(regions(idx), X, Y)
+            factors = ToeplitzFactors(Y)
+            return scatter_adjoints(((window, resid, factors) for window, resid in parts), 2.0 * n / len(idx))
 
         # Per-row data for SAGA x-tables: tile i's x-gradient is 2n adj(resid_i, Y),
         # kept as resid_i (zero-padded to the largest tile) and the kernel Y, so a
@@ -770,11 +783,22 @@ class BlindDeblurProblem:
             rows[:, width:] = yv
             return rows
 
-        def rows_mean_x(idx, rows):
+        def row_parts(idx, rows):
             # A row with an all-zero kernel (a tile not visited yet) adds an exact zero: skip it.
-            parts = ((tile_regions[i][0], row[:areas[i]].reshape(tile_shapes[i]), row[width:].reshape(kh, kw))
-                     for i, row in zip(idx, rows) if row[width:].any())
-            return scatter_adjoints(parts, 2.0 * n / len(idx))
+            # A row whose kernel equals the last one's bit for bit, as the rows of one rows_x
+            # call do, shares its factors, so that kernel's are built once; a single row
+            # compares nothing.
+            factors = None
+            for i, row in zip(idx, rows):
+                kernel = row[width:].reshape(kh, kw)
+                if not kernel.any():
+                    continue
+                if factors is None or kernel.tobytes() != factors.kernel.tobytes():
+                    factors = ToeplitzFactors(kernel)
+                yield tile_regions[i][0], row[:areas[i]].reshape(tile_shapes[i]), factors
+
+        def rows_mean_x(idx, rows):
+            return scatter_adjoints(row_parts(idx, rows), 2.0 * n / len(idx))
 
         def grad_y(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
@@ -785,11 +809,13 @@ class BlindDeblurProblem:
             g *= 2.0 * n / len(idx)
             return g.ravel()
 
+        # The box checks are single reductions, as for NMF: the minimum and maximum
+        # are NaN where an entry is, which fails both comparisons, so NaN is infeasible.
         def reg_x(xv):
-            return 0.0 if np.all(xv >= 0) and np.all(xv <= 1) else float("inf")
+            return 0.0 if np.minimum.reduce(xv) >= 0 and np.maximum.reduce(xv) <= 1 else float("inf")
 
         def reg_y(yv):
-            feasible = np.all(yv >= 0) and np.all(yv <= 1) and yv.sum() <= 1.0
+            feasible = np.minimum.reduce(yv) >= 0 and np.maximum.reduce(yv) <= 1 and np.add.reduce(yv) <= 1.0
             return 0.0 if feasible else float("inf")
 
         def px(_gamma, xv):

@@ -41,6 +41,7 @@ from .core import (
     Iterate,
     NonFiniteIterateError,
     check_dims,
+    full_batch,
     full_grad_x,
     full_grad_y,
     objective,
@@ -335,7 +336,7 @@ class _StepSizes:
         self.sfo = 0
         self.pair = config.fixed_steps
         if config.step_policy == "theoretical":
-            L = config.lipschitz_const or max(self.draw(z0, np.arange(n)))
+            L = config.lipschitz_const or max(self.draw(z0, full_batch(n)))
             if not L > 0:
                 raise ValueError(f"the full-batch Lipschitz draw at z0 is {L}, not positive; "
                                  "the theoretical step policy then needs a positive lipschitz_const")
@@ -367,12 +368,12 @@ class _StepSizes:
 
     def _estimate(self, z):
         if self.sampler is None:
-            return self.draw(z, np.arange(self.problem.n))
+            return self.draw(z, full_batch(self.problem.n))
         lx, ly = self.draw(z, est.sample_batch(self.sampler))
         self.env_x = max(lx, self.decay * self.env_x)
         self.env_y = max(ly, self.decay * self.env_y)
         if min(self.env_x, self.env_y) <= EPS_LIPSCHITZ:
-            fx, fy = self.draw(z, np.arange(self.problem.n))
+            fx, fy = self.draw(z, full_batch(self.problem.n))
             self.env_x = max(self.env_x, fx)
             self.env_y = max(self.env_y, fy)
         return self.env_x, self.env_y

@@ -1,10 +1,16 @@
-"""Peak memory of blind deconvolution at the bid-medium benchmark shape.
+"""Peak memory of one cold epoch, and of blind deconvolution's hooks, at the benchmark's shapes.
 
-64 x 64 image, 9 x 9 kernel, 16 tiles: the full-batch hooks, the edge
-regularizer's gradient, and one cold epoch of PALM, SAGA and SARAH at b = 1
-with the gradient map traced, as the benchmark's ``peak_mb`` solves run.
-Each peak is tracemalloc's, the smaller of two passes after a warm-up call,
-so one-time allocations are left out.
+* Blind deconvolution at the bid-medium shape (64 x 64 image, 9 x 9 kernel,
+  16 tiles): the full-batch hooks, the edge regularizer's gradient, and one
+  cold epoch of PALM, SAGA and SARAH at b = 1.
+* Sparse NMF at the toy-nmf-c11 shape (50 x 20, r = 5, s = 10, b = 1) and
+  the nmf-medium shape (200 x 500, r = 10, s = 40, b = 13): one cold epoch
+  of PALM, SAGA and SARAH, whose trace row (objective and gradient map) is
+  pinned with the rest of the epoch.
+
+Each epoch traces the gradient map, as the benchmark's ``peak_mb`` solves
+run.  Each peak is tracemalloc's, the smaller of two passes after a warm-up
+call, so one-time allocations are left out.
 """
 
 import tracemalloc
@@ -12,8 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from springopt.harness.datasets import toy_blurred_image
-from springopt.problems import BlindDeblurProblem
+from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
+from springopt.problems import BlindDeblurProblem, SparseNmfProblem
 from springopt.solver import SolverConfig, run
 
 # Peaks in bytes with numpy 2.4.6 on CPython 3.11, measured by this file's tests
@@ -62,6 +68,12 @@ def _peak(call):
     return min(peaks)
 
 
+def _epoch(problem, z0, algorithm, batch_size):
+    config = SolverConfig(algorithm=algorithm, batch_size=batch_size, epochs=1, seed=0, warm_start=False,
+                          track_grad_map=True)
+    return lambda: run(problem, config, z0)
+
+
 def _call(problem, z0, name):
     full = np.arange(problem.n)
     if name in ("value", "grad_x", "grad_y"):
@@ -70,8 +82,7 @@ def _call(problem, z0, name):
         return lambda: getattr(problem, name)(z0.x, z0.y, full)
     if name == "smooth_x.grad":
         return lambda: problem.smooth_x.grad(z0.x)
-    config = SolverConfig(algorithm=name, batch_size=1, epochs=1, seed=0, warm_start=False, track_grad_map=True)
-    return lambda: run(problem, config, z0)
+    return _epoch(problem, z0, name, 1)
 
 
 @pytest.mark.parametrize("name", HOOKS)
@@ -82,3 +93,38 @@ def test_full_batch_hook_stays_within_the_windowed_peak(bid_medium, name):
 @pytest.mark.parametrize("name", ("smooth_x.grad",) + EPOCHS)
 def test_peak_is_held(bid_medium, name):
     assert _peak(_call(*bid_medium, name)) <= WINDOWED_PEAKS[name]
+
+
+# (matrix shape, rank of the generated data, r, s, batch size) of the two NMF workloads.
+NMF_SHAPES = {
+    "toy-nmf-c11": ((50, 20), 3, 5, 10, 1),
+    "nmf-medium": ((200, 500), 10, 10, 40, 13),
+}
+# Peaks in bytes with numpy 2.4.6 on CPython 3.11 before the trace row's objective and
+# gradient map were trimmed, as upper bounds, so that no change to the trace row can
+# raise a run's peak.  A peak's last few hundred bytes depend on what the process ran
+# before (a full tier-1 run reads up to 1.2 KB less); each is the largest, with its
+# test run alone.
+NMF_PEAKS = {
+    ("toy-nmf-c11", "palm"): 18_298,
+    ("toy-nmf-c11", "spring-saga"): 38_214,
+    ("toy-nmf-c11", "spring-sarah"): 29_415,
+    ("nmf-medium", "palm"): 210_736,
+    ("nmf-medium", "spring-saga"): 1_289_228,
+    ("nmf-medium", "spring-sarah"): 328_157,
+}
+
+
+@pytest.fixture(scope="module")
+def nmf_workloads():
+    workloads = {}
+    for name, (shape, data_rank, r, s, b) in NMF_SHAPES.items():
+        adapter = SparseNmfProblem(A=toy_nmf_matrix(seed=0, shape=shape, rank=data_rank), r=r, s=s)
+        workloads[name] = (adapter.block_problem(), adapter.initial_iterate(0), b)
+    return workloads
+
+
+@pytest.mark.parametrize("workload, algorithm", NMF_PEAKS)
+def test_nmf_epoch_peak_is_held(nmf_workloads, workload, algorithm):
+    problem, z0, b = nmf_workloads[workload]
+    assert _peak(_epoch(problem, z0, algorithm, b)) <= NMF_PEAKS[workload, algorithm]

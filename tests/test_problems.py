@@ -1083,7 +1083,10 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # full batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for
     # the y-draw, with 1, 2, 17 and 34 factor builds; by tile-row bands of the image
     # residual, grad_x made 5 correlations.  An oracle sets each correlation up as it
-    # runs it.
+    # runs it.  Decoding SAGA x-rows takes one image adjoint per row, and rows whose
+    # kernels are equal bit for bit (every row of one rows_x call) share that kernel's
+    # flipped factor: the full batch's 16 rows of 7 x 7 tiles build one (16 when each
+    # row built its own).
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1115,7 +1118,10 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
         "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2, 2),
         "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2, 2),
         "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1, 1),
+        "rows_mean_x b=1": (lambda: problem.rows_mean_x(np.array([6]), rows[6:7]), ["flipped"], 1, 1),
+        "rows_mean_x full": (lambda: problem.rows_mean_x(full, rows), ["flipped"], 16, 16),
     }
+    rows = problem.rows_x(full, x, Y.ravel())
     for name, (call, factors, correlations, set_ups) in calls.items():
         built.clear()
         spy.clear()

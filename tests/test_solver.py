@@ -29,6 +29,7 @@ from springopt.problems import (
 )
 from springopt.rng import STREAMS, stream_rng
 from springopt.solver import (
+    DIVERGENCE_FACTOR,
     ConfigError,
     DivergenceError,
     EstimatorDriver,
@@ -433,6 +434,23 @@ def test_palm_gradient_map_reuses_step_gradients(sep10):
                 z_next = ipalm_step(problem, z, z_prev, 0.5, 0.4, ipalm_momentum(k))
             assert row.grad_map_norm_sq == generalized_gradient_map(problem, z, z_next.x, 0.25, 0.2).norm_sq
             z_prev, z = z, z_next
+
+
+@pytest.mark.parametrize("shape, rank, r, s, rows_past_cap", [((50, 20), 3, 5, 10, 0),
+                                                             ((200, 500), 10, 10, 40, 2)],
+                         ids=["toy-nmf-c11", "nmf-medium"])
+def test_palm_row_evaluates_one_objective_and_phi0_once(shape, rank, r, s, rows_past_cap):
+    # Work counter: each trace row evaluates the value oracle on the n components of
+    # its objective.  At the toy shape no row passes DIVERGENCE_FACTOR, so an E-epoch
+    # PALM run evaluates E n components.  At nmf-medium's the overshoot of the first
+    # two rows passes it, and phi(z0) is evaluated once for the run: (E + 1) n.
+    adapter = SparseNmfProblem(A=toy_nmf_matrix(seed=0, shape=shape, rank=rank), r=r, s=s)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate(0)
+    epochs = 3
+    counted, counter = with_oracle_counter(problem)
+    rows = run(counted, SolverConfig(algorithm="palm", epochs=epochs, warm_start=False), z0).trace.rows
+    assert [row.objective > DIVERGENCE_FACTOR for row in rows] == [k < rows_past_cap for k in range(epochs)]
+    assert counter.value == (epochs + (rows_past_cap > 0)) * problem.n
 
 
 def test_estimator_coincidence_full_batch(sep10):
