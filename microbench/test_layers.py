@@ -188,7 +188,10 @@ def test_iterate(benchmark):
     benchmark(Iterate, x, y)
 
 
-@pytest.mark.parametrize("n, b", [(500, 13), (20, 1)], ids=["medium-b13", "toy-b1"])
+# nmf-medium's and the toy's batches, b = n^(2/3) at n = 500, and a b = 100 batch at n = 4000.
+# A call costs its share of a chunk's draw where the batches come in chunks.
+@pytest.mark.parametrize("n, b", [(500, 13), (20, 1), (500, 63), (4000, 100)],
+                         ids=["medium-b13", "toy-b1", "medium-b63", "large-b100"])
 def test_sample_batch(benchmark, n, b):
     sampler = BatchSampler(n, b, np.random.default_rng(5))
     benchmark(sample_batch, sampler)
@@ -213,12 +216,13 @@ def test_trace_row(benchmark, request, workload, diagnostic):
         benchmark(generalized_gradient_map, problem, z, z.x, gamma_x, gamma_y, grads=grads)
 
 
-@pytest.mark.parametrize("workload, algorithm", [
-    ("toy_nmf", "palm"), ("toy_nmf", "spring-sgd"), ("toy_nmf", "spring-saga"), ("toy_nmf", "spring-sarah"),
-    ("nmf", "palm"), ("bid", "palm"), ("bid", "ipalm"), ("bid", "spring-sgd"), ("bid", "spring-saga"),
-], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "medium-palm", "bid-palm", "bid-ipalm",
-        "bid-spring-sgd", "bid-spring-saga"])
-def test_run_epoch(benchmark, request, workload, algorithm):
+@pytest.mark.parametrize("workload, algorithm, b", [
+    ("toy_nmf", "palm", 1), ("toy_nmf", "spring-sgd", 1), ("toy_nmf", "spring-saga", 1),
+    ("toy_nmf", "spring-sarah", 1), ("nmf", "palm", 1), ("nmf", "spring-sgd", 13), ("nmf", "spring-saga", 13),
+    ("bid", "palm", 1), ("bid", "ipalm", 1), ("bid", "spring-sgd", 1), ("bid", "spring-saga", 1),
+], ids=["palm", "spring-sgd", "spring-saga", "spring-sarah", "medium-palm", "medium-spring-sgd",
+        "medium-spring-saga", "bid-palm", "bid-ipalm", "bid-spring-sgd", "bid-spring-saga"])
+def test_run_epoch(benchmark, request, workload, algorithm, b):
     problem, z0 = request.getfixturevalue(workload)
-    config = SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, seed=0, warm_start=False)
+    config = SolverConfig(algorithm=algorithm, batch_size=b, epochs=1, seed=0, warm_start=False)
     benchmark(run, problem, config, z0)

@@ -135,7 +135,8 @@ class Iterate:
     """One block pair z = (x, y), stored as flat float64 vectors.
 
     Construction validates both blocks once: a non-finite entry raises
-    ``NonFiniteIterateError`` (a ``ValueError``).
+    ``NonFiniteIterateError`` (a ``ValueError``).  ``with_block`` replaces one
+    block and validates only that one.
     """
 
     x: np.ndarray
@@ -149,6 +150,22 @@ class Iterate:
         # ``ndarray.all`` is a Python wrapper around this one reduction.
         if not (np.logical_and.reduce(np.isfinite(self.x)) and np.logical_and.reduce(np.isfinite(self.y))):
             raise NonFiniteIterateError("iterate contains non-finite entries")
+
+    def with_block(self, block: str, v: np.ndarray) -> "Iterate":
+        """This iterate with block ``block`` ("x" or "y") replaced by v.
+
+        Only v is validated, as construction validates a block: the block
+        kept was validated when this iterate was built.
+        """
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 1:
+            raise ValueError("iterate blocks must be flat vectors")
+        if not np.logical_and.reduce(np.isfinite(v)):
+            raise NonFiniteIterateError("iterate contains non-finite entries")
+        z = object.__new__(Iterate)
+        object.__setattr__(z, "x", v if block == "x" else self.x)
+        object.__setattr__(z, "y", self.y if block == "x" else v)
+        return z
 
 
 def check_dims(problem: BlockProblem, z: Iterate) -> None:

@@ -18,12 +18,19 @@ oracle (for an m x d factorization of rank r, m + r numbers per x-row and r
 per y-row instead of dense gradients of m r and r d), else dense component
 gradients from singleton batches.  A table is read only through the
 problem's ``rows_mean``, which decodes the mean gradient of a set of rows.
+
+A batch is ``np.sort(Generator.choice(n, b, replace=False))`` on its
+sampler's generator, draw for draw.  ``BatchSampler`` draws a chunk of an
+epoch's batches with one ``Generator.integers`` call that makes choice's own
+bounded draws in choice's order (``sample_batch``); each batch is a
+read-only int64 row of its chunk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,32 +41,112 @@ from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_batch
 _MEAN_RECOMPUTE_PERIOD = 4096
 
 
-@dataclass
+# Batches drawn per generator call, at most: a chunk is one epoch, ceil(n/b) batches.
+_CHUNK_CAP = 64
+# The largest batch drawn in chunks (see _chunk_draw).
+_CHUNK_MAX_B = 128
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+@lru_cache(maxsize=8)
+def _chunk_draw(n: int, b: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]] | None:
+    """``integers``' (low, high, size) for a chunk of ceil(n/b) batches, at most
+    ``_CHUNK_CAP``.  ``high`` holds one batch's bounds in choice's order, read-only:
+    Floyd's pass draws from [0, j] for j = n-b, ..., n-1, then the shuffle from
+    [0, i] for i = b-1, ..., 1.  Built once per (n, b), like ``full_batch``, so a
+    run's three samplers share them.
+
+    None where a batch is choice's own: b > _CHUNK_MAX_B or b^2 >= n.  From
+    b^2 = n on, about two in five of Floyd's passes meet a pick they made
+    before; rebuilding those batches in Python, at O(b) each, then costs more
+    than choice, and so do a large b's draws through ``integers``' broadcast
+    path (measured with numpy 2.4.6, per batch, chunks against choice: 4.2
+    against 8.4 us at n = 500, b = 22; 13.5 against 9.3 at b = 45; 13.2 against
+    11.1 at n = 10000, b = 100; 16.1 against 14.8 at n = 100000, b = 200).  The
+    region holds choice's tail regime, n > 10000 and b > n // 50, where it
+    shuffles the tail of arange(n) instead of Floyd's pass.
+    """
+    if b > _CHUNK_MAX_B or b * b >= n:
+        return None
+    high = np.concatenate([np.arange(n - b + 1, n + 1), np.arange(b, 1, -1)])
+    low = np.zeros_like(high)  # an array low makes integers' call cheaper than a scalar 0
+    low.flags.writeable = high.flags.writeable = False
+    return low, high, (min(-(-n // b), _CHUNK_CAP), 2 * b - 1)
+
+
+@dataclass(slots=True)
 class BatchSampler:
-    """Uniform without-replacement mini-batch sampler over {0, ..., n-1}."""
+    """Uniform without-replacement mini-batch sampler over {0, ..., n-1}.
+
+    The batches equal choice's only while nothing else draws from ``rng``,
+    which is read up to a chunk ahead of the batches handed out.  ``_draw`` is
+    ``_chunk_draw(n, b)``; ``_chunk`` holds the batches not yet handed out,
+    from row ``_next`` on, or None.  n and b are kept as ``int``.
+    """
 
     n: int
     b: int
     rng: np.random.Generator
+    _draw: tuple[np.ndarray, np.ndarray, tuple[int, int]] | None = field(init=False, repr=False, compare=False)
+    _chunk: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _next: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.b)):
+            raise ValueError(f"n and b must be integers, got n={self.n!r}, b={self.b!r}")
         if not 1 <= self.b <= self.n:
             raise ValueError(f"batch size must satisfy 1 <= b <= n, got b={self.b}, n={self.n}")
+        self.n, self.b = int(self.n), int(self.b)
+        self._draw = _chunk_draw(self.n, self.b)
+
+
+def _draw_chunk(sampler: BatchSampler) -> np.ndarray:
+    """The sampler's next batches, one per row: sorted, int64 and read-only."""
+    n, b = sampler.n, sampler.b
+    # A chunk's Floyd and shuffle draws in one call.  The shuffle's only move the
+    # stream: a sorted batch does not depend on them.
+    picks = sampler.rng.integers(*sampler._draw)[:, :b]
+    chunk = picks.copy()
+    chunk.sort(axis=1)
+    # A row holds a repeated draw exactly when Floyd's pass met a pick it had already
+    # made; it then took j instead, and from there on its set is not the draws'.
+    for row in np.logical_or.reduce(chunk[:, 1:] == chunk[:, :-1], axis=1).nonzero()[0]:
+        seen = set()
+        for j, pick in zip(range(n - b, n), picks[row].tolist()):
+            seen.add(j if pick in seen else pick)
+        chunk[row] = sorted(seen)
+    chunk.setflags(write=False)
+    return chunk
 
 
 def sample_batch(sampler: BatchSampler) -> np.ndarray:
     """Draw one sorted b-subset of {0..n-1}, uniform over all such subsets.
 
-    The batch is ``np.sort(rng.choice(n, b, replace=False))``.  At b = 1
-    ``choice``'s Floyd pass makes one bounded draw from [0, n) and its
-    shuffle none, so the same draw is taken with ``integers``, without
-    ``choice``'s overhead: the stream is unchanged.
+    The batches of a sampler are ``np.sort(rng.choice(n, b, replace=False))``
+    draw for draw, read-only and int64, and no two share memory.  Where
+    ``_chunk_draw`` allows, one ``integers`` call draws a chunk of batches, the
+    first time a batch is asked for and again after the chunk's last batch,
+    which drops it: at every chunk boundary the stream stands where choice
+    leaves it.  Each batch is a row of its chunk.  Elsewhere a batch is
+    choice's own.
     """
-    if sampler.b == 1:
-        return np.array([sampler.rng.integers(sampler.n)])
-    idx = sampler.rng.choice(sampler.n, size=sampler.b, replace=False)
-    idx.sort()  # choice returns a fresh array: no copy needed
-    return idx
+    chunk = sampler._chunk
+    if chunk is None:
+        if sampler._draw is None:
+            batch = sampler.rng.choice(sampler.n, size=sampler.b, replace=False)
+            batch.sort()  # choice returns a fresh array: no copy needed
+            batch.setflags(write=False)
+            return batch
+        chunk = sampler._chunk = _draw_chunk(sampler)
+        sampler._next = 0
+    batch = chunk[sampler._next]
+    sampler._next += 1
+    if sampler._next == chunk.shape[0]:
+        sampler._chunk = None
+    return batch
 
 
 def dense_rows_mean(_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -213,7 +300,9 @@ def _update_table(
     fresh_mean = rows_mean(batch, fresh)
     delta = fresh_mean - rows_mean(batch, table[batch])
     estimate = delta + mean  # saga_combine's value, from the same two decodes
-    mean += delta * len(batch) / table.shape[0]
+    delta *= len(batch)  # mean += delta * b / n, without two dim-sized temporaries
+    delta /= table.shape[0]
+    mean += delta
     table[batch] = fresh
     return estimate, fresh_mean
 

@@ -106,7 +106,7 @@ class SolverConfig:
             raise ConfigError(f"unknown step policy {self.step_policy!r}")
         if not isinstance(self.epochs, (int, np.integer)):
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, (int, np.integer)):
+        if not isinstance(self.batch_size, (int, np.integer)) or isinstance(self.batch_size, bool):
             raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
         if not is_seed(self.seed):
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -160,19 +160,32 @@ class RunResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _divergence(context: str, x: np.ndarray, y: np.ndarray) -> DivergenceError:
+    return DivergenceError(
+        f"non-finite iterate after {context}",
+        snapshot={"max_abs_x": float(np.max(np.abs(x))), "max_abs_y": float(np.max(np.abs(y)))},
+    )
+
+
 def _guarded_iterate(x: np.ndarray, y: np.ndarray, context: str) -> Iterate:
-    """Build the iterate a half-step produced; ``Iterate``'s own finiteness
-    check is the only scan, and its failure is reported as divergence."""
+    """Build the iterate a half-step produced from two new blocks; ``Iterate``'s
+    own finiteness check is the only scan, and its failure is reported as divergence."""
     try:
         return Iterate(x, y)
     except NonFiniteIterateError:
-        raise DivergenceError(
-            f"non-finite iterate after {context}",
-            snapshot={"max_abs_x": float(np.max(np.abs(x))), "max_abs_y": float(np.max(np.abs(y)))},
-        ) from None
+        raise _divergence(context, x, y) from None
 
 
-@dataclass
+def _guarded_block(base: Iterate, block: str, v: np.ndarray, context: str) -> Iterate:
+    """``base`` with one block set to a half-step's new v, as ``_guarded_iterate``
+    builds it; only v is scanned (``Iterate.with_block``)."""
+    try:
+        return base.with_block(block, v)
+    except NonFiniteIterateError:
+        raise _divergence(context, *((v, base.y) if block == "x" else (base.x, v))) from None
+
+
+@dataclass(slots=True)
 class EstimatorDriver:
     """Mutable estimator context threaded through the steps.
 
@@ -238,8 +251,9 @@ def _step(problem, z, z_prev, driver, steps, k, beta, name):
     Estimator state inside ``driver`` is advanced as a side effect (SAGA
     table rows refreshed with the evaluations already made for the
     estimate; SARAH estimates and ``sarah_prev`` updated).  Every point
-    built here, the extrapolated one included, goes through
-    ``_guarded_iterate``; ``name`` labels its divergence messages.
+    built here, the extrapolated one included, has its new blocks scanned
+    once, by ``_guarded_block`` where it keeps a block of z or mid;
+    ``name`` labels its divergence messages.
     """
     gamma_x = steps.x(z, k)
     kind = "sgd" if driver.warm else driver.kind
@@ -252,15 +266,18 @@ def _step(problem, z, z_prev, driver, steps, k, beta, name):
     if beta != 0:
         x_bar = z.x + beta * (z.x - z_prev.x)
         y_bar = z.y + beta * (z.y - z_prev.y)
-        at = _guarded_iterate(x_bar, z.y, f"{name} extrapolation")
+        at = _guarded_block(z, "x", x_bar, f"{name} extrapolation")
     gx, sfo_x = _estimate(problem, driver, kind, refresh, "x", at, z_old)
     x_next = problem.prox_x(gamma_x, x_bar - gamma_x * gx)
-    mid = _guarded_iterate(x_next, y_bar, f"{name} x-update")
+    if beta != 0:  # y_bar is new too
+        mid = _guarded_iterate(x_next, y_bar, f"{name} x-update")
+    else:
+        mid = _guarded_block(z, "x", x_next, f"{name} x-update")
 
     gamma_y = steps.y(mid, k)
     gy, sfo_y = _estimate(problem, driver, kind, refresh, "y", mid, mid_old)
     y_next = problem.prox_y(gamma_y, y_bar - gamma_y * gy)
-    z_next = _guarded_iterate(x_next, y_next, f"{name} y-update")
+    z_next = _guarded_block(mid, "y", y_next, f"{name} y-update")
     driver.sarah_prev = (z, mid) if kind == "sarah" else None
     return z_next, sfo_x + sfo_y, (gx, gy), (gamma_x, gamma_y)
 
@@ -323,6 +340,8 @@ class _StepSizes:
     and anchored on a full-batch draw at the current iterate while
     degenerate.  A draw that is not finite raises ``DivergenceError``.
     """
+
+    __slots__ = ("problem", "config", "b", "sampler", "decay", "env_x", "env_y", "sfo", "pair")
 
     def __init__(self, problem, config, z0, kind, b, sarah_p):
         n = problem.n

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import springopt.estimators as estimators
+import springopt.solver as solver_module
 from springopt.core import Iterate, full_grad_x, full_grad_y
 from springopt.diagnostics import exhaustive_mse
 from springopt.estimators import (
@@ -94,6 +95,102 @@ def test_sampler_stream_is_sorted_choice(n, b):
         np.testing.assert_array_equal(batch, np.sort(ref.choice(n, b, replace=False)))
         assert prev is None or not np.shares_memory(batch, prev)
         prev = batch
+
+
+# (n, b): the workloads' batches (500, 13), (16, 1) and (20, 1); b = n^(2/3) at n = 500,
+# (500, 63), and a b = 100 batch at n = 4000; edge cases; batches with Floyd collisions, a pass
+# meeting a pick it made before, drawn in chunks, (64, 7), (200, 14), (500, 22), and by
+# choice itself, (8, 3) and (20, 20); b = n; a 64-bit bound; and choice's tail regime
+# (20000, 500).
+SAMPLER_CASES = [(500, 13), (500, 63), (4000, 100), (500, 500), (8, 3), (20, 20), (16, 1), (20, 1),
+                 (2, 1), (5, 2), (64, 7), (200, 14), (500, 22), (4000, 63), (2**32 + 5, 1), (20000, 500)]
+
+
+def _chunk_len(sampler):
+    """Batches per chunk: one epoch, capped, or 1 where a batch is choice's own."""
+    return 1 if sampler._draw is None else sampler._draw[2][0]
+
+
+def _assert_sorted_choice_stream(sampler, ref, chunks=3):
+    # Each batch is np.sort(choice(n, b, replace=False)) on the reference, read-only int64
+    # memory of its own; at every chunk boundary the sampler holds no chunk and both
+    # generators stand at the same place in their streams.
+    n, b = sampler.n, sampler.b
+    k = _chunk_len(sampler)
+    seen = []
+    for i in range(max(chunks * k, 4)):
+        batch = sample_batch(sampler)
+        np.testing.assert_array_equal(batch, np.sort(ref.choice(n, b, replace=False)))
+        assert batch.dtype == np.int64 and not batch.flags.writeable
+        assert not any(np.shares_memory(batch, other) for other in seen)
+        seen.append(batch)
+        if (i + 1) % k == 0:
+            assert sampler._chunk is None
+            assert sampler.rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64], ids=["philox", "pcg64"])
+@pytest.mark.parametrize("n, b", SAMPLER_CASES)
+def test_sampler_equals_sorted_choice_across_chunks(bit_generator, n, b):
+    _assert_sorted_choice_stream(BatchSampler(n, b, np.random.Generator(bit_generator(11))),
+                                 np.random.Generator(bit_generator(11)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 600), data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_sampler_equals_sorted_choice_property(n, data, seed):
+    b = data.draw(st.integers(1, n), label="b")
+    _assert_sorted_choice_stream(BatchSampler(n, b, stream_rng(seed, "batch_x")), stream_rng(seed, "batch_x"))
+
+
+@pytest.mark.parametrize("n, b", [(64, 7), (200, 14), (500, 22), (500, 13)])
+def test_chunked_cases_meet_floyd_collisions(n, b):
+    # The first three chunks the equality test draws on Philox hold batches whose draws
+    # repeat a pick, so the rebuild by Floyd's insertion runs there; a chunk draws them.
+    sampler = BatchSampler(n, b, np.random.Generator(np.random.Philox(11)))
+    low, high, (k, width) = sampler._draw
+    picks = sampler.rng.integers(low, high, size=(3 * k, width))[:, :b]
+    assert any(len(set(row)) < b for row in picks.tolist())
+
+
+def test_sampler_draws_a_chunk_only_when_a_batch_is_asked_for():
+    # Building a sampler reads nothing from its stream, while the first batch reads a whole
+    # chunk, and a chunk's batches after the first read nothing more.
+    rng, ref = stream_rng(3, "batch_x"), stream_rng(3, "batch_x")
+    sampler = BatchSampler(500, 13, rng)
+    assert rng.random() == ref.random()
+    first = sample_batch(sampler)
+    assert sampler._chunk.shape == (39, 13)
+    np.testing.assert_array_equal(first, np.sort(ref.choice(500, 13, replace=False)))
+
+
+def test_fixed_steps_leave_the_lipschitz_stream_undrawn(monkeypatch):
+    # Under fixed steps no batch of lip_batch is asked for, so its sampler draws nothing.
+    problem, _ = make_random_quadratic(dim_x=3, dim_y=2, n=10, seed=0)
+    streams = {}
+
+    def recording(seed, purpose):
+        streams[purpose] = stream_rng(seed, purpose)
+        return streams[purpose]
+
+    monkeypatch.setattr(solver_module, "stream_rng", recording)
+    config = SolverConfig(algorithm="spring-sgd", batch_size=2, epochs=2, step_policy="fixed",
+                          fixed_steps=(0.1, 0.1))
+    run(problem, config, Iterate(np.zeros(3), np.zeros(2)))
+    assert streams["lip_batch"].random() == stream_rng(0, "lip_batch").random()
+    assert streams["batch_x"].random() != stream_rng(0, "batch_x").random()
+
+
+@pytest.mark.parametrize("n, b", [(10, 2.0), (10, True), (10.0, 2), (np.float64(10), 2), (10, "2"), (True, 1),
+                                  (10, None)])
+def test_sampler_rejects_non_integer_sizes(n, b):
+    with pytest.raises(ValueError, match="n and b must be integers"):
+        BatchSampler(n, b, np.random.default_rng(0))
+
+
+def test_sampler_takes_numpy_integers():
+    sampler = BatchSampler(np.int64(500), np.int32(13), stream_rng(4, "batch_x"))
+    _assert_sorted_choice_stream(sampler, stream_rng(4, "batch_x"), chunks=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from springopt import estimators as est_module
+from springopt import core as core_module
 from springopt import solver as solver_module
 from springopt.core import BlockProblem, Iterate, objective, smooth_value, with_oracle_counter
 from springopt.diagnostics import generalized_gradient_map
@@ -333,7 +334,8 @@ def test_run_validates_config(sep10):
      "fixed steps must be a positive finite (gamma_x, gamma_y), got (0.001, 0.001, 5.0)"),
     (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
     (dict(batch_size=2.5), "batch size must be an integer, got 2.5"),
-], ids=["one-step", "three-steps", "fractional-epochs", "fractional-batch"])
+    (dict(batch_size=True), "batch size must be an integer, got True"),
+], ids=["one-step", "three-steps", "fractional-epochs", "fractional-batch", "bool-batch"])
 def test_run_rejects_malformed_steps_and_counts(sep10, bad, message):
     # Each of these validated, then failed inside run with a bare unpacking ValueError or a TypeError.
     problem, _ = sep10
@@ -757,6 +759,36 @@ def test_non_finite_half_step_raises_divergence(algorithm, block):
     other = "y" if block == "x" else "x"
     assert exc.snapshot[f"max_abs_{block}"] == np.inf
     assert 0.0 < exc.snapshot[f"max_abs_{other}"] <= 1.0
+
+
+class _ScanCountingNumpy:
+    """numpy as ``core`` sees it, counting the blocks ``np.isfinite`` scans."""
+
+    def __init__(self, scans):
+        self._scans = scans
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, v):
+        self._scans.append(v.shape)
+        return np.isfinite(v)
+
+
+@pytest.mark.parametrize("step, scans_per_step", [("spring", 2), ("palm", 2), ("ipalm", 4)])
+def test_a_step_scans_each_new_block_once(monkeypatch, step, scans_per_step):
+    # mid and z_next each keep a block already scanned (y_k, then x_{k+1}), so a step
+    # without momentum scans two blocks; inertial PALM adds its extrapolated x_bar, and its
+    # mid scans both x_{k+1} and the extrapolated y_bar.
+    problem, _ = make_separable_quadratic(n=8, seed=10)
+    z, z_prev = Iterate(np.ones(4), -np.ones(4)), Iterate(np.zeros(4), np.zeros(4))
+    call = {"spring": lambda: spring_step(problem, z, _sgd_driver(problem, 2), 0.1, 0.1),
+            "palm": lambda: palm_step(problem, z, 0.1, 0.1),
+            "ipalm": lambda: ipalm_step(problem, z, z_prev, 0.1, 0.1, beta=0.5)}[step]
+    scans = []
+    monkeypatch.setattr(core_module, "np", _ScanCountingNumpy(scans))
+    call()
+    assert scans == [(4,)] * scans_per_step
 
 
 def test_misshapen_half_step_is_not_divergence():

@@ -36,8 +36,9 @@ class _SpyRng:
 
 @pytest.mark.parametrize("algorithm", SPRING)
 def test_b1_epoch_calls_neither_choice_nor_eigvalsh(monkeypatch, toy_nmf, algorithm):
-    # At b = 1 a batch is choice's one bounded draw, taken with integers, and the NMF
-    # and PCA hooks call the LAPACK gufunc without np.linalg.eigvalsh's wrapper.
+    # A sampler draws an epoch's batches, choice's own bounded draws, with one integers
+    # call, and the NMF and PCA hooks call the LAPACK gufunc without np.linalg.eigvalsh's
+    # wrapper.
     problem, z0 = toy_nmf
     names, solves = [], []
 
@@ -54,7 +55,7 @@ def test_b1_epoch_calls_neither_choice_nor_eigvalsh(monkeypatch, toy_nmf, algori
     monkeypatch.setattr(solver_module, "stream_rng", lambda seed, purpose: _SpyRng(stream_rng(seed, purpose), names))
     run(problem, SolverConfig(algorithm=algorithm, batch_size=1, epochs=1, warm_start=False), z0)
     assert "choice" not in names
-    assert names.count("integers") == 3 * problem.n  # batch_x, batch_y and lip_batch, once per step
+    assert names.count("integers") == 3  # batch_x, batch_y and lip_batch, once per epoch
     assert len(solves) >= 2 * problem.n and set(solves) == {(5, 5)}
 
     A = toy_nmf_matrix(seed=1, shape=(12, 9), rank=3)
