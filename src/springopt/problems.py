@@ -23,7 +23,12 @@ and the objective sweeps 2r components at a time, the widest parts whose
 buffer fits 4 m r temporaries.  The deconvolution oracles correlate a list of
 regions: below the full batch each sampled tile's image window, so a
 component costs about 1/n of a full gradient; the full batch's tiles
-partition the residual grid, so its one region is the whole image.
+partition the residual grid, so its one region is the whole image.  Every
+correlation is a BLAS product with a banded Toeplitz factor: forward, the
+input's row bands times the kernel's factor; the image adjoint of a tile,
+the residual's own row bands times an adjoint factor, so no zero column is
+multiplied; the image adjoint of the whole image, the zero-padded residual
+correlated with the flipped kernel.
 
 Matrix blocks are flattened row-major into the solver's vector view.
 
@@ -427,23 +432,47 @@ def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     return toeplitz
 
 
+def _adjoint_diagonals(A: np.ndarray, kernel_shape: tuple[int, int], width: int) -> np.ndarray:
+    """The (kh, kw, width) view of the entries A[a * width + c, c + b], for A C-contiguous
+    with the flat layout of a (kh * width, width + kw - 1) array: an adjoint factor's band."""
+    kh, kw = kernel_shape
+    return _strided(A, (kh, kw, width), (width * (width + kw - 1), 1, width + kw))
+
+
+def _adjoint_toeplitz(Y: np.ndarray, width: int) -> np.ndarray:
+    """Banded factor F of the image adjoint of the correlation with Y, for a residual ``width`` columns wide.
+
+    F has shape (kh * width, width + kw - 1) with
+    F[a * width + c, j] = Y[kh - 1 - a, j - c] for 0 <= j - c < kw and zeros
+    elsewhere, written through one ``_adjoint_diagonals`` view.
+    """
+    kh, kw = Y.shape
+    factor = np.zeros((kh * width, width + kw - 1))
+    _adjoint_diagonals(factor, Y.shape, width)[...] = Y[::-1, :, None]
+    return factor
+
+
 class ToeplitzFactors:
-    """The Toeplitz factors of one kernel array, each built once per block width.
+    """The Toeplitz factors of one kernel array, each built once per block or residual width.
 
     Pass one to every ``bid_forward(X, Y, factors)`` and
     ``bid_adjoint_image(U, Y, factors)`` call with the same kernel array Y,
     such as an oracle's regions or a Lipschitz bound's passes, and
-    each factor is built once for them all.  Both functions refuse factors
-    of any other array (by identity, so an equal copy is refused too).  When
-    the kernel's entries change in place, ``refresh`` rewrites the factors
-    built so far before they are used again.
+    each factor is built once for them all: the forward correlation's
+    ``toeplitz`` per block width, the image adjoint's ``adjoint`` per
+    residual width, and, for an adjoint of more than one block (the whole
+    image), the factors of the ``flipped`` kernel.  Both functions refuse
+    factors of any other array (by identity, so an equal copy is refused
+    too).  When the kernel's entries change in place, ``refresh`` rewrites
+    the factors built so far before they are used again.
     """
 
-    __slots__ = ("kernel", "_by_width", "_flipped")
+    __slots__ = ("kernel", "_by_width", "_adjoints", "_flipped")
 
     def __init__(self, kernel: np.ndarray):
         self.kernel = kernel
         self._by_width: dict[int, np.ndarray] = {}
+        self._adjoints: dict[int, np.ndarray] = {}
         self._flipped: ToeplitzFactors | None = None
 
     def of(self, Y) -> ToeplitzFactors:
@@ -459,8 +488,15 @@ class ToeplitzFactors:
             toeplitz = self._by_width[ncols] = _toeplitz(self.kernel, ncols)
         return toeplitz
 
+    def adjoint(self, width: int) -> np.ndarray:
+        """``_adjoint_toeplitz(kernel, width)``, built on the first request."""
+        factor = self._adjoints.get(width)
+        if factor is None:
+            factor = self._adjoints[width] = _adjoint_toeplitz(self.kernel, width)
+        return factor
+
     def flipped(self) -> ToeplitzFactors:
-        """The factors of kernel[::-1, ::-1], the kernel of ``bid_adjoint_image``'s correlation."""
+        """The factors of kernel[::-1, ::-1], the kernel of a blocked image adjoint's correlation."""
         if self._flipped is None:
             self._flipped = ToeplitzFactors(self.kernel[::-1, ::-1])
         return self._flipped
@@ -471,9 +507,12 @@ class ToeplitzFactors:
         A factor's zeros do not depend on the kernel, so each takes one
         strided write of the kernel, and holds what a new build would.
         """
-        kernel = self.kernel[:, :, None]
+        shape = self.kernel.shape
+        kernel, flipped_rows = self.kernel[:, :, None], self.kernel[::-1, :, None]
         for ncols, toeplitz in self._by_width.items():
-            _diagonals(toeplitz, self.kernel.shape, ncols)[...] = kernel
+            _diagonals(toeplitz, shape, ncols)[...] = kernel
+        for width, factor in self._adjoints.items():
+            _adjoint_diagonals(factor, shape, width)[...] = flipped_rows
         if self._flipped is not None:
             self._flipped.refresh()
 
@@ -499,19 +538,72 @@ class _Correlation:
             self._bands = self._bands.reshape(oh, -1)
 
     def __call__(self) -> np.ndarray:
-        bands, out, toeplitz = self._bands, self.out, self.factors.toeplitz
-        oh, ow = out.shape
+        bands, out = self._bands, self.out
         if bands.ndim == 2:
-            return np.matmul(bands, toeplitz(ow), out=out)
-        kw = self.factors.kernel.shape[1]
-        for start in range(0, ow, _BLOCK):
-            ncols = min(_BLOCK, ow - start)  # the last block may be narrower
-            for top in range(0, oh, _BLOCK):
-                # One S at a time, its product written into out, so the blocks reuse one heap chunk.
-                stacked = bands[top:top + _BLOCK, :, start:start + ncols + kw - 1]
-                np.matmul(stacked.reshape(len(stacked), -1), toeplitz(ncols),
-                          out=out[top:top + _BLOCK, start:start + ncols])
-        return out
+            return np.matmul(bands, self.factors.toeplitz(out.shape[1]), out=out)
+        return _block_products(bands, self.factors, out)
+
+
+def _block_products(bands: np.ndarray, factors: ToeplitzFactors, out: np.ndarray) -> np.ndarray:
+    """The correlation with ``factors.kernel`` of the image whose (oh, kh, w) band view is ``bands``, into ``out``.
+
+    One matrix product per block of at most ``_BLOCK`` output rows and
+    columns, the block's stacked rows copied from ``bands``.
+    """
+    (oh, ow), kw, toeplitz = out.shape, factors.kernel.shape[1], factors.toeplitz
+    for start in range(0, ow, _BLOCK):
+        ncols = min(_BLOCK, ow - start)  # the last block may be narrower
+        for top in range(0, oh, _BLOCK):
+            # One S at a time, its product written into out, so the blocks reuse one heap chunk.
+            stacked = bands[top:top + _BLOCK, :, start:start + ncols + kw - 1]
+            np.matmul(stacked.reshape(len(stacked), -1), toeplitz(ncols),
+                      out=out[top:top + _BLOCK, start:start + ncols])
+    return out
+
+
+class _Adjoint:
+    """``bid_adjoint_image(residual, factors.kernel)`` into ``out``, set up once and run as the residual changes.
+
+    The set-up is a zero buffer holding the residual between kh - 1 zero rows
+    above and below it, and ``residual``, the view of the buffer's interior
+    that a caller writes the residual into: whole rows, so a C-contiguous
+    view.  Row p of the product's left factor is the buffer's rows
+    p .. p + kh - 1 laid end to end, kh * w numbers, read overlapping from
+    one strided view of the buffer; its right factor is
+    ``factors.adjoint(w)``, taken at set-up.  So out[p, j] sums
+    residual[p + a - kh + 1, c] * kernel[kh - 1 - a, j - c] over the
+    residual's own columns c, and no multiply-add reads a zero column.
+    An output larger than one ``_BLOCK`` (the whole image) keeps the
+    zero-padded product: the buffer also has kw - 1 zero columns left and
+    right, and is correlated with the flipped kernel block by block, with
+    one factor per block width.  Without the zero columns each image edge
+    needs a factor of its own residual width, which at bid-medium's shape
+    raised the full-batch ``grad_x`` peak from 260 KB to 329 KB for no
+    faster PALM epoch.
+    """
+
+    __slots__ = ("residual", "factors", "out", "_bands", "_factor")
+
+    def __init__(self, shape: tuple[int, int], factors: ToeplitzFactors, out: np.ndarray):
+        (h, w), (kh, kw) = shape, factors.kernel.shape
+        self.factors, self.out = factors, out
+        oh, ow = out.shape
+        if oh <= _BLOCK and ow <= _BLOCK:
+            padded = np.zeros((h + 2 * (kh - 1), w))
+            self.residual = padded[kh - 1:kh - 1 + h]
+            self._bands = _strided(padded, (oh, kh * w), (w, 1))  # bands[p] is padded[p:p + kh].ravel()
+            self._factor = factors.adjoint(w)  # rewritten in place by factors.refresh()
+        else:
+            width = w + 2 * (kw - 1)
+            padded = np.zeros((h + 2 * (kh - 1), width))
+            self.residual = padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w]
+            self._bands = _strided(padded, (oh, kh, width), (width, width, 1))  # bands[p, a] is padded[p + a]
+            self._factor = None
+
+    def __call__(self) -> np.ndarray:
+        if self._factor is not None:
+            return np.matmul(self._bands, self._factor, out=self.out)
+        return _block_products(self._bands, self.factors.flipped(), self.out)
 
 
 class _KernelGradient:
@@ -578,15 +670,25 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = 
 def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
     """Adjoint of X -> bid_forward(X, Y): <fwd(X,Y), U> = <X, adj(U,Y)>.
 
-    The correlation with the flipped kernel Y[::-1, ::-1].  ``factors`` is
-    Y's ``ToeplitzFactors``, as for ``bid_forward``; the flipped kernel's
-    factors are kept in it, so one object serves both directions.
+    out[p, q] = sum_{a, b} U[p - a, q - b] Y[a, b] over the (a, b) that fall
+    inside U, output shape (h + kh - 1, w + kw - 1).  U is copied once
+    between kh - 1 zero rows above and below, and the product is
+    ``_Adjoint``'s: on a tile window one (h + kh - 1, kh * w) by
+    (kh * w, w + kw - 1) product, which reads U's own columns only (a
+    bid-medium tile: 60,984 multiply-adds, where the correlation of U
+    zero-padded on all sides takes 130,680); beyond one ``_BLOCK``, the
+    blocked correlation of the zero-padded U with Y[::-1, ::-1].  ``factors``
+    is Y's ``ToeplitzFactors``, as for ``bid_forward``, so one object serves
+    both directions.  Dropping the zero columns leaves the sums exact in
+    arithmetic, but BLAS may group a shorter inner product differently, so
+    the result can differ from the zero-padded correlation's in the last
+    bits.
     """
-    flipped = (ToeplitzFactors(Y) if factors is None else factors.of(Y)).flipped()
+    factors = ToeplitzFactors(Y) if factors is None else factors.of(Y)
     (h, w), (kh, kw) = np.shape(U), Y.shape
-    padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
-    padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = U
-    return bid_forward(padded, flipped.kernel, flipped)
+    adjoint = _Adjoint((h, w), factors, np.empty((h + kh - 1, w + kw - 1)))
+    adjoint.residual[...] = U
+    return adjoint()
 
 
 def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -724,25 +826,31 @@ class BlindDeblurProblem:
             # D^T Phi'(D X), one difference direction at a time, so at most two
             # difference-sized arrays are live.  Phi'(d) = 2 theta d / (1 + theta d d) is
             # applied in place in that association order, and the differences are
-            # scattered horizontal first, then vertical.
-            X, g = xv.reshape(hx, wx), np.zeros((hx, wx))
-            for ahead, behind in (((slice(None), slice(1, None)), (slice(None), slice(None, -1))),
-                                  ((slice(1, None),), (slice(None, -1),))):
-                d = X[ahead] - X[behind]
+            # scattered horizontal first, then vertical.  Both run on the flat image, one
+            # contiguous difference each: neighbours `step` apart, 1 or wx.  The flat
+            # horizontal difference also pairs each row's last pixel with the next row's
+            # first; those entries are set to +0 before scattering, and adding or
+            # subtracting +0 leaves every entry of g as it was (-0.0, NaN and inf
+            # included), so each entry gets the operations the 2-D slices give it.
+            g = np.zeros(hx * wx)
+            for horizontal, step in ((True, 1), (False, wx)):
+                d = xv[step:] - xv[:-step]
                 den = theta * d
                 den *= d
                 den += 1.0
                 d *= 2.0 * theta
                 d /= den
                 del den
-                g[ahead] += d
-                g[behind] -= d
+                if horizontal:  # keyed on the direction: a one-column image's vertical step is 1 too
+                    d[wx - 1::wx] = 0.0
+                g[step:] += d
+                g[:-step] -= d
             g *= lam
-            return g.ravel()
+            return g
 
         # The (window, residual) of each region, correlated with one kernel whose Toeplitz
-        # factors are built once and freed on return, before grad_x's adjoints build the
-        # flipped ones: on the full batch both would not fit in smooth_x.grad's peak.
+        # factors are built once and freed on return, before grad_x's adjoints build
+        # theirs: on the full batch both would not fit in smooth_x.grad's peak.
         def residuals(regions, X, Y):
             factors = ToeplitzFactors(Y)
             return [(window, bid_forward(X[window], Y, factors) - Z[tile]) for window, tile in regions]
@@ -851,16 +959,15 @@ class BlindDeblurProblem:
             box = (max(rs.stop for rs in rows) - top, max(cs.stop for cs in cols) - left)
             scale = 2.0 * n / len(batch)
             # Set up once per draw for all its passes: the kernel's factors and, per window
-            # shape, a contiguous copy of the window, its forward correlation written into
-            # the interior of a zero-padded residual whose border stays zero, and the image
-            # adjoint read from that residual.  A pass only copies and multiplies.
+            # shape, a contiguous copy of the window, and its forward correlation written
+            # into the residual of the image adjoint's set-up (whole rows of its buffer,
+            # whose zero rows stay zero).  A pass only copies and multiplies.
             factors, shapes, passes = ToeplitzFactors(Y), {}, []
             for rs, cs in zip(rows, cols):
                 h, w = rs.stop - rs.start, cs.stop - cs.start
                 if (h, w) not in shapes:
-                    window, padded = np.empty((h, w)), np.zeros((h + kh - 1, w + kw - 1))
-                    shapes[h, w] = (window, _Correlation(window, factors, padded[kh - 1:h, kw - 1:w]),
-                                    _Correlation(padded, factors.flipped(), np.empty((h, w))))
+                    window, adjoint = np.empty((h, w)), _Adjoint((h - kh + 1, w - kw + 1), factors, np.empty((h, w)))
+                    shapes[h, w] = (window, _Correlation(window, factors, adjoint.residual), adjoint)
                 passes.append(((slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left)),
                                *shapes[h, w]))
 

@@ -768,6 +768,27 @@ def test_bid_adjoint_identities(rng):
         assert float((Y * bid_kernel_gradient(X, U)).sum()) == pytest.approx(lhs, rel=1e-12)
     with pytest.raises(ValueError, match="larger than image"):
         bid_kernel_gradient(rng.standard_normal((5, 5)), rng.standard_normal((6, 3)))
+    # The image adjoint to 1e-12 relative to the sum of the products' magnitudes (which
+    # bounds both sides' rounding, where the signed sum may cancel): kernels of one
+    # entry, one column, one row and bid-medium's 9 x 9 on a tile window; residuals one
+    # row and one column wide; a non-contiguous residual; and images whose adjoint
+    # spans several blocks, which keep the zero-padded product.
+    image = rng.standard_normal((64, 64))
+    window = image[14:36, 28:50]  # a bid-medium tile window: a 14 x 14 tile grown by the 9 x 9 kernel
+    cases = [(window, rng.standard_normal(kernel)) for kernel in ((1, 1), (4, 1), (1, 5), (9, 9))]
+    cases += [(rng.standard_normal((3, 12)), rng.standard_normal((3, 4))),   # a one-row residual
+              (rng.standard_normal((10, 4)), rng.standard_normal((2, 4))),   # a one-column residual
+              (rng.standard_normal((1, 9)), rng.standard_normal((1, 9))),    # a 1 x 1 residual
+              (image, rng.standard_normal((9, 9))),                          # the whole image
+              (rng.standard_normal((7, 2 * problems_module._BLOCK + 7)), rng.standard_normal((3, 2)))]
+    for X, Y in cases:
+        shape = problems_module._output_shape(X.shape, Y.shape)
+        U = rng.standard_normal((2 * shape[0], 3 * shape[1]))[1::2, ::3]  # non-contiguous
+        for residual in (U, np.ascontiguousarray(U)):
+            lhs = float((bid_forward(X, Y) * residual).sum())
+            rhs = float((X * bid_adjoint_image(residual, Y)).sum())
+            scale = float((bid_forward(np.abs(X), np.abs(Y)) * np.abs(residual)).sum())
+            assert abs(lhs - rhs) <= 1e-12 * scale, (X.shape, Y.shape)
 
 
 def _swv_bid_forward(X, Y):
@@ -934,6 +955,34 @@ def _asstrided_bid_adjoint_kernel(U, X):
     return _asstrided_bid_forward(X, U)
 
 
+def _banded_adjoint_factor(Y, width):
+    # F[a * width + c, j] = Y[kh - 1 - a, j - c] for 0 <= j - c < kw, one residual column at a time.
+    kh, kw = Y.shape
+    factor = np.zeros((kh * width, width + kw - 1))
+    for a in range(kh):
+        for c in range(width):
+            factor[a * width + c, c:c + kw] = Y[kh - 1 - a]
+    return factor
+
+
+def _asstrided_banded_bid_adjoint_image(U, Y):
+    """The image adjoint on the residual's own columns, transcribed through ``as_strided``.
+
+    U between kh - 1 zero rows above and below, its overlapping row bands
+    times ``_banded_adjoint_factor``: one product, as ``problems._Adjoint``
+    makes it on an output of one block.  A larger output keeps the
+    zero-padded correlation.
+    """
+    (h, w), (kh, kw) = np.shape(U), Y.shape
+    if h + kh - 1 > problems_module._BLOCK or w + kw - 1 > problems_module._BLOCK:
+        return _asstrided_bid_adjoint_image(U, Y)
+    padded = np.zeros((h + 2 * (kh - 1), w))
+    padded[kh - 1:kh - 1 + h] = U
+    bands = as_strided(padded, shape=(h + kh - 1, kh * w), strides=(padded.strides[0], padded.itemsize),
+                       writeable=False)
+    return bands @ _banded_adjoint_factor(Y, w)
+
+
 def _bitwise(result, ref):
     return result.shape == ref.shape and np.array_equal(result, ref) and np.array_equal(np.signbit(result),
                                                                                          np.signbit(ref))
@@ -979,8 +1028,12 @@ def test_bid_kernels_match_previous_kernels_bitwise(rng):
                 assert _bitwise(bid_forward(X, Y, factors), want)
             U = big[2:2 + h - kh + 1, 4:4 + w - kw + 1]  # non-contiguous residual
             for residual in (U, np.ascontiguousarray(U)):
-                want = _asstrided_bid_adjoint_image(residual, Y)
-                assert _bitwise(bid_adjoint_image(residual, Y), want)
+                want, got = _asstrided_banded_bid_adjoint_image(residual, Y), bid_adjoint_image(residual, Y)
+                padded = _asstrided_bid_adjoint_image(residual, Y)
+                assert _bitwise(got, want)
+                # The zero-padded correlation sums the same products with zeros between them;
+                # BLAS may group the shorter inner product differently: equal to rounding.
+                np.testing.assert_allclose(got, padded, rtol=1e-13, atol=1e-13 * np.abs(padded).max())
                 for _ in range(2):
                     assert _bitwise(bid_adjoint_image(residual, Y, factors), want)
                 got, want = bid_adjoint_kernel(residual, X), _asstrided_bid_adjoint_kernel(residual, X)
@@ -1003,43 +1056,48 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
         with pytest.raises(ValueError, match="another kernel"):
             bid_adjoint_image(U, other, factors)
     assert _bitwise(bid_forward(X, Y, factors), _asstrided_bid_forward(X, Y))
-    assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_bid_adjoint_image(U, Y))
+    assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_banded_bid_adjoint_image(U, Y))
 
 
 def test_toeplitz_factors_refresh_to_a_changed_kernel(rng):
     # After the kernel array changes in place, refresh leaves every factor built so far,
-    # the flipped kernel's included, equal to a new build of the new entries; factors
-    # built later read the new entries anyway.  A kernel with zero entries shows that
-    # refresh writes the kernel's positions only.
+    # the adjoint's and the flipped kernel's included, equal to a new build of the new
+    # entries; factors built later read the new entries anyway.  A kernel with zero
+    # entries shows that refresh writes the kernel's positions only.
     Y = rng.standard_normal((3, 4))
     factors = ToeplitzFactors(Y)
-    built = [factors.toeplitz(5), factors.toeplitz(24), factors.flipped().toeplitz(7)]
+    built = [factors.toeplitz(5), factors.toeplitz(24), factors.flipped().toeplitz(7), factors.adjoint(6)]
     Y[...] = rng.standard_normal((3, 4)) * (rng.random((3, 4)) < 0.5)
     factors.refresh()
     assert factors.toeplitz(5) is built[0] and factors.flipped().toeplitz(7) is built[2]
+    assert factors.adjoint(6) is built[3]
     want = [problems_module._toeplitz(Y, 5), problems_module._toeplitz(Y, 24),
-            problems_module._toeplitz(Y[::-1, ::-1], 7)]
+            problems_module._toeplitz(Y[::-1, ::-1], 7), _banded_adjoint_factor(Y, 6)]
     assert all(_bitwise(got, ref) for got, ref in zip(built, want))
     assert _bitwise(factors.toeplitz(9), problems_module._toeplitz(Y, 9))
-    X = rng.standard_normal((8, 9))
+    assert _bitwise(factors.adjoint(1), _banded_adjoint_factor(Y, 1))
+    X, U = rng.standard_normal((8, 9)), rng.standard_normal((6, 6))
     assert _bitwise(bid_forward(X, Y, factors), _asstrided_bid_forward(X, Y))
+    assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_banded_bid_adjoint_image(U, Y))
 
 
 class _CorrelationSpy:
     """Records every BID correlation and every correlation set-up, in order.
 
-    ``bid_forward`` (so ``bid_adjoint_image``) and ``bid_kernel_gradient`` run
-    their correlation through ``problems._Correlation`` and
-    ``problems._KernelGradient``, and the Lipschitz draws set those up once
-    and run them on every pass, so spying on the two classes sees every
-    correlation an oracle or a draw makes.  A run is recorded as
-    ("forward", image, kernel, output size) or ("gradient", image, residual,
-    output size), with the arrays as the correlation reads them.
+    ``bid_forward``, ``bid_adjoint_image`` and ``bid_kernel_gradient`` run
+    their correlation through ``problems._Correlation``, ``problems._Adjoint``
+    and ``problems._KernelGradient``, and the Lipschitz draws set those up
+    once and run them on every pass, so spying on the three classes sees
+    every correlation an oracle or a draw makes.  A run is recorded as
+    ("forward", image, kernel, output size), ("adjoint", residual, kernel,
+    output size) or ("gradient", image, residual, output size), with the
+    arrays as the correlation reads them.
     """
 
     def __init__(self, monkeypatch):
         self.runs, self.set_ups = [], []
-        for kind, cls in (("forward", problems_module._Correlation), ("gradient", problems_module._KernelGradient)):
+        for kind, cls in (("forward", problems_module._Correlation), ("adjoint", problems_module._Adjoint),
+                          ("gradient", problems_module._KernelGradient)):
             self._spy(monkeypatch, kind, cls)
 
     def _spy(self, monkeypatch, kind, cls):
@@ -1050,8 +1108,11 @@ class _CorrelationSpy:
             set_up(correlation, *args)
 
         def counting_run(correlation):
-            other = correlation.factors.kernel if kind == "forward" else correlation.residual
-            self.runs.append((kind, correlation.image, other, correlation.out.size))
+            if kind == "gradient":
+                self.runs.append((kind, correlation.image, correlation.residual, correlation.out.size))
+            else:
+                image = correlation.image if kind == "forward" else correlation.residual
+                self.runs.append((kind, image, correlation.factors.kernel, correlation.out.size))
             return run_it(correlation)
 
         monkeypatch.setattr(cls, "__init__", counting_set_up)
@@ -1063,21 +1124,23 @@ class _CorrelationSpy:
 
 
 def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
-    # Work counter: a b = 1 x-draw builds one Toeplitz factor of the kernel and one of
-    # its flip, shared by every operator application (8 builds when each correlation
-    # built its own), and sets its two correlations up once for its X_BOUND_PASSES
-    # passes (8 set-ups when each pass went through bid_forward and bid_adjoint_image).
+    # Work counter: a b = 1 x-draw builds one forward Toeplitz factor of the kernel and
+    # one adjoint factor, shared by every operator application (8 builds when each
+    # correlation built its own), and sets its forward correlation and image adjoint up
+    # once for its X_BOUND_PASSES passes (8 set-ups when each pass went through
+    # bid_forward and bid_adjoint_image).
     # A y-draw builds one factor of its iterate v per block width, rewritten in place
     # on each pass (one build per pass before: 2 at b = 1, 4 at the full batch), and
     # sets its two correlations up once per region (4 set-ups at b = 1 before).  The
     # kernel adjoint, bid_kernel_gradient, builds no factor (the window kernel adjoint
     # bid_forward(X, U) built one of the window's residual U, 4 builds per draw).
     # The full-batch x-draw is the closed-form bound: no correlation and no factor.
-    # A b = 1 oracle correlates its window: grad_x builds one forward and one flipped
+    # A b = 1 oracle correlates its window: grad_x builds one forward and one adjoint
     # factor, grad_y one forward factor.  The full batch correlates the whole image,
     # the one region whose 28 x 28 residual spans two forward column blocks (24 and
     # 4): value, grad_y and the y-draw build the two factors of their kernel; grad_x
-    # also builds its flip's two (the 32-column image adjoint: 24 and 8) and
+    # also builds its flip's two (the 32-column image adjoint, more than one block,
+    # is the zero-padded correlation with the flipped kernel: 24 and 8) and
     # correlates the image once forward and once back.  grad_y and a y-draw pass
     # correlate forward and then take one kernel gradient.  Window by window, the
     # full batch made 16 correlations for value, 32 for grad_x and grad_y, and 64 for
@@ -1085,7 +1148,7 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # residual, grad_x made 5 correlations.  An oracle sets each correlation up as it
     # runs it.  Decoding SAGA x-rows takes one image adjoint per row, and rows whose
     # kernels are equal bit for bit (every row of one rows_x call) share that kernel's
-    # flipped factor: the full batch's 16 rows of 7 x 7 tiles build one (16 when each
+    # adjoint factor: the full batch's 16 rows of 7 x 7 tiles build one (16 when each
     # row built its own).
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
@@ -1094,7 +1157,7 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     Y = project_box_l1(rng.random((5, 5)) / 25.0)  # not symmetric: a factor of Y is not one of its flip
     full = np.arange(16)
     x_passes, y_passes = problems_module.X_BOUND_PASSES, problems_module.Y_BOUND_PASSES
-    toeplitz = problems_module._toeplitz
+    toeplitz, adjoint_toeplitz = problems_module._toeplitz, problems_module._adjoint_toeplitz
     built = []
 
     def counting_toeplitz(kernel, ncols):
@@ -1102,24 +1165,29 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
                      "flipped" if np.array_equal(kernel, Y[::-1, ::-1]) else "other")
         return toeplitz(kernel, ncols)
 
+    def counting_adjoint_toeplitz(kernel, width):
+        built.append("adjoint" if np.array_equal(kernel, Y) else "other")
+        return adjoint_toeplitz(kernel, width)
+
     monkeypatch.setattr(problems_module, "_toeplitz", counting_toeplitz)
+    monkeypatch.setattr(problems_module, "_adjoint_toeplitz", counting_adjoint_toeplitz)
     spy = _CorrelationSpy(monkeypatch)
 
     def draw(hook, batch):
         return lambda: hook(x, Y.ravel(), batch)
 
     calls = {
-        "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["flipped", "forward"], x_passes * 2, 2),
+        "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["adjoint", "forward"], x_passes * 2, 2),
         "x-draw full": (draw(problem.lipschitz_x, full), [], 0, 0),
         "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"], y_passes * 2, 2),
         "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * 2, y_passes * 2, 2),
-        "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["flipped", "forward"], 2, 2),
+        "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["adjoint", "forward"], 2, 2),
         "grad_y b=1": (lambda: problem.grad_y(np.array([6]), x, Y.ravel()), ["forward"], 2, 2),
         "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2, 2),
         "grad_y full": (lambda: problem.grad_y(full, x, Y.ravel()), ["forward"] * 2, 2, 2),
         "value full": (lambda: problem.value(full, x, Y.ravel()), ["forward"] * 2, 1, 1),
-        "rows_mean_x b=1": (lambda: problem.rows_mean_x(np.array([6]), rows[6:7]), ["flipped"], 1, 1),
-        "rows_mean_x full": (lambda: problem.rows_mean_x(full, rows), ["flipped"], 16, 16),
+        "rows_mean_x b=1": (lambda: problem.rows_mean_x(np.array([6]), rows[6:7]), ["adjoint"], 1, 1),
+        "rows_mean_x full": (lambda: problem.rows_mean_x(full, rows), ["adjoint"], 16, 16),
     }
     rows = problem.rows_x(full, x, Y.ravel())
     for name, (call, factors, correlations, set_ups) in calls.items():
@@ -1147,21 +1215,18 @@ def test_bid_x_rows_decode_skips_zero_kernel_rows(monkeypatch, rng):
     rows = problem.rows_x(idx, xv, yv)
     rows[[1, 4]] = 0.0
     rows[2, width:] = 0.0
-    correlated = []
-
-    def counting_forward(X, Y, factors=None):
-        correlated.append(np.shape(X))
-        return bid_forward(X, Y, factors)
-
-    monkeypatch.setattr(problems_module, "bid_forward", counting_forward)
+    spy = _CorrelationSpy(monkeypatch)
     decoded = problem.rows_mean_x(idx, rows)
-    assert len(correlated) == 3
-    want = np.zeros(adapter.image_shape)
+    assert [kind for kind, *_rest in spy.runs] == ["adjoint"] * 3
+    want, padded = np.zeros(adapter.image_shape), np.zeros(adapter.image_shape)
     for i, row in zip(idx, rows):
         resid = row[:areas[i]].reshape(tiles[i][0].stop - tiles[i][0].start, tiles[i][1].stop - tiles[i][1].start)
-        want[windows[i]] += _asstrided_bid_adjoint_image(resid, row[width:].reshape(3, 4))
+        want[windows[i]] += _asstrided_banded_bid_adjoint_image(resid, row[width:].reshape(3, 4))
+        padded[windows[i]] += _asstrided_bid_adjoint_image(resid, row[width:].reshape(3, 4))
     want *= 2.0 * 6 / len(idx)
+    padded *= 2.0 * 6 / len(idx)
     assert _bitwise(decoded, want.ravel())
+    np.testing.assert_allclose(decoded, padded.ravel(), rtol=1e-13, atol=1e-13 * np.abs(padded).max())
 
 
 def image_gradients_adjoint(Wh, Wv):
@@ -1795,8 +1860,9 @@ def test_bid_bounds_are_tight_at_benchmark_shape():
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     # Correlation work in the benchmark's form, 2 out_h out_w kh kw per forward
-    # correlation (the image adjoints correlate forward too), whether an oracle makes
-    # it through bid_forward or a draw runs it set up.
+    # correlation and per image adjoint (counted as the zero-padded correlation it
+    # replaced), whether an oracle makes it through bid_forward or bid_adjoint_image or
+    # a draw runs it set up.
     Z, _, _ = _toy_blur(seed=3, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem = adapter.block_problem()
@@ -1804,7 +1870,7 @@ def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
     spy = _CorrelationSpy(monkeypatch)
 
     def work():
-        return sum(2 * size * kernel.size for kind, _image, kernel, size in spy.runs if kind == "forward")
+        return sum(2 * size * kernel.size for kind, _image, kernel, size in spy.runs if kind != "gradient")
 
     def oracle_work(oracle):
         spy.clear()
@@ -1872,24 +1938,22 @@ def test_bid_y_draw_forms_patches_from_its_windows(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["palm", "spring-sgd"])
 def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
     # Every oracle and Lipschitz draw of a run below the full batch goes through the
-    # tile windows: no correlation input is larger than a tile window padded for the
-    # image adjoint.  A full-batch call (PALM's steps and draws, every objective and
-    # gradient map) correlates the whole image a fixed number of times: value once,
-    # grad_x once forward and once back (the residual padded by the kernel); grad_y
-    # and each of the y-draw's passes once forward and once by bid_kernel_gradient;
-    # the closed-form x-draw not at all.
+    # tile windows: no correlation input is larger than a tile window (an image
+    # adjoint reads a tile's residual).  A full-batch call (PALM's steps and draws,
+    # every objective and gradient map) correlates the whole image a fixed number of
+    # times: value once, grad_x once forward and once back (the image adjoint of the
+    # whole residual); grad_y and each of the y-draw's passes once forward and once by
+    # bid_kernel_gradient; the closed-form x-draw not at all.
     Z, _, _ = toy_blurred_image(seed=0, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem, z0 = adapter.block_problem(), adapter.initial_iterate()
     n, image, kernel = problem.n, adapter.image_shape, (5, 5)
-    pad = 2 * (5 - 1)  # the image adjoint pads a residual by the kernel on both sides
     tiles = bid_component_split(Z.shape, 16)
-    largest = np.max([(rs.stop - rs.start + pad, cs.stop - cs.start + pad) for rs, cs in tiles], axis=0)
-    padded = (Z.shape[0] + pad, Z.shape[1] + pad)
+    largest = np.max([(rs.stop - rs.start + 4, cs.stop - cs.start + 4) for rs, cs in tiles], axis=0)
     passes = problems_module.Y_BOUND_PASSES
     per_call = {
         "value": [("forward", image, kernel)],
-        "grad_x": [("forward", image, kernel), ("forward", padded, kernel)],
+        "grad_x": [("forward", image, kernel), ("adjoint", Z.shape, kernel)],
         "grad_y": [("forward", image, kernel), ("gradient", image, Z.shape)],
         "lipschitz_x": [],
         "lipschitz_y": [("forward", image, kernel), ("gradient", image, Z.shape)] * passes,

@@ -335,9 +335,17 @@ def test_run_validates_config(sep10):
     (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
     (dict(batch_size=2.5), "batch size must be an integer, got 2.5"),
     (dict(batch_size=True), "batch size must be an integer, got True"),
-], ids=["one-step", "three-steps", "fractional-epochs", "fractional-batch", "bool-batch"])
+    (dict(epochs=True), "epochs must be an integer, got True"),
+    (dict(sarah_p=True), "SARAH period must satisfy 1 <= p < inf, got True"),
+    (dict(grad_map_tolerance=True), "grad_map_tolerance must satisfy 0 <= tol < inf, got True"),
+    (dict(step_policy="fixed", fixed_steps=(True, True)),
+     "fixed steps must be a positive finite (gamma_x, gamma_y), got (True, True)"),
+    (dict(lipschitz_const=True), "lipschitz_const must be finite and positive, got True"),
+], ids=["one-step", "three-steps", "fractional-epochs", "fractional-batch", "bool-batch", "bool-epochs",
+        "bool-sarah-period", "bool-tolerance", "bool-steps", "bool-lipschitz-const"])
 def test_run_rejects_malformed_steps_and_counts(sep10, bad, message):
-    # Each of these validated, then failed inside run with a bare unpacking ValueError or a TypeError.
+    # Each of these validated, then failed inside run with a bare unpacking ValueError or a TypeError,
+    # or, a bool read as the number 1, ran (epochs=True returned a 1-row trace).
     problem, _ = sep10
     with pytest.raises(ConfigError, match=re.escape(message)):
         run(problem, SolverConfig(algorithm="spring-sgd", **bad), Iterate(np.zeros(4), np.zeros(4)))
