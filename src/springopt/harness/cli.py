@@ -16,9 +16,10 @@ point: the full-batch draw is PALM's first, and the ``--batch`` draw, on a
 batch from the ``lip_batch`` stream, is a SPRING run's first.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including any
-subcommand's solver settings that ``SolverConfig.validate`` rejects, and
-``--repeat`` below 1); ``run`` and ``bench`` check their settings before
-they create ``--out``, so a usage error writes nothing.
+subcommand's solver settings that ``SolverConfig.validate`` rejects, the
+problem parameters that ``ProblemSpec.validate`` rejects, and a ``--repeat``
+below 1); ``run`` and ``bench`` check their settings before they create
+``--out``, so a usage error writes nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import estimators as est
-from ..core import Iterate
+from ..core import Iterate, full_batch
 from ..diagnostics import fd_gradient_check
 from ..lipschitz import ALGORITHMS, lipschitz_draw
 from ..rng import is_seed, stream_rng
@@ -230,7 +231,7 @@ def cmd_estimate_lipschitz(args) -> int:
     problem, init_fn = _problem_spec(args).build()
     SolverConfig(algorithm="spring-sgd", seed=args.seed, batch_size=b).validate(problem.n)
     z = init_fn(args.seed)
-    lx, ly, _ = lipschitz_draw(problem, z, np.arange(problem.n))
+    lx, ly, _ = lipschitz_draw(problem, z, full_batch(problem.n))
     print(f"full-batch estimates: L_x={lx:.6g} L_y={ly:.6g}")
     if args.batch is not None:
         batch = est.sample_batch(est.BatchSampler(problem.n, b, stream_rng(args.seed, "lip_batch")))

@@ -15,7 +15,7 @@ from pathlib import Path
 from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
 from ..rng import is_seed
-from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, run
+from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, _is_integer, _is_real, run
 from . import datasets, io
 
 PROBLEM_KINDS = ("toy-nmf", "toy-pca", "toy-bid", "nmf", "pca", "bid")
@@ -44,8 +44,23 @@ class ProblemSpec:
     data_seed: int = 0
 
     def validate(self) -> None:
+        """Raise ``ConfigError`` for a parameter no problem accepts, and ``ValueError`` or
+        ``FileNotFoundError`` for an unknown kind or a missing input.  Bounds that depend
+        on the data (r <= d, s <= m, a kernel that fits the image) are the adapters'."""
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
+        if not is_seed(self.data_seed):
+            raise ConfigError(f"data_seed must be an integer in [0, 2**64), got {self.data_seed!r}")
+        counts = {"rank": self.rank, "tiles": self.tiles, "kernel_size": self.kernel_size}
+        if self.sparsity is not None:
+            counts["sparsity"] = self.sparsity
+        for name, value in counts.items():
+            if not (_is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, zero_ok in (("lam", False), ("theta", False), ("lam1", True), ("lam2", True)):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 <= value < math.inf and (zero_ok or value > 0)):
+                raise ConfigError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value!r}")
         if self.kind in ("nmf", "pca"):
             if self.data_path is None:
                 raise ValueError(f"problem {self.kind!r} needs a data matrix path")
@@ -95,6 +110,8 @@ class RunSpec:
     deterministic_timing: bool = False
 
     def validate(self) -> None:
+        if not _is_integer(self.repeat):
+            raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")
         # The first seed is SolverConfig.validate's; the sweep must not run past 2**64 - 1.

@@ -517,93 +517,75 @@ class ToeplitzFactors:
             self._flipped.refresh()
 
 
-class _Correlation:
-    """``bid_forward(X, factors.kernel)`` into ``out``, set up once and run as often as X changes.
+def _one_block(shape: tuple[int, int]) -> bool:
+    """True when an output of ``shape`` is one ``_BLOCK``: one matrix product, with one factor."""
+    return shape[0] <= _BLOCK and shape[1] <= _BLOCK
 
-    X is C-contiguous float.  The set-up is the strided view of X that
-    ``bid_forward``'s blocks stack their rows from, reshaped once when one
-    block spans X's rows; each call makes the blocks' products from X's and
-    the factors' current entries, so a caller that rewrites X in place (or
-    the kernel, then ``factors.refresh()``) runs it again with nothing set
-    up again.
+
+class _Correlation:
+    """Row bands of C-contiguous X times a banded factor into ``out``, set up once and run as often as X changes.
+
+    Band row p is X's rows p .. p + kh - 1 laid end to end, and
+    ``factor(ncols)`` is the right factor of an output block ncols wide: the
+    kernel's ``toeplitz`` for ``bid_forward``, or ``_adjoint``'s.  An output
+    of one ``_BLOCK`` is one product of the overlapping bands, read from one
+    strided view of X, by the factor taken at set-up; a larger one is
+    ``bid_forward``'s blocks, each block's bands copied and its factor taken
+    as it is made.  Each call reads X's and the factors' current entries, so
+    a caller that rewrites X in place (or the kernel, then
+    ``factors.refresh()``) runs it again with nothing set up again.
     """
 
-    __slots__ = ("image", "factors", "out", "_bands")
+    __slots__ = ("image", "kernel_shape", "factor", "out", "_bands", "_single")
 
-    def __init__(self, X: np.ndarray, factors: ToeplitzFactors, out: np.ndarray):
-        self.image, self.factors, self.out = X, factors, out
-        (oh, ow), kh, w = out.shape, factors.kernel.shape[0], X.shape[1]
-        self._bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
-        if oh <= _BLOCK and ow <= _BLOCK:  # one block, whose stacked rows are a view, read overlapping
-            self._bands = self._bands.reshape(oh, -1)
+    def __init__(self, X: np.ndarray, kernel_shape: tuple[int, int], factor, out: np.ndarray):
+        self.image, self.kernel_shape, self.factor, self.out = X, kernel_shape, factor, out
+        (oh, ow), kh, w = out.shape, kernel_shape[0], X.shape[1]
+        if _one_block(out.shape):
+            self._bands = _strided(X, (oh, kh * w), (w, 1))  # bands[p] is X[p:p + kh].ravel()
+            self._single = factor(ow)  # rewritten in place by factors.refresh()
+        else:
+            self._bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
+            self._single = None
 
     def __call__(self) -> np.ndarray:
         bands, out = self._bands, self.out
-        if bands.ndim == 2:
-            return np.matmul(bands, self.factors.toeplitz(out.shape[1]), out=out)
-        return _block_products(bands, self.factors, out)
+        if self._single is not None:
+            return np.matmul(bands, self._single, out=out)
+        (oh, ow), kw, factor = out.shape, self.kernel_shape[1], self.factor
+        for start in range(0, ow, _BLOCK):
+            ncols = min(_BLOCK, ow - start)  # the last block may be narrower
+            for top in range(0, oh, _BLOCK):
+                # One S at a time, its product written into out, so the blocks reuse one heap chunk.
+                stacked = bands[top:top + _BLOCK, :, start:start + ncols + kw - 1]
+                np.matmul(stacked.reshape(len(stacked), -1), factor(ncols),
+                          out=out[top:top + _BLOCK, start:start + ncols])
+        return out
 
 
-def _block_products(bands: np.ndarray, factors: ToeplitzFactors, out: np.ndarray) -> np.ndarray:
-    """The correlation with ``factors.kernel`` of the image whose (oh, kh, w) band view is ``bands``, into ``out``.
+def _adjoint(shape: tuple[int, int], factors: ToeplitzFactors, out: np.ndarray) -> tuple[np.ndarray, _Correlation]:
+    """``bid_adjoint_image(residual, factors.kernel)`` into ``out``, set up once: (residual, correlation).
 
-    One matrix product per block of at most ``_BLOCK`` output rows and
-    columns, the block's stacked rows copied from ``bands``.
+    ``residual`` is the view a caller writes the residual into, of a zero
+    buffer with kh - 1 zero rows above and below it.  On one ``_BLOCK`` it is
+    whole rows, a C-contiguous view, and the bands (kh * w numbers) meet
+    ``factors.adjoint(w)``, so no multiply-add reads a zero column.  A larger
+    output (the whole image) also has kw - 1 zero columns left and right, and
+    is the correlation with the flipped kernel: without those columns each
+    image edge needs a factor of its own residual width, which at
+    bid-medium's shape raised the full-batch ``grad_x`` peak from 260 KB to
+    329 KB for no faster PALM epoch.
     """
-    (oh, ow), kw, toeplitz = out.shape, factors.kernel.shape[1], factors.toeplitz
-    for start in range(0, ow, _BLOCK):
-        ncols = min(_BLOCK, ow - start)  # the last block may be narrower
-        for top in range(0, oh, _BLOCK):
-            # One S at a time, its product written into out, so the blocks reuse one heap chunk.
-            stacked = bands[top:top + _BLOCK, :, start:start + ncols + kw - 1]
-            np.matmul(stacked.reshape(len(stacked), -1), toeplitz(ncols),
-                      out=out[top:top + _BLOCK, start:start + ncols])
-    return out
-
-
-class _Adjoint:
-    """``bid_adjoint_image(residual, factors.kernel)`` into ``out``, set up once and run as the residual changes.
-
-    The set-up is a zero buffer holding the residual between kh - 1 zero rows
-    above and below it, and ``residual``, the view of the buffer's interior
-    that a caller writes the residual into: whole rows, so a C-contiguous
-    view.  Row p of the product's left factor is the buffer's rows
-    p .. p + kh - 1 laid end to end, kh * w numbers, read overlapping from
-    one strided view of the buffer; its right factor is
-    ``factors.adjoint(w)``, taken at set-up.  So out[p, j] sums
-    residual[p + a - kh + 1, c] * kernel[kh - 1 - a, j - c] over the
-    residual's own columns c, and no multiply-add reads a zero column.
-    An output larger than one ``_BLOCK`` (the whole image) keeps the
-    zero-padded product: the buffer also has kw - 1 zero columns left and
-    right, and is correlated with the flipped kernel block by block, with
-    one factor per block width.  Without the zero columns each image edge
-    needs a factor of its own residual width, which at bid-medium's shape
-    raised the full-batch ``grad_x`` peak from 260 KB to 329 KB for no
-    faster PALM epoch.
-    """
-
-    __slots__ = ("residual", "factors", "out", "_bands", "_factor")
-
-    def __init__(self, shape: tuple[int, int], factors: ToeplitzFactors, out: np.ndarray):
-        (h, w), (kh, kw) = shape, factors.kernel.shape
-        self.factors, self.out = factors, out
-        oh, ow = out.shape
-        if oh <= _BLOCK and ow <= _BLOCK:
-            padded = np.zeros((h + 2 * (kh - 1), w))
-            self.residual = padded[kh - 1:kh - 1 + h]
-            self._bands = _strided(padded, (oh, kh * w), (w, 1))  # bands[p] is padded[p:p + kh].ravel()
-            self._factor = factors.adjoint(w)  # rewritten in place by factors.refresh()
-        else:
-            width = w + 2 * (kw - 1)
-            padded = np.zeros((h + 2 * (kh - 1), width))
-            self.residual = padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w]
-            self._bands = _strided(padded, (oh, kh, width), (width, width, 1))  # bands[p, a] is padded[p + a]
-            self._factor = None
-
-    def __call__(self) -> np.ndarray:
-        if self._factor is not None:
-            return np.matmul(self._bands, self._factor, out=self.out)
-        return _block_products(self._bands, self.factors.flipped(), self.out)
+    (h, w), (kh, kw) = shape, factors.kernel.shape
+    if _one_block(out.shape):
+        padded = np.zeros((h + 2 * (kh - 1), w))
+        residual = padded[kh - 1:kh - 1 + h]
+        factor = lambda ncols: factors.adjoint(ncols - kw + 1)  # the output is w + kw - 1 wide
+    else:
+        padded = np.zeros((h + 2 * (kh - 1), w + 2 * (kw - 1)))
+        residual = padded[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w]
+        factor = factors.flipped().toeplitz
+    return residual, _Correlation(padded, (kh, kw), factor, out)
 
 
 class _KernelGradient:
@@ -664,7 +646,8 @@ def bid_forward(X: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = 
     """
     X = np.ascontiguousarray(X, dtype=float)
     factors = ToeplitzFactors(np.asarray(Y, dtype=float)) if factors is None else factors.of(Y)
-    return _Correlation(X, factors, np.empty(_output_shape(X.shape, factors.kernel.shape)))()
+    shape = factors.kernel.shape
+    return _Correlation(X, shape, factors.toeplitz, np.empty(_output_shape(X.shape, shape)))()
 
 
 def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | None = None) -> np.ndarray:
@@ -673,7 +656,7 @@ def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | N
     out[p, q] = sum_{a, b} U[p - a, q - b] Y[a, b] over the (a, b) that fall
     inside U, output shape (h + kh - 1, w + kw - 1).  U is copied once
     between kh - 1 zero rows above and below, and the product is
-    ``_Adjoint``'s: on a tile window one (h + kh - 1, kh * w) by
+    ``_adjoint``'s: on a tile window one (h + kh - 1, kh * w) by
     (kh * w, w + kw - 1) product, which reads U's own columns only (a
     bid-medium tile: 60,984 multiply-adds, where the correlation of U
     zero-padded on all sides takes 130,680); beyond one ``_BLOCK``, the
@@ -686,8 +669,8 @@ def bid_adjoint_image(U: np.ndarray, Y: np.ndarray, factors: ToeplitzFactors | N
     """
     factors = ToeplitzFactors(Y) if factors is None else factors.of(Y)
     (h, w), (kh, kw) = np.shape(U), Y.shape
-    adjoint = _Adjoint((h, w), factors, np.empty((h + kh - 1, w + kw - 1)))
-    adjoint.residual[...] = U
+    residual, adjoint = _adjoint((h, w), factors, np.empty((h + kh - 1, w + kw - 1)))
+    residual[...] = U
     return adjoint()
 
 
@@ -966,8 +949,9 @@ class BlindDeblurProblem:
             for rs, cs in zip(rows, cols):
                 h, w = rs.stop - rs.start, cs.stop - cs.start
                 if (h, w) not in shapes:
-                    window, adjoint = np.empty((h, w)), _Adjoint((h - kh + 1, w - kw + 1), factors, np.empty((h, w)))
-                    shapes[h, w] = (window, _Correlation(window, factors, adjoint.residual), adjoint)
+                    window = np.empty((h, w))
+                    residual, adjoint = _adjoint((h - kh + 1, w - kw + 1), factors, np.empty((h, w)))
+                    shapes[h, w] = (window, _Correlation(window, (kh, kw), factors.toeplitz, residual), adjoint)
                 passes.append(((slice(rs.start - top, rs.stop - top), slice(cs.start - left, cs.stop - left)),
                                *shapes[h, w]))
 
@@ -997,7 +981,8 @@ class BlindDeblurProblem:
             factors, passes = ToeplitzFactors(V), []
             for window, _tile in regions(batch):
                 patch = np.abs(X[window])
-                forward = _Correlation(patch, factors, np.empty(_output_shape(patch.shape, (kh, kw))))
+                forward = _Correlation(patch, (kh, kw), factors.toeplitz,
+                                       np.empty(_output_shape(patch.shape, (kh, kw))))
                 passes.append((forward, _KernelGradient(patch, forward.out, np.empty((kh, kw)))))
 
             def apply(v):

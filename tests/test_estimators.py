@@ -83,6 +83,7 @@ def test_sampler_determinism():
         np.testing.assert_array_equal(sample_batch(a), sample_batch(b))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("n, b", [(500, 13), (16, 1), (20, 20), (1, 1), (2, 1), (20, 1), (2**32 + 5, 1)])
 def test_sampler_stream_is_sorted_choice(n, b):
     # The batch sequence of a seed is np.sort(choice(n, b, replace=False)),
@@ -129,6 +130,7 @@ def _assert_sorted_choice_stream(sampler, ref, chunks=3):
             assert sampler.rng.random() == ref.random()
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64], ids=["philox", "pcg64"])
 @pytest.mark.parametrize("n, b", SAMPLER_CASES)
 def test_sampler_equals_sorted_choice_across_chunks(bit_generator, n, b):
@@ -136,6 +138,7 @@ def test_sampler_equals_sorted_choice_across_chunks(bit_generator, n, b):
                                  np.random.Generator(bit_generator(11)))
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 600), data=st.data(), seed=st.integers(0, 2**64 - 1))
 def test_sampler_equals_sorted_choice_property(n, data, seed):
@@ -143,6 +146,7 @@ def test_sampler_equals_sorted_choice_property(n, data, seed):
     _assert_sorted_choice_stream(BatchSampler(n, b, stream_rng(seed, "batch_x")), stream_rng(seed, "batch_x"))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("n, b", [(64, 7), (200, 14), (500, 22), (500, 13)])
 def test_chunked_cases_meet_floyd_collisions(n, b):
     # The first three chunks the equality test draws on Philox hold batches whose draws
@@ -153,6 +157,7 @@ def test_chunked_cases_meet_floyd_collisions(n, b):
     assert any(len(set(row)) < b for row in picks.tolist())
 
 
+@pytest.mark.numpy_floor
 def test_sampler_draws_a_chunk_only_when_a_batch_is_asked_for():
     # Building a sampler reads nothing from its stream, while the first batch reads a whole
     # chunk, and a chunk's batches after the first read nothing more.

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from springopt import solver
-from springopt.harness import datasets, io, runner, svgplot
+from springopt.core import full_batch
+from springopt.harness import cli, datasets, io, runner, svgplot
 from springopt.harness.cli import build_parser, cli_dispatch
 from springopt.harness.runner import ProblemSpec, RunSpec, bench, run_experiment
 from springopt.lipschitz import ALGORITHMS
@@ -516,6 +517,11 @@ def test_run_spec_validation(tmp_path):
     with pytest.raises(ConfigError, match="repeat must be >= 1, got 0"):
         RunSpec(problem=ProblemSpec("toy-nmf"), config=SolverConfig(algorithm="palm"), out_dir=".",
                 repeat=0).validate()
+    # A count, as SolverConfig's are: True would run one sweep, and 2.5 fail on its last seed.
+    for repeat in (True, 2.5, "2", None):
+        with pytest.raises(ConfigError, match=re.escape(f"repeat must be an integer >= 1, got {repeat!r}")):
+            RunSpec(problem=ProblemSpec("toy-nmf"), config=SolverConfig(algorithm="palm"), out_dir=".",
+                    repeat=repeat).validate()
     with pytest.raises(FileNotFoundError):
         RunSpec(problem=ProblemSpec("nmf", data_path=str(tmp_path / "missing.csv")),
                 config=SolverConfig(algorithm="palm"), out_dir=".").validate()
@@ -608,6 +614,31 @@ def test_cli_runtime_failure_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--data-seed", "-1"], "data_seed must be an integer in [0, 2**64), got -1"),
+    (["--data-seed", str(2**64)], f"data_seed must be an integer in [0, 2**64), got {2**64}"),
+    (["--problem", "toy-bid", "--kernel-size", "0"], "kernel_size must be an integer >= 1, got 0"),
+    (["--tiles", "0"], "tiles must be an integer >= 1, got 0"),
+    (["--rank", "0"], "rank must be an integer >= 1, got 0"),
+    (["--sparsity", "-2"], "sparsity must be an integer >= 1, got -2"),
+    (["--lam", "0"], "lam must be finite and > 0, got 0.0"),
+    (["--theta", "inf"], "theta must be finite and > 0, got inf"),
+    (["--lam1", "-1"], "lam1 must be finite and >= 0, got -1.0"),
+    (["--lam2", "nan"], "lam2 must be finite and >= 0, got nan"),
+], ids=["data-seed-negative", "data-seed-2**64", "kernel-size", "tiles", "rank", "sparsity", "lam", "theta",
+        "lam1", "lam2"])
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad", "estimate-lipschitz"])
+def test_cli_rejected_problem_parameter_exits_2(tmp_path, capsys, command, flags, message):
+    # A problem parameter that no data admits is a usage error in every subcommand,
+    # reported before anything runs or is written; ProblemSpec.validate says the same.
+    out = [] if command in ("check-grad", "estimate-lipschitz") else ["--out", str(tmp_path / "o")]
+    assert cli_dispatch([command, *flags, *out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli._problem_spec(build_parser()[0].parse_args([command, *flags])).validate()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check-grad", "--problem", "nmf"], "problem 'nmf' needs a data matrix path"),
     (["estimate-lipschitz", "--problem", "bid"], "problem 'bid' needs a blurred-image path"),
@@ -685,6 +716,25 @@ def test_cli_estimate_lipschitz_prints_the_solvers_first_draws(monkeypatch, caps
         if kind == "toy-bid":
             bound = 2.0 * float(np.abs(init_fn(0).y).sum()) ** 2 + 16.0 * ProblemSpec.lam * ProblemSpec.theta
             assert first["palm"][0] == 1.0 / bound
+
+
+def test_cli_estimate_lipschitz_draws_on_the_full_batch(monkeypatch):
+    # The full-batch line is drawn on core.full_batch(n) itself, the object every other
+    # full-batch draw passes, and the --batch line on a sampled batch.
+    build, batches = ProblemSpec.build, []
+
+    def spied_build(spec):
+        problem, init_fn = build(spec)
+
+        def lipschitz_x(x, y, batch):
+            batches.append(batch)
+            return problem.lipschitz_x(x, y, batch)
+
+        return dataclasses.replace(problem, lipschitz_x=lipschitz_x), init_fn
+
+    monkeypatch.setattr(ProblemSpec, "build", spied_build)
+    assert cli_dispatch(["estimate-lipschitz", "--problem", "toy-bid", "--batch", "2"]) == 0
+    assert len(batches) == 2 and batches[0] is full_batch(16) and len(batches[1]) == 2
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -142,6 +142,7 @@ def _bitwise_bound(got, want):
     return (got[0].hex(), got[1]) == (want[0].hex(), want[1])
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=80)
 @given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]),
        zero_rows=st.integers(0, 3), passes=st.integers(1, 6))
@@ -157,6 +158,7 @@ def test_bound_matches_the_gathering_bound_bitwise(dim, seed, density, zero_rows
                           previous_collatz_wielandt_bound(G.dot, dim, passes))
 
 
+@pytest.mark.numpy_floor
 @np.errstate(over="ignore", invalid="ignore")
 def test_bound_edge_cases_match_the_gathering_bound_bitwise():
     # The zero operator, an overflowing pass, signed zeros, and a last pass with NaN,

@@ -42,6 +42,7 @@ def bid_medium():
     return adapter.block_problem(), adapter.initial_iterate()
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("algorithm", SPRING)
 def test_b1_epoch_calls_neither_choice_nor_eigvalsh(monkeypatch, toy_nmf, bid_medium, algorithm):
     # A sampler draws an epoch's batches, choice's own bounded draws, with one integers
@@ -138,7 +139,7 @@ def test_palm_epoch_stays_within_its_call_budget(toy_nmf):
 
 
 # The same count at bid-medium's shape (64 x 64 image, 9 x 9 kernel, 16 tiles, b = 1),
-# measured with numpy 2.4.6 on CPython 3.11: SGD 355.8, SAGA 430.6, SARAH 461.8 (374.6,
+# measured with numpy 2.4.6 on CPython 3.11: SGD 359.0, SAGA 437.1, SARAH 468.7 (374.6,
 # 453.3 and 487.2, budgets 382, 461 and 495, while each image adjoint of a tile went
 # through bid_forward on a zero-padded residual).  Most of a step's calls are its two
 # Lipschitz draws, which set their correlations up once and run them on each pass of

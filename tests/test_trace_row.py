@@ -28,6 +28,8 @@ from springopt.problems import (
     image_gradients,
 )
 
+pytestmark = pytest.mark.numpy_floor
+
 # ---------------------------------------------------------------------------
 # The previous code, verbatim but for the names
 # ---------------------------------------------------------------------------
