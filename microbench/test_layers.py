@@ -18,7 +18,8 @@
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
   exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
-  bid-medium shapes (16 tiles; b = 1 and the full batch);
+  bid-medium shapes (16 tiles; b = 1 and the full batch), the BID hooks both
+  cold, as a run's first draw, and warm, one pass from a stored vector;
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
 * one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
@@ -152,10 +153,19 @@ def test_nmf_lipschitz_draw(benchmark, nmf, block, b):
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
-@pytest.mark.parametrize("b", [1, None], ids=["b1", "full"])
-def test_bid_lipschitz_draw(benchmark, bid, block, b):
+@pytest.mark.parametrize("b, start", [(1, "cold"), (None, "cold"), (1, "warm"), (None, "warm")],
+                         ids=["b1", "full", "b1-warm", "full-warm"])
+def test_bid_lipschitz_draw(benchmark, bid, block, b, start):
+    # A cold draw, a run's first, or a warm one: one pass from the vector a first draw
+    # stored in the run's store (the full-batch x-draw is its closed form either way).
     problem, z = bid
-    _draw(benchmark, problem, z, block, np.arange(problem.n) if b is None else np.array([5]))
+    batch = np.arange(problem.n) if b is None else np.array([5])
+    if start == "cold":
+        _draw(benchmark, problem, z, block, batch)
+        return
+    hook, warm = problem.lipschitz_x if block == "x" else problem.lipschitz_y, {}
+    hook(z.x, z.y, batch, warm)
+    benchmark(hook, z.x, z.y, batch, warm)
 
 
 def test_prox_l0(benchmark):

@@ -39,7 +39,7 @@ RowsFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 RowsMeanFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RegFn = Callable[[np.ndarray], float]
 ProxFn = Callable[[float, np.ndarray], np.ndarray]
-LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, int]]
+LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray, "dict | None"], tuple[float, int]]
 
 
 class SmoothTerm(NamedTuple):
@@ -84,12 +84,15 @@ class BlockProblem:
     place to the arrays ``grad_x`` and ``rows_mean_x`` return, so these must
     be fresh.  G's curvature belongs in the x-hook's value.
 
-    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
-    block's Lipschitz value at (x, y) on the sorted indices ``batch``, the
-    full batch being ``full_batch(n)`` as for the oracles, and the number
+    The optional hooks ``lipschitz_x/lipschitz_y(x, y, batch, warm)`` return
+    their block's Lipschitz value at (x, y) on the sorted indices ``batch``,
+    the full batch being ``full_batch(n)`` as for the oracles, and the number
     of operator applications made for it; ``lipschitz.lipschitz_draw`` charges
-    ``len(batch)`` SFO for each.  The value is exact or an upper bound, and a
-    hook reads no random stream.
+    ``len(batch)`` SFO for each.  ``warm`` is a dict that one run's draws
+    share, or None: a hook may keep that run's warm start in it (the BID
+    hooks keep the vector each bound ended on), and with None it draws cold.
+    The value is exact or an upper bound at the point it is drawn at, warm or
+    cold, and a hook reads no random stream.
     """
 
     n: int

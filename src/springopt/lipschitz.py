@@ -8,16 +8,24 @@ Block step sizes come from one of three sources:
   larger of the two step sizes (plus the per-block 1/(4L) caps);
 * fixed user-supplied constants.
 
-A problem's hooks ``lipschitz_x/lipschitz_y(x, y, batch)`` return their
-block's Lipschitz value on ``batch`` and the operator applications they made
-for it.  Every value is exact or an upper bound at the point it is drawn at:
-the factorization hooks take the exact top eigenvalue of an r x r Gram
+A problem's hooks ``lipschitz_x/lipschitz_y(x, y, batch, warm)`` return
+their block's Lipschitz value on ``batch`` and the operator applications they
+made for it.  Every value is exact or an upper bound at the point it is drawn
+at: the factorization hooks take the exact top eigenvalue of an r x r Gram
 matrix, the quadratic toys return their constant, and the blind-deconvolution
 hooks a closed form or ``collatz_wielandt_bound``, which bounds the top
 eigenvalue of an entrywise nonnegative symmetric G that majorizes the
-block's curvature (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26): for
-v = G^(k-1) 1, lambda_max(G) <= max_i (G v)_i / v_i over the support of v.
-It is non-increasing in the pass count.  No draw reads a random stream.
+block's curvature (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26): for any
+strictly positive v, lambda_max(G) <= max_i (G v)_i / v_i, and for
+v = G^(k-1) 1 the ratio is taken over the support of v.  From the ones
+vector it is non-increasing in the pass count.
+
+``warm`` is a dict that one run's draws share, or None.  A hook may keep a
+warm start in it: the BID hooks store the vector each bound ended on, keyed
+on the operator's layout, and bound the next draw of that layout with one
+pass from it, still an upper bound at the point it is drawn at, since the
+vector is strictly positive (a vector with a zero entry is not used).  With
+None, or an empty dict, a draw is cold.  No draw reads a random stream.
 
 ``lipschitz_draw`` is the solver's draw: both blocks' values on one batch,
 x first, and their charge in stochastic first-order oracle calls (SFO),
@@ -47,49 +55,69 @@ def collatz_wielandt_bound(
     apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
     passes: int,
-) -> tuple[float, int]:
-    """Upper bound on lambda_max(G) from ``passes`` applications of ``apply``, v -> G v,
-    with the applications made.
+    start: np.ndarray | None = None,
+) -> tuple[float, int, np.ndarray | None]:
+    """Upper bound on lambda_max(G) from applications of ``apply``, v -> G v, with the
+    applications made and the vector the last pass ends on, w / max(w) for its G v = w.
 
     G must be entrywise nonnegative and symmetric, and ``apply`` returns a
-    float ndarray.  From v = 1, each pass but the last applies G and divides
-    by the result's maximum; the last returns max_i (G v)_i / v_i over the
-    support of v.  The support of G^k 1 is the set of G's nonzero rows for
-    every k >= 1, and G restricted to it is G's nonzero block, so the ratio
-    bounds lambda_max by the Collatz-Wielandt inequality (Horn & Johnson,
-    *Matrix Analysis*, Thm 8.1.26).  The bound does not increase with the
-    pass count, is exact on a rank-one G from two passes, and is 0 for the
-    zero operator.  No randomness is involved.  A pass whose maximum is 0 or
-    not finite stops early with that maximum as the bound.
+    float ndarray.  From v = 1, each of ``passes`` passes but the last
+    applies G and divides by the result's maximum; the last returns
+    max_i (G v)_i / v_i over the support of v.  The support of G^k 1 is the
+    set of G's nonzero rows for every k >= 1, and G restricted to it is G's
+    nonzero block, so the ratio bounds lambda_max by the Collatz-Wielandt
+    inequality (Horn & Johnson, *Matrix Analysis*, Thm 8.1.26): for
+    nonnegative G and any strictly positive v, lambda_max(G) <= max_i (G v)_i / v_i.
+    The bound does not increase with the pass count, is exact on a rank-one G
+    from two passes, and is 0 for the zero operator.  No randomness is
+    involved.  A pass whose maximum is 0 or not finite stops early with that
+    maximum as the bound.
+
+    A ``start`` whose every entry is strictly positive and finite replaces
+    the ``passes`` passes from the ones vector by one pass from it: the
+    inequality holds for every such v, so the ratio is still an upper bound,
+    and from a start near G's Perron vector (such as the vector a draw of a
+    nearby operator ended on) it is nearly as tight as many passes from 1.
+    Any other ``start`` (a zero or non-finite entry) is not used.  The
+    returned vector is None where w's maximum is 0 or not finite.
     """
     if passes < 1:
         raise ValueError(f"the bound needs at least one pass, got {passes}")
     if dim < 1:
         raise ValueError(f"operator dimension must be >= 1, got {dim}")
-    v = np.ones(dim)
+    if start is not None and np.minimum.reduce(start) > 0.0 and _max(start) < math.inf:
+        v, passes = start, 1
+    else:
+        v = np.ones(dim)
     for applied in range(1, passes):
         w = apply(v)
         top = float(_max(w))
         if top == 0.0 or not math.isfinite(top):
-            return top, applied
+            return top, applied, None
         v = w / top
     w = apply(v)
+    top = float(_max(w))
+    last = w / top if top > 0.0 and math.isfinite(top) else None
     if not np.minimum.reduce(v) > 0.0:  # gather the support, unless it is all of v
         support = v > 0.0
         w, v = w[support], v[support]
-    return float(_max(w / v, initial=0.0)), passes
+    return float(_max(w / v, initial=0.0)), passes, last
 
 
-def lipschitz_draw(problem: BlockProblem, z: Iterate, batch: np.ndarray) -> tuple[float, float, int]:
+def lipschitz_draw(problem: BlockProblem, z: Iterate, batch: np.ndarray,
+                   warm: dict | None = None) -> tuple[float, float, int]:
     """One (L_x, L_y) draw from the hooks on ``batch`` at z, x first, and its SFO
-    charge: ``len(batch)`` per operator application."""
+    charge: ``len(batch)`` per operator application.
+
+    ``warm`` is one run's store of warm starts, passed to both hooks; None (a
+    draw outside a run) draws cold, as a run's first draws do."""
     if problem.lipschitz_x is None or problem.lipschitz_y is None:
         raise ValueError(
             "the practical/theoretical step policies need the problem's Lipschitz hooks; "
             "use step_policy='fixed' for problems without them"
         )
-    lx, applied_x = problem.lipschitz_x(z.x, z.y, batch)
-    ly, applied_y = problem.lipschitz_y(z.x, z.y, batch)
+    lx, applied_x = problem.lipschitz_x(z.x, z.y, batch, warm)
+    ly, applied_y = problem.lipschitz_y(z.x, z.y, batch, warm)
     return lx, ly, (applied_x + applied_y) * len(batch)
 
 

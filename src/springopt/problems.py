@@ -238,14 +238,15 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
         return rows_mean_y(idx, rows_y(idx, xv, yv))
 
     # Both hooks take the exact top eigenvalue of an r x r Gram matrix with the scale
-    # folded in: one pass over the batch forms it, one application charged.
-    def lip_x(xv, yv, batch):
+    # folded in: one pass over the batch forms it, one application charged.  Neither
+    # keeps a warm start.
+    def lip_x(xv, yv, batch, _warm=None):
         # The x-gradient is linear through 2 (d/b) Y_B Y_B^T, whose norm is
         # 2 (d/b) ||Y_B||^2.
         cols = gather(batch, yv.reshape(r, d), 1)
         return _top_eigenvalue((2.0 * d / len(batch)) * (cols @ cols.T)), 1
 
-    def lip_y(xv, yv, batch):
+    def lip_y(xv, yv, batch, _warm=None):
         # Per sampled column the y-gradient acts through 2 (d/b) X^T X.
         X = xv.reshape(m, r)
         return _top_eigenvalue((2.0 * d / len(batch)) * (X.T @ X)), 1
@@ -735,12 +736,13 @@ def bid_potential(v: np.ndarray, theta: float) -> np.ndarray:
     return np.log1p(theta * v * v)
 
 
-# Collatz-Wielandt passes of the BID Lipschitz draws below the full batch (x) and at
-# every batch size (y), fixed rule constants.  Measured against the dense eigvalsh
-# top eigenvalue at bid-medium's shape (9x9 kernel, 16 tiles) at z0 and after PALM,
-# SGD and SAGA runs: the y-bound from 2 passes is 1.0027-1.0033x at the full batch
-# and at most 1.011x on every b = 1 window (median 1.001x); the x-bound's data term
-# from 4 passes is at most 1.0047x at b = 1.
+# Collatz-Wielandt passes of the cold BID Lipschitz draws (a layout's first in a run)
+# below the full batch (x) and at every batch size (y), fixed rule constants; a warm
+# draw is one pass.  Measured against the dense eigvalsh top eigenvalue at
+# bid-medium's shape (9x9 kernel, 16 tiles) at z0 and after PALM, SGD and SAGA runs:
+# the y-bound from 2 passes is 1.0027-1.0033x at the full batch and at most 1.011x on
+# every b = 1 window (median 1.001x); the x-bound's data term from 4 passes is at
+# most 1.0047x at b = 1.
 X_BOUND_PASSES = 4
 Y_BOUND_PASSES = 2
 
@@ -929,7 +931,18 @@ class BlindDeblurProblem:
         # ||D^T D|| <= 8.
         edge_curvature = 16.0 * lam * theta
 
-        def lip_x(xv, yv, batch):
+        # A run's warm store keeps, per operator layout, the vector its last bound ended
+        # on: the next draw of that layout is one pass from it, the first its rule's
+        # passes from the ones vector.  The operator's data moves little between a run's
+        # draws, so that vector is nearly its Perron vector and one pass is about as
+        # tight.  Without a store (warm is None) every draw is cold.
+        def bound(apply, dim, passes, warm, key):
+            if warm is None:
+                return collatz_wielandt_bound(apply, dim, passes)[:2]
+            lip, applied, warm[key] = collatz_wielandt_bound(apply, dim, passes, warm.get(key))
+            return lip, applied
+
+        def lip_x(xv, yv, batch, warm=None):
             if len(batch) == n:
                 return 2.0 * float(np.abs(yv).sum()) ** 2 + edge_curvature, 0
             # Applied window by window, like the oracles, so no correlation is larger than
@@ -964,15 +977,19 @@ class BlindDeblurProblem:
                 g *= scale
                 return g.ravel()
 
-            bound, applied = collatz_wielandt_bound(apply, box[0] * box[1], X_BOUND_PASSES)
-            return bound + edge_curvature, applied
+            # The layout: the box and the windows' positions in it, one key for all
+            # 22 x 22 windows of bid-medium at b = 1.
+            key = ("x", *box, *((rs.start - top, rs.stop - top, cs.start - left, cs.stop - left)
+                                for rs, cs in zip(rows, cols)))
+            lip, applied = bound(apply, box[0] * box[1], X_BOUND_PASSES, warm, key)
+            return lip + edge_curvature, applied
 
         # On the kernel, a region's residual map is its window's patch matrix P_j, so the
         # y-operator is (2n/b) sum_j P_j^T P_j, applied as two correlations per region
         # with the window's |X|: P_j v correlates the window with the kernel v, and
         # P_j^T u is the window correlated with u.  The full batch's one region is the
         # whole image, whose patch matrix P has P^T P = sum_j P_j^T P_j over all tiles.
-        def lip_y(xv, yv, batch):
+        def lip_y(xv, yv, batch, warm=None):
             X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
             # Set up once per draw for all its passes: each region's window of |X| with its
             # two correlations, and the factors of one kernel array V.  A pass copies the
@@ -995,7 +1012,8 @@ class BlindDeblurProblem:
                 g *= scale
                 return g.ravel()
 
-            return collatz_wielandt_bound(apply, kh * kw, Y_BOUND_PASSES)
+            # The layout is the sampled regions: each tile and the whole image keep their own vector.
+            return bound(apply, kh * kw, Y_BOUND_PASSES, warm, ("y", *batch.tolist()))
 
         return BlockProblem(
             n=n,
@@ -1037,7 +1055,7 @@ class BlindDeblurProblem:
 
 def _constant_lipschitz(lip: float):
     """A hook returning the constant ``lip`` with no operator application."""
-    return lambda x, y, batch: (lip, 0)
+    return lambda x, y, batch, _warm=None: (lip, 0)
 
 
 def make_separable_quadratic(

@@ -352,9 +352,13 @@ class _StepSizes:
     the draws, decaying by half over ~2 epochs when the landscape flattens,
     and anchored on a full-batch draw at the current iterate while
     degenerate.  A draw that is not finite raises ``DivergenceError``.
+
+    ``warm`` is the run's store of the hooks' warm starts (``lipschitz_draw``),
+    passed to every draw and kept by this provider alone, so a problem shared
+    by several runs draws in each as in a fresh one.
     """
 
-    __slots__ = ("problem", "config", "b", "sampler", "decay", "env_x", "env_y", "sfo", "pair")
+    __slots__ = ("problem", "config", "b", "sampler", "decay", "env_x", "env_y", "sfo", "pair", "warm")
 
     def __init__(self, problem, config, z0, kind, b, sarah_p):
         n = problem.n
@@ -366,6 +370,7 @@ class _StepSizes:
         self.env_x = 0.0
         self.env_y = 0.0
         self.sfo = 0
+        self.warm = {}
         self.pair = config.fixed_steps
         if config.step_policy == "theoretical":
             L = config.lipschitz_const or max(self.draw(z0, full_batch(n)))
@@ -389,7 +394,7 @@ class _StepSizes:
 
     def draw(self, z, batch):
         """``lipschitz_draw``, its charge added to ``sfo``."""
-        lx, ly, charge = lipschitz_draw(self.problem, z, batch)
+        lx, ly, charge = lipschitz_draw(self.problem, z, batch, self.warm)
         self.sfo += charge
         if not (math.isfinite(lx) and math.isfinite(ly)):
             raise DivergenceError(

@@ -726,9 +726,9 @@ def test_cli_estimate_lipschitz_draws_on_the_full_batch(monkeypatch):
     def spied_build(spec):
         problem, init_fn = build(spec)
 
-        def lipschitz_x(x, y, batch):
+        def lipschitz_x(x, y, batch, warm):
             batches.append(batch)
-            return problem.lipschitz_x(x, y, batch)
+            return problem.lipschitz_x(x, y, batch, warm)
 
         return dataclasses.replace(problem, lipschitz_x=lipschitz_x), init_fn
 

@@ -71,12 +71,12 @@ def test_bound_takes_the_ratio_on_the_support_only():
     # ratio on the rest bounds the nonzero block: here diag(3, 0, 1) is exact from
     # two passes, and a zero row inside a block is skipped as well.
     G = np.diag([3.0, 0.0, 1.0])
-    assert collatz_wielandt_bound(G.dot, 3, 1) == (3.0, 1)
-    assert collatz_wielandt_bound(G.dot, 3, 2) == (3.0, 2)
+    assert collatz_wielandt_bound(G.dot, 3, 1)[:2] == (3.0, 1)
+    assert collatz_wielandt_bound(G.dot, 3, 2)[:2] == (3.0, 2)
     block = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
     with np.errstate(all="raise"):
         for passes in (1, 2, 5):
-            assert collatz_wielandt_bound(block.dot, 3, passes) == (3.0, passes)
+            assert collatz_wielandt_bound(block.dot, 3, passes)[:2] == (3.0, passes)
 
 
 def _toy_bid():
@@ -87,7 +87,7 @@ def _toy_bid():
 
 def test_bound_of_the_zero_operator_is_the_shift():
     for passes in (1, 2, 4):
-        assert collatz_wielandt_bound(np.zeros((4, 4)).dot, 4, passes) == (0.0, 1)
+        assert collatz_wielandt_bound(np.zeros((4, 4)).dot, 4, passes) == (0.0, 1, None)
     # Below the full batch, the BID x-value at the zero kernel is the bound of the zero
     # operator plus the edge term's curvature 16 lam theta, after one application.
     adapter, problem, z = _toy_bid()
@@ -101,8 +101,8 @@ def test_bound_reads_an_overflowing_pass_as_inf():
     # zeros, and the ratio on the remaining support would read 0.
     G = np.full((3, 3), 1e308)
     for passes in (2, 4):
-        assert collatz_wielandt_bound(G.dot, 3, passes) == (math.inf, 1)
-    assert collatz_wielandt_bound(G.dot, 3, 1) == (math.inf, 1)
+        assert collatz_wielandt_bound(G.dot, 3, passes) == (math.inf, 1, None)
+    assert collatz_wielandt_bound(G.dot, 3, 1) == (math.inf, 1, None)
 
 
 def test_bound_reports_its_passes_and_draws_nothing():
@@ -114,9 +114,59 @@ def test_bound_reports_its_passes_and_draws_nothing():
             made[0] += 1
             return G.dot(v)
 
-        bound, applied = collatz_wielandt_bound(counted, 9, passes)
+        bound, applied, _last = collatz_wielandt_bound(counted, 9, passes)
         assert applied == made[0] == passes
         assert bound >= _eigvalsh_max(G) * (1 - 1e-12)
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 25), seed=st.integers(0, 10_000), density=st.sampled_from([0.05, 0.3, 1.0]),
+       passes=st.integers(1, 6))
+def test_bound_from_a_positive_start_is_one_certified_pass(dim, seed, density, passes):
+    # Any strictly positive start bounds lambda_max by the Collatz-Wielandt inequality,
+    # from one pass whatever ``passes`` says, and the returned vector is that pass's
+    # G v over its maximum, a start for the next bound.
+    draw_rng = np.random.default_rng(seed)
+    G = _nonnegative_symmetric(draw_rng, dim, density)
+    start = draw_rng.random(dim) + 1e-3
+    made = []
+
+    def counted(v):
+        made.append(v)
+        return G.dot(v)
+
+    bound, applied, last = collatz_wielandt_bound(counted, dim, passes, start)
+    assert applied == len(made) == 1 and made[0] is start
+    assert bound >= _eigvalsh_max(G) * (1 - 1e-12)
+    w = G.dot(start)
+    assert bound == float(np.max(w / start))
+    if w.max() > 0:
+        np.testing.assert_array_equal(last, w / w.max())
+    else:
+        assert last is None
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.0, -1.0, math.nan, math.inf], ids=str)
+def test_bound_ignores_a_start_that_is_not_strictly_positive_and_finite(entry):
+    # A start with a zero, negative or non-finite entry is not used: the bound is the
+    # cold one from the ones vector, bit for bit, its vector included.
+    G = _nonnegative_symmetric(np.random.default_rng(11), 7, 0.5)
+    start = np.full(7, 0.5)
+    start[3] = entry
+    for passes in (1, 2, 4):
+        got, want = collatz_wielandt_bound(G.dot, 7, passes, start), collatz_wielandt_bound(G.dot, 7, passes)
+        assert (got[0].hex(), got[1], got[2].tobytes()) == (want[0].hex(), want[1], want[2].tobytes())
+
+
+def test_bound_returns_the_vector_its_last_pass_ends_on():
+    # From the ones vector the returned vector is G^passes 1 over its maximum, the
+    # power iterate the next pass would start from; a zero row leaves a zero in it.
+    G = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+    v = np.ones(3)
+    for passes in (1, 2, 3):
+        v = G.dot(v) / G.dot(v).max()
+        np.testing.assert_allclose(collatz_wielandt_bound(G.dot, 3, passes)[2], v, rtol=1e-15)
+    assert collatz_wielandt_bound(G.dot, 3, 2)[2][2] == 0.0
 
 
 def previous_collatz_wielandt_bound(apply, dim, passes):

@@ -1501,7 +1501,7 @@ def _per_tile_full_batch(adapter, xv, yv):
         g *= scale
         return g.ravel()
 
-    return value, grad_x, grad_y, collatz_wielandt_bound(apply, kh * kw, problems_module.Y_BOUND_PASSES)
+    return value, grad_x, grad_y, collatz_wielandt_bound(apply, kh * kw, problems_module.Y_BOUND_PASSES)[:2]
 
 
 def _close(got, want, rel):
@@ -1689,13 +1689,13 @@ def test_bid_lipschitz_hooks_match_masked_full_image(rng):
         (lip_x, applied_x), (lip_y, applied_y) = (hook(X.ravel(), Y.ravel(), idx)
                                                   for hook in (problem.lipschitz_x, problem.lipschitz_y))
         abs_y = _bid_masked_lipschitz_reference(adapter, batch, np.abs(X), np.abs(Y))[1]
-        want_y, want_applied_y = collatz_wielandt_bound(abs_y, Y.size, problems_module.Y_BOUND_PASSES)
+        want_y, want_applied_y, _last = collatz_wielandt_bound(abs_y, Y.size, problems_module.Y_BOUND_PASSES)
         assert lip_y == pytest.approx(want_y, rel=1e-12) and applied_y == want_applied_y
         if full:
             assert (lip_x, applied_x) == (2.0 * float(np.abs(Y).sum()) ** 2 + offset, 0)
             continue
         abs_x, box_size = _bid_box_reference(adapter, batch, np.abs(X), np.abs(Y))
-        want_x, want_applied_x = collatz_wielandt_bound(abs_x, box_size, problems_module.X_BOUND_PASSES)
+        want_x, want_applied_x, _last = collatz_wielandt_bound(abs_x, box_size, problems_module.X_BOUND_PASSES)
         assert lip_x == pytest.approx(want_x + offset, rel=1e-12) and applied_x == want_applied_x
 
 
@@ -1756,17 +1756,18 @@ def test_bid_lipschitz_values_match_window_operators(rng):
             if hook is problem.lipschitz_x and (batch is None or len(batch) == 6):
                 assert (got, applied) == (2.0 * float(np.abs(Y).sum()) ** 2 + offset, 0)
             else:
-                want, want_applied = collatz_wielandt_bound(reference, dim, count)
+                want, want_applied, _last = collatz_wielandt_bound(reference, dim, count)
                 assert got == pytest.approx(want + offset, rel=1e-12) and applied == want_applied == count, batch
             lam_max = _dense_top_eigenvalue(reference, dim)
             assert got - offset >= lam_max * (1 - 1e-12), batch
 
 
-def _previous_bid_draws(adapter):
+def _previous_bid_draws(adapter, collatz=previous_collatz_wielandt_bound):
     """The BID Lipschitz hooks as they were before a draw set its correlations up
-    once for all its passes, verbatim: every pass correlated each window through
-    bid_forward, bid_adjoint_image and bid_kernel_gradient, and the y-draw built a
-    new ToeplitzFactors of its iterate on each pass."""
+    once for all its passes, verbatim but for the bound, ``collatz(apply, dim,
+    passes)``: every pass correlated each window through bid_forward,
+    bid_adjoint_image and bid_kernel_gradient, and the y-draw built a new
+    ToeplitzFactors of its iterate on each pass."""
     Z, lam, theta = adapter.Z, adapter.lam, adapter.theta
     kh, kw = adapter.kernel_shape
     hx, wx = adapter.image_shape
@@ -1800,7 +1801,7 @@ def _previous_bid_draws(adapter):
             g *= scale
             return g.ravel()
 
-        bound, applied = previous_collatz_wielandt_bound(apply, box[0] * box[1], problems_module.X_BOUND_PASSES)
+        bound, applied = collatz(apply, box[0] * box[1], problems_module.X_BOUND_PASSES)
         return bound + edge_curvature, applied
 
     def lip_y(xv, yv, batch):
@@ -1815,7 +1816,7 @@ def _previous_bid_draws(adapter):
             g *= scale
             return g.ravel()
 
-        return previous_collatz_wielandt_bound(apply, kh * kw, problems_module.Y_BOUND_PASSES)
+        return collatz(apply, kh * kw, problems_module.Y_BOUND_PASSES)
 
     return lip_x, lip_y
 
@@ -1856,6 +1857,78 @@ def test_bid_draws_match_previous_draws_bitwise(shape):
                 for hook, previous in ((problem.lipschitz_x, previous_x), (problem.lipschitz_y, previous_y)):
                     got, want = hook(X.ravel(), Y.ravel(), batch), previous(X.ravel(), Y.ravel(), batch)
                     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (Y, X, batch)
+
+
+def _warm_reference_bound(apply, dim, passes, store):
+    """The bound a run's warm BID draw takes, written out: one pass from the vector in
+    ``store[0]`` when it is strictly positive and finite, else ``passes`` passes from
+    the ones vector as ``previous_collatz_wielandt_bound`` makes them; the vector the
+    last pass ends on, w / max(w), replaces ``store[0]``."""
+    start = store[0]
+    if start is not None and start.min() > 0.0 and np.isfinite(start).all():
+        v, passes = start, 1
+    else:
+        v = np.ones(dim)
+    store[0] = None
+    for applied in range(1, passes):
+        w = apply(v)
+        top = float(w.max())
+        if top == 0.0 or not math.isfinite(top):
+            return top, applied
+        v = w / top
+    w = apply(v)
+    top = float(w.max())
+    if top > 0.0 and math.isfinite(top):
+        store[0] = w / top
+    support = v > 0.0
+    return float(np.max(w[support] / v[support], initial=0.0)), passes
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("shape", DRAW_PIN_SHAPES, ids=str)
+def test_bid_warm_draws_match_one_pass_of_the_previous_operators_bitwise(shape):
+    # A draw with a run's store, then a second draw of the same batch at another point
+    # from the vector the first ended on: each, as (value, applications) and the stored
+    # vector, equals the previous hooks' operators under the warm rule bit for bit.
+    # The second point is near the first (as a run's next draw is) or far from it;
+    # kernels and images with zero entries leave zeros in the vector, so the next
+    # draw is cold.  The batches and data of the cold pins above.
+    Z_shape, kernel, tiles = shape
+    rng = np.random.default_rng(sum(Z_shape) + 10 * kernel[0] + kernel[1])
+    adapter = BlindDeblurProblem(Z=rng.random(Z_shape), kernel_shape=kernel, lam=2e-3, theta=50.0, n_tiles=tiles)
+    problem = adapter.block_problem()
+    reference_store = [None]
+    reference_x, reference_y = _previous_bid_draws(
+        adapter, lambda apply, dim, passes: _warm_reference_bound(apply, dim, passes, reference_store))
+    kh, kw = kernel
+    batches = [np.array([j]) for j in range(tiles)] + [np.array([0, 1]), np.array([0, tiles - 1]), np.arange(tiles)]
+    sparse_kernel = rng.random(kernel) * (rng.random(kernel) < 0.5)
+    dark_image = rng.random(adapter.image_shape)
+    dark_image[kh + 1:, :] = 0.0
+    kernels = [rng.random(kernel) / (kh * kw), rng.standard_normal(kernel), sparse_kernel]
+    images = [rng.random(adapter.image_shape), rng.standard_normal(adapter.image_shape), dark_image]
+    points = [(X, Y) for Y in kernels for X in images]
+    pairs = [(point, (point[0] * (1.0 + 1e-3 * rng.standard_normal(point[0].shape)),
+                      point[1] * (1.0 + 1e-3 * rng.standard_normal(point[1].shape)))) for point in points]
+    pairs += list(zip(points, points[1:]))
+    starts = {"positive": 0, "with zeros": 0}
+    for first, second in pairs:
+        for batch in batches:
+            for hook, reference in ((problem.lipschitz_x, reference_x), (problem.lipschitz_y, reference_y)):
+                store, reference_store[0] = {}, None
+                for X, Y in (first, second):
+                    start = reference_store[0]
+                    got = hook(X.ravel(), Y.ravel(), batch, store)
+                    want = reference(X.ravel(), Y.ravel(), batch)
+                    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (X, Y, batch)
+                    vectors = [vector for vector in store.values() if vector is not None]
+                    if reference_store[0] is None:
+                        assert not vectors
+                    else:
+                        assert [vector.tobytes() for vector in vectors] == [reference_store[0].tobytes()]
+                    if start is not None:
+                        starts["positive" if start.min() > 0.0 else "with zeros"] += 1
+    assert min(starts.values()) > 0, starts
 
 
 def _power_estimate(apply, dim, iterations):
@@ -1911,6 +1984,59 @@ def test_bid_bounds_are_tight_at_benchmark_shape():
         reference, box_size = _bid_box_reference(adapter, np.array([5]), X, Y)
         lip_x = problem.lipschitz_x(z.x, z.y, np.array([5]))[0]
         assert 1.0 - 1e-12 <= (lip_x - offset) / _dense_top_eigenvalue(reference, box_size) <= 1.01
+
+
+# (observation shape, kernel shape, tiles) of the run certificates below: the uneven,
+# overlapping 6-tile grid, a flat kernel on 4 tiles, and a small square case.
+CERTIFIED_SHAPES = [((11, 13), (3, 4), 6), ((14, 12), (2, 5), 4), ((16, 16), (3, 3), 4)]
+
+
+@pytest.mark.parametrize("shape", CERTIFIED_SHAPES, ids=str)
+def test_bid_warm_draws_along_runs_are_certified(shape):
+    # Along 3 epochs of PALM and of each SPRING algorithm at b = 1, 2 and n, from a
+    # kernel with exact zeros, every draw the hooks make from a run's store, warm or
+    # cold, is at or above the dense top eigenvalue of the operator it bounds at the
+    # point it is drawn at: below the full batch the x-operator on the sampled box
+    # (plus the edge term's 16 lam theta), and the y-operator on the sampled windows.
+    # The full-batch x-value is the closed form, certified above.
+    Z_shape, kernel, tiles = shape
+    rng = np.random.default_rng(sum(Z_shape) + tiles)
+    adapter = BlindDeblurProblem(Z=rng.random(Z_shape), kernel_shape=kernel, lam=2e-3, theta=50.0, n_tiles=tiles)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    sparse = project_box_l1(rng.random(kernel) * (rng.random(kernel) < 0.6)).ravel()
+    assert (sparse == 0.0).any()
+    z0 = Iterate(z0.x, sparse)
+    offset = 16.0 * adapter.lam * adapter.theta
+    draws = []
+
+    def spied(block, hook):
+        def spy(x, y, batch, warm):
+            got = hook(x, y, batch, warm)
+            draws.append((block, x.copy(), y.copy(), batch.copy(), got))
+            return got
+        return spy
+
+    spied_problem = replace(problem, lipschitz_x=spied("x", problem.lipschitz_x),
+                            lipschitz_y=spied("y", problem.lipschitz_y))
+    runs = [("palm", tiles)] + [(algorithm, b) for algorithm in ("spring-sgd", "spring-saga", "spring-sarah")
+                                for b in (1, 2, tiles)]
+    for algorithm, b in runs:
+        run(spied_problem, SolverConfig(algorithm=algorithm, batch_size=b, epochs=3, seed=2, track_grad_map=False), z0)
+    warm = checked = 0
+    for block, x, y, batch, (lip, applied) in draws:
+        X, Y = np.abs(x.reshape(adapter.image_shape)), np.abs(y.reshape(kernel))
+        if block == "x" and len(batch) == tiles:
+            continue
+        checked += 1
+        if block == "x":
+            reference, dim = _bid_box_reference(adapter, batch, X, Y)
+            lam_max = _dense_top_eigenvalue(reference, dim)
+            assert lip - offset >= lam_max * (1 - 1e-12), (batch, lip, lam_max)
+        else:
+            lam_max = _dense_top_eigenvalue(_bid_masked_lipschitz_reference(adapter, batch, X, Y)[1], Y.size)
+            assert lip >= lam_max * (1 - 1e-12), (batch, lip, lam_max)
+        warm += applied == 1
+    assert 0 < warm < checked
 
 
 def test_bid_subsampled_lipschitz_draw_costs_a_batch(monkeypatch):
@@ -1998,26 +2124,27 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
     # every objective and gradient map) correlates the whole image a fixed number of
     # times: value once, grad_x once forward and once back (the image adjoint of the
     # whole residual); grad_y and each of the y-draw's passes once forward and once by
-    # bid_kernel_gradient; the closed-form x-draw not at all.
+    # bid_kernel_gradient, Y_BOUND_PASSES passes in the run's first full-batch y-draw
+    # and one, from its warm start, in each later one; the closed-form x-draw not at all.
     Z, _, _ = toy_blurred_image(seed=0, size=32, kernel=5)
     adapter = BlindDeblurProblem(Z=Z, kernel_shape=(5, 5), n_tiles=16)
     problem, z0 = adapter.block_problem(), adapter.initial_iterate()
     n, image, kernel = problem.n, adapter.image_shape, (5, 5)
     tiles = bid_component_split(Z.shape, 16)
     largest = np.max([(rs.stop - rs.start + 4, cs.stop - cs.start + 4) for rs, cs in tiles], axis=0)
-    passes = problems_module.Y_BOUND_PASSES
+    y_pass = [("forward", image, kernel), ("gradient", image, Z.shape)]
     per_call = {
         "value": [("forward", image, kernel)],
         "grad_x": [("forward", image, kernel), ("adjoint", Z.shape, kernel)],
         "grad_y": [("forward", image, kernel), ("gradient", image, Z.shape)],
         "lipschitz_x": [],
-        "lipschitz_y": [("forward", image, kernel), ("gradient", image, Z.shape)] * passes,
+        "lipschitz_y": y_pass * problems_module.Y_BOUND_PASSES,
     }
     spy, calls = _CorrelationSpy(monkeypatch), {}
 
     def recording(name, hook):
         def call(*args):
-            batch = args[-1] if name.startswith("lipschitz") else args[0]
+            batch = args[2] if name.startswith("lipschitz") else args[0]
             start = len(spy.runs)
             out = hook(*args)
             seen = [(kind, image.shape, other.shape) for kind, image, other, _size in spy.runs[start:]]
@@ -2030,9 +2157,9 @@ def test_bid_runs_correlate_tile_windows_only(monkeypatch, algorithm):
     run(recorded, SolverConfig(algorithm=algorithm, epochs=2, seed=0), z0)
     assert spy.runs and ("value", True) in calls
     for (name, full), made in calls.items():
-        for seen in made:
+        for i, seen in enumerate(made):
             if full:
-                assert seen == per_call[name], name
+                assert seen == (y_pass if name == "lipschitz_y" and i > 0 else per_call[name]), name
             else:
                 assert seen and all(h <= largest[0] and w <= largest[1] for _kind, (h, w), _kernel in seen), name
     assert ("grad_x", True) in calls and (("grad_x", False) in calls) == (algorithm != "palm")

@@ -602,7 +602,7 @@ def test_theoretical_policy_rejects_a_zero_lipschitz_draw(sep10, algorithm):
     # A zero operator draws L = 0 at z0; 1/L would be a bare ZeroDivisionError.
     problem, _ = sep10
 
-    def zero(x, y, batch):
+    def zero(x, y, batch, warm):
         return 0.0, 1
 
     problem = replace(problem, lipschitz_x=zero, lipschitz_y=zero)
@@ -619,7 +619,7 @@ def test_a_non_finite_lipschitz_draw_is_divergence(sep10, value, policy):
     # snapshot: the practical policy's first b = 2 draw, or the theoretical one at z0.
     # Both are raised before any trace row, and carry the empty trace.
     problem, _ = sep10
-    problem = replace(problem, lipschitz_y=lambda x, y, batch: (value, 1))
+    problem = replace(problem, lipschitz_y=lambda x, y, batch, warm: (value, 1))
     config = SolverConfig(algorithm="spring-saga", batch_size=2, step_policy=policy)
     with pytest.raises(DivergenceError, match="non-finite Lipschitz draw") as exc_info:
         run(problem, config, Iterate(np.ones(4), np.ones(4)))
@@ -841,11 +841,13 @@ def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x, 
     # also anchors on a full-batch draw at z0.  With ``closed_form_x`` the
     # x-hook returns a closed-form value on the full batch, with no application;
     # each other draw is a Collatz-Wielandt bound, from one pass (as a Gram draw is
-    # charged one application) or, for the y-hook with ``bound_y``, from three.
+    # charged one application) or, for the y-hook with ``bound_y``, from three.  Each
+    # hook keeps a warm start per block and batch size in the run's store, so a draw
+    # after the first of its kind is one pass.
     problem, _ = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch, passes=1):
+    def hook(x, y, batch, warm, block, passes=1):
         size = len(batch)
         scale = 1e-14 if size < problem.n and applied[0] == 0 else 1.0
 
@@ -853,13 +855,14 @@ def test_lipschitz_sfo_counts_every_operator_application(policy, closed_form_x, 
             applied[0] += size
             return scale * v
 
-        return collatz_wielandt_bound(apply, len(x), passes)
+        bound, made, warm[block, size] = collatz_wielandt_bound(apply, len(x), passes, warm.get((block, size)))
+        return bound, made
 
-    def hook_x(x, y, batch):
-        return (1.0, 0) if closed_form_x and len(batch) == problem.n else hook(x, y, batch)
+    def hook_x(x, y, batch, warm):
+        return (1.0, 0) if closed_form_x and len(batch) == problem.n else hook(x, y, batch, warm, "x")
 
-    def hook_y(x, y, batch):
-        return hook(x, y, batch, 3 if bound_y else 1)
+    def hook_y(x, y, batch, warm):
+        return hook(x, y, batch, warm, "y", 3 if bound_y else 1)
 
     counted = replace(problem, lipschitz_x=hook_x, lipschitz_y=hook_y)
     z0 = Iterate(np.ones(4), np.ones(4))
@@ -875,7 +878,7 @@ def test_envelope_anchor_draws_at_the_current_iterate():
     z0 = Iterate(np.zeros(1), np.zeros(1))
     anchored_at, proxed = [], []
 
-    def hook(x, y, batch):
+    def hook(x, y, batch, warm):
         full = len(batch) == problem.n
         if full:
             anchored_at.append(np.concatenate([x, y]))
@@ -903,12 +906,12 @@ def test_lipschitz_sfo_charges_only_the_applications_made():
     problem, info = make_separable_quadratic(n=8, seed=10)
     applied = [0]
 
-    def hook(x, y, batch):
+    def hook(x, y, batch, warm):
         def apply(v):
             applied[0] += problem.n
             return np.zeros_like(v)
 
-        return collatz_wielandt_bound(apply, len(x), 4)
+        return collatz_wielandt_bound(apply, len(x), 4)[:2]
 
     zero = replace(problem, lipschitz_x=hook, lipschitz_y=hook)
     with pytest.warns(RuntimeWarning, match="at or below floor"):
@@ -1078,7 +1081,12 @@ def test_misshapen_z0_raises_before_any_oracle_call(sep10):
 # 0.23502238459368477 and spring-sarah 0.22869028981923561 before).  The
 # 'toy-nmf', 'toy-nmf-theoretical' and 'toy-nmf-every' rows were re-pinned when
 # the factorization draws became exact Gram eigenvalues, one application each,
-# in place of the 5-iteration power method (old values in the change log).
+# in place of the 5-iteration power method (old values in the change log).  The
+# three SPRING bid rows were re-pinned when a run's later BID draws became one
+# Collatz-Wielandt pass from the vector the previous draw of the same operator
+# layout ended on (spring-sgd 0.2213207945480169, spring-saga 0.235287120597246 and
+# spring-sarah 0.22915018319406547 before); the one-step PALM and iPALM runs make
+# only a cold draw.
 GOLDEN = {
     ('toy-nmf', 'palm'): [(40, 13109.580383440669), (80, 1318.1222134364048), (120, 391.7909997504507)],
     ('toy-nmf', 'ipalm'): [(40, 7857.272446902929), (80, 1788.4084085245909), (120, 445.0187753097318)],
@@ -1087,9 +1095,9 @@ GOLDEN = {
     ('toy-nmf', 'spring-sarah'): [(40, 582.8636296735731), (152, 512.9093249160499), (192, 464.25437282693576)],
     ('bid', 'palm'): [(8, 0.23173014148340426)],
     ('bid', 'ipalm'): [(8, 0.23280813768833575)],
-    ('bid', 'spring-sgd'): [(8, 0.2213207945480169)],
-    ('bid', 'spring-saga'): [(8, 0.235287120597246)],
-    ('bid', 'spring-sarah'): [(26, 0.22915018319406547)],
+    ('bid', 'spring-sgd'): [(8, 0.22117554911118367)],
+    ('bid', 'spring-saga'): [(8, 0.23520531187584673)],
+    ('bid', 'spring-sarah'): [(26, 0.22903583916990028)],
     # Per row (sfo_calls, objective, lipschitz_sfo) of the policies and trace
     # mode the cases above leave out (``POLICY_CASES``), recorded before the
     # step sizes moved into one run-scoped object.  Runs that diverge within
@@ -1160,24 +1168,71 @@ def test_fixed_seed_runs_match_golden(name):
 @pytest.mark.parametrize("algorithm", ["palm", "ipalm"])
 def test_bid_full_batch_steps_charge_the_y_draw_alone(algorithm):
     # The full-batch x-draw is closed-form, so each step's Lipschitz work is the
-    # y-bound's Y_BOUND_PASSES applications of n components (2n; it was 6n while the
-    # y-block was power-iterated).
+    # y-bound's applications of n components: Y_BOUND_PASSES (2n; it was 6n while the
+    # y-block was power-iterated) at the run's first step, then one pass from the
+    # vector the previous step's bound ended on (n).
     problem, z0, _kw = _golden_case("bid")
     res = run(problem, SolverConfig(algorithm=algorithm, seed=7, epochs=3), z0)
-    per_step = Y_BOUND_PASSES * problem.n
-    assert per_step == 2 * problem.n
-    assert [row.lipschitz_sfo for row in res.trace.rows] == [per_step, 2 * per_step, 3 * per_step]
+    n = problem.n
+    assert Y_BOUND_PASSES == 2
+    assert [row.lipschitz_sfo for row in res.trace.rows] == [2 * n, 3 * n, 4 * n]
 
 
 @pytest.mark.parametrize("algorithm", ["spring-sgd", "spring-saga", "spring-sarah"])
 def test_bid_subsampled_draws_charge_their_bound_passes(algorithm):
-    # A b = 1 draw on the golden BID case is charged its passes: X_BOUND_PASSES (4) for
-    # the x-bound and Y_BOUND_PASSES (2) for the y-bound, 6 per step (12 while both
-    # blocks were power-iterated).  No envelope anchors on these runs.
+    # A b = 1 draw on the golden BID case is charged its passes.  A run's first draw is
+    # cold: X_BOUND_PASSES (4) for the x-bound and Y_BOUND_PASSES (2) for the y-bound, 6
+    # (12 while both blocks were power-iterated, and 6 at every step before the warm
+    # starts).  Then each bound is one pass from the vector the last draw of its layout
+    # ended on: all four tiles' 9 x 9 windows are one x-layout, and each tile is its own
+    # y-layout, so a tile's first y-draw is cold.  No envelope anchors on these runs.
     problem, z0, kw = _golden_case("bid")
     res = run(problem, SolverConfig(algorithm=algorithm, seed=7, **{**kw, "epochs": 2}), z0)
-    assert X_BOUND_PASSES + Y_BOUND_PASSES == 6
-    assert [row.lipschitz_sfo for row in res.trace.rows] == [6 * problem.n, 12 * problem.n]
+    assert (X_BOUND_PASSES, Y_BOUND_PASSES) == (4, 2)
+    sampler, seen, charged = BatchSampler(problem.n, 1, stream_rng(7, "lip_batch")), set(), []
+    for k in range(2 * problem.n):
+        (tile,) = est_module.sample_batch(sampler)
+        charged.append((4 if k == 0 else 1) + (1 if tile in seen else 2))
+        seen.add(tile)
+    assert charged[0] == 6 and charged.count(2) >= 4
+    assert [row.lipschitz_sfo for row in res.trace.rows] == [sum(charged[:4]), sum(charged)]
+
+
+def _rows(result):
+    # A run's trace rows and final iterate as bytes, wall time left out.
+    rows = [(r.epoch, r.sfo_calls, r.objective.hex(), r.grad_map_norm_sq.hex(), r.lipschitz_sfo)
+            for r in result.trace.rows]
+    return rows, result.z.x.tobytes(), result.z.y.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["palm", "ipalm", "spring-sgd", "spring-saga", "spring-sarah"])
+def test_bid_runs_sharing_a_problem_draw_as_on_a_fresh_one(algorithm):
+    # A run's warm starts live in its own step-size provider, never in the problem: a
+    # run on a problem that other runs use, here whole runs made inside its draws, gives
+    # the trace and iterate of the same run on a fresh problem, bit for bit, and so does
+    # each of those inner runs.  A shorter run is a prefix of a longer one.
+    Z, _, _ = toy_blurred_image(seed=0, size=16, kernel=3)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(3, 3), n_tiles=4)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+
+    def config(name, epochs):
+        return SolverConfig(algorithm=name, batch_size=1, epochs=epochs, seed=5)
+
+    inner = []
+
+    def interleaving(x, y, batch, warm):
+        if len(inner) < 3:
+            name = ("spring-sgd", "palm", algorithm)[len(inner)]
+            inner.append((name, run(problem, config(name, 1), z0)))
+        return problem.lipschitz_x(x, y, batch, warm)
+
+    shared = run(replace(problem, lipschitz_x=interleaving), config(algorithm, 3), z0)
+    assert len(inner) == 3
+    assert _rows(shared) == _rows(run(adapter.block_problem(), config(algorithm, 3), z0))
+    for name, result in inner:
+        assert _rows(result) == _rows(run(adapter.block_problem(), config(name, 1), z0)), name
+    shorter = run(problem, config(algorithm, 2), z0)
+    assert _rows(shorter)[0] == _rows(shared)[0][:len(shorter.trace.rows)]
 
 
 @pytest.mark.parametrize("size, kernel, tiles", [(16, 3, 4), (32, 5, 16), (64, 9, 16)])
