@@ -6,15 +6,16 @@
   large deconvolution benchmark, where ``bid_forward`` runs several row and
   column blocks; ``bid_kernel_gradient``, the kernel adjoint of a tile
   window and of the image alike;
-* the edge regularizer's gradient (``smooth_x.grad``) on bid-medium's 64 x 64
-  image;
+* the edge regularizer's gradient and value (``smooth_x.grad``,
+  ``smooth_x.value``) on bid-medium's 64 x 64 image;
 * the NMF/PCA batch oracles (``grad_x``, ``grad_y``, ``rows_x``, ``rows_y`` and
   ``value``) at toy-nmf-c11 shapes (50 x 20, r = 5; b = 1) and nmf-medium
   shapes (b = 13 and the full batch);
 * the blind-deconvolution batch oracles (``grad_x``, ``grad_y`` and ``value``)
-  and SAGA x-row oracle (``rows_x``, and ``rows_mean_x`` decoding its rows) at
-  bid-medium shapes (16 tiles; b = 1, where the oracles correlate one tile
-  window, and the full batch, whose one region is the whole image);
+  at bid-medium shapes (16 tiles; b = 1, where the oracles correlate one tile
+  window, and the full batch, whose one region is the whole image) and on the
+  full batch of a 256 x 256 image (64 tiles), and the SAGA x-row oracle
+  (``rows_x``, and ``rows_mean_x`` decoding its rows) at bid-medium shapes;
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
   exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
@@ -31,7 +32,7 @@
   r x r Gram matrix at toy-nmf-c11's r = 5 and nmf-medium's r = 10;
 * the trace row's diagnostics: ``core.objective`` and
   ``generalized_gradient_map`` (with the step's full gradients reused, as a
-  PALM row has them) at toy-nmf-c11 and nmf-medium shapes;
+  PALM row has them) at toy-nmf-c11, nmf-medium and bid-medium shapes;
 * one cold ``solver.run`` epoch (no warm start, practical steps, gradient
   map traced) per algorithm but inertial PALM at the toy-nmf-c11 shape
   (50 x 20, r = 5, b = 1), where per-run and per-step overheads dominate,
@@ -79,11 +80,20 @@ def toy_nmf():
     return adapter.block_problem(), adapter.initial_iterate(0)
 
 
+def _bid(size, tiles):
+    Z, _image, _kernel = toy_blurred_image(seed=0, size=size, kernel=KERNEL)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(KERNEL, KERNEL), n_tiles=tiles)
+    return adapter.block_problem(), adapter.initial_iterate()
+
+
 @pytest.fixture(scope="module")
 def bid():
-    Z, _image, _kernel = toy_blurred_image(seed=0, size=64, kernel=KERNEL)
-    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(KERNEL, KERNEL), n_tiles=16)
-    return adapter.block_problem(), adapter.initial_iterate()
+    return _bid(64, 16)
+
+
+@pytest.fixture(scope="module")
+def bid_large():
+    return _bid(256, 64)
 
 
 @pytest.mark.parametrize("shape", IMAGE_SHAPES)
@@ -108,6 +118,11 @@ def test_bid_smooth_grad(benchmark, bid):
     benchmark(problem.smooth_x.grad, z.x)
 
 
+def test_bid_smooth_value(benchmark, bid):
+    problem, z = bid
+    benchmark(problem.smooth_x.value, z.x)
+
+
 NMF_BATCHES = {"toy-b1": ("toy_nmf", 1), "medium-b13": ("nmf", 13), "medium-full": ("nmf", None)}
 
 
@@ -120,10 +135,11 @@ def test_nmf_oracle(benchmark, request, oracle, batch):
     benchmark(getattr(problem, oracle), idx, z.x, z.y)
 
 
-@pytest.mark.parametrize("b", [1, None], ids=["b1", "full"])
+@pytest.mark.parametrize("fixture, b", [("bid", 1), ("bid", None), ("bid_large", None)],
+                         ids=["b1", "full", "large-full"])
 @pytest.mark.parametrize("oracle", ["grad_x", "grad_y", "value"])
-def test_bid_oracle(benchmark, bid, oracle, b):
-    problem, z = bid
+def test_bid_oracle(benchmark, request, oracle, fixture, b):
+    problem, z = request.getfixturevalue(fixture)
     idx = np.arange(problem.n) if b is None else np.array([5])
     benchmark(getattr(problem, oracle), idx, z.x, z.y)
 
@@ -213,7 +229,7 @@ def test_top_eigenvalue(benchmark, r):
     benchmark(_top_eigenvalue, cols @ cols.T)
 
 
-@pytest.mark.parametrize("workload", ["toy_nmf", "nmf"], ids=["toy", "medium"])
+@pytest.mark.parametrize("workload", ["toy_nmf", "nmf", "bid"], ids=["toy", "medium", "bid"])
 @pytest.mark.parametrize("diagnostic", ["objective", "gradient_map"])
 def test_trace_row(benchmark, request, workload, diagnostic):
     problem, z = request.getfixturevalue(workload)

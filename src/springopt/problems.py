@@ -574,8 +574,8 @@ def _adjoint(shape: tuple[int, int], factors: ToeplitzFactors, out: np.ndarray) 
     output (the whole image) also has kw - 1 zero columns left and right, and
     is the correlation with the flipped kernel: without those columns each
     image edge needs a factor of its own residual width, which at
-    bid-medium's shape raised the full-batch ``grad_x`` peak from 260 KB to
-    329 KB for no faster PALM epoch.
+    bid-medium's shape raised the full-batch ``grad_x`` peak from 260 KB (as
+    it then was) to 329 KB for no faster PALM epoch.
     """
     (h, w), (kh, kw) = shape, factors.kernel.shape
     if _one_block(out.shape):
@@ -697,15 +697,6 @@ def bid_kernel_gradient(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _KernelGradient(X, U, np.empty((h - oh + 1, w - ow + 1)))()
 
 
-def image_gradients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences (horizontal, vertical) with zero boundary rows."""
-    dh = np.zeros_like(X)
-    dh[:, :-1] = X[:, 1:] - X[:, :-1]
-    dv = np.zeros_like(X)
-    dv[:-1, :] = X[1:, :] - X[:-1, :]
-    return dh, dv
-
-
 def bid_component_split(shape: tuple[int, int], n_blocks: int) -> list[tuple[slice, slice]]:
     """Partition a residual grid into n_blocks contiguous tiles.
 
@@ -732,8 +723,13 @@ def bid_component_split(shape: tuple[int, int], n_blocks: int) -> list[tuple[sli
 
 
 def bid_potential(v: np.ndarray, theta: float) -> np.ndarray:
-    """Edge-preserving potential log(1 + theta v^2), applied entrywise."""
-    return np.log1p(theta * v * v)
+    """Edge-preserving potential log(1 + theta v^2), applied entrywise.
+
+    Evaluated as log1p((theta * v) * v) in one array beside v, each step in place.
+    """
+    p = theta * v
+    p *= v
+    return np.log1p(p, out=p)
 
 
 # Collatz-Wielandt passes of the cold BID Lipschitz draws (a layout's first in a run)
@@ -802,10 +798,20 @@ class BlindDeblurProblem:
             return image_region if len(idx) == n else [tile_regions[i] for i in idx]
 
         def reg_value(xv):
-            dh, dv = image_gradients(xv.reshape(hx, wx))
-            # ndarray.sum's reduction, without the method's Python wrapper.
-            return lam * float(np.add.reduce(bid_potential(dh, theta), axis=None)
-                               + np.add.reduce(bid_potential(dv, theta), axis=None))
+            # One difference direction at a time in one flat buffer d, each a contiguous
+            # difference of the flat image, laid out as the (hx, wx) forward differences
+            # flattened: the horizontal ones with a zero last column (where the flat
+            # difference pairs a row's last pixel with the next row's first), the vertical
+            # ones with a zero last row.  Each potential is one more flat array, and
+            # ndarray.sum's reduction of it (without the method's Python wrapper) sums the
+            # same values in the same order as over the image-shaped arrays.
+            d = np.empty(hx * wx)
+            np.subtract(xv[1:], xv[:-1], out=d[:-1])
+            d[wx - 1::wx] = 0.0
+            horizontal = np.add.reduce(bid_potential(d, theta))
+            np.subtract(xv[wx:], xv[:-wx], out=d[:-wx])
+            d[-wx:] = 0.0
+            return lam * float(horizontal + np.add.reduce(bid_potential(d, theta)))
 
         def reg_grad(xv):
             # D^T Phi'(D X), one difference direction at a time, so at most two
@@ -834,11 +840,15 @@ class BlindDeblurProblem:
             return g
 
         # The (window, residual) of each region, correlated with one kernel whose Toeplitz
-        # factors are built once and freed on return, before grad_x's adjoints build
-        # theirs: on the full batch both would not fit in smooth_x.grad's peak.
+        # factors are built once and freed on return, before grad_x's adjoints build theirs.
+        # Z is subtracted in place, so a region holds one residual-sized array.
         def residuals(regions, X, Y):
-            factors = ToeplitzFactors(Y)
-            return [(window, bid_forward(X[window], Y, factors) - Z[tile]) for window, tile in regions]
+            factors, parts = ToeplitzFactors(Y), []
+            for window, tile in regions:
+                resid = bid_forward(X[window], Y, factors)
+                resid -= Z[tile]
+                parts.append((window, resid))
+            return parts
 
         def scatter_adjoints(parts, scale):
             # scale * the sum of the image adjoints of (window, residual, kernel factors)
@@ -856,6 +866,19 @@ class BlindDeblurProblem:
 
         def grad_x(idx, xv, yv):
             X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+            if len(idx) == n:
+                # The whole image's residual is correlated straight into the interior of
+                # the image adjoint's zero-padded buffer, with factors of its own, freed
+                # before the adjoint builds the flipped kernel's.  The adjoint's output is
+                # the gradient: adding +0 first turns -0.0 into +0.0 as adding it into a
+                # zero image did, and leaves every other entry, NaN included, as it is.
+                resid, adjoint = _adjoint(Z.shape, ToeplitzFactors(Y), np.empty((hx, wx)))
+                _Correlation(np.ascontiguousarray(X, dtype=float), (kh, kw), ToeplitzFactors(Y).toeplitz, resid)()
+                resid -= Z
+                g = adjoint()
+                g += 0.0
+                g *= 2.0  # 2n / len(idx), exactly
+                return g.ravel()
             parts = residuals(regions(idx), X, Y)
             factors = ToeplitzFactors(Y)
             return scatter_adjoints(((window, resid, factors) for window, resid in parts), 2.0 * n / len(idx))
@@ -898,7 +921,9 @@ class BlindDeblurProblem:
             factors, g = ToeplitzFactors(Y), np.zeros((kh, kw))
             for window, tile in regions(idx):
                 patch = np.ascontiguousarray(X[window])  # one copy of a tile window, read by both correlations
-                g += bid_kernel_gradient(patch, bid_forward(patch, Y, factors) - Z[tile])
+                resid = bid_forward(patch, Y, factors)
+                resid -= Z[tile]
+                g += bid_kernel_gradient(patch, resid)
             g *= 2.0 * n / len(idx)
             return g.ravel()
 

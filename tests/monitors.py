@@ -4,7 +4,9 @@ The variance probes Upsilon of the SAGA and SARAH estimators and the
 Lyapunov function Psi are devices of the analysis: no solver path reads
 them, and they never influence the iteration.  ``total_grads`` is the
 gradient tally of an ``OracleCounter``, for double-entry bookkeeping against
-a trace's ``sfo_calls``.
+a trace's ``sfo_calls``.  ``image_gradients`` is the blind-deconvolution edge
+term's difference images, the reference its flat-image hooks are checked
+against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ def dist_sq(a: Iterate, b: Iterate) -> float:
 
 def total_grads(counter: OracleCounter) -> int:
     return counter.grad_x + counter.grad_y
+
+
+def image_gradients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences (horizontal, vertical) with zero boundary rows."""
+    dh = np.zeros_like(X)
+    dh[:, :-1] = X[:, 1:] - X[:, :-1]
+    dv = np.zeros_like(X)
+    dv[:-1, :] = X[1:, :] - X[:-1, :]
+    return dh, dv
 
 
 def expand_rows(rows_mean: RowsMeanFn, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Peak memory of one cold epoch, and of blind deconvolution's hooks, at the benchmark's shapes.
 
 * Blind deconvolution at the bid-medium shape (64 x 64 image, 9 x 9 kernel,
-  16 tiles): the full-batch hooks, the edge regularizer's gradient, and one
-  cold epoch of PALM, SAGA and SARAH at b = 1.
+  16 tiles): the full-batch hooks, the edge regularizer's value and gradient,
+  and one cold epoch of PALM, SAGA and SARAH at b = 1; and at a 256 x 256
+  image (64 tiles), the full-batch ``grad_x`` and the edge value against what
+  their arrays need.
 * Sparse NMF at the toy-nmf-c11 shape (50 x 20, r = 5, s = 10, b = 1) and
   the nmf-medium shape (200 x 500, r = 10, s = 40, b = 13): one cold epoch
   of PALM, SAGA and SARAH, whose trace row (objective and gradient map) is
@@ -19,29 +21,36 @@ import numpy as np
 import pytest
 
 from springopt.harness.datasets import toy_blurred_image, toy_nmf_matrix
-from springopt.problems import BlindDeblurProblem, SparseNmfProblem
+from springopt.problems import _BLOCK, BlindDeblurProblem, SparseNmfProblem
 from springopt.solver import SolverConfig, run
 
 # Peaks in bytes with numpy 2.4.6 on CPython 3.11, measured by this file's tests
 # run alone while the full batch still summed its 16 tile windows (smooth_x.grad
 # then built both difference images, their derivatives and the divergence at
-# once, and set PALM's peak).  Other numpy versions allocate differently.
+# once, and set PALM's peak).  Other numpy versions allocate differently.  The
+# grad_x, smooth_x.value and epoch entries are the peaks since the full-batch grad_x
+# forms the image residual in its adjoint's padded buffer and the edge value runs on
+# the flat image, the larger of each test run alone and with its file (grad_x
+# 201,312, smooth_x.value 66,702, PALM 223,760, SAGA 367,217, SARAH 323,336), plus
+# 2 KB: a peak's last few hundred bytes depend on what the process ran before, by up
+# to 1.2 KB.
 WINDOWED_PEAKS = {
     "value": 52_808,
-    "grad_x": 134_864,
+    "grad_x": 203_360,
     "grad_y": 75_008,
     "lipschitz_x": 1_920,
     "lipschitz_y": 122_600,
     "smooth_x.grad": 262_552,
-    "palm": 305_624,
-    "spring-saga": 451_458,
-    "spring-sarah": 403_232,
+    "smooth_x.value": 68_750,
+    "palm": 225_808,
+    "spring-saga": 369_265,
+    "spring-sarah": 325_384,
 }
 # A whole-image correlation's Toeplitz factor alone (55 KB at 24 columns) is
 # above some windowed hooks' whole peak (value's 53 KB).  What holds a run's peak
 # is that no full-batch call goes above the largest of them, smooth_x.grad's, so
-# that is each full-batch hook's budget; the edge gradient and the epochs keep
-# their own.
+# that is each full-batch hook's budget; grad_x, the edge terms and the epochs
+# keep their own too.
 HOOK_BUDGET = max(WINDOWED_PEAKS[name] for name in ("value", "grad_x", "grad_y", "lipschitz_x",
                                                      "lipschitz_y", "smooth_x.grad"))
 HOOKS = ("value", "grad_x", "grad_y", "lipschitz_x", "lipschitz_y")
@@ -80,8 +89,8 @@ def _call(problem, z0, name):
         return lambda: getattr(problem, name)(full, z0.x, z0.y)
     if name in ("lipschitz_x", "lipschitz_y"):
         return lambda: getattr(problem, name)(z0.x, z0.y, full)
-    if name == "smooth_x.grad":
-        return lambda: problem.smooth_x.grad(z0.x)
+    if name.startswith("smooth_x."):
+        return lambda: getattr(problem.smooth_x, name.split(".")[1])(z0.x)
     return _epoch(problem, z0, name, 1)
 
 
@@ -90,9 +99,28 @@ def test_full_batch_hook_stays_within_the_windowed_peak(bid_medium, name):
     assert _peak(_call(*bid_medium, name)) <= HOOK_BUDGET
 
 
-@pytest.mark.parametrize("name", ("smooth_x.grad",) + EPOCHS)
+@pytest.mark.parametrize("name", ("grad_x", "smooth_x.grad", "smooth_x.value") + EPOCHS)
 def test_peak_is_held(bid_medium, name):
     assert _peak(_call(*bid_medium, name)) <= WINDOWED_PEAKS[name]
+
+
+def test_full_batch_grad_x_and_edge_value_scale_with_the_image():
+    # At a 256 x 256 image (a 524 KB array) the full-batch grad_x holds its output, the
+    # image adjoint's padded buffer and a budget that does not grow with the image:
+    # two banded factors (the widest block's and the last, narrower one's) and one
+    # copied band block, each at most kh (B + kw - 1) B numbers for B = _BLOCK.  The
+    # edge value holds two image-sized arrays, a difference and its potential, and a
+    # few hundred bytes of Python objects (4 KB allowed).  Measured: 1,215,120 and
+    # 1,049,688 B; before, 2,226,088 and 2,097,616 B.
+    Z, _image, _kernel = toy_blurred_image(seed=0, size=256, kernel=9)
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=(9, 9), n_tiles=64)
+    problem, z0 = adapter.block_problem(), adapter.initial_iterate()
+    (h, w), (kh, kw) = Z.shape, adapter.kernel_shape
+    image, item = z0.x.nbytes, z0.x.itemsize
+    padded = (h + 2 * (kh - 1)) * (w + 2 * (kw - 1)) * item
+    block = kh * (_BLOCK + kw - 1) * _BLOCK * item
+    assert _peak(_call(problem, z0, "grad_x")) <= image + padded + 3 * block
+    assert _peak(_call(problem, z0, "smooth_x.value")) <= 2 * image + 4096
 
 
 # (matrix shape, rank of the generated data, r, s, batch size) of the two NMF workloads.

@@ -22,7 +22,6 @@ from springopt.problems import (
     bid_forward,
     bid_kernel_gradient,
     bid_potential,
-    image_gradients,
     make_random_quadratic,
     make_separable_quadratic,
     prox_l0_nonneg_columns,
@@ -32,7 +31,7 @@ from springopt.problems import (
 )
 from springopt.solver import DivergenceError, SolverConfig, run
 
-from monitors import expand_rows
+from monitors import expand_rows, image_gradients
 from test_lipschitz import previous_collatz_wielandt_bound
 
 
@@ -1538,6 +1537,114 @@ def test_bid_full_batch_image_path_matches_per_tile_sums(rng, shape):
         for image in (X, np.abs(X)):
             patches = bid_patches(image, adapter.kernel_shape)
             assert got >= np.linalg.eigvalsh(2.0 * patches.T @ patches)[-1] * (1 - 1e-12)
+
+
+def _previous_full_batch(adapter):
+    """The full-batch value, grad_x and grad_y and the edge term's value, verbatim but for
+    the regions (the full batch's one) and the potential's name, from before grad_x formed
+    the image residual in its adjoint's buffer and the edge value ran on the flat image."""
+    Z, lam, theta = adapter.Z, adapter.lam, adapter.theta
+    kh, kw = adapter.kernel_shape
+    hx, wx = adapter.image_shape
+    n = len(bid_component_split(Z.shape, adapter.n_tiles))
+    image_region = [((slice(None), slice(None)), (slice(None), slice(None)))]
+
+    def regions(idx):
+        return image_region
+
+    def potential(v, theta):
+        return np.log1p(theta * v * v)
+
+    def reg_value(xv):
+        dh, dv = image_gradients(xv.reshape(hx, wx))
+        # ndarray.sum's reduction, without the method's Python wrapper.
+        return lam * float(np.add.reduce(potential(dh, theta), axis=None)
+                           + np.add.reduce(potential(dv, theta), axis=None))
+
+    def residuals(regions, X, Y):
+        factors = ToeplitzFactors(Y)
+        return [(window, bid_forward(X[window], Y, factors) - Z[tile]) for window, tile in regions]
+
+    def scatter_adjoints(parts, scale):
+        g = np.zeros((hx, wx))
+        for window, resid, factors in parts:
+            g[window] += bid_adjoint_image(resid, factors.kernel, factors)
+        g *= scale
+        return g.ravel()
+
+    def value(idx, xv, yv):
+        X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+        total = sum(float(np.vdot(resid, resid)) for _w, resid in residuals(regions(idx), X, Y))
+        return total * (n / len(idx))
+
+    def grad_x(idx, xv, yv):
+        X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+        parts = residuals(regions(idx), X, Y)
+        factors = ToeplitzFactors(Y)
+        return scatter_adjoints(((window, resid, factors) for window, resid in parts), 2.0 * n / len(idx))
+
+    def grad_y(idx, xv, yv):
+        X, Y = xv.reshape(hx, wx), yv.reshape(kh, kw)
+        factors, g = ToeplitzFactors(Y), np.zeros((kh, kw))
+        for window, tile in regions(idx):
+            patch = np.ascontiguousarray(X[window])
+            g += bid_kernel_gradient(patch, bid_forward(patch, Y, factors) - Z[tile])
+        g *= 2.0 * n / len(idx)
+        return g.ravel()
+
+    return {"value": value, "grad_x": grad_x, "grad_y": grad_y}, reg_value
+
+
+def _with_specials(rng, v, specials, share):
+    v = v.copy()
+    at = rng.random(v.size) < share
+    v[at] = rng.choice(specials, at.sum())
+    return v
+
+
+# (residual grid, kernel, tiles): one block each way on an uneven 6-tile grid; a forward
+# correlation of one block written into a blocked adjoint's padded buffer; blocked both
+# ways with a last block narrower than the others on a 7-tile grid; bid-medium's shape.
+FULL_BATCH_SHAPES = {"one-block": ((11, 13), (3, 4), 6), "forward-one-block": ((20, 22), (9, 5), 4),
+                     "blocked": ((41, 53), (5, 9), 7), "bid-medium": ((56, 56), (9, 9), 16)}
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("shape", FULL_BATCH_SHAPES)
+def test_bid_full_batch_oracles_match_previous_code_bitwise(rng, shape):
+    # Every byte of the full-batch value, grad_x and grad_y and of the edge value, NaN
+    # payloads and zero signs included: on feasible and unconstrained iterates, kernels
+    # with exact zeros and -0.0, entries -0.0, NaN of either sign and +-inf in X and Y,
+    # and a residual that is -0.0 where the image is -0.0 over Z's exact zeros.
+    Z_shape, kernel, tiles = FULL_BATCH_SHAPES[shape]
+    Z = rng.random(Z_shape)
+    Z[:Z_shape[0] // 2, :Z_shape[1] // 2] = 0.0
+    adapter = BlindDeblurProblem(Z=Z, kernel_shape=kernel, lam=3e-3, theta=70.0, n_tiles=tiles)
+    problem = adapter.block_problem()
+    previous, previous_edge = _previous_full_batch(adapter)
+    full = np.arange(problem.n)
+    dim_x, dim_y = problem.dim_x, problem.dim_y
+    z0 = adapter.initial_iterate()
+    sparse_kernel = rng.random(kernel) / dim_y
+    sparse_kernel[0], sparse_kernel[:, -1], sparse_kernel.flat[dim_y // 2] = 0.0, -0.0, 0.0
+    negative_zeros = z0.x.reshape(adapter.image_shape).copy()
+    negative_zeros[:Z_shape[0] // 2 + kernel[0] - 1, :Z_shape[1] // 2 + kernel[1] - 1] = -0.0
+    specials = np.array([-0.0, np.nan, -np.nan, np.inf, -np.inf])
+    points = [(z0.x, z0.y), (z0.x, sparse_kernel.ravel()), (negative_zeros.ravel(), z0.y),
+              (np.full(dim_x, -0.0), sparse_kernel.ravel()),
+              (rng.standard_normal(dim_x), rng.standard_normal(dim_y)),
+              (_with_specials(rng, rng.random(dim_x), specials, 0.01), z0.y),
+              (z0.x, _with_specials(rng, rng.random(dim_y), specials, 0.1)),
+              (_with_specials(rng, rng.random(dim_x), specials[:1], 0.3),
+               _with_specials(rng, rng.random(dim_y), specials, 0.05)),
+              (_with_specials(rng, rng.standard_normal(dim_x), specials, 0.2), sparse_kernel.ravel())]
+    with np.errstate(all="ignore"):
+        for xv, yv in points:
+            for name, oracle in previous.items():
+                got, want = getattr(problem, name)(full, xv, yv), oracle(full, xv, yv)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+                assert np.shape(got) == np.shape(want)
+            assert np.float64(problem.smooth_x.value(xv)).tobytes() == np.float64(previous_edge(xv)).tobytes()
 
 
 def _previous_edge_terms(xv, shape, lam, theta):

@@ -25,8 +25,9 @@ from springopt.problems import (
     SparseNmfProblem,
     SparsePcaProblem,
     bid_potential,
-    image_gradients,
 )
+
+from monitors import image_gradients
 
 pytestmark = pytest.mark.numpy_floor
 
