@@ -19,8 +19,8 @@
 * each block's Lipschitz hook, the value the solver draws (the NMF hooks'
   exact r x r Gram eigenvalue, the BID hooks' bounds) at
   nmf-medium shapes (200 x 500, r = 10; b = 13 and the full batch) and
-  bid-medium shapes (16 tiles; b = 1 and the full batch), the BID hooks both
-  cold, as a run's first draw, and warm, one pass from a stored vector;
+  bid-medium shapes (16 tiles; b = 1, b = 4 and the full batch), the BID hooks
+  both cold, as a run's first draw, and warm, one pass from a stored vector;
 * the L0 prox on nmf-medium's 200 x 10 factor X, and the kernel projection
   on bid-medium's 9 x 9 kernel;
 * one cold SPRING step (SGD, and SAGA's corrected estimate without the warm
@@ -169,13 +169,16 @@ def test_nmf_lipschitz_draw(benchmark, nmf, block, b):
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
-@pytest.mark.parametrize("b, start", [(1, "cold"), (None, "cold"), (1, "warm"), (None, "warm")],
-                         ids=["b1", "full", "b1-warm", "full-warm"])
+@pytest.mark.parametrize("b, start", [(1, "cold"), (4, "cold"), (None, "cold"), (1, "warm"), (4, "warm"),
+                                      (None, "warm")],
+                         ids=["b1", "b4", "full", "b1-warm", "b4-warm", "full-warm"])
 def test_bid_lipschitz_draw(benchmark, bid, block, b, start):
     # A cold draw, a run's first, or a warm one: one pass from the vector a first draw
     # stored in the run's store (the full-batch x-draw is its closed form either way).
+    # At b = 4 the batch is the diagonal of the 4 x 4 tile grid: four windows of one
+    # shape, whose passes share one set of kernel factors.
     problem, z = bid
-    batch = np.arange(problem.n) if b is None else np.array([5])
+    batch = {None: np.arange(problem.n), 1: np.array([5]), 4: np.array([0, 5, 10, 15])}[b]
     if start == "cold":
         _draw(benchmark, problem, z, block, batch)
         return

@@ -42,6 +42,16 @@ ProxFn = Callable[[float, np.ndarray], np.ndarray]
 LipschitzFn = Callable[[np.ndarray, np.ndarray, np.ndarray, "dict | None"], tuple[float, int]]
 
 
+def is_integer(value) -> bool:
+    """True for an ``int`` or ``np.integer``, ``bool`` excluded: ``True`` is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for an integer (as ``is_integer``), a ``float`` or an ``np.floating``."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
 class SmoothTerm(NamedTuple):
     """A deterministic smooth term of one block: ``value(v)`` and ``grad(v)``
     at the block vector v."""

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_batch
+from .core import BlockProblem, Iterate, RowsMeanFn, check_dims, full_batch, is_integer
 
 # Table-update calls (one per block per step, whatever the batch size) between exact
 # mean recomputations.  Each drifts the mean by O(eps); recomputing keeps it within 1e-10.
@@ -45,10 +45,6 @@ _MEAN_RECOMPUTE_PERIOD = 4096
 _CHUNK_CAP = 64
 # The largest batch drawn in chunks (see _chunk_draw).
 _CHUNK_MAX_B = 128
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @lru_cache(maxsize=8)
@@ -95,7 +91,7 @@ class BatchSampler:
     _next: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (_is_int(self.n) and _is_int(self.b)):
+        if not (is_integer(self.n) and is_integer(self.b)):
             raise ValueError(f"n and b must be integers, got n={self.n!r}, b={self.b!r}")
         if not 1 <= self.b <= self.n:
             raise ValueError(f"batch size must satisfy 1 <= b <= n, got b={self.b}, n={self.n}")

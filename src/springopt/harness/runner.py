@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ..core import is_integer, is_real
 from ..lipschitz import ALGORITHMS
 from ..problems import BlindDeblurProblem, SparseNmfProblem, SparsePcaProblem
 from ..rng import is_seed
-from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, _is_integer, _is_real, run
+from ..solver import ConfigError, DivergenceError, SolverConfig, Trace, run
 from . import datasets, io
 
 PROBLEM_KINDS = ("toy-nmf", "toy-pca", "toy-bid", "nmf", "pca", "bid")
@@ -55,11 +56,11 @@ class ProblemSpec:
         if self.sparsity is not None:
             counts["sparsity"] = self.sparsity
         for name, value in counts.items():
-            if not (_is_integer(value) and value >= 1):
+            if not (is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name, zero_ok in (("lam", False), ("theta", False), ("lam1", True), ("lam2", True)):
             value = getattr(self, name)
-            if not (_is_real(value) and 0 <= value < math.inf and (zero_ok or value > 0)):
+            if not (is_real(value) and 0 <= value < math.inf and (zero_ok or value > 0)):
                 raise ConfigError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value!r}")
         if self.kind in ("nmf", "pca"):
             if self.data_path is None:
@@ -110,7 +111,7 @@ class RunSpec:
     deterministic_timing: bool = False
 
     def validate(self) -> None:
-        if not _is_integer(self.repeat):
+        if not is_integer(self.repeat):
             raise ConfigError(f"repeat must be an integer >= 1, got {self.repeat!r}")
         if self.repeat < 1:
             raise ConfigError(f"repeat must be >= 1, got {self.repeat}")

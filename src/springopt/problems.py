@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import BlockProblem, Iterate, SmoothTerm
+from .core import BlockProblem, Iterate, SmoothTerm, is_integer, is_real
 from .lipschitz import collatz_wielandt_bound
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,27 @@ def _factorization_block_problem(A, r, reg_x_value, reg_y_value, prox_x, prox_y)
     )
 
 
+def _finite_matrix(name: str, A) -> np.ndarray:
+    """A as a float array, once checked to be 2-D with finite entries."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} must have finite entries")
+    return A
+
+
+def _check_fields(counts: dict, weights: dict) -> None:
+    """Raise ValueError naming the first count that is not an integer (``bool`` is
+    not) or weight that is not a finite number."""
+    for name, value in counts.items():
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in weights.items():
+        if not (is_real(value) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SparseNmfProblem:
     """||A - XY||_F^2 with X, Y >= 0 and s-sparse columns of X."""
@@ -282,7 +303,8 @@ class SparseNmfProblem:
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "A", _finite_matrix("A", self.A))
+        _check_fields({"r": self.r, "s": self.s}, {})
         m, d = self.A.shape
         if not 1 <= self.s <= m:
             raise ValueError(f"sparsity must satisfy 1 <= s <= {m}, got {self.s}")
@@ -340,7 +362,8 @@ class SparsePcaProblem:
     lam2: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "A", _finite_matrix("A", self.A))
+        _check_fields({"r": self.r}, {"lam1": self.lam1, "lam2": self.lam2})
         if self.lam1 < 0 or self.lam2 < 0:
             raise ValueError("l1 weights must be nonnegative")
         if not 1 <= self.r <= self.A.shape[1]:
@@ -433,23 +456,16 @@ def _toeplitz(Y: np.ndarray, ncols: int) -> np.ndarray:
     return toeplitz
 
 
-def _adjoint_diagonals(A: np.ndarray, kernel_shape: tuple[int, int], width: int) -> np.ndarray:
-    """The (kh, kw, width) view of the entries A[a * width + c, c + b], for A C-contiguous
-    with the flat layout of a (kh * width, width + kw - 1) array: an adjoint factor's band."""
-    kh, kw = kernel_shape
-    return _strided(A, (kh, kw, width), (width * (width + kw - 1), 1, width + kw))
-
-
 def _adjoint_toeplitz(Y: np.ndarray, width: int) -> np.ndarray:
     """Banded factor F of the image adjoint of the correlation with Y, for a residual ``width`` columns wide.
 
     F has shape (kh * width, width + kw - 1) with
     F[a * width + c, j] = Y[kh - 1 - a, j - c] for 0 <= j - c < kw and zeros
-    elsewhere, written through one ``_adjoint_diagonals`` view.
+    elsewhere, written through one strided view of those entries.
     """
     kh, kw = Y.shape
     factor = np.zeros((kh * width, width + kw - 1))
-    _adjoint_diagonals(factor, Y.shape, width)[...] = Y[::-1, :, None]
+    _strided(factor, (kh, kw, width), (width * (width + kw - 1), 1, width + kw))[...] = Y[::-1, :, None]
     return factor
 
 
@@ -464,8 +480,7 @@ class ToeplitzFactors:
     residual width, and, for an adjoint of more than one block (the whole
     image), the factors of the ``flipped`` kernel.  Both functions refuse
     factors of any other array (by identity, so an equal copy is refused
-    too).  When the kernel's entries change in place, ``refresh`` rewrites
-    the factors built so far before they are used again.
+    too).
     """
 
     __slots__ = ("kernel", "_by_width", "_adjoints", "_flipped")
@@ -502,21 +517,6 @@ class ToeplitzFactors:
             self._flipped = ToeplitzFactors(self.kernel[::-1, ::-1])
         return self._flipped
 
-    def refresh(self) -> None:
-        """Rewrite the factors built so far from the kernel's current entries.
-
-        A factor's zeros do not depend on the kernel, so each takes one
-        strided write of the kernel, and holds what a new build would.
-        """
-        shape = self.kernel.shape
-        kernel, flipped_rows = self.kernel[:, :, None], self.kernel[::-1, :, None]
-        for ncols, toeplitz in self._by_width.items():
-            _diagonals(toeplitz, shape, ncols)[...] = kernel
-        for width, factor in self._adjoints.items():
-            _adjoint_diagonals(factor, shape, width)[...] = flipped_rows
-        if self._flipped is not None:
-            self._flipped.refresh()
-
 
 def _one_block(shape: tuple[int, int]) -> bool:
     """True when an output of ``shape`` is one ``_BLOCK``: one matrix product, with one factor."""
@@ -532,9 +532,8 @@ class _Correlation:
     of one ``_BLOCK`` is one product of the overlapping bands, read from one
     strided view of X, by the factor taken at set-up; a larger one is
     ``bid_forward``'s blocks, each block's bands copied and its factor taken
-    as it is made.  Each call reads X's and the factors' current entries, so
-    a caller that rewrites X in place (or the kernel, then
-    ``factors.refresh()``) runs it again with nothing set up again.
+    as it is made.  Each call reads X's current entries, so a caller that
+    rewrites X in place runs it again with nothing set up again.
     """
 
     __slots__ = ("image", "kernel_shape", "factor", "out", "_bands", "_single")
@@ -544,7 +543,7 @@ class _Correlation:
         (oh, ow), kh, w = out.shape, kernel_shape[0], X.shape[1]
         if _one_block(out.shape):
             self._bands = _strided(X, (oh, kh * w), (w, 1))  # bands[p] is X[p:p + kh].ravel()
-            self._single = factor(ow)  # rewritten in place by factors.refresh()
+            self._single = factor(ow)
         else:
             self._bands = _strided(X, (oh, kh, w), (w, w, 1))  # bands[p, a] is X[p + a]
             self._single = None
@@ -769,8 +768,10 @@ class BlindDeblurProblem:
     n_tiles: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "Z", np.asarray(self.Z, dtype=float))
+        object.__setattr__(self, "Z", _finite_matrix("Z", self.Z))
         kh, kw = self.kernel_shape
+        _check_fields({"kernel_shape[0]": kh, "kernel_shape[1]": kw, "n_tiles": self.n_tiles},
+                      {"lam": self.lam, "theta": self.theta})
         if kh < 1 or kw < 1:
             raise ValueError("kernel must be at least 1x1")
         if self.lam <= 0 or self.theta <= 0:
@@ -1016,23 +1017,19 @@ class BlindDeblurProblem:
         # whole image, whose patch matrix P has P^T P = sum_j P_j^T P_j over all tiles.
         def lip_y(xv, yv, batch, warm=None):
             X, scale = xv.reshape(hx, wx), 2.0 * n / len(batch)
-            # Set up once per draw for all its passes: each region's window of |X| with its
-            # two correlations, and the factors of one kernel array V.  A pass copies the
-            # iterate into V, rewrites V's factors in place and multiplies.
-            V = np.zeros((kh, kw))
-            factors, passes = ToeplitzFactors(V), []
+            # Set up once per draw for all its passes: each region's window of |X|, its
+            # residual buffer and its kernel gradient.  A pass builds the factors of its
+            # iterate and correlates each window with it into the window's buffer.
+            passes = []
             for window, _tile in regions(batch):
                 patch = np.abs(X[window])
-                forward = _Correlation(patch, (kh, kw), factors.toeplitz,
-                                       np.empty(_output_shape(patch.shape, (kh, kw))))
-                passes.append((forward, _KernelGradient(patch, forward.out, np.empty((kh, kw)))))
+                resid = np.empty(_output_shape(patch.shape, (kh, kw)))
+                passes.append((patch, resid, _KernelGradient(patch, resid, np.empty((kh, kw)))))
 
             def apply(v):
-                V[...] = v.reshape(kh, kw)
-                factors.refresh()
-                g = np.zeros((kh, kw))
-                for forward, gradient in passes:
-                    forward()
+                factors, g = ToeplitzFactors(v.reshape(kh, kw)), np.zeros((kh, kw))
+                for patch, resid, gradient in passes:
+                    _Correlation(patch, (kh, kw), factors.toeplitz, resid)()
                     g += gradient()
                 g *= scale
                 return g.ravel()

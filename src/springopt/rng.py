@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import is_integer
+
 # Fixed purpose -> stream index map.  Extending the table is fine; reordering
 # existing entries breaks seed reproducibility.  Index 3 is retired (it seeded
 # the power method's start vectors) and is never reused, so no later purpose
@@ -26,7 +28,7 @@ STREAMS = {
 
 def is_seed(seed) -> bool:
     """True when ``seed`` is an integer in [0, 2**64), ``bool`` excluded."""
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= int(seed) < 2**64
+    return is_integer(seed) and 0 <= int(seed) < 2**64
 
 
 def stream_rng(seed: int, purpose: str) -> np.random.Generator:

@@ -44,6 +44,8 @@ from .core import (
     full_batch,
     full_grad_x,
     full_grad_y,
+    is_integer,
+    is_real,
     objective,
 )
 from .diagnostics import generalized_gradient_map
@@ -81,16 +83,6 @@ class ConfigError(ValueError):
     harness setting such as a ``RunSpec.repeat`` below 1 or ``bench``'s algorithm list."""
 
 
-def _is_integer(value) -> bool:
-    """True for an ``int`` or ``np.integer``, ``bool`` excluded: ``True`` is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for an integer (as ``_is_integer``), a ``float`` or an ``np.floating``."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
-
-
 @dataclass
 class SolverConfig:
     """Everything a run needs besides the problem and the starting point."""
@@ -114,9 +106,9 @@ class SolverConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.step_policy not in STEP_POLICIES:
             raise ConfigError(f"unknown step policy {self.step_policy!r}")
-        if not _is_integer(self.epochs):
+        if not is_integer(self.epochs):
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
-        if not _is_integer(self.batch_size):
+        if not is_integer(self.batch_size):
             raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
         if not is_seed(self.seed):
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -124,18 +116,18 @@ class SolverConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.batch_size <= n:
             raise ConfigError(f"batch size must satisfy 1 <= b <= n={n}, got {self.batch_size}")
-        if self.sarah_p is not None and not (_is_real(self.sarah_p) and 1 <= self.sarah_p < math.inf):
+        if self.sarah_p is not None and not (is_real(self.sarah_p) and 1 <= self.sarah_p < math.inf):
             raise ConfigError(f"SARAH period must satisfy 1 <= p < inf, got {self.sarah_p}")
         fixed = self.fixed_steps
         if self.step_policy == "fixed" and not (fixed and len(fixed) == 2
-                                                and all(_is_real(g) and 0 < g < math.inf for g in fixed)):
+                                                and all(is_real(g) and 0 < g < math.inf for g in fixed)):
             raise ConfigError(f"fixed steps must be a positive finite (gamma_x, gamma_y), got {fixed}")
         if self.step_policy == "theoretical" and self.algorithm == "spring-sgd":
             raise ConfigError("the theoretical step policy applies to variance-reduced estimators only")
-        if self.lipschitz_const is not None and not (_is_real(self.lipschitz_const)
+        if self.lipschitz_const is not None and not (is_real(self.lipschitz_const)
                                                      and 0 < self.lipschitz_const < math.inf):
             raise ConfigError(f"lipschitz_const must be finite and positive, got {self.lipschitz_const}")
-        if self.grad_map_tolerance is not None and not (_is_real(self.grad_map_tolerance)
+        if self.grad_map_tolerance is not None and not (is_real(self.grad_map_tolerance)
                                                         and 0 <= self.grad_map_tolerance < math.inf):
             raise ConfigError(f"grad_map_tolerance must satisfy 0 <= tol < inf, got {self.grad_map_tolerance}")
         if self.grad_map_tolerance is not None and not self.track_grad_map:

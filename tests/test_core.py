@@ -193,6 +193,34 @@ def test_row_oracle_parts_come_together(quad5):
         replace(problem, rows_y=rows, rows_mean_y=lambda idx, r: np.zeros(4), row_dim_y=0)
 
 
+@pytest.mark.parametrize("fields, match", [
+    (dict(n=0), "n must be positive, got 0"),
+    (dict(dim_x=0), r"block dims must be positive, got \(0, 4\)"),
+    (dict(dim_y=-1), r"block dims must be positive, got \(4, -1\)"),
+])
+def test_block_problem_rejects_empty_sizes(quad5, fields, match):
+    problem, _ = quad5
+    with pytest.raises(ValueError, match=match):
+        replace(problem, **fields)
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_full_gradient_of_the_wrong_shape_is_refused(quad5, block):
+    problem, _ = quad5
+    z = Iterate(np.zeros(problem.dim_x), np.zeros(problem.dim_y))
+    wrong = replace(problem, **{f"grad_{block}": lambda idx, x, y: np.zeros(3)})
+    with pytest.raises(ValueError, match=r"full gradient has shape \(3,\), expected \(4,\)"):
+        (full_grad_x if block == "x" else full_grad_y)(wrong, z)
+
+
+def test_objective_nan_regularizer_is_numerical_failure(quad5):
+    problem, _ = quad5
+    z = Iterate(np.zeros(problem.dim_x), np.zeros(problem.dim_y))
+    for block in ("x", "y"):
+        with pytest.raises(FloatingPointError, match="regularizer value is NaN"):
+            objective(replace(problem, **{f"reg_{block}_value": lambda v: float("nan")}), z)
+
+
 def test_dist_sq():
     a = Iterate(np.array([1.0, 0.0]), np.array([0.0]))
     b = Iterate(np.array([0.0, 0.0]), np.array([2.0]))

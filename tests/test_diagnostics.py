@@ -294,6 +294,17 @@ def test_exhaustive_mse_full_batch_sgd_is_zero(quad6, random_iterate):
     assert exhaustive_mse(problem, "sgd", problem.n, z) == pytest.approx(0.0, abs=1e-22)
 
 
+@pytest.mark.parametrize("kind, block, match", [
+    ("sgd", "z", "block must be 'x' or 'y', got 'z'"),
+    ("svrg", "x", "unknown estimator kind 'svrg'"),
+    ("svrg", "y", "unknown estimator kind 'svrg'"),
+])
+def test_exhaustive_mse_rejects_unknown_block_and_kind(quad6, random_iterate, kind, block, match):
+    problem, _ = quad6
+    with pytest.raises(ValueError, match=match):
+        exhaustive_mse(problem, kind, 2, random_iterate(problem, seed=9), block=block)
+
+
 def test_exhaustive_mse_saga_exact_tables_zero(quad6, random_iterate):
     problem, _ = quad6
     z = random_iterate(problem, seed=8)

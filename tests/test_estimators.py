@@ -571,6 +571,24 @@ def test_constants_sarah_reference_values():
     assert (v1, v2, vu, rho) == (2.0, 2.0, 2.0, 0.25)
 
 
+@pytest.mark.parametrize("kind, params, match", [
+    ("saga", dict(b=2), "SAGA constants need n and b"),
+    ("saga", dict(n=4), "SAGA constants need n and b"),
+    ("sarah", dict(n=4, b=2), "SARAH constants need p"),
+    ("sgd", dict(n=4, b=2, p=4), "unknown estimator kind 'sgd'"),
+])
+def test_constants_need_their_parameters(kind, params, match):
+    with pytest.raises(ValueError, match=match):
+        estimator_constants(kind, **params)
+
+
+@pytest.mark.parametrize("estimate", [sgd_estimate_x, sgd_estimate_y])
+def test_sgd_estimate_rejects_an_empty_batch(quad5, random_iterate, estimate):
+    problem, _ = quad5
+    with pytest.raises(ValueError, match="batch must be nonempty"):
+        estimate(problem, np.array([], dtype=np.int64), random_iterate(problem, seed=1))
+
+
 def test_constants_saga_full_batch_rho():
     *_rest, rho = estimator_constants("saga", n=4, b=4, L=1.0, M=1.0)
     assert rho == pytest.approx(0.5)

@@ -91,6 +91,21 @@ def test_spmx_errors(tmp_path):
         io.load_matrix(bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spmx_names_the_first_non_finite_entry(tmp_path, value):
+    path = tmp_path / "bad.spmx"
+    io.save_matrix_spmx(path, np.array([[1.0, 2.0, 3.0], [4.0, value, value]]))
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: non-finite entry at element 4 (offset 44)")):
+        io.load_matrix(path)
+
+
+def test_matrix_that_is_neither_spmx_nor_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n\xff\xfe,3\n")
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: neither SPMX nor text CSV")):
+        io.load_matrix(path)
+
+
 # File names carry the generated parameters, so sharing one tmp_path across
 # hypothesis examples is safe.
 @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -164,6 +179,21 @@ def test_pgm_comments_and_errors(tmp_path):
     maxval.write_text("P2\n1 1\n65535\n12\n")
     with pytest.raises(io.FormatError, match="maxval"):
         io.load_image(maxval)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"", "empty image file"),
+    (b"  \n# only a comment\n", "empty image file"),
+    (b"P5\n3 2\n255\n\x00\x01\x02\x03\x04", "P5 payload has 5 bytes, expected 6"),
+    (b"P2\n2 2\n255\n0 1 2\n", "P2 payload has 3 samples, expected 4"),
+    (b"P2\n2 1\n255\n0 1 2\n", "P2 payload has 3 samples, expected 2"),
+    (b"P2\n2 1\n255\n0 256\n", "P2 sample out of range [0, 255]"),
+])
+def test_pgm_payload_errors_name_the_file(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: {message}")):
+        io.load_image(path)
 
 
 def test_pgm_rejects_a_size_below_one(tmp_path):
@@ -291,6 +321,28 @@ def test_trace_csv_header_enforced(tmp_path):
         io.read_trace_csv(path)
 
 
+def test_trace_csv_skips_blank_lines(tmp_path):
+    trace = _sample_trace()
+    path = tmp_path / "t.csv"
+    io.write_trace_csv(path, trace)
+    header, *rows = path.read_text().splitlines()[1:]
+    path.write_text("\n".join([header, "", rows[0], "   ", rows[1], ""]) + "\n")
+    assert io.read_trace_csv(path).rows == trace.rows
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,20,0.5,0.25,3.0", "line 3: expected 6 columns, got 5"),
+    ("1,20,0.5,0.25,3.0,40,7", "line 3: expected 6 columns, got 7"),
+    ("1,twenty,0.5,0.25,3.0,40", "line 3: invalid literal for int()"),
+    ("1,20,half,0.25,3.0,40", "line 3: could not convert string to float"),
+])
+def test_trace_csv_reports_the_faulty_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# a comment\n{io.TRACE_HEADER}\n{row}\n")  # line numbers count the comment
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: {message}")):
+        io.read_trace_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # SVG plots
 # ---------------------------------------------------------------------------
@@ -347,6 +399,20 @@ def test_svg_empty_trace_set_errors(tmp_path):
 def test_svg_rejects_unknown_mode(tmp_path):
     with pytest.raises(ValueError):
         svgplot.emit_plot([("t", _sample_trace())], tmp_path / "x.svg", mode="nope")
+    with pytest.raises(ValueError, match=re.escape("unknown x-axis 'wall'; expected one of ['epoch', 'sfo']")):
+        svgplot.emit_plot([("t", _sample_trace())], tmp_path / "x.svg", xaxis="wall")
+
+
+def test_svg_of_a_single_sample_widens_both_axes(tmp_path):
+    # One sample spans no range on either axis; each is widened by half a unit each way,
+    # which puts the point in the middle of the plot.
+    out = tmp_path / "one.svg"
+    svgplot.emit_plot([("one", Trace(rows=[TraceRow(1, 2, 10.0, 1.0, 0.0, 0)]))], out)
+    text = out.read_text()
+    assert ET.fromstring(text).tag.endswith("svg")
+    left, top = svgplot.MARGIN_L, svgplot.MARGIN_T
+    middle = (left + (svgplot.WIDTH - left - svgplot.MARGIN_R) / 2, top + (svgplot.HEIGHT - top - svgplot.MARGIN_B) / 2)
+    assert re.findall(r'<polyline [^>]*points="([^"]*)"', text) == ["{:.2f},{:.2f}".format(*middle)]
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +591,10 @@ def test_run_spec_validation(tmp_path):
     with pytest.raises(FileNotFoundError):
         RunSpec(problem=ProblemSpec("nmf", data_path=str(tmp_path / "missing.csv")),
                 config=SolverConfig(algorithm="palm"), out_dir=".").validate()
+    missing = tmp_path / "missing.pgm"
+    with pytest.raises(FileNotFoundError, match=re.escape(f"image not found: {missing}")):
+        RunSpec(problem=ProblemSpec("bid", image_path=str(missing)),
+                config=SolverConfig(algorithm="palm"), out_dir=".").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +737,12 @@ def test_cli_plot_from_traces(tmp_path):
         assert text.count("<polyline") == len(ALGORITHMS)
 
 
-def test_cli_check_grad(tmp_path):
+def test_cli_check_grad(tmp_path, capsys):
     assert cli_dispatch(["check-grad", "--problem", "toy-nmf", "--points", "2"]) == 0
+    # An error above the tolerance is a runtime failure (a negative tolerance fails every check).
+    capsys.readouterr()
+    assert cli_dispatch(["check-grad", "--problem", "toy-nmf", "--points", "1", "--grad-tol", "-1"]) == 1
+    assert capsys.readouterr().err == "FAIL: exceeds tolerance -1\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -841,4 +915,20 @@ def test_cli_config_file_values_take_flag_types(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli_dispatch(["run", "--config", str(cfg)]) == 2
     assert "argument --epochs: invalid int value: 'two'" in capsys.readouterr().err
+    assert len(seen) == 1
+
+
+def test_cli_config_file_comments_booleans_and_malformed_lines(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("springopt.harness.cli.run_experiment",
+                        lambda spec: seen.append(spec) or {"algorithm": "palm", "runs": []})
+    cfg = tmp_path / "exp.cfg"
+    # Blank and comment lines are skipped; on/yes/true and off/no/false, in any case, are booleans.
+    cfg.write_text("# a comment line\n\n   \nwarm-start = Off  # a trailing comment\ndeterministic-timing = YES\n")
+    assert cli_dispatch(["run", "--config", str(cfg)]) == 0
+    assert seen[0].config.warm_start is False and seen[0].deterministic_timing is True
+    cfg.write_text("epochs = 2\njust a flag\n")
+    capsys.readouterr()
+    assert cli_dispatch(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: line 2: expected key=value\n")
     assert len(seen) == 1

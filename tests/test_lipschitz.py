@@ -308,6 +308,20 @@ def test_theoretical_bound_validation():
         theoretical_step_bound(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         theoretical_step_bound(1.0, 1.0, 1.0, 0.5, variant="bogus")
+    with pytest.raises(ValueError, match="variance constants must be nonnegative"):
+        theoretical_step_bound(1.0, -3.0, 1.0, 0.5)  # A = -3 + 1 / 0.5 < 0
+
+
+@pytest.mark.parametrize("kind, L, n, match", [
+    ("saga", 0.0, None, "L must be positive, got 0.0"),
+    ("sarah", -1.0, 30, "L must be positive, got -1.0"),
+    ("sarah", 1.0, None, "SARAH cap needs the component count n"),
+    ("sarah", 1.0, 0, "SARAH cap needs the component count n"),
+    ("sgd", 1.0, 30, "unknown estimator kind 'sgd'"),
+])
+def test_closed_form_caps_validation(kind, L, n, match):
+    with pytest.raises(ValueError, match=match):
+        closed_form_step_cap(kind, L, n=n)
 
 
 def test_closed_form_caps_exact():

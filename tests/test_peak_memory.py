@@ -31,26 +31,29 @@ from springopt.solver import SolverConfig, run
 # grad_x, smooth_x.value and epoch entries are the peaks since the full-batch grad_x
 # forms the image residual in its adjoint's padded buffer and the edge value runs on
 # the flat image, the larger of each test run alone and with its file (grad_x
-# 201,312, smooth_x.value 66,702, PALM 223,760, SAGA 367,217, SARAH 323,336), plus
-# 2 KB: a peak's last few hundred bytes depend on what the process ran before, by up
-# to 1.2 KB.
+# 201,312, smooth_x.value 66,702, SAGA 367,217, SARAH 323,336), plus 2 KB: a peak's
+# last few hundred bytes depend on what the process ran before, by up to 1.2 KB.  The
+# lipschitz_y and PALM entries are the same rule's since each y-draw pass builds the
+# factors of its own iterate, with no kernel buffer whose factors it rewrites: the
+# full-batch y-draw 212,720 (before, 222,864), PALM, whose epoch peak is that draw,
+# 213,616 (before, 223,760).
 WINDOWED_PEAKS = {
     "value": 52_808,
     "grad_x": 203_360,
     "grad_y": 75_008,
     "lipschitz_x": 1_920,
-    "lipschitz_y": 122_600,
+    "lipschitz_y": 214_768,
     "smooth_x.grad": 262_552,
     "smooth_x.value": 68_750,
-    "palm": 225_808,
+    "palm": 215_664,
     "spring-saga": 369_265,
     "spring-sarah": 325_384,
 }
 # A whole-image correlation's Toeplitz factor alone (55 KB at 24 columns) is
 # above some windowed hooks' whole peak (value's 53 KB).  What holds a run's peak
 # is that no full-batch call goes above the largest of them, smooth_x.grad's, so
-# that is each full-batch hook's budget; grad_x, the edge terms and the epochs
-# keep their own too.
+# that is each full-batch hook's budget; grad_x, lipschitz_y, the edge terms and the
+# epochs keep their own too.
 HOOK_BUDGET = max(WINDOWED_PEAKS[name] for name in ("value", "grad_x", "grad_y", "lipschitz_x",
                                                      "lipschitz_y", "smooth_x.grad"))
 HOOKS = ("value", "grad_x", "grad_y", "lipschitz_x", "lipschitz_y")
@@ -99,7 +102,7 @@ def test_full_batch_hook_stays_within_the_windowed_peak(bid_medium, name):
     assert _peak(_call(*bid_medium, name)) <= HOOK_BUDGET
 
 
-@pytest.mark.parametrize("name", ("grad_x", "smooth_x.grad", "smooth_x.value") + EPOCHS)
+@pytest.mark.parametrize("name", ("grad_x", "lipschitz_y", "smooth_x.grad", "smooth_x.value") + EPOCHS)
 def test_peak_is_held(bid_medium, name):
     assert _peak(_call(*bid_medium, name)) <= WINDOWED_PEAKS[name]
 

@@ -682,6 +682,59 @@ def test_nmf_validation():
         SparseNmfProblem(A=np.ones((3, 4)), r=5, s=2)
 
 
+_NAN_MATRIX = np.where(np.eye(3, 4) > 0, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("make, match", [
+    # Data that is not a finite 2-D array.
+    (lambda: SparseNmfProblem(A=np.ones(4), r=1, s=1), "A must be a 2-D array"),
+    (lambda: SparseNmfProblem(A=np.ones((2, 3, 4)), r=1, s=1), "A must be a 2-D array"),
+    (lambda: SparseNmfProblem(A=_NAN_MATRIX, r=2, s=2), "A must have finite entries"),
+    (lambda: SparsePcaProblem(A=np.ones(4), r=1), "A must be a 2-D array"),
+    (lambda: SparsePcaProblem(A=np.full((3, 4), np.inf), r=2), "A must have finite entries"),
+    (lambda: BlindDeblurProblem(Z=np.ones(16), kernel_shape=(3, 3)), "Z must be a 2-D array"),
+    (lambda: BlindDeblurProblem(Z=_NAN_MATRIX, kernel_shape=(1, 1), n_tiles=1), "Z must have finite entries"),
+    (lambda: BlindDeblurProblem(Z=-np.full((8, 8), np.inf), kernel_shape=(3, 3), n_tiles=1),
+     "Z must have finite entries"),
+    # Counts that are bool or not integers.
+    (lambda: SparseNmfProblem(A=np.ones((3, 4)), r=2, s=True), "s must be an integer"),
+    (lambda: SparseNmfProblem(A=np.ones((3, 4)), r=2.0, s=2), "r must be an integer"),
+    (lambda: SparsePcaProblem(A=np.ones((3, 4)), r=True), "r must be an integer"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), n_tiles=True), "n_tiles must be an integer"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), n_tiles=4.0), "n_tiles must be an integer"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(True, 3)), r"kernel_shape\[0\] must be an integer"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 2.5)), r"kernel_shape\[1\] must be an integer"),
+    # Weights that are not finite numbers.
+    (lambda: SparsePcaProblem(A=np.ones((3, 4)), r=2, lam1=np.nan), "lam1 must be a finite number"),
+    (lambda: SparsePcaProblem(A=np.ones((3, 4)), r=2, lam2=np.inf), "lam2 must be a finite number"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), lam=np.inf), "lam must be a finite number"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), lam=np.nan), "lam must be a finite number"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), theta=np.nan), "theta must be a finite number"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), lam="1e-3"), "lam must be a finite number"),
+    # The range checks after the type checks.
+    (lambda: SparsePcaProblem(A=np.ones((3, 4)), r=2, lam1=-1.0), "l1 weights must be nonnegative"),
+    (lambda: SparsePcaProblem(A=np.ones((3, 4)), r=5), "rank must satisfy"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(0, 3)), "kernel must be at least 1x1"),
+    (lambda: BlindDeblurProblem(Z=np.ones((8, 8)), kernel_shape=(3, 3), theta=0.0), "lam and theta must be positive"),
+])
+def test_adapters_reject_malformed_input(make, match):
+    # An adapter checks its own fields at construction, each failure a ValueError that
+    # names the field, before any oracle or initial iterate runs on them.
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_adapters_take_numpy_counts_and_weights():
+    # numpy integers and floats are counts and weights like Python's.
+    A = toy_nmf_matrix(seed=0, shape=(6, 5), rank=2)
+    nmf = SparseNmfProblem(A=A, r=np.int64(2), s=np.int32(3))
+    pca = SparsePcaProblem(A=A, r=np.int64(2), lam1=np.float32(0.5), lam2=np.float64(0.0))
+    Z, _, _ = _toy_blur(seed=0, size=16, kernel=3)
+    bid = BlindDeblurProblem(Z=Z, kernel_shape=(np.int64(3), 3), lam=np.float64(1e-3), n_tiles=np.int16(4))
+    for adapter in (nmf, pca, bid):
+        assert adapter.block_problem().n >= 1
+
+
 # ---------------------------------------------------------------------------
 # Blind deconvolution pieces
 # ---------------------------------------------------------------------------
@@ -1099,26 +1152,31 @@ def test_toeplitz_factors_refuse_another_kernel(rng):
     assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_banded_bid_adjoint_image(U, Y))
 
 
-def test_toeplitz_factors_refresh_to_a_changed_kernel(rng):
-    # After the kernel array changes in place, refresh leaves every factor built so far,
-    # the adjoint's and the flipped kernel's included, equal to a new build of the new
-    # entries; factors built later read the new entries anyway.  A kernel with zero
-    # entries shows that refresh writes the kernel's positions only.
-    Y = rng.standard_normal((3, 4))
+def test_toeplitz_factors_are_fresh_builds_of_their_kernel(rng):
+    # Each factor is a build of the kernel it was made from, bit for bit: the forward
+    # factor per block width, the flipped kernel's and the adjoint's per residual
+    # width, each equal to a fresh _toeplitz or _adjoint_toeplitz build and to an
+    # independent transcription.  A kernel with zero entries shows that a build puts
+    # nothing but the kernel on its bands.  A repeated width returns the factor built
+    # for it, the flipped kernel's factors included.
+    Y = rng.standard_normal((3, 4)) * (rng.random((3, 4)) < 0.5)
     factors = ToeplitzFactors(Y)
-    built = [factors.toeplitz(5), factors.toeplitz(24), factors.flipped().toeplitz(7), factors.adjoint(6)]
-    Y[...] = rng.standard_normal((3, 4)) * (rng.random((3, 4)) < 0.5)
-    factors.refresh()
-    assert factors.toeplitz(5) is built[0] and factors.flipped().toeplitz(7) is built[2]
-    assert factors.adjoint(6) is built[3]
-    want = [problems_module._toeplitz(Y, 5), problems_module._toeplitz(Y, 24),
-            problems_module._toeplitz(Y[::-1, ::-1], 7), _banded_adjoint_factor(Y, 6)]
-    assert all(_bitwise(got, ref) for got, ref in zip(built, want))
-    assert _bitwise(factors.toeplitz(9), problems_module._toeplitz(Y, 9))
-    assert _bitwise(factors.adjoint(1), _banded_adjoint_factor(Y, 1))
-    X, U = rng.standard_normal((8, 9)), rng.standard_normal((6, 6))
-    assert _bitwise(bid_forward(X, Y, factors), _asstrided_bid_forward(X, Y))
-    assert _bitwise(bid_adjoint_image(U, Y, factors), _asstrided_banded_bid_adjoint_image(U, Y))
+    flipped = Y[::-1, ::-1]
+    for ncols in (1, 5, 24):
+        got = factors.toeplitz(ncols)
+        assert _bitwise(got, problems_module._toeplitz(Y, ncols))
+        assert _bitwise(got, _asstrided_toeplitz(Y, ncols))
+        assert factors.toeplitz(ncols) is got
+        got = factors.flipped().toeplitz(ncols)
+        assert _bitwise(got, problems_module._toeplitz(flipped, ncols))
+        assert _bitwise(got, _asstrided_toeplitz(flipped, ncols))
+        assert factors.flipped().toeplitz(ncols) is got
+    assert factors.flipped() is factors.flipped()
+    for width in (1, 6, 21):
+        got = factors.adjoint(width)
+        assert _bitwise(got, problems_module._adjoint_toeplitz(Y, width))
+        assert _bitwise(got, _banded_adjoint_factor(Y, width))
+        assert factors.adjoint(width) is got
 
 
 class _CorrelationSpy:
@@ -1181,16 +1239,17 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     # correlation built its own), and sets its forward correlation and image adjoint up
     # once for its X_BOUND_PASSES passes (8 set-ups when each pass went through
     # bid_forward and bid_adjoint_image).
-    # A y-draw builds one factor of its iterate v per block width, rewritten in place
-    # on each pass (one build per pass before: 2 at b = 1, 4 at the full batch), and
-    # sets its two correlations up once per region (4 set-ups at b = 1 before).  The
+    # A y-draw builds the factors of each pass's iterate v, one per block width, and
+    # sets up each region's forward correlation with them on every pass; each region's
+    # kernel gradient is set up once per draw.  A cold draw is Y_BOUND_PASSES passes, a
+    # warm one (from the vector its layout's last draw ended on) one pass.  The
     # kernel adjoint, bid_kernel_gradient, builds no factor (the window kernel adjoint
     # bid_forward(X, U) built one of the window's residual U, 4 builds per draw).
     # The full-batch x-draw is the closed-form bound: no correlation and no factor.
     # A b = 1 oracle correlates its window: grad_x builds one forward and one adjoint
     # factor, grad_y one forward factor.  The full batch correlates the whole image,
     # the one region whose 28 x 28 residual spans two forward column blocks (24 and
-    # 4): value, grad_y and the y-draw build the two factors of their kernel; grad_x
+    # 4): value, grad_y and each y-draw pass build the two factors of their kernel; grad_x
     # also builds its flip's two (the 32-column image adjoint, more than one block,
     # is the zero-padded correlation with the flipped kernel: 24 and 8) and
     # correlates the image once forward and once back.  grad_y and a y-draw pass
@@ -1225,14 +1284,21 @@ def test_bid_draws_and_oracles_build_each_factor_once(monkeypatch, rng):
     monkeypatch.setattr(problems_module, "_adjoint_toeplitz", counting_adjoint_toeplitz)
     spy = _CorrelationSpy(monkeypatch)
 
-    def draw(hook, batch):
-        return lambda: hook(x, Y.ravel(), batch)
+    def draw(hook, batch, warm=None):
+        return lambda: hook(x, Y.ravel(), batch, warm)
+
+    warm = {}  # the vectors of a cold y-draw at b = 1 and at the full batch
+    problem.lipschitz_y(x, Y.ravel(), np.array([6]), warm)
+    problem.lipschitz_y(x, Y.ravel(), full, warm)
+    assert len(warm) == 2
 
     calls = {
         "x-draw b=1": (draw(problem.lipschitz_x, np.array([6])), ["adjoint", "forward"], x_passes * 2, 2),
         "x-draw full": (draw(problem.lipschitz_x, full), [], 0, 0),
-        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"], y_passes * 2, 2),
-        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * 2, y_passes * 2, 2),
+        "y-draw b=1": (draw(problem.lipschitz_y, np.array([6])), ["other"] * y_passes, y_passes * 2, y_passes + 1),
+        "y-draw full": (draw(problem.lipschitz_y, full), ["other"] * (2 * y_passes), y_passes * 2, y_passes + 1),
+        "warm y-draw b=1": (draw(problem.lipschitz_y, np.array([6]), warm), ["other"], 2, 2),
+        "warm y-draw full": (draw(problem.lipschitz_y, full, warm), ["other"] * 2, 2, 2),
         "grad_x b=1": (lambda: problem.grad_x(np.array([6]), x, Y.ravel()), ["adjoint", "forward"], 2, 2),
         "grad_y b=1": (lambda: problem.grad_y(np.array([6]), x, Y.ravel()), ["forward"], 2, 2),
         "grad_x full": (lambda: problem.grad_x(full, x, Y.ravel()), ["flipped"] * 2 + ["forward"] * 2, 2, 2),
@@ -1372,6 +1438,24 @@ def test_bid_component_split_shapes():
 def test_bid_component_split_single_block():
     tiles = bid_component_split((5, 7), 1)
     assert tiles == [(slice(0, 5), slice(0, 7))]
+
+
+def test_bid_component_split_turns_a_layout_that_only_fits_on_its_side():
+    # 6 tiles are 2 x 3 (rows x columns), 3 columns more than a 6 x 2 grid has: 3 x 2.
+    tiles = bid_component_split((6, 2), 6)
+    assert [(rs.start, rs.stop, cs.start, cs.stop) for rs, cs in tiles] == [
+        (0, 2, 0, 1), (0, 2, 1, 2), (2, 4, 0, 1), (2, 4, 1, 2), (4, 6, 0, 1), (4, 6, 1, 2)]
+
+
+@pytest.mark.parametrize("shape, n_blocks, match", [
+    ((4, 5), 0, r"need 1 <= n_blocks <= 20, got 0"),
+    ((4, 5), 21, r"need 1 <= n_blocks <= 20, got 21"),
+    ((2, 2), 3, r"cannot tile \(2, 2\) into 3 contiguous blocks"),
+    ((2, 3), 5, r"cannot tile \(2, 3\) into 5 contiguous blocks"),
+])
+def test_bid_component_split_rejects_impossible_layouts(shape, n_blocks, match):
+    with pytest.raises(ValueError, match=match):
+        bid_component_split(shape, n_blocks)
 
 
 def test_bid_component_split_covers_odd_shapes():

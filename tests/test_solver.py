@@ -298,6 +298,8 @@ def test_run_validates_config(sep10):
     z0 = Iterate(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
         run(problem, SolverConfig(algorithm="nope"), z0)
+    with pytest.raises(ConfigError, match="unknown step policy 'adaptive'"):
+        run(problem, SolverConfig(algorithm="palm", step_policy="adaptive"), z0)
     with pytest.raises(ValueError):
         run(problem, SolverConfig(algorithm="palm", epochs=0), z0)
     with pytest.raises(ValueError):
